@@ -1,97 +1,135 @@
-"""Wormhole simulator — array-based engine + parallel campaign gate.
+"""Wormhole simulator — the solo and batch engines against the frozen reference.
 
-Not a paper figure: this is the repo's own perf-trajectory gate for the
-:mod:`repro.noc.simengine` overhaul. It runs
-:func:`repro.engine.benchmark.run_simulator_benchmark` (the same routine
-whose numbers ``python -m repro.cli bench`` embeds in the ``simulator``
-section of ``BENCH_engine.json``), echoes the numbers, and asserts
+Not a paper figure: these are the layer floors of :mod:`repro.noc.simengine`
+and :mod:`repro.noc.batchengine`. The end-to-end benchmark
+(``python3 perfbench/run.py``) times served simulation campaigns; this
+script checks the claims it cannot, that each optimised engine beats the
+frozen naive simulator (:mod:`repro.noc.reference`) on the same topology.
+Run it with::
 
-* the array-based engine and the frozen naive baseline of
-  :mod:`repro.noc.reference` produce *bit-identical* simulation statistics
-  (packets, latencies, per-flow breakdowns, drain length) at every
-  measured load;
-* the engine beats the naive baseline by >= 3x single-threaded cycles/sec
-  at the validation load (a same-core claim, asserted everywhere; the
-  saturation-load speedup is recorded without a floor — under full load
-  the event-driven advantage shrinks by design);
-* the (seed × injection scale) traffic campaign merges identically serial
-  vs parallel, and — only when the machine actually has >= 4 CPUs — the
-  parallel leg beats the serial one by >= 2x wall-clock. On smaller boxes
-  (CI containers pinned to one core) the speedup is recorded but not
-  asserted, since a CPU-bound speedup beyond the core count is physically
-  impossible;
-* the vectorised K-replication batch engine (:mod:`repro.noc.batchengine`)
-  delivers >= 10x the replications/sec of the pre-vectorisation
-  per-process campaign loop — solo frozen-reference runs, one replication
-  per process, the same baseline as the single-thread gate, so the floors
-  compose (the array engine bought ~4x per run; batching takes the same
-  comparison past 10x). Both sides run single-process on one core, so the
-  floor is CPU-count independent. The further batch-vs-solo-array-engine
-  ratio is recorded ungated, and a traced small batch is asserted
-  bit-identical — stats and per-cycle trajectories — to solo engine runs
-  and the frozen reference, replication by replication.
+    python -m pytest benchmarks/bench_simulator.py -q -s
+
+Every leg simulates the best-power topology of a seeded 26-core synthetic
+design at the validation load (injection scale 0.3). The script asserts
+
+* the solo array engine, the K-replication batch engine and the reference
+  produce *bit-identical* statistics and per-cycle trajectories, so the
+  speedups are pure simulation-machinery cost;
+* the solo engine runs >= 3x the reference's cycles/sec;
+* the batch engine at K=512 delivers >= 10x the replications/sec of solo
+  reference runs, one replication at a time.
+
+Every ratio is the median of interleaved repeats, single-process on one
+core, so the floors do not depend on the CPU count.
 """
+
+import statistics
+import time
 
 import pytest
 
-from repro.engine.benchmark import run_simulator_benchmark
+from repro.bench.synthetic import synthetic_benchmark
+from repro.core.config import SynthesisConfig
+from repro.core.synthesis import synthesize
+from repro.noc.reference import ReferenceWormholeSimulator
+from repro.noc.simulator import WormholeSimulator
 
-CAMPAIGN_JOBS = 4
-SINGLE_THREAD_SPEEDUP_FLOOR = 3.0
-CAMPAIGN_SPEEDUP_FLOOR = 2.0
-BATCH_PER_CORE_SPEEDUP_FLOOR = 10.0
+SCALE = 0.3
+SEED = 5
+CYCLES = 4_000
+WARMUP = CYCLES // 10
+REPEATS = 5
+BATCH_K = 512
+IDENTITY_K = 4
+SOLO_FLOOR = 3.0
+BATCH_FLOOR = 10.0
 
 
-def _run():
-    return run_simulator_benchmark(quick=True, jobs=CAMPAIGN_JOBS, log=print)
+@pytest.fixture(scope="module")
+def topology():
+    bench = synthetic_benchmark(
+        26, "distributed", num_layers=3, seed=3, floorplan_moves=800
+    )
+    config = SynthesisConfig(max_ill=16, switch_count_range=(4, 6))
+    return synthesize(
+        bench.core_spec_3d, bench.comm_spec, config=config
+    ).best_power().topology
 
 
-def test_simulator_engine_speedup(benchmark):
-    report = benchmark.pedantic(_run, rounds=1, iterations=1)
-    print()
-    print(f"cpu_count={report['cpu_count']} "
-          f"single-thread={report['speedup']}x "
-          f"({report['engine_cycles_per_s']:,.0f} cycles/s) "
-          f"saturation={report['saturation']['speedup']}x "
-          f"campaign={report['campaign']['speedup']}x "
-          f"batch={report['batch']['speedup_vs_reference']}x/core")
-
-    # Bit-identity is the contract that makes the speedup meaningful.
-    assert report["identical_results"]
-    assert report["saturation"]["identical_results"]
-    assert report["campaign"]["identical_results"]
-    assert report["batch"]["identical_trajectories"]
-
-    # Single-threaded cycles/sec at validation load: same core, so the
-    # floor holds everywhere.
-    assert report["speedup"] >= SINGLE_THREAD_SPEEDUP_FLOOR, (
-        f"simulator engine speedup {report['speedup']}x below "
-        f"{SINGLE_THREAD_SPEEDUP_FLOOR}x"
+def _run(sim_cls, topo, seed=SEED, **kwargs):
+    return sim_cls(topo, seed=seed).run(
+        cycles=CYCLES, warmup=WARMUP, injection_scale=SCALE, **kwargs
     )
 
-    # Batch engine: replications/sec on one core vs the per-process
-    # reference loop on the same core — single-process on both sides, so
-    # the floor is CPU-count independent.
-    batch = report["batch"]
-    assert batch["speedup_vs_reference"] >= BATCH_PER_CORE_SPEEDUP_FLOOR, (
-        f"batch engine {batch['speedup_vs_reference']}x per core (K="
-        f"{batch['replications']}, {batch['batch_reps_per_s']} reps/s vs "
-        f"{batch['reference_reps_per_s']} reps/s per-process reference) "
-        f"below {BATCH_PER_CORE_SPEEDUP_FLOOR}x"
+
+def _timed(fn, *args, **kwargs):
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return time.perf_counter() - start, result
+
+
+def test_engines_match_reference_trajectories(topology):
+    seeds = list(range(IDENTITY_K))
+    batch_traces = [[] for _ in seeds]
+    batch = WormholeSimulator(topology).run_batch(
+        seeds, cycles=CYCLES, warmup=WARMUP, injection_scale=SCALE,
+        traces=batch_traces,
+    )
+    for i, seed in enumerate(seeds):
+        solo_trace, ref_trace = [], []
+        solo = _run(WormholeSimulator, topology, seed, trace=solo_trace)
+        ref = _run(ReferenceWormholeSimulator, topology, seed,
+                   trace=ref_trace)
+        assert batch[i] == solo == ref
+        assert batch_traces[i] == solo_trace == ref_trace
+
+
+def test_solo_engine_beats_reference(topology):
+    _run(WormholeSimulator, topology)  # warm both code paths off the clock
+    _run(ReferenceWormholeSimulator, topology)
+    engine_s, reference_s = [], []
+    for _ in range(REPEATS):
+        seconds, engine = _timed(_run, WormholeSimulator, topology)
+        engine_s.append(seconds)
+        seconds, reference = _timed(_run, ReferenceWormholeSimulator,
+                                    topology)
+        reference_s.append(seconds)
+        assert engine == reference
+
+    cycles = CYCLES + engine.drain_cycles
+    engine_rate = cycles / statistics.median(engine_s)
+    reference_rate = cycles / statistics.median(reference_s)
+    speedup = engine_rate / reference_rate
+    print(f"\nsolo simulator @ scale {SCALE}, median of {REPEATS}: "
+          f"reference {reference_rate:,.0f} cycles/s, engine "
+          f"{engine_rate:,.0f} cycles/s -> {speedup:.2f}x")
+    assert speedup >= SOLO_FLOOR, (
+        f"solo engine {speedup:.2f}x below {SOLO_FLOOR}x"
     )
 
-    # Campaign scaling: only meaningful with cores to run on.
-    cpus = report["cpu_count"] or 1
-    campaign = report["campaign"]
-    if cpus >= CAMPAIGN_JOBS:
-        assert campaign["speedup"] >= CAMPAIGN_SPEEDUP_FLOOR, (
-            f"campaign speedup {campaign['speedup']}x on {campaign['jobs']} "
-            f"worker(s) ({cpus} CPUs) below {CAMPAIGN_SPEEDUP_FLOOR}x"
-        )
-    else:
-        pytest.skip(
-            f"only {cpus} CPU(s) visible: recorded campaign speedup "
-            f"{campaign['speedup']}x without asserting the "
-            f"{CAMPAIGN_SPEEDUP_FLOOR}x floor (needs >= {CAMPAIGN_JOBS} "
-            "CPUs)"
-        )
+
+def test_batch_engine_beats_reference(topology):
+    sim = WormholeSimulator(topology)
+    seeds = list(range(BATCH_K))
+    # Warm the vectorised path and the reference off the clock.
+    sim.run_batch(seeds[:8], cycles=200, warmup=0, injection_scale=SCALE)
+    _run(ReferenceWormholeSimulator, topology)
+    batch_s, reference_s = [], []
+    for _ in range(REPEATS):
+        seconds, batch = _timed(sim.run_batch, seeds, cycles=CYCLES,
+                                warmup=WARMUP, injection_scale=SCALE)
+        batch_s.append(seconds)
+        seconds, reference = _timed(_run, ReferenceWormholeSimulator,
+                                    topology)
+        reference_s.append(seconds)
+        assert batch[SEED] == reference
+
+    batch_rate = BATCH_K / statistics.median(batch_s)
+    reference_rate = 1.0 / statistics.median(reference_s)
+    speedup = batch_rate / reference_rate
+    print(f"\nbatch simulator K={BATCH_K} @ scale {SCALE}, median of "
+          f"{REPEATS}: reference {reference_rate:,.2f} reps/s, batch "
+          f"{batch_rate:,.2f} reps/s -> {speedup:.2f}x")
+    assert speedup >= BATCH_FLOOR, (
+        f"batch engine {speedup:.2f}x below {BATCH_FLOOR}x"
+    )

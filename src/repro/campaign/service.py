@@ -53,6 +53,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Union
 from repro.campaign.journal import JobJournal, JournalState
 from repro.campaign.spec import CampaignSpec, compile_campaign
 from repro.engine.faults import maybe_fire
+from repro.engine.tasks import BatchSimulationTask
 from repro.errors import (
     BackpressureError,
     CampaignError,
@@ -456,16 +457,8 @@ class CampaignService:
             "done_tasks": job.cursor, "total_tasks": job.total,
         }
         if state == "done":
-            # Round-trip each payload through pickle on its own before
-            # building the blob: payloads computed in this process can
-            # share sub-objects (which the joint pickle would encode as
-            # memo backreferences) while the same payloads served from
-            # the store are independent copies — normalising per payload
-            # makes the result file byte-identical either way, which is
-            # the resume bit-identity contract the chaos suite asserts.
             items = [
-                (repr(t.key),
-                 pickle.loads(pickle.dumps(p, protocol=_PICKLE_PROTOCOL)))
+                (repr(t.key), _normalised(t, p))
                 for t, p in zip(job.tasks, job.payloads)
             ]
             blob = pickle.dumps(items, protocol=_PICKLE_PROTOCOL)
@@ -502,6 +495,26 @@ class CampaignService:
         )
         estimate = max(1, remaining) * self._avg_task_s
         return min(300.0, max(1.0, estimate))
+
+
+def _copy(obj: Any) -> Any:
+    return pickle.loads(pickle.dumps(obj, protocol=_PICKLE_PROTOCOL))
+
+
+def _normalised(task: object, payload: Any) -> Any:
+    """``payload`` as the store would serve it, for a byte-stable blob.
+
+    Payloads computed in this process can share sub-objects (which the
+    joint pickle would encode as memo backreferences) while the same
+    payloads served from the store are independent copies. Round-tripping
+    each store entry on its own makes the result file byte-identical
+    either way, which is the resume bit-identity contract the chaos suite
+    asserts. A batched simulation is stored as one entry per replication,
+    so each replication is copied on its own.
+    """
+    if isinstance(task, BatchSimulationTask):
+        return tuple(_copy(stats) for stats in payload)
+    return _copy(payload)
 
 
 def submit_file(

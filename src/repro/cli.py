@@ -15,8 +15,6 @@ Sub-commands:
 * ``sim``        — wormhole-simulate a synthesized benchmark under a
   (scenario × injection scale × seed) traffic campaign fanned across the
   engine pool (``--jobs``); see ``docs/simulator.md``.
-* ``bench``      — run the engine scaling benchmark and write
-  ``BENCH_engine.json`` (perf trajectory tracking).
 * ``cache``      — inspect or manage the content-addressed on-disk result
   store (``stats`` / ``verify`` / ``clear``); ``synth``, ``sweep`` and
   ``sim`` accept ``--cache`` / ``--cache-dir DIR`` to serve
@@ -184,18 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                             ".repro-cache)")
     cache.add_argument("--repair", action="store_true",
                        help="with verify: delete entries that fail the audit")
-
-    bench = sub.add_parser(
-        "bench", help="run the engine scaling benchmark (BENCH_engine.json)"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="small grid (CI-friendly)")
-    bench.add_argument("--jobs", type=int, default=0,
-                       help="worker processes for the parallel leg "
-                            "(0 = auto; minimum 2 — the leg must exercise "
-                            "a real pool)")
-    bench.add_argument("--output", default="BENCH_engine.json",
-                       help="where to write the JSON report")
 
     campaign = sub.add_parser(
         "campaign",
@@ -645,37 +631,6 @@ def _cmd_sim(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.engine.benchmark import run_engine_benchmark
-
-    report = run_engine_benchmark(
-        quick=args.quick, jobs=args.jobs or None, output=args.output,
-        log=print,
-    )
-    sweep = report["sweep"]
-    cache = report["cache"]
-    stage_cache = report["stage_cache"]
-    paths = report["compute_paths"]
-    floorplan = report["floorplan"]
-    simulator = report["simulator"]
-    service = report["service"]
-    print(
-        f"\nsummary: sweep speedup {sweep['speedup']}x on {sweep['jobs']} "
-        f"worker(s) ({report['cpu_count']} CPU(s) visible), "
-        f"warm-cache speedup {cache['speedup']}x, "
-        f"warm-adjacent stage-cache speedup {stage_cache['speedup']}x, "
-        f"compute_paths speedup {paths['speedup']}x, "
-        f"floorplan anneal speedup {floorplan['speedup']}x "
-        f"({floorplan['incremental_moves_per_s']:,.0f} moves/s), "
-        f"simulator speedup {simulator['speedup']}x "
-        f"({simulator['engine_cycles_per_s']:,.0f} cycles/s), "
-        f"service replay overhead {service['replay_overhead_pct']:+.1f}% "
-        f"({service['lost_jobs']} lost, {service['duplicated_jobs']} "
-        f"duplicated)"
-    )
-    return 0
-
-
 def _fmt_bytes(n: int) -> str:
     for unit in ("B", "KiB", "MiB", "GiB"):
         if n < 1024 or unit == "GiB":
@@ -923,8 +878,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_sweep(args)
         if args.command == "sim":
             return _cmd_sim(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "cache":
             return _cmd_cache(args)
         if args.command == "campaign":

@@ -8,7 +8,7 @@ connects to::
 
 Manhattan distances are linearised with auxiliary variables
 (``d >= a - b``, ``d >= b - a``); the LP is solved with the scipy/HiGHS
-backend of :mod:`repro.lp` (the paper used lp_solve). TSV macros are excluded
+solver of :mod:`repro.lp` (the paper used lp_solve). TSV macros are excluded
 from the LP — "TSVs split the wires in two segments, both carrying the same
 bandwidth. Therefore, the placement of the TSV macro is more relaxed."
 """
@@ -27,8 +27,6 @@ def optimise_switch_positions(
     core_centers: Mapping[int, Tuple[float, float]],
     die_width_mm: float,
     die_height_mm: float,
-    *,
-    backend: str = "scipy",
 ) -> float:
     """Set every switch's (x, y) to the LP optimum. Returns the objective.
 
@@ -37,7 +35,6 @@ def optimise_switch_positions(
         core_centers: Fixed (x, y) of every attached core.
         die_width_mm / die_height_mm: Bounds for the switch coordinates
             (the input floorplan's extent).
-        backend: LP backend, "scipy" (default) or "simplex".
     """
     nsw = len(topology.switches)
     if nsw == 0:
@@ -94,7 +91,7 @@ def optimise_switch_positions(
         lp.add_objective_term(dx, weight)
         lp.add_objective_term(dy, weight)
 
-    solution = lp.solve(backend=backend)
+    solution = lp.solve()
 
     connected = {i for (i, _k) in sw2core} | {
         i for pair in sw2sw for i in pair

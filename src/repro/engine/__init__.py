@@ -35,12 +35,10 @@ package fans them across a process pool:
 * :mod:`repro.engine.locks` — :class:`FileLock`, the advisory
   inter-process lock (kernel-released on process death) guarding the
   store's mutations and the campaign journal's single-writer rule;
-* :mod:`repro.engine.profile` — wall-clock timers backing
-  ``BENCH_engine.json``;
+* :mod:`repro.engine.profile` — :class:`Timer`, the wall-clock stopwatch
+  for timing metadata;
 * :mod:`repro.engine.reference` — the frozen pre-optimisation routing
-  baseline (regression + benchmarks);
-* :mod:`repro.engine.benchmark` — the scaling benchmark shared by the CLI
-  and the ``benchmarks/`` harness (imported lazily; not re-exported here).
+  baseline (regression oracle).
 
 Quickstart::
 
@@ -72,7 +70,7 @@ from repro.engine.faults import (
 )
 from repro.engine.grid import GridPoint, ParameterGrid, build_tasks
 from repro.engine.locks import FileLock, LockTimeoutError
-from repro.engine.profile import ProfileRecorder, Timer
+from repro.engine.profile import Timer
 from repro.engine.stagecache import (
     StageCache,
     StageRecord,
@@ -105,7 +103,6 @@ __all__ = [
     "GridPoint",
     "LockTimeoutError",
     "ParameterGrid",
-    "ProfileRecorder",
     "ProgressFn",
     "ResultStore",
     "RetryPolicy",

@@ -1,20 +1,14 @@
-"""Lightweight wall-clock instrumentation for the engine and benchmarks.
+"""A wall-clock stopwatch for timing metadata.
 
-The perf acceptance gates of this repo (``BENCH_engine.json``) need
-consistent timing plumbing: a :class:`Timer` context manager for one-shot
-measurements and a :class:`ProfileRecorder` that accumulates named stages
-(with repeat counts and metadata) and serialises them to JSON. Everything
-uses ``time.perf_counter`` — wall clock, because the parallel speedup *is*
-a wall-clock claim.
+``cli synth --cache`` records how long a synthesis took next to the
+stored result. It uses ``time.perf_counter`` — timings are metadata and
+never enter results or fingerprints.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Optional
 
 
 class Timer:
@@ -41,87 +35,3 @@ class Timer:
     def restart(self) -> None:
         self._start = time.perf_counter()
         self.elapsed_s = 0.0
-
-
-@dataclass
-class StageRecord:
-    """Accumulated timings of one named stage."""
-
-    name: str
-    times_s: List[float] = field(default_factory=list)
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def total_s(self) -> float:
-        return sum(self.times_s)
-
-    @property
-    def best_s(self) -> float:
-        return min(self.times_s) if self.times_s else 0.0
-
-    @property
-    def count(self) -> int:
-        return len(self.times_s)
-
-    def as_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "total_s": round(self.total_s, 6),
-            "best_s": round(self.best_s, 6),
-            "count": self.count,
-        }
-        if self.meta:
-            out["meta"] = self.meta
-        return out
-
-
-class ProfileRecorder:
-    """Accumulates named wall-clock stages and serialises them to JSON."""
-
-    def __init__(self) -> None:
-        self._stages: Dict[str, StageRecord] = {}
-
-    def record(self, name: str, seconds: float, **meta: Any) -> None:
-        stage = self._stages.setdefault(name, StageRecord(name))
-        stage.times_s.append(seconds)
-        if meta:
-            stage.meta.update(meta)
-
-    def time(self, name: str, **meta: Any) -> "_StageTimer":
-        """Context manager measuring one execution of ``name``."""
-        return _StageTimer(self, name, meta)
-
-    def stage(self, name: str) -> Optional[StageRecord]:
-        return self._stages.get(name)
-
-    def best_s(self, name: str) -> float:
-        stage = self._stages.get(name)
-        return stage.best_s if stage else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {name: s.as_dict() for name, s in sorted(self._stages.items())}
-
-    def write_json(
-        self, path: Union[str, Path], extra: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        """Write ``{**extra, "stages": ...}`` to ``path``; returns the doc."""
-        doc: Dict[str, Any] = dict(extra or {})
-        doc["stages"] = self.as_dict()
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return doc
-
-
-class _StageTimer:
-    def __init__(
-        self, recorder: ProfileRecorder, name: str, meta: Dict[str, Any]
-    ) -> None:
-        self._recorder = recorder
-        self._name = name
-        self._meta = meta
-        self._timer = Timer()
-
-    def __enter__(self) -> Timer:
-        return self._timer.__enter__()
-
-    def __exit__(self, *exc_info) -> None:
-        self._timer.__exit__(*exc_info)
-        self._recorder.record(self._name, self._timer.elapsed_s, **self._meta)

@@ -4,12 +4,10 @@ This module preserves, verbatim, the routing hot path as it existed before
 the :class:`~repro.core.paths._RoutingContext` overhaul: a Dijkstra that
 re-evaluates the full Algorithm 3 edge cost (library model calls included)
 on every relaxation, and the rebuild-the-adjacency channel-dependency-graph
-cycle check. It exists for two reasons:
-
-* **regression** — tests assert the optimised :func:`repro.core.paths.compute_paths`
-  produces *identical* routes, link loads and port counts;
-* **benchmarking** — ``BENCH_engine.json`` reports the optimised/naive
-  speedup, and the claim only means something against the genuine old code.
+cycle check. It is the regression oracle: tests assert the optimised
+:func:`repro.core.paths.compute_paths` produces *identical* routes, link
+loads and port counts. Routing time in the whole flow is tracked by the
+end-to-end benchmark (``python3 perfbench/run.py``, ``stage.routing.s``).
 
 The unchanged helpers (:func:`~repro.core.paths._edge_cost`,
 :func:`~repro.core.paths._make_cost_model`,

@@ -10,9 +10,10 @@ net. It exists for two reasons (the :mod:`repro.engine.reference` pattern):
   :func:`repro.floorplan.annealer.anneal_floorplan` and
   :func:`repro.floorplan.constrained.constrained_insert` produce
   *bit-identical* accepted-move trajectories and final floorplans;
-* **benchmarking** — ``BENCH_engine.json``'s ``floorplan`` section reports
-  the incremental/naive moves-per-second speedup, and the claim only means
-  something against the genuine old code.
+* **benchmarking** — ``benchmarks/bench_floorplan_anneal.py`` asserts the
+  incremental annealer's moves-per-second floor against this module, and
+  the claim only means something against the genuine old code (the
+  end-to-end benchmark, ``python3 perfbench/run.py``, times the flow).
 
 The unchanged substrate (:class:`SequencePair`, :func:`seqpair_to_positions`,
 :func:`positions_to_seqpair`) is shared with the optimised modules — it was

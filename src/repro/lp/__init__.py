@@ -7,13 +7,9 @@ package replaces it with:
 * :mod:`repro.lp.model` — a small modelling layer (named variables with
   bounds, <=/>=/== constraints, linear objective);
 * :mod:`repro.lp.scipy_backend` — lowering to ``scipy.optimize.linprog``
-  (HiGHS), the default solver;
-* :mod:`repro.lp.simplex` — a self-contained dense two-phase simplex with
-  Bland's rule, used as a dependency-free fallback and as a cross-check in
-  the test suite.
+  (HiGHS), the solver.
 """
 
 from repro.lp.model import LinearProgram, Solution
-from repro.lp.simplex import SimplexResult, solve_simplex
 
-__all__ = ["LinearProgram", "Solution", "solve_simplex", "SimplexResult"]
+__all__ = ["LinearProgram", "Solution"]

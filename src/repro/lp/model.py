@@ -1,8 +1,8 @@
 """A small linear-program modelling layer.
 
 Supports named variables with box bounds, linear constraints with <=, >= or
-== sense, and a linear minimisation objective. Problems are solved either by
-scipy's HiGHS (default) or by the built-in simplex fallback.
+== sense, and a linear minimisation objective. Problems are solved by
+scipy's HiGHS.
 
 Example::
 
@@ -138,7 +138,7 @@ class LinearProgram:
         List[Tuple[Dict[int, float], str, float]],
         List[Tuple[Optional[float], Optional[float]]],
     ]:
-        """Objective vector, constraint triples, and bounds — for backends."""
+        """Objective vector, constraint triples, and bounds — for solvers."""
         c = [0.0] * len(self._names)
         for idx, coeff in self._objective.items():
             c[idx] = coeff
@@ -148,17 +148,11 @@ class LinearProgram:
 
     # -- solving -----------------------------------------------------------
 
-    def solve(self, backend: str = "scipy") -> Solution:
-        """Solve the LP. ``backend`` is 'scipy' (HiGHS) or 'simplex'."""
-        if backend == "scipy":
-            from repro.lp.scipy_backend import solve_with_scipy
+    def solve(self) -> Solution:
+        """Solve the LP with scipy's HiGHS."""
+        from repro.lp.scipy_backend import solve_with_scipy
 
-            return solve_with_scipy(self)
-        if backend == "simplex":
-            from repro.lp.scipy_backend import solve_with_simplex
-
-            return solve_with_simplex(self)
-        raise LPError(f"unknown LP backend {backend!r}")
+        return solve_with_scipy(self)
 
     def _check_var(self, var: Variable) -> None:
         if not isinstance(var, Variable):

@@ -12,9 +12,10 @@ the injection horizon). It exists for two reasons (the
   (running on the array-based engine) produces *bit-identical* trajectories
   and :class:`~repro.noc.simulator.SimulationStats` for identical seeds,
   scenarios and parameters;
-* **benchmarking** — ``BENCH_engine.json``'s ``simulator`` section reports
-  the engine/naive cycles-per-second speedup, and the claim only means
-  something against the genuine old code.
+* **benchmarking** — ``benchmarks/bench_simulator.py`` asserts the solo
+  and batch engines' throughput floors against this module, and the claim
+  only means something against the genuine old code (the end-to-end
+  benchmark, ``python3 perfbench/run.py``, times served campaigns).
 
 The unchanged substrate (:class:`~repro.noc.topology.Topology`, the model
 library, :mod:`repro.noc.scenarios` and :mod:`repro.rng`) is shared with the

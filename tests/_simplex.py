@@ -1,23 +1,23 @@
-"""Self-contained dense two-phase simplex solver.
+"""Dense two-phase simplex: the independent LP oracle of the test suite.
 
-Solves ``min c^T x  s.t.  A_i x (<=|>=|==) b_i,  x >= 0`` using the classic
-tableau method with Bland's anti-cycling rule. Used as a dependency-free
-fallback backend for :class:`repro.lp.model.LinearProgram` and as an
-independent cross-check of the scipy/HiGHS results in the test suite.
-
-The solver expects non-negative variables; the backend layer
-(:mod:`repro.lp.scipy_backend`) performs the bound substitutions needed to
-reduce general box bounds to this form.
+``solve_simplex`` solves ``min c^T x  s.t.  A_i x (<=|>=|==) b_i,  x >= 0``
+with the classic tableau method and Bland's anti-cycling rule.
+``solve_with_simplex`` lowers a :class:`repro.lp.model.LinearProgram` to
+that form — bounded-below variables are shifted (``x = lo + x'``), free
+variables are split (``x = x+ - x-``), and finite upper bounds become extra
+rows — so every LP case can be cross-checked against scipy/HiGHS, the
+solver behind :meth:`LinearProgram.solve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import InfeasibleLPError, LPError, UnboundedLPError
+from repro.lp.model import LinearProgram, Solution
 
 _EPS = 1e-9
 
@@ -234,3 +234,65 @@ def _drive_out_artificials(
                 _pivot(tableau, rhs, basis, i, entering)
             # Otherwise the row is all zeros over real columns: redundant
             # constraint; the artificial stays basic at value 0, harmless.
+
+
+def solve_with_simplex(lp: LinearProgram) -> Solution:
+    """Solve with the built-in dense simplex (after bound reduction)."""
+    c, rows, bounds = lp.as_arrays()
+    n = len(c)
+
+    # Build the substitution x_orig = shift + (pos - neg); neg column only
+    # for free variables.
+    pos_col: List[int] = [0] * n
+    neg_col: List[Optional[int]] = [None] * n
+    shift: List[float] = [0.0] * n
+    next_col = 0
+    upper_rows: List[Tuple[int, float]] = []  # (orig var, residual upper)
+    for i, (lo, hi) in enumerate(bounds):
+        pos_col[i] = next_col
+        next_col += 1
+        if lo is None:
+            neg_col[i] = next_col
+            next_col += 1
+            shift[i] = 0.0
+            if hi is not None:
+                upper_rows.append((i, hi))
+        else:
+            shift[i] = lo
+            if hi is not None:
+                if hi < lo:
+                    raise LPError(f"variable {i}: upper bound below lower bound")
+                upper_rows.append((i, hi))
+
+    total = next_col
+
+    def expand(coeffs_dense_pairs) -> List[float]:
+        dense = [0.0] * total
+        for idx, coef in coeffs_dense_pairs:
+            dense[pos_col[idx]] += coef
+            if neg_col[idx] is not None:
+                dense[neg_col[idx]] -= coef
+        return dense
+
+    sim_rows: List[Tuple[List[float], str, float]] = []
+    for coeffs, sense, rhs in rows:
+        pairs = list(coeffs.items())
+        dense = expand(pairs)
+        adj_rhs = rhs - sum(coef * shift[idx] for idx, coef in pairs)
+        sim_rows.append((dense, sense, adj_rhs))
+    for idx, hi in upper_rows:
+        dense = expand([(idx, 1.0)])
+        sim_rows.append((dense, "<=", hi - shift[idx]))
+
+    sim_c = expand(list(enumerate(c)))
+    const_term = sum(ci * si for ci, si in zip(c, shift))
+
+    result = solve_simplex(sim_c, sim_rows)
+
+    values = [0.0] * n
+    for i in range(n):
+        v = result.x[pos_col[i]]
+        if neg_col[i] is not None:
+            v -= result.x[neg_col[i]]
+        values[i] = shift[i] + v
+    return Solution(objective=result.objective + const_term, values=values)

@@ -229,19 +229,76 @@ def test_serve_forever_idle_exit_and_drain(tmp_path):
     assert state.jobs["job-0001"].state == "done"
 
 
-def test_bench_service_section():
-    """The benchmark gate in miniature: sequential, concurrent and
-    interrupted-then-resumed runs of the same campaigns lose nothing,
-    duplicate nothing, and agree byte for byte."""
-    from repro.engine.benchmark import _bench_service
-    from repro.engine.profile import ProfileRecorder
+def _digests(root) -> dict:
+    state = CampaignService.status(root)
+    return {job.spec["name"]: job.digest for job in state.jobs.values()}
 
-    report = _bench_service(ProfileRecorder(), lambda _m: None)
-    assert report["lost_jobs"] == 0
-    assert report["duplicated_jobs"] == 0
-    assert report["digests_identical"]
-    assert report["jobs_submitted"] == 3
-    assert report["tasks_total"] == 12
+
+def _done_counts(root) -> dict:
+    journal = JobJournal(root / "journal.jsonl", writer=False)
+    counts: dict = {}
+    for record in journal.iter_records():
+        if record["event"] == "done":
+            counts[record["job"]] = counts.get(record["job"], 0) + 1
+    return counts
+
+
+def test_sequential_concurrent_and_resumed_runs_agree(tmp_path):
+    """Three campaigns run one after another, round-robin at once, and
+    round-robin stopped half way then resumed: nothing is lost, nothing
+    is duplicated, and every job's result digest agrees byte for byte."""
+    specs = [
+        sweep_spec("a", (400, 500, 600, 700)),
+        sweep_spec("b", (450, 550, 650, 750)),
+        sweep_spec("c", (420, 520, 620, 720)),
+    ]
+    with CampaignService(tmp_path / "sequential", batch_size=4) as svc:
+        for spec in specs:
+            svc.submit(spec)
+            svc.run_until_idle(poll_inbox=False)
+    with CampaignService(tmp_path / "concurrent", batch_size=1) as svc:
+        for spec in specs:
+            svc.submit(spec)
+        svc.run_until_idle(poll_inbox=False)
+    with CampaignService(tmp_path / "resumed", batch_size=1) as svc:
+        for spec in specs:
+            svc.submit(spec)
+        for _ in range(6):  # half of the 12 tasks, then stop
+            svc.step()
+    with CampaignService(tmp_path / "resumed", batch_size=1,
+                         resume=True) as svc:
+        svc.run_until_idle(poll_inbox=False)
+
+    sequential = _digests(tmp_path / "sequential")
+    assert sorted(sequential) == ["a", "b", "c"]
+    assert all(sequential.values())
+    for run in ("concurrent", "resumed"):
+        assert _digests(tmp_path / run) == sequential
+        counts = _done_counts(tmp_path / run)
+        assert len(counts) == len(specs)  # none lost
+        assert set(counts.values()) == {1}  # none duplicated
+
+
+def test_batched_sim_result_file_identical_on_replay(tmp_path):
+    """A batched sim job's result file is byte-identical whether its
+    replications were computed in one chunk or served from the store."""
+    spec = {
+        "name": "batched", "kind": "sim", "benchmark": "d26_media",
+        "scenarios": ["bernoulli"], "seeds": [0, 1, 2, 3, 4],
+        "injection_scales": [0.3], "cycles": 300, "warmup": 30,
+        "batch": 4, "config": {"switch_count_range": [3, 4]},
+    }
+    with service(tmp_path) as svc:
+        cold = svc.submit(spec)
+        svc.run_until_idle(poll_inbox=False)
+        hits_before = svc.store.hits
+        replay = svc.submit(spec)
+        svc.run_until_idle(poll_inbox=False)
+        assert svc.store.hits > hits_before  # the replay was store-served
+    results = tmp_path / "spool" / "results"
+    assert (results / f"{replay}.pkl").read_bytes() == (
+        results / f"{cold}.pkl"
+    ).read_bytes()
 
 
 def test_bad_service_parameters(tmp_path):

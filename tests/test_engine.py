@@ -12,7 +12,6 @@ from repro.core.config import SynthesisConfig
 from repro.engine import (
     GridPoint,
     ParameterGrid,
-    ProfileRecorder,
     SynthesisTask,
     Timer,
     build_tasks,
@@ -241,54 +240,3 @@ class TestProfile:
         with Timer() as t:
             sum(range(1000))
         assert t.elapsed_s >= 0.0
-
-    def test_recorder_accumulates_and_writes(self, tmp_path):
-        rec = ProfileRecorder()
-        rec.record("stage", 0.5, note="a")
-        rec.record("stage", 0.25)
-        with rec.time("other"):
-            pass
-        assert rec.stage("stage").count == 2
-        assert rec.best_s("stage") == 0.25
-        assert rec.stage("stage").total_s == pytest.approx(0.75)
-        path = tmp_path / "bench.json"
-        doc = rec.write_json(path, extra={"benchmark": "x"})
-        on_disk = json.loads(path.read_text())
-        assert on_disk == doc
-        assert on_disk["benchmark"] == "x"
-        assert set(on_disk["stages"]) == {"stage", "other"}
-
-
-class TestSimBatchBenchmarkLeg:
-    """Fast smoke over the batch leg of the simulator benchmark: the
-    trajectory-identity check and the reps/sec ratios, on the tiny test
-    topology with a scaled-down K (the real K and design run under
-    ``make bench``)."""
-
-    def test_report_shape_identity_and_ratios(self, contended_topo,
-                                              monkeypatch):
-        from repro.engine import benchmark as bm
-
-        monkeypatch.setattr(bm, "_SIM_BATCH_K_QUICK", 8)
-        recorder = ProfileRecorder()
-        # The solo per-process baselines _bench_sim_batch reuses; in the
-        # real benchmark measure() records them at identical load.
-        recorder.record("sim_engine_gate", 0.05)
-        recorder.record("sim_naive_gate", 0.50)
-        lines = []
-        report = bm._bench_sim_batch(
-            contended_topo, recorder, lines.append,
-            cycles=400, warmup=40, quick=True,
-        )
-        assert report["identical_trajectories"]
-        assert report["identity_replications"] == bm._SIM_BATCH_IDENTITY_K
-        assert report["replications"] == 8
-        assert report["batch_reps_per_s"] > 0
-        assert report["batch_s"] > 0
-        # The reference baseline is 10x slower than the solo engine here,
-        # so its speedup must come out exactly 10x higher.
-        assert report["speedup_vs_reference"] == pytest.approx(
-            10.0 * report["speedup_vs_solo_engine"], rel=1e-3
-        )
-        assert len(lines) == 2  # identity line + throughput line
-        assert recorder.best_s("sim_batch_engine") > 0

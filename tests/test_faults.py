@@ -534,17 +534,19 @@ class TestFaultSites:
         assert plan.activations(0) == 3
 
 
-class TestSupervisionBenchmark:
-    def test_bench_supervision_section(self):
-        # The acceptance criterion in miniature: under an injected worker
-        # crash a real (synthesis) sweep completes with the poison task
-        # quarantined and every survivor identical to the fault-free run,
-        # and arming supervision fault-free changes no results.
+class TestSupervisedSynthesisSweep:
+    def test_injected_crash_quarantines_only_the_poison_task(self, tmp_path):
+        # On a real synthesis sweep: arming supervision fault-free changes
+        # no results, and one task whose worker crashes on every attempt
+        # is quarantined alone while every survivor matches the clean run.
         from repro.bench.synthetic import synthetic_benchmark
         from repro.core.config import SynthesisConfig
         from repro.engine import ParameterGrid, build_tasks
-        from repro.engine.benchmark import _bench_supervision
-        from repro.engine.profile import ProfileRecorder
+        from repro.noc.export import design_point_to_dict
+
+        def points(results):
+            return [[design_point_to_dict(p) for p in r.result.points]
+                    for r in results]
 
         bench = synthetic_benchmark(
             10, "random", num_layers=2, seed=11, floorplan_moves=300
@@ -554,16 +556,27 @@ class TestSupervisionBenchmark:
             ParameterGrid(frequencies_mhz=(400.0, 500.0)),
             SynthesisConfig(max_ill=10, switch_count_range=(2, 4)),
         )
-        serial = run_tasks(tasks, jobs=1)
-        report = _bench_supervision(
-            tasks, serial, ProfileRecorder(), lambda _m: None, 2
+        clean = run_tasks(tasks, jobs=1)
+        armed = run_tasks(
+            tasks, jobs=2, retry=RetryPolicy(max_retries=2),
+            task_timeout_s=300.0, on_error="quarantine",
         )
-        assert report["identical_results"]
-        recovery = report["recovery"]
-        assert recovery["quarantined"] == 1
-        assert recovery["poison_attributed"]
-        assert recovery["attempts"] == 2
-        assert recovery["survivors_identical"]
+        assert points(armed) == points(clean)
+
+        poison = len(tasks) // 2
+        plan = FaultPlan(tmp_path, {poison: FaultSpec("crash", times=100)})
+        recovered = run_tasks(
+            inject_faults(tasks, plan), jobs=2, task_timeout_s=300.0,
+            on_error="quarantine",
+        )
+        failed = [r for r in recovered if r.error is not None]
+        assert [r.key for r in failed] == [tasks[poison].key]
+        assert isinstance(failed[0].error, TaskQuarantinedError)
+        assert failed[0].attempts == 2  # pool attempt + solo attempt
+        survivors = [r for i, r in enumerate(recovered) if i != poison]
+        assert points(survivors) == points(
+            [r for i, r in enumerate(clean) if i != poison]
+        )
 
 
 class _Interrupter:

@@ -1,13 +1,18 @@
-"""LP modelling layer and both backends (repro.lp)."""
+"""LP modelling layer (repro.lp), every case solved by HiGHS and by the
+dense simplex oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InfeasibleLPError, LPError, UnboundedLPError
 from repro.lp.model import LinearProgram
-from repro.lp.simplex import solve_simplex
 
-BACKENDS = ("scipy", "simplex")
+from _simplex import solve_simplex, solve_with_simplex
+
+SOLVERS = (
+    pytest.param(LinearProgram.solve, id="scipy"),
+    pytest.param(solve_with_simplex, id="simplex"),
+)
 
 
 class TestModel:
@@ -36,45 +41,39 @@ class TestModel:
         assert lp.num_variables == 1
         assert lp.num_constraints == 1
 
-    def test_unknown_backend(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        with pytest.raises(LPError):
-            lp.solve(backend="cplex")
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("solve", SOLVERS)
 class TestSolve:
-    def test_simple_minimisation(self, backend):
+    def test_simple_minimisation(self, solve):
         # min x + y  s.t. x + y >= 2, x >= 0, y >= 0 -> objective 2.
         lp = LinearProgram()
         x = lp.add_variable("x")
         y = lp.add_variable("y")
         lp.add_constraint({x: 1.0, y: 1.0}, ">=", 2.0)
         lp.set_objective({x: 1.0, y: 1.0})
-        sol = lp.solve(backend=backend)
+        sol = solve(lp)
         assert sol.objective == pytest.approx(2.0)
 
-    def test_equality_constraint(self, backend):
+    def test_equality_constraint(self, solve):
         lp = LinearProgram()
         x = lp.add_variable("x")
         y = lp.add_variable("y")
         lp.add_constraint({x: 1.0, y: 2.0}, "==", 4.0)
         lp.set_objective({x: 3.0, y: 1.0})
-        sol = lp.solve(backend=backend)
+        sol = solve(lp)
         # Cheapest: all weight on y: y = 2, objective 2.
         assert sol.objective == pytest.approx(2.0)
         assert sol.value(y) == pytest.approx(2.0)
 
-    def test_upper_bounds(self, backend):
+    def test_upper_bounds(self, solve):
         # max x (== min -x) with x <= 7 via bound.
         lp = LinearProgram()
         x = lp.add_variable("x", low=0.0, high=7.0)
         lp.set_objective({x: -1.0})
-        sol = lp.solve(backend=backend)
+        sol = solve(lp)
         assert sol.value(x) == pytest.approx(7.0)
 
-    def test_free_variable(self, backend):
+    def test_free_variable(self, solve):
         # min |x - (-3)| linearised: d >= x+3, d >= -x-3, x free.
         lp = LinearProgram()
         x = lp.add_variable("x", low=None)
@@ -82,33 +81,33 @@ class TestSolve:
         lp.add_constraint({d: 1.0, x: -1.0}, ">=", 3.0)
         lp.add_constraint({d: 1.0, x: 1.0}, ">=", -3.0)
         lp.set_objective({d: 1.0})
-        sol = lp.solve(backend=backend)
+        sol = solve(lp)
         assert sol.objective == pytest.approx(0.0, abs=1e-6)
         assert sol.value(x) == pytest.approx(-3.0, abs=1e-6)
 
-    def test_shifted_lower_bound(self, backend):
+    def test_shifted_lower_bound(self, solve):
         lp = LinearProgram()
         x = lp.add_variable("x", low=5.0)
         lp.set_objective({x: 1.0})
-        sol = lp.solve(backend=backend)
+        sol = solve(lp)
         assert sol.value(x) == pytest.approx(5.0)
 
-    def test_infeasible_detected(self, backend):
+    def test_infeasible_detected(self, solve):
         lp = LinearProgram()
         x = lp.add_variable("x", low=0.0, high=1.0)
         lp.add_constraint({x: 1.0}, ">=", 5.0)
         lp.set_objective({x: 1.0})
         with pytest.raises(InfeasibleLPError):
-            lp.solve(backend=backend)
+            solve(lp)
 
-    def test_unbounded_detected(self, backend):
+    def test_unbounded_detected(self, solve):
         lp = LinearProgram()
         x = lp.add_variable("x")
         lp.set_objective({x: -1.0})
         with pytest.raises(UnboundedLPError):
-            lp.solve(backend=backend)
+            solve(lp)
 
-    def test_manhattan_median(self, backend):
+    def test_manhattan_median(self, solve):
         # min sum |x - a_i| over a = (0, 4, 10): optimum at the median (4).
         lp = LinearProgram()
         x = lp.add_variable("x")
@@ -119,7 +118,7 @@ class TestSolve:
             lp.add_constraint({d: 1.0, x: 1.0}, ">=", a)
             total[d] = 1.0
         lp.set_objective(total)
-        sol = lp.solve(backend=backend)
+        sol = solve(lp)
         assert sol.value(x) == pytest.approx(4.0, abs=1e-6)
         assert sol.objective == pytest.approx(10.0, abs=1e-6)
 
@@ -172,6 +171,6 @@ class TestBackendsAgree:
         obj = [data.draw(st.integers(min_value=0, max_value=3)) for _ in range(n)]
         lp_a.set_objective({v: c for v, c in zip(vars_a, obj)})
         lp_b.set_objective({v: c for v, c in zip(vars_b, obj)})
-        sol_a = lp_a.solve(backend="scipy")
-        sol_b = lp_b.solve(backend="simplex")
+        sol_a = lp_a.solve()
+        sol_b = solve_with_simplex(lp_b)
         assert sol_a.objective == pytest.approx(sol_b.objective, abs=1e-6)

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.placement import optimise_switch_positions, placement_objective
 from repro.errors import LPError
+from repro.lp.model import LinearProgram
 from repro.noc.topology import Topology
+
+from _simplex import solve_with_simplex
 
 
 def _one_switch_two_cores():
@@ -93,10 +96,11 @@ class TestSwitchPlacement:
         with pytest.raises(LPError):
             optimise_switch_positions(topo, {0: (0, 0), 1: (1, 0)}, 0.0, 5.0)
 
-    def test_simplex_backend_agrees_with_scipy(self):
+    def test_simplex_backend_agrees_with_scipy(self, monkeypatch):
         topo_a = _one_switch_two_cores()
         topo_b = _one_switch_two_cores()
         centers = {0: (0.0, 0.0), 1: (4.0, 2.0)}
-        obj_a = optimise_switch_positions(topo_a, centers, 10.0, 10.0, backend="scipy")
-        obj_b = optimise_switch_positions(topo_b, centers, 10.0, 10.0, backend="simplex")
+        obj_a = optimise_switch_positions(topo_a, centers, 10.0, 10.0)
+        monkeypatch.setattr(LinearProgram, "solve", solve_with_simplex)
+        obj_b = optimise_switch_positions(topo_b, centers, 10.0, 10.0)
         assert obj_a == pytest.approx(obj_b, rel=1e-6)

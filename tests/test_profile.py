@@ -3,12 +3,10 @@ pipeline's StageTimings formatting/aggregation paths."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.pipeline import StageTimings
-from repro.engine.profile import ProfileRecorder, StageRecord, Timer
+from repro.engine.profile import Timer
 
 
 class TestTimer:
@@ -30,65 +28,6 @@ class TestTimer:
             with t:
                 raise ValueError("boom")
         assert t.elapsed_s >= 0.0
-
-
-class TestStageRecord:
-    def test_empty_record(self):
-        record = StageRecord("synth")
-        assert record.total_s == 0.0
-        assert record.best_s == 0.0
-        assert record.count == 0
-        assert record.as_dict() == {"total_s": 0.0, "best_s": 0.0, "count": 0}
-
-    def test_aggregates(self):
-        record = StageRecord("synth", times_s=[0.5, 0.25, 1.0])
-        assert record.total_s == 1.75
-        assert record.best_s == 0.25
-        assert record.count == 3
-
-    def test_meta_serialised_only_when_present(self):
-        record = StageRecord("s", times_s=[1.0], meta={"jobs": 4})
-        assert record.as_dict()["meta"] == {"jobs": 4}
-
-
-class TestProfileRecorder:
-    def test_record_accumulates_and_merges_meta(self):
-        rec = ProfileRecorder()
-        rec.record("sweep", 1.0, points=8)
-        rec.record("sweep", 0.5, jobs=2)
-        stage = rec.stage("sweep")
-        assert stage.times_s == [1.0, 0.5]
-        assert stage.meta == {"points": 8, "jobs": 2}
-        assert rec.best_s("sweep") == 0.5
-
-    def test_unknown_stage(self):
-        rec = ProfileRecorder()
-        assert rec.stage("nope") is None
-        assert rec.best_s("nope") == 0.0
-
-    def test_time_context_manager_records(self):
-        rec = ProfileRecorder()
-        with rec.time("step", cycles=100):
-            pass
-        assert rec.stage("step").count == 1
-        assert rec.stage("step").meta == {"cycles": 100}
-
-    def test_as_dict_sorted_by_name(self):
-        rec = ProfileRecorder()
-        rec.record("zeta", 1.0)
-        rec.record("alpha", 2.0)
-        assert list(rec.as_dict()) == ["alpha", "zeta"]
-
-    def test_write_json_roundtrip(self, tmp_path):
-        rec = ProfileRecorder()
-        rec.record("sweep", 0.125, points=4)
-        out = tmp_path / "bench.json"
-        doc = rec.write_json(out, extra={"benchmark": "unit"})
-        on_disk = json.loads(out.read_text())
-        assert on_disk == doc
-        assert on_disk["benchmark"] == "unit"
-        assert on_disk["stages"]["sweep"]["count"] == 1
-        assert on_disk["stages"]["sweep"]["total_s"] == 0.125
 
 
 class TestStageTimings:
