@@ -49,8 +49,6 @@ def build_benchmark(
     seed: int = 0,
     layer_strategy: str = "stack",
     floorplan_moves: int = 4000,
-    floorplan_restarts: int = 1,
-    floorplan_jobs: int = 1,
 ) -> Benchmark:
     """Assemble a benchmark from core dimensions and traffic flows.
 
@@ -64,10 +62,6 @@ def build_benchmark(
             "highly communicating cores are placed one above the other"
             (Example 1).
         floorplan_moves: Annealing budget per floorplan.
-        floorplan_restarts: Multi-start annealing runs per floorplan (the
-            deterministic best-cost merge of ``anneal_floorplan``).
-        floorplan_jobs: Worker processes fanning those restarts across the
-            engine pool (1 = serial; results are identical regardless).
     """
     base_cores: List[Core] = [
         Core(name=n, width=w, height=h) for (n, w, h) in cores
@@ -84,12 +78,10 @@ def build_benchmark(
     graph_3d = build_comm_graph(layered, comm_spec)
 
     core_spec_3d = floorplan_3d(
-        layered, graph_3d, seed=seed, moves=floorplan_moves,
-        restarts=floorplan_restarts, jobs=floorplan_jobs,
+        layered, graph_3d, seed=seed, moves=floorplan_moves
     )
     core_spec_2d = floorplan_2d(
-        base_spec, graph, seed=seed, moves=floorplan_moves,
-        restarts=floorplan_restarts, jobs=floorplan_jobs,
+        base_spec, graph, seed=seed, moves=floorplan_moves
     )
 
     validate_specs(core_spec_3d, comm_spec)

@@ -26,8 +26,6 @@ def floorplan_2d(
     seed: int = 0,
     moves: int = 4000,
     wirelength_weight: float = 1.0,
-    restarts: int = 1,
-    jobs: int = 1,
 ) -> CoreSpec:
     """Floorplan all cores on a single die (the 2-D variant)."""
     widths = [c.width for c in core_spec]
@@ -36,7 +34,6 @@ def floorplan_2d(
     result = anneal_floorplan(
         widths, heights, nets,
         wirelength_weight=wirelength_weight, seed=seed, moves=moves,
-        restarts=restarts, jobs=jobs,
     )
     flat = core_spec.flattened_to_2d()
     return flat.with_positions(result.positions)
@@ -50,15 +47,12 @@ def floorplan_3d(
     moves: int = 4000,
     wirelength_weight: float = 1.0,
     anchor_weight: float = 2.0,
-    restarts: int = 1,
-    jobs: int = 1,
 ) -> CoreSpec:
     """Floorplan each layer of a 3-D core spec (layers must be assigned).
 
     Layer 0 is floorplanned first; each subsequent layer's cores are pulled
     (via anchor nets) towards the placed positions of the cores in lower
-    layers they communicate with. ``restarts``/``jobs`` run each layer's
-    anneal as a deterministic multi-start, optionally on the engine pool.
+    layers they communicate with.
     """
     n = len(core_spec)
     positions: List[Tuple[float, float]] = [(0.0, 0.0)] * n
@@ -85,7 +79,6 @@ def floorplan_3d(
             widths, heights, nets, anchors,
             wirelength_weight=wirelength_weight,
             seed=seed + layer, moves=moves,
-            restarts=restarts, jobs=jobs,
         )
         for l, g in enumerate(members):
             positions[g] = result.positions[l]

@@ -30,37 +30,25 @@ def list_benchmarks() -> List[str]:
     return sorted(_ALL)
 
 
-#: Built benchmarks keyed by everything that affects the *result* —
-#: ``floorplan_jobs`` is deliberately excluded: it only changes how the
-#: restarts execute (serial vs pooled), never what they produce, so a
-#: jobs-only difference must hit the cache instead of re-annealing.
+#: Built benchmarks keyed by ``(name, seed, floorplan_moves)``.
 _CACHE: Dict[Tuple, Benchmark] = {}
 
 
 def get_benchmark(
     name: str, seed: int = 0, floorplan_moves: int = 4000,
-    floorplan_restarts: int = 1, floorplan_jobs: int = 1,
 ) -> Benchmark:
     """Build (or fetch the cached) benchmark called ``name``."""
-    cache_key = (name, seed, floorplan_moves, floorplan_restarts)
+    cache_key = (name, seed, floorplan_moves)
     cached = _CACHE.get(cache_key)
     if cached is not None:
         return cached
-    bench = _build_benchmark(
-        name, seed, floorplan_moves, floorplan_restarts, floorplan_jobs
-    )
+    bench = _build_benchmark(name, seed, floorplan_moves)
     _CACHE[cache_key] = bench
     return bench
 
 
-def _build_benchmark(
-    name: str, seed: int, floorplan_moves: int,
-    floorplan_restarts: int, floorplan_jobs: int,
-) -> Benchmark:
-    kwargs = dict(
-        seed=seed, floorplan_moves=floorplan_moves,
-        floorplan_restarts=floorplan_restarts, floorplan_jobs=floorplan_jobs,
-    )
+def _build_benchmark(name: str, seed: int, floorplan_moves: int) -> Benchmark:
+    kwargs = dict(seed=seed, floorplan_moves=floorplan_moves)
     if name == "d26_media":
         return suites.d26_media(**kwargs)
     if name == "d36_4":

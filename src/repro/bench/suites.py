@@ -57,10 +57,7 @@ def _resp(src: str, dst: str, bw: float, lat: float) -> TrafficFlow:
 # D_26_media — 26-core multimedia + wireless SoC (Sec. VIII-A)
 # --------------------------------------------------------------------------
 
-def d26_media(
-    seed: int = 0, floorplan_moves: int = 4000,
-    floorplan_restarts: int = 1, floorplan_jobs: int = 1,
-) -> Benchmark:
+def d26_media(seed: int = 0, floorplan_moves: int = 4000) -> Benchmark:
     """The realistic multimedia/wireless benchmark of the case study.
 
     "The system includes ARM, DSP cores, multiple memory banks, DMA engine
@@ -118,7 +115,6 @@ def d26_media(
         "d26_media", cores, flows, num_layers=3,
         description="26-core multimedia & wireless SoC (3 layers)",
         seed=seed, floorplan_moves=floorplan_moves,
-        floorplan_restarts=floorplan_restarts, floorplan_jobs=floorplan_jobs,
     )
 
 
@@ -127,8 +123,7 @@ def d26_media(
 # --------------------------------------------------------------------------
 
 def d36(
-    flows_per_proc: int, seed: int = 0, floorplan_moves: int = 4000,
-    floorplan_restarts: int = 1, floorplan_jobs: int = 1,
+    flows_per_proc: int, seed: int = 0, floorplan_moves: int = 4000
 ) -> Benchmark:
     """18 processors + 18 memories; each processor talks to
     ``flows_per_proc`` memories; total bandwidth constant across variants."""
@@ -162,7 +157,6 @@ def d36(
             "processor (3 layers)"
         ),
         seed=seed, floorplan_moves=floorplan_moves,
-        floorplan_restarts=floorplan_restarts, floorplan_jobs=floorplan_jobs,
     )
 
 
@@ -170,10 +164,7 @@ def d36(
 # D_35_bot — bottleneck design (Sec. VIII-B)
 # --------------------------------------------------------------------------
 
-def d35_bot(
-    seed: int = 0, floorplan_moves: int = 4000,
-    floorplan_restarts: int = 1, floorplan_jobs: int = 1,
-) -> Benchmark:
+def d35_bot(seed: int = 0, floorplan_moves: int = 4000) -> Benchmark:
     """16 processors with private memories plus 3 shared memories all
     processors access."""
     n = 16
@@ -191,7 +182,6 @@ def d35_bot(
         "d35_bot", cores, flows, num_layers=3,
         description="bottleneck: 16 proc + 16 private + 3 shared memories",
         seed=seed, floorplan_moves=floorplan_moves,
-        floorplan_restarts=floorplan_restarts, floorplan_jobs=floorplan_jobs,
     )
 
 
@@ -199,10 +189,7 @@ def d35_bot(
 # D_65_pipe and D_38_tvopd — pipelined designs (Sec. VIII-B)
 # --------------------------------------------------------------------------
 
-def d65_pipe(
-    seed: int = 0, floorplan_moves: int = 4000,
-    floorplan_restarts: int = 1, floorplan_jobs: int = 1,
-) -> Benchmark:
+def d65_pipe(seed: int = 0, floorplan_moves: int = 4000) -> Benchmark:
     """65 cores communicating in a pipeline fashion."""
     n = 65
     cores = [
@@ -214,14 +201,10 @@ def d65_pipe(
         layer_strategy="min_cut",
         description="65-core pipeline (4 layers)",
         seed=seed, floorplan_moves=floorplan_moves,
-        floorplan_restarts=floorplan_restarts, floorplan_jobs=floorplan_jobs,
     )
 
 
-def d38_tvopd(
-    seed: int = 0, floorplan_moves: int = 4000,
-    floorplan_restarts: int = 1, floorplan_jobs: int = 1,
-) -> Benchmark:
+def d38_tvopd(seed: int = 0, floorplan_moves: int = 4000) -> Benchmark:
     """38-core pipelined design where "each core communicates only to one or
     few other cores" (a video object-plane-decoder-like structure)."""
     n = 38
@@ -240,7 +223,6 @@ def d38_tvopd(
         layer_strategy="min_cut",
         description="38-core pipelined video decoder (3 layers)",
         seed=seed, floorplan_moves=floorplan_moves,
-        floorplan_restarts=floorplan_restarts, floorplan_jobs=floorplan_jobs,
     )
 
 
@@ -258,9 +240,6 @@ def suite_design_space(
     progress: Optional["ProgressFn"] = None,
     stages: Optional[Sequence] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
     stage_cache_dir: Optional[str] = None,
     stage_cache_salt: Optional[str] = None,
 ) -> Dict[str, Dict["GridPoint", "SynthesisResult"]]:
@@ -285,9 +264,6 @@ def suite_design_space(
             (benchmark, point) pairs are served from disk and fresh ones
             checkpointed incrementally, so an interrupted exploration
             resumes on rerun with bit-identical merged results.
-        retry / task_timeout_s / on_error: The engine's supervision knobs
-            (see :func:`repro.engine.run_tasks`); quarantined pairs are
-            absent from the merged mapping.
         stage_cache_dir / stage_cache_salt: Per-stage memoization
             (:mod:`repro.engine.stagecache`): pipeline stages whose inputs
             repeat across grid points — or across benchmarks sharing a
@@ -323,14 +299,9 @@ def suite_design_space(
                 task, key=(name, task.key), stages=stage_spec,
             ))
 
-    results = run_tasks(
-        tasks, jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-    )
+    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
     merged: Dict[str, Dict["GridPoint", "SynthesisResult"]] = {}
     for task_result in results:
-        if task_result.error is not None:
-            continue
         name, point = task_result.key
         merged.setdefault(name, {})[point] = task_result.result
     return merged

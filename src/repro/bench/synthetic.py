@@ -34,8 +34,6 @@ def synthetic_benchmark(
     latency_range: Tuple[float, float] = (8.0, 16.0),
     with_responses: bool = False,
     floorplan_moves: int = 2000,
-    floorplan_restarts: int = 1,
-    floorplan_jobs: int = 1,
     layer_strategy: str = "min_cut",
     max_port_bandwidth: float = 1200.0,
 ) -> Benchmark:
@@ -50,8 +48,6 @@ def synthetic_benchmark(
         latency_range: Uniform range for latency constraints (cycles).
         with_responses: Add a response flow for every request.
         floorplan_moves: Annealing budget for the generated floorplans.
-        floorplan_restarts / floorplan_jobs: Multi-start annealing knobs
-            (see :func:`repro.bench.builder.build_benchmark`).
         layer_strategy: Layer assignment strategy (see
             :func:`repro.bench.layer_assignment.assign_layers`).
         max_port_bandwidth: Cap on any single core's total injected or
@@ -115,8 +111,6 @@ def synthetic_benchmark(
         seed=seed,
         layer_strategy=layer_strategy,
         floorplan_moves=floorplan_moves,
-        floorplan_restarts=floorplan_restarts,
-        floorplan_jobs=floorplan_jobs,
     )
 
 

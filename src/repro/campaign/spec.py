@@ -284,8 +284,7 @@ def compile_campaign(
 
     # kind == "sim": synthesize the best point, then fan out the traffic grid.
     from repro.engine.executor import run_tasks
-    from repro.engine.tasks import SimulationTask, SynthesisTask
-    from repro.noc.scenarios import make_scenario
+    from repro.engine.tasks import SynthesisTask, simulation_tasks
 
     synthesis = SynthesisTask(
         key=("campaign-synthesis", spec.benchmark, spec.dims),
@@ -307,44 +306,11 @@ def compile_campaign(
             f"campaign {spec.name!r}: no design point to simulate "
             f"(benchmark {spec.benchmark}, dims {spec.dims}): {exc}"
         )
-    scenario_objs = [make_scenario(s) for s in spec.scenarios]
-    if spec.batch is not None and spec.batch > 1:
-        from repro.engine.tasks import BatchSimulationTask
-
-        chunks = [
-            spec.seeds[i:i + spec.batch]
-            for i in range(0, len(spec.seeds), spec.batch)
-        ]
-        return [
-            BatchSimulationTask(
-                key=(scen.label(), scale, chunk),
-                topology=point.topology,
-                seeds=chunk,
-                packet_length_flits=spec.packet_length_flits,
-                cycles=spec.cycles,
-                warmup=spec.warmup,
-                injection_scale=scale,
-                scenario=scen,
-            )
-            for scen in scenario_objs
-            for scale in spec.injection_scales
-            for chunk in chunks
-        ]
-    return [
-        SimulationTask(
-            key=(scen.label(), scale, seed),
-            topology=point.topology,
-            packet_length_flits=spec.packet_length_flits,
-            seed=seed,
-            cycles=spec.cycles,
-            warmup=spec.warmup,
-            injection_scale=scale,
-            scenario=scen,
-        )
-        for scen in scenario_objs
-        for scale in spec.injection_scales
-        for seed in spec.seeds
-    ]
+    return simulation_tasks(
+        point.topology, spec.scenarios, spec.injection_scales, spec.seeds,
+        spec.batch, packet_length_flits=spec.packet_length_flits,
+        cycles=spec.cycles, warmup=spec.warmup,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -427,8 +393,9 @@ def _check_config(config: Any, issues: List[SpecIssue]) -> None:
             continue
         clean[key] = value
     if len(clean) > 1:
-        # Cross-field constraints (e.g. floorplan_restarts without the
-        # constrained floorplanner) only show up with all overrides applied.
+        # Cross-field constraints (e.g. multi-start floorplan annealing
+        # without the constrained floorplanner) only show up with all
+        # overrides applied.
         try:
             base.with_(**clean)
         except (ReproError, TypeError, ValueError) as exc:

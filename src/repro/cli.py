@@ -316,20 +316,18 @@ def _add_supervision_args(parser) -> None:
                              "the rest")
 
 
-def _supervision_kwargs(args) -> dict:
-    """Map the --retries/--task-timeout/--on-error flags to run_tasks kwargs."""
-    retry = None
-    if args.retries:
-        if args.retries < 0:
-            raise ReproError(f"--retries must be >= 0, got {args.retries}")
-        from repro.engine.supervise import RetryPolicy
+def _supervision(args):
+    """The --retries/--task-timeout/--on-error flags as one validated
+    :class:`~repro.engine.supervise.Supervision`. Built before any work, so
+    a bad value exits 2 up front."""
+    if args.retries < 0:
+        raise ReproError(f"--retries must be >= 0, got {args.retries}")
+    from repro.engine.supervise import RetryPolicy, Supervision
 
-        retry = RetryPolicy(max_retries=args.retries)
-    return {
-        "retry": retry,
-        "task_timeout_s": args.task_timeout,
-        "on_error": args.on_error,
-    }
+    return Supervision(
+        retry=RetryPolicy(max_retries=args.retries) if args.retries else None,
+        task_timeout_s=args.task_timeout, on_error=args.on_error,
+    )
 
 
 def _open_store(args):
@@ -390,6 +388,7 @@ def _load_specs(args):
 
 
 def _cmd_synth(args) -> int:
+    supervision = _supervision(args)
     core_spec, comm_spec = _load_specs(args)
     switch_range = _parse_switch_range(args.switches)
     # Invalid knob combinations (e.g. --floorplan-restarts without
@@ -405,7 +404,6 @@ def _cmd_synth(args) -> int:
         floorplan_jobs=args.floorplan_jobs,
     )
     store = _open_store(args)
-    supervision = _supervision_kwargs(args)
     tool = SunFloor3D(core_spec, comm_spec, config=config)
     cached = False
     stage_cache = None
@@ -439,7 +437,7 @@ def _cmd_synth(args) -> int:
             with Timer() as timer:
                 result = tool.synthesize(jobs=args.jobs,
                                          stage_cache=stage_cache,
-                                         **supervision)
+                                         supervision=supervision)
             store.put(
                 fingerprint,
                 {"result": result,
@@ -447,7 +445,7 @@ def _cmd_synth(args) -> int:
                 task_type="SynthesisTask", elapsed_s=timer.elapsed_s,
             )
     else:
-        result = tool.synthesize(jobs=args.jobs, **supervision)
+        result = tool.synthesize(jobs=args.jobs, supervision=supervision)
     if tool.last_quarantined:
         print(f"{len(tool.last_quarantined)} candidate evaluation(s) "
               "quarantined:")
@@ -517,6 +515,7 @@ def _cmd_synth(args) -> int:
 def _cmd_sweep(args) -> int:
     from repro.engine import ParameterGrid, build_tasks, run_tasks
 
+    supervision = _supervision(args)
     store = _open_store(args)  # fail fast on an unusable --cache-dir
     core_spec, comm_spec = _load_specs(args)
     config = SynthesisConfig(
@@ -544,7 +543,7 @@ def _cmd_sweep(args) -> int:
     print(f"sweeping {len(tasks)} design point(s) "
           f"(jobs={args.jobs or 'auto'})")
     results = run_tasks(tasks, jobs=args.jobs, progress=progress,
-                        store=store, **_supervision_kwargs(args))
+                        store=store, supervision=supervision)
 
     best = None
     quarantined = 0
@@ -596,6 +595,7 @@ def _cmd_sim(args) -> int:
     from repro.experiments.common import default_config_for
     from repro.experiments.simulation_validation import run_simulation_validation
 
+    supervision = _supervision(args)
     store = _open_store(args)  # fail fast on an unusable --cache-dir
     config = default_config_for(
         args.benchmark,
@@ -622,7 +622,7 @@ def _cmd_sim(args) -> int:
         batch=args.batch,
         progress=progress,
         store=store,
-        **_supervision_kwargs(args),
+        supervision=supervision,
     )
     print()
     table.print_table()

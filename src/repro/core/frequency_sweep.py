@@ -22,13 +22,14 @@ serve already-computed points from disk and checkpoint fresh ones as they
 finish — an interrupted sweep rerun with the same store resumes instead of
 recomputing, with bit-identical merged results.
 
-Fault tolerance rides on the engine's supervision layer: ``retry=`` (a
-:class:`~repro.engine.supervise.RetryPolicy`) re-runs transiently failing
-points, ``task_timeout_s=`` bounds each point's wall clock, and
-``on_error="quarantine"`` lets a sweep *complete* around a point that
-crashes its worker — the casualty is excluded from the merged result (and
-reported in ``FrequencySweepResult.quarantined``) instead of aborting the
-campaign. See ``docs/engine.md`` ("Failure semantics").
+:func:`sweep_frequencies` also takes the engine's fault tolerance as one
+``supervision=`` value (a :class:`~repro.engine.supervise.Supervision`):
+its retry policy re-runs transiently failing points, its deadline bounds
+each point's wall clock, and ``on_error="quarantine"`` lets the sweep
+*complete* around a point that crashes its worker — the casualty is
+excluded from the merged result (and reported in
+``FrequencySweepResult.quarantined``) instead of aborting the campaign.
+See ``docs/engine.md`` ("Failure semantics").
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.design_point import DesignPoint, SynthesisResult
 from repro.engine.executor import ProgressFn, run_tasks
 from repro.engine.grid import ParameterGrid, build_tasks
+from repro.engine.supervise import Supervision
 from repro.errors import SynthesisError
 from repro.models.library import NocLibrary
 from repro.spec.comm_spec import CommSpec
@@ -116,9 +118,7 @@ def sweep_frequencies(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
+    supervision: Optional[Supervision] = None,
     stage_cache_dir: Optional[str] = None,
     stage_cache_salt: Optional[str] = None,
 ) -> FrequencySweepResult:
@@ -127,8 +127,8 @@ def sweep_frequencies(
     All frequencies are validated before any synthesis starts, so a bad
     value midway through the list cannot discard already-computed points.
     Frequencies whose link capacity cannot carry the largest single flow
-    are merged as empty results, as before. ``retry`` / ``task_timeout_s``
-    / ``on_error`` are the engine's supervision knobs (see
+    are merged as empty results, as before. ``supervision`` is the
+    engine's :class:`~repro.engine.supervise.Supervision` (see
     :func:`repro.engine.run_tasks`); under ``on_error="quarantine"`` lost
     points land in ``FrequencySweepResult.quarantined``.
 
@@ -152,7 +152,7 @@ def sweep_frequencies(
     )
     results = run_tasks(
         tasks, jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
+        supervision=supervision,
     )
     sweep = FrequencySweepResult()
     for freq, task_result in zip(freqs, results):
@@ -177,9 +177,6 @@ def sweep_alpha(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
     stage_cache_dir: Optional[str] = None,
     stage_cache_salt: Optional[str] = None,
 ) -> Dict[float, SynthesisResult]:
@@ -188,8 +185,7 @@ def sweep_alpha(
     "The parameter α can be set by the designer based on the application
     characteristics or swept by the tool over a range of values, in order to
     meet the latency constraints." Smaller α weights latency-critical flows
-    more heavily during partitioning. Under ``on_error="quarantine"`` lost
-    points are absent from the returned dict.
+    more heavily during partitioning.
     """
     values = [float(a) for a in alphas]
     base = config if config is not None else SynthesisConfig()
@@ -200,15 +196,8 @@ def sweep_alpha(
         base, library, skip_infeasible=False,
         stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
     )
-    results = run_tasks(
-        tasks, jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-    )
-    return {
-        alpha: task_result.result
-        for alpha, task_result in zip(values, results)
-        if task_result.error is None
-    }
+    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
+    return {alpha: r.result for alpha, r in zip(values, results)}
 
 
 def sweep_link_widths(
@@ -221,9 +210,6 @@ def sweep_link_widths(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
     stage_cache_dir: Optional[str] = None,
     stage_cache_salt: Optional[str] = None,
 ) -> Dict[int, SynthesisResult]:
@@ -249,15 +235,8 @@ def sweep_link_widths(
         base, library,
         stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
     )
-    results = run_tasks(
-        tasks, jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-    )
-    return {
-        width: task_result.result
-        for width, task_result in zip(widths, results)
-        if task_result.error is None
-    }
+    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
+    return {width: r.result for width, r in zip(widths, results)}
 
 
 def find_lowest_feasible_frequency(
@@ -270,9 +249,6 @@ def find_lowest_feasible_frequency(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
     stage_cache_dir: Optional[str] = None,
     stage_cache_salt: Optional[str] = None,
 ) -> float:
@@ -280,7 +256,6 @@ def find_lowest_feasible_frequency(
     sweep = sweep_frequencies(
         core_spec, comm_spec, sorted(frequencies_mhz), library, config,
         jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
         stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
     )
     for freq in sweep.frequencies:

@@ -920,11 +920,9 @@ def _make_batch_evaluator(
     jobs: Optional[int],
     progress: Optional[ProgressFn],
     timings: Optional[StageTimings],
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
-    quarantine_log: Optional[List] = None,
-    stage_cache=None,
+    supervision,
+    quarantine_log: Optional[List],
+    stage_cache,
 ) -> BatchEvaluator:
     def serial(requests: Sequence[CandidateRequest]) -> List[CandidateOutcome]:
         outcomes: List[CandidateOutcome] = []
@@ -972,9 +970,7 @@ def _make_batch_evaluator(
         seed_context(context_token, ctx)
         try:
             results = run_tasks(
-                tasks, jobs=jobs, progress=progress,
-                retry=retry, task_timeout_s=task_timeout_s,
-                on_error=on_error,
+                tasks, jobs=jobs, progress=progress, supervision=supervision,
             )
         finally:
             release_context(context_token)
@@ -1014,9 +1010,7 @@ def run_synthesis(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     timings: Optional[StageTimings] = None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
+    supervision=None,
     quarantine_log: Optional[List] = None,
     stage_cache=None,
 ) -> SynthesisResult:
@@ -1031,9 +1025,8 @@ def run_synthesis(
         progress: Optional per-candidate callback
             ``(done_in_round, round_total, key)``.
         timings: Optional :class:`StageTimings` accumulator to fill.
-        retry / task_timeout_s / on_error: Supervision knobs of the
-            candidate fan-out (parallel runs; see
-            :func:`repro.engine.run_tasks`). Under
+        supervision: Optional :class:`repro.engine.supervise.Supervision`
+            of the candidate fan-out (parallel runs). Under
             ``on_error="quarantine"`` a candidate lost to a worker crash
             or deadline is treated as a failed candidate, not a fatal
             error.
@@ -1048,8 +1041,7 @@ def run_synthesis(
     pipeline = pipeline if pipeline is not None else build_pipeline()
     evaluate_batch = _make_batch_evaluator(
         ctx, pipeline, jobs, progress, timings,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-        quarantine_log=quarantine_log, stage_cache=stage_cache,
+        supervision, quarantine_log, stage_cache,
     )
     result = SynthesisResult()
     phase = ctx.config.phase

@@ -104,9 +104,7 @@ class SunFloor3D:
         jobs: Optional[int] = 1,
         progress: Optional[ProgressFn] = None,
         timings: Optional[StageTimings] = None,
-        retry=None,
-        task_timeout_s: Optional[float] = None,
-        on_error: str = "raise",
+        supervision=None,
         stage_cache=None,
     ) -> SynthesisResult:
         """Run the configured flow and return all valid design points.
@@ -116,10 +114,10 @@ class SunFloor3D:
         bit-identical results. Per-stage wall-clock totals land in
         ``timings`` (or ``self.last_stage_timings``).
 
-        ``retry``/``task_timeout_s``/``on_error`` supervise the parallel
-        candidate fan-out (see :func:`repro.engine.run_tasks`); candidates
-        lost to supervision under ``on_error="quarantine"`` are recorded
-        in ``self.last_quarantined`` as ``(key, message)`` pairs.
+        ``supervision`` (a :class:`repro.engine.supervise.Supervision`)
+        supervises the parallel candidate fan-out; candidates lost to
+        supervision under ``on_error="quarantine"`` are recorded in
+        ``self.last_quarantined`` as ``(key, message)`` pairs.
 
         ``stage_cache`` (a :class:`repro.engine.stagecache.StageCache`)
         memoises individual stage outputs across runs, serving unchanged
@@ -134,9 +132,7 @@ class SunFloor3D:
             jobs=jobs,
             progress=progress,
             timings=timings,
-            retry=retry,
-            task_timeout_s=task_timeout_s,
-            on_error=on_error,
+            supervision=supervision,
             quarantine_log=self.last_quarantined,
             stage_cache=stage_cache,
         )
@@ -160,9 +156,6 @@ def synthesize(
     progress: Optional[ProgressFn] = None,
     pipeline: Optional[Pipeline] = None,
     timings: Optional[StageTimings] = None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
     stage_cache=None,
 ) -> SynthesisResult:
     """Convenience wrapper: build the context and run the staged pipeline."""
@@ -172,8 +165,5 @@ def synthesize(
         jobs=jobs,
         progress=progress,
         timings=timings,
-        retry=retry,
-        task_timeout_s=task_timeout_s,
-        on_error=on_error,
         stage_cache=stage_cache,
     )

@@ -24,8 +24,8 @@ package fans them across a process pool:
   ``synthesize(stage_cache=...)``);
 * :mod:`repro.engine.supervise` — fault tolerance: per-task
   :class:`RetryPolicy` retries, deadline watchdog, poison-task quarantine
-  with bounded pool restarts (``run_tasks(..., retry=, task_timeout_s=,
-  on_error=)``);
+  with bounded pool restarts, all carried by one :class:`Supervision`
+  value (``run_tasks(..., supervision=Supervision(...))``);
 * :mod:`repro.engine.faults` — the deterministic fault-injection harness
   (seeded :class:`FaultPlan`; transient/crash/delay faults) that proves
   the recovery paths in the tier-1 suite, plus named fault *sites*
@@ -78,7 +78,7 @@ from repro.engine.stagecache import (
     open_stage_cache,
 )
 from repro.engine.store import ResultStore, fingerprint_task, open_store
-from repro.engine.supervise import RetryPolicy
+from repro.engine.supervise import RetryPolicy, Supervision
 from repro.engine.tasks import (
     BatchSimulationTask,
     CandidateTask,
@@ -109,6 +109,7 @@ __all__ = [
     "SimulationTask",
     "StageCache",
     "StageRecord",
+    "Supervision",
     "SupervisionError",
     "SynthesisTask",
     "TaskQuarantinedError",

@@ -17,9 +17,10 @@ carefully:
   creation failures (sandboxed environments without ``/dev/shm``, missing
   ``multiprocessing`` primitives) degrade to the plain in-process loop
   that produces identical results;
-* **supervision** (:mod:`repro.engine.supervise`) — ``retry=`` applies a
+* **supervision** (:mod:`repro.engine.supervise`) — one
+  ``supervision=Supervision(...)`` value: its ``retry`` applies a
   bounded, deterministic per-task :class:`~repro.engine.supervise
-  .RetryPolicy` inside the worker; ``task_timeout_s=`` arms a watchdog
+  .RetryPolicy` inside the worker; ``task_timeout_s`` arms a watchdog
   that kills and regenerates a pool stuck past its deadline instead of
   blocking forever; a broken pool (worker OOM-killed, segfaulted) is
   recovered by *attributing* the crasher — each unfinished task re-runs
@@ -50,7 +51,6 @@ import os
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.supervise import (
-    RetryPolicy,
     Supervision,
     attach_remote_traceback,
     run_supervised_pool,
@@ -63,7 +63,7 @@ ProgressFn = Callable[[int, int, object], None]
 
 _JOBS_ENV = "REPRO_ENGINE_JOBS"
 
-_ON_ERROR_MODES = ("raise", "quarantine")
+_DEFAULT_SUP = Supervision()
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -96,10 +96,7 @@ def run_tasks(
     chunk_size: int = 1,
     raise_errors: bool = True,
     store=None,
-    retry: Optional[RetryPolicy] = None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
-    max_pool_restarts: int = 3,
+    supervision: Optional[Supervision] = None,
 ) -> List[TaskResult]:
     """Run every task and return results in submission order.
 
@@ -119,42 +116,14 @@ def run_tasks(
             and are written to the store *as they complete* (incremental
             checkpointing), errors and pre-skipped tasks excluded. Merged
             results are bit-identical with and without a store.
-        retry: Optional :class:`~repro.engine.supervise.RetryPolicy` —
-            failed attempts matching the policy re-run (in the worker,
-            deterministic backoff) before the error is recorded.
-        task_timeout_s: Per-task deadline (parallel runs only — the serial
-            path cannot preempt a task in its own process). An in-flight
-            chunk past ``task_timeout_s * len(chunk)`` has its pool killed
-            and regenerated; its tasks become
-            :class:`~repro.errors.TaskTimeoutError` results. Timed-out
-            tasks are not retried.
-        on_error: ``"raise"`` (default) lets supervision errors (timeouts,
-            quarantines) surface through the ``raise_errors`` gate like any
-            task error; ``"quarantine"`` keeps them as structured
-            ``TaskResult.error`` rows so the campaign completes and the
-            caller inspects the casualties.
-        max_pool_restarts: Pool regenerations (crash or timeout recovery)
-            allowed per call before remaining tasks are quarantined as
-            budget-exhausted.
+        supervision: Optional :class:`~repro.engine.supervise.Supervision`
+            — retries, per-task deadline, ``on_error`` mode and pool-restart
+            budget. ``None`` means no retries, no deadline, supervision
+            errors raise.
     """
     if chunk_size < 1:
         raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
-    if on_error not in _ON_ERROR_MODES:
-        raise EngineError(
-            f"on_error must be one of {_ON_ERROR_MODES}, got {on_error!r}"
-        )
-    if task_timeout_s is not None and task_timeout_s <= 0:
-        raise EngineError(
-            f"task_timeout_s must be positive, got {task_timeout_s}"
-        )
-    if max_pool_restarts < 0:
-        raise EngineError(
-            f"max_pool_restarts must be >= 0, got {max_pool_restarts}"
-        )
-    sup = Supervision(
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-        max_pool_restarts=max_pool_restarts,
-    )
+    sup = supervision if supervision is not None else _DEFAULT_SUP
     tasks = list(tasks)
     workers = resolve_jobs(jobs)
     if store is not None:
@@ -178,8 +147,6 @@ def run_tasks(
 
 #: Completion hook fired in the parent per finished task (store writes).
 _OnResultFn = Callable[[TaskResult], None]
-
-_DEFAULT_SUP = Supervision()
 
 
 def _run_serial(

@@ -11,7 +11,11 @@ replaces it with a supervision layer:
   backoff and an injectable ``sleep`` (tests pass a recorder; campaigns
   get real waits). Applied *inside* the worker, so a transient failure
   never pays a pool round-trip.
-* **per-task deadlines** — ``run_tasks(..., task_timeout_s=...)`` arms a
+* :class:`Supervision` — the one value a caller passes
+  (``run_tasks(..., supervision=Supervision(...))``), bundling the retry
+  policy, deadline, error mode and pool-restart budget below; it validates
+  itself on construction.
+* **per-task deadlines** — ``Supervision(task_timeout_s=...)`` arms a
   watchdog: in-flight chunks carry a deadline of ``task_timeout_s ×
   len(chunk)`` from submission; when it expires the pool is killed (a
   ``ProcessPoolExecutor`` cannot cancel running work), the expired tasks
@@ -29,7 +33,7 @@ replaces it with a supervision layer:
   and the rest of the campaign completes.
 
 Nothing here raises supervision errors directly: they are *returned* as
-``TaskResult.error`` and the executor's ``on_error`` knob decides whether
+``TaskResult.error`` and ``Supervision.on_error`` decides whether
 they surface as exceptions (``"raise"``, the default) or as inspectable
 quarantined rows (``"quarantine"``).
 """
@@ -52,6 +56,8 @@ from repro.errors import (
 #: Completion hook: the executor's merge/progress/checkpoint callback,
 #: fired in the parent once per finished chunk (in completion order).
 NoteFn = Callable[[List[TaskResult]], None]
+
+_ON_ERROR_MODES = ("raise", "quarantine")
 
 
 @dataclass(frozen=True)
@@ -120,12 +126,50 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class Supervision:
-    """The resolved supervision configuration of one ``run_tasks`` call."""
+    """How one ``run_tasks(..., supervision=)`` call survives bad tasks.
+
+    Attributes:
+        retry: Optional :class:`RetryPolicy` — failed attempts matching the
+            policy re-run (in the worker, deterministic backoff) before the
+            error is recorded.
+        task_timeout_s: Per-task deadline (parallel runs only — the serial
+            path cannot preempt a task in its own process). An in-flight
+            chunk past ``task_timeout_s * len(chunk)`` has its pool killed
+            and regenerated; its tasks become
+            :class:`~repro.errors.TaskTimeoutError` results. Timed-out tasks
+            are not retried.
+        on_error: ``"raise"`` (default) lets supervision errors (timeouts,
+            quarantines) surface through the ``raise_errors`` gate like any
+            task error; ``"quarantine"`` keeps them as structured
+            ``TaskResult.error`` rows so the campaign completes and the
+            caller inspects the casualties.
+        max_pool_restarts: Pool regenerations (crash or timeout recovery)
+            allowed per call before remaining tasks are quarantined as
+            budget-exhausted.
+
+    Validated on construction, so a bad value fails before any work runs.
+    """
 
     retry: Optional[RetryPolicy] = None
     task_timeout_s: Optional[float] = None
     on_error: str = "raise"
     max_pool_restarts: int = 3
+
+    def __post_init__(self) -> None:
+        if self.on_error not in _ON_ERROR_MODES:
+            raise EngineError(
+                f"on_error must be one of {_ON_ERROR_MODES}, "
+                f"got {self.on_error!r}"
+            )
+        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
+            raise EngineError(
+                f"task_timeout_s must be positive, got {self.task_timeout_s}"
+            )
+        if self.max_pool_restarts < 0:
+            raise EngineError(
+                f"max_pool_restarts must be >= 0, "
+                f"got {self.max_pool_restarts}"
+            )
 
     def should_raise(self, error: BaseException) -> bool:
         """Whether the ``raise_errors`` gate applies to ``error``: under

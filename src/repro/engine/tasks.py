@@ -25,6 +25,7 @@ Two task granularities cross the ``ProcessPoolExecutor`` boundary:
   batched onto the vectorised lockstep engine
   (:mod:`repro.noc.batchengine`); per-replication results and store
   fingerprints are identical to K solo :class:`SimulationTask`\\ s.
+  :func:`simulation_tasks` builds either kind for a whole campaign.
 
 Tasks are plain frozen dataclasses built only from spec/config/library
 value objects (and, for candidates, stateless stage instances), so they
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
 from repro.models.library import NocLibrary
@@ -243,6 +244,56 @@ class BatchSimulationTask:
         return dataclasses.replace(
             self, seeds=tuple(self.seeds[i] for i in indices)
         )
+
+
+def simulation_tasks(
+    topology,
+    scenarios: Sequence,
+    injection_scales: Sequence[float],
+    seeds: Sequence[int],
+    batch: Optional[int] = None,
+    **sim_params,
+) -> List:
+    """The (scenario × injection scale × seed) task list of a sim campaign.
+
+    ``scenarios`` are :mod:`repro.noc.scenarios` specs; ``sim_params`` are
+    the remaining :class:`SimulationTask` fields (``library``,
+    ``packet_length_flits``, ``cycles``, ``warmup``, ``drain_limit``).
+    ``batch`` ``None``/``1`` gives one :class:`SimulationTask` per seed
+    keyed ``(label, scale, seed)``; ``K > 1`` groups each (scenario,
+    scale)'s seeds, in seed order, into :class:`BatchSimulationTask` chunks
+    of up to ``K`` keyed ``(label, scale, seeds)``, so the flattened rows
+    land in exactly the solo campaign's order.
+    """
+    from repro.errors import EngineError
+    from repro.noc.scenarios import make_scenario
+
+    if batch is not None and batch < 1:
+        raise EngineError(f"batch must be >= 1, got {batch}")
+    scenario_objs = [make_scenario(s) for s in scenarios]
+    seeds = tuple(int(s) for s in seeds)
+    if batch is None or batch == 1:
+        return [
+            SimulationTask(
+                key=(scen.label(), scale, seed), topology=topology,
+                seed=seed, injection_scale=scale, scenario=scen,
+                **sim_params,
+            )
+            for scen in scenario_objs
+            for scale in injection_scales
+            for seed in seeds
+        ]
+    chunks = [seeds[i:i + batch] for i in range(0, len(seeds), batch)]
+    return [
+        BatchSimulationTask(
+            key=(scen.label(), scale, chunk), topology=topology,
+            seeds=chunk, injection_scale=scale, scenario=scen,
+            **sim_params,
+        )
+        for scen in scenario_objs
+        for scale in injection_scales
+        for chunk in chunks
+    ]
 
 
 @dataclass

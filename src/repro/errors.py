@@ -101,7 +101,8 @@ class BackpressureError(CampaignError):
 class SupervisionError(EngineError):
     """Base class for failures *synthesized by the engine supervisor* (as
     opposed to errors raised by task code): deadline expiries and poison-task
-    quarantines. ``run_tasks(..., on_error="quarantine")`` returns these as
+    quarantines. ``run_tasks(...,
+    supervision=Supervision(on_error="quarantine"))`` returns these as
     structured :class:`~repro.engine.tasks.TaskResult` errors instead of
     raising."""
 

@@ -24,11 +24,8 @@ from typing import Optional, Sequence
 from repro.core.config import SynthesisConfig
 from repro.engine import run_tasks
 from repro.engine.executor import ProgressFn
-from repro.engine.tasks import (
-    BatchSimulationTask,
-    SimulationTask,
-    SynthesisTask,
-)
+from repro.engine.supervise import Supervision
+from repro.engine.tasks import SynthesisTask, simulation_tasks
 from repro.experiments.common import (
     ExperimentResult,
     default_config_for,
@@ -36,7 +33,7 @@ from repro.experiments.common import (
 )
 from repro.models.library import NocLibrary, default_library
 from repro.noc.metrics import flow_latency_cycles
-from repro.noc.scenarios import ScenarioSpec, make_scenario
+from repro.noc.scenarios import ScenarioSpec
 
 
 def run_simulation_validation(
@@ -53,9 +50,7 @@ def run_simulation_validation(
     drain_limit: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
+    supervision: Optional[Supervision] = None,
     batch: Optional[int] = None,
 ) -> ExperimentResult:
     """One row per (scenario, offered load, seed): simulated vs analytic.
@@ -82,8 +77,8 @@ def run_simulation_validation(
             served from / checkpointed into the store, so a killed campaign
             rerun with the same store resumes where it stopped and merges
             bit-identically to an uninterrupted cold run.
-        retry / task_timeout_s / on_error: The engine's supervision knobs
-            (see :func:`repro.engine.run_tasks`). Under
+        supervision: Optional :class:`~repro.engine.supervise.Supervision`
+            of the campaign (see :func:`repro.engine.run_tasks`). Under
             ``on_error="quarantine"`` runs lost to a worker crash or
             deadline are dropped from the table and counted in its
             ``notes`` instead of aborting the campaign.
@@ -95,10 +90,6 @@ def run_simulation_validation(
             store fingerprints are bit-identical either way — batching only
             changes how the work is packed.
     """
-    if batch is not None and batch < 1:
-        from repro.errors import EngineError
-
-        raise EngineError(f"batch must be >= 1, got {batch}")
     if config is None:
         config = default_config_for(benchmark)
     point = _best_power_point(benchmark, config, store)
@@ -111,48 +102,14 @@ def run_simulation_validation(
     }
     analytic_avg = sum(zero_load.values()) / len(zero_load)
 
-    scenario_objs = [make_scenario(s) for s in scenarios]
-    if batch is not None and batch > 1:
-        # Seed chunks stay in seed order within each (scenario, scale), so
-        # the flattened rows land in exactly the solo campaign's order.
-        tasks = [
-            BatchSimulationTask(
-                key=(scen.label(), scale, chunk),
-                topology=point.topology,
-                seeds=chunk,
-                library=library,
-                packet_length_flits=packet_length_flits,
-                cycles=cycles,
-                warmup=warmup,
-                injection_scale=scale,
-                scenario=scen,
-                drain_limit=drain_limit,
-            )
-            for scen in scenario_objs
-            for scale in injection_scales
-            for chunk in _seed_chunks(seeds, batch)
-        ]
-    else:
-        tasks = [
-            SimulationTask(
-                key=(scen.label(), scale, seed),
-                topology=point.topology,
-                library=library,
-                packet_length_flits=packet_length_flits,
-                seed=seed,
-                cycles=cycles,
-                warmup=warmup,
-                injection_scale=scale,
-                scenario=scen,
-                drain_limit=drain_limit,
-            )
-            for scen in scenario_objs
-            for scale in injection_scales
-            for seed in seeds
-        ]
+    tasks = simulation_tasks(
+        point.topology, scenarios, injection_scales, seeds, batch,
+        library=library, packet_length_flits=packet_length_flits,
+        cycles=cycles, warmup=warmup, drain_limit=drain_limit,
+    )
     results = run_tasks(
         tasks, jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
+        supervision=supervision,
     )
 
     table = ExperimentResult(
@@ -196,12 +153,6 @@ def run_simulation_validation(
                 gap_cyc=stats.avg_packet_latency - analytic_avg,
             )
     return table
-
-
-def _seed_chunks(seeds: Sequence[int], batch: int):
-    """Consecutive seed groups of up to ``batch``, in campaign order."""
-    seeds = tuple(int(s) for s in seeds)
-    return [seeds[i:i + batch] for i in range(0, len(seeds), batch)]
 
 
 def _best_power_point(benchmark: str, config: SynthesisConfig, store):

@@ -70,9 +70,6 @@ def anneal_floorplan(
     restarts: int = 1,
     jobs: Optional[int] = 1,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
 ) -> FloorplanResult:
     """Floorplan ``n`` blocks minimising area + weighted wirelength.
 
@@ -101,11 +98,6 @@ def anneal_floorplan(
             already-annealed restarts from disk and checkpointing fresh
             ones (multi-start runs only — a single-start anneal stays on
             the zero-overhead direct path).
-        retry / task_timeout_s / on_error: The engine's supervision knobs
-            (see :func:`repro.engine.run_tasks`). Under
-            ``on_error="quarantine"`` a crashed or timed-out restart is
-            excluded from the best-cost merge; at least one restart must
-            survive or :class:`~repro.errors.FloorplanError` is raised.
 
     Returns:
         The best found :class:`FloorplanResult` (not merely the final one).
@@ -154,25 +146,10 @@ def anneal_floorplan(
         )
         for restart in range(restarts)
     ]
-    results = run_tasks(
-        tasks, jobs=jobs, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-    )
-    best: Optional[FloorplanResult] = None
-    total_evaluated = 0
-    for task_result in results:
-        if task_result.error is not None:
-            continue  # quarantined restart: excluded from the merge
-        candidate = task_result.result
-        total_evaluated += candidate.moves_evaluated
-        if best is None or candidate.cost < best.cost:
-            best = candidate
-    if best is None:
-        from repro.errors import FloorplanError
-
-        raise FloorplanError(
-            f"all {restarts} floorplan restarts were quarantined"
-        )
+    results = [r.result for r in run_tasks(tasks, jobs=jobs, store=store)]
+    # First minimum in restart order: ties go to the lowest restart.
+    best = min(results, key=lambda r: r.cost)
+    total_evaluated = sum(r.moves_evaluated for r in results)
     return replace(best, moves_evaluated=total_evaluated)
 
 

@@ -53,9 +53,6 @@ def constrained_insert(
     restarts: int = 1,
     jobs: Optional[int] = 1,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
 ) -> List[PlacedComponent]:
     """Insert network components with the constrained-annealer baseline.
 
@@ -65,9 +62,6 @@ def constrained_insert(
     :mod:`repro.engine` pool — serial and parallel runs are identical.
     ``store`` plugs a :class:`~repro.engine.store.ResultStore` into that
     fan-out so finished restarts are reused across invocations.
-    ``retry``/``task_timeout_s``/``on_error`` are the engine's supervision
-    knobs; under ``on_error="quarantine"`` a lost restart is excluded from
-    the best-cost merge (at least one must survive).
     """
     layers = {c.layer for c in existing}
     if len(layers) > 1:
@@ -109,22 +103,9 @@ def constrained_insert(
             )
             for restart in range(restarts)
         ]
-        results = run_tasks(
-            tasks, jobs=jobs, store=store,
-            retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-        )
-        best_cost = None
-        best_sp = None
-        for task_result in results:
-            if task_result.error is not None:
-                continue  # quarantined restart: excluded from the merge
-            cost, sp = task_result.result
-            if best_cost is None or cost < best_cost:
-                best_cost, best_sp = cost, sp
-        if best_sp is None:
-            raise FloorplanError(
-                f"all {restarts} insertion restarts were quarantined"
-            )
+        results = run_tasks(tasks, jobs=jobs, store=store)
+        # First minimum in restart order: ties go to the lowest restart.
+        _, best_sp = min((r.result for r in results), key=lambda cs: cs[0])
 
     widths = [c.rect.width for c in existing] + [c.width for c in new_components]
     heights = [c.rect.height for c in existing] + [c.height for c in new_components]

@@ -145,3 +145,31 @@ class TestExperimentCommand:
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "fig99"]) == 1
         assert "unknown experiment" in capsys.readouterr().out
+
+
+class TestSupervisionFlags:
+    @pytest.mark.parametrize("timeout", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["synth", "sweep", "sim"])
+    def test_bad_task_timeout_exits_before_any_work(
+        self, tmp_path, capsys, tiny_specs, command, timeout
+    ):
+        if command == "sim":
+            source = ["--benchmark", "d26_media", "--cycles", "100"]
+        else:
+            core_spec, comm_spec = tiny_specs
+            cores_path = tmp_path / "cores.txt"
+            comm_path = tmp_path / "comm.txt"
+            save_core_spec_text(core_spec, cores_path)
+            save_comm_spec_text(comm_spec, comm_path)
+            source = ["--cores", str(cores_path), "--comm", str(comm_path),
+                      "--max-ill", "10", "--switches", "2:3"]
+            if command == "sweep":
+                source += ["--frequencies", "400"]
+        rc = main([command, *source, "--jobs", "1",
+                   "--task-timeout", timeout])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "task_timeout_s must be positive" in captured.err
+        # Rejected up front: no synthesis, no table, nothing on stdout.
+        assert "best design point" not in captured.out
+        assert captured.out == ""

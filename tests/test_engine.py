@@ -133,6 +133,40 @@ class TestTasks:
         assert not result.ok
         assert result.error is not None
 
+    def test_simulation_tasks_solo_and_batched(self):
+        import dataclasses
+
+        from repro.engine.tasks import (
+            BatchSimulationTask, SimulationTask, simulation_tasks,
+        )
+
+        def build(batch):
+            return simulation_tasks(
+                "topology", ("bernoulli", "hotspot:3"), (0.3, 1.0),
+                (0, 1, 2), batch, cycles=300, warmup=50,
+            )
+
+        solo = build(None)
+        assert build(1) == solo
+        assert all(isinstance(t, SimulationTask) for t in solo)
+        label = solo[0].scenario.label()
+        assert [t.key for t in solo[:3]] == [(label, 0.3, s) for s in range(3)]
+        assert {(t.cycles, t.warmup, t.topology) for t in solo} == {
+            (300, 50, "topology")
+        }
+        batched = build(2)
+        assert all(isinstance(t, BatchSimulationTask) for t in batched)
+        assert [t.key for t in batched[:2]] == [
+            (label, 0.3, (0, 1)), (label, 0.3, (2,))
+        ]
+        # Seed order is kept, so the batches expand to the solo campaign.
+        expanded = [sub for t in batched for sub in t.expand_for_store()]
+        assert [dataclasses.replace(t, key=None) for t in expanded] == [
+            dataclasses.replace(t, key=None) for t in solo
+        ]
+        with pytest.raises(EngineError, match="batch"):
+            build(0)
+
 
 class TestExecutor:
     def test_resolve_jobs(self, monkeypatch):

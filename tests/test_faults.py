@@ -119,9 +119,13 @@ class TestFaultMatrix:
             progress=lambda done, total, key: progress_calls.append(
                 (done, total, key)
             ),
-            raise_errors=False, on_error="quarantine",
-            retry=RetryPolicy(max_retries=2) if kind == "transient" else None,
-            task_timeout_s=0.5 if kind == "timeout" else None,
+            raise_errors=False,
+            supervision=Supervision(
+                retry=RetryPolicy(max_retries=2)
+                if kind == "transient" else None,
+                task_timeout_s=0.5 if kind == "timeout" else None,
+                on_error="quarantine",
+            ),
         )
 
         # Merge order is submission order, faults or not.
@@ -239,13 +243,13 @@ class TestRetryPolicy:
             RetryPolicy(max_backoff_s=-1.0)
 
     def test_run_tasks_knob_validation(self):
-        tasks = _tasks(2)
+        # The supervision knobs of run_tasks validate on construction.
         with pytest.raises(EngineError, match="on_error"):
-            run_tasks(tasks, on_error="explode")
+            Supervision(on_error="explode")
         with pytest.raises(EngineError, match="task_timeout_s"):
-            run_tasks(tasks, task_timeout_s=0.0)
+            Supervision(task_timeout_s=0.0)
         with pytest.raises(EngineError, match="max_pool_restarts"):
-            run_tasks(tasks, max_pool_restarts=-1)
+            Supervision(max_pool_restarts=-1)
 
 
 class TestFaultPlan:
@@ -309,7 +313,9 @@ class TestQuarantine:
         )
         faulty = inject_faults(_tasks(4), plan)
         with pytest.raises(TaskTimeoutError) as excinfo:
-            run_tasks(faulty, jobs=2, task_timeout_s=0.5)
+            run_tasks(
+                faulty, jobs=2, supervision=Supervision(task_timeout_s=0.5)
+            )
         assert excinfo.value.key == "restart-1"
 
     def test_chunk_bystander_acquitted(self, tmp_path, clean_results):
@@ -319,8 +325,8 @@ class TestQuarantine:
         plan = FaultPlan(tmp_path, {0: FaultSpec("crash", times=-1)})
         faulty = inject_faults(_tasks(), plan)
         results = run_tasks(
-            faulty, jobs=2, chunk_size=2, on_error="quarantine",
-            raise_errors=False,
+            faulty, jobs=2, chunk_size=2, raise_errors=False,
+            supervision=Supervision(on_error="quarantine"),
         )
         assert isinstance(results[0].error, TaskQuarantinedError)
         quarantined = [r for r in results if r.error is not None]
@@ -344,8 +350,10 @@ class TestQuarantine:
         })
         faulty = inject_faults(_tasks(), plan)
         results = run_tasks(
-            faulty, jobs=2, on_error="quarantine", raise_errors=False,
-            max_pool_restarts=0,
+            faulty, jobs=2, raise_errors=False,
+            supervision=Supervision(
+                on_error="quarantine", max_pool_restarts=0
+            ),
         )
         assert [r.key for r in results] == [t.key for t in _tasks()]
         errors = [r.error for r in results if r.error is not None]
@@ -558,16 +566,19 @@ class TestSupervisedSynthesisSweep:
         )
         clean = run_tasks(tasks, jobs=1)
         armed = run_tasks(
-            tasks, jobs=2, retry=RetryPolicy(max_retries=2),
-            task_timeout_s=300.0, on_error="quarantine",
+            tasks, jobs=2, supervision=Supervision(
+                retry=RetryPolicy(max_retries=2), task_timeout_s=300.0,
+                on_error="quarantine",
+            ),
         )
         assert points(armed) == points(clean)
 
         poison = len(tasks) // 2
         plan = FaultPlan(tmp_path, {poison: FaultSpec("crash", times=100)})
         recovered = run_tasks(
-            inject_faults(tasks, plan), jobs=2, task_timeout_s=300.0,
-            on_error="quarantine",
+            inject_faults(tasks, plan), jobs=2, supervision=Supervision(
+                task_timeout_s=300.0, on_error="quarantine"
+            ),
         )
         failed = [r for r in recovered if r.error is not None]
         assert [r.key for r in failed] == [tasks[poison].key]
@@ -651,14 +662,15 @@ class TestKilledAndResumed:
             {FAULT_INDEX: FaultSpec("transient", times=1)},
         )
         store = ResultStore(tmp_path / "store")
-        retry = RetryPolicy(max_retries=2)
+        sup = Supervision(retry=RetryPolicy(max_retries=2))
         with pytest.raises(RuntimeError):
             run_tasks(
                 inject_faults(_tasks(), plan), jobs=2, store=store,
-                retry=retry, progress=_Interrupter(3, RuntimeError),
+                supervision=sup, progress=_Interrupter(3, RuntimeError),
             )
         resumed = run_tasks(
-            inject_faults(_tasks(), plan), jobs=2, store=store, retry=retry
+            inject_faults(_tasks(), plan), jobs=2, store=store,
+            supervision=sup,
         )
         assert pickle.dumps([r.result for r in resumed]) == pickle.dumps(
             [r.result for r in clean_results]
