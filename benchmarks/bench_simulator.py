@@ -1,26 +1,23 @@
-"""Wormhole simulator — the solo and batch engines against the frozen reference.
+"""Wormhole simulator — the array engine against the frozen reference.
 
-Not a paper figure: these are the layer floors of :mod:`repro.noc.simengine`
-and :mod:`repro.noc.batchengine`. The end-to-end benchmark
-(``python3 perfbench/run.py``) times served simulation campaigns; this
-script checks the claims it cannot, that each optimised engine beats the
-frozen naive simulator (:mod:`repro.noc.reference`) on the same topology.
-Run it with::
+Not a paper figure: this is the layer floor of :mod:`repro.noc.simengine`.
+The end-to-end benchmark (``python3 perfbench/run.py``) times served
+simulation campaigns; this script checks the claim it cannot, that the
+array engine beats the frozen naive simulator (:mod:`repro.noc.reference`)
+on the same topology. Run it with::
 
     python -m pytest benchmarks/bench_simulator.py -q -s
 
 Every leg simulates the best-power topology of a seeded 26-core synthetic
 design at the validation load (injection scale 0.3). The script asserts
 
-* the solo array engine, the K-replication batch engine and the reference
-  produce *bit-identical* statistics and per-cycle trajectories, so the
-  speedups are pure simulation-machinery cost;
-* the solo engine runs >= 3x the reference's cycles/sec;
-* the batch engine at K=512 delivers >= 10x the replications/sec of solo
-  reference runs, one replication at a time.
+* a K-seed ``run_batch``, K solo ``run`` calls and the reference produce
+  *bit-identical* statistics and per-cycle trajectories, so the speedup
+  is pure simulation-machinery cost;
+* the solo engine runs >= 3x the reference's cycles/sec.
 
-Every ratio is the median of interleaved repeats, single-process on one
-core, so the floors do not depend on the CPU count.
+The ratio is the median of interleaved repeats, single-process on one
+core, so the floor does not depend on the CPU count.
 """
 
 import statistics
@@ -39,10 +36,8 @@ SEED = 5
 CYCLES = 4_000
 WARMUP = CYCLES // 10
 REPEATS = 5
-BATCH_K = 512
 IDENTITY_K = 4
 SOLO_FLOOR = 3.0
-BATCH_FLOOR = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -105,31 +100,4 @@ def test_solo_engine_beats_reference(topology):
           f"{engine_rate:,.0f} cycles/s -> {speedup:.2f}x")
     assert speedup >= SOLO_FLOOR, (
         f"solo engine {speedup:.2f}x below {SOLO_FLOOR}x"
-    )
-
-
-def test_batch_engine_beats_reference(topology):
-    sim = WormholeSimulator(topology)
-    seeds = list(range(BATCH_K))
-    # Warm the vectorised path and the reference off the clock.
-    sim.run_batch(seeds[:8], cycles=200, warmup=0, injection_scale=SCALE)
-    _run(ReferenceWormholeSimulator, topology)
-    batch_s, reference_s = [], []
-    for _ in range(REPEATS):
-        seconds, batch = _timed(sim.run_batch, seeds, cycles=CYCLES,
-                                warmup=WARMUP, injection_scale=SCALE)
-        batch_s.append(seconds)
-        seconds, reference = _timed(_run, ReferenceWormholeSimulator,
-                                    topology)
-        reference_s.append(seconds)
-        assert batch[SEED] == reference
-
-    batch_rate = BATCH_K / statistics.median(batch_s)
-    reference_rate = 1.0 / statistics.median(reference_s)
-    speedup = batch_rate / reference_rate
-    print(f"\nbatch simulator K={BATCH_K} @ scale {SCALE}, median of "
-          f"{REPEATS}: reference {reference_rate:,.2f} reps/s, batch "
-          f"{batch_rate:,.2f} reps/s -> {speedup:.2f}x")
-    assert speedup >= BATCH_FLOOR, (
-        f"batch engine {speedup:.2f}x below {BATCH_FLOOR}x"
     )

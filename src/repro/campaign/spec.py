@@ -22,7 +22,7 @@ Two campaign kinds cover the paper's two experiment families:
   :class:`~repro.engine.tasks.SimulationTask` per
   (scenario × injection scale × seed) — or, with ``"batch": K``, one
   :class:`~repro.engine.tasks.BatchSimulationTask` per seed chunk of up
-  to ``K`` on the vectorised lockstep engine. Per-replication results
+  to ``K`` (one worker round-trip each). Per-replication results
   and store fingerprints are identical either way, so batched and solo
   campaigns resume through the same cache entries.
 
@@ -103,8 +103,8 @@ class CampaignSpec:
     warmup: int = 400
     packet_length_flits: int = 4
     #: Replications per engine task: ``None``/``1`` = one task per seed,
-    #: ``K > 1`` = seeds batched K at a time onto the vectorised lockstep
-    #: engine. Results and store fingerprints are identical either way.
+    #: ``K > 1`` = K seeds per task. Results and store fingerprints are
+    #: identical either way.
     batch: Optional[int] = None
 
     @classmethod

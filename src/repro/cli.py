@@ -161,9 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "way)")
     sim.add_argument("--batch", type=int, default=1,
                      help="replications per engine task (1 = one task per "
-                          "seed; K > 1 batches each scenario/scale's seeds "
-                          "K at a time onto the vectorised lockstep engine; "
-                          "results are identical either way)")
+                          "seed; K > 1 packs each scenario/scale's seeds "
+                          "K to a task; results are identical either way)")
     sim.add_argument("--quiet", action="store_true",
                      help="suppress per-run progress lines")
     _add_cache_args(sim)

@@ -22,9 +22,10 @@ Two task granularities cross the ``ProcessPoolExecutor`` boundary:
   their parameters, so the merged campaign is bit-identical serial vs
   parallel.
 * :class:`BatchSimulationTask` — K such replications of one traffic point
-  batched onto the vectorised lockstep engine
-  (:mod:`repro.noc.batchengine`); per-replication results and store
-  fingerprints are identical to K solo :class:`SimulationTask`\\ s.
+  in one worker round-trip (:meth:`WormholeSimulator.run_batch
+  <repro.noc.simulator.WormholeSimulator.run_batch>`); per-replication
+  results and store fingerprints are identical to K solo
+  :class:`SimulationTask`\\ s.
   :func:`simulation_tasks` builds either kind for a whole campaign.
 
 Tasks are plain frozen dataclasses built only from spec/config/library
@@ -191,13 +192,14 @@ class SimulationTask:
 
 @dataclass(frozen=True)
 class BatchSimulationTask:
-    """K lockstep replications of one traffic point, one worker round-trip.
+    """K replications of one traffic point, one worker round-trip.
 
     The same knobs as :class:`SimulationTask` with ``seeds`` (a tuple of K
-    replication seeds) in place of ``seed``; the worker runs all K on the
-    vectorised batch engine (:mod:`repro.noc.batchengine`) and returns a
-    tuple of K :class:`~repro.noc.simulator.SimulationStats` in seed order,
-    each bit-identical to a solo :class:`SimulationTask` at that seed.
+    replication seeds) in place of ``seed``; the worker runs them one after
+    another (:meth:`~repro.noc.simulator.WormholeSimulator.run_batch`) and
+    returns a tuple of K :class:`~repro.noc.simulator.SimulationStats` in
+    seed order, each bit-identical to a solo :class:`SimulationTask` at
+    that seed.
 
     A batch has no store identity of its own: :meth:`expand_for_store`
     names its per-replication solo tasks and the executor fingerprints
@@ -246,6 +248,14 @@ class BatchSimulationTask:
         )
 
 
+def check_batch(batch: Optional[int]) -> None:
+    """Reject a sim-campaign ``batch`` below 1 (``None`` = one per seed)."""
+    if batch is not None and batch < 1:
+        from repro.errors import EngineError
+
+        raise EngineError(f"batch must be >= 1, got {batch}")
+
+
 def simulation_tasks(
     topology,
     scenarios: Sequence,
@@ -265,11 +275,9 @@ def simulation_tasks(
     of up to ``K`` keyed ``(label, scale, seeds)``, so the flattened rows
     land in exactly the solo campaign's order.
     """
-    from repro.errors import EngineError
     from repro.noc.scenarios import make_scenario
 
-    if batch is not None and batch < 1:
-        raise EngineError(f"batch must be >= 1, got {batch}")
+    check_batch(batch)
     scenario_objs = [make_scenario(s) for s in scenarios]
     seeds = tuple(int(s) for s in seeds)
     if batch is None or batch == 1:

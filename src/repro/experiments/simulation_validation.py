@@ -25,7 +25,7 @@ from repro.core.config import SynthesisConfig
 from repro.engine import run_tasks
 from repro.engine.executor import ProgressFn
 from repro.engine.supervise import Supervision
-from repro.engine.tasks import SynthesisTask, simulation_tasks
+from repro.engine.tasks import SynthesisTask, check_batch, simulation_tasks
 from repro.experiments.common import (
     ExperimentResult,
     default_config_for,
@@ -86,10 +86,12 @@ def run_simulation_validation(
             :class:`~repro.engine.tasks.SimulationTask` per seed; ``K > 1``
             groups each (scenario, scale)'s seeds into
             :class:`~repro.engine.tasks.BatchSimulationTask` chunks of up
-            to ``K`` on the vectorised lockstep engine. Rows, row order and
-            store fingerprints are bit-identical either way — batching only
-            changes how the work is packed.
+            to ``K``. Rows, row order and store fingerprints are
+            bit-identical either way — batching only changes how the work
+            is packed. A value below 1 raises
+            :class:`~repro.errors.EngineError` before any synthesis.
     """
+    check_batch(batch)  # before the prerequisite synthesis, not after it
     if config is None:
         config = default_config_for(benchmark)
     point = _best_power_point(benchmark, config, store)

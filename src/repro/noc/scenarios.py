@@ -27,9 +27,10 @@ the first simulated cycle, in one well-defined order per scenario class:
 Bernoulli-style scenarios sample geometric inter-arrival gaps flow-major
 (one draw per *arrival*, not per cycle — the same process, far fewer
 draws); the bursty chain draws cycle-major per active flow. Both the
-array-based engine (:mod:`repro.noc.simengine`) and the frozen naive
-reference (:mod:`repro.noc.reference`) build their schedule through the
-same :meth:`TrafficScenario.schedule` call on the same freshly-seeded
+array-based engine (:mod:`repro.noc.simengine`, which also runs every
+replication of a batch) and the frozen naive reference
+(:mod:`repro.noc.reference`) build their schedule through the same
+:meth:`TrafficScenario.schedule` call on the same freshly-seeded
 generator, which is what keeps their trajectories bit-identical across
 every scenario.
 
@@ -80,18 +81,6 @@ class TrafficScenario:
     def label(self) -> str:
         """Short human-readable tag for tables and reports."""
         return self.name
-
-    def bernoulli_probs(self, flows, probs):
-        """Effective per-flow rates if this scenario is memoryless.
-
-        Scenarios that reduce to :func:`_bernoulli_schedule` over a
-        transformed probability vector (no draws of their own) return that
-        vector here, letting :mod:`repro.noc.batchengine` rebuild their
-        schedules through its vectorized sampler — which consumes the
-        seeded generator's stream draw for draw like the scalar builder.
-        Stateful scenarios return ``None`` and keep the scalar path.
-        """
-        return None
 
 
 def _bernoulli_schedule(probs: Sequence[float], cycles: int, rng) -> Schedule:
@@ -146,9 +135,6 @@ class BernoulliScenario(TrafficScenario):
     def schedule(self, flows, probs, cycles, rng) -> Schedule:
         return _bernoulli_schedule(probs, cycles, rng)
 
-    def bernoulli_probs(self, flows, probs):
-        return list(probs)
-
 
 @dataclass(frozen=True)
 class HotspotScenario(TrafficScenario):
@@ -187,6 +173,7 @@ class HotspotScenario(TrafficScenario):
         )
 
     def bernoulli_probs(self, flows, probs):
+        """Per-flow rates with the hot core's flows boosted."""
         hot = self.pick_hotspot(flows)
         return [
             p * self.boost if flows[fi][1] == hot else p
@@ -319,6 +306,7 @@ class ScaledScenario(TrafficScenario):
         )
 
     def bernoulli_probs(self, flows, probs):
+        """Per-flow rates scaled by ``factor``."""
         return [p * self.factor for p in probs]
 
     def label(self) -> str:

@@ -71,6 +71,7 @@ from repro.rng import make_rng
 def simulate(
     sim,
     *,
+    seed: int,
     cycles: int,
     warmup: int,
     injection_scale: float,
@@ -81,7 +82,9 @@ def simulate(
     """Run one simulation on the array-based core.
 
     ``sim`` is a :class:`~repro.noc.simulator.WormholeSimulator` (already
-    validated); returns its :class:`~repro.noc.simulator.SimulationStats`.
+    validated) and ``seed`` the injection-schedule seed (``sim.seed`` for a
+    solo :meth:`~repro.noc.simulator.WormholeSimulator.run`); returns a
+    :class:`~repro.noc.simulator.SimulationStats`.
     """
     from repro.noc.simulator import SimulationStats  # circular at import time
 
@@ -97,7 +100,7 @@ def simulate(
 
     flows = sorted(topo.routes)
     F = len(flows)
-    rng = make_rng(sim.seed, "wormhole")
+    rng = make_rng(seed, "wormhole")
     probs = [sim._inject_prob[f] * injection_scale for f in flows]
     schedule = build_schedule(scenario, flows, probs, cycles, rng)
 

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SynthesisError
 from repro.models.library import NocLibrary, default_library
-from repro.noc import simengine
+from repro.noc import batchengine, simengine
 from repro.noc.scenarios import ScenarioSpec
 from repro.noc.topology import Topology
 
@@ -142,6 +142,7 @@ class WormholeSimulator:
             raise SynthesisError("cycles must exceed warmup")
         return simengine.simulate(
             self,
+            seed=self.seed,
             cycles=cycles,
             warmup=warmup,
             injection_scale=injection_scale,
@@ -161,17 +162,15 @@ class WormholeSimulator:
         drain_limit: Optional[int] = None,
         traces: Optional[List[list]] = None,
     ) -> List[SimulationStats]:
-        """Run K lockstep replications on :mod:`repro.noc.batchengine`.
+        """Run one replication per seed, in seed order.
 
         ``seeds`` are the K replication seeds (the simulator's own ``seed``
-        attribute is ignored for the batch path); ``scenario`` is one
-        :data:`~repro.noc.scenarios.ScenarioSpec` for every replication or a
-        sequence of K specs. Each returned stats object — and, with
-        ``traces`` given, each replication's per-cycle event list — is
-        bit-identical to a solo :meth:`run` at that seed.
+        attribute is ignored); ``scenario`` is one
+        :data:`~repro.noc.scenarios.ScenarioSpec` for every replication or
+        a sequence of K specs. Each returned stats object — and, with
+        ``traces`` given, each replication's per-cycle event list — is the
+        one a solo :meth:`run` at that seed produces.
         """
-        from repro.noc import batchengine  # numpy import deferred
-
         if cycles <= warmup:
             raise SynthesisError("cycles must exceed warmup")
         return batchengine.simulate_batch(

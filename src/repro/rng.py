@@ -33,33 +33,6 @@ def make_rng(seed: int, *salt: object) -> random.Random:
     return random.Random(int(seed))
 
 
-def make_np_rng(seed: int, *salt: object):
-    """A numpy ``RandomState`` twin of :func:`make_rng`: same seed and salt,
-    bit-equal stream — ``make_np_rng(s).random_sample(n)`` replays
-    ``[make_rng(s).random() for _ in range(n)]`` draw for draw.
-
-    Both generators are MT19937 seeded through ``init_by_array`` from the
-    little-endian 32-bit words of the integer key, and both produce doubles
-    via the 53-bit ``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` recipe, so the
-    streams are identical. This is what lets the vectorized batch-schedule
-    sampler (:mod:`repro.noc.batchengine`) draw whole arrival arrays at once
-    while staying bit-identical to the scalar schedule builder — and why
-    numpy generator construction stays in this one audited module.
-    """
-    import numpy as np  # deferred: keep repro.rng import-light
-
-    if salt:
-        key = repr((int(seed),) + tuple(str(s) for s in salt)).encode()
-        n = int(hashlib.md5(key).hexdigest()[:16], 16)
-    else:
-        n = int(seed)
-    words = []
-    while n:
-        words.append(n & 0xFFFFFFFF)
-        n >>= 32
-    return np.random.RandomState(words or [0])
-
-
 def restart_rng(seed: int, salt: str, restart: int) -> random.Random:
     """The multi-start annealing stream contract, shared by every annealer.
 

@@ -1,21 +1,18 @@
-"""Vectorized K-replication batch engine vs solo engine vs frozen reference.
+"""``run_batch`` vs solo engine vs frozen reference.
 
-The contract of :mod:`repro.noc.batchengine` (the batch-simulator PR): for
-every replication in a batch, the returned :class:`SimulationStats` *and*
-the per-cycle ``("deliver"|"eject", cycle, link, pid)`` trace are
-bit-identical to a solo :meth:`WormholeSimulator.run` at that seed — and,
-transitively, to the frozen :class:`ReferenceWormholeSimulator`. Per
-replication, nothing may depend on K: not the stats, not the trace, not
-the drain accounting of a sibling that saturates or finishes early.
+The contract of :meth:`WormholeSimulator.run_batch`: for every replication
+in a batch, the returned :class:`SimulationStats` *and* the per-cycle
+``("deliver"|"eject", cycle, link, pid)`` trace are bit-identical to a solo
+:meth:`WormholeSimulator.run` at that seed — and, transitively, to the
+frozen :class:`ReferenceWormholeSimulator`. Per replication, nothing may
+depend on K: not the stats, not the trace, not the drain accounting of a
+sibling that saturates or finishes early.
 
-The harness has four layers:
+The harness has three layers:
 
 * a trajectory-identity matrix over topology x scenario x packet length x
   buffer depth x (injection scale, drain limit), batch against solo, plus
   a three-way leg that folds in the frozen naive reference;
-* pinning tests for the vectorised schedule builder and RNG bridge
-  (``_mt_state`` / ``_bernoulli_events`` must replay ``make_rng`` /
-  ``build_schedule`` exactly, including degenerate probabilities);
 * Hypothesis properties: permuting the replication axis permutes results,
   splitting one batch into two merges to the same campaign outcome, and a
   replication's result never depends on its siblings (K-independence);
@@ -26,18 +23,13 @@ The harness has four layers:
 
 import functools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _simtopo import contended_topology, cross_contended_topology
 
-from repro.errors import SynthesisError
-from repro.noc import batchengine
 from repro.noc.reference import ReferenceWormholeSimulator
-from repro.noc.scenarios import build_schedule, make_scenario
 from repro.noc.simulator import WormholeSimulator
-from repro.rng import make_rng
 
 
 def _solo(topo, seed, *, L=4, depth=4, cycles=400, warmup=100, scale=1.0,
@@ -133,94 +125,6 @@ class TestBatchTrajectoryIdentity:
     def test_empty_batch(self, contended_topo):
         sim = WormholeSimulator(contended_topo, seed=0)
         assert sim.run_batch([], cycles=200, warmup=0) == []
-
-    def test_hazard_repair_exercised_and_identical(self):
-        """The saturated cross-contended run must take the lockstep
-        engine's hazard-repair path (DIRTY_REDOS grows) and still match
-        solo trajectories — the repairs are invisible in the output."""
-        topo = cross_contended_topology()
-        seeds = list(range(5))
-        before = batchengine.DIRTY_REDOS
-        batch_stats, batch_traces = _batch(
-            topo, seeds, depth=2, scale=2.5, cycles=600, warmup=100,
-        )
-        assert batchengine.DIRTY_REDOS > before
-        for i, seed in enumerate(seeds):
-            solo_stats, solo_trace = _solo(
-                topo, seed, depth=2, scale=2.5, cycles=600, warmup=100,
-            )
-            assert batch_stats[i] == solo_stats
-            assert batch_traces[i] == solo_trace
-
-
-class TestScheduleFastPath:
-    """The vectorised schedule builder replays the scalar one exactly."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 123456789, 2**63 - 1])
-    def test_mt_state_matches_make_rng(self, seed):
-        scalar = make_rng(seed, "wormhole")
-        vector = batchengine._mt_state(seed, "wormhole")
-        assert [scalar.random() for _ in range(2000)] == list(
-            vector.random_sample(2000)
-        )
-
-    @pytest.mark.parametrize(
-        "spec", [None, "hotspot", "scaled:1.5", "hotspot:2", "scaled:0.25"]
-    )
-    def test_fast_schedule_matches_scalar(self, contended_topo, spec):
-        sim = WormholeSimulator(contended_topo, seed=0)
-        flows = sorted(contended_topo.routes)
-        scen = make_scenario(spec)
-        cycles = 600
-        for scale in [0.05, 0.3, 1.0, 2.5]:
-            probs = [sim._inject_prob[f] * scale for f in flows]
-            eff = scen.bernoulli_probs(flows, probs)
-            assert eff is not None  # these scenarios have a Bernoulli form
-            for seed in range(4):
-                sched = build_schedule(
-                    scen, flows, probs, cycles, make_rng(seed, "wormhole")
-                )
-                fi_k, cyc_k = batchengine._bernoulli_events(
-                    eff, cycles, batchengine._mt_state(seed, "wormhole")
-                )
-                order = np.lexsort((fi_k, cyc_k))
-                got = list(zip(cyc_k[order].tolist(), fi_k[order].tolist()))
-                ref = [(c, fi) for c, row in enumerate(sched) for fi in row]
-                assert got == ref, (spec, scale, seed)
-
-    @pytest.mark.parametrize("probs", [
-        [1.0, 0.0, 0.5, 2.0],           # clipped and certain injections
-        [1e-12, 0.9999, 0.0, 1.0],      # near-0 / near-1
-        [5e-309, 0.5, 1e-300, 0.01],    # subnormals
-    ])
-    def test_extreme_probabilities(self, probs):
-        from repro.noc.scenarios import _bernoulli_schedule
-
-        cycles = 400
-        for seed in range(5):
-            sched = _bernoulli_schedule(
-                probs, cycles, make_rng(seed, "wormhole")
-            )
-            fi_k, cyc_k = batchengine._bernoulli_events(
-                probs, cycles, batchengine._mt_state(seed, "wormhole")
-            )
-            order = np.lexsort((fi_k, cyc_k))
-            got = list(zip(cyc_k[order].tolist(), fi_k[order].tolist()))
-            ref = [(c, fi) for c, row in enumerate(sched) for fi in row]
-            assert got == ref, (probs, seed)
-
-
-class TestFlitStateBound:
-    def test_oversized_batch_rejected(self, contended_topo):
-        """``K x P_max x L`` past 2^31 must refuse up front (the flit
-        arrays are int32-indexed), not overflow silently."""
-        sim = WormholeSimulator(
-            contended_topo, seed=0, packet_length_flits=2**26
-        )
-        for flow in sim._inject_prob:
-            sim._inject_prob[flow] = 1.0
-        with pytest.raises(SynthesisError, match="2\\^31"):
-            sim.run_batch(list(range(4)), cycles=20, warmup=10)
 
 
 # --- Hypothesis properties ---------------------------------------------------

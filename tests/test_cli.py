@@ -173,3 +173,44 @@ class TestSupervisionFlags:
         # Rejected up front: no synthesis, no table, nothing on stdout.
         assert "best design point" not in captured.out
         assert captured.out == ""
+
+
+class TestSimBatchFlag:
+    """A batch width below 1 is refused before the prerequisite synthesis,
+    from the library entry point and from ``cli sim`` alike."""
+
+    @pytest.fixture
+    def synthesis_spy(self, monkeypatch):
+        from repro.experiments import simulation_validation
+
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            raise AssertionError("synthesis ran before the batch check")
+
+        monkeypatch.setattr(simulation_validation, "_best_power_point", spy)
+        return calls
+
+    def test_validation_rejects_batch_zero_before_synthesis(
+        self, synthesis_spy
+    ):
+        from repro.errors import EngineError
+        from repro.experiments.simulation_validation import (
+            run_simulation_validation,
+        )
+
+        with pytest.raises(EngineError, match="batch must be >= 1"):
+            run_simulation_validation("d26_media", cycles=100, warmup=10,
+                                      batch=0)
+        assert synthesis_spy == []
+
+    def test_cli_batch_zero_exits_before_any_work(self, capsys,
+                                                   synthesis_spy):
+        rc = main(["sim", "--benchmark", "d26_media", "--cycles", "100",
+                   "--batch", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "batch must be >= 1" in captured.err
+        assert captured.out == ""
+        assert synthesis_spy == []

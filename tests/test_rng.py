@@ -1,8 +1,6 @@
 """Deterministic RNG helpers (repro.rng)."""
 
-import pytest
-
-from repro.rng import make_np_rng, make_rng, stable_shuffle
+from repro.rng import make_rng, stable_shuffle
 
 
 class TestMakeRng:
@@ -20,34 +18,6 @@ class TestMakeRng:
         a = make_rng(7, "x", 3)
         b = make_rng(7, "x", 3)
         assert a.random() == b.random()
-
-
-class TestMakeNpRng:
-    """``make_np_rng`` must replay ``make_rng`` bit for bit — the bridge
-    the vectorized batch-schedule sampler stands on."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 42, 123456789, 2**63 - 1,
-                                      2**70 + 3])
-    def test_unsalted_stream_bit_equal(self, seed):
-        scalar = make_rng(seed)
-        vector = make_np_rng(seed)
-        assert [scalar.random() for _ in range(512)] == list(
-            vector.random_sample(512)
-        )
-
-    @pytest.mark.parametrize("salt", [("wormhole",), ("x", 3),
-                                      ("traffic", 0, "burst")])
-    def test_salted_stream_bit_equal(self, salt):
-        scalar = make_rng(7, *salt)
-        vector = make_np_rng(7, *salt)
-        assert [scalar.random() for _ in range(512)] == list(
-            vector.random_sample(512)
-        )
-
-    def test_salt_decorrelates(self):
-        a = make_np_rng(42, "floorplan").random_sample(5)
-        b = make_np_rng(42, "traffic").random_sample(5)
-        assert list(a) != list(b)
 
 
 class TestStableShuffle:

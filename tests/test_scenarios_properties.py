@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.scenarios import (
@@ -115,6 +116,35 @@ class TestTinyProbabilities:
     def test_subnormal_band_never_crashes(self, p, seed):
         sched = _schedule(BernoulliScenario(), [(0, 1)], [p], 100, seed)
         assert len(sched) == 100
+
+
+class TestExtremeProbabilities:
+    """Certain (p >= 1, clipped), impossible (p = 0) and subnormal rates
+    beside ordinary ones: certain flows inject every cycle, impossible and
+    subnormal flows never do, and none of them draws from the generator,
+    so every other flow's arrivals are those it would get alone."""
+
+    @pytest.mark.parametrize("probs,drawless", [
+        ([1.0, 0.0, 0.5, 2.0], {0, 1, 3}),
+        ([1e-12, 0.9999, 0.0, 1.0], {2, 3}),
+        ([5e-309, 0.5, 1e-300, 0.01], {0}),
+    ])
+    def test_degenerate_rates(self, probs, drawless):
+        cycles = 400
+        flows = [(0, fi + 1) for fi in range(len(probs))]
+        rest = [fi for fi in range(len(probs)) if fi not in drawless]
+        for seed in range(5):
+            sched = _schedule(BernoulliScenario(), flows, probs, cycles, seed)
+            for fi in drawless:
+                hits = sum(fi in row for row in sched)
+                assert hits == (cycles if probs[fi] >= 1.0 else 0)
+            alone = _schedule(
+                BernoulliScenario(), [flows[fi] for fi in rest],
+                [probs[fi] for fi in rest], cycles, seed,
+            )
+            assert [[rest[i] for i in row] for row in alone] == [
+                [fi for fi in row if fi not in drawless] for row in sched
+            ], seed
 
 
 class TestEqualMeanLoad:
