@@ -73,8 +73,8 @@ coverage:
 # The chaos gate: retries, deadlines, quarantine, Ctrl-C and resume under
 # deterministic injected faults (transient failures, worker crashes,
 # hangs), plus the service-level suite: a campaign service killed at
-# exact points (journal append, batch entry, job boundary, mid-eviction)
-# and resumed bit-identically.
+# exact points (journal append, batch entry, job boundary) and resumed
+# bit-identically.
 chaos:
 	$(PYTHON) -m pytest -x -q tests/test_faults.py \
 	    tests/test_service_chaos.py tests/test_locks.py

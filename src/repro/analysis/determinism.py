@@ -20,7 +20,7 @@ the import/call level, tree-wide:
 * wall-clock / entropy reads (``time.time``, ``datetime.now``,
   ``os.urandom``) are banned; ``time.perf_counter`` and
   ``time.monotonic`` stay legal because timing *metadata* never enters
-  a fingerprint. The store's eviction clock is the one sanctioned
+  a fingerprint. The store's record-header clock is the one sanctioned
   ``time.time`` user, carried as ``# repro: noqa[RPL202]``.
 
 The scope is deliberately the whole of ``src/repro`` rather than a

@@ -15,8 +15,8 @@ any unsuppressed finding.
 
 Suppressions are per-line comments that **require a reason**::
 
-    fresh = time.time() - grace  # repro: noqa[RPL202] -- eviction clock,
-                                 # results-invariant
+    created = time.time()  # repro: noqa[RPL202] -- bookkeeping clock,
+                           # never fingerprinted
 
 * ``# repro: noqa[RPL202]`` suppresses code RPL202 on that line only
   (multiple codes: ``noqa[RPL101,RPL105]``);

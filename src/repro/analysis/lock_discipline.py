@@ -3,8 +3,8 @@
 The store and the journal both follow the same shape: public mutators
 acquire a :class:`~repro.engine.locks.FileLock`, then call ``_locked``
 internals that assume the lock is held. Nothing at runtime enforces that
-assumption — calling ``_evict_locked`` without the store lock silently
-races a concurrent process's directory walk. The contract is made
+assumption — calling ``_clear`` without the store lock silently races a
+concurrent process's directory walk. The contract is made
 checkable with three zero-cost markers from :mod:`repro.engine.locks`:
 
 * ``@requires_lock("store")`` — the function **assumes** the named lock
@@ -74,7 +74,7 @@ class LockDisciplineChecker(Checker):
     def check(self, context: LintContext) -> List[Finding]:
         findings: List[Finding] = []
         #: bare function name -> markers on it, across the whole corpus
-        #: (call sites use bare names: ``self._evict_locked``, ``_guard()``).
+        #: (call sites use bare names: ``self._clear``, ``_guard()``).
         marked: Dict[str, List[_Marked]] = {}
 
         for module in context.modules:

@@ -34,8 +34,8 @@ and processes submitted campaign specs as **jobs**:
 
 Determinism for chaos testing comes from the :mod:`repro.engine.faults`
 service-level sites (``journal-write``, ``service-batch``,
-``service-between-jobs``, ``store-evict``) — armed via environment, they
-crash the service at exact, reproducible points.
+``service-between-jobs``) — armed via environment, they crash the service
+at exact, reproducible points.
 """
 
 from __future__ import annotations

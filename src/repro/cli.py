@@ -300,8 +300,8 @@ def _add_cache_args(parser) -> None:
 
 def _add_supervision_args(parser) -> None:
     parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="re-run a failing task up to N extra times "
-                             "(deterministic backoff; default 0)")
+                        help="re-run a failing task up to N extra times, "
+                             "at once (default 0)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-task deadline; a stuck worker pool is "
@@ -319,13 +319,11 @@ def _supervision(args):
     """The --retries/--task-timeout/--on-error flags as one validated
     :class:`~repro.engine.supervise.Supervision`. Built before any work, so
     a bad value exits 2 up front."""
-    if args.retries < 0:
-        raise ReproError(f"--retries must be >= 0, got {args.retries}")
-    from repro.engine.supervise import RetryPolicy, Supervision
+    from repro.engine.supervise import Supervision
 
     return Supervision(
-        retry=RetryPolicy(max_retries=args.retries) if args.retries else None,
-        task_timeout_s=args.task_timeout, on_error=args.on_error,
+        retries=args.retries, task_timeout_s=args.task_timeout,
+        on_error=args.on_error,
     )
 
 
@@ -713,7 +711,7 @@ def _cmd_campaign(args) -> int:
         print(f"campaign {spec.name!r}: {len(tasks)} task(s) "
               f"(jobs={args.jobs or 'auto'})")
         results = run_tasks(tasks, jobs=args.jobs, progress=progress,
-                            store=store)
+                            store=store, raise_errors=False)
         failed = [r for r in results if r.error is not None]
         print(f"done: {len(results) - len(failed)} ok, {len(failed)} failed")
         return 1 if failed else 0

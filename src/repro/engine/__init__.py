@@ -22,16 +22,16 @@ package fans them across a process pool:
   only the stages a parameter change actually invalidates
   (``build_tasks(..., stage_cache_dir=...)`` /
   ``synthesize(stage_cache=...)``);
-* :mod:`repro.engine.supervise` — fault tolerance: per-task
-  :class:`RetryPolicy` retries, deadline watchdog, poison-task quarantine
-  with bounded pool restarts, all carried by one :class:`Supervision`
-  value (``run_tasks(..., supervision=Supervision(...))``);
+* :mod:`repro.engine.supervise` — fault tolerance: per-task retries,
+  deadline watchdog, poison-task quarantine with bounded pool restarts,
+  all carried by one :class:`Supervision` value
+  (``run_tasks(..., supervision=Supervision(...))``);
 * :mod:`repro.engine.faults` — the deterministic fault-injection harness
   (seeded :class:`FaultPlan`; transient/crash/delay faults) that proves
   the recovery paths in the tier-1 suite, plus named fault *sites*
   (:func:`arm_sites` / :func:`maybe_fire`) for orchestrator-side chaos:
-  crash a designated process at an exact journal write, store eviction
-  or scheduling turn;
+  crash a designated process at an exact journal write or scheduling
+  turn;
 * :mod:`repro.engine.locks` — :class:`FileLock`, the advisory
   inter-process lock (kernel-released on process death) guarding the
   store's mutations and the campaign journal's single-writer rule;
@@ -78,7 +78,7 @@ from repro.engine.stagecache import (
     open_stage_cache,
 )
 from repro.engine.store import ResultStore, fingerprint_task, open_store
-from repro.engine.supervise import RetryPolicy, Supervision
+from repro.engine.supervise import Supervision
 from repro.engine.tasks import (
     BatchSimulationTask,
     CandidateTask,
@@ -105,7 +105,6 @@ __all__ = [
     "ParameterGrid",
     "ProgressFn",
     "ResultStore",
-    "RetryPolicy",
     "SimulationTask",
     "StageCache",
     "StageRecord",

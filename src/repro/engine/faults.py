@@ -11,7 +11,7 @@ worker exactly where a real failure would.
 Three fault kinds cover the recovery matrix:
 
 * ``"transient"`` — raise :class:`TransientFaultError` on the first
-  ``times`` activations, then succeed: exercises :class:`RetryPolicy`.
+  ``times`` activations, then succeed: exercises ``Supervision.retries``.
 * ``"crash"`` — hard-exit the worker process (``os._exit``): exercises
   pool-break attribution and poison-task quarantine. In the main process
   (serial path) it raises :class:`WorkerCrashError` instead — a fault
@@ -33,7 +33,7 @@ bit-identically to — a fault-free run.
 
 **Service-level fault sites.** Task wrapping covers worker-side failures;
 the campaign service (PR 8) also has *orchestrator*-side failure points:
-the journal write, store eviction, the gap between jobs. Those are chaos-
+the journal write, a task batch, the gap between jobs. Those are chaos-
 tested through named **fault sites**: code at a failure point calls
 :func:`maybe_fire` with its site name — a no-op unless the
 ``$REPRO_FAULT_SITES`` environment variable points at a directory armed by
@@ -288,7 +288,6 @@ SITES_ENV = "REPRO_FAULT_SITES"
 #: :func:`maybe_fire` accepts any name).
 KNOWN_SITES = (
     "journal-write",      # JobJournal.append, before the record is written
-    "store-evict",        # ResultStore.evict, between candidate unlinks
     "service-batch",      # CampaignService, before each task batch
     "service-between-jobs",  # CampaignService, after a job completes
 )

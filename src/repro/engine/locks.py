@@ -4,28 +4,27 @@ The result store (PR 5) and the campaign service share one directory tree
 across *processes*: serving workers, ad-hoc CLI campaigns and a resident
 ``cli serve`` loop may all mutate the same store concurrently. Atomic
 ``os.replace`` writes already make individual entries safe; what needs a
-lock is the *multi-file* mutations — LRU eviction walking and unlinking
-entries while another process writes, journal ownership, repair sweeps.
+lock is the *multi-file* mutations — ``clear`` and repair sweeps walking
+and unlinking entries while another process writes, journal ownership.
 
 :class:`FileLock` wraps ``fcntl.flock`` (the POSIX advisory lock):
 
 * **crash-safe by construction** — the kernel releases the lock when the
   holding process dies, however it dies (SIGKILL included), so a process
-  killed mid-eviction can never deadlock the store; the next locker simply
-  proceeds over the partially-evicted (but entry-wise consistent) tree;
+  killed mid-sweep can never deadlock the store; the next locker simply
+  proceeds over the partially-swept (but entry-wise consistent) tree;
 * **bounded waits** — ``acquire`` polls with a deadline and raises a
   structured :class:`~repro.errors.LockTimeoutError` instead of blocking a
   campaign forever behind a stuck peer; callers that prefer to skip the
-  protected work (eviction is optional hygiene) pass ``timeout_s=0`` and
-  branch on the ``False`` return;
+  protected work pass ``timeout_s=0`` and branch on the ``False`` return;
 * **degrades to a no-op** where ``fcntl`` does not exist (non-POSIX
   platforms): single-process behaviour is unchanged and the store stays
   usable, just without cross-process exclusion.
 
 Locks are *advisory*: every writer of the shared tree must go through the
 same lock path. Within this repo those writers are
-:meth:`repro.engine.store.ResultStore.evict` / ``clear`` / ``verify
-(repair=True)`` and the campaign journal's single-writer guard.
+:meth:`repro.engine.store.ResultStore.clear` / ``verify(repair=True)``
+and the campaign journal's single-writer guard.
 
 Because advisory locks only work if every call site cooperates, the
 discipline itself is lint-enforced (``make lint``, checker

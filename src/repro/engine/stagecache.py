@@ -344,8 +344,7 @@ def open_stage_cache(
     cache_dir: Optional[Union[str, Path]] = None,
     *,
     salt: Optional[str] = None,
-    max_bytes: Optional[int] = None,
 ) -> StageCache:
     """Open a stage cache over the store at ``cache_dir`` (see
     :func:`repro.engine.store.open_store` for the fallbacks)."""
-    return StageCache(open_store(cache_dir, salt=salt, max_bytes=max_bytes))
+    return StageCache(open_store(cache_dir, salt=salt))

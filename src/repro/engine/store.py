@@ -25,19 +25,14 @@ Design:
 * **corruption-tolerant reads** — a truncated, unreadable or mismatched
   entry is treated as a miss (and counted), never an error;
   ``python -m repro.cli cache verify`` audits and optionally repairs;
-* **bounded size** — an optional ``max_bytes`` budget evicts the
-  least-recently-used entries (hits refresh an entry's mtime) after each
-  write;
-* **inter-process safety** — multi-file mutations (LRU eviction, ``clear``,
+* **inter-process safety** — multi-file mutations (``clear``,
   ``verify(repair=True)``) run under an advisory
   :class:`~repro.engine.locks.FileLock` at ``<root>/.lock``, so serving
   workers, a resident campaign service and ad-hoc CLI runs can share one
-  warm store without racing each other's walks; eviction additionally
-  skips entries younger than ``evict_grace_s``, so a peer's *just-written*
-  checkpoint can never be dropped by a concurrent evictor whose LRU scan
-  predates it. The kernel releases the lock when a holder dies (SIGKILL
-  included), and single-entry unlinks are atomic, so a crash mid-eviction
-  leaves a smaller-but-consistent store and no stuck lock.
+  warm store without racing each other's walks. The kernel releases the
+  lock when a holder dies (SIGKILL included), and single-entry unlinks
+  are atomic, so a crash mid-sweep leaves a smaller-but-consistent store
+  and no stuck lock.
 
 The executor integration lives in :func:`repro.engine.executor.run_tasks`
 (``store=``): hits short-circuit the worker pool, misses are computed and
@@ -74,14 +69,8 @@ DEFAULT_STORE_DIR = ".repro-cache"
 
 _ENTRY_SUFFIX = ".pkl"
 
-#: Entries younger than this are never eviction candidates: a concurrent
-#: writer's just-checkpointed result must survive a peer's LRU walk that
-#: started before the write landed.
-EVICT_GRACE_S = 5.0
-
-#: How long a mutation waits for the store lock before giving up. Eviction
-#: is optional hygiene — a busy peer means the budget is briefly
-#: overshot, never that a campaign blocks.
+#: How long a mutation waits for the store lock before proceeding
+#: best-effort without it.
 _LOCK_WAIT_S = 10.0
 
 #: Task fields that must not shape the fingerprint: ``key`` is a
@@ -308,7 +297,7 @@ class VerifyReport:
 
 
 class ResultStore:
-    """A content-addressed, size-bounded, corruption-tolerant result cache.
+    """A content-addressed, corruption-tolerant result cache.
 
     Args:
         root: Store directory; created (with parents) if missing. An
@@ -317,15 +306,10 @@ class ResultStore:
             message, rather than a traceback at first write.
         salt: Code-version salt folded into every fingerprint (default:
             ``$REPRO_STORE_SALT`` or :data:`CODE_SALT`).
-        max_bytes: Optional size budget; after each write the
-            least-recently-used entries are evicted until under budget.
         readonly: Open for inspection only (``cache stats`` / ``verify``):
             no directory creation, no write probe — a store on a read-only
             mount can still be audited, and asking for stats of a missing
             store does not create one as a side effect.
-        evict_grace_s: Minimum entry age before it can be evicted; protects
-            checkpoints a *concurrent process* wrote after this process's
-            LRU walk began. 0 disables the window (single-process tests).
     """
 
     def __init__(
@@ -333,47 +317,24 @@ class ResultStore:
         root: Union[str, Path],
         *,
         salt: Optional[str] = None,
-        max_bytes: Optional[int] = None,
         readonly: bool = False,
-        evict_grace_s: float = EVICT_GRACE_S,
     ) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise StoreError(f"max_bytes must be positive, got {max_bytes}")
-        if evict_grace_s < 0:
-            raise StoreError(
-                f"evict_grace_s must be >= 0, got {evict_grace_s}"
-            )
         self.root = Path(root)
         self.salt = resolve_salt(salt)
-        self.max_bytes = max_bytes
         self.readonly = readonly
-        self.evict_grace_s = evict_grace_s
         self.hits = 0
         self.misses = 0
         self.corrupt_dropped = 0
         self._objects = self.root / "objects"
-        #: Running on-disk byte total, seeded by one scan on first need so
-        #: budgeted puts stay O(1) instead of re-walking the store each
-        #: time; None = unknown (rescanned lazily).
-        self._approx_bytes: Optional[int] = None
-        #: Entry paths this instance wrote: eviction may reclaim our own
-        #: fresh writes (single-process budget semantics unchanged) but
-        #: never a *peer's* entry younger than the grace window.
-        self._own_paths: set = set()
         self._prepare_root()
 
     @acquires_lock("store")
-    def _mutation_lock(self, *, wait: bool = True) -> Optional[FileLock]:
+    def _mutation_lock(self) -> Optional[FileLock]:
         """A held store-wide lock for a multi-file mutation, or ``None``
         when it could not be taken (busy peer / unwritable root): the
-        caller then skips or proceeds best-effort — never blocks forever,
-        never raises from a hygiene path. ``wait=False`` is a single
-        non-blocking attempt (eviction: a busy peer is already doing the
-        job, so don't queue behind it)."""
-        lock = FileLock(
-            self.root / ".lock",
-            timeout_s=_LOCK_WAIT_S if wait else 0,
-        )
+        caller then proceeds best-effort — never blocks forever, never
+        raises from a maintenance path."""
+        lock = FileLock(self.root / ".lock", timeout_s=_LOCK_WAIT_S)
         try:
             if lock.acquire():
                 return lock
@@ -418,7 +379,7 @@ class ResultStore:
             return []
         # pathlib's glob matches dotfiles, so in-flight ".tmp-*" writes
         # (and any orphaned ones from a killed process) must be filtered:
-        # they are not entries, and evict/verify must never touch a temp
+        # they are not entries, and verify must never touch a temp
         # file a concurrent writer is about to os.replace into place.
         return sorted(
             path
@@ -471,17 +432,12 @@ class ResultStore:
             # format/salt: a miss; drop the entry so it is not re-read.
             self.misses += 1
             self.corrupt_dropped += 1
-            self._approx_bytes = None
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
         self.hits += 1
-        try:
-            os.utime(path)  # LRU recency for the eviction policy
-        except OSError:
-            pass
         return StoreEntry(
             fingerprint=fingerprint,
             task_type=str(header.get("task_type", "")),
@@ -529,10 +485,6 @@ class ResultStore:
         }
         path = self._path(fingerprint)
         try:
-            old_size = path.stat().st_size
-        except OSError:
-            old_size = 0
-        try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
                 prefix=".tmp-", suffix=_ENTRY_SUFFIX, dir=path.parent
@@ -543,7 +495,6 @@ class ResultStore:
                     pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
                 new_size = os.path.getsize(tmp)
                 os.replace(tmp, path)
-                self._own_paths.add(str(path))
             except BaseException:
                 try:
                     os.unlink(tmp)
@@ -555,17 +506,7 @@ class ResultStore:
             # just PicklingError), and any disk failure must degrade to
             # "not cached", never abort the campaign mid-checkpoint.
             return False
-        if self.max_bytes is not None:
-            if self._approx_bytes is None:
-                self._approx_bytes = self._scan_bytes()
-            else:
-                self._approx_bytes += new_size - old_size
-            if self._approx_bytes > self.max_bytes:
-                self.evict(protect=path)
         return new_size
-
-    def contains(self, fingerprint: Optional[str]) -> bool:
-        return fingerprint is not None and self._path(fingerprint).exists()
 
     def size_of(self, fingerprint: Optional[str]) -> int:
         """On-disk bytes of one entry; 0 when absent (or unstattable)."""
@@ -577,92 +518,6 @@ class ResultStore:
             return 0
 
     # -- maintenance --------------------------------------------------------
-
-    def _scan_bytes(self) -> int:
-        total = 0
-        for path in self._entry_paths():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def evict(
-        self, max_bytes: Optional[int] = None, *,
-        protect: Optional[Path] = None,
-    ) -> int:
-        """Drop least-recently-used entries until under ``max_bytes``.
-
-        Returns the number of entries removed; ``protect`` names an entry
-        that must survive (``put`` passes the path it just wrote). With no
-        budget configured (and none passed) this is a no-op. The full
-        directory walk happens only here — budgeted ``put``\\ s track a
-        running total and call this just when it crosses the budget.
-
-        Cross-process safety: the walk-and-unlink runs under the store's
-        advisory file lock (one evictor at a time; a busy or unlockable
-        store skips eviction — the budget is hygiene, not an invariant),
-        and entries younger than ``evict_grace_s`` are never candidates, so
-        a checkpoint a *peer process* wrote moments ago survives even
-        though this evictor's LRU ordering predates it. A process killed
-        mid-eviction releases the lock automatically (kernel semantics) and
-        leaves a smaller-but-consistent store.
-        """
-        budget = max_bytes if max_bytes is not None else self.max_bytes
-        if budget is None:
-            return 0
-        lock = self._mutation_lock(wait=False)
-        if lock is None:
-            # A peer is already evicting (or the root is unlockable):
-            # their pass enforces the budget; rescan on next need.
-            self._approx_bytes = None
-            return 0
-        try:
-            return self._evict_locked(budget, protect)
-        finally:
-            lock.release()
-
-    @requires_lock("store")
-    def _evict_locked(self, budget: int, protect: Optional[Path]) -> int:
-        from repro.engine.faults import maybe_fire
-
-        entries = []
-        total = 0
-        fresh_after = time.time() - self.evict_grace_s  # repro: noqa[RPL202] -- eviction grace clock, compared to mtimes only; never fingerprinted
-        for path in self._entry_paths():
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            entries.append((st.st_mtime, str(path), st.st_size, path))
-            total += st.st_size
-        removed = 0
-        # Oldest first. The entry the caller just wrote (or, absent that,
-        # whatever sorts newest) is never a candidate: when a single fresh
-        # result alone exceeds the budget, evicting everything else cannot
-        # help, and on coarse-mtime filesystems the just-checkpointed
-        # entry could otherwise lose an mtime tie and be evicted by its
-        # own put. Grace-period entries (a peer's just-written checkpoints)
-        # are skipped the same way.
-        ordered = sorted(entries)
-        if protect is not None:
-            candidates = [e for e in ordered if e[3] != protect]
-        else:
-            candidates = ordered[:-1]
-        for mtime, name, size, path in candidates:
-            if total <= budget:
-                break
-            if mtime > fresh_after and name not in self._own_paths:
-                continue
-            maybe_fire("store-evict")  # chaos hook: kill-during-eviction
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            removed += 1
-        self._approx_bytes = total
-        return removed
 
     def stats(self) -> StoreStats:
         """Disk totals (entries, bytes, per-task-type) + session counters."""
@@ -689,7 +544,7 @@ class ResultStore:
         """Audit every entry: header readable and matching (format, salt,
         name vs content), payload deserialisable. ``repair=True`` deletes
         the entries that fail (under the store lock, so a repair sweep
-        cannot race a peer's eviction walk)."""
+        cannot race a peer's ``clear``)."""
         lock = self._mutation_lock() if repair else None
         try:
             return self._verify(repair=repair)
@@ -698,7 +553,7 @@ class ResultStore:
                 lock.release()
 
     # requires the lock for its repair mode (unlinks race a peer's
-    # eviction walk); the read-only path rides along under it.
+    # clear); the read-only path rides along under it.
     @requires_lock("store")
     def _verify(self, *, repair: bool) -> VerifyReport:
         report = VerifyReport()
@@ -723,7 +578,6 @@ class ResultStore:
                 try:
                     path.unlink()
                     report.removed += 1
-                    self._approx_bytes = None
                 except OSError:
                     pass
         return report
@@ -758,7 +612,6 @@ class ResultStore:
                     path.unlink()
                 except OSError:
                     pass
-        self._approx_bytes = None
         return removed, failed
 
 
@@ -778,7 +631,6 @@ def open_store(
     cache_dir: Optional[Union[str, Path]] = None,
     *,
     salt: Optional[str] = None,
-    max_bytes: Optional[int] = None,
     readonly: bool = False,
 ) -> ResultStore:
     """Open (creating if needed, unless ``readonly``) the store at
@@ -790,5 +642,5 @@ def open_store(
     """
     return ResultStore(
         cache_dir if cache_dir is not None else default_store_dir(),
-        salt=salt, max_bytes=max_bytes, readonly=readonly,
+        salt=salt, readonly=readonly,
     )

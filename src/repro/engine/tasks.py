@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
+from repro.errors import SupervisionError
 from repro.models.library import NocLibrary
 from repro.spec.comm_spec import CommSpec
 from repro.spec.core_spec import CoreSpec
@@ -351,24 +352,19 @@ class TaskResult:
         return self.error is None
 
 
-def run_task(task, retry=None) -> TaskResult:
+def run_task(task, retries: int = 0) -> TaskResult:
     """Execute one engine task (worker entry point — must stay importable
     at module top level for pickling).
 
-    ``retry`` is an optional :class:`~repro.engine.supervise.RetryPolicy`:
-    a failed attempt whose error the policy accepts is re-run (same process,
-    deterministic backoff) up to ``retry.max_retries`` extra times. The
-    returned result records total ``attempts`` and accumulated ``elapsed_s``.
+    A failed attempt re-runs at once, in the same process, up to
+    ``retries`` extra times; a
+    :class:`~repro.errors.SupervisionError` is never retried. The returned
+    result records total ``attempts`` and accumulated ``elapsed_s``.
     """
     result = _attempt_task(task)
-    if retry is None:
-        return result
-    for retry_number in range(1, retry.max_retries + 1):
-        if result.error is None or result.skipped:
+    for _ in range(retries):
+        if result.error is None or isinstance(result.error, SupervisionError):
             break
-        if not retry.should_retry(result.error):
-            break
-        retry.wait(retry_number)
         fresh = _attempt_task(task)
         fresh.elapsed_s += result.elapsed_s
         fresh.attempts = result.attempts + 1
@@ -376,18 +372,13 @@ def run_task(task, retry=None) -> TaskResult:
     return result
 
 
-def run_chunk(chunk, retry=None):
-    """Worker entry point for chunked submission (top level: picklable)."""
-    return [run_task(task, retry) for task in chunk]
-
-
 def _attempt_task(task) -> TaskResult:
     """One execution of a task body (no retry logic)."""
     activate = getattr(task, "activate_fault", None)
     if activate is not None:
         # A fault-injection wrapper (repro.engine.faults.FaultyTask): fire
-        # the fault, then run the wrapped task under the *wrapper's* key —
-        # the executor may have re-keyed the wrapper for store bookkeeping.
+        # the fault, then run the wrapped task under the *wrapper's* key,
+        # the one the caller files the result under.
         fault_result = _timed_task(task.key, activate)
         if fault_result.error is not None:
             return fault_result

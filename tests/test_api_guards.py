@@ -1,10 +1,12 @@
-"""Guard against regrowth of loose supervision keyword arguments.
+"""Guard against regrowth of loose engine keyword arguments.
 
 Supervision travels as one :class:`repro.engine.supervise.Supervision`
-value (``run_tasks(..., supervision=)``). No function in ``src/repro`` may
-declare the individual knobs as parameters again, except the supervision
-module itself and the worker entry points in ``engine/tasks.py``
-(``run_task``/``run_chunk`` take a :class:`RetryPolicy`).
+value (``run_tasks(..., supervision=)``), whose ``retries`` reaches the
+worker entry point as a plain int (``run_task(task, retries)``). No
+function in ``src/repro`` may declare the individual supervision knobs as
+parameters again, nor regrow the engine options that were deleted for
+having no caller: executor chunking, the store's size budget and
+eviction grace window, and retry backoff/filtering.
 """
 
 import ast
@@ -12,9 +14,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-LOOSE_KNOBS = {"retry", "task_timeout_s", "on_error", "max_pool_restarts"}
-
-EXEMPT = {"engine/supervise.py", "engine/tasks.py"}
+LOOSE_KNOBS = {
+    "retry", "task_timeout_s", "on_error", "max_pool_restarts",
+    "chunk_size", "max_bytes", "evict_grace_s", "backoff_s", "retry_on",
+}
 
 
 def _loose_parameters(path: Path):
@@ -30,10 +33,7 @@ def _loose_parameters(path: Path):
 
 
 def test_no_loose_supervision_parameters():
-    sources = [
-        p for p in sorted(SRC.rglob("*.py"))
-        if p.relative_to(SRC).as_posix() not in EXEMPT
-    ]
+    sources = sorted(SRC.rglob("*.py"))
     assert len(sources) > 50  # the walk really found the package
     found = [
         f"{path.relative_to(SRC)}: {where}"
@@ -41,8 +41,8 @@ def test_no_loose_supervision_parameters():
         for where in _loose_parameters(path)
     ]
     assert not found, (
-        "loose supervision knobs declared (take one "
-        f"`supervision: Supervision` instead): {found}"
+        "loose engine knobs declared (supervision travels as one "
+        f"`supervision: Supervision`; the others have no caller): {found}"
     )
 
 

@@ -220,3 +220,30 @@ def test_cli_validate_invalid_exits_2_listing_everything(tmp_path, capsys):
         "grid.frequencies_mhz[0]", "grid.frequencies_mhz[1]",
     ):
         assert fragment in err, f"{fragment} not reported: {err}"
+
+
+# -- CLI: campaign run ------------------------------------------------------
+
+def test_cli_run_reports_failed_tasks_and_runs_the_rest(
+    tmp_path, capsys, monkeypatch
+):
+    """A failing task is counted, not raised: every other task still runs,
+    the summary prints, and the command exits 1."""
+    import repro.core.synthesis as synthesis
+
+    real = synthesis.synthesize
+
+    def synthesize(core_spec, comm_spec, library, config, **kwargs):
+        if config.frequency_mhz == 500:
+            raise RuntimeError("injected failure at 500 MHz")
+        return real(core_spec, comm_spec, library, config, **kwargs)
+
+    monkeypatch.setattr(synthesis, "synthesize", synthesize)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        dict(SWEEP, grid={"frequencies_mhz": [400, 500, 600]})
+    ))
+    assert main(["campaign", "run", str(path), "--jobs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "[3/3]" in out  # the task after the failure ran too
+    assert "done: 2 ok, 1 failed" in out

@@ -183,15 +183,6 @@ class TestExecutor:
         with pytest.raises(EngineError):
             resolve_jobs(-2)
 
-    def test_chunk_size_validated(self, design, config):
-        core_spec, comm_spec = design
-        tasks = build_tasks(
-            core_spec, comm_spec, ParameterGrid(frequencies_mhz=(400.0,)),
-            config,
-        )
-        with pytest.raises(EngineError):
-            run_tasks(tasks, chunk_size=0)
-
     def test_parallel_matches_serial_byte_identical(self, design, config):
         """The regression gate: fan-out must not change a single value."""
         core_spec, comm_spec = design
@@ -203,14 +194,6 @@ class TestExecutor:
         parallel = run_tasks(tasks, jobs=2)
         assert _canonical(serial) == _canonical(parallel)
         assert [r.key for r in parallel] == [t.key for t in tasks]
-
-    def test_parallel_chunked_matches_serial(self, design, config):
-        core_spec, comm_spec = design
-        grid = ParameterGrid(frequencies_mhz=(300.0, 400.0, 500.0))
-        tasks = build_tasks(core_spec, comm_spec, grid, config)
-        serial = run_tasks(tasks, jobs=1)
-        chunked = run_tasks(tasks, jobs=2, chunk_size=2)
-        assert _canonical(serial) == _canonical(chunked)
 
     def test_progress_monotonic_and_complete(self, design, config):
         core_spec, comm_spec = design

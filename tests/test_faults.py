@@ -6,8 +6,9 @@ claims is executed here with injected faults (:mod:`repro.engine.faults`):
 * the fault matrix — {serial, parallel} x {transient failure, worker
   crash, timeout} x {with store, without} — asserting merge order,
   monotonic progress counts and byte-identical survivor results;
-* retry policy schedules, filtering and validation;
-* poison-task attribution (including innocent bystanders in a chunk);
+* retries: transient faults absorbed at once, supervision errors never
+  retried, attempts and elapsed time accumulated, validation;
+* poison-task attribution and the pool-restart budget;
 * graceful Ctrl-C with a hung worker pending;
 * a killed-then-resumed store-backed campaign merging bit-identically to
   a clean cold run.
@@ -30,7 +31,6 @@ from repro.engine import (
     FaultPlan,
     FaultSpec,
     FaultyTask,
-    RetryPolicy,
     inject_faults,
     run_tasks,
 )
@@ -44,6 +44,7 @@ from repro.engine.faults import (
     site_activations,
     unwrap_task,
 )
+from repro.engine import supervise
 from repro.engine.store import ResultStore, fingerprint_task
 from repro.engine.supervise import (
     Supervision,
@@ -54,7 +55,7 @@ from repro.engine.supervise import (
     attach_remote_traceback,
     pool_context,
 )
-from repro.engine.tasks import FloorplanTask, run_task
+from repro.engine.tasks import FloorplanTask, TaskResult, run_task
 from repro.errors import EngineError, TaskQuarantinedError, TaskTimeoutError
 from repro.floorplan.sequence_pair import SequencePair
 
@@ -121,8 +122,7 @@ class TestFaultMatrix:
             ),
             raise_errors=False,
             supervision=Supervision(
-                retry=RetryPolicy(max_retries=2)
-                if kind == "transient" else None,
+                retries=2 if kind == "transient" else 0,
                 task_timeout_s=0.5 if kind == "timeout" else None,
                 on_error="quarantine",
             ),
@@ -192,55 +192,68 @@ class TestFaultMatrix:
             )
 
 
-class TestRetryPolicy:
-    def test_deterministic_backoff_schedule(self):
-        policy = RetryPolicy(
-            max_retries=5, backoff_s=0.5, backoff_factor=3.0,
-            max_backoff_s=2.0,
-        )
-        assert [policy.delay_s(n) for n in (1, 2, 3, 4)] == [
-            0.5, 1.5, 2.0, 2.0  # capped at max_backoff_s
-        ]
-        assert RetryPolicy(backoff_s=0.0).delay_s(1) == 0.0
+def _scripted_attempts(monkeypatch, outcomes):
+    """Make each task attempt return the next scripted ``TaskResult``;
+    returns the list of attempts made."""
+    import repro.engine.tasks as tasks_mod
 
-    def test_injected_sleep_records_backoff(self, tmp_path):
-        recorded = []
-        policy = RetryPolicy(
-            max_retries=2, backoff_s=0.25, backoff_factor=2.0,
-            sleep=recorded.append,
-        )
-        plan = FaultPlan(
-            tmp_path, {0: FaultSpec("transient", times=2)}
-        )
+    calls = []
+
+    def attempt(task):
+        calls.append(task.key)
+        return outcomes[len(calls) - 1]
+
+    monkeypatch.setattr(tasks_mod, "_attempt_task", attempt)
+    return calls
+
+
+class TestRetryPolicy:
+    """Per-task retries (``Supervision.retries``): immediate, in the
+    worker, never for supervision errors."""
+
+    def test_transient_fault_retried_at_once(self, tmp_path):
+        plan = FaultPlan(tmp_path, {0: FaultSpec("transient", times=2)})
         [task] = inject_faults(_tasks(1), plan)
-        result = run_task(task, policy)
+        result = run_task(task, 2)
         assert result.error is None
         assert result.attempts == 3
-        assert recorded == [0.25, 0.5]
+        assert plan.activations(0) == 3
 
-    def test_retry_on_filters_error_classes(self, tmp_path):
-        policy = RetryPolicy(max_retries=3, retry_on=(OSError,))
-        plan = FaultPlan(tmp_path, {0: FaultSpec("transient", times=1)})
+    def test_retries_exhausted_keep_the_last_error(self, tmp_path):
+        plan = FaultPlan(tmp_path, {0: FaultSpec("transient", times=3)})
         [task] = inject_faults(_tasks(1), plan)
-        result = run_task(task, policy)
+        result = run_task(task, 1)
         assert isinstance(result.error, TransientFaultError)
-        assert result.attempts == 1  # not an OSError: no retry spent
+        assert result.attempts == 2
+        assert plan.activations(0) == 2
 
-    def test_supervision_errors_never_retried(self):
-        policy = RetryPolicy(max_retries=3)
-        assert policy.should_retry(ValueError("x"))
-        assert not policy.should_retry(TaskTimeoutError("t"))
-        assert not policy.should_retry(TaskQuarantinedError("q"))
+    def test_attempts_and_elapsed_accumulate(self, monkeypatch):
+        calls = _scripted_attempts(monkeypatch, [
+            TaskResult(key="k", error=ValueError("1"), elapsed_s=1.0),
+            TaskResult(key="k", error=ValueError("2"), elapsed_s=2.0),
+            TaskResult(key="k", result="ok", elapsed_s=0.5),
+        ])
+        [task] = _tasks(1)
+        result = run_task(task, 5)
+        assert len(calls) == 3  # stops at the first success
+        assert result.result == "ok"
+        assert result.attempts == 3
+        assert result.elapsed_s == pytest.approx(3.5)
+
+    def test_supervision_errors_never_retried(self, monkeypatch):
+        [task] = _tasks(1)
+        for error in (TaskTimeoutError("t"), TaskQuarantinedError("q")):
+            calls = _scripted_attempts(
+                monkeypatch, [TaskResult(key="k", error=error)] * 4
+            )
+            result = run_task(task, 3)
+            assert result.error is error
+            assert result.attempts == 1
+            assert len(calls) == 1
 
     def test_validation(self):
-        with pytest.raises(EngineError, match="max_retries"):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(EngineError, match="backoff_s"):
-            RetryPolicy(backoff_s=-0.1)
-        with pytest.raises(EngineError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(EngineError, match="max_backoff_s"):
-            RetryPolicy(max_backoff_s=-1.0)
+        with pytest.raises(EngineError, match="retries"):
+            Supervision(retries=-1)
 
     def test_run_tasks_knob_validation(self):
         # The supervision knobs of run_tasks validate on construction.
@@ -248,8 +261,6 @@ class TestRetryPolicy:
             Supervision(on_error="explode")
         with pytest.raises(EngineError, match="task_timeout_s"):
             Supervision(task_timeout_s=0.0)
-        with pytest.raises(EngineError, match="max_pool_restarts"):
-            Supervision(max_pool_restarts=-1)
 
 
 class TestFaultPlan:
@@ -277,7 +288,7 @@ class TestFaultPlan:
     def test_reset_rearms_counters(self, tmp_path):
         plan = FaultPlan(tmp_path, {0: FaultSpec("transient", times=1)})
         [task] = inject_faults(_tasks(1), plan)
-        run_task(task, RetryPolicy(max_retries=1))
+        run_task(task, 1)
         assert plan.activations(0) == 2
         plan.reset()
         assert plan.activations(0) == 0
@@ -318,27 +329,7 @@ class TestQuarantine:
             )
         assert excinfo.value.key == "restart-1"
 
-    def test_chunk_bystander_acquitted(self, tmp_path, clean_results):
-        # chunk_size=2 puts an innocent task in the crashed chunk: the
-        # attribution re-run must convict only the crasher and keep the
-        # bystander's solo result.
-        plan = FaultPlan(tmp_path, {0: FaultSpec("crash", times=-1)})
-        faulty = inject_faults(_tasks(), plan)
-        results = run_tasks(
-            faulty, jobs=2, chunk_size=2, raise_errors=False,
-            supervision=Supervision(on_error="quarantine"),
-        )
-        assert isinstance(results[0].error, TaskQuarantinedError)
-        quarantined = [r for r in results if r.error is not None]
-        assert len(quarantined) == 1
-        bystander = results[1]  # shared the crasher's chunk
-        assert bystander.error is None
-        assert bystander.attempts == 2  # crashed pool attempt + solo run
-        assert pickle.dumps(bystander.result) == pickle.dumps(
-            clean_results[1].result
-        )
-
-    def test_pool_restart_budget_exhaustion(self, tmp_path):
+    def test_pool_restart_budget_exhaustion(self, tmp_path, monkeypatch):
         # Two persistent crashers with a zero-restart budget: the first
         # break spends the (empty) budget and everything still pending is
         # quarantined as budget-exhausted rather than waited on. Exactly
@@ -349,11 +340,10 @@ class TestQuarantine:
             3: FaultSpec("crash", times=-1),
         })
         faulty = inject_faults(_tasks(), plan)
+        monkeypatch.setattr(supervise, "MAX_POOL_RESTARTS", 0)
         results = run_tasks(
             faulty, jobs=2, raise_errors=False,
-            supervision=Supervision(
-                on_error="quarantine", max_pool_restarts=0
-            ),
+            supervision=Supervision(on_error="quarantine"),
         )
         assert [r.key for r in results] == [t.key for t in _tasks()]
         errors = [r.error for r in results if r.error is not None]
@@ -440,10 +430,6 @@ class TestSuperviseInternals:
         _hard_stop(pool)
         _hard_stop(pool)  # tolerates an already-stopped pool
 
-    def test_retry_wait_uses_real_sleep_by_default(self):
-        RetryPolicy(backoff_s=0.001).wait(1)  # must not raise
-        RetryPolicy(backoff_s=0.0).wait(1)  # zero delay: no sleep at all
-
     def test_noop_fault_counts_without_misbehaving(self, tmp_path):
         plan = FaultPlan(tmp_path, {0: FaultSpec("noop", times=-1)})
         [task] = inject_faults(_tasks(1), plan)
@@ -468,7 +454,7 @@ class TestFaultSites:
         # and the counter does not even tick.
         monkeypatch.setenv(
             SITES_ENV,
-            arm_sites(tmp_path, {"store-evict": FaultSpec("noop")})
+            arm_sites(tmp_path, {"service-batch": FaultSpec("noop")})
             [SITES_ENV],
         )
         maybe_fire("journal-write")
@@ -567,7 +553,7 @@ class TestSupervisedSynthesisSweep:
         clean = run_tasks(tasks, jobs=1)
         armed = run_tasks(
             tasks, jobs=2, supervision=Supervision(
-                retry=RetryPolicy(max_retries=2), task_timeout_s=300.0,
+                retries=2, task_timeout_s=300.0,
                 on_error="quarantine",
             ),
         )
@@ -662,7 +648,7 @@ class TestKilledAndResumed:
             {FAULT_INDEX: FaultSpec("transient", times=1)},
         )
         store = ResultStore(tmp_path / "store")
-        sup = Supervision(retry=RetryPolicy(max_retries=2))
+        sup = Supervision(retries=2)
         with pytest.raises(RuntimeError):
             run_tasks(
                 inject_faults(_tasks(), plan), jobs=2, store=store,

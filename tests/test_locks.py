@@ -1,10 +1,6 @@
-"""FileLock and the ResultStore two-process mutation guard.
-
-The regression at the heart of this file: before the lock + grace window,
-one process's ``evict()`` could unlink an entry another process had *just*
-written (its ``put`` → ``get`` window), so a concurrently-evicted store
-would serve misses for results that were checkpointed moments earlier.
-"""
+"""FileLock: the advisory inter-process lock guarding multi-file store
+mutations (``clear``, ``verify(repair=True)``) and the journal's
+single-writer rule."""
 
 from __future__ import annotations
 
@@ -15,20 +11,9 @@ import time
 import pytest
 
 from repro.engine.locks import FileLock
-from repro.engine.store import ResultStore
-from repro.engine.tasks import FloorplanTask
 from repro.errors import LockTimeoutError
-from repro.floorplan.sequence_pair import SequencePair
 
 mp = multiprocessing.get_context("fork")
-
-
-def cheap_task(i: int) -> FloorplanTask:
-    return FloorplanTask(
-        key=f"lock-{i}", widths=(2.0, 3.0, 1.5, 2.5),
-        heights=(1.0, 2.0, 1.2, 0.8), seed=9, moves=40,
-        initial_sp=SequencePair.grid(4), restart=i,
-    )
 
 
 # -- FileLock ---------------------------------------------------------------
@@ -112,129 +97,3 @@ def test_kernel_releases_lock_on_process_death(tmp_path):
     lock = FileLock(path)
     assert lock.acquire(timeout_s=5.0) is True
     lock.release()
-
-
-# -- ResultStore cross-process eviction safety ------------------------------
-
-def _fill_store(root, count, start=0):
-    store = ResultStore(root)
-    for i in range(start, start + count):
-        task = cheap_task(i)
-        store.put(store.fingerprint(task), {"i": i}, task_type="Floorplan")
-
-
-def _evict_everything(root, done):
-    # A *foreign* store instance (different process, owns none of the
-    # entries) evicting to zero budget.
-    store = ResultStore(root)
-    removed = store.evict(0)
-    done.put(removed)
-
-
-def test_foreign_evictor_spares_fresh_entries(tmp_path):
-    """The two-process evict/read race, fixed.
-
-    Process A writes entries and expects to read them back promptly;
-    process B concurrently evicts to a zero budget. B must spare A's
-    *fresh* entries (the grace window) — before the fix, B's LRU walk
-    could unlink them between A's put and get.
-    """
-    root = tmp_path / "store"
-    _fill_store(root, 4)
-    store_a = ResultStore(root)  # reader view, owns nothing
-    keys = [store_a.fingerprint(cheap_task(i)) for i in range(4)]
-    assert all(store_a.get(k) is not None for k in keys)
-
-    done = mp.Queue()
-    child = mp.Process(target=_evict_everything, args=(root, done))
-    child.start()
-    child.join(30)
-    assert done.get(timeout=10) == 0  # everything was inside the window
-    for key in keys:
-        assert store_a.get(key) is not None, "fresh entry evicted by peer"
-
-
-def test_foreign_evictor_removes_stale_entries(tmp_path):
-    """The grace window protects *fresh* writes only — aged entries are
-    fair game for any process (otherwise budgets would never enforce)."""
-    root = tmp_path / "store"
-    _fill_store(root, 3)
-    old = time.time() - 3600
-    store = ResultStore(root)
-    for entry in root.rglob("*.pkl"):
-        os.utime(entry, (old, old))
-    # The newest-sorting entry is never a candidate (LRU last-survivor
-    # rule), so "evict everything" leaves exactly one.
-    assert store.evict(0) == 2
-    assert store.stats().entries == 1
-
-
-def test_own_writes_stay_evictable(tmp_path):
-    """A single process's budget semantics are unchanged by the window:
-    its *own* fresh writes still evict (oldest first) when over budget."""
-    store = ResultStore(tmp_path / "store")
-    for i in range(3):
-        task = cheap_task(i)
-        store.put(store.fingerprint(task), {"i": i}, task_type="Floorplan")
-    assert store.evict(0) == 2  # all but the newest (last-survivor rule)
-
-
-def test_evict_skips_when_peer_holds_mutation_lock(tmp_path):
-    """Eviction is optional hygiene: a held lock means skip, not block."""
-    root = tmp_path / "store"
-    _fill_store(root, 2)
-    store = ResultStore(root)
-    guard = FileLock(root / ".lock")
-    held, release = mp.Event(), mp.Event()
-    child = mp.Process(
-        target=_hold_lock, args=(root / ".lock", held, release)
-    )
-    child.start()
-    try:
-        assert held.wait(10)
-        assert store.evict(0) == 0  # skipped, not deadlocked
-    finally:
-        release.set()
-        child.join(10)
-    assert guard.acquire(timeout_s=5.0)
-    guard.release()
-
-
-def _evict_with_crash_site(root, sites_dir):
-    import repro.engine.faults as faults
-
-    os.environ[faults.SITES_ENV] = str(sites_dir)
-    store = ResultStore(root)
-    old = time.time() - 3600
-    for entry in sorted(root.rglob("*.pkl")):
-        os.utime(entry, (old, old))
-    store.evict(0)  # dies at the armed unlink
-
-
-def test_crash_mid_eviction_recovers(tmp_path):
-    """Kill -9 equivalent *between eviction unlinks*: the survivor store
-    must verify clean, serve the remaining entries, and the mutation lock
-    must not stay wedged (kernel release)."""
-    from repro.engine.faults import FaultSpec, arm_sites, site_activations
-
-    root = tmp_path / "store"
-    _fill_store(root, 4)
-    sites = tmp_path / "sites"
-    arm_sites(sites, {
-        "store-evict": FaultSpec(kind="crash", times=1, skip=1, exit_code=43)
-    })
-    child = mp.Process(target=_evict_with_crash_site, args=(root, sites))
-    child.start()
-    child.join(30)
-    assert child.exitcode == 43
-    assert site_activations(sites, "store-evict") == 2
-
-    store = ResultStore(root)
-    # Exactly one entry came off before the crash; the rest are intact.
-    assert store.stats().entries == 3
-    assert store.verify().clean
-    # Lock released by the kernel: the next eviction proceeds normally.
-    old = time.time() - 3600
-    for entry in root.rglob("*.pkl"):
-        os.utime(entry, (old, old))
-    assert store.evict(0) == 2  # all but the newest (last-survivor rule)

@@ -1,7 +1,7 @@
 """Content-addressed result store (repro.engine.store) + executor reuse.
 
 Covers the store's own contracts (fingerprint stability, atomic entry IO,
-corruption tolerance, eviction, verify/clear) and the executor integration:
+corruption tolerance, verify/clear) and the executor integration:
 warm-cache campaign results must be *bit-identical* to cold runs across
 serial and parallel execution, and a killed-then-resumed campaign must
 complete from the store with the same merged output as an uninterrupted
@@ -219,57 +219,13 @@ class TestStoreIO:
         store.put(fp, "real")
         orphan = store._path(fp).parent / ".tmp-orphan.pkl"
         orphan.write_bytes(b"half-written")
-        # Invisible to stats/verify/evict — never reported, never touched.
+        # Invisible to stats/verify — never reported, never touched.
         assert store.stats().entries == 1
         assert store.verify().clean
-        assert store.evict(max_bytes=10**9) == 0
         assert orphan.exists()
         # clear() sweeps orphans along with the entries.
         assert store.clear() == (1, 0)
         assert not orphan.exists()
-
-    def test_eviction_drops_oldest_first(self, tmp_path):
-        import os
-        import time
-
-        store = ResultStore(tmp_path)
-        fps = [store.fingerprint(t) for t in _sim_tasks(4)]
-        for i, fp in enumerate(fps):
-            store.put(fp, "v" * 100)
-            # Strictly increasing mtimes without sleeping.
-            os.utime(store._path(fp), (i, i))
-        sizes = sum(store._path(fp).stat().st_size for fp in fps)
-        per_entry = sizes // 4
-        removed = store.evict(max_bytes=2 * per_entry + 10)
-        assert removed == 2
-        assert store.get(fps[0]) is None and store.get(fps[1]) is None
-        assert store.get(fps[2]) is not None and store.get(fps[3]) is not None
-
-    def test_max_bytes_enforced_on_put(self, tmp_path):
-        store = ResultStore(tmp_path, max_bytes=1)
-        fps = [store.fingerprint(t) for t in _sim_tasks(2)]
-        store.put(fps[0], "a")
-        store.put(fps[1], "b")
-        # A 1-byte budget keeps exactly the just-written entry — even when
-        # both writes land in the same coarse-mtime tick, the put's own
-        # entry is explicitly protected from its eviction pass.
-        assert store.stats().entries == 1
-        assert store.get(fps[1]) is not None
-
-    def test_oversized_entry_never_wipes_the_store(self, tmp_path):
-        import os
-
-        store = ResultStore(tmp_path)
-        fps = [store.fingerprint(t) for t in _sim_tasks(3)]
-        for i, fp in enumerate(fps[:2]):
-            store.put(fp, "small")
-            os.utime(store._path(fp), (i, i))
-        store.put(fps[2], "x" * 4096)  # newest, alone above the budget
-        removed = store.evict(max_bytes=1024)
-        # The two older entries go; the newest survives even though the
-        # store remains over budget — never an empty store.
-        assert removed == 2
-        assert store.get(fps[2]) is not None
 
     def test_transient_open_failure_keeps_the_entry(
         self, tmp_path, monkeypatch
