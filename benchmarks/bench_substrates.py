@@ -42,13 +42,12 @@ def test_placement_lp_26_cores(benchmark, d26):
     blocks = kway_min_cut(graph.n, weights, 6, seed=0)
     assignment = assignment_from_blocks(blocks, graph, "mean", "phase1")
     lib = default_library()
-    topo = build_topology_skeleton(assignment, graph, lib, cfg, tool._core_centers)
-    compute_paths(topo, graph, lib, cfg, tool._core_centers)
-    die_w, die_h = tool._die_bounds
+    centers = tool.context.core_centers
+    topo = build_topology_skeleton(assignment, graph, lib, cfg, centers)
+    compute_paths(topo, graph, lib, cfg, centers)
+    die_w, die_h = tool.context.die_bounds
 
-    obj = benchmark(
-        optimise_switch_positions, topo, tool._core_centers, die_w, die_h
-    )
+    obj = benchmark(optimise_switch_positions, topo, centers, die_w, die_h)
     assert obj > 0
 
 

@@ -29,8 +29,6 @@ from repro.core import (
     SunFloor3D,
     SynthesisConfig,
     SynthesisResult,
-    build_pipeline,
-    register_stage,
     run_synthesis,
     synthesize,
     synthesize_2d,
@@ -62,8 +60,6 @@ __all__ = [
     "Pipeline",
     "Stage",
     "StageTimings",
-    "build_pipeline",
-    "register_stage",
     "run_synthesis",
     "synthesize",
     "synthesize_2d",

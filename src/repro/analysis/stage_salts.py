@@ -9,9 +9,9 @@ the default pipeline, the current ``salt`` and the SHA-256 of the
 ``run()`` source; this checker recomputes both and reports drift.
 
 Unlike the other checkers this one is not purely syntactic: the salts
-live on *instances* of the registered stages, so it imports
-:func:`repro.core.pipeline.build_pipeline` — same-process, same cost as
-the old script. It only activates when the corpus contains the pipeline
+live on *instances* of the pipeline's stages, so it imports
+:class:`repro.core.pipeline.Pipeline` — same-process, same cost as the
+old script. It only activates when the corpus contains the pipeline
 module and the lint run has a project root (so fixture corpora for the
 other checkers never trip it); findings are anchored to the stage's
 class definition in ``src/repro/core/pipeline.py``.
@@ -49,10 +49,10 @@ def current_stages() -> Dict[str, Dict[str, str]]:
     The single source of truth for the manifest format — the
     ``check_stage_salts.py`` shim's ``--update`` mode calls this too.
     """
-    from repro.core.pipeline import build_pipeline
+    from repro.core.pipeline import Pipeline
 
     out: Dict[str, Dict[str, str]] = {}
-    for stage in build_pipeline().stages:
+    for stage in Pipeline().stages:
         source = inspect.getsource(type(stage).run)
         out[stage.name] = {
             "salt": stage.salt,
@@ -98,14 +98,14 @@ class StageSaltsChecker(Checker):
                 module, line=1,
             )]
 
-        from repro.core.pipeline import build_pipeline
+        from repro.core.pipeline import Pipeline
 
         anchors = _class_lines(module)
         findings: List[Finding] = []
         stages = current_stages()
         class_of = {
             stage.name: type(stage).__name__
-            for stage in build_pipeline().stages
+            for stage in Pipeline().stages
         }
 
         for name, cur in stages.items():

@@ -238,7 +238,6 @@ def suite_design_space(
     dims: str = "3d",
     jobs: Optional[int] = None,
     progress: Optional["ProgressFn"] = None,
-    stages: Optional[Sequence] = None,
     store=None,
     stage_cache_dir: Optional[str] = None,
     stage_cache_salt: Optional[str] = None,
@@ -257,9 +256,6 @@ def suite_design_space(
         dims: "3d" (stacked) or "2d" benchmark variants.
         jobs: Engine worker count (``None``/``0`` = one per CPU).
         progress: Per-point callback ``(done, total, (name, point))``.
-        stages: Optional staged-pipeline override (stage names or
-            instances, see :func:`repro.core.pipeline.build_pipeline`)
-            applied to every synthesis run of the exploration.
         store: Optional :class:`~repro.engine.store.ResultStore`; finished
             (benchmark, point) pairs are served from disk and fresh ones
             checkpointed incrementally, so an interrupted exploration
@@ -284,7 +280,6 @@ def suite_design_space(
         names = TABLE1_BENCHMARKS
     if grid is None:
         grid = ParameterGrid()
-    stage_spec = tuple(stages) if stages is not None else None
 
     tasks: List[SynthesisTask] = []
     for name in names:
@@ -295,9 +290,7 @@ def suite_design_space(
             stage_cache_dir=stage_cache_dir,
             stage_cache_salt=stage_cache_salt,
         ):
-            tasks.append(dataclasses.replace(
-                task, key=(name, task.key), stages=stage_spec,
-            ))
+            tasks.append(dataclasses.replace(task, key=(name, task.key)))
 
     results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
     merged: Dict[str, Dict["GridPoint", "SynthesisResult"]] = {}

@@ -6,8 +6,8 @@ durable named jobs** submitted to a resident service that survives its own
 death.
 
 * :mod:`repro.campaign.spec` — the declarative campaign spec (a plain
-  JSON/YAML-able dict: parameter grids × scenarios × seeds × config/stage
-  overrides), validated like :mod:`repro.spec` but reporting *every*
+  JSON/YAML-able dict: parameter grids × scenarios × seeds × config
+  settings), validated like :mod:`repro.spec` but reporting *every*
   problem with its JSON path, and compiled into engine task lists;
 * :mod:`repro.campaign.journal` — the write-ahead job journal: an
   append-only, per-record-checksummed JSONL file with atomic rotation,

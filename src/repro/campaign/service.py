@@ -57,6 +57,7 @@ from repro.engine.tasks import BatchSimulationTask
 from repro.errors import (
     BackpressureError,
     CampaignError,
+    CampaignSpecError,
     ReproError,
 )
 
@@ -135,7 +136,9 @@ class CampaignService:
         jobs: Engine worker processes per batch (1 = in-process serial).
         resume: Replay the journal and re-enqueue incomplete jobs. Without
             it, a journal holding incomplete jobs refuses to open (a crash
-            should be resumed deliberately, not steamrolled).
+            should be resumed deliberately, not steamrolled). A job whose
+            journaled spec is missing or no longer validates is journaled
+            ``failed``; the others resume.
 
     Raises:
         CampaignError: incomplete journal without ``resume=True``.
@@ -187,13 +190,18 @@ class CampaignService:
             )
         self.journal.append("service-start", resumed=bool(incomplete))
         for record in incomplete:
+            error = None
             if record.spec is None:
-                self.journal.append(
-                    "failed", job=record.job_id,
-                    error="journal lost this job's spec; cannot resume",
-                )
+                error = "journal lost this job's spec; cannot resume"
+            else:
+                try:
+                    spec = CampaignSpec.from_dict(record.spec)
+                except CampaignSpecError as exc:
+                    error = f"journaled spec no longer validates: {exc}"
+            if error is not None:
+                self.journal.append("failed", job=record.job_id, error=error)
                 continue
-            job = _Job(record.job_id, CampaignSpec.from_dict(record.spec))
+            job = _Job(record.job_id, spec)
             self._by_id[job.job_id] = job
             self._queue.append(job)
             self.journal.append("queued", job=job.job_id, resumed=True)

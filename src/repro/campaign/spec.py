@@ -51,10 +51,10 @@ from repro.errors import CampaignError, CampaignSpecError, ReproError
 KINDS = ("sweep", "sim")
 DIMS = ("3d", "2d")
 
-#: Top-level spec keys, by applicability. ``grid``/``stages`` configure a
-#: sweep; the traffic keys configure a sim campaign.
+#: Top-level spec keys, by applicability. ``grid`` configures a sweep; the
+#: traffic keys configure a sim campaign.
 COMMON_KEYS = ("name", "kind", "benchmark", "dims", "config")
-SWEEP_KEYS = ("grid", "stages")
+SWEEP_KEYS = ("grid",)
 SIM_KEYS = (
     "scenarios", "seeds", "injection_scales", "cycles", "warmup",
     "packet_length_flits", "batch",
@@ -83,7 +83,7 @@ class CampaignSpec:
     Construct via :meth:`from_dict` / :func:`load_campaign_file` — the
     constructor itself does not validate (it is the *output* of
     validation). ``config`` holds :class:`~repro.core.config.
-    SynthesisConfig` overrides as a sorted tuple of ``(key, value)`` pairs
+    SynthesisConfig` settings as a sorted tuple of ``(key, value)`` pairs
     so the spec stays hashable and fingerprintable.
     """
 
@@ -94,7 +94,6 @@ class CampaignSpec:
     config: Tuple[Tuple[str, Any], ...] = ()
     # sweep
     grid: Tuple[Tuple[str, Tuple], ...] = ()
-    stages: Optional[Tuple[str, ...]] = None
     # sim
     scenarios: Tuple[str, ...] = ("bernoulli",)
     seeds: Tuple[int, ...] = (0,)
@@ -131,8 +130,6 @@ class CampaignSpec:
         kwargs["grid"] = tuple(
             (key, _freeze(grid[key])) for key in GRID_KEYS if key in grid
         )
-        if data.get("stages") is not None:
-            kwargs["stages"] = tuple(str(s) for s in data["stages"])
         if kwargs["kind"] == "sim":
             for key, cast in (
                 ("scenarios", str), ("seeds", int), ("injection_scales", float),
@@ -155,8 +152,6 @@ class CampaignSpec:
         if self.kind == "sweep":
             if self.grid:
                 out["grid"] = {k: _thaw(v) for k, v in self.grid}
-            if self.stages is not None:
-                out["stages"] = list(self.stages)
         else:
             out.update(
                 scenarios=list(self.scenarios),
@@ -171,19 +166,19 @@ class CampaignSpec:
 
     def base_config(self):
         """The resolved :class:`SynthesisConfig` (benchmark default +
-        ``config`` overrides)."""
+        ``config`` settings)."""
         from repro.experiments.common import default_config_for
 
-        overrides = {k: _thaw(v) for k, v in self.config}
+        settings = {k: _thaw(v) for k, v in self.config}
         base = default_config_for(
             self.benchmark,
-            frequency_mhz=overrides.pop("frequency_mhz", 400.0),
-            max_ill=overrides.pop("max_ill", 25),
-            phase=overrides.pop("phase", "auto"),
-            floorplanner=overrides.pop("floorplanner", "custom"),
-            switch_count_range=overrides.pop("switch_count_range", None),
+            frequency_mhz=settings.pop("frequency_mhz", 400.0),
+            max_ill=settings.pop("max_ill", 25),
+            phase=settings.pop("phase", "auto"),
+            floorplanner=settings.pop("floorplanner", "custom"),
+            switch_count_range=settings.pop("switch_count_range", None),
         )
-        return base.with_(**overrides) if overrides else base
+        return base.with_(**settings) if settings else base
 
     def parameter_grid(self):
         """The sweep's :class:`~repro.engine.grid.ParameterGrid`."""
@@ -207,8 +202,8 @@ def validate_campaign(data: Any) -> List[SpecIssue]:
     """Every problem in ``data``, each with its JSON path. Empty = valid.
 
     Unlike exception-per-problem validation this keeps going after the
-    first issue: unknown keys, bad grid values, unresolvable stages and
-    malformed scenario specs are all reported in one pass.
+    first issue: unknown keys, bad grid values and malformed scenario
+    specs are all reported in one pass.
     """
     if not isinstance(data, Mapping):
         return [SpecIssue("$", f"campaign spec must be an object/dict, "
@@ -219,7 +214,6 @@ def validate_campaign(data: Any) -> List[SpecIssue]:
     _check_config(data.get("config"), issues)
     if kind == "sweep" or kind not in KINDS:
         _check_grid(data.get("grid"), issues)
-        _check_stages(data.get("stages"), issues)
     if kind == "sim" or kind not in KINDS:
         _check_sim(data, issues)
     return issues
@@ -366,7 +360,7 @@ def _check_config(config: Any, issues: List[SpecIssue]) -> None:
         return
     if not isinstance(config, Mapping):
         issues.append(SpecIssue(
-            "config", f"must be an object of SynthesisConfig overrides, "
+            "config", f"must be an object of SynthesisConfig settings, "
                       f"got {type(config).__name__}"
         ))
         return
@@ -395,7 +389,7 @@ def _check_config(config: Any, issues: List[SpecIssue]) -> None:
     if len(clean) > 1:
         # Cross-field constraints (e.g. multi-start floorplan annealing
         # without the constrained floorplanner) only show up with all
-        # overrides applied.
+        # settings applied.
         try:
             base.with_(**clean)
         except (ReproError, TypeError, ValueError) as exc:
@@ -433,23 +427,6 @@ def _check_grid(grid: Any, issues: List[SpecIssue]) -> None:
             problem = check(value)
             if problem:
                 issues.append(SpecIssue(f"grid.{key}[{i}]", problem))
-
-
-def _check_stages(stages: Any, issues: List[SpecIssue]) -> None:
-    if stages is None:
-        return
-    if not isinstance(stages, Sequence) or isinstance(stages, str):
-        issues.append(SpecIssue("stages", "must be a list of stage names"))
-        return
-    from repro.core.pipeline import STAGE_REGISTRY
-
-    for i, stage in enumerate(stages):
-        if not isinstance(stage, str) or stage not in STAGE_REGISTRY:
-            issues.append(SpecIssue(
-                f"stages[{i}]",
-                f"unknown stage {stage!r}; "
-                f"known: {', '.join(sorted(STAGE_REGISTRY))}",
-            ))
 
 
 def _check_sim(data: Mapping, issues: List[SpecIssue]) -> None:

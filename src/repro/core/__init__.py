@@ -10,9 +10,8 @@ Public entry points:
   the floorplan and evaluate every valid design point.
 * :mod:`repro.core.pipeline` — the staged form of that flow:
   :class:`~repro.core.pipeline.Stage` objects over an immutable
-  :class:`~repro.core.pipeline.FlowContext`, a stage registry for
-  substitution, per-stage timings and ``jobs=N`` candidate fan-out
-  (``docs/pipeline.md``).
+  :class:`~repro.core.pipeline.FlowContext` in one fixed order, per-stage
+  timings and ``jobs=N`` candidate fan-out (``docs/pipeline.md``).
 * :func:`~repro.core.synthesis2d.synthesize_2d` — the 2-D synthesis flow of
   Murali et al. [16] used as the comparison baseline.
 * :func:`~repro.core.mesh_baseline.synthesize_mesh` — the optimised-mesh
@@ -26,8 +25,6 @@ from repro.core.pipeline import (
     Pipeline,
     Stage,
     StageTimings,
-    build_pipeline,
-    register_stage,
     run_synthesis,
 )
 from repro.core.synthesis import SunFloor3D, synthesize
@@ -43,8 +40,6 @@ __all__ = [
     "Stage",
     "StageTimings",
     "SunFloor3D",
-    "build_pipeline",
-    "register_stage",
     "run_synthesis",
     "synthesize",
     "synthesize_2d",

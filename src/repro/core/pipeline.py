@@ -4,11 +4,9 @@ The paper's flow is a sequence of distinct stages (connectivity candidate →
 topology skeleton → deadlock-free paths → switch-position LP → floorplan
 insertion → latency re-check → metrics). This module models each stage as a
 :class:`Stage` object operating on an immutable per-run :class:`FlowContext`
-and a mutable per-candidate :class:`CandidateState`, so stages are
+and a mutable per-candidate :class:`CandidateState`. The sequence is fixed
+(:data:`STAGE_REGISTRY`, in Fig. 3 order), and every stage is
 
-* **swappable** — the :data:`STAGE_REGISTRY` lets experiments substitute a
-  single stage (a different skeleton builder, a different floorplanner)
-  without forking the driver;
 * **measurable** — every stage execution is timed into a
   :class:`StageTimings` accumulator (``repro.cli synth --stage-timings``);
 * **parallelizable** — candidate evaluation is a pure function of
@@ -18,11 +16,10 @@ and a mutable per-candidate :class:`CandidateState`, so stages are
 
 Candidate *generation* stays serial and cheap (graph partitioning); only
 evaluation — routing, LP, floorplanning, metrics — is distributed. The
-switch-count sweep with its θ-retry (Algorithm 1, Steps 11-19) is a generic
-candidate-queue driver plus a requeue *policy*: Phase 1 requeues failed
-switch counts at the next θ (:class:`Phase1ThetaRequeuePolicy`); Phase 2 is
-a single round that records never-met switch counts
-(:class:`Phase2SingleRoundPolicy`).
+switch-count sweep is two plain functions over a batch evaluator:
+:func:`_phase1` retries failed switch counts at each next θ (Algorithm 1,
+Steps 11-19); :func:`_phase2` is a single round that records never-met
+switch counts.
 
 Entry point: :func:`run_synthesis`. ``repro.core.synthesize`` and
 ``SunFloor3D.synthesize`` are thin compatibility wrappers over it.
@@ -295,8 +292,7 @@ class Stage:
     Subclasses set :attr:`name` and implement :meth:`run`, which either
     advances ``state`` or raises :class:`StageFailure` to reject the
     candidate. Stages must be stateless (or carry only immutable
-    configuration) and defined at module top level so they pickle across
-    the ``jobs=N`` process-pool boundary.
+    configuration): the stage cache fingerprints the instance itself.
 
     Cacheable stages additionally declare their **input signature** — the
     exact subset of :class:`FlowContext` / :class:`SynthesisConfig` /
@@ -315,8 +311,8 @@ class Stage:
     name: str = ""
     #: Code-version salt: bump on any behavioural change to :meth:`run`.
     salt: str = "v1"
-    #: Only stages that opt in are memoised; custom stages default off so
-    #: an undeclared input can never cause a stale hit.
+    #: Only stages that opt in are memoised; the default is off so an
+    #: undeclared input can never cause a stale hit.
     cacheable: bool = False
     #: :class:`FlowContext` fields :meth:`run` reads.
     context_inputs: Tuple[str, ...] = ()
@@ -332,18 +328,6 @@ class Stage:
 
     def run(self, ctx: FlowContext, state: CandidateState) -> None:
         raise NotImplementedError
-
-
-#: name -> stage class; :func:`build_pipeline` instantiates from here.
-STAGE_REGISTRY: Dict[str, Type[Stage]] = {}
-
-
-def register_stage(cls: Type[Stage]) -> Type[Stage]:
-    """Class decorator: file a stage under ``cls.name`` in the registry."""
-    if not cls.name:
-        raise SynthesisError(f"stage class {cls.__name__} has no name")
-    STAGE_REGISTRY[cls.name] = cls
-    return cls
 
 
 #: The :class:`SynthesisConfig` fields read by the skeleton/routing path
@@ -367,7 +351,6 @@ _PATHS_CONFIG_INPUTS: Tuple[str, ...] = (
 )
 
 
-@register_stage
 class IllPrecheckStage(Stage):
     """Pruning rule 3 (Sec. V-C): core links alone must respect max_ill."""
 
@@ -386,7 +369,6 @@ class IllPrecheckStage(Stage):
             )
 
 
-@register_stage
 class SkeletonStage(Stage):
     """Materialise the topology skeleton and apply the pruning rules."""
 
@@ -408,7 +390,6 @@ class SkeletonStage(Stage):
             raise StageFailure(str(exc))
 
 
-@register_stage
 class RoutingStage(Stage):
     """Deadlock-free, constraint-respecting paths (Sec. VI / Algorithm 3)."""
 
@@ -431,7 +412,6 @@ class RoutingStage(Stage):
             raise StageFailure(str(exc))
 
 
-@register_stage
 class PlacementLPStage(Stage):
     """Optimise switch positions with the Sec. VII LP."""
 
@@ -482,7 +462,6 @@ def vertical_link_specs(
     return specs
 
 
-@register_stage
 class FloorplanStage(Stage):
     """Insert switches and TSV macros into the input core floorplan, then
     recompute positions and wire lengths from the final placement."""
@@ -578,7 +557,6 @@ class FloorplanStage(Stage):
         return floorplan
 
 
-@register_stage
 class LatencyVerifyStage(Stage):
     """Re-check every flow's latency constraint on final wire lengths."""
 
@@ -602,7 +580,6 @@ class LatencyVerifyStage(Stage):
                 )
 
 
-@register_stage
 class MetricsStage(Stage):
     """Evaluate power / latency / area and emit the design point."""
 
@@ -630,67 +607,29 @@ class MetricsStage(Stage):
         )
 
 
-#: The standard Fig. 3 stage sequence.
-DEFAULT_STAGE_NAMES: Tuple[str, ...] = (
-    "precheck",
-    "skeleton",
-    "routing",
-    "placement_lp",
-    "floorplan",
-    "verify",
-    "metrics",
-)
+#: name -> stage class, in Fig. 3 order: the one stage sequence.
+STAGE_REGISTRY: Dict[str, Type[Stage]] = {
+    cls.name: cls for cls in (
+        IllPrecheckStage, SkeletonStage, RoutingStage, PlacementLPStage,
+        FloorplanStage, LatencyVerifyStage, MetricsStage,
+    )
+}
 
-
-def build_pipeline(
-    stages: Optional[Sequence[Union[str, Stage]]] = None,
-    overrides: Optional[Mapping[str, Union[Stage, Type[Stage]]]] = None,
-) -> "Pipeline":
-    """Build a pipeline from registry names and/or stage instances.
-
-    Args:
-        stages: Stage names (registry lookups) or ready instances, in
-            execution order; defaults to :data:`DEFAULT_STAGE_NAMES`.
-        overrides: ``{name: replacement}`` applied after resolution — the
-            hook for substituting a single stage (e.g. a custom
-            floorplanner) while keeping the standard sequence.
-    """
-    resolved: List[Stage] = []
-    for item in (stages if stages is not None else DEFAULT_STAGE_NAMES):
-        if isinstance(item, Stage):
-            resolved.append(item)
-        elif isinstance(item, str):
-            if item not in STAGE_REGISTRY:
-                raise SynthesisError(
-                    f"unknown stage {item!r}; registered: "
-                    f"{', '.join(sorted(STAGE_REGISTRY))}"
-                )
-            resolved.append(STAGE_REGISTRY[item]())
-        else:
-            raise SynthesisError(f"stage must be a name or Stage, got {item!r}")
-    if overrides:
-        by_name = {stage.name: i for i, stage in enumerate(resolved)}
-        for name, replacement in overrides.items():
-            if name not in by_name:
-                raise SynthesisError(
-                    f"cannot override stage {name!r}: not in the pipeline"
-                )
-            stage = replacement() if isinstance(replacement, type) else replacement
-            resolved[by_name[name]] = stage
-    return Pipeline(resolved)
+#: The stage names of the Fig. 3 sequence, in execution order.
+DEFAULT_STAGE_NAMES: Tuple[str, ...] = tuple(STAGE_REGISTRY)
 
 
 class Pipeline:
-    """An ordered stage sequence evaluating one candidate at a time."""
+    """The Fig. 3 stage sequence, evaluating one candidate at a time.
 
-    def __init__(self, stages: Sequence[Stage]) -> None:
-        if not stages:
-            raise SynthesisError("a pipeline needs at least one stage")
+    ``stages`` defaults to one instance of each :data:`STAGE_REGISTRY`
+    class; passing a sequence is the seam tests use to insert fake stages.
+    """
+
+    def __init__(self, stages: Optional[Sequence[Stage]] = None) -> None:
+        if stages is None:
+            stages = [cls() for cls in STAGE_REGISTRY.values()]
         self.stages: Tuple[Stage, ...] = tuple(stages)
-
-    @property
-    def stage_names(self) -> Tuple[str, ...]:
-        return tuple(stage.name for stage in self.stages)
 
     def evaluate(
         self,
@@ -772,7 +711,7 @@ class Pipeline:
 
 
 # --------------------------------------------------------------------------
-# candidate queue driver and requeue policies
+# the two candidate phases
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -785,129 +724,69 @@ class CandidateRequest:
 
     @property
     def key(self) -> Tuple[object, ...]:
-        phase = self.assignment.phase if self.assignment is not None else "?"
-        return (phase, self.count, self.theta)
+        return (self.assignment.phase, self.count, self.theta)
 
 
-class CandidatePolicy:
-    """Candidate generation + requeue policy for the queue driver."""
+def _evaluate_round(
+    evaluate: Callable[[Sequence[CandidateRequest]], List[CandidateOutcome]],
+    requests: Sequence[CandidateRequest],
+    result: SynthesisResult,
+) -> Tuple[List[int], List[int]]:
+    """Evaluate one round as one batch (serial or on the engine pool),
+    append its points to ``result`` in submission order, and return the
+    switch counts that were met and that failed."""
+    met: List[int] = []
+    failed: List[int] = []
+    for request, outcome in zip(requests, evaluate(requests)):
+        if outcome.point is None:
+            failed.append(request.count)
+        else:
+            result.points.append(outcome.point)
+            met.append(request.count)
+    return met, failed
 
-    def initial_requests(self, ctx: FlowContext) -> List[CandidateRequest]:
-        raise NotImplementedError
 
-    def next_round(
-        self,
-        ctx: FlowContext,
-        requests: Sequence[CandidateRequest],
-        outcomes: Sequence[CandidateOutcome],
-    ) -> List[CandidateRequest]:
-        raise NotImplementedError
-
-    def finalize(self, ctx: FlowContext, result: SynthesisResult) -> None:
-        pass
+def _mark_unmet(result: SynthesisResult, unmet: set) -> None:
+    result.unmet_switch_counts = sorted(
+        set(result.unmet_switch_counts) | unmet
+    )
 
 
-class Phase1ThetaRequeuePolicy(CandidatePolicy):
-    """Algorithm 1: PG candidates per switch count; failed counts requeue
-    as SPG candidates over the θ sweep (the Unmet-set retry, Steps 11-19)."""
-
-    def __init__(self) -> None:
-        self._theta_iter = None
-        self._unmet: Tuple[int, ...] = ()
-
-    def initial_requests(self, ctx: FlowContext) -> List[CandidateRequest]:
-        self._theta_iter = iter(ctx.config.theta_values())
-        lo, hi = switch_count_bounds(ctx.graph, ctx.config)
-        return [
-            CandidateRequest(
-                phase1_candidate(ctx.graph, ctx.config, count), count
-            )
-            for count in range(lo, hi + 1)
-        ]
-
-    def next_round(self, ctx, requests, outcomes) -> List[CandidateRequest]:
-        failed = [
-            req for req, out in zip(requests, outcomes) if out.point is None
-        ]
+def _phase1(
+    ctx: FlowContext, evaluate: Callable, result: SynthesisResult
+) -> None:
+    """Algorithm 1: one PG candidate per switch count, then one SPG round
+    per θ for the counts still failing (the Unmet-set retry, Steps 11-19).
+    Counts that fail at the last θ are unmet."""
+    lo, hi = switch_count_bounds(ctx.graph, ctx.config)
+    _, failed = _evaluate_round(evaluate, [
+        CandidateRequest(phase1_candidate(ctx.graph, ctx.config, count), count)
+        for count in range(lo, hi + 1)
+    ], result)
+    for theta in ctx.config.theta_values():
         if not failed:
-            return []
-        try:
-            theta = next(self._theta_iter)
-        except StopIteration:
-            self._unmet = tuple(sorted({req.count for req in failed}))
-            return []
-        return [
+            break
+        _, failed = _evaluate_round(evaluate, [
             CandidateRequest(
-                phase1_scaled_candidate(ctx.graph, ctx.config, req.count, theta),
-                req.count,
+                phase1_scaled_candidate(ctx.graph, ctx.config, count, theta),
+                count,
                 theta,
             )
-            for req in failed
-        ]
-
-    def finalize(self, ctx: FlowContext, result: SynthesisResult) -> None:
-        result.unmet_switch_counts = sorted(
-            set(result.unmet_switch_counts) | set(self._unmet)
-        )
+            for count in failed
+        ], result)
+    _mark_unmet(result, set(failed))
 
 
-class Phase2SingleRoundPolicy(CandidatePolicy):
+def _phase2(
+    ctx: FlowContext, evaluate: Callable, result: SynthesisResult
+) -> None:
     """Algorithm 2: one round over all layer-local candidates. A switch
     count is unmet only if *no* candidate at that count produced a point."""
-
-    def __init__(self) -> None:
-        self._met: set = set()
-        self._failed: set = set()
-
-    def initial_requests(self, ctx: FlowContext) -> List[CandidateRequest]:
-        return [
-            CandidateRequest(assignment, assignment.num_switches)
-            for assignment in phase2_candidates(
-                ctx.graph, ctx.config, ctx.library
-            )
-        ]
-
-    def next_round(self, ctx, requests, outcomes) -> List[CandidateRequest]:
-        for req, out in zip(requests, outcomes):
-            if out.point is not None:
-                self._met.add(req.count)
-            else:
-                self._failed.add(req.count)
-        return []
-
-    def finalize(self, ctx: FlowContext, result: SynthesisResult) -> None:
-        unmet = self._failed - self._met
-        if unmet:
-            result.unmet_switch_counts = sorted(
-                set(result.unmet_switch_counts) | unmet
-            )
-
-
-#: Batch evaluator: requests in, outcomes out (submission order preserved).
-BatchEvaluator = Callable[[Sequence[CandidateRequest]], List[CandidateOutcome]]
-
-
-def run_candidate_queue(
-    ctx: FlowContext,
-    policy: CandidatePolicy,
-    evaluate_batch: BatchEvaluator,
-    result: SynthesisResult,
-) -> None:
-    """The generic round-based driver shared by both phases.
-
-    Each round's candidates are evaluated as one batch (serially or fanned
-    across the engine pool) and merged in submission order, so point order
-    — round by round, then switch count within a round — is identical to
-    the historical serial loops.
-    """
-    requests = policy.initial_requests(ctx)
-    while requests:
-        outcomes = evaluate_batch(requests)
-        for outcome in outcomes:
-            if outcome.point is not None:
-                result.points.append(outcome.point)
-        requests = policy.next_round(ctx, requests, outcomes)
-    policy.finalize(ctx, result)
+    met, failed = _evaluate_round(evaluate, [
+        CandidateRequest(assignment, assignment.num_switches)
+        for assignment in phase2_candidates(ctx.graph, ctx.config, ctx.library)
+    ], result)
+    _mark_unmet(result, set(failed) - set(met))
 
 
 # --------------------------------------------------------------------------
@@ -916,14 +795,17 @@ def run_candidate_queue(
 
 def _make_batch_evaluator(
     ctx: FlowContext,
-    pipeline: Pipeline,
     jobs: Optional[int],
     progress: Optional[ProgressFn],
     timings: Optional[StageTimings],
     supervision,
     quarantine_log: Optional[List],
     stage_cache,
-) -> BatchEvaluator:
+) -> Callable[[Sequence[CandidateRequest]], List[CandidateOutcome]]:
+    """Evaluate a round serially (``jobs=1``) or fanned across the engine
+    pool, returning outcomes in submission order either way."""
+    pipeline = Pipeline()
+
     def serial(requests: Sequence[CandidateRequest]) -> List[CandidateOutcome]:
         outcomes: List[CandidateOutcome] = []
         total = len(requests)
@@ -960,7 +842,6 @@ def _make_batch_evaluator(
                 config=ctx.config,
                 assignment=req.assignment,
                 library=ctx.library,
-                stages=pipeline.stages,
                 context_token=context_token,
                 stage_cache_dir=stage_cache_dir,
                 stage_cache_salt=stage_cache_salt,
@@ -1006,7 +887,6 @@ def _make_batch_evaluator(
 def run_synthesis(
     ctx: FlowContext,
     *,
-    pipeline: Optional[Pipeline] = None,
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     timings: Optional[StageTimings] = None,
@@ -1014,11 +894,10 @@ def run_synthesis(
     quarantine_log: Optional[List] = None,
     stage_cache=None,
 ) -> SynthesisResult:
-    """Run the configured flow and return all valid design points.
+    """Run the Fig. 3 flow and return all valid design points.
 
     Args:
         ctx: The run context (see :meth:`FlowContext.build`).
-        pipeline: Stage sequence; default :func:`build_pipeline`.
         jobs: Candidate-evaluation worker processes — ``1`` (default)
             serial, ``None``/``0`` one per CPU, ``n >= 2`` a pool of n.
             Results are bit-identical regardless of ``jobs``.
@@ -1038,15 +917,13 @@ def run_synthesis(
             :meth:`Pipeline.evaluate`). Results stay bit-identical with
             or without it.
     """
-    pipeline = pipeline if pipeline is not None else build_pipeline()
-    evaluate_batch = _make_batch_evaluator(
-        ctx, pipeline, jobs, progress, timings,
-        supervision, quarantine_log, stage_cache,
+    evaluate = _make_batch_evaluator(
+        ctx, jobs, progress, timings, supervision, quarantine_log, stage_cache,
     )
     result = SynthesisResult()
     phase = ctx.config.phase
     if phase in ("auto", "phase1"):
-        run_candidate_queue(ctx, Phase1ThetaRequeuePolicy(), evaluate_batch, result)
+        _phase1(ctx, evaluate, result)
     if phase == "phase2" or (phase == "auto" and result.is_empty):
-        run_candidate_queue(ctx, Phase2SingleRoundPolicy(), evaluate_batch, result)
+        _phase2(ctx, evaluate, result)
     return result

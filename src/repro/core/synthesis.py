@@ -12,19 +12,18 @@ For every candidate switch count the flow:
    latency constraint, and evaluates power / latency / area,
 7. saves the design point if all constraints hold.
 
-Since the staged-pipeline refactor the flow itself lives in
-:mod:`repro.core.pipeline` — explicit :class:`~repro.core.pipeline.Stage`
-objects over an immutable :class:`~repro.core.pipeline.FlowContext`, with
-the θ-retry of Algorithm 1 expressed as a requeue policy and candidate
-evaluation optionally fanned across the :mod:`repro.engine` process pool.
-This module keeps the historical entry points (:class:`SunFloor3D`,
-:func:`synthesize`) as thin wrappers over that pipeline; see
-``docs/pipeline.md`` for the stage model.
+The flow itself lives in :mod:`repro.core.pipeline` — one fixed sequence
+of :class:`~repro.core.pipeline.Stage` objects over an immutable
+:class:`~repro.core.pipeline.FlowContext`, driven by the two candidate
+phases, with candidate evaluation optionally fanned across the
+:mod:`repro.engine` process pool. This module keeps the historical entry
+points (:class:`SunFloor3D`, :func:`synthesize`) as thin wrappers over it;
+see ``docs/pipeline.md`` for the stage model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.core.assignment import Assignment
 from repro.core.config import SynthesisConfig
@@ -34,7 +33,6 @@ from repro.core.pipeline import (
     Pipeline,
     ProgressFn,
     StageTimings,
-    build_pipeline,
     run_synthesis,
 )
 from repro.graphs.comm_graph import CommGraph
@@ -57,10 +55,8 @@ class SunFloor3D:
         comm_spec: CommSpec,
         library: Optional[NocLibrary] = None,
         config: Optional[SynthesisConfig] = None,
-        pipeline: Optional[Pipeline] = None,
     ) -> None:
         self.context = FlowContext.build(core_spec, comm_spec, library, config)
-        self.pipeline = pipeline if pipeline is not None else build_pipeline()
         #: Stage timings of the most recent :meth:`synthesize` call.
         self.last_stage_timings: Optional[StageTimings] = None
         #: Candidates lost to supervision (worker crash/deadline) in the
@@ -88,14 +84,6 @@ class SunFloor3D:
     @property
     def graph(self) -> CommGraph:
         return self.context.graph
-
-    @property
-    def _core_centers(self) -> Dict[int, Tuple[float, float]]:
-        return self.context.core_centers
-
-    @property
-    def _die_bounds(self) -> Tuple[float, float]:
-        return self.context.die_bounds
 
     # -- public API ----------------------------------------------------------
 
@@ -128,7 +116,6 @@ class SunFloor3D:
         self.last_quarantined = []
         return run_synthesis(
             self.context,
-            pipeline=self.pipeline,
             jobs=jobs,
             progress=progress,
             timings=timings,
@@ -139,11 +126,7 @@ class SunFloor3D:
 
     def evaluate_assignment(self, assignment: Assignment) -> Optional[DesignPoint]:
         """Evaluate a single connectivity candidate (None if unmet)."""
-        return self.pipeline.evaluate(self.context, assignment).point
-
-    # Legacy internal name, kept because external callers grew on it.
-    def _try_point(self, assignment: Assignment) -> Optional[DesignPoint]:
-        return self.evaluate_assignment(assignment)
+        return Pipeline().evaluate(self.context, assignment).point
 
 
 def synthesize(
@@ -154,14 +137,12 @@ def synthesize(
     *,
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
-    pipeline: Optional[Pipeline] = None,
     timings: Optional[StageTimings] = None,
     stage_cache=None,
 ) -> SynthesisResult:
     """Convenience wrapper: build the context and run the staged pipeline."""
     return run_synthesis(
         FlowContext.build(core_spec, comm_spec, library, config),
-        pipeline=pipeline,
         jobs=jobs,
         progress=progress,
         timings=timings,

@@ -41,17 +41,17 @@ class GridPoint:
     switch_count_range: Optional[Tuple[int, int]] = None
 
     def apply(self, base: SynthesisConfig) -> SynthesisConfig:
-        """The base configuration with this point's overrides applied."""
-        overrides = {}
+        """The base configuration with this point's values applied."""
+        changes = {}
         if self.frequency_mhz is not None:
-            overrides["frequency_mhz"] = float(self.frequency_mhz)
+            changes["frequency_mhz"] = float(self.frequency_mhz)
         if self.alpha is not None:
-            overrides["alpha"] = float(self.alpha)
+            changes["alpha"] = float(self.alpha)
         if self.link_width_bits is not None:
-            overrides["link_width_bits"] = int(self.link_width_bits)
+            changes["link_width_bits"] = int(self.link_width_bits)
         if self.switch_count_range is not None:
-            overrides["switch_count_range"] = tuple(self.switch_count_range)
-        return base.with_(**overrides) if overrides else base
+            changes["switch_count_range"] = tuple(self.switch_count_range)
+        return base.with_(**changes) if changes else base
 
     def label(self) -> str:
         parts = []

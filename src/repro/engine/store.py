@@ -64,7 +64,7 @@ CODE_SALT = "repro-store-v1"
 STORE_FORMAT = 1
 
 #: Default store location for CLI/library callers that do not choose one;
-#: ``$REPRO_CACHE_DIR`` overrides.
+#: ``$REPRO_CACHE_DIR`` takes precedence.
 DEFAULT_STORE_DIR = ".repro-cache"
 
 _ENTRY_SUFFIX = ".pkl"

@@ -8,9 +8,10 @@ Two task granularities cross the ``ProcessPoolExecutor`` boundary:
   runs the *whole* staged flow for that point.
 * :class:`CandidateTask` — one connectivity candidate *inside* a synthesis
   run: the same value objects plus a pre-built
-  :class:`~repro.core.assignment.Assignment` and the pipeline's stage
-  sequence. ``synthesize(..., jobs=N)`` fans these out so a single run
-  parallelises across its own switch-count sweep.
+  :class:`~repro.core.assignment.Assignment`; the worker evaluates it
+  through the fixed Fig. 3 stage sequence. ``synthesize(..., jobs=N)`` fans
+  these out so a single run parallelises across its own switch-count
+  sweep.
 * :class:`FloorplanTask` / :class:`ConstrainedInsertTask` — one restart of
   a multi-start floorplan anneal (``anneal_floorplan(restarts=K, jobs=N)``
   and the constrained inserter's equivalent). Restarts are independently
@@ -29,9 +30,8 @@ Two task granularities cross the ``ProcessPoolExecutor`` boundary:
   :func:`simulation_tasks` builds either kind for a whole campaign.
 
 Tasks are plain frozen dataclasses built only from spec/config/library
-value objects (and, for candidates, stateless stage instances), so they
-pickle untouched — no open file handles, no RNG state, no references back
-into the parent's topology objects.
+value objects, so they pickle untouched — no open file handles, no RNG
+state, no references back into the parent's topology objects.
 
 Infeasible sweep points (a single flow exceeding link capacity) are marked
 ``skip=True`` at task-build time and short-circuit to an empty
@@ -66,9 +66,6 @@ class SynthesisTask:
             parameter already applied via ``SynthesisConfig.with_``).
         library: Component library; ``None`` selects the default library in
             the worker (cheaper to pickle).
-        stages: Optional stage sequence (names or instances, see
-            :func:`repro.core.pipeline.build_pipeline`) substituting the
-            default pipeline in the worker.
         skip: Pre-determined infeasible point — the engine returns an empty
             result without running synthesis.
         skip_reason: Human-readable note for reports/logs.
@@ -89,7 +86,6 @@ class SynthesisTask:
     comm_spec: CommSpec
     config: SynthesisConfig
     library: Optional[NocLibrary] = None
-    stages: Optional[Tuple] = None
     skip: bool = False
     skip_reason: str = ""
     stage_cache_dir: Optional[str] = None
@@ -98,12 +94,7 @@ class SynthesisTask:
 
 @dataclass(frozen=True)
 class CandidateTask:
-    """One candidate evaluation of a single synthesis run (``jobs=N``).
-
-    The ``stages`` tuple carries the parent pipeline's stage instances so
-    substituted stages survive the process boundary; stages must therefore
-    be defined at module top level (see :class:`repro.core.pipeline.Stage`).
-    """
+    """One candidate evaluation of a single synthesis run (``jobs=N``)."""
 
     __fingerprint_exclude__ = ("stage_cache_dir", "stage_cache_salt")
 
@@ -113,7 +104,6 @@ class CandidateTask:
     config: SynthesisConfig
     assignment: object
     library: Optional[NocLibrary] = None
-    stages: Optional[Tuple] = None
     #: Parent-generated token identifying the run's FlowContext; candidate
     #: tasks sharing a token share the rebuilt context in the worker.
     context_token: Optional[str] = None
@@ -249,12 +239,30 @@ class BatchSimulationTask:
         )
 
 
-def check_batch(batch: Optional[int]) -> None:
-    """Reject a sim-campaign ``batch`` below 1 (``None`` = one per seed)."""
-    if batch is not None and batch < 1:
-        from repro.errors import EngineError
+def check_sim_params(
+    batch: Optional[int],
+    cycles: int,
+    warmup: int,
+    injection_scales: Sequence[float],
+) -> None:
+    """Reject the sim-campaign knobs a campaign spec would refuse:
+    ``batch`` at least 1 (``None`` = one task per seed),
+    ``cycles > warmup >= 0`` and every injection scale positive."""
+    from repro.errors import EngineError
 
+    if batch is not None and batch < 1:
         raise EngineError(f"batch must be >= 1, got {batch}")
+    if warmup < 0:
+        raise EngineError(f"warmup must be >= 0, got {warmup}")
+    if cycles <= warmup:
+        raise EngineError(
+            f"cycles must exceed warmup ({warmup}), got {cycles}"
+        )
+    for scale in injection_scales:
+        if not scale > 0:
+            raise EngineError(
+                f"injection scales must be positive, got {scale}"
+            )
 
 
 def simulation_tasks(
@@ -278,7 +286,12 @@ def simulation_tasks(
     """
     from repro.noc.scenarios import make_scenario
 
-    check_batch(batch)
+    check_sim_params(
+        batch,
+        sim_params.get("cycles", SimulationTask.cycles),
+        sim_params.get("warmup", SimulationTask.warmup),
+        injection_scales,
+    )
     scenario_objs = [make_scenario(s) for s in scenarios]
     seeds = tuple(int(s) for s in seeds)
     if batch is None or batch == 1:
@@ -404,16 +417,14 @@ def _attempt_task(task) -> TaskResult:
     stage_stats: dict = {}
 
     def body():
-        from repro.core.pipeline import build_pipeline
         from repro.core.synthesis import synthesize
 
-        pipeline = build_pipeline(task.stages) if task.stages else None
         # A fresh handle per task: its counters then *are* this point's
         # stage-cache stats (open cost is trivial next to a synthesis).
         stage_cache = _fresh_stage_cache(task)
         result = synthesize(
             task.core_spec, task.comm_spec, task.library, task.config,
-            pipeline=pipeline, stage_cache=stage_cache,
+            stage_cache=stage_cache,
         )
         if stage_cache is not None:
             stage_stats.update(stage_cache.stats_dict())
@@ -513,11 +524,10 @@ def _run_batch_simulation_task(task: BatchSimulationTask) -> TaskResult:
 
 def _run_candidate_task(task: CandidateTask) -> TaskResult:
     def body():
-        from repro.core.pipeline import build_pipeline
+        from repro.core.pipeline import Pipeline
 
         ctx = _candidate_context(task)
-        pipeline = build_pipeline(task.stages)
-        return pipeline.evaluate(
+        return Pipeline().evaluate(
             ctx, task.assignment, stage_cache=_shared_stage_cache(task)
         ).outcome()
 

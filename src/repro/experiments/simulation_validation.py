@@ -25,7 +25,11 @@ from repro.core.config import SynthesisConfig
 from repro.engine import run_tasks
 from repro.engine.executor import ProgressFn
 from repro.engine.supervise import Supervision
-from repro.engine.tasks import SynthesisTask, check_batch, simulation_tasks
+from repro.engine.tasks import (
+    SynthesisTask,
+    check_sim_params,
+    simulation_tasks,
+)
 from repro.experiments.common import (
     ExperimentResult,
     default_config_for,
@@ -88,10 +92,15 @@ def run_simulation_validation(
             :class:`~repro.engine.tasks.BatchSimulationTask` chunks of up
             to ``K``. Rows, row order and store fingerprints are
             bit-identical either way — batching only changes how the work
-            is packed. A value below 1 raises
-            :class:`~repro.errors.EngineError` before any synthesis.
+            is packed.
+
+    Raises:
+        EngineError: before any synthesis, on ``batch < 1``,
+            ``cycles <= warmup``, ``warmup < 0`` or a non-positive
+            injection scale.
     """
-    check_batch(batch)  # before the prerequisite synthesis, not after it
+    # Before the prerequisite synthesis, not after it.
+    check_sim_params(batch, cycles, warmup, injection_scales)
     if config is None:
         config = default_config_for(benchmark)
     point = _best_power_point(benchmark, config, store)

@@ -6,17 +6,25 @@ worker entry point as a plain int (``run_task(task, retries)``). No
 function in ``src/repro`` may declare the individual supervision knobs as
 parameters again, nor regrow the engine options that were deleted for
 having no caller: executor chunking, the store's size budget and
-eviction grace window, and retry backoff/filtering.
+eviction grace window, and retry backoff/filtering. The Fig. 3 stage
+sequence is fixed, so no stage-substitution hook (``overrides``, a
+``stages`` field, ``build_pipeline``/``register_stage``) may return either.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import repro
+from repro.campaign.spec import CampaignSpec
+from repro.engine.tasks import CandidateTask, SynthesisTask
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 LOOSE_KNOBS = {
     "retry", "task_timeout_s", "on_error", "max_pool_restarts",
     "chunk_size", "max_bytes", "evict_grace_s", "backoff_s", "retry_on",
+    "overrides",
 }
 
 
@@ -50,3 +58,10 @@ def test_guard_catches_a_loose_knob(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def sweep(points, *, on_error='raise'):\n    pass\n")
     assert list(_loose_parameters(bad)) == ["sweep(on_error=) at line 1"]
+
+
+def test_no_stage_substitution_surface():
+    for cls in (SynthesisTask, CandidateTask, CampaignSpec):
+        assert "stages" not in {f.name for f in dataclasses.fields(cls)}, cls
+    for name in ("build_pipeline", "register_stage"):
+        assert not hasattr(repro, name), name

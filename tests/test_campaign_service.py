@@ -199,6 +199,28 @@ def test_refuses_incomplete_journal_without_resume(tmp_path):
         assert svc.run_until_idle() == ["job-0001"]
 
 
+def test_resume_fails_a_job_whose_spec_no_longer_validates(tmp_path):
+    """An incomplete job whose journaled spec no longer validates (here:
+    the retired ``stages`` key) is journaled failed; the rest resume."""
+    (tmp_path / "spool").mkdir()
+    with JobJournal(tmp_path / "spool" / "journal.jsonl",
+                    writer=True) as journal:
+        journal.append(
+            "submitted", job="job-0001", total_tasks=2,
+            spec={**sweep_spec("old"), "stages": ["precheck"]},
+        )
+        journal.append(
+            "submitted", job="job-0002", total_tasks=2,
+            spec=sweep_spec("new"),
+        )
+    with service(tmp_path, resume=True) as svc:
+        assert svc.run_until_idle() == ["job-0002"]
+    jobs = CampaignService.status(tmp_path / "spool").jobs
+    assert jobs["job-0001"].state == "failed"
+    assert "stages: unknown key" in jobs["job-0001"].error
+    assert jobs["job-0002"].state == "done"
+
+
 def test_resume_reuses_store_results(tmp_path):
     with service(tmp_path) as svc:
         svc.submit(sweep_spec("a"))

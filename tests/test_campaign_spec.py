@@ -59,7 +59,6 @@ def test_every_problem_reported_with_its_path():
             "bogus_dim": [1],
         },
         "config": {"max_ill": -3, "no_such_field": 1},
-        "stages": ["skeleton", "not-a-stage"],
         "mystery": True,
     })
     got = paths_of(issues)
@@ -68,11 +67,24 @@ def test_every_problem_reported_with_its_path():
         "grid.frequencies_mhz[1]", "grid.frequencies_mhz[2]",
         "grid.alphas[0]", "grid.link_widths_bits[0]",
         "grid.switch_count_ranges[0]", "grid.bogus_dim",
-        "config.max_ill", "config.no_such_field",
-        "stages[1]", "mystery",
+        "config.max_ill", "config.no_such_field", "mystery",
     ):
         assert expected in got, f"missing issue for {expected}: {got}"
-    assert "stages[0]" not in got  # the valid stage is not flagged
+
+
+def test_stages_key_is_rejected(tmp_path, capsys):
+    """The Fig. 3 stage sequence is fixed: a spec naming ``stages`` is
+    refused instead of being accepted and then ignored."""
+    data = {**SWEEP, "stages": ["precheck"]}
+    assert [(i.path, i.message) for i in validate_campaign(data)] == [
+        ("stages", "unknown key"),
+    ]
+    with pytest.raises(CampaignSpecError):
+        CampaignSpec.from_dict(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["campaign", "validate", str(path)]) == 2
+    assert "stages: unknown key" in capsys.readouterr().err
 
 
 def test_cross_field_config_interaction_reported():

@@ -176,8 +176,9 @@ class TestSupervisionFlags:
 
 
 class TestSimBatchFlag:
-    """A batch width below 1 is refused before the prerequisite synthesis,
-    from the library entry point and from ``cli sim`` alike."""
+    """A batch width below 1 — or any other traffic knob a campaign spec
+    would refuse — is refused before the prerequisite synthesis, from the
+    library entry point and from ``cli sim`` alike."""
 
     @pytest.fixture
     def synthesis_spy(self, monkeypatch):
@@ -212,5 +213,23 @@ class TestSimBatchFlag:
         assert rc == 2
         captured = capsys.readouterr()
         assert "batch must be >= 1" in captured.err
+        assert captured.out == ""
+        assert synthesis_spy == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--scales", "-1"], "injection scales must be positive"),
+        (["--scales", "0.5,0"], "injection scales must be positive"),
+        (["--warmup", "-5"], "warmup must be >= 0"),
+        (["--cycles", "0"], "cycles must exceed warmup"),
+        (["--cycles", "100", "--warmup", "100"], "cycles must exceed warmup"),
+    ], ids=["negative-scale", "zero-scale", "negative-warmup", "zero-cycles",
+            "warmup-equals-cycles"])
+    def test_cli_bad_traffic_knobs_exit_before_any_work(
+        self, capsys, synthesis_spy, flags, message
+    ):
+        rc = main(["sim", "--benchmark", "d26_media", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
         assert captured.out == ""
         assert synthesis_spy == []

@@ -1,22 +1,20 @@
 """The staged synthesis pipeline (repro.core.pipeline)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core import pipeline as pipeline_module
 from repro.core.config import SynthesisConfig
+from repro.core.design_point import SynthesisResult
 from repro.core.pipeline import (
     DEFAULT_STAGE_NAMES,
     CandidateOutcome,
-    CandidateRequest,
     FlowContext,
-    LatencyVerifyStage,
-    Phase1ThetaRequeuePolicy,
-    Phase2SingleRoundPolicy,
     Pipeline,
-    Stage,
     StageTimings,
-    build_pipeline,
-    register_stage,
-    run_synthesis,
+    _phase1,
+    _phase2,
     vertical_link_specs,
 )
 from repro.core.synthesis import SunFloor3D, synthesize
@@ -27,45 +25,28 @@ from repro.noc.topology import Topology
 from repro.spec.core_spec import Core, CoreSpec
 
 
-class CountingVerifyStage(LatencyVerifyStage):
-    """Top-level (picklable) stage that counts its executions."""
+class ScriptedEvaluate:
+    """Stands in for the batch evaluator: records each round's requests and
+    answers with the next scripted outcome list (or a builder of one)."""
 
-    calls = 0
+    def __init__(self, *script):
+        self.script = list(script)
+        self.rounds = []
 
-    def run(self, ctx, state):
-        type(self).calls += 1
-        super().run(ctx, state)
+    def __call__(self, requests):
+        self.rounds.append(list(requests))
+        outcomes = self.script.pop(0)
+        return outcomes(requests) if callable(outcomes) else outcomes
+
+
+def fail_all(requests):
+    return [CandidateOutcome(point=None)] * len(requests)
 
 
 class TestPipelineConstruction:
     def test_default_stage_sequence(self):
-        pipeline = build_pipeline()
-        assert pipeline.stage_names == DEFAULT_STAGE_NAMES
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(SynthesisError):
-            build_pipeline(["precheck", "nope"])
-
-    def test_override_unknown_slot_rejected(self):
-        with pytest.raises(SynthesisError):
-            build_pipeline(overrides={"nope": LatencyVerifyStage()})
-
-    def test_registry_override_substitutes_one_stage(self, tiny_specs):
-        core_spec, comm_spec = tiny_specs
-        CountingVerifyStage.calls = 0
-        pipeline = build_pipeline(overrides={"verify": CountingVerifyStage()})
-        assert pipeline.stage_names == DEFAULT_STAGE_NAMES
-        cfg = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))
-        tool = SunFloor3D(core_spec, comm_spec, config=cfg, pipeline=pipeline)
-        result = tool.synthesize()
-        assert not result.is_empty
-        assert CountingVerifyStage.calls >= len(result.points)
-
-    def test_register_stage_requires_name(self):
-        with pytest.raises(SynthesisError):
-            @register_stage
-            class Nameless(Stage):
-                pass
+        names = tuple(stage.name for stage in Pipeline().stages)
+        assert names == DEFAULT_STAGE_NAMES
 
 
 class TestStageTimings:
@@ -132,25 +113,25 @@ class TestSerialParallelEquivalence:
 
 
 class TestPhase2UnmetTracking:
-    def test_count_met_by_later_candidate_is_not_unmet(self):
+    def test_count_met_by_later_candidate_is_not_unmet(self, monkeypatch):
         """Regression: a failing candidate must not leave its switch count
         in the unmet set when another candidate at that count succeeds."""
-        from repro.core.design_point import SynthesisResult
-
-        policy = Phase2SingleRoundPolicy()
-        requests = [
-            CandidateRequest(None, 3),
-            CandidateRequest(None, 3),
-            CandidateRequest(None, 4),
-        ]
-        outcomes = [
+        monkeypatch.setattr(
+            pipeline_module, "phase2_candidates",
+            lambda graph, config, library: [
+                SimpleNamespace(num_switches=n) for n in (3, 3, 4)
+            ],
+        )
+        evaluate = ScriptedEvaluate([
             CandidateOutcome(point=None, failed_stage="routing"),
             CandidateOutcome(point=object()),  # count 3 met after all
             CandidateOutcome(point=None, failed_stage="verify"),
-        ]
-        assert policy.next_round(None, requests, outcomes) == []
+        ])
         result = SynthesisResult()
-        policy.finalize(None, result)
+        ctx = SimpleNamespace(graph=None, config=None, library=None)
+        _phase2(ctx, evaluate, result)
+        assert len(evaluate.rounds) == 1  # a single round, no requeue
+        assert len(result.points) == 1
         assert result.unmet_switch_counts == [4]
 
     def test_end_to_end_unmet_disjoint_from_met(self, small_specs):
@@ -169,19 +150,14 @@ class TestPhase1RequeuePolicy:
             config=SynthesisConfig(max_ill=10, theta_min=1.0, theta_max=1.0,
                                    theta_step=1.0, switch_count_range=(2, 3)),
         )
-        policy = Phase1ThetaRequeuePolicy()
-        requests = policy.initial_requests(ctx)
-        assert [r.count for r in requests] == [2, 3]
-        fail_all = [CandidateOutcome(point=None)] * len(requests)
-        retry = policy.next_round(ctx, requests, fail_all)
+        evaluate = ScriptedEvaluate(fail_all, fail_all)
+        result = SynthesisResult()
+        _phase1(ctx, evaluate, result)
+        first, retry = evaluate.rounds  # no round after the last θ
+        assert [r.count for r in first] == [2, 3]
         # One θ value: every failed count requeues exactly once, scaled.
         assert [r.count for r in retry] == [2, 3]
         assert all(r.theta == 1.0 for r in retry)
-        assert policy.next_round(ctx, retry, fail_all) == []
-        from repro.core.design_point import SynthesisResult
-
-        result = SynthesisResult()
-        policy.finalize(ctx, result)
         assert result.unmet_switch_counts == [2, 3]
 
     def test_success_stops_requeue(self, tiny_specs):
@@ -190,10 +166,13 @@ class TestPhase1RequeuePolicy:
             core_spec, comm_spec,
             config=SynthesisConfig(max_ill=10, switch_count_range=(2, 2)),
         )
-        policy = Phase1ThetaRequeuePolicy()
-        requests = policy.initial_requests(ctx)
-        ok = [CandidateOutcome(point=object())] * len(requests)
-        assert policy.next_round(ctx, requests, ok) == []
+        evaluate = ScriptedEvaluate(
+            lambda requests: [CandidateOutcome(point=object())] * len(requests)
+        )
+        result = SynthesisResult()
+        _phase1(ctx, evaluate, result)
+        assert len(evaluate.rounds) == 1
+        assert result.unmet_switch_counts == []
 
 
 class TestVerticalLinkSpecs:
@@ -223,32 +202,6 @@ class TestVerticalLinkSpecs:
         assert all((s.lo_layer, s.hi_layer) == (0, 2) for s in specs)
 
 
-class TestEngineStagePassthrough:
-    def test_synthesis_task_runs_substituted_stages(self, tiny_specs):
-        """The sweep-level task path (engine/suites) honours a stage
-        substitution, so experiments can swap a stage suite-wide."""
-        from repro.engine.tasks import SynthesisTask, run_task
-
-        core_spec, comm_spec = tiny_specs
-        cfg = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))
-        stages = tuple(
-            CountingVerifyStage() if name == "verify" else name
-            for name in DEFAULT_STAGE_NAMES
-        )
-        CountingVerifyStage.calls = 0
-        substituted = run_task(SynthesisTask(
-            key="s", core_spec=core_spec, comm_spec=comm_spec, config=cfg,
-            stages=stages,
-        ))
-        default = run_task(SynthesisTask(
-            key="d", core_spec=core_spec, comm_spec=comm_spec, config=cfg,
-        ))
-        assert substituted.ok and default.ok
-        assert CountingVerifyStage.calls >= len(substituted.result.points)
-        assert [p.total_power_mw for p in substituted.result.points] == \
-            [p.total_power_mw for p in default.result.points]
-
-
 class TestCompatibilityWrappers:
     def test_evaluate_assignment_still_works(self, tiny_specs):
         from repro.core.phase1 import phase1_candidate
@@ -260,12 +213,11 @@ class TestCompatibilityWrappers:
         point = tool.evaluate_assignment(assignment)
         assert point is not None
         assert point.assignment == assignment
-        assert tool._try_point(assignment) is not None
 
     def test_context_attributes_exposed(self, tiny_specs):
         core_spec, comm_spec = tiny_specs
         tool = SunFloor3D(core_spec, comm_spec)
         assert tool.core_spec is core_spec
         assert tool.graph.n == len(core_spec.names)
-        assert len(tool._core_centers) == tool.graph.n
-        assert tool._die_bounds[0] > 0
+        assert len(tool.context.core_centers) == tool.graph.n
+        assert tool.context.die_bounds[0] > 0

@@ -22,7 +22,6 @@ from repro.core.pipeline import (
     Stage,
     StageFailure,
     StageTimings,
-    build_pipeline,
 )
 from repro.core.synthesis import synthesize
 from repro.engine.stagecache import (
@@ -45,7 +44,7 @@ def ctx(tiny_specs):
 @pytest.fixture
 def ok_assignment(ctx):
     """A candidate that survives the full default pipeline."""
-    pipeline = build_pipeline()
+    pipeline = Pipeline()
     for count in range(2, 6):
         assignment = phase1_candidate(ctx.graph, ctx.config, count)
         if pipeline.evaluate(ctx, assignment).ok:
@@ -67,7 +66,7 @@ class TestFingerprintProperties:
     def test_dict_field_order_invariance(self, ctx, ok_assignment, tmp_path):
         """Reordering the core_centers dict must not move any fingerprint:
         the canonical encoder hashes dicts in sorted-key order."""
-        pipeline = build_pipeline()
+        pipeline = Pipeline()
         cache = _cache(tmp_path)
         first = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
         reordered = dataclasses.replace(
@@ -90,7 +89,7 @@ class TestFingerprintProperties:
     ):
         """The metrics objective enters no upstream stage's inputs, so
         flipping it re-fingerprints metrics and nothing else."""
-        pipeline = build_pipeline()
+        pipeline = Pipeline()
         cache = _cache(tmp_path)
         base = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
         assert base.ok
@@ -117,7 +116,7 @@ class TestFingerprintProperties:
     ):
         """A floorplan-only knob (seed here; restarts behaves identically)
         leaves precheck/skeleton/routing/placement_lp untouched."""
-        pipeline = build_pipeline()
+        pipeline = Pipeline()
         cache = _cache(tmp_path)
         base = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
         bumped = pipeline.evaluate(
@@ -134,17 +133,12 @@ class TestFingerprintProperties:
         assert all(name in bumped.cached_stages for name in upstream)
 
     def test_salt_bump_invalidates_stage_and_downstream_only(
-        self, ctx, ok_assignment, tmp_path
+        self, ctx, ok_assignment, tmp_path, monkeypatch
     ):
         cache = _cache(tmp_path)
-        base = build_pipeline().evaluate(
-            ctx, ok_assignment, stage_cache=cache
-        )
-        bumped_stage = RoutingStage()
-        bumped_stage.salt = "v2-test"
-        bumped = build_pipeline(
-            overrides={"routing": bumped_stage}
-        ).evaluate(ctx, ok_assignment, stage_cache=cache)
+        base = Pipeline().evaluate(ctx, ok_assignment, stage_cache=cache)
+        monkeypatch.setattr(RoutingStage, "salt", "v2-test")
+        bumped = Pipeline().evaluate(ctx, ok_assignment, stage_cache=cache)
         for name in ("precheck", "skeleton"):
             assert (base.stage_fingerprints[name]
                     == bumped.stage_fingerprints[name])
@@ -154,17 +148,15 @@ class TestFingerprintProperties:
                     != bumped.stage_fingerprints[name])
 
     def test_declaration_edit_invalidates_stage_and_downstream_only(
-        self, ctx, ok_assignment, tmp_path
+        self, ctx, ok_assignment, tmp_path, monkeypatch
     ):
         cache = _cache(tmp_path)
-        base = build_pipeline().evaluate(
-            ctx, ok_assignment, stage_cache=cache
+        base = Pipeline().evaluate(ctx, ok_assignment, stage_cache=cache)
+        monkeypatch.setattr(
+            PlacementLPStage, "context_inputs",
+            ("core_centers", "die_bounds", "graph"),
         )
-        widened_stage = PlacementLPStage()
-        widened_stage.context_inputs = ("core_centers", "die_bounds", "graph")
-        widened = build_pipeline(
-            overrides={"placement_lp": widened_stage}
-        ).evaluate(ctx, ok_assignment, stage_cache=cache)
+        widened = Pipeline().evaluate(ctx, ok_assignment, stage_cache=cache)
         for name in ("precheck", "skeleton", "routing"):
             assert (base.stage_fingerprints[name]
                     == widened.stage_fingerprints[name])
