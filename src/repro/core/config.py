@@ -8,6 +8,7 @@ links under ``max_ill`` (Sec. VI).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -52,7 +53,8 @@ class SynthesisConfig:
         switch_count_range: Optional (min, max) total-switch-count sweep
             bounds; None sweeps the full 1..n range of Algorithm 1.
         seed: Determinism seed (partitioers, floorplanner).
-        search_radius_mm / grid_step_mm: Custom insertion routine knobs.
+        search_radius_mm / grid_step_mm: Custom insertion routine knobs;
+            both finite and positive.
         floorplanner: "custom" (the paper's routine) or "constrained"
             (the standard-floorplanner baseline of Sec. VIII-D).
         floorplan_restarts: Multi-start annealing runs of the constrained
@@ -138,6 +140,12 @@ class SynthesisConfig:
                 f"flow_order must be 'bandwidth_desc', 'bandwidth_asc' or "
                 f"'spec', got {self.flow_order!r}"
             )
+        for knob in ("search_radius_mm", "grid_step_mm"):
+            value = getattr(self, knob)
+            if not (math.isfinite(value) and value > 0):
+                raise SpecError(
+                    f"{knob} must be a finite positive number, got {value}"
+                )
         if self.floorplanner not in ("custom", "constrained"):
             raise SpecError(
                 f"floorplanner must be 'custom' or 'constrained', "

@@ -467,7 +467,7 @@ class FloorplanStage(Stage):
     recompute positions and wire lengths from the final placement."""
 
     name = "floorplan"
-    salt = "v1"
+    salt = "v2"
     cacheable = True
     context_inputs = ("core_spec", "library")
     config_inputs = (
@@ -530,12 +530,14 @@ class FloorplanStage(Stage):
                     placed = insert_components(
                         existing,
                         new_components,
+                        layer=layer,
                         search_radius=ctx.config.search_radius_mm,
                         grid_step=ctx.config.grid_step_mm,
                     )
                 else:
                     placed = constrained_insert(
-                        existing, new_components, seed=ctx.config.seed,
+                        existing, new_components, layer=layer,
+                        seed=ctx.config.seed,
                         restarts=ctx.config.floorplan_restarts,
                         jobs=ctx.config.floorplan_jobs,  # repro: noqa[RPL102] -- parallelism knob, results-invariant (test_floorplan_jobs_fingerprint_invariant); declaring it would split the cache by jobs=
                     )

@@ -45,6 +45,7 @@ def constrained_insert(
     existing: Sequence[PlacedComponent],
     new_components: Sequence[NewComponent],
     *,
+    layer: int,
     seed: int = 0,
     moves: int = 3000,
     displacement_weight: float = 1.0,
@@ -63,12 +64,12 @@ def constrained_insert(
     ``store`` plugs a :class:`~repro.engine.store.ResultStore` into that
     fan-out so finished restarts are reused across invocations.
     """
-    layers = {c.layer for c in existing}
+    layers = {c.layer for c in existing} | {layer}
     if len(layers) > 1:
         raise FloorplanError(
-            f"constrained_insert works on a single layer, got {sorted(layers)}"
+            f"constrained_insert works on a single layer, got "
+            f"{sorted(layers)} for layer {layer}"
         )
-    layer = layers.pop() if layers else 0
 
     n_cores = len(existing)
     n_new = len(new_components)

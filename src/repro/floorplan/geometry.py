@@ -6,7 +6,7 @@ right, y up, units in millimetres.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 _EPS = 1e-9
@@ -45,10 +45,10 @@ class Rect:
         return (self.x + self.width / 2.0, self.y + self.height / 2.0)
 
     def moved_to(self, x: float, y: float) -> "Rect":
-        return replace(self, x=x, y=y)
+        return Rect(x, y, self.width, self.height)
 
     def translated(self, dx: float, dy: float) -> "Rect":
-        return replace(self, x=self.x + dx, y=self.y + dy)
+        return Rect(self.x + dx, self.y + dy, self.width, self.height)
 
     def contains_point(self, px: float, py: float) -> bool:
         return self.x - _EPS <= px <= self.x2 + _EPS and (

@@ -14,11 +14,13 @@ The routine operates on a single layer; callers loop over layers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import FloorplanError
-from repro.floorplan.geometry import Rect, rects_overlap
+from repro.floorplan.geometry import _EPS, Rect, rects_overlap
 from repro.floorplan.placement import PlacedComponent
 
 
@@ -46,6 +48,7 @@ def insert_components(
     existing: Sequence[PlacedComponent],
     new_components: Sequence[NewComponent],
     *,
+    layer: int,
     search_radius: float = 1.5,
     grid_step: float = 0.1,
     report: Optional[InsertionReport] = None,
@@ -53,9 +56,11 @@ def insert_components(
     """Insert ``new_components`` into a placed layer, removing all overlap.
 
     Args:
-        existing: Already-placed components of one layer (all same layer).
+        existing: Already-placed components of ``layer``.
         new_components: Components to add, in insertion order. As in the
             paper, earlier insertions may create gaps that later ones reuse.
+        layer: The layer being filled; every output component lands on it,
+            also when ``existing`` is empty.
         search_radius: Radius (mm) of the free-space search around the ideal
             position — "the area in which we look for free space is the same
             for all of the switches, as it is given as a constant".
@@ -66,12 +71,12 @@ def insert_components(
         A new component list: every input component (possibly displaced)
         plus the new ones, overlap-free.
     """
-    layers = {c.layer for c in existing}
+    layers = {c.layer for c in existing} | {layer}
     if len(layers) > 1:
         raise FloorplanError(
-            f"insert_components works on a single layer, got layers {sorted(layers)}"
+            f"insert_components works on a single layer, got layers "
+            f"{sorted(layers)} for layer {layer}"
         )
-    layer = layers.pop() if layers else 0
     if report is None:
         report = InsertionReport()
 
@@ -111,6 +116,35 @@ def insert_components(
 # internals
 # --------------------------------------------------------------------------
 
+#: Margin (mm) added on every side of the search window before dropping
+#: the placed rects that cannot reach it, so the prefilter stays
+#: conservative whatever the rounding of ``x + dx``.
+_WINDOW_SLACK = 1e-6
+
+
+@lru_cache(maxsize=16)
+def _search_offsets(
+    search_radius: float, grid_step: float
+) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
+    """The candidate grid around the ideal position, nearest first.
+
+    Returns ``(reach, offsets)``: ``reach`` is the largest ``|dx|`` or
+    ``|dy|`` in the table, ``|steps * grid_step|``. It can exceed
+    ``search_radius`` when the step does not divide the radius. The offsets
+    exclude ``(0, 0)`` and are sorted by ``(|dx| + |dy|, dx, dy)``.
+    """
+    steps = max(1, int(math.ceil(search_radius / grid_step)))
+    offsets = []
+    for i in range(-steps, steps + 1):
+        for j in range(-steps, steps + 1):
+            if i == 0 and j == 0:
+                continue
+            dx, dy = i * grid_step, j * grid_step
+            offsets.append((abs(dx) + abs(dy), dx, dy))
+    offsets.sort()
+    return abs(steps * grid_step), tuple((dx, dy) for _d, dx, dy in offsets)
+
+
 def _find_free_spot(
     target: Rect,
     placed: Sequence[Rect],
@@ -124,32 +158,50 @@ def _find_free_spot(
     so the first hit is the closest free spot at that resolution. The grid
     (rather than a sparse ring scan) matters in tightly packed floorplans,
     where the only free space is thin slivers between cores.
-    """
-    if not _overlaps_any(target, placed):
-        return target
 
-    steps = max(1, int(math.ceil(search_radius / grid_step)))
-    offsets = []
-    for i in range(-steps, steps + 1):
-        for j in range(-steps, steps + 1):
-            if i == 0 and j == 0:
-                continue
-            dx, dy = i * grid_step, j * grid_step
-            offsets.append((abs(dx) + abs(dy), dx, dy))
-    offsets.sort()
-    for _dist, dx, dy in offsets:
-        x = target.x + dx
-        y = target.y + dy
+    Only the placed rects that can reach the search window are tested, on
+    raw floats with the comparisons of :func:`rects_overlap`.
+    """
+    tx, ty, w, h = target.x, target.y, target.width, target.height
+    reach, offsets = _search_offsets(search_radius, grid_step)
+    lo_x = tx - reach - _WINDOW_SLACK
+    hi_x = tx + reach + w + _WINDOW_SLACK
+    lo_y = ty - reach - _WINDOW_SLACK
+    hi_y = ty + reach + h + _WINDOW_SLACK
+    near = []
+    for r in placed:
+        x2, y2 = r.x2, r.y2
+        if x2 > lo_x and r.x < hi_x and y2 > lo_y and r.y < hi_y:
+            near.append((r.x + _EPS, x2, r.y + _EPS, y2))
+
+    if not _hits(tx, ty, tx + w, ty + h, near):
+        return target
+    for dx, dy in offsets:
+        x = tx + dx
+        y = ty + dy
         if x < 0 or y < 0:
             continue
-        candidate = target.moved_to(x, y)
-        if not _overlaps_any(candidate, placed):
-            return candidate
+        if not _hits(x, y, x + w, y + h, near):
+            return Rect(x, y, w, h)
     return None
 
 
-def _overlaps_any(rect: Rect, placed: Sequence[Rect]) -> bool:
-    return any(rects_overlap(rect, other) for other in placed)
+def _hits(
+    x: float,
+    y: float,
+    x2: float,
+    y2: float,
+    near: Sequence[Tuple[float, float, float, float]],
+) -> bool:
+    """Whether the rect spanning ``[x, x2] x [y, y2]`` overlaps any rect of
+    ``near``, each given as ``(x + eps, x2, y + eps, y2)``: the comparisons
+    of :func:`rects_overlap`, on the same float values."""
+    x_eps = x + _EPS
+    y_eps = y + _EPS
+    for rx_eps, rx2, ry_eps, ry2 in near:
+        if x_eps < rx2 and rx_eps < x2 and y_eps < ry2 and ry_eps < y2:
+            return True
+    return False
 
 
 def _displace(rects: List[Rect], new_index: int) -> None:
@@ -175,19 +227,19 @@ def _cascade(
     ``new_index`` never moves. Pushes strictly increase the pushed
     coordinate, so the cascade terminates.
     """
-    working = {i: r for i, r in enumerate(rects)}
+    working = list(rects)
     total = 0.0
     # Worklist of blocks that may overlap something and must be checked
     # against all others; start from the inserted block.
-    frontier = [new_index]
+    frontier = deque([new_index])
     guard = 0
     while frontier:
         guard += 1
         if guard > 10_000:
             raise FloorplanError("displacement cascade failed to converge")
-        pusher = frontier.pop(0)
+        pusher = frontier.popleft()
         pr = working[pusher]
-        for idx in sorted(working):
+        for idx in range(len(working)):
             if idx == pusher or idx == new_index:
                 continue
             r = working[idx]
@@ -202,6 +254,7 @@ def _cascade(
                 total += shift
                 frontier.append(idx)
     changed = {
-        i: r for i, r in working.items() if r is not rects[i] and i != new_index
+        i: r for i, r in enumerate(working)
+        if r is not rects[i] and i != new_index
     }
     return total, changed

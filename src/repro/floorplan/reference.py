@@ -1,19 +1,24 @@
-"""Frozen pre-optimisation floorplan annealing: the naive baselines.
+"""Frozen pre-optimisation floorplanning: the naive baselines.
 
 This module preserves, verbatim, the two annealing loops as they existed
 before the :class:`~repro.floorplan.engine._AnnealState` overhaul: every
 move rebuilds a validated :class:`SequencePair`, reruns the full numpy
 longest-path packing via :func:`seqpair_to_positions` and re-sums every
-net. It exists for two reasons (the :mod:`repro.engine.reference` pattern):
+net. It also preserves the custom NoC inserter as it was before the
+window prefilter: every grid offset is tested against every placed rect.
+It exists for two reasons (the :mod:`repro.engine.reference` pattern):
 
 * **regression** — tests assert the incremental
   :func:`repro.floorplan.annealer.anneal_floorplan` and
   :func:`repro.floorplan.constrained.constrained_insert` produce
-  *bit-identical* accepted-move trajectories and final floorplans;
+  *bit-identical* accepted-move trajectories and final floorplans, and
+  that :func:`repro.floorplan.inserter.insert_components` places every
+  component exactly where :func:`naive_insert_components` does;
 * **benchmarking** — ``benchmarks/bench_floorplan_anneal.py`` asserts the
-  incremental annealer's moves-per-second floor against this module, and
-  the claim only means something against the genuine old code (the
-  end-to-end benchmark, ``python3 perfbench/run.py``, times the flow).
+  incremental annealer's moves-per-second floor and the inserter's
+  speedup floor against this module, and the claims only mean something
+  against the genuine old code (the end-to-end benchmark,
+  ``python3 perfbench/run.py``, times the flow).
 
 The unchanged substrate (:class:`SequencePair`, :func:`seqpair_to_positions`,
 :func:`positions_to_seqpair`) is shared with the optimised modules — it was
@@ -29,8 +34,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FloorplanError
 from repro.floorplan.annealer import AnchorNets, FloorplanResult, PairNets
-from repro.floorplan.geometry import Rect
-from repro.floorplan.inserter import NewComponent
+from repro.floorplan.geometry import Rect, rects_overlap
+from repro.floorplan.inserter import InsertionReport, NewComponent
 from repro.floorplan.placement import PlacedComponent
 from repro.floorplan.sequence_pair import (
     SequencePair,
@@ -309,3 +314,171 @@ def _relocate_new_block(
         negative.remove(block)
         negative.insert(rng.randrange(len(negative) + 1), block)
     return SequencePair(positive=tuple(positive), negative=tuple(negative))
+
+
+# --------------------------------------------------------------------------
+# the naive custom NoC inserter (pre-prefilter insert_components, verbatim)
+# --------------------------------------------------------------------------
+
+def naive_insert_components(
+    existing: Sequence[PlacedComponent],
+    new_components: Sequence[NewComponent],
+    *,
+    search_radius: float = 1.5,
+    grid_step: float = 0.1,
+    report: Optional[InsertionReport] = None,
+) -> List[PlacedComponent]:
+    """Custom NoC insertion with the pre-prefilter hot path (reference).
+
+    Verbatim ``insert_components`` from before the window prefilter,
+    including its layer guess for an empty ``existing``.
+
+    Args:
+        existing: Already-placed components of one layer (all same layer).
+        new_components: Components to add, in insertion order. As in the
+            paper, earlier insertions may create gaps that later ones reuse.
+        search_radius: Radius (mm) of the free-space search around the ideal
+            position — "the area in which we look for free space is the same
+            for all of the switches, as it is given as a constant".
+        grid_step: Resolution of the candidate-position search.
+        report: Optional statistics accumulator.
+
+    Returns:
+        A new component list: every input component (possibly displaced)
+        plus the new ones, overlap-free.
+    """
+    layers = {c.layer for c in existing}
+    if len(layers) > 1:
+        raise FloorplanError(
+            f"insert_components works on a single layer, got layers {sorted(layers)}"
+        )
+    layer = layers.pop() if layers else 0
+    if report is None:
+        report = InsertionReport()
+
+    names = [c.name for c in existing]
+    kinds = [c.kind for c in existing]
+    rects = [c.rect for c in existing]
+    original = {c.name: c.rect for c in existing}
+
+    for comp in new_components:
+        ideal_x = max(0.0, comp.ideal_center[0] - comp.width / 2.0)
+        ideal_y = max(0.0, comp.ideal_center[1] - comp.height / 2.0)
+        target = Rect(ideal_x, ideal_y, comp.width, comp.height)
+
+        spot = _naive_find_free_spot(target, rects, search_radius, grid_step)
+        if spot is not None:
+            rects.append(spot)
+            report.placed_free += 1
+        else:
+            rects.append(target)
+            _naive_displace(rects, len(rects) - 1)
+            report.placed_by_displacement += 1
+        names.append(comp.name)
+        kinds.append(comp.kind)
+
+    for name, rect in zip(names, rects):
+        if name in original:
+            old = original[name]
+            report.total_displacement += abs(rect.x - old.x) + abs(rect.y - old.y)
+
+    return [
+        PlacedComponent(name=n, kind=k, rect=r, layer=layer)
+        for n, k, r in zip(names, kinds, rects)
+    ]
+
+
+def _naive_find_free_spot(
+    target: Rect,
+    placed: Sequence[Rect],
+    search_radius: float,
+    grid_step: float,
+) -> Optional[Rect]:
+    """Nearest overlap-free position for ``target`` within the search radius.
+
+    Candidate offsets form a grid of pitch ``grid_step`` over the search
+    square, visited in increasing Manhattan distance from the ideal position,
+    so the first hit is the closest free spot at that resolution. The grid
+    (rather than a sparse ring scan) matters in tightly packed floorplans,
+    where the only free space is thin slivers between cores.
+    """
+    if not _naive_overlaps_any(target, placed):
+        return target
+
+    steps = max(1, int(math.ceil(search_radius / grid_step)))
+    offsets = []
+    for i in range(-steps, steps + 1):
+        for j in range(-steps, steps + 1):
+            if i == 0 and j == 0:
+                continue
+            dx, dy = i * grid_step, j * grid_step
+            offsets.append((abs(dx) + abs(dy), dx, dy))
+    offsets.sort()
+    for _dist, dx, dy in offsets:
+        x = target.x + dx
+        y = target.y + dy
+        if x < 0 or y < 0:
+            continue
+        candidate = target.moved_to(x, y)
+        if not _naive_overlaps_any(candidate, placed):
+            return candidate
+    return None
+
+
+def _naive_overlaps_any(rect: Rect, placed: Sequence[Rect]) -> bool:
+    return any(rects_overlap(rect, other) for other in placed)
+
+
+def _naive_displace(rects: List[Rect], new_index: int) -> None:
+    """Resolve overlaps with ``rects[new_index]`` by cascading pushes.
+
+    Tries pushing in +x and +y, keeps the direction with the smaller total
+    displacement (the paper displaces "in the x or y direction").
+    """
+    for_x = _naive_cascade(rects, new_index, axis=0)
+    for_y = _naive_cascade(rects, new_index, axis=1)
+    chosen = for_x if for_x[0] <= for_y[0] else for_y
+    _, moved = chosen
+    for idx, rect in moved.items():
+        rects[idx] = rect
+
+
+def _naive_cascade(
+    rects: Sequence[Rect], new_index: int, axis: int
+) -> Tuple[float, dict]:
+    """Simulate pushing all conflicting blocks along ``axis`` (0=x, 1=y).
+
+    Returns (total displacement, {index: new rect}). The new component at
+    ``new_index`` never moves. Pushes strictly increase the pushed
+    coordinate, so the cascade terminates.
+    """
+    working = {i: r for i, r in enumerate(rects)}
+    total = 0.0
+    # Worklist of blocks that may overlap something and must be checked
+    # against all others; start from the inserted block.
+    frontier = [new_index]
+    guard = 0
+    while frontier:
+        guard += 1
+        if guard > 10_000:
+            raise FloorplanError("displacement cascade failed to converge")
+        pusher = frontier.pop(0)
+        pr = working[pusher]
+        for idx in sorted(working):
+            if idx == pusher or idx == new_index:
+                continue
+            r = working[idx]
+            if rects_overlap(pr, r):
+                if axis == 0:
+                    shift = pr.x2 - r.x
+                    moved = r.translated(shift, 0.0)
+                else:
+                    shift = pr.y2 - r.y
+                    moved = r.translated(0.0, shift)
+                working[idx] = moved
+                total += shift
+                frontier.append(idx)
+    changed = {
+        i: r for i, r in working.items() if r is not rects[i] and i != new_index
+    }
+    return total, changed

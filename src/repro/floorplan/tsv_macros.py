@@ -99,6 +99,7 @@ def place_tsv_macros(
             comps = insert_components(
                 comps,
                 per_layer[layer],
+                layer=layer,
                 search_radius=search_radius,
                 grid_step=grid_step,
                 report=report,

@@ -6,8 +6,8 @@ package replaces it with:
 
 * :mod:`repro.lp.model` — a small modelling layer (named variables with
   bounds, <=/>=/== constraints, linear objective);
-* :mod:`repro.lp.scipy_backend` — lowering to ``scipy.optimize.linprog``
-  (HiGHS), the solver.
+* :mod:`repro.lp.scipy_backend` — sparse lowering to
+  ``scipy.optimize.linprog`` (HiGHS), the solver.
 """
 
 from repro.lp.model import LinearProgram, Solution

@@ -1,15 +1,19 @@
 """Lowering of :class:`~repro.lp.model.LinearProgram` to scipy's HiGHS.
 
 ``solve_with_scipy`` uses ``scipy.optimize.linprog`` (HiGHS). It handles box
-bounds natively.
+bounds natively. The constraint rows are lowered to sparse
+``scipy.sparse.coo_array`` matrices, one entry per stored coefficient;
+``linprog`` converts dense and sparse input alike to CSC before handing it
+to HiGHS, so the solver sees the same matrix either way.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from repro.errors import InfeasibleLPError, LPError, UnboundedLPError
 from repro.lp.model import LinearProgram, Solution
@@ -20,30 +24,23 @@ def solve_with_scipy(lp: LinearProgram) -> Solution:
     c, rows, bounds = lp.as_arrays()
     n = len(c)
 
-    a_ub: List[List[float]] = []
-    b_ub: List[float] = []
-    a_eq: List[List[float]] = []
-    b_eq: List[float] = []
+    # (coefficients, rhs, sign): ``>=`` rows are negated into ``<=`` rows.
+    ub: List[Tuple[Dict[int, float], float, float]] = []
+    eq: List[Tuple[Dict[int, float], float, float]] = []
     for coeffs, sense, rhs in rows:
-        dense = [0.0] * n
-        for idx, coef in coeffs.items():
-            dense[idx] = coef
-        if sense == "<=":
-            a_ub.append(dense)
-            b_ub.append(rhs)
-        elif sense == ">=":
-            a_ub.append([-v for v in dense])
-            b_ub.append(-rhs)
+        if sense == "==":
+            eq.append((coeffs, rhs, 1.0))
         else:
-            a_eq.append(dense)
-            b_eq.append(rhs)
+            ub.append((coeffs, rhs, -1.0 if sense == ">=" else 1.0))
+    a_ub, b_ub = _lower(ub, n)
+    a_eq, b_eq = _lower(eq, n)
 
     result = linprog(
         c=np.asarray(c, dtype=float),
-        A_ub=np.asarray(a_ub) if a_ub else None,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=np.asarray(a_eq) if a_eq else None,
-        b_eq=np.asarray(b_eq) if b_eq else None,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=bounds,
         method="highs",
     )
@@ -54,3 +51,22 @@ def solve_with_scipy(lp: LinearProgram) -> Solution:
     if not result.success:
         raise LPError(f"linprog failed: {result.message}")
     return Solution(objective=float(result.fun), values=list(result.x))
+
+
+def _lower(
+    block: List[Tuple[Dict[int, float], float, float]], n: int
+) -> Tuple[Optional[coo_array], Optional[np.ndarray]]:
+    """One constraint block as a COO matrix with one entry per stored
+    coefficient, plus its right-hand sides; ``(None, None)`` when empty."""
+    if not block:
+        return None, None
+    row: List[int] = []
+    col: List[int] = []
+    data: List[float] = []
+    for r, (coeffs, _rhs, sign) in enumerate(block):
+        for idx, coef in coeffs.items():
+            row.append(r)
+            col.append(idx)
+            data.append(sign * coef)
+    matrix = coo_array((data, (row, col)), shape=(len(block), n))
+    return matrix, np.asarray([sign * rhs for _coeffs, rhs, sign in block])

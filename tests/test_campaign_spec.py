@@ -95,6 +95,15 @@ def test_cross_field_config_interaction_reported():
     assert "config.floorplan_restarts" in paths_of(issues)
 
 
+def test_inserter_knob_reported(tmp_path, capsys):
+    data = dict(SWEEP, config={"grid_step_mm": 0})
+    assert "config.grid_step_mm" in paths_of(validate_campaign(data))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["campaign", "validate", str(path)]) == 2
+    assert "config.grid_step_mm" in capsys.readouterr().err
+
+
 def test_sim_keys_rejected_on_sweep_and_vice_versa():
     issues = validate_campaign({"name": "x", "kind": "sweep", "seeds": [1]})
     assert any(

@@ -35,6 +35,16 @@ class TestValidation:
         # inserter is deterministic and would silently ignore them.
         {"floorplan_restarts": 2},
         {"floorplanner": "custom", "floorplan_jobs": 4},
+        # The custom inserter's search knobs: a zero or NaN step used to
+        # crash synthesis, a negative one ran silently.
+        {"grid_step_mm": 0.0},
+        {"grid_step_mm": -0.1},
+        {"grid_step_mm": float("nan")},
+        {"grid_step_mm": float("inf")},
+        {"search_radius_mm": 0.0},
+        {"search_radius_mm": -1.0},
+        {"search_radius_mm": float("nan")},
+        {"search_radius_mm": float("inf")},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(SpecError):

@@ -194,7 +194,7 @@ class TestConstrainedTrajectory:
             NewComponent("sw1", "switch", 0.3, 0.3, (4.0, 0.5)),
             NewComponent("sw2", "switch", 0.5, 0.5, (2.8, 1.4)),
         ]
-        fast = constrained_insert(cores, new, seed=seed, moves=400)
+        fast = constrained_insert(cores, new, layer=0, seed=seed, moves=400)
         slow = naive_constrained_insert(cores, new, seed=seed, moves=400)
         assert [(c.name, c.rect, c.layer) for c in fast] == \
             [(c.name, c.rect, c.layer) for c in slow]
@@ -268,10 +268,10 @@ class TestMultiStart:
             NewComponent("sw1", "switch", 0.3, 0.3, (4.2, 0.4)),
         ]
         serial = constrained_insert(
-            cores, new, seed=5, moves=250, restarts=3, jobs=1
+            cores, new, layer=0, seed=5, moves=250, restarts=3, jobs=1
         )
         parallel = constrained_insert(
-            cores, new, seed=5, moves=250, restarts=3, jobs=2
+            cores, new, layer=0, seed=5, moves=250, restarts=3, jobs=2
         )
         assert [(c.name, c.rect) for c in serial] == \
             [(c.name, c.rect) for c in parallel]
@@ -293,9 +293,11 @@ class TestMultiStart:
             for r in range(3)
         ]
         best_cost, best_sp = min(restarts, key=lambda cs: cs[0])
-        multi = constrained_insert(cores, new, seed=5, moves=250, restarts=3)
+        multi = constrained_insert(
+            cores, new, layer=0, seed=5, moves=250, restarts=3
+        )
         single_winner = constrained_insert(
-            cores, new, seed=5, moves=250, restarts=1
+            cores, new, layer=0, seed=5, moves=250, restarts=1
         ) if best_sp == restarts[0][1] else None
         from repro.floorplan.sequence_pair import seqpair_to_positions
 

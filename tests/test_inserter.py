@@ -11,6 +11,7 @@ from repro.floorplan.inserter import (
     insert_components,
 )
 from repro.floorplan.placement import ChipFloorplan, PlacedComponent
+from repro.floorplan.reference import naive_insert_components
 
 
 def _cores(*rects, layer=0):
@@ -29,7 +30,7 @@ class TestFreeSpaceSearch:
     def test_places_at_ideal_when_free(self):
         cores = _cores(Rect(0, 0, 1, 1))
         new = [NewComponent("sw0", "switch", 0.2, 0.2, ideal_center=(3.0, 3.0))]
-        out = insert_components(cores, new)
+        out = insert_components(cores, new, layer=0)
         sw = [c for c in out if c.name == "sw0"][0]
         assert sw.center == pytest.approx((3.0, 3.0))
 
@@ -38,7 +39,9 @@ class TestFreeSpaceSearch:
         cores = _cores(Rect(0, 0, 2, 2))
         new = [NewComponent("sw0", "switch", 0.3, 0.3, ideal_center=(1.0, 1.0))]
         report = InsertionReport()
-        out = insert_components(cores, new, search_radius=2.0, report=report)
+        out = insert_components(
+            cores, new, layer=0, search_radius=2.0, report=report
+        )
         assert _legal(out)
         assert report.placed_free == 1
         assert report.placed_by_displacement == 0
@@ -53,7 +56,7 @@ class TestFreeSpaceSearch:
         new = [NewComponent("sw0", "switch", 1.0, 1.0, ideal_center=(1.5, 1.5))]
         report = InsertionReport()
         out = insert_components(
-            cores, new, search_radius=0.3, grid_step=0.1, report=report
+            cores, new, layer=0, search_radius=0.3, grid_step=0.1, report=report
         )
         assert _legal(out)
         assert report.placed_by_displacement == 1
@@ -66,14 +69,23 @@ class TestFreeSpaceSearch:
             NewComponent(f"sw{k}", "switch", 0.4, 0.4, ideal_center=(2.0, 0.5))
             for k in range(3)
         ]
-        out = insert_components(cores, new, search_radius=3.0)
+        out = insert_components(cores, new, layer=0, search_radius=3.0)
         assert _legal(out)
         assert len(out) == 7
 
     def test_empty_layer(self):
         new = [NewComponent("sw0", "switch", 0.5, 0.5, ideal_center=(1.0, 1.0))]
-        out = insert_components([], new)
+        out = insert_components([], new, layer=0)
         assert len(out) == 1 and _legal(out)
+
+    def test_empty_layer_keeps_its_layer(self):
+        new = [NewComponent("sw0", "switch", 0.5, 0.5, ideal_center=(1.0, 1.0))]
+        out = insert_components([], new, layer=2)
+        assert [c.layer for c in out] == [2]
+
+    def test_existing_on_another_layer_rejected(self):
+        with pytest.raises(FloorplanError):
+            insert_components(_cores(Rect(0, 0, 1, 1), layer=1), [], layer=0)
 
     def test_mixed_layers_rejected(self):
         comps = [
@@ -81,12 +93,12 @@ class TestFreeSpaceSearch:
             PlacedComponent("b", "core", Rect(2, 0, 1, 1), 1),
         ]
         with pytest.raises(FloorplanError):
-            insert_components(comps, [])
+            insert_components(comps, [], layer=0)
 
     def test_clamps_to_nonnegative_coords(self):
         cores = _cores(Rect(0, 0, 1, 1))
         new = [NewComponent("sw0", "switch", 0.4, 0.4, ideal_center=(0.0, 0.0))]
-        out = insert_components(cores, new, search_radius=2.0)
+        out = insert_components(cores, new, layer=0, search_radius=2.0)
         sw = [c for c in out if c.name == "sw0"][0]
         assert sw.rect.x >= 0 and sw.rect.y >= 0
         assert _legal(out)
@@ -109,8 +121,172 @@ class TestInsertionProperties:
             cy = data.draw(st.floats(min_value=0.0, max_value=5.0))
             side = data.draw(st.floats(min_value=0.1, max_value=0.8))
             new.append(NewComponent(f"sw{k}", "switch", side, side, (cx, cy)))
-        out = insert_components(cores, new, search_radius=1.0, grid_step=0.25)
+        out = insert_components(
+            cores, new, layer=0, search_radius=1.0, grid_step=0.25
+        )
         assert len(out) == n_cores + n_new
         assert _legal(out)
         names = {c.name for c in out}
         assert all(f"sw{k}" in names for k in range(n_new))
+
+
+# --------------------------------------------------------------------------
+# trajectory identity against the frozen reference
+# --------------------------------------------------------------------------
+
+def _run(insert, existing, new, **kwargs):
+    """Output components and report of one insertion, or the error."""
+    report = InsertionReport()
+    try:
+        out = insert(existing, new, report=report, **kwargs)
+    except FloorplanError as exc:
+        return ("error", str(exc))
+    return out, report
+
+
+def _assert_matches_reference(existing, new, search_radius, grid_step):
+    layer = existing[0].layer if existing else 0
+    fast = _run(insert_components, existing, new, layer=layer,
+                search_radius=search_radius, grid_step=grid_step)
+    slow = _run(naive_insert_components, existing, new,
+                search_radius=search_radius, grid_step=grid_step)
+    assert fast == slow
+    return slow
+
+
+# Coordinates on 0.25 mm and 0.1 mm lattices make touching and coincident
+# edges common, some of them a rounding error apart (k * 0.1 is inexact);
+# free floats cover everything in between.
+_coord = st.one_of(
+    st.integers(min_value=0, max_value=24).map(lambda k: k * 0.25),
+    st.integers(min_value=0, max_value=60).map(lambda k: k * 0.1),
+    st.floats(min_value=0.0, max_value=6.0),
+)
+_size = st.one_of(
+    st.integers(min_value=1, max_value=8).map(lambda k: k * 0.25),
+    st.integers(min_value=1, max_value=20).map(lambda k: k * 0.1),
+    st.floats(min_value=0.05, max_value=2.0),
+)
+# Ideal centres may fall off the die on either side.
+_centre = st.one_of(
+    st.integers(min_value=-10, max_value=80).map(lambda k: k * 0.1),
+    st.floats(min_value=-1.5, max_value=8.0),
+)
+_radius = st.one_of(
+    st.sampled_from([0.3, 1.0, 1.5, 2.0]),
+    st.floats(min_value=0.05, max_value=2.0),
+)
+# 0.3, 0.4 and 0.7 do not divide most radii: the grid then reaches past
+# the radius.
+_step = st.one_of(
+    st.sampled_from([0.1, 0.25, 0.3, 0.4, 0.7]),
+    st.floats(min_value=0.1, max_value=1.0),
+)
+
+
+@st.composite
+def _layers(draw):
+    layer = draw(st.integers(min_value=0, max_value=3))
+    n_existing = draw(st.integers(min_value=0, max_value=10))
+    existing = [
+        PlacedComponent(
+            f"core{i}", "core",
+            Rect(draw(_coord), draw(_coord), draw(_size), draw(_size)), layer,
+        )
+        for i in range(n_existing)
+    ]
+    n_new = draw(st.integers(min_value=1, max_value=5))
+    new = []
+    for k in range(n_new):
+        side = draw(_size)
+        new.append(NewComponent(
+            f"sw{k}", draw(st.sampled_from(["switch", "tsv"])),
+            side, draw(st.one_of(st.just(side), _size)),
+            (draw(_centre), draw(_centre)),
+        ))
+    return existing, new
+
+
+@st.composite
+def _dense_blocks(draw):
+    """A touching k x k block of cores with components dropped inside it."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    pitch = draw(st.sampled_from([0.5, 1.0, 1.25]))
+    existing = _cores(*[
+        Rect(i * pitch, j * pitch, pitch, pitch)
+        for i in range(k) for j in range(k)
+    ])
+    inside = st.floats(min_value=0.0, max_value=k * pitch)
+    new = [
+        NewComponent(f"sw{n}", "switch", draw(_size), draw(_size),
+                     (draw(inside), draw(inside)))
+        for n in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    return existing, new
+
+
+class TestMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(layer=_layers(), search_radius=_radius, grid_step=_step)
+    def test_random_layers(self, layer, search_radius, grid_step):
+        existing, new = layer
+        _assert_matches_reference(existing, new, search_radius, grid_step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=_dense_blocks(), search_radius=st.sampled_from([0.1, 0.3]),
+           grid_step=_step)
+    def test_dense_blocks_displace(self, block, search_radius, grid_step):
+        existing, new = block
+        _assert_matches_reference(existing, new, search_radius, grid_step)
+
+    def test_displacement_path(self):
+        rects = [Rect(i, j, 1, 1) for i in range(3) for j in range(3)]
+        new = [
+            NewComponent("sw0", "switch", 1.0, 1.0, ideal_center=(1.5, 1.5)),
+            NewComponent("sw1", "switch", 0.6, 0.6, ideal_center=(0.5, 2.5)),
+        ]
+        _out, report = _assert_matches_reference(_cores(*rects), new, 0.3, 0.1)
+        assert report.placed_by_displacement == 2
+        assert report.total_displacement > 0
+
+    def test_empty_layer(self):
+        new = [
+            NewComponent("sw0", "switch", 0.5, 0.5, ideal_center=(1.0, 1.0)),
+            NewComponent("sw1", "switch", 0.5, 0.5, ideal_center=(1.1, 1.0)),
+        ]
+        _out, report = _assert_matches_reference([], new, 1.0, 0.1)
+        assert report.placed_free == 2
+
+    def test_edges_within_eps_touch(self):
+        # The core's right edge is 0.5 nm past the target's left edge:
+        # closer than the overlap tolerance, so the ideal spot is free.
+        core = Rect(0.0, 0.0, 0.75 + 5e-10, 1.0)
+        new = [NewComponent("sw0", "switch", 0.5, 0.5, ideal_center=(1.0, 0.5))]
+        out, report = _assert_matches_reference(_cores(core), new, 1.0, 0.1)
+        assert report.placed_free == 1
+        assert out[-1].rect == Rect(0.75, 0.25, 0.5, 0.5)
+
+    def test_rect_clipping_the_outermost_column(self):
+        # ``wall`` blocks every column but the leftmost (dx = -1.0), and
+        # ``sliver`` overlaps that column by 0.01 mm: the prefilter must
+        # keep a rect that only reaches the window's edge.
+        wall = Rect(4.5, 0.0, 6.0, 10.0)
+        sliver = Rect(3.0, 0.0, 1.01, 10.0)
+        new = [NewComponent("sw0", "switch", 0.5, 0.5, ideal_center=(5.25, 5.25))]
+        _out, report = _assert_matches_reference(
+            _cores(wall, sliver), new, 1.0, 0.5
+        )
+        assert report.placed_by_displacement == 1
+
+    def test_grid_reaching_past_the_radius(self):
+        # Radius 1.0 with step 0.3: the grid's outermost offset is 1.2.
+        # The only column clear of ``wall`` is at dx = +1.2, and ``post``
+        # overlaps it by 0.01 mm. A prefilter sized by the radius instead
+        # of the grid would drop ``post`` and accept that column.
+        wall = Rect(0.0, 0.0, 6.15, 10.0)
+        post = Rect(6.69, 0.0, 1.0, 10.0)
+        new = [NewComponent("sw0", "switch", 0.5, 0.5, ideal_center=(5.25, 5.25))]
+        _out, report = _assert_matches_reference(
+            _cores(wall, post), new, 1.0, 0.3
+        )
+        assert report.placed_by_displacement == 1

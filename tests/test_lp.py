@@ -1,5 +1,5 @@
 """LP modelling layer (repro.lp), every case solved by HiGHS and by the
-dense simplex oracle."""
+dense simplex oracle; the sparse lowering pinned to the dense one."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import InfeasibleLPError, LPError, UnboundedLPError
 from repro.lp.model import LinearProgram
 
+from _dense_lowering import solve_with_dense_scipy
 from _simplex import solve_simplex, solve_with_simplex
 
 SOLVERS = (
@@ -174,3 +175,102 @@ class TestBackendsAgree:
         sol_a = lp_a.solve()
         sol_b = solve_with_simplex(lp_b)
         assert sol_a.objective == pytest.approx(sol_b.objective, abs=1e-6)
+
+
+def _outcome(solve, lp):
+    """The solution, or the error type and message."""
+    try:
+        return solve(lp)
+    except LPError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_lowerings_agree(lp):
+    sparse = _outcome(LinearProgram.solve, lp)
+    assert sparse == _outcome(solve_with_dense_scipy, lp)
+    return sparse
+
+
+class TestSparseLoweringMatchesDense:
+    """The sparse lowering hands HiGHS the same CSC matrix as the dense
+    one did, so every outcome is bit-identical, errors included."""
+
+    def test_d26_media_placement_lps(self, monkeypatch):
+        from repro.bench.registry import get_benchmark
+        from repro.core.config import SynthesisConfig
+        from repro.core.pipeline import FlowContext, run_synthesis
+
+        programs = []
+        solve = LinearProgram.solve
+
+        def record(lp):
+            programs.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(LinearProgram, "solve", record)
+        bench = get_benchmark("d26_media")
+        run_synthesis(FlowContext.build(
+            bench.core_spec_3d, bench.comm_spec, None, SynthesisConfig()
+        ), jobs=1)
+        monkeypatch.setattr(LinearProgram, "solve", solve)
+        assert len(programs) > 10
+        for lp in programs:
+            _assert_lowerings_agree(lp)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_mixed_sense_lps(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        lp = LinearProgram()
+        bound = st.one_of(st.none(), st.integers(min_value=-5, max_value=5))
+        xs = []
+        for i in range(n):
+            low, high = data.draw(bound), data.draw(bound)
+            if low is not None and high is not None and low > high:
+                low, high = high, low
+            xs.append(lp.add_variable(f"x{i}", low=low, high=high))
+        coeff = st.one_of(
+            st.integers(min_value=-3, max_value=3),
+            st.floats(min_value=-4.0, max_value=4.0),
+        )
+        # Zero coefficients are dropped, so some rows end up all-zero.
+        for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+            row = {
+                x: data.draw(coeff)
+                for x in data.draw(st.lists(st.sampled_from(xs), unique=True))
+            }
+            sense = data.draw(st.sampled_from(["<=", ">=", "=="]))
+            rhs = data.draw(st.integers(min_value=-10, max_value=10))
+            lp.add_constraint(row, sense, float(rhs))
+        lp.set_objective({x: data.draw(coeff) for x in xs})
+        _assert_lowerings_agree(lp)
+
+    def test_no_rows(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", low=1.0, high=3.0)
+        lp.set_objective({x: 2.0})
+        assert _assert_lowerings_agree(lp).values == [1.0]
+
+    def test_eq_only(self):
+        lp = LinearProgram()
+        x, y = lp.add_variable("x"), lp.add_variable("y")
+        lp.add_constraint({x: 1.0, y: 2.0}, "==", 4.0)
+        lp.add_constraint({x: 1.0, y: -1.0}, "==", 1.0)
+        lp.set_objective({x: 1.0})
+        assert _assert_lowerings_agree(lp).values == pytest.approx([2.0, 1.0])
+
+    def test_infeasible_all_zero_row(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x")
+        lp.add_constraint({x: 0.0}, ">=", 1.0)
+        lp.set_objective({x: 1.0})
+        error, _message = _assert_lowerings_agree(lp)
+        assert error is InfeasibleLPError
+
+    def test_unbounded(self):
+        lp = LinearProgram()
+        x, y = lp.add_variable("x", low=None), lp.add_variable("y")
+        lp.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0)
+        lp.set_objective({x: 1.0})
+        error, _message = _assert_lowerings_agree(lp)
+        assert error is UnboundedLPError

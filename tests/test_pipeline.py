@@ -10,6 +10,7 @@ from repro.core.design_point import SynthesisResult
 from repro.core.pipeline import (
     DEFAULT_STAGE_NAMES,
     CandidateOutcome,
+    FloorplanStage,
     FlowContext,
     Pipeline,
     StageTimings,
@@ -21,6 +22,7 @@ from repro.core.synthesis import SunFloor3D, synthesize
 from repro.errors import SynthesisError
 from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import ChipFloorplan, PlacedComponent
+from repro.models.library import default_library
 from repro.noc.topology import Topology
 from repro.spec.core_spec import Core, CoreSpec
 
@@ -200,6 +202,26 @@ class TestVerticalLinkSpecs:
         assert len(specs) == 2  # injection + ejection both span 2 layers
         assert all(s.top_center == (2.5, 3.5) for s in specs)
         assert all((s.lo_layer, s.hi_layer) == (0, 2) for s in specs)
+
+
+class TestFloorplanStage:
+    @pytest.mark.parametrize("floorplanner", ["custom", "constrained"])
+    def test_switch_on_coreless_layer_keeps_its_layer(self, floorplanner):
+        # Cores on layers 0 and 2 only; the switch on layer 1 sits right
+        # above core C0 and must not be inserted into layer 0.
+        core_spec = CoreSpec(cores=[
+            Core("C0", 2, 2, 0, 0, 0), Core("C2", 2, 2, 0, 0, 2),
+        ])
+        topo = Topology(frequency_mhz=400.0, width_bits=32)
+        sw = topo.add_switch(layer=1, is_indirect=True)
+        sw.x, sw.y = 1.0, 1.0
+        ctx = SimpleNamespace(
+            core_spec=core_spec, library=default_library(),
+            config=SynthesisConfig(floorplanner=floorplanner),
+        )
+        floorplan = FloorplanStage()._insert_noc(ctx, topo)
+        assert floorplan.by_name("sw0").layer == 1
+        assert floorplan.is_legal()
 
 
 class TestCompatibilityWrappers:

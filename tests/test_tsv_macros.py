@@ -97,3 +97,17 @@ class TestPlaceTsvMacros:
         assert {c.name for c in out.of_kind("core")} == {
             c.name for c in fp.of_kind("core")
         }
+
+    def test_macro_on_coreless_layer_keeps_its_layer(self):
+        # Cores on layers 0 and 2 only: the intermediate macro of a 0->2
+        # link must land on layer 1, not on layer 0 on top of core0.
+        fp = ChipFloorplan()
+        fp.add(PlacedComponent("core0", "core", Rect(0, 0, 2, 2), 0))
+        fp.add(PlacedComponent("core2", "core", Rect(0, 0, 2, 2), 2))
+        out = place_tsv_macros(
+            fp, [VerticalLinkSpec("l", 0, 2, (1.0, 1.0))], TsvModel(), 32
+        )
+        macro = out.by_name("tsv:l:L1")
+        assert macro.layer == 1
+        assert macro.center == pytest.approx((1.0, 1.0))
+        assert out.is_legal()
