@@ -29,9 +29,9 @@ help:
 	@echo "                    the campaign service killed and resumed"
 	@echo "  make serve-smoke- end-to-end campaign service smoke (submit,"
 	@echo "                    drain, journal/store consistency)"
-	@echo "  make benchmarks - paper-figure harness + the floorplan and"
-	@echo "                    simulator floors against their frozen"
-	@echo "                    references (slow)"
+	@echo "  make benchmarks - paper-figure harness + the floorplan,"
+	@echo "                    simulator and store-fingerprint floors"
+	@echo "                    against their frozen references (slow)"
 	@echo "end-to-end benchmark: python3 perfbench/run.py --all"
 	@echo "                    (see perfbench/README.md)"
 
@@ -85,9 +85,10 @@ chaos:
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
-# The paper-figure benchmark harness plus the two layer floors
-# (bench_floorplan_anneal.py, bench_simulator.py: optimised layer vs its
-# frozen reference), slow. Explicit file list: bench_*.py does not match
+# The paper-figure benchmark harness plus the three layer floors
+# (bench_floorplan_anneal.py, bench_simulator.py,
+# bench_store_fingerprint.py: optimised layer vs its frozen reference),
+# slow. Explicit file list: bench_*.py does not match
 # pytest's default test-file pattern.
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

@@ -38,7 +38,7 @@ package fans them across a process pool:
 * :mod:`repro.engine.profile` — :class:`Timer`, the wall-clock stopwatch
   for timing metadata;
 * :mod:`repro.engine.reference` — the frozen pre-optimisation routing
-  baseline (regression oracle).
+  baseline and unmemoised store fingerprint (regression oracles).
 
 Quickstart::
 

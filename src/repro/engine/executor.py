@@ -116,7 +116,10 @@ def run_tasks(
             first (in submission order); misses run normally and are
             written to the store *as they complete* (incremental
             checkpointing), errors and pre-skipped tasks excluded. Merged
-            results are bit-identical with and without a store.
+            results are bit-identical with and without a store. Task
+            payloads must not be mutated during the call: a miss is
+            fingerprinted at lookup and filed under that address after
+            it runs, and each shared payload is encoded once per call.
         supervision: Optional :class:`~repro.engine.supervise.Supervision`
             — retries, per-task deadline and ``on_error`` mode. ``None``
             means no retries, no deadline, supervision errors raise.
@@ -128,6 +131,9 @@ def run_tasks(
     results: List[Optional[TaskResult]] = [None] * total
     todo: List[Tuple[int, SynthesisTask]] = []
     misses: Dict[int, _Miss] = {}
+    # Encoded payload fields by identity, shared by every fingerprint of
+    # this call only (see store._fingerprint).
+    memo: dict = {}
     done = 0
 
     def finish(i: int, result: TaskResult) -> None:
@@ -142,7 +148,7 @@ def run_tasks(
             progress(done, total, tasks[i].key)
 
     for i, task in enumerate(tasks):
-        found = _lookup(store, task) if store is not None else None
+        found = _lookup(store, task, memo) if store is not None else None
         if isinstance(found, TaskResult):
             finish(i, found)
             continue
@@ -219,7 +225,7 @@ class _Miss:
         return result
 
 
-def _lookup(store, task) -> Union[TaskResult, _Miss]:
+def _lookup(store, task, memo: dict) -> Union[TaskResult, _Miss]:
     """Serve ``task`` from ``store``: its cached result, or the miss to run.
 
     A task exposing ``expand_for_store()`` / ``narrow(indices)`` (e.g.
@@ -229,16 +235,17 @@ def _lookup(store, task) -> Union[TaskResult, _Miss]:
     a worker, and a partial hit is narrowed to just its missing sub-tasks,
     whose payloads are checkpointed under the *sub-task* fingerprints — so
     warm caches and resume behave identically whether the campaign ran
-    batched or solo.
+    batched or solo. Every fingerprint shares the call's ``memo``, so a
+    payload shared by sub-tasks (or tasks) is encoded once.
     """
     expand = getattr(task, "expand_for_store", None)
     if expand is None:
-        fp = store.fingerprint(task)
+        fp = store._fingerprint(task, memo)
         entry = store.get(fp)
         if entry is None:
             return _Miss(task, fingerprint=fp)
         return TaskResult(key=task.key, result=entry.payload, cached=True)
-    sub_fps = [store.fingerprint(sub) for sub in expand()]
+    sub_fps = [store._fingerprint(sub, memo) for sub in expand()]
     entries = [store.get(sub_fp) for sub_fp in sub_fps]
     payloads = [None if e is None else e.payload for e in entries]
     missing = tuple(j for j, e in enumerate(entries) if e is None)

@@ -1,4 +1,4 @@
-"""Frozen pre-optimisation routing: the naive Algorithm 3 baseline.
+"""Frozen pre-optimisation engine paths: naive routing and fingerprinting.
 
 This module preserves, verbatim, the routing hot path as it existed before
 the :class:`~repro.core.paths._RoutingContext` overhaul: a Dijkstra that
@@ -16,13 +16,25 @@ indirect-switch inserter) are shared with :mod:`repro.core.paths` — they
 were not touched by the optimisation, so sharing keeps the baseline honest
 without duplicating them.
 
+:func:`naive_fingerprint_task` is the store's content addressing as it
+existed before :func:`repro.engine.store.fingerprint_task` learned to
+encode a payload shared by many tasks once per executor call: every task
+re-encodes every field. Tests assert the live addresses are
+byte-identical to it (for dicts whose keys sort — this copy keeps the old
+insertion-order fallback for unorderable keys), so a store written by
+either serves the other. Salt resolution and the excluded field names
+are shared with :mod:`repro.engine.store`.
+
 Do not "optimise" this module.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import hashlib
 import heapq
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.config import SynthesisConfig
 from repro.core.paths import (
@@ -34,7 +46,8 @@ from repro.core.paths import (
     _pick_ban_edge,
     _try_add_indirect_switch,
 )
-from repro.errors import PathComputationError
+from repro.engine.store import _NON_CONTENT_FIELDS, resolve_salt
+from repro.errors import PathComputationError, StoreError
 from repro.graphs.comm_graph import CommGraph
 from repro.models.library import NocLibrary
 from repro.noc.topology import Topology, switch_ep
@@ -300,3 +313,166 @@ def naive_compute_paths(
     over = topology.check_capacity(config.utilisation_cap)
     if over:
         raise PathComputationError(f"links over capacity after routing: {over}")
+
+
+# --------------------------------------------------------------------------
+# frozen store fingerprinting
+# --------------------------------------------------------------------------
+
+def _feed(h, obj: Any) -> None:
+    """Fold ``obj`` into digest ``h`` via a canonical type-tagged encoding.
+
+    Every value is emitted as a type tag plus a length-prefixed payload, so
+    distinct structures can never collide by concatenation (``("ab", "c")``
+    vs ``("a", "bc")``). Dicts and sets are encoded in sorted-key order when
+    their keys are orderable (falling back to insertion order), so logically
+    equal containers built in different orders still fingerprint equal.
+    """
+    if obj is None:
+        h.update(b"N;")
+    elif obj is True:
+        h.update(b"T;")
+    elif obj is False:
+        h.update(b"F;")
+    elif isinstance(obj, enum.Enum):
+        # Before the int branch: an IntEnum member must not fingerprint
+        # as its plain integer value — same digest, different semantics.
+        _feed_tagged(h, b"E", _type_tag(obj), obj.name)
+    elif isinstance(obj, int):
+        data = str(obj).encode()
+        h.update(b"i%d:" % len(data) + data)
+    elif isinstance(obj, float):
+        data = repr(obj).encode()  # shortest round-trip repr: stable
+        h.update(b"f%d:" % len(data) + data)
+    elif isinstance(obj, str):
+        data = obj.encode("utf-8")
+        h.update(b"s%d:" % len(data) + data)
+    elif isinstance(obj, bytes):
+        h.update(b"b%d:" % len(obj) + obj)
+    elif isinstance(obj, (tuple, list)):
+        h.update(b"(%d:" % len(obj))
+        for item in obj:
+            _feed(h, item)
+        h.update(b")")
+    elif isinstance(obj, dict):
+        h.update(b"{%d:" % len(obj))
+        for key, value in _ordered(obj.items()):
+            _feed(h, key)
+            _feed(h, value)
+        h.update(b"}")
+    elif isinstance(obj, (set, frozenset)):
+        h.update(b"<%d:" % len(obj))
+        for item in _ordered_values(obj):
+            _feed(h, item)
+        h.update(b">")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        h.update(b"D")
+        _feed(h, _type_tag(obj))
+        # A dataclass may declare results-invariant fields (parallelism
+        # knobs etc.) in ``__fingerprint_exclude__``; they must not split
+        # the cache for computations that are bit-identical regardless.
+        exclude = getattr(type(obj), "__fingerprint_exclude__", ())
+        for f in dataclasses.fields(obj):
+            if f.name in exclude:
+                continue
+            _feed(h, f.name)
+            _feed(h, getattr(obj, f.name))
+        h.update(b";")
+    elif _is_ndarray(obj):
+        h.update(b"A")
+        _feed(h, str(obj.dtype))
+        _feed(h, tuple(obj.shape))
+        data = obj.tobytes()
+        h.update(b"%d:" % len(data) + data)
+    elif hasattr(obj, "__dict__") and not callable(obj):
+        # Plain value object (e.g. a stateless Stage instance): class
+        # identity plus its instance attributes, sorted by name.
+        h.update(b"O")
+        _feed(h, _type_tag(obj))
+        for name in sorted(vars(obj)):
+            _feed(h, name)
+            _feed(h, vars(obj)[name])
+        h.update(b";")
+    else:
+        text = repr(obj)
+        if " at 0x" in text:
+            raise StoreError(
+                f"cannot fingerprint {type(obj).__qualname__} instances "
+                "(no stable representation)"
+            )
+        _feed_tagged(h, b"r", _type_tag(obj), text)
+
+
+def _type_tag(obj: Any) -> str:
+    """Module-qualified class identity: same-named value classes from
+    different modules must never share a fingerprint."""
+    cls = type(obj)
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def _feed_tagged(h, tag: bytes, *parts: str) -> None:
+    h.update(tag)
+    for part in parts:
+        data = part.encode("utf-8")
+        h.update(b"%d:" % len(data) + data)
+    h.update(b";")
+
+
+def _is_ndarray(obj: Any) -> bool:
+    cls = type(obj)
+    return cls.__module__ == "numpy" and cls.__name__ == "ndarray"
+
+
+def _ordered(items):
+    try:
+        return sorted(items)
+    except TypeError:
+        return list(items)
+
+
+def _ordered_values(values):
+    try:
+        return sorted(values)
+    except TypeError:
+        # Unorderable set members: order by their own encoding for a
+        # construction-order-independent digest.
+        def enc(value):
+            h = hashlib.sha256()
+            _feed(h, value)
+            return h.digest()
+
+        return sorted(values, key=enc)
+
+
+def naive_fingerprint_task(task: Any, *, salt: Optional[str] = None) -> str:
+    """The content address of one engine task, every field encoded afresh.
+
+    Folds the task's type name, its value fields (minus caller labels and
+    run-local handles) and the code-version ``salt`` into a SHA-256 hex
+    digest. Raises :class:`~repro.errors.StoreError` when a field has no
+    stable representation.
+
+    A task class may declare ``__fingerprint_delegate__ = "<field>"`` to
+    fingerprint as the task held in that field — fault-injection wrappers
+    (:class:`~repro.engine.faults.FaultyTask`) use this so a chaos run
+    shares content addresses with a clean one.
+    """
+    delegate = getattr(type(task), "__fingerprint_delegate__", None)
+    if delegate is not None:
+        return naive_fingerprint_task(getattr(task, delegate), salt=salt)
+    if not dataclasses.is_dataclass(task) or isinstance(task, type):
+        raise StoreError(
+            f"tasks must be dataclass instances, got {type(task).__qualname__}"
+        )
+    h = hashlib.sha256()
+    _feed(h, resolve_salt(salt))
+    _feed(h, type(task).__qualname__)
+    exclude = _NON_CONTENT_FIELDS.union(
+        getattr(type(task), "__fingerprint_exclude__", ())
+    )
+    for f in dataclasses.fields(task):
+        if f.name in exclude:
+            continue
+        _feed(h, f.name)
+        _feed(h, getattr(task, f.name))
+    return h.hexdigest()

@@ -101,8 +101,9 @@ def _feed(h, obj: Any) -> None:
     Every value is emitted as a type tag plus a length-prefixed payload, so
     distinct structures can never collide by concatenation (``("ab", "c")``
     vs ``("a", "bc")``). Dicts and sets are encoded in sorted-key order when
-    their keys are orderable (falling back to insertion order), so logically
-    equal containers built in different orders still fingerprint equal.
+    their keys are orderable (falling back to the order of the keys' own
+    encodings), so logically equal containers built in different orders
+    still fingerprint equal.
     """
     if obj is None:
         h.update(b"N;")
@@ -203,7 +204,9 @@ def _ordered(items):
     try:
         return sorted(items)
     except TypeError:
-        return list(items)
+        # Unorderable dict keys: order by the keys' own encoding, as
+        # _ordered_values does for set members.
+        return sorted(items, key=lambda item: _encoding(item[0]))
 
 
 def _ordered_values(values):
@@ -212,12 +215,25 @@ def _ordered_values(values):
     except TypeError:
         # Unorderable set members: order by their own encoding for a
         # construction-order-independent digest.
-        def enc(value):
-            h = hashlib.sha256()
-            _feed(h, value)
-            return h.digest()
+        return sorted(values, key=_encoding)
 
-        return sorted(values, key=enc)
+
+def _encoding(value: Any) -> bytes:
+    h = hashlib.sha256()
+    _feed(h, value)
+    return h.digest()
+
+
+class _Chunks(list):
+    """A :func:`_feed` target that keeps the encoded bytes instead of
+    hashing them; SHA-256 is a stream, so feeding ``b"".join(chunks)``
+    later gives the digest of feeding the value directly."""
+
+    update = list.append
+
+
+#: Field values cheap enough to encode inline, never memoised.
+_ATOMS = (type(None), bool, int, float, str, bytes)
 
 
 def fingerprint_task(task: Any, *, salt: Optional[str] = None) -> str:
@@ -233,9 +249,23 @@ def fingerprint_task(task: Any, *, salt: Optional[str] = None) -> str:
     (:class:`~repro.engine.faults.FaultyTask`) use this so a chaos run
     shares content addresses with a clean one.
     """
+    return _fingerprint(task, salt, {})
+
+
+def _fingerprint(task: Any, salt: Optional[str], memo: dict) -> str:
+    """:func:`fingerprint_task` with an identity memo of encoded fields.
+
+    ``memo`` maps ``id(value)`` to ``(value, encoding)`` for every
+    top-level non-atom field value already encoded, so tasks sharing one
+    payload object (the replications of a batch share a ``Topology``)
+    encode it once. The memo holds the value, so its ``id`` cannot be
+    reused, and the digest is byte-identical to an unmemoised one. Sound
+    only while no memoised value is mutated: the caller scopes it to one
+    :func:`~repro.engine.executor.run_tasks` call.
+    """
     delegate = getattr(type(task), "__fingerprint_delegate__", None)
     if delegate is not None:
-        return fingerprint_task(getattr(task, delegate), salt=salt)
+        return _fingerprint(getattr(task, delegate), salt, memo)
     if not dataclasses.is_dataclass(task) or isinstance(task, type):
         raise StoreError(
             f"tasks must be dataclass instances, got {type(task).__qualname__}"
@@ -250,7 +280,16 @@ def fingerprint_task(task: Any, *, salt: Optional[str] = None) -> str:
         if f.name in exclude:
             continue
         _feed(h, f.name)
-        _feed(h, getattr(task, f.name))
+        value = getattr(task, f.name)
+        if isinstance(value, _ATOMS):
+            _feed(h, value)
+            continue
+        hit = memo.get(id(value))
+        if hit is None:
+            chunks = _Chunks()
+            _feed(chunks, value)
+            hit = memo[id(value)] = (value, b"".join(chunks))
+        h.update(hit[1])
     return h.hexdigest()
 
 
@@ -396,10 +435,15 @@ class ResultStore:
         more cheaply than a disk read, and tasks whose payload has no
         stable representation simply run uncached — never an error.
         """
+        return self._fingerprint(task, {})
+
+    def _fingerprint(self, task: Any, memo: dict) -> Optional[str]:
+        """:meth:`fingerprint` sharing ``memo`` (see :func:`_fingerprint`)
+        across the tasks of one executor call."""
         if getattr(task, "skip", False):
             return None
         try:
-            return fingerprint_task(task, salt=self.salt)
+            return _fingerprint(task, self.salt, memo)
         except StoreError:
             return None
 

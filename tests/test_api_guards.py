@@ -9,14 +9,18 @@ having no caller: executor chunking, the store's size budget and
 eviction grace window, and retry backoff/filtering. The Fig. 3 stage
 sequence is fixed, so no stage-substitution hook (``overrides``, a
 ``stages`` field, ``build_pipeline``/``register_stage``) may return either.
+The store's per-call fingerprint memo is private plumbing: the public
+fingerprint functions keep their signatures.
 """
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import repro
 from repro.campaign.spec import CampaignSpec
+from repro.engine.store import ResultStore, fingerprint_task
 from repro.engine.tasks import CandidateTask, SynthesisTask
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -65,3 +69,22 @@ def test_no_stage_substitution_surface():
         assert "stages" not in {f.name for f in dataclasses.fields(cls)}, cls
     for name in ("build_pipeline", "register_stage"):
         assert not hasattr(repro, name), name
+
+
+def _parameters(fn):
+    return [
+        (p.name, p.kind.name, p.default)
+        for p in inspect.signature(fn).parameters.values()
+    ]
+
+
+def test_fingerprint_memo_is_not_a_public_parameter():
+    empty = inspect.Parameter.empty
+    assert _parameters(fingerprint_task) == [
+        ("task", "POSITIONAL_OR_KEYWORD", empty),
+        ("salt", "KEYWORD_ONLY", None),
+    ]
+    assert _parameters(ResultStore.fingerprint) == [
+        ("self", "POSITIONAL_OR_KEYWORD", empty),
+        ("task", "POSITIONAL_OR_KEYWORD", empty),
+    ]

@@ -10,14 +10,20 @@ cold run.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SynthesisConfig
 from repro.core.frequency_sweep import sweep_frequencies
 from repro.engine import ResultStore, fingerprint_task, run_tasks
-from repro.engine.store import open_store
+from repro.engine.faults import FaultSpec, FaultyTask
+from repro.engine.reference import naive_fingerprint_task
+from repro.engine.store import _fingerprint, open_store
 from repro.engine.tasks import BatchSimulationTask, SimulationTask, SynthesisTask
 from repro.errors import StoreError
 
@@ -564,3 +570,303 @@ class TestCampaignDifferential:
         assert pickle.dumps(warm) == pickle.dumps(baseline)
         assert store.stats().by_task_type == {"FloorplanTask": 3}
         assert store.hits == 3
+
+
+# --------------------------------------------------------------------------
+# the per-call fingerprint memo: byte-identical to the frozen oracle
+# (repro.engine.reference.naive_fingerprint_task), scoped to one call
+# --------------------------------------------------------------------------
+
+class _Color(enum.Enum):
+    RED = 1
+    BLUE = "blue"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+@dataclasses.dataclass(frozen=True)
+class _Node:
+    label: str
+    child: object
+
+
+@dataclasses.dataclass(frozen=True)
+class _PayloadTask:
+    key: object
+    first: object
+    second: object = None
+    seed: int = 0
+
+
+def _assert_oracle_addresses(tasks, salt=None):
+    """Every address through one shared memo (as ``run_tasks`` computes
+    them) and through a fresh one equals the oracle's."""
+    memo = {}
+    for task in tasks:
+        expected = naive_fingerprint_task(task, salt=salt)
+        assert _fingerprint(task, salt, memo) == expected
+        assert fingerprint_task(task, salt=salt) == expected
+
+
+def _recorded_tasks(monkeypatch, run):
+    """Every task ``run()`` submits to the executor (which still runs
+    them): the tasks the library really builds."""
+    from repro.engine import executor
+
+    seen = []
+    real = executor.run_tasks
+
+    def recording(tasks, **kwargs):
+        tasks = list(tasks)
+        seen.extend(tasks)
+        return real(tasks, **kwargs)
+
+    monkeypatch.setattr(executor, "run_tasks", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.fixture
+def task_zoo(tiny_specs, monkeypatch, tmp_path):
+    """One list per engine task type, each built the way the library
+    builds it."""
+    from repro.core.synthesis import synthesize
+    from repro.floorplan.annealer import anneal_floorplan
+    from repro.floorplan.constrained import constrained_insert
+    from repro.floorplan.geometry import Rect
+    from repro.floorplan.inserter import NewComponent
+    from repro.floorplan.placement import PlacedComponent
+
+    core_spec, comm_spec = tiny_specs
+    cores = [
+        PlacedComponent(f"core{i}", "core", Rect(1.2 * i, 0.0, 1.0, 1.0), 0)
+        for i in range(4)
+    ]
+    new = [NewComponent("sw0", "switch", 0.4, 0.4, (2.0, 0.6))]
+    sim = _sim_tasks(3)
+    zoo = {
+        "SynthesisTask": [
+            SynthesisTask(key=f, core_spec=core_spec, comm_spec=comm_spec,
+                          config=CONFIG.with_(frequency_mhz=f))
+            for f in FREQS
+        ],
+        "CandidateTask": _recorded_tasks(monkeypatch, lambda: synthesize(
+            core_spec, comm_spec, config=CONFIG, jobs=2,
+        )),
+        "FloorplanTask": _recorded_tasks(monkeypatch, lambda: anneal_floorplan(
+            [1.0, 1.2, 0.8], [1.0, 0.7, 1.3], {(0, 1): 2.0, (1, 2): 1.0},
+            seed=3, moves=60, restarts=2,
+        )),
+        "ConstrainedInsertTask": _recorded_tasks(
+            monkeypatch, lambda: constrained_insert(
+                cores, new, layer=0, seed=5, moves=60, restarts=2,
+            ),
+        ),
+        "SimulationTask": sim,
+        "BatchSimulationTask": [_batch_sim_task(range(3, 6))],
+        "FaultyTask": [
+            FaultyTask(key=t.key, inner=t, spec=FaultSpec("noop"),
+                       state_dir=str(tmp_path), fault_id=f"f{i}")
+            for i, t in enumerate(sim[:2])
+        ],
+    }
+    for name, tasks in zoo.items():
+        assert tasks and {type(t).__name__ for t in tasks} == {name}
+    return zoo
+
+
+def _sub_tasks(tasks):
+    out = []
+    for task in tasks:
+        expand = getattr(task, "expand_for_store", None)
+        out.extend(expand() if expand is not None else [task])
+    return out
+
+
+def _oracle_warmed_store(root, tasks):
+    """A store filled under the oracle's addresses, as one warmed by the
+    unmemoised code is, each entry holding its own address as payload;
+    returns the store and the results ``run_tasks`` must serve from it."""
+    store = ResultStore(root)
+    expected = []
+    for task in tasks:
+        expand = getattr(task, "expand_for_store", None)
+        subs = expand() if expand is not None else [task]
+        fps = tuple(naive_fingerprint_task(s, salt=store.salt) for s in subs)
+        for fp in fps:
+            store.put(fp, fp)
+        expected.append(fps if expand is not None else fps[0])
+    return ResultStore(root), expected
+
+
+@pytest.fixture(scope="module")
+def d26_sim_campaign():
+    """A compiled d26_media sim campaign: one 16-seed BatchSimulationTask
+    per scenario, all sharing one routed Topology."""
+    from repro.campaign.spec import CampaignSpec, compile_campaign
+
+    tasks = compile_campaign(CampaignSpec.from_dict({
+        "name": "sim-fp", "kind": "sim", "benchmark": "d26_media",
+        "scenarios": ["bernoulli", "hotspot:3"], "seeds": list(range(16)),
+        "injection_scales": [0.2], "cycles": 600, "warmup": 60,
+        "batch": 16, "config": {"switch_count_range": [3, 4]},
+    }))
+    assert [len(t.seeds) for t in tasks] == [16, 16]
+    return tasks
+
+
+_hashables = st.one_of(
+    st.integers(-5, 5), st.text(max_size=3),
+    st.tuples(st.integers(0, 2), st.none() | st.integers(0, 2)),
+    st.sampled_from(list(_Level)),
+)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.binary(max_size=4), st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+    st.sampled_from(list(_Color) + list(_Level)),
+    st.lists(st.integers(-9, 9), max_size=4).map(np.array),
+    st.lists(st.floats(-1, 1), max_size=3).map(
+        lambda v: np.array(v, dtype=np.float32)
+    ),
+)
+# Dict keys of one type per dict: the oracle keeps the old insertion-order
+# fallback for keys that do not sort.
+_payloads = st.recursive(_leaves, lambda children: st.one_of(
+    st.tuples(children, children),
+    st.lists(children, max_size=3),
+    st.dictionaries(st.integers(-5, 5), children, max_size=3),
+    st.dictionaries(st.text(max_size=3), children, max_size=3),
+    st.frozensets(_hashables, max_size=3),
+    st.sets(_hashables, max_size=3),
+    st.builds(_Node, st.text(max_size=3), children),
+), max_leaves=12)
+
+
+class TestFingerprintOracle:
+    def test_every_task_type_matches_oracle(self, task_zoo):
+        for tasks in task_zoo.values():
+            _assert_oracle_addresses(_sub_tasks(tasks))
+            _assert_oracle_addresses(tasks[:1] * 2, salt="other-salt")
+
+    @pytest.mark.slow
+    def test_d26_media_batch_sub_tasks_match_oracle(self, d26_sim_campaign):
+        subs = _sub_tasks(d26_sim_campaign)
+        assert len(subs) == 32 and len({id(t.topology) for t in subs}) == 1
+        _assert_oracle_addresses(subs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=_payloads,
+        second=_payloads,
+        seeds=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    )
+    def test_generated_payloads_match_oracle(self, first, second, seeds):
+        tasks = [
+            _PayloadTask(key=i, first=first, second=second, seed=seed)
+            for i, seed in enumerate(seeds)
+        ]
+        tasks.append(_PayloadTask(key="swapped", first=second, second=first))
+        _assert_oracle_addresses(tasks)
+
+    def test_oracle_warmed_store_serves_every_task(self, task_zoo, tmp_path):
+        tasks = [t for group in task_zoo.values() for t in group]
+        store, expected = _oracle_warmed_store(tmp_path, tasks)
+        served = run_tasks(tasks, jobs=1, store=store)
+        assert all(r.cached for r in served)
+        assert [r.result for r in served] == expected
+        assert store.misses == 0
+
+    @pytest.mark.slow
+    def test_oracle_warmed_store_serves_d26_media_campaign(
+        self, d26_sim_campaign, tmp_path
+    ):
+        store, expected = _oracle_warmed_store(tmp_path, d26_sim_campaign)
+        served = run_tasks(d26_sim_campaign, jobs=1, store=store)
+        assert all(r.cached for r in served)
+        assert [r.result for r in served] == expected
+        assert store.hits == 32 and store.misses == 0
+
+    def test_unorderable_dict_keys_ignore_insertion_order(self):
+        """Dicts whose keys do not sort are ordered by the keys' encoding,
+        like sets — not by insertion order."""
+        for a, b in [
+            ({1: "a", "x": "b"}, {"x": "b", 1: "a"}),
+            ({(1, None): 0, (1, 2): 1}, {(1, 2): 1, (1, None): 0}),
+        ]:
+            assert a == b and list(a) != list(b)
+            assert fingerprint_task(_PayloadTask(key=0, first=a)) == \
+                fingerprint_task(_PayloadTask(key=0, first=b))
+            assert fingerprint_task(_PayloadTask(key=0, first=a)) != \
+                fingerprint_task(_PayloadTask(key=0, first=dict(a, y=1)))
+
+
+class TestFingerprintScope:
+    """The memo lives for one ``run_tasks`` call and is keyed by identity:
+    each test fails if it outlives the call or is keyed by value."""
+
+    def test_in_place_mutation_between_calls_misses(self, tmp_path):
+        topo = contended_topology()
+        tasks = [
+            SimulationTask(key=seed, topology=topo, seed=seed, cycles=300,
+                           warmup=0)
+            for seed in range(2)
+        ]
+        store = ResultStore(tmp_path)
+        before = [naive_fingerprint_task(t, salt=store.salt) for t in tasks]
+        run_tasks(tasks, jobs=1, store=store)
+        topo.links[0].length_mm += 1.0
+        after = [naive_fingerprint_task(t, salt=store.salt) for t in tasks]
+        assert set(before).isdisjoint(after)
+        again = run_tasks(tasks, jobs=1, store=store)
+        assert not any(r.cached for r in again)
+        assert [
+            pickle.dumps(store.get(fp).payload) for fp in after
+        ] == _payload_bytes(again)
+        assert store.stats().entries == 4
+
+    def test_shared_topology_distinct_seeds_get_distinct_addresses(
+        self, tmp_path
+    ):
+        topo = contended_topology()
+        tasks = [
+            SimulationTask(key="same", topology=topo, seed=seed, cycles=300,
+                           warmup=0)
+            for seed in (0, 1)
+        ]
+        store = ResultStore(tmp_path)
+        run_tasks(tasks, jobs=1, store=store)
+        fps = {naive_fingerprint_task(t, salt=store.salt) for t in tasks}
+        assert len(fps) == 2
+        assert all(store.get(fp) is not None for fp in fps)
+        assert store.stats().entries == 2
+
+    def test_equal_distinct_topologies_share_one_address(self, tmp_path):
+        tasks = [
+            SimulationTask(key=i, topology=contended_topology(), seed=0,
+                           cycles=300, warmup=0)
+            for i in range(2)
+        ]
+        assert tasks[0].topology is not tasks[1].topology
+        store = ResultStore(tmp_path)
+        run_tasks(tasks, jobs=1, store=store)
+        assert store.stats().entries == 1
+        assert store.get(naive_fingerprint_task(tasks[1], salt=store.salt))
+
+    def test_equal_values_with_distinct_encodings_stay_apart(self, tmp_path):
+        """``(1,) == (1.0,) == (True,) == (_Level.LOW,)``, but each
+        encodes differently: a memo keyed by value would merge them."""
+        tasks = [
+            _PayloadTask(key=i, first=value)
+            for i, value in enumerate([(1,), (1.0,), (True,), (_Level.LOW,)])
+        ]
+        _assert_oracle_addresses(tasks)
+        store, expected = _oracle_warmed_store(tmp_path, tasks)
+        served = run_tasks(tasks, jobs=1, store=store)
+        assert [r.result for r in served] == expected
+        assert len(set(expected)) == 4
+
