@@ -3,7 +3,7 @@
 Paper: the custom routine yields ~20% less die area and ~7.5% less power on
 average, and the constrained standard floorplanner is "unpredictable".
 
-Reproduction note (see EXPERIMENTS.md): our re-implemented constrained
+Reproduction note: our re-implemented constrained
 baseline — a clean sequence-pair annealer with core-order and displacement
 constraints — is a *stronger* floorplanner than the constrained 2003-era
 Parquet the paper fought against, and our benchmark input floorplans retain

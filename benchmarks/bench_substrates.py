@@ -12,7 +12,8 @@ from repro.core.assignment import assignment_from_blocks
 from repro.core.config import SynthesisConfig
 from repro.core.paths import build_topology_skeleton, compute_paths
 from repro.core.placement import optimise_switch_positions
-from repro.core.synthesis import SunFloor3D
+from repro.core.pipeline import FlowContext
+from repro.core.synthesis import synthesize
 from repro.bench.registry import get_benchmark
 from repro.floorplan.annealer import anneal_floorplan
 from repro.graphs.comm_graph import build_comm_graph
@@ -36,16 +37,16 @@ def test_partitioner_26_cores(benchmark, d26):
 
 def test_placement_lp_26_cores(benchmark, d26):
     cfg = SynthesisConfig(max_ill=25)
-    tool = SunFloor3D(d26.core_spec_3d, d26.comm_spec, config=cfg)
-    graph = tool.graph
+    ctx = FlowContext.build(d26.core_spec_3d, d26.comm_spec, config=cfg)
+    graph = ctx.graph
     weights = graph.symmetric_bandwidth()
     blocks = kway_min_cut(graph.n, weights, 6, seed=0)
     assignment = assignment_from_blocks(blocks, graph, "mean", "phase1")
     lib = default_library()
-    centers = tool.context.core_centers
+    centers = ctx.core_centers
     topo = build_topology_skeleton(assignment, graph, lib, cfg, centers)
     compute_paths(topo, graph, lib, cfg, centers)
-    die_w, die_h = tool.context.die_bounds
+    die_w, die_h = ctx.die_bounds
 
     obj = benchmark(optimise_switch_positions, topo, centers, die_w, die_h)
     assert obj > 0
@@ -64,7 +65,7 @@ def test_single_point_synthesis_d26(benchmark, d26):
     cfg = SynthesisConfig(max_ill=25, switch_count_range=(6, 6))
 
     def run():
-        return SunFloor3D(d26.core_spec_3d, d26.comm_spec, config=cfg).synthesize()
+        return synthesize(d26.core_spec_3d, d26.comm_spec, config=cfg)
 
     result = benchmark(run)
     assert not result.is_empty
@@ -72,9 +73,9 @@ def test_single_point_synthesis_d26(benchmark, d26):
 
 def test_wormhole_simulator_10k_cycles(benchmark, d26):
     cfg = SynthesisConfig(max_ill=25, switch_count_range=(6, 6))
-    point = SunFloor3D(
+    point = synthesize(
         d26.core_spec_3d, d26.comm_spec, config=cfg
-    ).synthesize().best_power()
+    ).best_power()
     sim = WormholeSimulator(point.topology, seed=0)
     stats = benchmark.pedantic(
         sim.run, kwargs={"cycles": 10_000, "warmup": 1_000}, rounds=1, iterations=1

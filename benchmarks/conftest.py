@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
-Every module regenerates one table/figure of the paper (see DESIGN.md
-Sec. 4): the benchmarked callable runs the experiment, the assertions check
+Every module regenerates one table/figure of the paper (see the index in
+``repro.experiments``): the benchmarked callable runs the experiment, the assertions check
 the *shape* of the result against the paper's claims, and the rendered table
 is echoed so ``pytest benchmarks/ --benchmark-only -s`` reproduces the
 paper's rows.

@@ -12,9 +12,9 @@ from repro import (
     CommSpec,
     Core,
     CoreSpec,
-    SunFloor3D,
     SynthesisConfig,
     TrafficFlow,
+    synthesize,
 )
 from repro.noc.simulator import WormholeSimulator
 from repro.spec import MessageType
@@ -56,8 +56,7 @@ def main() -> None:
         max_ill=10,            # TSV budget: at most 10 links per boundary
         objective="power",
     )
-    tool = SunFloor3D(core_spec, comm_spec, config=config)
-    result = tool.synthesize()
+    result = synthesize(core_spec, comm_spec, config=config)
 
     print(f"valid design points: {len(result.points)} "
           f"(unmet switch counts: {result.unmet_switch_counts})")

@@ -13,7 +13,7 @@ Run:  python examples/spec_files_and_phases.py
 import tempfile
 from pathlib import Path
 
-from repro import SunFloor3D, SynthesisConfig
+from repro import SynthesisConfig, synthesize
 from repro.bench.registry import get_benchmark
 from repro.spec.io import (
     load_comm_spec_text,
@@ -48,7 +48,7 @@ def main() -> None:
         config = SynthesisConfig(
             max_ill=25, phase=phase, switch_count_range=(3, 12)
         )
-        result = SunFloor3D(core_spec, comm_spec, config=config).synthesize()
+        result = synthesize(core_spec, comm_spec, config=config)
         if result.is_empty:
             print(f"{phase}: no valid design points")
             continue

@@ -7,17 +7,19 @@ on Chips", IEEE TCAD 29(12), 2010 (journal version of the DATE 2009 paper).
 
 Quickstart::
 
-    from repro import SunFloor3D, SynthesisConfig
+    from repro import SynthesisConfig, synthesize
     from repro.bench import get_benchmark
 
     bench = get_benchmark("d26_media")
-    tool = SunFloor3D(bench.core_spec_3d, bench.comm_spec,
-                      config=SynthesisConfig(max_ill=25))
-    result = tool.synthesize()
+    result = synthesize(bench.core_spec_3d, bench.comm_spec,
+                        config=SynthesisConfig(max_ill=25))
     print(result.best_power().summary())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+A sweep over architectural parameters is
+``run_tasks(build_tasks(core_spec, comm_spec, ParameterGrid(...)))``, or
+:func:`sweep_frequencies` for the paper's frequency sweep. See README.md
+for the tool overview and ``docs/pipeline.md`` / ``docs/engine.md`` for
+the flow and the engine.
 """
 
 from repro.core import (
@@ -26,7 +28,6 @@ from repro.core import (
     Pipeline,
     Stage,
     StageTimings,
-    SunFloor3D,
     SynthesisConfig,
     SynthesisResult,
     run_synthesis,
@@ -34,7 +35,7 @@ from repro.core import (
     synthesize_2d,
     synthesize_mesh,
 )
-from repro.core.frequency_sweep import sweep_alpha, sweep_frequencies
+from repro.core.frequency_sweep import sweep_frequencies
 from repro.core.verification import verify_design_point
 from repro.engine import GridPoint, ParameterGrid, build_tasks, run_tasks
 from repro.errors import (
@@ -52,7 +53,6 @@ from repro.spec import CommSpec, Core, CoreSpec, MessageType, TrafficFlow
 __version__ = "1.0.0"
 
 __all__ = [
-    "SunFloor3D",
     "SynthesisConfig",
     "SynthesisResult",
     "DesignPoint",
@@ -65,7 +65,6 @@ __all__ = [
     "synthesize_2d",
     "synthesize_mesh",
     "sweep_frequencies",
-    "sweep_alpha",
     "verify_design_point",
     "GridPoint",
     "ParameterGrid",

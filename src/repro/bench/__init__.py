@@ -1,7 +1,7 @@
 """Benchmark suite generators.
 
 The paper evaluates on proprietary SoC benchmarks; this package rebuilds
-them synthetically with the published structure (DESIGN.md Sec. 3):
+them synthetically with the published structure:
 
 * ``d26_media`` — 26-core multimedia & wireless SoC (ARM, DSPs, memories,
   DMA, accelerators, peripherals) on 3 layers (Sec. VIII-A, Figs. 9/16);

@@ -42,12 +42,13 @@ Sub-commands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
 from repro.bench.registry import get_benchmark, list_benchmarks
 from repro.core.config import SynthesisConfig
-from repro.core.synthesis import SunFloor3D
+from repro.core.pipeline import FlowContext, StageTimings, run_synthesis
 from repro.errors import ReproError
 
 
@@ -401,12 +402,22 @@ def _cmd_synth(args) -> int:
         floorplan_jobs=args.floorplan_jobs,
     )
     store = _open_store(args)
-    tool = SunFloor3D(core_spec, comm_spec, config=config)
+    # Built before any store lookup: invalid specs exit 2 on a warm store.
+    ctx = FlowContext.build(core_spec, comm_spec, config=config)
+    timings = StageTimings()
+    quarantined: list = []
+    run = functools.partial(
+        run_synthesis, ctx, jobs=args.jobs, timings=timings,
+        supervision=supervision, quarantine_log=quarantined,
+    )
     cached = False
     stage_cache = None
-    if store is not None:
-        # The whole run is one content-addressed unit: a rerun with the
-        # same specs + config is served from disk without synthesizing.
+    if store is None:
+        result = run()
+    else:
+        # The whole run is one content-addressed unit, filed exactly as
+        # the engine files a sweep point (a bare SynthesisResult under the
+        # SynthesisTask fingerprint), so `synth` and `sweep` share a store.
         # Beneath it, per-stage memoization shares the same store, so even
         # a *changed* config reuses every stage the change left untouched
         # (see docs/pipeline.md, "Stage memoization").
@@ -420,45 +431,22 @@ def _cmd_synth(args) -> int:
         fingerprint = store.fingerprint(task)
         entry = store.get(fingerprint)
         if entry is not None:
-            payload = entry.payload
-            if isinstance(payload, dict) and "result" in payload:
-                result = payload["result"]
-                tool.last_stage_timings = payload.get("stage_timings")
-            else:
-                # Legacy entry from before timings rode along with the
-                # result; still served, just without a stage breakdown.
-                result = payload
-                tool.last_stage_timings = None
-            cached = True
+            result, cached = entry.payload, True
         else:
             with Timer() as timer:
-                result = tool.synthesize(jobs=args.jobs,
-                                         stage_cache=stage_cache,
-                                         supervision=supervision)
-            store.put(
-                fingerprint,
-                {"result": result,
-                 "stage_timings": tool.last_stage_timings},
-                task_type="SynthesisTask", elapsed_s=timer.elapsed_s,
-            )
-    else:
-        result = tool.synthesize(jobs=args.jobs, supervision=supervision)
-    if tool.last_quarantined:
-        print(f"{len(tool.last_quarantined)} candidate evaluation(s) "
-              "quarantined:")
-        for key, message in tool.last_quarantined:
+                result = run(stage_cache=stage_cache)
+            store.put(fingerprint, result, task_type="SynthesisTask",
+                      elapsed_s=timer.elapsed_s)
+    if quarantined:
+        print(f"{len(quarantined)} candidate evaluation(s) quarantined:")
+        for key, message in quarantined:
             print(f"  {key}: {message}")
         print()
     if args.stage_timings:
-        timings = tool.last_stage_timings
-        if timings is None:
-            # Only possible for pre-upgrade cache entries that stored the
-            # bare result without its timings.
-            print("per-stage timings unavailable: cache entry predates "
-                  "persisted timings")
+        if cached:
+            print("per-stage timings: none, the result was served from the "
+                  "store and no stage ran")
         else:
-            if cached:
-                timings.mark_all_cached()
             print(timings.report())
         print()
         if stage_cache is not None and stage_cache.stats_dict():
@@ -628,15 +616,8 @@ def _cmd_sim(args) -> int:
     return 0
 
 
-def _fmt_bytes(n: int) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if n < 1024 or unit == "GiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
-        n /= 1024
-    return f"{n} B"  # unreachable
-
-
 def _cmd_cache(args) -> int:
+    from repro.engine.stagecache import human_bytes
     from repro.engine.store import open_store
 
     # Inspection-only open: auditing a store on a read-only mount must
@@ -647,7 +628,7 @@ def _cmd_cache(args) -> int:
     if args.action == "stats":
         stats = store.stats()
         print(f"store: {stats.root}")
-        print(f"entries: {stats.entries} ({_fmt_bytes(stats.total_bytes)})")
+        print(f"entries: {stats.entries} ({human_bytes(stats.total_bytes)})")
         stage_types = [t for t in sorted(stats.by_task_type)
                        if t.startswith("stage:")]
         for task_type in sorted(stats.by_task_type):

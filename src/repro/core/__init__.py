@@ -2,8 +2,10 @@
 
 Public entry points:
 
-* :class:`~repro.core.synthesis.SunFloor3D` — the full Fig. 3 flow: sweep
-  switch counts, establish core-to-switch connectivity (Phase 1 /
+* :func:`~repro.core.pipeline.run_synthesis` — the full Fig. 3 flow over
+  a :class:`~repro.core.pipeline.FlowContext` (or
+  :func:`~repro.core.synthesis.synthesize` from a spec pair): sweep switch
+  counts, establish core-to-switch connectivity (Phase 1 /
   Algorithm 1 or Phase 2 / Algorithm 2), compute deadlock-free paths under
   the TSV and switch-size constraints (Sec. VI / Algorithm 3), optimise
   switch positions with the Sec. VII LP, insert the network components into
@@ -27,7 +29,7 @@ from repro.core.pipeline import (
     StageTimings,
     run_synthesis,
 )
-from repro.core.synthesis import SunFloor3D, synthesize
+from repro.core.synthesis import synthesize
 from repro.core.synthesis2d import synthesize_2d
 from repro.core.mesh_baseline import synthesize_mesh
 
@@ -39,7 +41,6 @@ __all__ = [
     "Pipeline",
     "Stage",
     "StageTimings",
-    "SunFloor3D",
     "run_synthesis",
     "synthesize",
     "synthesize_2d",

@@ -6,12 +6,12 @@ point." (Sec. IV) — and "a range of frequencies can also be swept by the
 tool to explore more design points" (Sec. VIII-A).
 
 :func:`sweep_frequencies` runs the full synthesis per frequency and merges
-the design points into one result; :func:`find_lowest_feasible_frequency`
-reproduces the paper's observation that "the best power points are obtained
-for topologies designed at the lowest possible operating frequency" (found
-to be 400 MHz for D_26_media).
+the design points into one result. Any other sweep (α, link width, switch
+count range, or a cross product) is
+``run_tasks(build_tasks(core_spec, comm_spec, ParameterGrid(...)))`` — the
+same engine path, one result per grid point.
 
-Every sweep here runs on the :mod:`repro.engine` executor: pass ``jobs``
+The sweep runs on the :mod:`repro.engine` executor: pass ``jobs``
 (``1`` = serial, the default; ``0``/``None`` = one worker per CPU) to fan
 the independent synthesis points across a process pool, and ``progress``
 for per-point callbacks. Sweep parameters are validated *up front* — an
@@ -95,19 +95,6 @@ class FrequencySweepResult:
         return out
 
 
-def minimum_feasible_frequency(
-    comm_spec: CommSpec, width_bits: int
-) -> float:
-    """Lower bound on the NoC frequency from single-flow bandwidth.
-
-    A flow must fit on one link, so ``f >= bw_max / (width/8)`` MHz. (Shared
-    links may require more; the sweep discovers that.)
-    """
-    max_bw = comm_spec.max_bandwidth
-    bytes_per_flit = width_bits / 8.0
-    return max_bw / bytes_per_flit
-
-
 def sweep_frequencies(
     core_spec: CoreSpec,
     comm_spec: CommSpec,
@@ -138,16 +125,9 @@ def sweep_frequencies(
     per-stage counters land in ``FrequencySweepResult.stage_cache``.
     """
     freqs = [float(f) for f in frequencies_mhz]
-    bad = [f for f in freqs if f <= 0]
-    if bad:
-        raise SynthesisError(
-            f"frequency must be positive, got {bad[0]}"
-            + (f" (and {len(bad) - 1} more invalid values)" if len(bad) > 1 else "")
-        )
-    base = config if config is not None else SynthesisConfig()
     tasks = build_tasks(
         core_spec, comm_spec, ParameterGrid(frequencies_mhz=tuple(freqs)),
-        base, library,
+        config, library,
         stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
     )
     results = run_tasks(
@@ -165,102 +145,3 @@ def sweep_frequencies(
 
             merge_stage_stats(sweep.stage_cache, task_result.stage_cache)
     return sweep
-
-
-def sweep_alpha(
-    core_spec: CoreSpec,
-    comm_spec: CommSpec,
-    alphas: Sequence[float],
-    library: Optional[NocLibrary] = None,
-    config: Optional[SynthesisConfig] = None,
-    *,
-    jobs: Optional[int] = 1,
-    progress: Optional[ProgressFn] = None,
-    store=None,
-    stage_cache_dir: Optional[str] = None,
-    stage_cache_salt: Optional[str] = None,
-) -> Dict[float, SynthesisResult]:
-    """Sweep the PG weight parameter α of Def. 3.
-
-    "The parameter α can be set by the designer based on the application
-    characteristics or swept by the tool over a range of values, in order to
-    meet the latency constraints." Smaller α weights latency-critical flows
-    more heavily during partitioning.
-    """
-    values = [float(a) for a in alphas]
-    base = config if config is not None else SynthesisConfig()
-    # No feasibility skip here: α does not change link capacity, and the
-    # serial sweep always ran every point.
-    tasks = build_tasks(
-        core_spec, comm_spec, ParameterGrid(alphas=tuple(values)),
-        base, library, skip_infeasible=False,
-        stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
-    )
-    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
-    return {alpha: r.result for alpha, r in zip(values, results)}
-
-
-def sweep_link_widths(
-    core_spec: CoreSpec,
-    comm_spec: CommSpec,
-    widths_bits: Sequence[int],
-    library: Optional[NocLibrary] = None,
-    config: Optional[SynthesisConfig] = None,
-    *,
-    jobs: Optional[int] = 1,
-    progress: Optional[ProgressFn] = None,
-    store=None,
-    stage_cache_dir: Optional[str] = None,
-    stage_cache_salt: Optional[str] = None,
-) -> Dict[int, SynthesisResult]:
-    """Sweep the link data width (an architectural parameter of Sec. IV).
-
-    Wider links raise capacity (fewer parallel links, lower flit rates) but
-    cost proportionally more wires and TSVs per link — "for a particular
-    link width, the maximum number of links can be directly determined from
-    the TSV constraints", so the effective ``max_ill`` shrinks as width
-    grows. The caller is responsible for adjusting ``max_ill`` per width if
-    a fixed TSV budget is to be modelled; this sweep keeps the configured
-    ``max_ill`` constant and varies only the width.
-    """
-    widths = [int(w) for w in widths_bits]
-    bad_widths = [w for w in widths if w <= 0]
-    if bad_widths:
-        raise SynthesisError(
-            f"link width must be positive, got {bad_widths[0]}"
-        )
-    base = config if config is not None else SynthesisConfig()
-    tasks = build_tasks(
-        core_spec, comm_spec, ParameterGrid(link_widths_bits=tuple(widths)),
-        base, library,
-        stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
-    )
-    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
-    return {width: r.result for width, r in zip(widths, results)}
-
-
-def find_lowest_feasible_frequency(
-    core_spec: CoreSpec,
-    comm_spec: CommSpec,
-    frequencies_mhz: Sequence[float],
-    library: Optional[NocLibrary] = None,
-    config: Optional[SynthesisConfig] = None,
-    *,
-    jobs: Optional[int] = 1,
-    progress: Optional[ProgressFn] = None,
-    store=None,
-    stage_cache_dir: Optional[str] = None,
-    stage_cache_salt: Optional[str] = None,
-) -> float:
-    """The smallest swept frequency with at least one valid design point."""
-    sweep = sweep_frequencies(
-        core_spec, comm_spec, sorted(frequencies_mhz), library, config,
-        jobs=jobs, progress=progress, store=store,
-        stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
-    )
-    for freq in sweep.frequencies:
-        if sweep.per_frequency[freq].points:
-            return freq
-    raise SynthesisError(
-        f"no frequency in {sorted(frequencies_mhz)} admits a valid design"
-    )

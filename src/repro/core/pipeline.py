@@ -21,8 +21,8 @@ switch-count sweep is two plain functions over a batch evaluator:
 Steps 11-19); :func:`_phase2` is a single round that records never-met
 switch counts.
 
-Entry point: :func:`run_synthesis`. ``repro.core.synthesize`` and
-``SunFloor3D.synthesize`` are thin compatibility wrappers over it.
+Entry point: :func:`run_synthesis`; ``repro.core.synthesize`` builds the
+context from a spec pair and calls it.
 """
 
 from __future__ import annotations
@@ -213,11 +213,6 @@ class StageTimings:
         cached_set = set(cached)
         for name, seconds in stage_seconds.items():
             self.add(name, seconds, cached=name in cached_set)
-
-    def mark_all_cached(self) -> None:
-        """Flag every sample as cache-served (whole-run replay)."""
-        for name in self._order:
-            self._cached[name] = len(self._samples[name])
 
     @property
     def names(self) -> List[str]:

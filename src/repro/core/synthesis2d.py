@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.core.config import SynthesisConfig
 from repro.core.design_point import SynthesisResult
-from repro.core.synthesis import SunFloor3D
+from repro.core.synthesis import synthesize
 from repro.errors import SpecError
 from repro.models.library import NocLibrary
 from repro.spec.comm_spec import CommSpec
@@ -41,4 +41,4 @@ def synthesize_2d(
     # phase1 is the [16] flow (phase2's layer-by-layer restriction is
     # meaningless with one layer).
     cfg = base.with_(phase="phase1")
-    return SunFloor3D(core_spec, comm_spec, library, cfg).synthesize()
+    return synthesize(core_spec, comm_spec, library, cfg)

@@ -152,16 +152,14 @@ def build_tasks(
     base_config: Optional[SynthesisConfig] = None,
     library: Optional[NocLibrary] = None,
     *,
-    skip_infeasible: bool = True,
     stage_cache_dir: Optional[str] = None,
     stage_cache_salt: Optional[str] = None,
 ) -> List[SynthesisTask]:
     """Expand a grid into engine tasks for one design.
 
-    With ``skip_infeasible`` (the default, matching the serial sweeps'
-    behaviour) a point whose link capacity cannot carry the largest single
-    flow is marked ``skip`` and merges as an empty result instead of
-    burning a worker on a guaranteed-unroutable design.
+    A point whose link capacity cannot carry the largest single flow is
+    marked ``skip`` and merges as an empty result instead of burning a
+    worker on a guaranteed-unroutable design.
 
     ``stage_cache_dir``/``stage_cache_salt`` arm per-stage memoization
     (:mod:`repro.engine.stagecache`) in the workers: stages whose inputs
@@ -172,18 +170,14 @@ def build_tasks(
     tasks: List[SynthesisTask] = []
     for point in grid.points():
         config = point.apply(base)
-        skip = False
-        reason = ""
-        if skip_infeasible:
-            capacity = link_capacity_mbps(
-                config.link_width_bits, config.frequency_mhz
-            )
-            if comm_spec.max_bandwidth > capacity:
-                skip = True
-                reason = (
-                    f"largest flow ({comm_spec.max_bandwidth} MB/s) exceeds "
-                    f"link capacity ({capacity:.1f} MB/s)"
-                )
+        capacity = link_capacity_mbps(
+            config.link_width_bits, config.frequency_mhz
+        )
+        skip = comm_spec.max_bandwidth > capacity
+        reason = (
+            f"largest flow ({comm_spec.max_bandwidth} MB/s) exceeds "
+            f"link capacity ({capacity:.1f} MB/s)"
+        ) if skip else ""
         tasks.append(
             SynthesisTask(
                 key=point,

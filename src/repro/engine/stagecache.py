@@ -309,15 +309,15 @@ def format_stage_cache_summary(
             name,
             str(row.get("hits", 0)),
             str(row.get("misses", 0)),
-            _human_bytes(row.get("bytes_read", 0)),
-            _human_bytes(row.get("bytes_written", 0)),
+            human_bytes(row.get("bytes_read", 0)),
+            human_bytes(row.get("bytes_written", 0)),
         ))
     rows.append((
         "total",
         str(totals["hits"]),
         str(totals["misses"]),
-        _human_bytes(totals["bytes_read"]),
-        _human_bytes(totals["bytes_written"]),
+        human_bytes(totals["bytes_read"]),
+        human_bytes(totals["bytes_written"]),
     ))
     widths = [max(len(r[c]) for r in rows) for c in range(5)]
     lines = []
@@ -331,7 +331,8 @@ def format_stage_cache_summary(
     return "\n".join(lines)
 
 
-def _human_bytes(n: int) -> str:
+def human_bytes(n: int) -> str:
+    """``n`` bytes as ``512B`` / ``1.5KiB`` / ``2.0MiB`` / ``1.0GiB``."""
     value = float(n)
     for unit in ("B", "KiB", "MiB", "GiB"):
         if value < 1024.0 or unit == "GiB":

@@ -61,7 +61,9 @@ from repro.errors import LockTimeoutError, StoreError
 CODE_SALT = "repro-store-v1"
 
 #: On-disk record format version; a mismatching record reads as a miss.
-STORE_FORMAT = 1
+#: Version 2: ``cli synth`` files the engine's bare ``SynthesisResult``
+#: (version 1 entries from it were ``{"result", "stage_timings"}`` dicts).
+STORE_FORMAT = 2
 
 #: Default store location for CLI/library callers that do not choose one;
 #: ``$REPRO_CACHE_DIR`` takes precedence.

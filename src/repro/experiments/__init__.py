@@ -3,10 +3,11 @@
 Every module exposes a ``run_*`` function returning an
 :class:`~repro.experiments.common.ExperimentResult` whose rows mirror the
 series the paper plots, plus a printable table. The ``benchmarks/`` harness
-and the example scripts both drive these runners; EXPERIMENTS.md records the
-paper-vs-measured outcome of each.
+and the example scripts both drive these runners; each
+``benchmarks/bench_*.py`` module checks the shape of one runner's result
+against the paper's claim.
 
-Index (see DESIGN.md Sec. 4):
+Index:
 
 ========  ==========================================================
 fig1      :func:`repro.experiments.fig01_yield.run_yield_curves`

@@ -46,5 +46,5 @@ class NocLibrary:
 
 
 def default_library() -> NocLibrary:
-    """The default 65 nm low-power-flavoured library (see DESIGN.md Sec. 3)."""
+    """The default 65 nm low-power-flavoured library."""
     return NocLibrary()

@@ -1,9 +1,17 @@
-"""Alpha sweep (repro.core.frequency_sweep.sweep_alpha, Def. 3)."""
+"""Alpha sweep (Def. 3) on the engine's grid path:
+``run_tasks(build_tasks(..., ParameterGrid(alphas=...)))``."""
 
 import pytest
 
 from repro.core.config import SynthesisConfig
-from repro.core.frequency_sweep import sweep_alpha
+from repro.engine import ParameterGrid, build_tasks, run_tasks
+
+
+def sweep_alpha(core_spec, comm_spec, alphas, config):
+    tasks = build_tasks(
+        core_spec, comm_spec, ParameterGrid(alphas=alphas), config
+    )
+    return {r.key.alpha: r.result for r in run_tasks(tasks)}
 
 
 class TestAlphaSweep:

@@ -11,6 +11,13 @@ sequence is fixed, so no stage-substitution hook (``overrides``, a
 ``stages`` field, ``build_pipeline``/``register_stage``) may return either.
 The store's per-call fingerprint memo is private plumbing: the public
 fingerprint functions keep their signatures.
+
+Each job has one way in: a single synthesis is ``run_synthesis(ctx, ...)``
+(``synthesize`` is its spec-level form and forwards every keyword), and a
+sweep is ``run_tasks(build_tasks(..., ParameterGrid(...)))`` with
+``sweep_frequencies`` as the one named sweep. The deleted wrappers
+(``SunFloor3D``, the α/width/lowest-frequency sweep helpers, the whole-run
+timing replay) and the ``skip_infeasible`` switch may not return.
 """
 
 import ast
@@ -19,7 +26,11 @@ import inspect
 from pathlib import Path
 
 import repro
+import repro.core
 from repro.campaign.spec import CampaignSpec
+from repro.core import frequency_sweep, pipeline, synthesis
+from repro.core.pipeline import StageTimings, run_synthesis
+from repro.core.synthesis import synthesize
 from repro.engine.store import ResultStore, fingerprint_task
 from repro.engine.tasks import CandidateTask, SynthesisTask
 
@@ -28,7 +39,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LOOSE_KNOBS = {
     "retry", "task_timeout_s", "on_error", "max_pool_restarts",
     "chunk_size", "max_bytes", "evict_grace_s", "backoff_s", "retry_on",
-    "overrides",
+    "overrides", "skip_infeasible",
 }
 
 
@@ -88,3 +99,40 @@ def test_fingerprint_memo_is_not_a_public_parameter():
         ("self", "POSITIONAL_OR_KEYWORD", empty),
         ("task", "POSITIONAL_OR_KEYWORD", empty),
     ]
+
+
+DELETED_ENTRY_POINTS = (
+    "SunFloor3D", "sweep_alpha", "sweep_link_widths",
+    "find_lowest_feasible_frequency", "minimum_feasible_frequency",
+)
+
+
+def test_deleted_entry_points_stay_gone():
+    for module in (repro, repro.core, synthesis, frequency_sweep, pipeline):
+        for name in DELETED_ENTRY_POINTS:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in getattr(module, "__all__", ()), name
+    assert not hasattr(StageTimings, "mark_all_cached")
+
+
+def test_synthesize_accepts_every_run_synthesis_keyword(tiny_specs):
+    run_keywords = [
+        name for name, kind, _ in _parameters(run_synthesis)
+        if kind == "KEYWORD_ONLY"
+    ]
+    assert {"jobs", "timings", "supervision", "quarantine_log",
+            "stage_cache"} <= set(run_keywords)
+    declared = {name: kind for name, kind, _ in _parameters(synthesize)}
+    forwards_all = "VAR_KEYWORD" in declared.values()
+    missing = [n for n in run_keywords if n not in declared]
+    assert forwards_all or not missing, missing
+    # And they really arrive: the side-channel outputs are filled.
+    core_spec, comm_spec = tiny_specs
+    timings, quarantined = StageTimings(), []
+    result = synthesize(
+        core_spec, comm_spec, config=repro.SynthesisConfig(max_ill=10),
+        jobs=1, progress=None, timings=timings, supervision=None,
+        quarantine_log=quarantined, stage_cache=None,
+    )
+    assert result.points and timings.count("routing") > 0
+    assert quarantined == []

@@ -40,9 +40,8 @@ class TestSynthCache:
     def test_warm_run_reports_cached_stage_timings(
         self, spec_files, tmp_path, capsys
     ):
-        """Timings persist with the cached result: a warm run reports the
-        original per-stage breakdown with the ``(cached)`` marker instead
-        of declaring the timings missing."""
+        """A whole-run store hit runs no stage, so a warm run says so in
+        one line instead of a per-stage breakdown."""
         cache_dir = str(tmp_path / "store")
         args = _synth_args(
             spec_files, "--cache-dir", cache_dir, "--stage-timings"
@@ -53,8 +52,9 @@ class TestSynthCache:
         assert "stage cache:" in cold_out  # per-stage memoization summary
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "per-stage timings" in out
-        assert "cached)" in out
+        assert ("per-stage timings: none, the result was served from the "
+                "store and no stage ran") in out
+        assert "stage cache:" not in out
         assert "best design point" in out
 
     def test_config_change_is_a_miss(self, spec_files, tmp_path, capsys):
@@ -85,6 +85,42 @@ class TestSweepCache:
         cold_out = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == cold_out
+
+
+class TestSharedStore:
+    """`synth` and `sweep` file a point at one address in one format, so
+    either command serves the other's entry."""
+
+    def _sweep_args(self, spec_files, cache_dir):
+        cores, comm = spec_files
+        return [
+            "sweep", "--cores", cores, "--comm", comm, "--max-ill", "10",
+            "--switches", "2:3", "--frequencies", "400", "--jobs", "1",
+            "--cache-dir", cache_dir,
+        ]
+
+    def test_synth_then_sweep(self, spec_files, tmp_path, capsys):
+        cache_dir = str(tmp_path / "store")
+        assert main(_synth_args(spec_files, "--cache-dir", cache_dir)) == 0
+        synth_out = capsys.readouterr().out
+        assert main(self._sweep_args(spec_files, cache_dir)) == 0
+        out = capsys.readouterr().out
+        assert "store: 1 hit(s), 0 miss(es)" in out
+        assert out.split("best design point over the grid:\n")[1] == (
+            synth_out.split("best design point:\n")[1]
+        )
+
+    def test_sweep_then_synth(self, spec_files, tmp_path, capsys):
+        cache_dir = str(tmp_path / "store")
+        assert main(self._sweep_args(spec_files, cache_dir)) == 0
+        capsys.readouterr()
+        assert main(_synth_args(
+            spec_files, "--cache-dir", cache_dir, "--stage-timings",
+        )) == 0
+        out = capsys.readouterr().out
+        assert "served from the store and no stage ran" in out
+        assert "predates" not in out
+        assert "best design point" in out
 
 
 class TestCacheSubcommand:

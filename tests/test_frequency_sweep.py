@@ -3,13 +3,8 @@
 import pytest
 
 from repro.core.config import SynthesisConfig
-from repro.core.frequency_sweep import (
-    FrequencySweepResult,
-    find_lowest_feasible_frequency,
-    minimum_feasible_frequency,
-    sweep_frequencies,
-    sweep_link_widths,
-)
+from repro.core.frequency_sweep import FrequencySweepResult, sweep_frequencies
+from repro.engine import ParameterGrid, build_tasks, run_tasks
 from repro.errors import SynthesisError
 from repro.noc.export import design_point_to_dict
 
@@ -19,15 +14,12 @@ def specs(tiny_specs):
     return tiny_specs
 
 
-class TestMinimumFrequency:
-    def test_bound_from_max_flow(self, specs):
-        _, comm_spec = specs
-        # Max flow 400 MB/s on 32-bit links: 4 B/flit -> >= 100 MHz.
-        assert minimum_feasible_frequency(comm_spec, 32) == pytest.approx(100.0)
-
-    def test_wider_links_lower_bound(self, specs):
-        _, comm_spec = specs
-        assert minimum_feasible_frequency(comm_spec, 64) == pytest.approx(50.0)
+def sweep_link_widths(core_spec, comm_spec, widths, config=None):
+    """A link-width sweep on the engine's grid path, keyed by width."""
+    tasks = build_tasks(
+        core_spec, comm_spec, ParameterGrid(link_widths_bits=widths), config
+    )
+    return {r.key.link_width_bits: r.result for r in run_tasks(tasks)}
 
 
 class TestSweep:
@@ -60,22 +52,6 @@ class TestSweep:
         assert powers[200.0] < powers[700.0]
         best = sweep.best_power()
         assert best.config.frequency_mhz == 200.0
-
-    def test_find_lowest_feasible(self, specs):
-        core_spec, comm_spec = specs
-        cfg = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))
-        lowest = find_lowest_feasible_frequency(
-            core_spec, comm_spec, (50.0, 200.0, 400.0), config=cfg
-        )
-        assert lowest == 200.0
-
-    def test_no_feasible_frequency_raises(self, specs):
-        core_spec, comm_spec = specs
-        cfg = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))
-        with pytest.raises(SynthesisError):
-            find_lowest_feasible_frequency(
-                core_spec, comm_spec, (10.0, 20.0), config=cfg
-            )
 
     def test_bad_frequency_rejected(self, specs):
         core_spec, comm_spec = specs
@@ -146,6 +122,8 @@ class TestSweep:
 
 
 class TestWidthSweep:
+    """Link width (Sec. IV) swept as ``ParameterGrid(link_widths_bits=...)``."""
+
     def test_results_per_width(self, specs):
         core_spec, comm_spec = specs
         cfg = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))

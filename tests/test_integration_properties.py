@@ -10,7 +10,8 @@ latency, floorplan legality, TSV macros.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import SynthesisConfig
-from repro.core.synthesis import SunFloor3D
+from repro.core.pipeline import FlowContext, run_synthesis
+from repro.core.synthesis import synthesize
 from repro.core.verification import verify_design_point
 from repro.models.library import default_library
 from repro.spec.comm_spec import CommSpec, MessageType, TrafficFlow
@@ -56,11 +57,11 @@ class TestRandomDesigns:
     def test_every_point_verifies(self, design):
         core_spec, comm_spec = design
         config = SynthesisConfig(max_ill=8, switch_count_range=(1, 4))
-        tool = SunFloor3D(core_spec, comm_spec, config=config)
-        result = tool.synthesize()
+        ctx = FlowContext.build(core_spec, comm_spec, config=config)
+        result = run_synthesis(ctx)
         library = default_library()
         for point in result.points:
-            report = verify_design_point(point, tool.graph, library)
+            report = verify_design_point(point, ctx.graph, library)
             assert report.ok, report.summary()
 
     @settings(
@@ -72,6 +73,6 @@ class TestRandomDesigns:
         """However tight the TSV constraint, accepted points respect it."""
         core_spec, comm_spec = design
         config = SynthesisConfig(max_ill=max_ill, switch_count_range=(1, 4))
-        result = SunFloor3D(core_spec, comm_spec, config=config).synthesize()
+        result = synthesize(core_spec, comm_spec, config=config)
         for point in result.points:
             assert point.metrics.max_ill_used <= max_ill

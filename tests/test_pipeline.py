@@ -18,7 +18,7 @@ from repro.core.pipeline import (
     _phase2,
     vertical_link_specs,
 )
-from repro.core.synthesis import SunFloor3D, synthesize
+from repro.core.synthesis import synthesize
 from repro.errors import SynthesisError
 from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import ChipFloorplan, PlacedComponent
@@ -69,12 +69,12 @@ class TestStageTimings:
         assert set(timings.as_dict()) == set(DEFAULT_STAGE_NAMES)
 
     def test_tool_records_last_timings(self, tiny_specs):
+        """The spec-level ``synthesize`` passes ``timings`` through."""
         core_spec, comm_spec = tiny_specs
-        tool = SunFloor3D(core_spec, comm_spec,
-                          config=SynthesisConfig(max_ill=10))
-        assert tool.last_stage_timings is None
-        tool.synthesize()
-        assert tool.last_stage_timings.count("routing") > 0
+        timings = StageTimings()
+        synthesize(core_spec, comm_spec, config=SynthesisConfig(max_ill=10),
+                   timings=timings)
+        assert timings.count("routing") > 0
 
 
 class TestSerialParallelEquivalence:
@@ -225,21 +225,24 @@ class TestFloorplanStage:
 
 
 class TestCompatibilityWrappers:
+    """One candidate and the run context, reached through
+    :class:`FlowContext` and :class:`Pipeline` directly."""
+
     def test_evaluate_assignment_still_works(self, tiny_specs):
         from repro.core.phase1 import phase1_candidate
 
         core_spec, comm_spec = tiny_specs
-        tool = SunFloor3D(core_spec, comm_spec,
-                          config=SynthesisConfig(max_ill=10))
-        assignment = phase1_candidate(tool.graph, tool.config, 2)
-        point = tool.evaluate_assignment(assignment)
+        ctx = FlowContext.build(core_spec, comm_spec,
+                                config=SynthesisConfig(max_ill=10))
+        assignment = phase1_candidate(ctx.graph, ctx.config, 2)
+        point = Pipeline().evaluate(ctx, assignment).point
         assert point is not None
         assert point.assignment == assignment
 
     def test_context_attributes_exposed(self, tiny_specs):
         core_spec, comm_spec = tiny_specs
-        tool = SunFloor3D(core_spec, comm_spec)
-        assert tool.core_spec is core_spec
-        assert tool.graph.n == len(core_spec.names)
-        assert len(tool.context.core_centers) == tool.graph.n
-        assert tool.context.die_bounds[0] > 0
+        ctx = FlowContext.build(core_spec, comm_spec)
+        assert ctx.core_spec is core_spec
+        assert ctx.graph.n == len(core_spec.names)
+        assert len(ctx.core_centers) == ctx.graph.n
+        assert ctx.die_bounds[0] > 0

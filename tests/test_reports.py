@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SynthesisConfig
 from repro.core.design_point import SynthesisResult
-from repro.core.synthesis import SunFloor3D
+from repro.core.pipeline import FlowContext, run_synthesis
 from repro.reports import render_point_markdown, render_result_markdown, save_report
 
 
@@ -19,25 +19,25 @@ def synth():
         TrafficFlow("C1", "C4", 200, 10),
         TrafficFlow("C2", "C5", 150, 12),
     ])
-    tool = SunFloor3D(
+    ctx = FlowContext.build(
         core_spec, comm_spec,
         config=SynthesisConfig(max_ill=10, switch_count_range=(2, 4)),
     )
-    return tool, tool.synthesize()
+    return ctx, run_synthesis(ctx)
 
 
 class TestResultReport:
     def test_contains_tradeoff_table(self, synth):
-        tool, result = synth
-        text = render_result_markdown(result, tool.graph)
+        ctx, result = synth
+        text = render_result_markdown(result, ctx.graph)
         assert "## Trade-off points" in text
         assert "| switches | phase |" in text
         # One row per point.
         assert text.count("| phase1 |") >= len(result.points)
 
     def test_contains_best_point_details(self, synth):
-        tool, result = synth
-        text = render_result_markdown(result, tool.graph)
+        ctx, result = synth
+        text = render_result_markdown(result, ctx.graph)
         assert "## Chosen design point" in text
         assert "## Switches" in text
         assert "## Floorplan" in text
@@ -49,17 +49,17 @@ class TestResultReport:
         assert "[1, 2]" in text
 
     def test_save(self, synth, tmp_path):
-        tool, result = synth
+        ctx, result = synth
         path = tmp_path / "report.md"
-        save_report(result, path, tool.graph, title="My SoC")
+        save_report(result, path, ctx.graph, title="My SoC")
         text = path.read_text()
         assert text.startswith("# My SoC")
 
 
 class TestPointReport:
     def test_latency_slack_table(self, synth):
-        tool, result = synth
-        text = render_point_markdown(result.best_power(), tool.graph)
+        ctx, result = synth
+        text = render_point_markdown(result.best_power(), ctx.graph)
         assert "## Latency slack per flow" in text
         assert "C0 → C3" in text
         # All slacks non-negative: constraints were met.
@@ -75,7 +75,7 @@ class TestPointReport:
         assert "Latency slack" not in text
 
     def test_power_breakdown_present(self, synth):
-        tool, result = synth
+        ctx, result = synth
         best = result.best_power()
-        text = render_point_markdown(best, tool.graph)
+        text = render_point_markdown(best, ctx.graph)
         assert f"{best.metrics.total_power_mw:.1f} mW" in text

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import SynthesisConfig
-from repro.core.synthesis import SunFloor3D, synthesize
+from repro.core.pipeline import FlowContext
+from repro.core.synthesis import synthesize
 from repro.errors import SpecError
 from repro.noc.deadlock import ChannelDependencyGraph
 from repro.spec.comm_spec import CommSpec, TrafficFlow
@@ -141,7 +142,9 @@ class TestConstruction:
         cores = CoreSpec(cores=[Core("A", 1, 1, 0, 0, 0)])
         comm = CommSpec(flows=[TrafficFlow("A", "Z", 100, 8)])
         with pytest.raises(SpecError):
-            SunFloor3D(cores, comm)
+            FlowContext.build(cores, comm)
+        with pytest.raises(SpecError):
+            synthesize(cores, comm)
 
     def test_objective_selection(self, tiny_specs):
         core_spec, comm_spec = tiny_specs
