@@ -1,7 +1,7 @@
 """Checker: engine task payloads must survive a round trip through pickle.
 
 Everything the process pool ships — ``SynthesisTask``, ``CandidateTask``,
-``FloorplanTask``, ``FaultyTask`` … — crosses a fork/spawn boundary as a
+``SimulationTask``, ``FaultyTask`` … — crosses a fork/spawn boundary as a
 pickle. A lambda, nested function, generator, lock, or open file handle
 bound into such a payload does not fail at construction time; it fails
 **inside the pool**, mid-campaign, as an opaque ``PicklingError`` from a

@@ -141,7 +141,8 @@ class CampaignService:
             ``failed``; the others resume.
 
     Raises:
-        CampaignError: incomplete journal without ``resume=True``.
+        CampaignError: ``max_queue``/``batch_size`` below 1, negative
+            ``jobs``, or an incomplete journal without ``resume=True``.
         JournalError: another process owns this journal.
     """
 
@@ -159,6 +160,8 @@ class CampaignService:
             raise CampaignError(f"max_queue must be >= 1, got {max_queue}")
         if batch_size < 1:
             raise CampaignError(f"batch_size must be >= 1, got {batch_size}")
+        if jobs < 0:
+            raise CampaignError(f"jobs must be >= 0 (0 = auto), got {jobs}")
         self.paths = ServicePaths(Path(root)).make()
         self.max_queue = max_queue
         self.batch_size = batch_size

@@ -387,9 +387,8 @@ def _check_config(config: Any, issues: List[SpecIssue]) -> None:
             continue
         clean[key] = value
     if len(clean) > 1:
-        # Cross-field constraints (e.g. multi-start floorplan annealing
-        # without the constrained floorplanner) only show up with all
-        # settings applied.
+        # Cross-field constraints (e.g. theta_max below theta_min) only
+        # show up with all settings applied.
         try:
             base.with_(**clean)
         except (ReproError, TypeError, ValueError) as exc:

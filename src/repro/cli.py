@@ -7,9 +7,8 @@ Sub-commands:
   trade-off points and the chosen design; ``--jobs N`` fans candidate
   evaluation across the engine pool and ``--stage-timings`` prints the
   per-stage wall-clock breakdown of the staged pipeline.
-  ``--floorplanner constrained`` selects the Sec. VIII-D baseline, with
-  ``--floorplan-restarts K`` / ``--floorplan-jobs N`` running K multi-start
-  anneals (fanned across the engine pool) per insertion.
+  ``--floorplanner constrained`` selects the Sec. VIII-D baseline, one
+  seeded anneal per layer insertion.
 * ``sweep``      — explore an architectural design space (frequency × α ×
   link width) on the parallel engine (``--jobs``).
 * ``sim``        — wormhole-simulate a synthesized benchmark under a
@@ -44,6 +43,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.bench.registry import get_benchmark, list_benchmarks
@@ -86,13 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="custom",
                        help="NoC insertion routine: the paper's custom one "
                             "or the constrained-annealer baseline")
-    synth.add_argument("--floorplan-restarts", type=int, default=1,
-                       help="multi-start annealing runs of the constrained "
-                            "floorplanner (best cost wins deterministically)")
-    synth.add_argument("--floorplan-jobs", type=int, default=1,
-                       help="worker processes for those restarts "
-                            "(0 = one per CPU, 1 = serial; results are "
-                            "identical either way)")
     synth.add_argument("--all-points", action="store_true",
                        help="print every valid design point")
     synth.add_argument("--verify", action="store_true",
@@ -387,10 +380,14 @@ def _load_specs(args):
 
 def _cmd_synth(args) -> int:
     supervision = _supervision(args)
+    for flag, path in (("--export-json", args.export_json),
+                       ("--export-dot", args.export_dot)):
+        # Checked before any work: a synthesis must not end in a bare
+        # FileNotFoundError at the write.
+        if path and not Path(path).resolve().parent.is_dir():
+            raise ReproError(f"{flag}: directory of {path} does not exist")
     core_spec, comm_spec = _load_specs(args)
     switch_range = _parse_switch_range(args.switches)
-    # Invalid knob combinations (e.g. --floorplan-restarts without
-    # --floorplanner constrained) are rejected by SynthesisConfig itself.
     config = SynthesisConfig(
         frequency_mhz=args.frequency,
         max_ill=args.max_ill,
@@ -398,8 +395,6 @@ def _cmd_synth(args) -> int:
         objective=args.objective,
         switch_count_range=switch_range,
         floorplanner=args.floorplanner,
-        floorplan_restarts=args.floorplan_restarts,
-        floorplan_jobs=args.floorplan_jobs,
     )
     store = _open_store(args)
     # Built before any store lookup: invalid specs exit 2 on a warm store.
@@ -797,8 +792,6 @@ def _cmd_lint(args) -> int:
     The analysis package is imported lazily so every other CLI command
     stays import-light.
     """
-    from pathlib import Path
-
     from repro.analysis import (
         CHECKER_REGISTRY, Baseline, format_report, known_codes, lint_paths,
         run_checkers, load_corpus, resolve_checkers,

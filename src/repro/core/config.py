@@ -57,17 +57,6 @@ class SynthesisConfig:
             both finite and positive.
         floorplanner: "custom" (the paper's routine) or "constrained"
             (the standard-floorplanner baseline of Sec. VIII-D).
-        floorplan_restarts: Multi-start annealing runs of the constrained
-            floorplanner (best cost wins, ties to the lowest restart;
-            restart 0 reproduces the single-start trajectory). Requires
-            ``floorplanner="constrained"`` — the custom inserter is
-            deterministic and would silently ignore the knob.
-        floorplan_jobs: Worker processes fanning those restarts across the
-            engine pool (1 = serial, 0 = one per CPU); results are
-            identical regardless. Keep it at 1 when candidate evaluation
-            already runs with ``jobs > 1`` — each candidate worker would
-            otherwise spawn its own nested pool per insertion,
-            oversubscribing the CPUs.
     """
 
     frequency_mhz: float = 400.0
@@ -94,14 +83,6 @@ class SynthesisConfig:
     search_radius_mm: float = 1.0
     grid_step_mm: float = 0.1
     floorplanner: str = "custom"
-    floorplan_restarts: int = 1
-    floorplan_jobs: int = 1
-
-    #: Results-invariant parallelism knob: excluded from result-store
-    #: fingerprints (repro.engine.store) like the benchmark-registry memo
-    #: key excludes it, so runs differing only in worker count share
-    #: cache entries for their bit-identical results.
-    __fingerprint_exclude__ = ("floorplan_jobs",)
 
     def __post_init__(self) -> None:
         if self.frequency_mhz <= 0:
@@ -150,23 +131,6 @@ class SynthesisConfig:
             raise SpecError(
                 f"floorplanner must be 'custom' or 'constrained', "
                 f"got {self.floorplanner!r}"
-            )
-        if self.floorplan_restarts < 1:
-            raise SpecError(
-                f"floorplan_restarts must be >= 1, got {self.floorplan_restarts}"
-            )
-        if self.floorplan_jobs < 0:
-            raise SpecError(
-                f"floorplan_jobs must be >= 0 (0 = auto), got {self.floorplan_jobs}"
-            )
-        if self.floorplanner == "custom" and (
-            self.floorplan_restarts != 1 or self.floorplan_jobs != 1
-        ):
-            # The paper's custom inserter is deterministic, not annealed —
-            # the knobs would be silently ignored.
-            raise SpecError(
-                "floorplan_restarts/floorplan_jobs only apply to the "
-                "annealed baseline; set floorplanner='constrained'"
             )
 
     def with_(self, **kwargs) -> "SynthesisConfig":

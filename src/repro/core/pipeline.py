@@ -328,8 +328,8 @@ class Stage:
 #: The :class:`SynthesisConfig` fields read by the skeleton/routing path
 #: machinery (``repro.core.paths``). Frequency and link width shape link
 #: capacity; the rest are pruning/routing policy. Floorplan-only knobs
-#: (seed, restarts, search radius) are deliberately absent, so a
-#: ``--floorplan-restarts`` bump reuses every upstream stage verbatim.
+#: (seed, search radius) are deliberately absent, so a floorplan ``seed``
+#: bump reuses every upstream stage verbatim.
 _PATHS_CONFIG_INPUTS: Tuple[str, ...] = (
     "frequency_mhz",
     "link_width_bits",
@@ -470,7 +470,6 @@ class FloorplanStage(Stage):
         "search_radius_mm",
         "grid_step_mm",
         "floorplanner",
-        "floorplan_restarts",
         "link_width_bits",  # sizes the TSV macro stacks
     )
     state_inputs = ("topology",)
@@ -533,8 +532,6 @@ class FloorplanStage(Stage):
                     placed = constrained_insert(
                         existing, new_components, layer=layer,
                         seed=ctx.config.seed,
-                        restarts=ctx.config.floorplan_restarts,
-                        jobs=ctx.config.floorplan_jobs,  # repro: noqa[RPL102] -- parallelism knob, results-invariant (test_floorplan_jobs_fingerprint_invariant); declaring it would split the cache by jobs=
                     )
             else:
                 placed = existing
@@ -585,8 +582,7 @@ class MetricsStage(Stage):
     cacheable = True
     context_inputs = ("library",)
     # The whole config lands inside the emitted DesignPoint, so any config
-    # change (beyond the store-level __fingerprint_exclude__ fields) must
-    # re-run metrics for the cached point to stay bit-identical.
+    # change must re-run metrics for the cached point to stay bit-identical.
     config_inputs = "*"
     state_inputs = ("assignment", "topology", "final_centers", "floorplan")
     state_outputs = ("point",)

@@ -22,8 +22,10 @@ encode a payload shared by many tasks once per executor call: every task
 re-encodes every field. Tests assert the live addresses are
 byte-identical to it (for dicts whose keys sort — this copy keeps the old
 insertion-order fallback for unorderable keys), so a store written by
-either serves the other. Salt resolution and the excluded field names
-are shared with :mod:`repro.engine.store`.
+either serves the other. Both encode a ``float`` subclass (``np.float64``)
+as the plain float, so addresses do not depend on the numpy version. Salt
+resolution and the excluded field names are shared with
+:mod:`repro.engine.store`.
 
 Do not "optimise" this module.
 """
@@ -342,7 +344,7 @@ def _feed(h, obj: Any) -> None:
         data = str(obj).encode()
         h.update(b"i%d:" % len(data) + data)
     elif isinstance(obj, float):
-        data = repr(obj).encode()  # shortest round-trip repr: stable
+        data = repr(float(obj)).encode()  # plain float: numpy-independent
         h.update(b"f%d:" % len(data) + data)
     elif isinstance(obj, str):
         data = obj.encode("utf-8")

@@ -9,7 +9,7 @@ code-version salt, and :class:`StageCache` fingerprints those inputs
 (through the store's canonical encoder) to file the stage's *outputs* on
 disk. A stage result computed at one sweep point is then served at every
 neighbouring point whose inputs hash identically: a frequency sweep
-re-runs only the frequency-sensitive stages, and a ``--floorplan-restarts``
+re-runs only the frequency-sensitive stages, and a floorplan ``seed``
 bump reuses every upstream stage verbatim.
 
 Invalidation model (see ``docs/pipeline.md`` for the full policy):

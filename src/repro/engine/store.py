@@ -121,7 +121,9 @@ def _feed(h, obj: Any) -> None:
         data = str(obj).encode()
         h.update(b"i%d:" % len(data) + data)
     elif isinstance(obj, float):
-        data = repr(obj).encode()  # shortest round-trip repr: stable
+        # Shortest round-trip repr of the plain float, so a subclass such
+        # as np.float64 encodes the same under every numpy version.
+        data = repr(float(obj)).encode()
         h.update(b"f%d:" % len(data) + data)
     elif isinstance(obj, str):
         data = obj.encode("utf-8")
@@ -147,13 +149,7 @@ def _feed(h, obj: Any) -> None:
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         h.update(b"D")
         _feed(h, _type_tag(obj))
-        # A dataclass may declare results-invariant fields (parallelism
-        # knobs etc.) in ``__fingerprint_exclude__``; they must not split
-        # the cache for computations that are bit-identical regardless.
-        exclude = getattr(type(obj), "__fingerprint_exclude__", ())
         for f in dataclasses.fields(obj):
-            if f.name in exclude:
-                continue
             _feed(h, f.name)
             _feed(h, getattr(obj, f.name))
         h.update(b";")

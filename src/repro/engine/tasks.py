@@ -1,6 +1,6 @@
 """Pickling-safe task descriptors for the parallel engine.
 
-Two task granularities cross the ``ProcessPoolExecutor`` boundary:
+Four task types cross the ``ProcessPoolExecutor`` boundary:
 
 * :class:`SynthesisTask` — one architectural point of the Fig. 3 outer
   loop: a (core spec, communication spec, configuration) triple plus an
@@ -12,10 +12,6 @@ Two task granularities cross the ``ProcessPoolExecutor`` boundary:
   through the fixed Fig. 3 stage sequence. ``synthesize(..., jobs=N)`` fans
   these out so a single run parallelises across its own switch-count
   sweep.
-* :class:`FloorplanTask` / :class:`ConstrainedInsertTask` — one restart of
-  a multi-start floorplan anneal (``anneal_floorplan(restarts=K, jobs=N)``
-  and the constrained inserter's equivalent). Restarts are independently
-  seeded, so the parent merges them deterministically by best cost.
 * :class:`SimulationTask` — one wormhole-simulation run of a
   (seed × injection scale × traffic scenario) load-sweep campaign over an
   already-synthesized topology
@@ -111,50 +107,6 @@ class CandidateTask:
     #: memoises one cache handle per (dir, salt) across candidates.
     stage_cache_dir: Optional[str] = None
     stage_cache_salt: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class FloorplanTask:
-    """One restart of a multi-start floorplan anneal.
-
-    ``nets``/``anchors`` are the net dicts' ``items()`` tuples — tuples
-    pickle cheaply and preserve declaration order, which the incremental
-    evaluator's fixed-order wirelength summation depends on. ``initial_sp``
-    is shared across restarts so the grid seed pair is built once.
-    """
-
-    key: Hashable
-    widths: Tuple[float, ...]
-    heights: Tuple[float, ...]
-    nets: Tuple = ()
-    anchors: Tuple = ()
-    wirelength_weight: float = 1.0
-    seed: int = 0
-    moves: int = 4000
-    initial_temperature: float = 1.0
-    cooling: float = 0.995
-    initial_sp: Optional[object] = None
-    restart: int = 0
-
-
-@dataclass(frozen=True)
-class ConstrainedInsertTask:
-    """One restart of a multi-start constrained insertion (Sec. VIII-D).
-
-    Carries the placed/new component dataclasses verbatim; the worker
-    re-derives the (cheap) annealing problem and returns
-    ``(best_cost, best_sequence_pair)`` so the parent packs the winner once.
-    """
-
-    key: Hashable
-    existing: Tuple = ()
-    new_components: Tuple = ()
-    seed: int = 0
-    moves: int = 3000
-    displacement_weight: float = 1.0
-    initial_temperature: float = 1.0
-    cooling: float = 0.995
-    restart: int = 0
 
 
 @dataclass(frozen=True)
@@ -401,10 +353,6 @@ def _attempt_task(task) -> TaskResult:
         return inner_result
     if isinstance(task, CandidateTask):
         return _run_candidate_task(task)
-    if isinstance(task, FloorplanTask):
-        return _run_floorplan_task(task)
-    if isinstance(task, ConstrainedInsertTask):
-        return _run_constrained_task(task)
     if isinstance(task, SimulationTask):
         return _run_simulation_task(task)
     if isinstance(task, BatchSimulationTask):
@@ -461,24 +409,6 @@ def _timed_task(key, fn) -> TaskResult:
     return TaskResult(
         key=key, result=result, elapsed_s=time.perf_counter() - start
     )
-
-
-def _run_floorplan_task(task: FloorplanTask) -> TaskResult:
-    def body():
-        from repro.floorplan.annealer import run_anneal_restart
-
-        return run_anneal_restart(task)
-
-    return _timed_task(task.key, body)
-
-
-def _run_constrained_task(task: ConstrainedInsertTask) -> TaskResult:
-    def body():
-        from repro.floorplan.constrained import run_insertion_restart
-
-        return run_insertion_restart(task)
-
-    return _timed_task(task.key, body)
 
 
 def _run_simulation_task(task: SimulationTask) -> TaskResult:

@@ -18,8 +18,7 @@ Sec. III for every vertical link.
 
 Both annealing loops run on the incremental evaluation engine of
 :mod:`repro.floorplan.engine` (in-place moves with undo, allocation-free
-packing, delta wirelength) and support deterministic multi-start
-(``restarts=K, jobs=N`` over the :mod:`repro.engine` pool). The frozen
+packing, delta wirelength), one seeded anneal per call. The frozen
 pre-optimisation baselines live in :mod:`repro.floorplan.reference` — see
 ``docs/floorplan.md``.
 """

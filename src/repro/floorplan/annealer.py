@@ -15,22 +15,19 @@ The annealing loop runs on the incremental
 :class:`~repro.floorplan.engine._AnnealState` evaluator — in-place moves
 with undo, allocation-free packing and delta wirelength — and reproduces
 the frozen naive baseline of :mod:`repro.floorplan.reference` bit for bit
-(asserted by the regression suite). ``restarts=K`` runs K independently
-seeded anneals and keeps the best; ``jobs=N`` fans the restarts across the
-:mod:`repro.engine` process pool with a deterministic best-cost /
-lowest-restart merge, so serial and parallel multi-start runs are
-identical.
+(asserted by the regression suite). Like Parquet in the paper, each call
+is one seeded anneal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.floorplan.engine import _AnnealState
 from repro.floorplan.sequence_pair import SequencePair
-from repro.rng import restart_rng
+from repro.rng import make_rng
 
 #: Wirelength "nets": ((block_i, block_j) -> weight); external attractors are
 #: ((block_i, (x, y)) -> weight) entries keyed by index and a fixed point.
@@ -40,11 +37,7 @@ AnchorNets = Mapping[Tuple[int, Tuple[float, float]], float]
 
 @dataclass
 class FloorplanResult:
-    """Output of :func:`anneal_floorplan`.
-
-    For multi-start runs ``moves_evaluated`` counts moves across *all*
-    restarts, and ``restart_index`` identifies the winning restart.
-    """
+    """Output of :func:`anneal_floorplan`."""
 
     positions: List[Tuple[float, float]]
     sequence_pair: SequencePair
@@ -52,7 +45,6 @@ class FloorplanResult:
     wirelength: float
     cost: float
     moves_evaluated: int
-    restart_index: int = 0
 
 
 def anneal_floorplan(
@@ -67,9 +59,6 @@ def anneal_floorplan(
     initial_temperature: float = 1.0,
     cooling: float = 0.995,
     initial_sp: Optional[SequencePair] = None,
-    restarts: int = 1,
-    jobs: Optional[int] = 1,
-    store=None,
 ) -> FloorplanResult:
     """Floorplan ``n`` blocks minimising area + weighted wirelength.
 
@@ -82,22 +71,11 @@ def anneal_floorplan(
             floorplanning a 3-D stack layer by layer.
         wirelength_weight: Relative weight of wirelength vs. area (both are
             normalised by the initial solution's values).
-        seed: RNG seed; the run is fully deterministic (restart 0 uses the
-            exact pre-multi-start stream, so ``restarts=1`` reproduces the
-            historical single-start trajectory).
-        moves: Number of annealing moves *per restart*.
+        seed: RNG seed; the run is fully deterministic.
+        moves: Number of annealing moves.
         initial_temperature / cooling: Geometric schedule in normalised-cost
             units.
         initial_sp: Optional starting sequence pair (default: grid).
-        restarts: Independent annealing runs; the lowest-cost result wins,
-            ties broken by the lowest restart index.
-        jobs: Worker processes for the restarts — ``1`` (default) serial,
-            ``None``/``0`` one per CPU, ``n >= 2`` a pool of n. Results are
-            identical regardless of ``jobs``.
-        store: Optional :class:`~repro.engine.store.ResultStore` serving
-            already-annealed restarts from disk and checkpointing fresh
-            ones (multi-start runs only — a single-start anneal stays on
-            the zero-overhead direct path).
 
     Returns:
         The best found :class:`FloorplanResult` (not merely the final one).
@@ -107,8 +85,6 @@ def anneal_floorplan(
         raise ValueError("cannot floorplan zero blocks")
     if len(heights) != n:
         raise ValueError("widths and heights must have equal length")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     nets = dict(nets or {})
     anchors = dict(anchors or {})
 
@@ -116,78 +92,11 @@ def anneal_floorplan(
     if sp.n != n:
         raise ValueError(f"initial sequence pair has {sp.n} blocks, expected {n}")
 
-    if restarts == 1:
-        return _anneal_restart(
-            widths, heights, nets, anchors,
-            wirelength_weight=wirelength_weight, seed=seed, moves=moves,
-            initial_temperature=initial_temperature, cooling=cooling,
-            initial_sp=sp, restart=0,
-        )
-
-    # Multi-start: fan the restarts across the engine pool (lazy import —
-    # repro.engine depends on repro.floorplan, not vice versa).
-    from repro.engine.executor import run_tasks
-    from repro.engine.tasks import FloorplanTask
-
-    tasks = [
-        FloorplanTask(
-            key=restart,
-            widths=tuple(float(w) for w in widths),
-            heights=tuple(float(h) for h in heights),
-            nets=tuple(nets.items()),
-            anchors=tuple(anchors.items()),
-            wirelength_weight=wirelength_weight,
-            seed=seed,
-            moves=moves,
-            initial_temperature=initial_temperature,
-            cooling=cooling,
-            initial_sp=sp,
-            restart=restart,
-        )
-        for restart in range(restarts)
-    ]
-    results = [r.result for r in run_tasks(tasks, jobs=jobs, store=store)]
-    # First minimum in restart order: ties go to the lowest restart.
-    best = min(results, key=lambda r: r.cost)
-    total_evaluated = sum(r.moves_evaluated for r in results)
-    return replace(best, moves_evaluated=total_evaluated)
-
-
-def run_anneal_restart(task) -> FloorplanResult:
-    """Worker entry point for one :class:`~repro.engine.tasks.FloorplanTask`."""
-    return _anneal_restart(
-        list(task.widths), list(task.heights),
-        dict(task.nets), dict(task.anchors),
-        wirelength_weight=task.wirelength_weight, seed=task.seed,
-        moves=task.moves, initial_temperature=task.initial_temperature,
-        cooling=task.cooling, initial_sp=task.initial_sp,
-        restart=task.restart,
-    )
-
-
-def _anneal_restart(
-    widths: Sequence[float],
-    heights: Sequence[float],
-    nets: Dict[Tuple[int, int], float],
-    anchors: Dict[Tuple[int, Tuple[float, float]], float],
-    *,
-    wirelength_weight: float,
-    seed: int,
-    moves: int,
-    initial_temperature: float,
-    cooling: float,
-    initial_sp: SequencePair,
-    restart: int,
-) -> FloorplanResult:
-    """One annealing run on the incremental evaluator.
-
-    The move/acceptance structure — RNG draw order, cost expression,
-    acceptance test — mirrors :func:`repro.floorplan.reference
-    .naive_anneal_floorplan` exactly; only the evaluation is incremental.
-    """
-    n = len(widths)
-    rng = restart_rng(seed, "floorplan-anneal", restart)
-    state = _AnnealState(initial_sp, widths, heights, nets, anchors)
+    # The move/acceptance structure — RNG draw order, cost expression,
+    # acceptance test — mirrors repro.floorplan.reference
+    # .naive_anneal_floorplan exactly; only the evaluation is incremental.
+    rng = make_rng(seed, "floorplan-anneal")
+    state = _AnnealState(sp, widths, heights, nets, anchors)
 
     area0, wl0 = state.area, state.wirelength
     area_scale = area0 if area0 > 0 else 1.0
@@ -247,5 +156,4 @@ def _anneal_restart(
         wirelength=best_wl,
         cost=best_cost,
         moves_evaluated=evaluated,
-        restart_index=restart,
     )

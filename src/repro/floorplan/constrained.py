@@ -19,14 +19,12 @@ towards its LP-ideal centre, one per core towards its input position), so a
 relocation move only recomputes the terms of blocks whose packed position
 actually changed. The loop is bit-identical to the frozen
 :func:`repro.floorplan.reference.naive_constrained_insert` baseline.
-``restarts``/``jobs`` mirror :func:`repro.floorplan.annealer
-.anneal_floorplan`'s multi-start knobs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import FloorplanError
 from repro.floorplan.engine import _AnnealState
@@ -38,7 +36,7 @@ from repro.floorplan.sequence_pair import (
     positions_to_seqpair,
     seqpair_to_positions,
 )
-from repro.rng import restart_rng
+from repro.rng import make_rng
 
 
 def constrained_insert(
@@ -51,18 +49,12 @@ def constrained_insert(
     displacement_weight: float = 1.0,
     initial_temperature: float = 1.0,
     cooling: float = 0.995,
-    restarts: int = 1,
-    jobs: Optional[int] = 1,
-    store=None,
 ) -> List[PlacedComponent]:
     """Insert network components with the constrained-annealer baseline.
 
-    Args/returns mirror :func:`repro.floorplan.inserter.insert_components`;
-    ``restarts``/``jobs`` run K independently seeded anneals (best cost
-    wins, ties to the lowest restart) optionally fanned across the
-    :mod:`repro.engine` pool — serial and parallel runs are identical.
-    ``store`` plugs a :class:`~repro.engine.store.ResultStore` into that
-    fan-out so finished restarts are reused across invocations.
+    Args/returns mirror :func:`repro.floorplan.inserter.insert_components`.
+    RNG draw order, cost expression and acceptance test mirror the frozen
+    :func:`repro.floorplan.reference.naive_constrained_insert` exactly.
     """
     layers = {c.layer for c in existing} | {layer}
     if len(layers) > 1:
@@ -75,91 +67,6 @@ def constrained_insert(
     n_new = len(new_components)
     if n_new == 0:
         return list(existing)
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-
-    if restarts == 1:
-        _, best_sp = _insertion_restart(
-            existing, new_components, seed=seed, moves=moves,
-            displacement_weight=displacement_weight,
-            initial_temperature=initial_temperature, cooling=cooling,
-            restart=0,
-        )
-    else:
-        # Lazy import: repro.engine depends on repro.floorplan, not vice versa.
-        from repro.engine.executor import run_tasks
-        from repro.engine.tasks import ConstrainedInsertTask
-
-        tasks = [
-            ConstrainedInsertTask(
-                key=restart,
-                existing=tuple(existing),
-                new_components=tuple(new_components),
-                seed=seed,
-                moves=moves,
-                displacement_weight=displacement_weight,
-                initial_temperature=initial_temperature,
-                cooling=cooling,
-                restart=restart,
-            )
-            for restart in range(restarts)
-        ]
-        results = run_tasks(tasks, jobs=jobs, store=store)
-        # First minimum in restart order: ties go to the lowest restart.
-        _, best_sp = min((r.result for r in results), key=lambda cs: cs[0])
-
-    widths = [c.rect.width for c in existing] + [c.width for c in new_components]
-    heights = [c.rect.height for c in existing] + [c.height for c in new_components]
-    final_positions = seqpair_to_positions(best_sp, widths, heights)
-    out: List[PlacedComponent] = []
-    for i, comp in enumerate(existing):
-        x, y = final_positions[i]
-        out.append(
-            PlacedComponent(
-                name=comp.name, kind=comp.kind,
-                rect=comp.rect.moved_to(x, y), layer=layer,
-            )
-        )
-    for j, comp in enumerate(new_components):
-        x, y = final_positions[n_cores + j]
-        out.append(
-            PlacedComponent(
-                name=comp.name, kind=comp.kind,
-                rect=Rect(x, y, comp.width, comp.height), layer=layer,
-            )
-        )
-    return out
-
-
-def run_insertion_restart(task) -> Tuple[float, SequencePair]:
-    """Worker entry point for one
-    :class:`~repro.engine.tasks.ConstrainedInsertTask`."""
-    return _insertion_restart(
-        task.existing, task.new_components, seed=task.seed, moves=task.moves,
-        displacement_weight=task.displacement_weight,
-        initial_temperature=task.initial_temperature, cooling=task.cooling,
-        restart=task.restart,
-    )
-
-
-def _insertion_restart(
-    existing: Sequence[PlacedComponent],
-    new_components: Sequence[NewComponent],
-    *,
-    seed: int,
-    moves: int,
-    displacement_weight: float,
-    initial_temperature: float,
-    cooling: float,
-    restart: int,
-) -> Tuple[float, SequencePair]:
-    """One constrained annealing run; returns (best cost, best sequence pair).
-
-    RNG draw order, cost expression and acceptance test mirror the frozen
-    :func:`repro.floorplan.reference.naive_constrained_insert` exactly.
-    """
-    n_cores = len(existing)
-    n_new = len(new_components)
     n = n_cores + n_new
 
     widths = [c.rect.width for c in existing] + [c.width for c in new_components]
@@ -197,7 +104,7 @@ def _insertion_restart(
     def cost(area: float, disp: float) -> float:
         return area / area_scale + displacement_weight * disp / disp_scale
 
-    rng = restart_rng(seed, "constrained-insert", restart)
+    rng = make_rng(seed, "constrained-insert")
     current = cost(area0, disp0)
     best_cost = current
     best_sequences = state.sequences()
@@ -230,6 +137,23 @@ def _insertion_restart(
             state.revert()
         temperature *= cooling
 
-    return best_cost, SequencePair(
-        positive=best_sequences[0], negative=best_sequences[1]
-    )
+    best_sp = SequencePair(positive=best_sequences[0], negative=best_sequences[1])
+    final_positions = seqpair_to_positions(best_sp, widths, heights)
+    out: List[PlacedComponent] = []
+    for i, comp in enumerate(existing):
+        x, y = final_positions[i]
+        out.append(
+            PlacedComponent(
+                name=comp.name, kind=comp.kind,
+                rect=comp.rect.moved_to(x, y), layer=layer,
+            )
+        )
+    for j, comp in enumerate(new_components):
+        x, y = final_positions[n_cores + j]
+        out.append(
+            PlacedComponent(
+                name=comp.name, kind=comp.kind,
+                rect=Rect(x, y, comp.width, comp.height), layer=layer,
+            )
+        )
+    return out

@@ -33,21 +33,6 @@ def make_rng(seed: int, *salt: object) -> random.Random:
     return random.Random(int(seed))
 
 
-def restart_rng(seed: int, salt: str, restart: int) -> random.Random:
-    """The multi-start annealing stream contract, shared by every annealer.
-
-    Restart 0 keeps the exact historical single-start stream
-    (``make_rng(seed, salt)``), so ``restarts=1`` reproduces pre-multi-start
-    trajectories bit for bit; restarts 1..K-1 derive decorrelated streams
-    from the same experiment seed. Serial/parallel bit-identity of
-    multi-start runs depends on every caller deriving restart streams
-    through this one function.
-    """
-    if restart == 0:
-        return make_rng(seed, salt)
-    return make_rng(seed, salt, "restart", restart)
-
-
 def stable_shuffle(items: Iterable, seed: int, *salt: object) -> list:
     """Return a deterministically shuffled copy of ``items``."""
     out = list(items)

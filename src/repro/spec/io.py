@@ -16,13 +16,36 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 from repro.errors import SpecError
 from repro.spec.comm_spec import CommSpec, MessageType, TrafficFlow
 from repro.spec.core_spec import Core, CoreSpec
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
+
+
+def _load(path: PathLike, parse: Callable[[str], T]) -> T:
+    """``parse`` the text of the spec file at ``path``.
+
+    An unreadable file, malformed JSON or a malformed entry raises
+    :class:`SpecError` naming ``path``, never a bare ``OSError`` or
+    ``ValueError``.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SpecError(f"{path}: cannot read spec file: {reason}") from exc
+    try:
+        return parse(text)
+    except SpecError as exc:
+        if str(exc).startswith(f"{path}:"):
+            raise
+        raise SpecError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -46,7 +69,7 @@ def core_spec_to_dict(spec: CoreSpec) -> dict:
 
 
 def core_spec_from_dict(data: dict) -> CoreSpec:
-    if "cores" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("cores"), list):
         raise SpecError("core spec JSON must contain a 'cores' list")
     cores = []
     for entry in data["cores"]:
@@ -63,6 +86,8 @@ def core_spec_from_dict(data: dict) -> CoreSpec:
             )
         except KeyError as exc:
             raise SpecError(f"core entry missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SpecError(f"malformed core entry {entry!r}: {exc}") from exc
     return CoreSpec(cores=cores)
 
 
@@ -82,7 +107,7 @@ def comm_spec_to_dict(spec: CommSpec) -> dict:
 
 
 def comm_spec_from_dict(data: dict) -> CommSpec:
-    if "flows" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("flows"), list):
         raise SpecError("communication spec JSON must contain a 'flows' list")
     flows = []
     for entry in data["flows"]:
@@ -100,6 +125,8 @@ def comm_spec_from_dict(data: dict) -> CommSpec:
             )
         except KeyError as exc:
             raise SpecError(f"flow entry missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SpecError(f"malformed flow entry {entry!r}: {exc}") from exc
     return CommSpec(flows=flows)
 
 
@@ -108,7 +135,7 @@ def save_core_spec_json(spec: CoreSpec, path: PathLike) -> None:
 
 
 def load_core_spec_json(path: PathLike) -> CoreSpec:
-    return core_spec_from_dict(json.loads(Path(path).read_text()))
+    return _load(path, lambda text: core_spec_from_dict(json.loads(text)))
 
 
 def save_comm_spec_json(spec: CommSpec, path: PathLike) -> None:
@@ -116,7 +143,7 @@ def save_comm_spec_json(spec: CommSpec, path: PathLike) -> None:
 
 
 def load_comm_spec_json(path: PathLike) -> CommSpec:
-    return comm_spec_from_dict(json.loads(Path(path).read_text()))
+    return _load(path, lambda text: comm_spec_from_dict(json.loads(text)))
 
 
 # --------------------------------------------------------------------------
@@ -131,8 +158,12 @@ def save_core_spec_text(spec: CoreSpec, path: PathLike) -> None:
 
 
 def load_core_spec_text(path: PathLike) -> CoreSpec:
+    return _load(path, lambda text: _parse_core_text(path, text))
+
+
+def _parse_core_text(path: PathLike, text: str) -> CoreSpec:
     cores = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -150,7 +181,7 @@ def load_core_spec_text(path: PathLike) -> CoreSpec:
                     layer=int(parts[6]),
                 )
             )
-        except ValueError as exc:
+        except (SpecError, ValueError) as exc:
             raise SpecError(f"{path}:{lineno}: {exc}") from exc
     return CoreSpec(cores=cores)
 
@@ -165,8 +196,12 @@ def save_comm_spec_text(spec: CommSpec, path: PathLike) -> None:
 
 
 def load_comm_spec_text(path: PathLike) -> CommSpec:
+    return _load(path, lambda text: _parse_comm_text(path, text))
+
+
+def _parse_comm_text(path: PathLike, text: str) -> CommSpec:
     flows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -189,6 +224,6 @@ def load_comm_spec_text(path: PathLike) -> CommSpec:
                     ),
                 )
             )
-        except ValueError as exc:
+        except (SpecError, ValueError) as exc:
             raise SpecError(f"{path}:{lineno}: {exc}") from exc
     return CommSpec(flows=flows)

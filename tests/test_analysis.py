@@ -543,32 +543,6 @@ def test_journal_readonly_guard_still_raises(tmp_path):
     assert dropped >= 0
 
 
-def test_floorplan_jobs_fingerprint_invariant(tmp_path):
-    """Regression for the RPL102 suppression in FloorplanStage: the
-    parallelism knob must not enter the stage fingerprint (declaring it
-    would split the cache by worker count), while a declared knob must."""
-    from repro.core.config import SynthesisConfig
-    from repro.core.pipeline import FloorplanStage
-    from repro.engine.stagecache import StageCache
-    from repro.engine.store import ResultStore
-
-    stage = FloorplanStage()
-    cache = StageCache(ResultStore(tmp_path / "store"))
-    base = SynthesisConfig(floorplanner="constrained")
-
-    def fingerprint(config):
-        ctx = SimpleNamespace(
-            core_spec="core-spec-token", library="library-token",
-            config=config,
-        )
-        state = SimpleNamespace(topology="topology-token")
-        return cache.fingerprint(stage, (), ctx, state)
-
-    assert fingerprint(base) is not None
-    assert fingerprint(base) == fingerprint(base.with_(floorplan_jobs=8))
-    assert fingerprint(base) != fingerprint(base.with_(search_radius_mm=2.0))
-
-
 def test_pipeline_decl_paths_config_inputs():
     """Regression for the RPL106 suppressions in Skeleton/RoutingStage:
     the whole config object goes into repro.core.paths, whose actual

@@ -18,6 +18,10 @@ sweep is ``run_tasks(build_tasks(..., ParameterGrid(...)))`` with
 ``sweep_frequencies`` as the one named sweep. The deleted wrappers
 (``SunFloor3D``, the α/width/lowest-frequency sweep helpers, the whole-run
 timing replay) and the ``skip_infeasible`` switch may not return.
+
+Each floorplanner runs one seeded anneal per call: multi-start annealing
+(``restarts``, its two engine task types, its RNG helper and its two
+``SynthesisConfig`` fields) may not return.
 """
 
 import ast
@@ -27,6 +31,8 @@ from pathlib import Path
 
 import repro
 import repro.core
+import repro.engine.tasks
+import repro.rng
 from repro.campaign.spec import CampaignSpec
 from repro.core import frequency_sweep, pipeline, synthesis
 from repro.core.pipeline import StageTimings, run_synthesis
@@ -39,7 +45,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LOOSE_KNOBS = {
     "retry", "task_timeout_s", "on_error", "max_pool_restarts",
     "chunk_size", "max_bytes", "evict_grace_s", "backoff_s", "retry_on",
-    "overrides", "skip_infeasible",
+    "overrides", "skip_infeasible", "restarts",
 }
 
 
@@ -136,3 +142,14 @@ def test_synthesize_accepts_every_run_synthesis_keyword(tiny_specs):
     )
     assert result.points and timings.count("routing") > 0
     assert quarantined == []
+
+
+def test_multistart_annealing_stays_gone():
+    for module, name in (
+        (repro.engine.tasks, "FloorplanTask"),
+        (repro.engine.tasks, "ConstrainedInsertTask"),
+        (repro.rng, "restart_rng"),
+    ):
+        assert not hasattr(module, name), (module.__name__, name)
+    fields = {f.name for f in dataclasses.fields(repro.SynthesisConfig)}
+    assert not fields & {"floorplan_restarts", "floorplan_jobs"}

@@ -328,3 +328,20 @@ def test_bad_service_parameters(tmp_path):
         CampaignService(tmp_path / "s", max_queue=0)
     with pytest.raises(CampaignError, match="batch_size"):
         CampaignService(tmp_path / "s", batch_size=0)
+    with pytest.raises(CampaignError, match="jobs"):
+        CampaignService(tmp_path / "s", jobs=-1)
+
+
+def test_serve_rejects_negative_jobs_before_reading_the_spool(
+    tmp_path, capsys
+):
+    from repro.cli import main
+
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps(sweep_spec("one")))
+    queued = submit_file(tmp_path / "spool", spec)
+    argv = ["serve", "--dir", str(tmp_path / "spool"), "--once", "--jobs", "-1"]
+    assert main(argv) == 2
+    assert "jobs must be >= 0" in capsys.readouterr().err
+    assert queued.exists()  # still in the inbox, never journaled failed
+    assert not (tmp_path / "spool" / "journal.jsonl").exists()

@@ -63,6 +63,33 @@ class TestSynthCommand:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_spec_file_exits_two(self, tmp_path, capsys, tiny_specs):
+        _, comm_spec = tiny_specs
+        cores_path = tmp_path / "cores.json"
+        comm_path = tmp_path / "comm.txt"
+        cores_path.write_text("{not json")
+        save_comm_spec_text(comm_spec, comm_path)
+        rc = main(["synth", "--cores", str(cores_path), "--comm", str(comm_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cores_path) in err
+
+    @pytest.mark.parametrize("flag", ["--export-json", "--export-dot"])
+    def test_export_into_missing_directory_exits_before_any_work(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        import repro.cli
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran before the export check")
+
+        monkeypatch.setattr(repro.cli, "run_synthesis", no_synthesis)
+        target = tmp_path / "missing" / "out"
+        rc = main(["synth", "--benchmark", "d26_media", flag, str(target)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
     def test_infeasible_returns_one(self, tmp_path, capsys, tiny_specs):
         core_spec, comm_spec = tiny_specs
         cores_path = tmp_path / "cores.txt"

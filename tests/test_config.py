@@ -29,12 +29,6 @@ class TestValidation:
         {"switch_count_range": (0, 5)},
         {"switch_count_range": (5, 3)},
         {"floorplanner": "parquet"},
-        {"floorplan_restarts": 0},
-        {"floorplan_jobs": -1},
-        # Multi-start knobs require the annealed baseline — the custom
-        # inserter is deterministic and would silently ignore them.
-        {"floorplan_restarts": 2},
-        {"floorplanner": "custom", "floorplan_jobs": 4},
         # The custom inserter's search knobs: a zero or NaN step used to
         # crash synthesis, a negative one ran silently.
         {"grid_step_mm": 0.0},
@@ -49,13 +43,6 @@ class TestValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(SpecError):
             SynthesisConfig(**kwargs)
-
-    def test_floorplan_multistart_requires_constrained(self):
-        cfg = SynthesisConfig(
-            floorplanner="constrained", floorplan_restarts=4, floorplan_jobs=2
-        )
-        assert cfg.floorplan_restarts == 4
-        assert cfg.floorplan_jobs == 2
 
 
 class TestHelpers:

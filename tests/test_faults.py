@@ -13,9 +13,9 @@ claims is executed here with injected faults (:mod:`repro.engine.faults`):
 * a killed-then-resumed store-backed campaign merging bit-identically to
   a clean cold run.
 
-Cheap :class:`~repro.engine.tasks.FloorplanTask` bodies (a few dozen
-annealing moves) keep every leg fast; the faults, pool breaks and
-deadlines are real.
+Cheap :class:`~repro.engine.tasks.SimulationTask` bodies (a few hundred
+cycles on a four-core topology) keep every leg fast; the faults, pool
+breaks and deadlines are real.
 """
 
 from __future__ import annotations
@@ -55,24 +55,23 @@ from repro.engine.supervise import (
     attach_remote_traceback,
     pool_context,
 )
-from repro.engine.tasks import FloorplanTask, TaskResult, run_task
+from repro.engine.tasks import SimulationTask, TaskResult, run_task
 from repro.errors import EngineError, TaskQuarantinedError, TaskTimeoutError
-from repro.floorplan.sequence_pair import SequencePair
+
+from _simtopo import contended_topology
 
 N_TASKS = 6
 FAULT_INDEX = 2
 
 
-def _tasks(n: int = N_TASKS, moves: int = 40):
+def _tasks(n: int = N_TASKS):
     """Cheap, deterministic, mutually distinct engine tasks."""
-    sp = SequencePair.grid(4)
+    topo = contended_topology()
     return [
-        FloorplanTask(
-            key=f"restart-{i}", widths=(2.0, 3.0, 1.5, 2.5),
-            heights=(1.0, 2.0, 1.2, 0.8), seed=9, moves=moves,
-            initial_sp=sp, restart=i,
+        SimulationTask(
+            key=f"sim-{seed}", topology=topo, seed=seed, cycles=200, warmup=0,
         )
-        for i in range(n)
+        for seed in range(n)
     ]
 
 
@@ -80,6 +79,12 @@ def _tasks(n: int = N_TASKS, moves: int = 40):
 def clean_results():
     """Fault-free serial baseline every faulted run must agree with."""
     return run_tasks(_tasks(), jobs=1)
+
+
+def _payloads(results):
+    """Each result's pickle: results are compared one by one, since a
+    store-served result shares no sub-objects with its neighbours."""
+    return [pickle.dumps(r.result) for r in results]
 
 
 def _store_entries(store_dir) -> int:
@@ -187,9 +192,7 @@ class TestFaultMatrix:
             assert [r.cached for r in rerun] == [
                 i in survivors for i in range(len(tasks))
             ]
-            assert pickle.dumps([r.result for r in rerun]) == pickle.dumps(
-                [r.result for r in clean_results]
-            )
+            assert _payloads(rerun) == _payloads(clean_results)
 
 
 def _scripted_attempts(monkeypatch, outcomes):
@@ -314,7 +317,7 @@ class TestQuarantine:
         faulty = inject_faults(_tasks(4), plan)
         with pytest.raises(TaskQuarantinedError) as excinfo:
             run_tasks(faulty, jobs=2)
-        assert excinfo.value.key == "restart-1"
+        assert excinfo.value.key == "sim-1"
         assert excinfo.value.attempts == 2
         assert excinfo.value.reason == "crash"
 
@@ -327,7 +330,7 @@ class TestQuarantine:
             run_tasks(
                 faulty, jobs=2, supervision=Supervision(task_timeout_s=0.5)
             )
-        assert excinfo.value.key == "restart-1"
+        assert excinfo.value.key == "sim-1"
 
     def test_pool_restart_budget_exhaustion(self, tmp_path, monkeypatch):
         # Two persistent crashers with a zero-restart budget: the first
@@ -630,9 +633,7 @@ class TestGracefulInterrupt:
         # the merged campaign equals the clean cold run byte for byte.
         resumed = run_tasks(_tasks(), jobs=1, store=store)
         assert any(r.cached for r in resumed)
-        assert pickle.dumps([r.result for r in resumed]) == pickle.dumps(
-            [r.result for r in clean_results]
-        )
+        assert _payloads(resumed) == _payloads(clean_results)
 
 
 class TestKilledAndResumed:
@@ -658,9 +659,7 @@ class TestKilledAndResumed:
             inject_faults(_tasks(), plan), jobs=2, store=store,
             supervision=sup,
         )
-        assert pickle.dumps([r.result for r in resumed]) == pickle.dumps(
-            [r.result for r in clean_results]
-        )
+        assert _payloads(resumed) == _payloads(clean_results)
         # The activation counter survives the kill, so the fault fired on
         # exactly one attempt across both runs (a reset would re-fire it on
         # resume). Attempt counts: fail + retry-success in whichever run(s)

@@ -3,14 +3,13 @@
 The contract under test: the incremental evaluator and the annealing loops
 built on it are *bit-identical* to the frozen naive baselines of
 :mod:`repro.floorplan.reference` — same per-move area/wirelength, same
-accepted-move trajectory, same final floorplan — and multi-start runs merge
-identically whether the restarts run serially or on the engine pool.
+accepted-move trajectory, same final floorplan.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.floorplan.annealer import FloorplanResult, anneal_floorplan
+from repro.floorplan.annealer import anneal_floorplan
 from repro.floorplan.constrained import constrained_insert
 from repro.floorplan.engine import _AnnealState
 from repro.floorplan.geometry import Rect
@@ -198,122 +197,3 @@ class TestConstrainedTrajectory:
         slow = naive_constrained_insert(cores, new, seed=seed, moves=400)
         assert [(c.name, c.rect, c.layer) for c in fast] == \
             [(c.name, c.rect, c.layer) for c in slow]
-
-
-class TestMultiStart:
-    WIDTHS = [1.0, 2.0, 1.5, 1.2, 0.8, 1.1, 1.9, 0.7]
-    HEIGHTS = [1.3, 1.0, 1.4, 0.9, 1.2, 1.0, 0.8, 1.5]
-    NETS = {(0, 3): 100.0, (1, 4): 50.0, (2, 5): 75.0, (6, 7): 120.0}
-
-    def test_serial_and_parallel_identical(self):
-        serial = anneal_floorplan(
-            self.WIDTHS, self.HEIGHTS, self.NETS,
-            moves=300, seed=3, restarts=3, jobs=1,
-        )
-        parallel = anneal_floorplan(
-            self.WIDTHS, self.HEIGHTS, self.NETS,
-            moves=300, seed=3, restarts=3, jobs=2,
-        )
-        assert serial == parallel
-
-    def test_restart_zero_reproduces_single_start(self):
-        # The multi-start winner can only improve on the single-start run,
-        # and the total move count accumulates across restarts.
-        single = anneal_floorplan(
-            self.WIDTHS, self.HEIGHTS, self.NETS, moves=300, seed=3
-        )
-        multi = anneal_floorplan(
-            self.WIDTHS, self.HEIGHTS, self.NETS,
-            moves=300, seed=3, restarts=4,
-        )
-        assert multi.cost <= single.cost
-        assert multi.moves_evaluated == 4 * single.moves_evaluated
-        if multi.restart_index == 0:
-            assert multi.positions == single.positions
-
-    def test_restart_streams_are_decorrelated(self):
-        runs = [
-            anneal_floorplan(
-                self.WIDTHS, self.HEIGHTS, self.NETS,
-                moves=300, seed=3, restarts=4,
-            )
-        ]
-        # At least the winning restart is a real choice, not always 0.
-        costs = set()
-        for restart in range(4):
-            from repro.floorplan.annealer import _anneal_restart
-            from repro.floorplan.sequence_pair import SequencePair as SP
-
-            result = _anneal_restart(
-                self.WIDTHS, self.HEIGHTS, dict(self.NETS), {},
-                wirelength_weight=1.0, seed=3, moves=300,
-                initial_temperature=1.0, cooling=0.995,
-                initial_sp=SP.grid(len(self.WIDTHS)), restart=restart,
-            )
-            costs.add(result.cost)
-        assert len(costs) > 1  # different streams explore differently
-        assert runs[0].cost == min(costs)
-
-    def test_invalid_restarts_rejected(self):
-        with pytest.raises(ValueError):
-            anneal_floorplan([1.0], [1.0], restarts=0)
-
-    def test_constrained_multistart_serial_parallel_identical(self):
-        cores = [
-            PlacedComponent(f"core{i}", "core", Rect(1.2 * i, 0.0, 1.0, 1.0), 0)
-            for i in range(5)
-        ]
-        new = [
-            NewComponent("sw0", "switch", 0.4, 0.4, (2.0, 0.6)),
-            NewComponent("sw1", "switch", 0.3, 0.3, (4.2, 0.4)),
-        ]
-        serial = constrained_insert(
-            cores, new, layer=0, seed=5, moves=250, restarts=3, jobs=1
-        )
-        parallel = constrained_insert(
-            cores, new, layer=0, seed=5, moves=250, restarts=3, jobs=2
-        )
-        assert [(c.name, c.rect) for c in serial] == \
-            [(c.name, c.rect) for c in parallel]
-
-    def test_constrained_multistart_picks_best_restart(self):
-        from repro.floorplan.constrained import _insertion_restart
-
-        cores = [
-            PlacedComponent(f"core{i}", "core", Rect(1.2 * i, 0.0, 1.0, 1.0), 0)
-            for i in range(5)
-        ]
-        new = [NewComponent("sw0", "switch", 0.4, 0.4, (2.0, 0.6))]
-        kwargs = dict(seed=5, moves=250, displacement_weight=1.0,
-                      initial_temperature=1.0, cooling=0.995)
-        # The merge must select the lowest-cost restart (ties to lowest
-        # index): rebuild the winner by hand and compare placements.
-        restarts = [
-            _insertion_restart(cores, new, restart=r, **kwargs)
-            for r in range(3)
-        ]
-        best_cost, best_sp = min(restarts, key=lambda cs: cs[0])
-        multi = constrained_insert(
-            cores, new, layer=0, seed=5, moves=250, restarts=3
-        )
-        single_winner = constrained_insert(
-            cores, new, layer=0, seed=5, moves=250, restarts=1
-        ) if best_sp == restarts[0][1] else None
-        from repro.floorplan.sequence_pair import seqpair_to_positions
-
-        widths = [c.rect.width for c in cores] + [c.width for c in new]
-        heights = [c.rect.height for c in cores] + [c.height for c in new]
-        expected = seqpair_to_positions(best_sp, widths, heights)
-        got = [(c.rect.x, c.rect.y) for c in multi]
-        assert got == expected
-        assert best_cost == min(cs[0] for cs in restarts)
-        if single_winner is not None:
-            assert [(c.name, c.rect) for c in multi] == \
-                [(c.name, c.rect) for c in single_winner]
-
-
-class TestFloorplanResultCompat:
-    def test_restart_index_defaults_to_zero(self):
-        result = anneal_floorplan([2.0], [3.0])
-        assert result.restart_index == 0
-        assert isinstance(result, FloorplanResult)

@@ -1,5 +1,7 @@
 """Spec file round-trips (repro.spec.io)."""
 
+import re
+
 import pytest
 
 from repro.errors import SpecError
@@ -62,6 +64,36 @@ class TestJsonRoundTrip:
             load_core_spec_json(path)
         with pytest.raises(SpecError):
             load_comm_spec_json(path)
+
+
+def _mkdir(path):
+    path.mkdir()
+
+
+@pytest.mark.parametrize("load, content", [
+    (load_core_spec_json, None),  # a missing file
+    (load_core_spec_json, _mkdir),
+    (load_core_spec_json, "{not json"),
+    (load_core_spec_json, '{"cores": [1]}'),
+    (load_core_spec_json,
+     '{"cores": [{"name": "A", "width": "wide", "height": 1.0}]}'),
+    (load_comm_spec_json, '{"flows": [{"src": "A", "dst": "B", '
+                          '"bandwidth": "lots", "latency": 8}]}'),
+    (load_core_spec_text, None),
+    (load_comm_spec_text, _mkdir),
+], ids=["missing", "directory", "invalid-json", "non-object-entry",
+        "non-numeric-width", "non-numeric-bandwidth", "text-missing",
+        "text-directory"])
+def test_malformed_spec_file_raises_spec_error_naming_path(
+    tmp_path, load, content
+):
+    path = tmp_path / "spec.json"
+    if callable(content):
+        content(path)
+    elif content is not None:
+        path.write_text(content)
+    with pytest.raises(SpecError, match=re.escape(str(path))):
+        load(path)
 
 
 class TestTextRoundTrip:

@@ -114,8 +114,8 @@ class TestFingerprintProperties:
     def test_floorplan_knob_reuses_every_upstream_stage(
         self, ctx, ok_assignment, tmp_path
     ):
-        """A floorplan-only knob (seed here; restarts behaves identically)
-        leaves precheck/skeleton/routing/placement_lp untouched."""
+        """A floorplan-only knob (the seed) leaves
+        precheck/skeleton/routing/placement_lp untouched."""
         pipeline = Pipeline()
         cache = _cache(tmp_path)
         base = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)

@@ -79,19 +79,19 @@ class TestFingerprint:
                            config=CONFIG.with_(frequency_mhz=500.0))
         assert fingerprint_task(t1) != fingerprint_task(t2)
 
-    def test_results_invariant_knobs_excluded(self, tiny_specs):
-        """floorplan_jobs only changes *how* the result is computed, never
-        the result — runs differing only in it must share cache entries."""
-        core_spec, comm_spec = tiny_specs
-        base = CONFIG.with_(floorplanner="constrained", floorplan_restarts=2)
-        t1 = SynthesisTask(key=0, core_spec=core_spec, comm_spec=comm_spec,
-                           config=base.with_(floorplan_jobs=1))
-        t2 = SynthesisTask(key=0, core_spec=core_spec, comm_spec=comm_spec,
-                           config=base.with_(floorplan_jobs=4))
-        assert fingerprint_task(t1) == fingerprint_task(t2)
-        t3 = SynthesisTask(key=0, core_spec=core_spec, comm_spec=comm_spec,
-                           config=base.with_(floorplan_restarts=3))
-        assert fingerprint_task(t1) != fingerprint_task(t3)
+    def test_numpy_floats_address_like_plain_floats(self):
+        """A routed topology carries np.float64 lengths and coordinates; its
+        address must not depend on how the installed numpy spells them."""
+        plain, wrapped = contended_topology(), contended_topology()
+        for link in wrapped.links:
+            link.length_mm = np.float64(link.length_mm)
+        for sw in wrapped.switches:
+            sw.x, sw.y = np.float64(sw.x + 0.25), np.float64(sw.y)
+        for sw in plain.switches:
+            sw.x, sw.y = sw.x + 0.25, float(sw.y)
+        a, b = (SimulationTask(key=0, topology=t) for t in (plain, wrapped))
+        assert fingerprint_task(a) == fingerprint_task(b)
+        assert naive_fingerprint_task(a) == naive_fingerprint_task(b)
 
     def test_int_enum_distinct_from_plain_int(self):
         import enum
@@ -555,22 +555,6 @@ class TestCampaignDifferential:
             "SimulationTask": 8, "SynthesisTask": 1,
         }
 
-    def test_floorplan_multistart_store_reuse(self, tmp_path):
-        from repro.floorplan.annealer import anneal_floorplan
-
-        widths = [1.0, 1.2, 0.8, 1.5, 1.1, 0.9]
-        heights = [1.0, 0.7, 1.3, 0.8, 1.2, 1.0]
-        nets = {(0, 1): 2.0, (2, 3): 1.0, (4, 5): 3.0, (0, 5): 1.5}
-        kwargs = dict(wirelength_weight=1.0, seed=3, moves=150, restarts=3)
-        baseline = anneal_floorplan(widths, heights, nets, **kwargs)
-        store = ResultStore(tmp_path)
-        cold = anneal_floorplan(widths, heights, nets, store=store, **kwargs)
-        warm = anneal_floorplan(widths, heights, nets, store=store, **kwargs)
-        assert pickle.dumps(cold) == pickle.dumps(baseline)
-        assert pickle.dumps(warm) == pickle.dumps(baseline)
-        assert store.stats().by_task_type == {"FloorplanTask": 3}
-        assert store.hits == 3
-
 
 # --------------------------------------------------------------------------
 # the per-call fingerprint memo: byte-identical to the frozen oracle
@@ -635,18 +619,8 @@ def task_zoo(tiny_specs, monkeypatch, tmp_path):
     """One list per engine task type, each built the way the library
     builds it."""
     from repro.core.synthesis import synthesize
-    from repro.floorplan.annealer import anneal_floorplan
-    from repro.floorplan.constrained import constrained_insert
-    from repro.floorplan.geometry import Rect
-    from repro.floorplan.inserter import NewComponent
-    from repro.floorplan.placement import PlacedComponent
 
     core_spec, comm_spec = tiny_specs
-    cores = [
-        PlacedComponent(f"core{i}", "core", Rect(1.2 * i, 0.0, 1.0, 1.0), 0)
-        for i in range(4)
-    ]
-    new = [NewComponent("sw0", "switch", 0.4, 0.4, (2.0, 0.6))]
     sim = _sim_tasks(3)
     zoo = {
         "SynthesisTask": [
@@ -657,15 +631,6 @@ def task_zoo(tiny_specs, monkeypatch, tmp_path):
         "CandidateTask": _recorded_tasks(monkeypatch, lambda: synthesize(
             core_spec, comm_spec, config=CONFIG, jobs=2,
         )),
-        "FloorplanTask": _recorded_tasks(monkeypatch, lambda: anneal_floorplan(
-            [1.0, 1.2, 0.8], [1.0, 0.7, 1.3], {(0, 1): 2.0, (1, 2): 1.0},
-            seed=3, moves=60, restarts=2,
-        )),
-        "ConstrainedInsertTask": _recorded_tasks(
-            monkeypatch, lambda: constrained_insert(
-                cores, new, layer=0, seed=5, moves=60, restarts=2,
-            ),
-        ),
         "SimulationTask": sim,
         "BatchSimulationTask": [_batch_sim_task(range(3, 6))],
         "FaultyTask": [
