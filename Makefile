@@ -10,7 +10,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # ran, left the package (measured 89.2%).
 ENGINE_COV_FLOOR ?= 88
 
-.PHONY: help test test-fast lint check coverage chaos serve-smoke benchmarks
+.PHONY: help test test-fast lint check coverage chaos serve-smoke benchmarks \
+	fuzz
 
 help:
 	@echo "targets:"
@@ -27,6 +28,9 @@ help:
 	@echo "  make chaos      - fault-injection suite: every supervision"
 	@echo "                    recovery path under injected faults, plus"
 	@echo "                    the campaign service killed and resumed"
+	@echo "  make fuzz       - campaign-spec fuzzing under the large"
+	@echo "                    'fuzz' Hypothesis profile (make test runs"
+	@echo "                    the same test on the default budget)"
 	@echo "  make serve-smoke- end-to-end campaign service smoke (submit,"
 	@echo "                    drain, journal/store consistency)"
 	@echo "  make benchmarks - paper-figure harness + the floorplan,"
@@ -78,6 +82,13 @@ coverage:
 chaos:
 	$(PYTHON) -m pytest -x -q tests/test_faults.py \
 	    tests/test_service_chaos.py tests/test_locks.py
+
+# Every generated campaign dict is refused with a CampaignSpecError or
+# builds a well-typed spec; the 'fuzz' profile (tests/conftest.py) raises
+# the example budget from the default the tier-1 run uses.
+fuzz:
+	$(PYTHON) -m pytest -x -q tests/test_campaign_fuzz.py \
+	    --hypothesis-profile=fuzz
 
 # End-to-end campaign service smoke through the real CLI: three specs
 # submitted (plus one refused), served to drain, then journal, store,

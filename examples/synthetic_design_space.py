@@ -16,7 +16,7 @@ import sys
 
 from repro.bench.synthetic import PATTERNS, synthetic_benchmark
 from repro.core.config import SynthesisConfig
-from repro.core.synthesis2d import synthesize_2d
+from repro.core.synthesis import synthesize
 from repro.engine import ParameterGrid, build_tasks, run_tasks
 from repro.graphs.comm_graph import build_comm_graph
 from repro.reports import save_report
@@ -63,7 +63,8 @@ def main() -> None:
     last_pattern, last_result = None, None
     for pattern, bench in benches.items():
         r3 = results[pattern]
-        r2 = synthesize_2d(bench.core_spec_2d, bench.comm_spec, config=config)
+        core_spec_2d, config_2d = bench.variant("2d", config)
+        r2 = synthesize(core_spec_2d, bench.comm_spec, config=config_2d)
         if r3.is_empty or r2.is_empty:
             print(f"{pattern:12s}  (no valid design points)")
             continue

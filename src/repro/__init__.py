@@ -32,7 +32,6 @@ from repro.core import (
     SynthesisResult,
     run_synthesis,
     synthesize,
-    synthesize_2d,
     synthesize_mesh,
 )
 from repro.core.frequency_sweep import sweep_frequencies
@@ -62,7 +61,6 @@ __all__ = [
     "StageTimings",
     "run_synthesis",
     "synthesize",
-    "synthesize_2d",
     "synthesize_mesh",
     "sweep_frequencies",
     "verify_design_point",

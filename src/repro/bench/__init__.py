@@ -14,8 +14,9 @@ them synthetically with the published structure:
 * ``d38_tvopd`` — 38-core pipelined video object-plane-decoder-like design.
 
 Every benchmark carries a 3-D core spec (layer assignment + per-layer
-floorplan), a 2-D core spec (same cores, single-die floorplan) and the
-communication spec — everything the 2-D-vs-3-D comparison needs.
+floorplan) and the communication spec; ``Benchmark.variant(dims, config)``
+also yields the 2-D variant (same cores, single-die floorplan built on
+first use) — everything the 2-D-vs-3-D comparison needs.
 """
 
 from repro.bench.builder import Benchmark, build_benchmark

@@ -1,12 +1,14 @@
 """Benchmark registry: name -> cached Benchmark instance.
 
-Benchmark construction runs layer assignment and four to five simulated-
-annealing floorplans, so instances are cached per (name, seed).
+Benchmark construction runs layer assignment and one simulated-annealing
+floorplan per 3-D layer (plus the single-die one on first use of
+``core_spec_2d``), so instances are cached per (name, seed, moves).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
 from repro.bench import suites
 from repro.bench.builder import Benchmark
@@ -22,12 +24,21 @@ TABLE1_BENCHMARKS = (
     "d38_tvopd",
 )
 
-_ALL = TABLE1_BENCHMARKS + ("d26_media",)
+#: Each benchmark's generator, called with ``seed`` and ``floorplan_moves``.
+_BUILDERS: Dict[str, Callable[..., Benchmark]] = {
+    "d26_media": suites.d26_media,
+    "d36_4": partial(suites.d36, 4),
+    "d36_6": partial(suites.d36, 6),
+    "d36_8": partial(suites.d36, 8),
+    "d35_bot": suites.d35_bot,
+    "d65_pipe": suites.d65_pipe,
+    "d38_tvopd": suites.d38_tvopd,
+}
 
 
 def list_benchmarks() -> List[str]:
     """Names of every available benchmark."""
-    return sorted(_ALL)
+    return sorted(_BUILDERS)
 
 
 #: Built benchmarks keyed by ``(name, seed, floorplan_moves)``.
@@ -39,30 +50,13 @@ def get_benchmark(
 ) -> Benchmark:
     """Build (or fetch the cached) benchmark called ``name``."""
     cache_key = (name, seed, floorplan_moves)
-    cached = _CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    bench = _build_benchmark(name, seed, floorplan_moves)
-    _CACHE[cache_key] = bench
+    bench = _CACHE.get(cache_key)
+    if bench is None:
+        if name not in _BUILDERS:
+            raise SpecError(
+                f"unknown benchmark {name!r}; "
+                f"available: {', '.join(list_benchmarks())}"
+            )
+        bench = _BUILDERS[name](seed=seed, floorplan_moves=floorplan_moves)
+        _CACHE[cache_key] = bench
     return bench
-
-
-def _build_benchmark(name: str, seed: int, floorplan_moves: int) -> Benchmark:
-    kwargs = dict(seed=seed, floorplan_moves=floorplan_moves)
-    if name == "d26_media":
-        return suites.d26_media(**kwargs)
-    if name == "d36_4":
-        return suites.d36(4, **kwargs)
-    if name == "d36_6":
-        return suites.d36(6, **kwargs)
-    if name == "d36_8":
-        return suites.d36(8, **kwargs)
-    if name == "d35_bot":
-        return suites.d35_bot(**kwargs)
-    if name == "d65_pipe":
-        return suites.d65_pipe(**kwargs)
-    if name == "d38_tvopd":
-        return suites.d38_tvopd(**kwargs)
-    raise SpecError(
-        f"unknown benchmark {name!r}; available: {', '.join(list_benchmarks())}"
-    )

@@ -10,17 +10,11 @@ capacity as in the original designs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.bench.builder import Benchmark, build_benchmark
 from repro.rng import make_rng
 from repro.spec.comm_spec import MessageType, TrafficFlow
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> bench)
-    from repro.core.config import SynthesisConfig
-    from repro.core.design_point import SynthesisResult
-    from repro.engine.executor import ProgressFn
-    from repro.engine.grid import GridPoint, ParameterGrid
 
 CoreDef = Tuple[str, float, float]
 
@@ -224,77 +218,3 @@ def d38_tvopd(seed: int = 0, floorplan_moves: int = 4000) -> Benchmark:
         description="38-core pipelined video decoder (3 layers)",
         seed=seed, floorplan_moves=floorplan_moves,
     )
-
-
-# --------------------------------------------------------------------------
-# Suite-level design-space exploration (the repro.engine outer loop)
-# --------------------------------------------------------------------------
-
-def suite_design_space(
-    names: Optional[Sequence[str]] = None,
-    grid: Optional["ParameterGrid"] = None,
-    base_config: Optional["SynthesisConfig"] = None,
-    *,
-    dims: str = "3d",
-    jobs: Optional[int] = None,
-    progress: Optional["ProgressFn"] = None,
-    store=None,
-    stage_cache_dir: Optional[str] = None,
-    stage_cache_salt: Optional[str] = None,
-) -> Dict[str, Dict["GridPoint", "SynthesisResult"]]:
-    """Explore an architectural grid over a whole benchmark suite at once.
-
-    Every (benchmark, grid point) pair becomes one engine task, so the
-    *entire* suite exploration — not just one benchmark's sweep — fans out
-    across the worker pool in a single flat batch; that keeps the pool busy
-    even when individual benchmarks have too few points to saturate it.
-
-    Args:
-        names: Benchmark names (default: the Table I suite).
-        grid: Architectural grid (default: the base configuration only).
-        base_config: Configuration the grid points override.
-        dims: "3d" (stacked) or "2d" benchmark variants.
-        jobs: Engine worker count (``None``/``0`` = one per CPU).
-        progress: Per-point callback ``(done, total, (name, point))``.
-        store: Optional :class:`~repro.engine.store.ResultStore`; finished
-            (benchmark, point) pairs are served from disk and fresh ones
-            checkpointed incrementally, so an interrupted exploration
-            resumes on rerun with bit-identical merged results.
-        stage_cache_dir / stage_cache_salt: Per-stage memoization
-            (:mod:`repro.engine.stagecache`): pipeline stages whose inputs
-            repeat across grid points — or across benchmarks sharing a
-            sub-design — are served from disk, bit-identically.
-
-    Returns:
-        ``{benchmark name: {grid point: merged synthesis result}}`` with
-        deterministic ordering, identical for serial and parallel runs.
-    """
-    import dataclasses
-
-    from repro.bench.registry import get_benchmark
-    from repro.engine.executor import run_tasks
-    from repro.engine.grid import ParameterGrid, build_tasks
-    from repro.engine.tasks import SynthesisTask
-
-    if names is None:
-        names = TABLE1_BENCHMARKS
-    if grid is None:
-        grid = ParameterGrid()
-
-    tasks: List[SynthesisTask] = []
-    for name in names:
-        bench = get_benchmark(name)
-        core_spec = bench.core_spec_3d if dims == "3d" else bench.core_spec_2d
-        for task in build_tasks(
-            core_spec, bench.comm_spec, grid, base_config,
-            stage_cache_dir=stage_cache_dir,
-            stage_cache_salt=stage_cache_salt,
-        ):
-            tasks.append(dataclasses.replace(task, key=(name, task.key)))
-
-    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
-    merged: Dict[str, Dict["GridPoint", "SynthesisResult"]] = {}
-    for task_result in results:
-        name, point = task_result.key
-        merged.setdefault(name, {})[point] = task_result.result
-    return merged

@@ -42,6 +42,7 @@ resume a SIGKILLed job bit-identically from the content-addressed store.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -128,7 +129,8 @@ class CampaignSpec:
         }
         grid = dict(data.get("grid") or {})
         kwargs["grid"] = tuple(
-            (key, _freeze(grid[key])) for key in GRID_KEYS if key in grid
+            (key, _freeze(grid[key])) for key in GRID_KEYS
+            if grid.get(key) is not None
         )
         if kwargs["kind"] == "sim":
             for key, cast in (
@@ -261,12 +263,7 @@ def compile_campaign(
     from repro.bench.registry import get_benchmark
 
     bench = get_benchmark(spec.benchmark)
-    core_spec = (
-        bench.core_spec_3d if spec.dims == "3d" else bench.core_spec_2d
-    )
-    config = spec.base_config()
-    if spec.dims == "2d":
-        config = config.with_(phase="phase1")
+    core_spec, config = bench.variant(spec.dims, spec.base_config())
 
     if spec.kind == "sweep":
         from repro.engine.grid import build_tasks
@@ -468,8 +465,12 @@ def _check_sim(data: Mapping, issues: List[SpecIssue]) -> None:
         problem = check(value)
         if problem:
             issues.append(SpecIssue(key, problem))
-    cycles = data.get("cycles", 4_000)
-    warmup = data.get("warmup", 400)
+    # A null key keeps its default (as ``from_dict`` does), so the limit
+    # is checked against the value the spec will really carry.
+    cycles = data.get("cycles")
+    cycles = CampaignSpec.cycles if cycles is None else cycles
+    warmup = data.get("warmup")
+    warmup = CampaignSpec.warmup if warmup is None else warmup
     if (
         _positive_int(cycles) is None and _non_negative_int(warmup) is None
         and warmup >= cycles
@@ -482,8 +483,8 @@ def _check_sim(data: Mapping, issues: List[SpecIssue]) -> None:
 def _positive_number(value) -> Optional[str]:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         return f"must be a number, got {value!r}"
-    if value <= 0:
-        return f"must be positive, got {value!r}"
+    if not math.isfinite(value) or value <= 0:
+        return f"must be a finite positive number, got {value!r}"
     return None
 
 

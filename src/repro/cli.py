@@ -60,12 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="synthesize a NoC topology")
-    src = synth.add_mutually_exclusive_group(required=True)
-    src.add_argument("--benchmark", help="built-in benchmark name")
-    src.add_argument("--cores", help="core specification file (json/text)")
-    synth.add_argument("--comm", help="communication spec file (with --cores)")
-    synth.add_argument("--dims", choices=("2d", "3d"), default="3d",
-                       help="which benchmark variant to synthesize")
+    _add_design_args(synth)
     synth.add_argument("--frequency", type=float, default=400.0,
                        help="NoC frequency in MHz")
     synth.add_argument("--max-ill", type=int, default=25,
@@ -102,11 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="explore an architectural design space in parallel"
     )
-    ssrc = sweep.add_mutually_exclusive_group(required=True)
-    ssrc.add_argument("--benchmark", help="built-in benchmark name")
-    ssrc.add_argument("--cores", help="core specification file (json/text)")
-    sweep.add_argument("--comm", help="communication spec file (with --cores)")
-    sweep.add_argument("--dims", choices=("2d", "3d"), default="3d")
+    _add_design_args(sweep)
     sweep.add_argument("--frequencies", type=str, default=None,
                        help="comma-separated frequencies in MHz, e.g. 300,400,600")
     sweep.add_argument("--alphas", type=str, default=None,
@@ -282,6 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_design_args(parser) -> None:
+    """The design of a synth or sweep run; see :func:`_load_specs`."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--benchmark", help="built-in benchmark name")
+    source.add_argument("--cores", help="core specification file (json/text)")
+    parser.add_argument("--comm", help="communication spec file (with --cores)")
+    parser.add_argument("--dims", choices=("2d", "3d"), default="3d",
+                        help="benchmark variant: 3d (stacked) or 2d (the "
+                             "single-die flow of [16], which runs Phase 1 "
+                             "only)")
+
+
 def _add_cache_args(parser) -> None:
     parser.add_argument("--cache", action="store_true",
                         help="serve already-computed results from the "
@@ -356,11 +359,13 @@ def _parse_switch_range(text):
         )
 
 
-def _load_specs(args):
+def _load_specs(args, config: SynthesisConfig):
+    """``(core_spec, comm_spec, config)`` of the run: a benchmark's
+    ``--dims`` variant, or the ``--cores``/``--comm`` files as given."""
     if args.benchmark:
         bench = get_benchmark(args.benchmark)
-        core_spec = bench.core_spec_3d if args.dims == "3d" else bench.core_spec_2d
-        return core_spec, bench.comm_spec
+        core_spec, config = bench.variant(args.dims, config)
+        return core_spec, bench.comm_spec, config
     if not args.comm:
         raise ReproError("--comm is required together with --cores")
     from repro.spec.io import (
@@ -375,7 +380,7 @@ def _load_specs(args):
         comm_spec = load_comm_spec_json(args.comm)
     else:
         comm_spec = load_comm_spec_text(args.comm)
-    return core_spec, comm_spec
+    return core_spec, comm_spec, config
 
 
 def _cmd_synth(args) -> int:
@@ -386,16 +391,15 @@ def _cmd_synth(args) -> int:
         # FileNotFoundError at the write.
         if path and not Path(path).resolve().parent.is_dir():
             raise ReproError(f"{flag}: directory of {path} does not exist")
-    core_spec, comm_spec = _load_specs(args)
-    switch_range = _parse_switch_range(args.switches)
     config = SynthesisConfig(
         frequency_mhz=args.frequency,
         max_ill=args.max_ill,
         phase=args.phase,
         objective=args.objective,
-        switch_count_range=switch_range,
+        switch_count_range=_parse_switch_range(args.switches),
         floorplanner=args.floorplanner,
     )
+    core_spec, comm_spec, config = _load_specs(args, config)
     store = _open_store(args)
     # Built before any store lookup: invalid specs exit 2 on a warm store.
     ctx = FlowContext.build(core_spec, comm_spec, config=config)
@@ -497,12 +501,12 @@ def _cmd_sweep(args) -> int:
 
     supervision = _supervision(args)
     store = _open_store(args)  # fail fast on an unusable --cache-dir
-    core_spec, comm_spec = _load_specs(args)
     config = SynthesisConfig(
         max_ill=args.max_ill,
         objective=args.objective,
         switch_count_range=_parse_switch_range(args.switches),
     )
+    core_spec, comm_spec, config = _load_specs(args, config)
     grid = ParameterGrid(
         frequencies_mhz=_parse_values(args.frequencies, float, "frequency"),
         alphas=_parse_values(args.alphas, float, "alpha"),

@@ -14,8 +14,9 @@ Public entry points:
   :class:`~repro.core.pipeline.Stage` objects over an immutable
   :class:`~repro.core.pipeline.FlowContext` in one fixed order, per-stage
   timings and ``jobs=N`` candidate fan-out (``docs/pipeline.md``).
-* :func:`~repro.core.synthesis2d.synthesize_2d` — the 2-D synthesis flow of
-  Murali et al. [16] used as the comparison baseline.
+* The 2-D synthesis flow of Murali et al. [16], the comparison baseline, is
+  this same flow run on the single-die core spec and Phase 1 configuration
+  that :meth:`repro.bench.builder.Benchmark.variant` returns for ``"2d"``.
 * :func:`~repro.core.mesh_baseline.synthesize_mesh` — the optimised-mesh
   baseline of Sec. VIII-E.
 """
@@ -30,7 +31,6 @@ from repro.core.pipeline import (
     run_synthesis,
 )
 from repro.core.synthesis import synthesize
-from repro.core.synthesis2d import synthesize_2d
 from repro.core.mesh_baseline import synthesize_mesh
 
 __all__ = [
@@ -43,6 +43,5 @@ __all__ = [
     "StageTimings",
     "run_synthesis",
     "synthesize",
-    "synthesize_2d",
     "synthesize_mesh",
 ]

@@ -9,7 +9,9 @@ links under ``max_ill`` (Sec. VI).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+import operator
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from repro.errors import SpecError
@@ -17,6 +19,17 @@ from repro.errors import SpecError
 PHASES = ("auto", "phase1", "phase2")
 LAYER_MODES = ("mean", "majority")
 OBJECTIVES = ("power", "latency")
+FLOW_ORDERS = ("bandwidth_desc", "bandwidth_asc", "spec")
+FLOORPLANNERS = ("custom", "constrained")
+
+#: The allowed values of each enumerated field.
+CHOICES = {
+    "objective": OBJECTIVES,
+    "phase": PHASES,
+    "switch_layer_mode": LAYER_MODES,
+    "flow_order": FLOW_ORDERS,
+    "floorplanner": FLOORPLANNERS,
+}
 
 
 @dataclass(frozen=True)
@@ -85,52 +98,41 @@ class SynthesisConfig:
     floorplanner: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.frequency_mhz <= 0:
-            raise SpecError(f"frequency must be positive, got {self.frequency_mhz}")
-        if self.link_width_bits <= 0:
-            raise SpecError(f"link width must be positive, got {self.link_width_bits}")
+        # Types first: a string, a NaN or a 2.5 where a finite number or a
+        # count belongs fails here, not deep inside a synthesis run.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            wanted, ok = _TYPE_CHECKS.get(spec.type, (None, None))
+            if ok is not None and not ok(value):
+                raise SpecError(f"{spec.name} must be {wanted}, got {value!r}")
+            allowed = CHOICES.get(spec.name)
+            if allowed is not None and value not in allowed:
+                raise SpecError(
+                    f"{spec.name} must be one of {allowed}, got {value!r}"
+                )
+        for knob in ("frequency_mhz", "link_width_bits", "theta_min",
+                     "theta_step", "search_radius_mm", "grid_step_mm"):
+            value = getattr(self, knob)
+            if value <= 0:
+                raise SpecError(f"{knob} must be positive, got {value}")
         if not 0.0 <= self.alpha <= 1.0:
             raise SpecError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.objective not in OBJECTIVES:
-            raise SpecError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.max_ill < 0:
             raise SpecError(f"max_ill must be >= 0, got {self.max_ill}")
-        if self.phase not in PHASES:
-            raise SpecError(f"phase must be one of {PHASES}, got {self.phase!r}")
-        if self.switch_layer_mode not in LAYER_MODES:
-            raise SpecError(
-                f"switch_layer_mode must be one of {LAYER_MODES}, "
-                f"got {self.switch_layer_mode!r}"
-            )
-        if self.theta_min <= 0 or self.theta_step <= 0:
-            raise SpecError("theta_min and theta_step must be positive")
         if self.theta_max < self.theta_min:
             raise SpecError("theta_max must be >= theta_min")
         if not 0 < self.utilisation_cap <= 1.0:
             raise SpecError(
                 f"utilisation_cap must be in (0, 1], got {self.utilisation_cap}"
             )
-        if self.switch_count_range is not None:
-            lo, hi = self.switch_count_range
-            if lo < 1 or hi < lo:
-                raise SpecError(
-                    f"invalid switch_count_range {self.switch_count_range}"
-                )
-        if self.flow_order not in ("bandwidth_desc", "bandwidth_asc", "spec"):
+        pair = self.switch_count_range
+        if pair is not None and not (
+            isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(_is_int(v) for v in pair) and 1 <= pair[0] <= pair[1]
+        ):
             raise SpecError(
-                f"flow_order must be 'bandwidth_desc', 'bandwidth_asc' or "
-                f"'spec', got {self.flow_order!r}"
-            )
-        for knob in ("search_radius_mm", "grid_step_mm"):
-            value = getattr(self, knob)
-            if not (math.isfinite(value) and value > 0):
-                raise SpecError(
-                    f"{knob} must be a finite positive number, got {value}"
-                )
-        if self.floorplanner not in ("custom", "constrained"):
-            raise SpecError(
-                f"floorplanner must be 'custom' or 'constrained', "
-                f"got {self.floorplanner!r}"
+                "switch_count_range must be a (min, max) pair of integers "
+                f"with 1 <= min <= max, got {pair!r}"
             )
 
     def with_(self, **kwargs) -> "SynthesisConfig":
@@ -143,3 +145,31 @@ class SynthesisConfig:
         while theta <= self.theta_max + 1e-9:
             yield theta
             theta += self.theta_step
+
+
+
+def _is_int(value) -> bool:
+    """An integer proper (``operator.index`` accepts it), not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _is_finite_real(value) -> bool:
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+#: What a field of each declared type must hold (the annotations are
+#: strings under ``from __future__ import annotations``).
+_TYPE_CHECKS = {
+    "bool": ("a bool", lambda value: isinstance(value, bool)),
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_finite_real),
+}

@@ -19,7 +19,6 @@ from repro.bench.registry import get_benchmark
 from repro.core.config import SynthesisConfig
 from repro.core.design_point import SynthesisResult
 from repro.core.pipeline import FlowContext, run_synthesis
-from repro.errors import SpecError
 
 Row = Dict[str, object]
 
@@ -111,22 +110,10 @@ def synthesize_cached(
 
     Args:
         benchmark_name: Registry name (e.g. "d26_media").
-        dims: "3d" (stacked core spec) or "2d" (single-die core spec; forces
-            the [16] 2-D flow semantics by construction).
+        dims: "3d" or "2d"; see :meth:`repro.bench.builder.Benchmark.variant`.
         config: Frozen synthesis configuration (hashable, so cacheable).
     """
     bench = get_benchmark(benchmark_name)
-    if dims == "3d":
-        core_spec = bench.core_spec_3d
-    elif dims == "2d":
-        core_spec = bench.core_spec_2d
-        config = config.with_(phase="phase1")
-    else:
-        raise SpecError(f"dims must be '2d' or '3d', got {dims!r}")
+    core_spec, config = bench.variant(dims, config)
     ctx = FlowContext.build(core_spec, bench.comm_spec, config=config)
     return run_synthesis(ctx)
-
-
-def best_power_point(benchmark_name: str, dims: str, config: SynthesisConfig):
-    """Best-power design point of a cached synthesis run."""
-    return synthesize_cached(benchmark_name, dims, config).best_power()

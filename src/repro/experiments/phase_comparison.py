@@ -35,14 +35,14 @@ def run_phase_comparison(
     )
     for name in benchmarks:
         base = config if config is not None else default_config_for(name)
-        try:
-            p1 = synthesize_cached(name, "3d", base.with_(phase="phase1")).best_power()
-        except SynthesisError:
-            p1 = None
-        try:
-            p2 = synthesize_cached(name, "3d", base.with_(phase="phase2")).best_power()
-        except SynthesisError:
-            p2 = None
+        best = {}
+        for phase in ("phase1", "phase2"):
+            try:
+                result = synthesize_cached(name, "3d", base.with_(phase=phase))
+                best[phase] = result.best_power()
+            except SynthesisError:
+                best[phase] = None
+        p1, p2 = best["phase1"], best["phase2"]
         table.add(
             benchmark=name,
             phase1_mw=p1.total_power_mw if p1 else None,

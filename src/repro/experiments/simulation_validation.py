@@ -104,11 +104,11 @@ def run_simulation_validation(
     if config is None:
         config = default_config_for(benchmark)
     point = _best_power_point(benchmark, config, store)
-    if library is None:
-        library = default_library()
-
+    # ``library`` reaches the tasks as given: a ``None`` there is what a
+    # compiled ``sim`` campaign carries, so both share store addresses.
+    analytic_library = library or default_library()
     zero_load = {
-        flow: flow_latency_cycles(point.topology, flow, library)
+        flow: flow_latency_cycles(point.topology, flow, analytic_library)
         for flow in point.topology.routes
     }
     analytic_avg = sum(zero_load.values()) / len(zero_load)

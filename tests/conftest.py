@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.models.library import default_library
 from repro.spec.comm_spec import CommSpec, MessageType, TrafficFlow
 from repro.spec.core_spec import Core, CoreSpec
+
+
+# ``make fuzz`` selects this profile (``--hypothesis-profile=fuzz``); it sets
+# the budget of every property test that does not pin its own.
+settings.register_profile("fuzz", max_examples=5000, deadline=None)
 
 
 def pytest_configure(config):

@@ -22,15 +22,24 @@ timing replay) and the ``skip_infeasible`` switch may not return.
 Each floorplanner runs one seeded anneal per call: multi-start annealing
 (``restarts``, its two engine task types, its RNG helper and its two
 ``SynthesisConfig`` fields) may not return.
+
+What ``dims="2d"`` means is decided once, by ``Benchmark.variant``: the
+``synthesize_2d`` wrapper, the ``suite_design_space`` sweep wrapper, the
+unused ``best_power_point`` helper and an eager ``core_spec_2d`` field may
+not return, and no other module may pick the variant or force Phase 1 for
+it by itself.
 """
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 from pathlib import Path
 
 import repro
+import repro.bench.suites
 import repro.core
+import repro.experiments.common
 import repro.engine.tasks
 import repro.rng
 from repro.campaign.spec import CampaignSpec
@@ -153,3 +162,23 @@ def test_multistart_annealing_stays_gone():
         assert not hasattr(module, name), (module.__name__, name)
     fields = {f.name for f in dataclasses.fields(repro.SynthesisConfig)}
     assert not fields & {"floorplan_restarts", "floorplan_jobs"}
+
+
+def test_one_door_per_benchmark_variant():
+    from repro.bench.builder import Benchmark
+
+    for module, name in (
+        (repro, "synthesize_2d"), (repro.core, "synthesize_2d"),
+        (repro.bench.suites, "suite_design_space"),
+        (repro.experiments.common, "best_power_point"),
+    ):
+        assert not hasattr(module, name), (module.__name__, name)
+        assert name not in getattr(module, "__all__", ()), name
+    assert importlib.util.find_spec("repro.core.synthesis2d") is None
+    assert "core_spec_2d" not in {f.name for f in dataclasses.fields(Benchmark)}
+    variant_rule = SRC / "bench" / "builder.py"
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        if path != variant_rule:
+            assert 'with_(phase="phase1")' not in text, path
+            assert "else bench.core_spec_2d" not in text, path

@@ -140,3 +140,55 @@ class TestRegistry:
         a = get_benchmark("d36_4", floorplan_moves=400)
         b = get_benchmark("d36_4", floorplan_moves=400)
         assert a is b
+
+
+class TestVariantsOnRequest:
+    """The 3-D build anneals one floorplan per layer; the single-die
+    floorplan is annealed only when a 2-D variant is asked for."""
+
+    def test_build_anneals_only_the_3d_layers(self, monkeypatch):
+        from repro.bench import floorplans, registry
+
+        calls = []
+        real = floorplans.anneal_floorplan
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(floorplans, "anneal_floorplan", counting)
+        monkeypatch.setattr(registry, "_CACHE", {})
+        bench = get_benchmark("d26_media", seed=5, floorplan_moves=200)
+        assert len(calls) == bench.num_layers == 3
+        assert (bench.seed, bench.floorplan_moves) == (5, 200)
+        flat = bench.core_spec_2d
+        assert bench.core_spec_2d is flat
+        assert len(calls) == bench.num_layers + 1
+        assert flat.num_layers == 1
+
+    @pytest.mark.slow  # anneals every registry benchmark in both variants
+    def test_registry_specs_unchanged(self):
+        """Digests of every core's (name, size, position, layer), recorded
+        when both variants were still annealed eagerly in one build."""
+        import hashlib
+        import json
+
+        def digest(core_spec):
+            rows = [[c.name, c.width, c.height, c.x, c.y, c.layer]
+                    for c in core_spec]
+            return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+        expected = {
+            "d26_media": ("aff9b8830ebf1b4c", "849c1e8780c655f5"),
+            "d35_bot": ("704686e1fb6ad3cd", "ae81bd3885239861"),
+            "d36_4": ("ac0654fc424a5ec2", "fc4b4d64d4c79576"),
+            "d36_6": ("37ed173b65ed13d4", "e0d840623b976f86"),
+            "d36_8": ("7ac8ac3eec584c8d", "5822006ed1d8e067"),
+            "d38_tvopd": ("e14c44ecf0060bf4", "5b1545bb076b1a02"),
+            "d65_pipe": ("451a7dc2c3bcdb02", "e0c82ffa675e296e"),
+        }
+        assert sorted(expected) == list_benchmarks()
+        for name, (spec_3d, spec_2d) in expected.items():
+            bench = get_benchmark(name)
+            assert digest(bench.core_spec_3d) == spec_3d, name
+            assert digest(bench.core_spec_2d) == spec_2d, name

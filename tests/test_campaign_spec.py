@@ -175,6 +175,55 @@ def test_compile_2d_forces_phase1():
     assert all(t.config.phase == "phase1" for t in tasks)
 
 
+def test_cli_synth_2d_and_2d_campaign_share_synthesis_address(tmp_path):
+    """Both doors resolve ``dims="2d"`` through ``Benchmark.variant``: the
+    campaign's task is filed where ``cli synth --dims 2d`` stored it."""
+    from repro.engine.store import ResultStore
+
+    store_dir = tmp_path / "store"
+    assert main([
+        "synth", "--benchmark", "d26_media", "--dims", "2d",
+        "--switches", "3:4", "--cache-dir", str(store_dir),
+    ]) == 0
+    spec = CampaignSpec.from_dict({
+        "name": "flat", "benchmark": "d26_media", "dims": "2d",
+        "config": {"switch_count_range": [3, 4]},
+    })
+    (task,) = compile_campaign(spec)
+    store = ResultStore(store_dir)
+    assert store.get(store.fingerprint(task)) is not None
+
+
+def test_non_finite_and_non_integer_values_named(tmp_path, capsys):
+    """NaN (which Python's json parses), fractional counts and a string
+    seed are refused at validation, each under its own path."""
+    nan = float("nan")
+    sweep = {
+        **SWEEP, "grid": {"frequencies_mhz": [400, nan]},
+        "config": {
+            "seed": "s", "switch_count_range": [3.5, 4],
+            "link_width_bits": 1.5, "max_ill": 2.5, "alpha": nan,
+        },
+    }
+    got = paths_of(validate_campaign(sweep))
+    for expected in (
+        "grid.frequencies_mhz[1]", "config.seed",
+        "config.switch_count_range", "config.link_width_bits",
+        "config.max_ill", "config.alpha",
+    ):
+        assert expected in got, f"missing issue for {expected}: {got}"
+    sim = {**SIM, "injection_scales": [0.2, nan, float("inf")]}
+    assert paths_of(validate_campaign(sim)) == [
+        "injection_scales[1]", "injection_scales[2]",
+    ]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(sweep))
+    assert "NaN" in path.read_text()
+    assert main(["campaign", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "grid.frequencies_mhz[1]" in err and "config.seed" in err
+
+
 @pytest.mark.slow
 def test_compile_sim_builds_simulation_tasks(tmp_path):
     from repro.engine.store import ResultStore

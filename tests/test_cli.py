@@ -163,6 +163,20 @@ class TestSweepCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--frequency", "nan"],
+        ["synth", "--frequency", "inf"],
+        ["sweep", "--frequencies", "400,nan", "--jobs", "1"],
+    ], ids=["synth-nan", "synth-inf", "sweep-nan"])
+    def test_exit_two_before_any_synthesis(self, capsys, argv):
+        rc = main([*argv, "--benchmark", "d26_media", "--switches", "3:4"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "frequency_mhz must be a finite number" in captured.err
+        assert "design point" not in captured.out
+
+
 class TestExperimentCommand:
     def test_fig1(self, capsys):
         assert main(["experiment", "fig1"]) == 0

@@ -1,5 +1,6 @@
 """Synthesis configuration validation (repro.core.config)."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import SynthesisConfig
@@ -39,10 +40,37 @@ class TestValidation:
         {"search_radius_mm": -1.0},
         {"search_radius_mm": float("nan")},
         {"search_radius_mm": float("inf")},
+        # Non-finite and non-integer values used to pass and fail late (a
+        # whole synthesis with no valid point, or a bare TypeError/ValueError
+        # inside a worker) or never.
+        {"frequency_mhz": float("nan")},
+        {"frequency_mhz": float("inf")},
+        {"frequency_mhz": "400"},
+        {"soft_inf_factor": float("inf")},
+        {"theta_max": float("inf")},
+        {"seed": "s"},
+        {"seed": 1.0},
+        {"seed": True},
+        {"link_width_bits": 1.5},
+        {"max_ill": 2.5},
+        {"deadlock_retries": None},
+        {"switch_count_range": (3.5, 4)},
+        {"switch_count_range": (True, 3)},
+        {"switch_count_range": (3,)},
+        {"switch_count_range": "3:4"},
+        {"use_soft_thresholds": "no"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(SpecError):
             SynthesisConfig(**kwargs)
+
+    def test_integral_and_real_values_kept_as_given(self):
+        cfg = SynthesisConfig(
+            frequency_mhz=np.float64(400.0), seed=np.int64(3),
+            link_width_bits=64, switch_count_range=(np.int64(2), 4),
+            alpha=1,
+        )
+        assert (cfg.seed, cfg.alpha, cfg.switch_count_range[0]) == (3, 1, 2)
 
 
 class TestHelpers:

@@ -235,23 +235,6 @@ class TestExecutor:
         assert results[1].ok
 
 
-class TestSuiteDesignSpace:
-    def test_suite_fanout_merges_per_benchmark(self):
-        from repro.bench.suites import suite_design_space
-        from repro.engine.grid import GridPoint
-
-        grid = ParameterGrid(frequencies_mhz=(400.0, 500.0))
-        merged = suite_design_space(
-            names=("d36_4",), grid=grid,
-            base_config=SynthesisConfig(max_ill=25, switch_count_range=(4, 5)),
-            jobs=2,
-        )
-        assert set(merged) == {"d36_4"}
-        assert set(merged["d36_4"]) == {
-            GridPoint(frequency_mhz=400.0), GridPoint(frequency_mhz=500.0),
-        }
-
-
 class TestProfile:
     def test_timer_measures(self):
         with Timer() as t:

@@ -4,11 +4,14 @@ Hypothesis generates small random SoCs (core counts, layer assignments,
 traffic patterns); every design point the flow produces must pass the
 independent design-rule verifier of :mod:`repro.core.verification` — route
 completeness, deadlock freedom, capacity, TSV and switch-size constraints,
-latency, floorplan legality, TSV macros.
+latency, floorplan legality, TSV macros. Generated SoCs the size of the
+paper's benchmarks (26-40 cores) go through the same check.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.bench.synthetic import synthetic_benchmark
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import FlowContext, run_synthesis
 from repro.core.synthesis import synthesize
@@ -76,3 +79,28 @@ class TestRandomDesigns:
         result = synthesize(core_spec, comm_spec, config=config)
         for point in result.points:
             assert point.metrics.max_ill_used <= max_ill
+
+
+class TestRegistryScaleDesigns:
+    @pytest.mark.parametrize("num_cores, pattern, num_layers", [
+        (26, "distributed", 2),
+        (32, "pipeline", 3),
+        (36, "bottleneck", 2),
+        (40, "random", 3),
+    ])
+    def test_every_point_verifies(self, num_cores, pattern, num_layers):
+        bench = synthetic_benchmark(
+            num_cores, pattern, num_layers, seed=1,
+            # Random pairs can run both ways, so a response would
+            # duplicate a request.
+            with_responses=pattern != "random",
+        )
+        config = SynthesisConfig(max_ill=25, switch_count_range=(3, 8))
+        ctx = FlowContext.build(bench.core_spec_3d, bench.comm_spec,
+                                config=config)
+        result = run_synthesis(ctx)
+        assert result.points
+        library = default_library()
+        for point in result.points:
+            report = verify_design_point(point, ctx.graph, library)
+            assert report.ok, report.summary()

@@ -555,6 +555,35 @@ class TestCampaignDifferential:
             "SimulationTask": 8, "SynthesisTask": 1,
         }
 
+    def test_cli_sim_and_sim_campaign_share_addresses(self, tmp_path):
+        """``run_simulation_validation`` (the ``cli sim`` path) files each
+        run where the equivalent compiled ``sim`` campaign looks for it."""
+        from repro.campaign.spec import CampaignSpec, compile_campaign
+        from repro.experiments.simulation_validation import (
+            run_simulation_validation,
+        )
+
+        spec = CampaignSpec.from_dict({
+            "name": "same-sim", "kind": "sim", "benchmark": "d26_media",
+            "config": {"switch_count_range": [3, 5]},
+            "scenarios": ["bernoulli"], "seeds": [0, 1],
+            "injection_scales": [0.5], "cycles": 1_000, "warmup": 100,
+        })
+        run_simulation_validation(
+            spec.benchmark, injection_scales=spec.injection_scales,
+            cycles=spec.cycles, warmup=spec.warmup,
+            config=spec.base_config(),
+            packet_length_flits=spec.packet_length_flits,
+            scenarios=spec.scenarios, seeds=spec.seeds, jobs=1,
+            store=ResultStore(tmp_path),
+        )
+        store = ResultStore(tmp_path)
+        tasks = compile_campaign(spec, store=store)
+        results = run_tasks(tasks, jobs=1, store=store)
+        assert len(results) == 2 and all(r.cached for r in results)
+        # The prerequisite synthesis hit as well: nothing was recomputed.
+        assert (store.hits, store.misses) == (3, 0)
+
 
 # --------------------------------------------------------------------------
 # the per-call fingerprint memo: byte-identical to the frozen oracle
