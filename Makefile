@@ -28,14 +28,15 @@ help:
 	@echo "  make chaos      - fault-injection suite: every supervision"
 	@echo "                    recovery path under injected faults, plus"
 	@echo "                    the campaign service killed and resumed"
-	@echo "  make fuzz       - campaign-spec fuzzing under the large"
+	@echo "  make fuzz       - campaign-spec and spec-file fuzzing plus the"
+	@echo "                    routing differential test under the large"
 	@echo "                    'fuzz' Hypothesis profile (make test runs"
-	@echo "                    the same test on the default budget)"
+	@echo "                    the same tests on the default budget)"
 	@echo "  make serve-smoke- end-to-end campaign service smoke (submit,"
 	@echo "                    drain, journal/store consistency)"
 	@echo "  make benchmarks - paper-figure harness + the floorplan,"
-	@echo "                    simulator and store-fingerprint floors"
-	@echo "                    against their frozen references (slow)"
+	@echo "                    simulator, store-fingerprint and routing"
+	@echo "                    floors against their frozen references (slow)"
 	@echo "end-to-end benchmark: python3 perfbench/run.py --all"
 	@echo "                    (see perfbench/README.md)"
 
@@ -84,10 +85,13 @@ chaos:
 	    tests/test_service_chaos.py tests/test_locks.py
 
 # Every generated campaign dict is refused with a CampaignSpecError or
-# builds a well-typed spec; the 'fuzz' profile (tests/conftest.py) raises
-# the example budget from the default the tier-1 run uses.
+# builds a well-typed spec; every generated spec file loads or raises a
+# SpecError; every generated design routes exactly as the frozen naive
+# router does. The 'fuzz' profile (tests/conftest.py) raises the example
+# budget from the default the tier-1 run uses.
 fuzz:
 	$(PYTHON) -m pytest -x -q tests/test_campaign_fuzz.py \
+	    tests/test_spec_io_fuzz.py tests/test_paths_differential.py \
 	    --hypothesis-profile=fuzz
 
 # End-to-end campaign service smoke through the real CLI: three specs
@@ -96,10 +100,10 @@ fuzz:
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
-# The paper-figure benchmark harness plus the three layer floors
+# The paper-figure benchmark harness plus the four layer floors
 # (bench_floorplan_anneal.py, bench_simulator.py,
-# bench_store_fingerprint.py: optimised layer vs its frozen reference),
-# slow. Explicit file list: bench_*.py does not match
+# bench_store_fingerprint.py, bench_routing.py: optimised layer vs its
+# frozen reference), slow. Explicit file list: bench_*.py does not match
 # pytest's default test-file pattern.
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

@@ -69,7 +69,7 @@ def synthetic_benchmark(
 
     rng = make_rng(seed, "synthetic", pattern, num_cores)
     cores = _make_cores(num_cores, pattern, seed)
-    pairs = _make_pairs(num_cores, pattern, rng)
+    pairs = _make_pairs(num_cores, pattern, rng, one_way=with_responses)
     if not pairs:
         raise SpecError("pattern generated no flows; increase num_cores")
 
@@ -135,11 +135,21 @@ def _make_cores(num_cores: int, pattern: str, seed: int):
     return cores
 
 
-def _make_pairs(num_cores: int, pattern: str, rng) -> List[Tuple[int, int]]:
+def _make_pairs(
+    num_cores: int, pattern: str, rng, *, one_way: bool = False
+) -> List[Tuple[int, int]]:
+    """Request (src, dst) pairs, at most one per ordered pair.
+
+    ``one_way`` also refuses a pair whose reverse is already taken, so a
+    response flow never duplicates a request. A refused pair still spends
+    its RNG draws, so the specs without responses do not change.
+    """
     pairs: List[Tuple[int, int]] = []
     seen = set()
 
     def add(src: int, dst: int) -> None:
+        if one_way and (dst, src) in seen:
+            return
         if src != dst and (src, dst) not in seen:
             seen.add((src, dst))
             pairs.append((src, dst))

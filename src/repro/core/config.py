@@ -8,13 +8,11 @@ links under ``max_ill`` (Sec. VI).
 
 from __future__ import annotations
 
-import math
-import numbers
-import operator
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from repro.errors import SpecError
+from repro.spec.core_spec import is_finite_real, is_integer
 
 PHASES = ("auto", "phase1", "phase2")
 LAYER_MODES = ("mean", "majority")
@@ -128,7 +126,7 @@ class SynthesisConfig:
         pair = self.switch_count_range
         if pair is not None and not (
             isinstance(pair, (tuple, list)) and len(pair) == 2
-            and all(_is_int(v) for v in pair) and 1 <= pair[0] <= pair[1]
+            and all(is_integer(v) for v in pair) and 1 <= pair[0] <= pair[1]
         ):
             raise SpecError(
                 "switch_count_range must be a (min, max) pair of integers "
@@ -148,28 +146,10 @@ class SynthesisConfig:
 
 
 
-def _is_int(value) -> bool:
-    """An integer proper (``operator.index`` accepts it), not a bool."""
-    if isinstance(value, bool):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
-
-
-def _is_finite_real(value) -> bool:
-    return (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
 #: What a field of each declared type must hold (the annotations are
 #: strings under ``from __future__ import annotations``).
 _TYPE_CHECKS = {
     "bool": ("a bool", lambda value: isinstance(value, bool)),
-    "int": ("an integer", _is_int),
-    "float": ("a finite number", _is_finite_real),
+    "int": ("an integer", is_integer),
+    "float": ("a finite number", is_finite_real),
 }

@@ -22,16 +22,18 @@ this module finds a route for every traffic flow:
   the number of ports needed in the direct switches").
 
 This is the hottest loop of the whole flow (one Dijkstra per flow per
-candidate switch count per architectural point), so the inner search runs
-on a :class:`_RoutingContext` that hoists every flow-invariant term out of
-the edge relaxation: switch-pair geometry, wire/TSV energies and static
-power are precomputed per ordered switch pair, the library model lookups
-that depend only on a switch size are memoised, and the hard INF threshold
-tests of Algorithm 3 run *before* any energy arithmetic so saturated edges
-exit early. The context produces bit-identical costs to the plain
-:func:`_edge_cost` evaluator (kept as the reference, and cross-checked by
-the regression tests against the frozen copy in
-:mod:`repro.engine.reference`).
+candidate switch count per architectural point), so the search prices
+edges by rows, not by calls. A :class:`_RoutingContext` keeps the inputs
+of Algorithm 3's edge cost split by how often they change: per switch
+pair (geometry, wire/TSV energy, static power; fixed), per switch (size
+energy, port growth, size thresholds; refreshed for the switches of each
+committed path), per layer pair (inter-layer link thresholds) and per
+directed pair (the lowest existing link load). :func:`_dijkstra` relaxes
+each popped switch's whole row in one loop over that state, using the
+float operations of the plain :func:`_edge_cost` evaluator in the same
+order, so costs and paths are bit-identical to it. The frozen router in
+:mod:`repro.engine.reference` calls :func:`_edge_cost` on every
+relaxation and is the regression oracle.
 
 Raises :class:`~repro.errors.PathComputationError` when any flow cannot be
 routed — the caller (Algorithm 1 / 2 driver) treats the design point as
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.assignment import Assignment
 from repro.core.config import SynthesisConfig
@@ -115,21 +117,37 @@ class _CostModel:
 
 
 class _RoutingContext:
-    """Flow-invariant state for Algorithm 3's inner loop.
+    """Algorithm 3 pricing state of one design point, kept current per commit.
 
-    Everything that does not change while routing one design point is
-    precomputed here: the pair geometry never changes (switch positions are
-    only refined by the placement LP *after* routing), and model lookups
-    keyed on a switch size are pure functions of that size. Mutable state —
-    port counts, inter-layer link counts, link loads — is read live from the
-    topology on every evaluation, so committed routes are always visible.
+    The cost of a hop (u, v) splits by how often its inputs change:
+
+    * **per ordered pair, fixed:** the wire + TSV energy of a flit crossing
+      (u, v) and the static power of a new link there. Switch positions are
+      only refined by the placement LP *after* routing, so :meth:`row` builds
+      these once per switch ``u`` (and extends the row when an indirect
+      switch joins).
+    * **per switch, changed only by a commit:** the traversal energy at the
+      switch's size, the clock power of one more port, and whether one more
+      input or output port breaks the hard or soft size limit.
+    * **per layer pair:** whether a new link between the two layers is
+      forbidden (the adjacent-layer rule, or a crossed boundary at
+      ``max_ill``) or soft (a crossed boundary at ``soft_max_ill``).
+    * **per directed switch pair:** the lowest load of any existing link.
+      Some link has room exactly when ``min_load + bw <= cap``, because IEEE
+      addition is monotone.
+
+    :meth:`commit` refreshes the last three for the switches and hops of a
+    routed path, and :func:`_dijkstra` prices a whole row per pop from them.
+    Only the flow's bandwidth and flit rate vary between searches. The float
+    operations are :func:`_edge_cost`'s, in the same order, so costs are
+    bit-identical to it.
     """
 
     __slots__ = (
-        "topology", "library", "config", "model",
-        "_pair_cache", "_switch_eps", "_energy_by_size", "_clock_delta",
-        "_min_ports", "_reuse_cap", "_max_ill", "_soft_max_ill",
-        "_max_size", "_soft_size", "_soft_on", "_soft_inf",
+        "topology", "library", "config", "rows", "layer", "energy", "growth",
+        "in_hard", "in_soft", "out_hard", "out_soft", "min_load", "layer_state",
+        "reuse_cap", "soft_on", "soft_inf", "_max_size", "_soft_size",
+        "_max_ill", "_soft_max_ill", "_ill_counts", "_tsv_energy",
     )
 
     def __init__(
@@ -142,151 +160,132 @@ class _RoutingContext:
         self.topology = topology
         self.library = library
         self.config = config
-        self.model = model
-        #: (u, v) -> (move_energy_pj, open_static_mw, allowed, boundary_keys)
-        self._pair_cache: Dict[
-            Tuple[int, int], Tuple[float, float, bool, Tuple[Tuple[int, int], ...]]
-        ] = {}
-        self._switch_eps: List[Tuple[str, int]] = [
-            switch_ep(s.id) for s in topology.switches
-        ]
-        self._energy_by_size: Dict[int, float] = {}
-        self._clock_delta: Dict[int, float] = {}
-        self._min_ports = library.switch.min_ports
-        self._reuse_cap = model.capacity + 1e-9
-        self._max_ill = config.max_ill
-        self._soft_max_ill = model.soft_max_ill
+        self.reuse_cap = model.capacity + 1e-9
+        self.soft_on = config.use_soft_thresholds
+        self.soft_inf = model.soft_inf
         self._max_size = model.max_switch_size
         self._soft_size = model.soft_switch_size
-        self._soft_on = config.use_soft_thresholds
-        self._soft_inf = model.soft_inf
+        self._max_ill = config.max_ill
+        self._soft_max_ill = model.soft_max_ill
+        #: u -> (move_energy_pj, open_static_mw) per v, built on first pop.
+        self.rows: List[Optional[Tuple[List[float], List[float]]]] = []
+        self.layer: List[int] = []
+        self.energy: List[float] = []
+        self.growth: List[float] = []
+        self.in_hard: List[bool] = []
+        self.in_soft: List[bool] = []
+        self.out_hard: List[bool] = []
+        self.out_soft: List[bool] = []
+        #: u -> v -> lowest load of a u->v link (INF when there is none).
+        self.min_load: List[List[float]] = []
+        #: layer -> layer -> 0 (free), 1 (soft) or 2 (no new link).
+        self.layer_state: List[List[int]] = []
+        self._ill_counts: List[int] = []
+        #: layers crossed -> TSV energy per flit.
+        self._tsv_energy: List[float] = []
+        self.switch_added()
+        for link in topology.links:
+            if link.src[0] == "switch" and link.dst[0] == "switch":
+                row = self.min_load[link.src[1]]
+                v = link.dst[1]
+                if link.load_mbps < row[v]:
+                    row[v] = link.load_mbps
 
     def switch_added(self) -> None:
         """Register switches appended to the topology (indirect insertion)."""
-        for s in self.topology.switches[len(self._switch_eps):]:
-            self._switch_eps.append(switch_ep(s.id))
+        switches = self.topology.switches
+        old, n = len(self.layer), len(switches)
+        for loads in self.min_load:
+            loads.extend([INF] * (n - old))
+        for s in range(old, n):
+            self.layer.append(switches[s].layer)
+            self.min_load.append([INF] * n)
+            for column in (
+                self.rows, self.energy, self.growth, self.in_hard,
+                self.in_soft, self.out_hard, self.out_soft,
+            ):
+                column.append(None)
+            self._refresh_switch(s)
+        layers = range(max(self.layer, default=0) + 1)
+        self._tsv_energy = [self.library.tsv.energy_per_flit_pj(k) for k in layers]
+        self._ill_counts = []
+        self._refresh_layers()
 
-    # -- memoised model lookups -------------------------------------------
-
-    def _traverse_energy(self, size: int) -> float:
-        """``switch.energy_per_flit_pj(max(size, min_ports))``, memoised."""
-        e = self._energy_by_size.get(size)
-        if e is None:
-            e = self.library.switch.energy_per_flit_pj(
-                max(size, self._min_ports)
-            )
-            self._energy_by_size[size] = e
-        return e
-
-    def _port_growth_mw(self, size: int) -> float:
-        """Marginal clock power of one extra port at ``size``, memoised."""
-        d = self._clock_delta.get(size)
-        if d is None:
-            freq = self.config.frequency_mhz
-            sw = self.library.switch
-            d = sw.clock_power_mw(size + 1, freq) - sw.clock_power_mw(size, freq)
-            self._clock_delta[size] = d
-        return d
-
-    def _pair(
-        self, u: int, v: int
-    ) -> Tuple[float, float, bool, Tuple[Tuple[int, int], ...]]:
-        pair = self._pair_cache.get((u, v))
-        if pair is None:
-            su = self.topology.switches[u]
-            sv = self.topology.switches[v]
-            planar = abs(su.x - sv.x) + abs(su.y - sv.y)
-            vlayers = abs(su.layer - sv.layer)
-            move_energy = self.library.link.energy_per_flit_pj(
-                planar
-            ) + self.library.tsv.energy_per_flit_pj(vlayers)
-            open_static = (
-                self.library.link.static_power_mw(planar)
-                + vlayers * self.library.tsv.static_mw_per_link
-            )
-            allowed = not (
-                self.config.adjacent_layer_links_only and vlayers >= 2
-            )
-            lo = min(su.layer, sv.layer)
-            hi = max(su.layer, sv.layer)
-            boundaries = tuple((b, b + 1) for b in range(lo, hi))
-            pair = (move_energy, open_static, allowed, boundaries)
-            self._pair_cache[(u, v)] = pair
-        return pair
-
-    # -- Algorithm 3 cost -------------------------------------------------
-
-    def edge_cost(
-        self, u: int, v: int, bandwidth: float, rate_mflits: float
-    ) -> Tuple[float, bool]:
-        """Cost of routing the flow across switches (u -> v).
-
-        Bit-identical to :func:`_edge_cost`, with the hard-threshold exits
-        taken before any energy arithmetic.
-        """
+    def commit(self, path_switches: Sequence[int]) -> None:
+        """Refresh the state a routed path changed: its switches and hops."""
         topo = self.topology
-        pair = self._pair_cache.get((u, v))
-        if pair is None:
-            pair = self._pair(u, v)
-        move_energy, open_static, allowed, boundaries = pair
+        for s in path_switches:
+            self._refresh_switch(s)
+        for u, v in zip(path_switches, path_switches[1:]):
+            self.min_load[u][v] = min(
+                link.load_mbps
+                for link in topo.links_between(switch_ep(u), switch_ep(v))
+            )
+        self._refresh_layers()
 
-        sv = topo.switches[v]
-        sv_in = sv.in_ports
-        sv_size = sv_in if sv_in >= sv.out_ports else sv.out_ports
-        sv_energy = self._energy_by_size.get(sv_size)
-        if sv_energy is None:
-            sv_energy = self._traverse_energy(sv_size)
+    def row(self, u: int) -> Tuple[List[float], List[float]]:
+        """The fixed (move energy, open static power) of every hop from u."""
+        row = self.rows[u]
+        n = len(self.layer)
+        if row is None or len(row[0]) < n:
+            move, static = row if row is not None else ([], [])
+            switches = self.topology.switches
+            link = self.library.link
+            tsv_energy = self._tsv_energy
+            tsv_static = self.library.tsv.static_mw_per_link
+            su = switches[u]
+            for v in range(len(move), n):
+                sv = switches[v]
+                planar = abs(su.x - sv.x) + abs(su.y - sv.y)
+                vlayers = abs(su.layer - sv.layer)
+                move.append(link.energy_per_flit_pj(planar) + tsv_energy[vlayers])
+                static.append(
+                    link.static_power_mw(planar) + vlayers * tsv_static
+                )
+            row = self.rows[u] = (move, static)
+        return row
 
-        # Reuse an existing link when capacity allows: no new resources.
-        ids = topo._link_index.get((self._switch_eps[u], self._switch_eps[v]))
-        if ids:
-            links = topo.links
-            cap = self._reuse_cap
-            for lid in ids:
-                if links[lid].load_mbps + bandwidth <= cap:
-                    return rate_mflits * (move_energy + sv_energy) * 1e-3, False
+    def _refresh_switch(self, s: int) -> None:
+        """Size-dependent terms of switch ``s`` at its current port counts."""
+        sw = self.topology.switches[s]
+        model = self.library.switch
+        freq = self.config.frequency_mhz
+        ports = max(sw.in_ports, sw.out_ports, model.min_ports)
+        self.energy[s] = model.energy_per_flit_pj(ports)
+        self.growth[s] = (
+            model.clock_power_mw(ports + 1, freq) - model.clock_power_mw(ports, freq)
+        )
+        self.in_hard[s] = sw.in_ports + 1 > self._max_size
+        self.in_soft[s] = sw.in_ports + 1 > self._soft_size
+        self.out_hard[s] = sw.out_ports + 1 > self._max_size
+        self.out_soft[s] = sw.out_ports + 1 > self._soft_size
 
-        # A new physical link is needed: Algorithm 3 constraint checks,
-        # cheapest (and most selective) first.
-        if not allowed:
-            return INF, True
-
-        soft = False
-        ill = topo.ill
-        for key in boundaries:
-            count = ill.get(key, 0)
-            if count >= self._max_ill:
-                return INF, True
-            if count >= self._soft_max_ill:
-                soft = True
-
-        su = topo.switches[u]
-        su_out = su.out_ports
-        if su_out + 1 > self._max_size:
-            return INF, True
-        if sv_in + 1 > self._max_size:
-            return INF, True
-        if su_out + 1 > self._soft_size or sv_in + 1 > self._soft_size:
-            soft = True
-
-        su_size = su.in_ports if su.in_ports >= su_out else su_out
-        min_p = self._min_ports
-        if su_size < min_p:
-            su_size = min_p
-        eff_v = sv_size if sv_size >= min_p else min_p
-        growth = self._clock_delta
-        growth_u = growth.get(su_size)
-        if growth_u is None:
-            growth_u = self._port_growth_mw(su_size)
-        growth_v = growth.get(eff_v)
-        if growth_v is None:
-            growth_v = self._port_growth_mw(eff_v)
-
-        traffic = rate_mflits * (move_energy + sv_energy) * 1e-3
-        cost = traffic + (open_static + growth_u + growth_v)
-        if soft and self._soft_on:
-            cost += self._soft_inf
-        return cost, True
+    def _refresh_layers(self) -> None:
+        """Rebuild the layer-pair table if an ``ill`` count moved."""
+        ill = self.topology.ill
+        layers = range(max(self.layer, default=0) + 1)
+        counts = [ill.get((b, b + 1), 0) for b in layers]
+        if counts == self._ill_counts:
+            return
+        self._ill_counts = counts
+        adjacent_only = self.config.adjacent_layer_links_only
+        table = []
+        for a in layers:
+            row = []
+            for b in layers:
+                lo, hi = (a, b) if a <= b else (b, a)
+                if lo == hi:
+                    row.append(0)
+                elif adjacent_only and hi - lo >= 2:
+                    row.append(2)
+                else:
+                    worst = max(counts[lo:hi])
+                    row.append(
+                        2 if worst >= self._max_ill
+                        else 1 if worst >= self._soft_max_ill else 0
+                    )
+            table.append(row)
+        self.layer_state = table
 
 
 def compute_paths(
@@ -393,8 +392,8 @@ def _edge_cost(
 
     Returns (cost in mW-equivalents, needs_new_link). INF cost means the
     edge is unusable (hard constraint of Algorithm 3). This is the plain
-    single-shot evaluator; :meth:`_RoutingContext.edge_cost` computes the
-    same values with the flow-invariant terms cached.
+    single-shot evaluator; :func:`_dijkstra` computes the same values
+    from the per-commit state of :class:`_RoutingContext`.
     """
     su = topology.switches[u]
     sv = topology.switches[v]
@@ -465,15 +464,27 @@ def _dijkstra(
     banned: Set[Tuple[int, int]],
     min_hop: bool = False,
 ) -> Optional[List[int]]:
-    """Min-cost (or min-hop) path over the switch graph. None if none."""
-    n = len(ctx.topology.switches)
+    """Min-cost (or min-hop) path over the switch graph. None if none.
+
+    Each pop prices the whole row of ``u`` in one loop over the context's
+    state, with :func:`_edge_cost`'s arithmetic: reuse a link with room,
+    else open one unless a hard threshold forbids it.
+    """
+    n = len(ctx.layer)
     dist = [INF] * n
     dist[src_sw] = 0.0
     prev = [-1] * n
     done = [False] * n
     reached = False
     heap: List[Tuple[float, int]] = [(0.0, src_sw)]
-    edge_cost = ctx.edge_cost
+    cap = ctx.reuse_cap
+    layer = ctx.layer
+    energy = ctx.energy
+    growth = ctx.growth
+    in_hard = ctx.in_hard
+    in_soft = ctx.in_soft
+    soft_on = ctx.soft_on
+    soft_inf = ctx.soft_inf
 
     while heap:
         d, u = heapq.heappop(heap)
@@ -483,14 +494,36 @@ def _dijkstra(
             reached = True
             break
         done[u] = True
+        skip = done
+        if banned:
+            cut = [v for a, v in banned if a == u]
+            if cut:
+                skip = done[:]
+                for v in cut:
+                    skip[v] = True
+        move, static = ctx.row(u)
+        loads = ctx.min_load[u]
+        states = ctx.layer_state[layer[u]]
+        can_open = not ctx.out_hard[u]
+        soft_u = ctx.out_soft[u]
+        growth_u = growth[u]
         for v in range(n):
-            if v == u or done[v] or (u, v) in banned:
+            if skip[v]:
                 continue
-            cost, _ = edge_cost(u, v, bandwidth, rate)
-            if cost == INF:
+            if loads[v] + bandwidth <= cap:
+                cost = rate * (move[v] + energy[v]) * 1e-3
+            elif can_open:
+                state = states[layer[v]]
+                if state == 2 or in_hard[v]:
+                    continue
+                cost = rate * (move[v] + energy[v]) * 1e-3 + (
+                    (static[v] + growth_u) + growth[v]
+                )
+                if soft_on and (state or soft_u or in_soft[v]):
+                    cost += soft_inf
+            else:
                 continue
-            step = (1.0 + cost * 1e-9) if min_hop else cost
-            nd = d + step
+            nd = d + ((1.0 + cost * 1e-9) if min_hop else cost)
             if nd < dist[v]:
                 dist[v] = nd
                 prev[v] = u
@@ -627,6 +660,7 @@ def _route_flow(
                 real_ids.append(link_id)
         real_ids.append(ej.id)
         topology.record_route((src, dst), real_ids, list(path_switches), bandwidth)
+        ctx.commit(path_switches)
         cdg.add_path(real_ids, flow.message_type)
         return True
 

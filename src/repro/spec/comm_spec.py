@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SpecError
+from repro.spec.core_spec import check_finite
 
 
 class MessageType(enum.Enum):
@@ -56,6 +57,10 @@ class TrafficFlow:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise SpecError(f"flow {self.src!r} -> {self.dst!r}: self loops not allowed")
+        check_finite(
+            f"flow {self.src!r} -> {self.dst!r}",
+            bandwidth=self.bandwidth, latency=self.latency,
+        )
         if self.bandwidth <= 0:
             raise SpecError(
                 f"flow {self.src!r} -> {self.dst!r}: bandwidth must be positive, "

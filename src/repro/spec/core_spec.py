@@ -7,10 +7,42 @@ of the cores to the different layers in 3-D is also specified."
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SpecError
+
+
+def is_finite_real(value: object) -> bool:
+    """A finite real number. ``bool`` is refused: it is an ``int`` subclass
+    but never a size, position, bandwidth or latency."""
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def is_integer(value: object) -> bool:
+    """An integer proper (``operator.index`` accepts it), not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def check_finite(owner: str, **values: object) -> None:
+    """Raise :class:`SpecError` unless every value is a finite real number."""
+    for name, value in values.items():
+        if not is_finite_real(value):
+            raise SpecError(
+                f"{owner}: {name} must be a finite number, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -36,6 +68,12 @@ class Core:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("core name must be non-empty")
+        owner = f"core {self.name!r}"
+        check_finite(
+            owner, width=self.width, height=self.height, x=self.x, y=self.y
+        )
+        if not is_integer(self.layer):
+            raise SpecError(f"{owner}: layer must be an integer, got {self.layer!r}")
         if self.width <= 0 or self.height <= 0:
             raise SpecError(
                 f"core {self.name!r}: width/height must be positive "

@@ -44,7 +44,7 @@ def _load(path: PathLike, parse: Callable[[str], T]) -> T:
         if str(exc).startswith(f"{path}:"):
             raise
         raise SpecError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep JSON
         raise SpecError(f"{path}: {exc}") from exc
 
 
@@ -72,8 +72,9 @@ def core_spec_from_dict(data: dict) -> CoreSpec:
     if not isinstance(data, dict) or not isinstance(data.get("cores"), list):
         raise SpecError("core spec JSON must contain a 'cores' list")
     cores = []
-    for entry in data["cores"]:
+    for i, entry in enumerate(data["cores"]):
         try:
+            layer = entry.get("layer", 0)
             cores.append(
                 Core(
                     name=str(entry["name"]),
@@ -81,13 +82,19 @@ def core_spec_from_dict(data: dict) -> CoreSpec:
                     height=float(entry["height"]),
                     x=float(entry.get("x", 0.0)),
                     y=float(entry.get("y", 0.0)),
-                    layer=int(entry.get("layer", 0)),
+                    # A JSON integer (or a string holding one); Core refuses
+                    # a bool or a float rather than truncating it.
+                    layer=int(layer) if isinstance(layer, str) else layer,
                 )
             )
         except KeyError as exc:
-            raise SpecError(f"core entry missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed core entry {entry!r}: {exc}") from exc
+            raise SpecError(f"cores[{i}]: core entry missing field {exc}") from exc
+        except SpecError as exc:
+            raise SpecError(f"cores[{i}]: {exc}") from exc
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise SpecError(
+                f"cores[{i}]: malformed core entry {entry!r}: {exc}"
+            ) from exc
     return CoreSpec(cores=cores)
 
 
@@ -110,7 +117,7 @@ def comm_spec_from_dict(data: dict) -> CommSpec:
     if not isinstance(data, dict) or not isinstance(data.get("flows"), list):
         raise SpecError("communication spec JSON must contain a 'flows' list")
     flows = []
-    for entry in data["flows"]:
+    for i, entry in enumerate(data["flows"]):
         try:
             flows.append(
                 TrafficFlow(
@@ -124,9 +131,13 @@ def comm_spec_from_dict(data: dict) -> CommSpec:
                 )
             )
         except KeyError as exc:
-            raise SpecError(f"flow entry missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed flow entry {entry!r}: {exc}") from exc
+            raise SpecError(f"flows[{i}]: flow entry missing field {exc}") from exc
+        except SpecError as exc:
+            raise SpecError(f"flows[{i}]: {exc}") from exc
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise SpecError(
+                f"flows[{i}]: malformed flow entry {entry!r}: {exc}"
+            ) from exc
     return CommSpec(flows=flows)
 
 

@@ -74,6 +74,19 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(cores_path) in err
 
+    def test_nan_latency_in_spec_file_exits_two(
+        self, tmp_path, capsys, tiny_specs
+    ):
+        core_spec, _ = tiny_specs
+        cores_path = tmp_path / "cores.txt"
+        comm_path = tmp_path / "comm.txt"
+        save_core_spec_text(core_spec, cores_path)
+        comm_path.write_text("flow C0 C1 200 8\nflow C1 C2 150 nan\n")
+        rc = main(["synth", "--cores", str(cores_path), "--comm", str(comm_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{comm_path}:2:" in err
+
     @pytest.mark.parametrize("flag", ["--export-json", "--export-dot"])
     def test_export_into_missing_directory_exits_before_any_work(
         self, tmp_path, capsys, monkeypatch, flag

@@ -90,10 +90,7 @@ class TestRegistryScaleDesigns:
     ])
     def test_every_point_verifies(self, num_cores, pattern, num_layers):
         bench = synthetic_benchmark(
-            num_cores, pattern, num_layers, seed=1,
-            # Random pairs can run both ways, so a response would
-            # duplicate a request.
-            with_responses=pattern != "random",
+            num_cores, pattern, num_layers, seed=1, with_responses=True,
         )
         config = SynthesisConfig(max_ill=25, switch_count_range=(3, 8))
         ctx = FlowContext.build(bench.core_spec_3d, bench.comm_spec,

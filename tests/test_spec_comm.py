@@ -1,5 +1,7 @@
 """Communication specification (repro.spec.comm_spec)."""
 
+import math
+
 import pytest
 
 from repro.errors import SpecError
@@ -23,6 +25,14 @@ class TestTrafficFlow:
     def test_rejects_nonpositive_latency(self):
         with pytest.raises(SpecError):
             TrafficFlow("A", "B", 100.0, -1.0)
+
+    @pytest.mark.parametrize("bandwidth, latency", [
+        (math.nan, 8.0), (math.inf, 8.0), (100.0, math.nan),
+        (100.0, math.inf), (True, 8.0), (100.0, "8"),
+    ])
+    def test_rejects_non_finite_or_non_numeric_demand(self, bandwidth, latency):
+        with pytest.raises(SpecError, match="finite number"):
+            TrafficFlow("A", "B", bandwidth, latency)
 
     def test_scaled(self):
         flow = TrafficFlow("A", "B", 100.0, 8.0)

@@ -1,5 +1,7 @@
 """Core specification (repro.spec.core_spec)."""
 
+import math
+
 import pytest
 
 from repro.errors import SpecError
@@ -25,6 +27,19 @@ class TestCore:
     def test_rejects_negative_layer(self):
         with pytest.raises(SpecError):
             Core("A", 1.0, 1.0, layer=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("width", math.nan), ("height", math.inf), ("x", -math.inf),
+        ("y", math.nan), ("width", True), ("x", "1.0"),
+    ])
+    def test_rejects_non_finite_or_non_numeric_geometry(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            Core("A", **{"width": 1.0, "height": 1.0, field: value})
+
+    @pytest.mark.parametrize("layer", [True, False, 1.0, 1.5, "1", None])
+    def test_rejects_non_integer_layer(self, layer):
+        with pytest.raises(SpecError, match="layer"):
+            Core("A", 1.0, 1.0, layer=layer)
 
     def test_moved_to_preserves_other_fields(self):
         core = Core("A", 1.0, 2.0, 0.0, 0.0, 3)

@@ -96,6 +96,48 @@ def test_malformed_spec_file_raises_spec_error_naming_path(
         load(path)
 
 
+@pytest.mark.parametrize("load, content, where", [
+    (load_comm_spec_text, "flow A B 100 8\nflow A C 100 nan\n", "2:"),
+    (load_comm_spec_text, "flow A B inf 8\n", "1:"),
+    (load_core_spec_text, "core A 1 1 0 0 0\ncore B 1 1 0 inf 0\n", "2:"),
+    (load_core_spec_text, "core A 1 1 nan 0 0\n", "1:"),
+    (load_comm_spec_json, '{"flows": [{"src": "A", "dst": "B", '
+                          '"bandwidth": NaN, "latency": 8}]}', "flows[0]"),
+    (load_comm_spec_json, '{"flows": [{"src": "A", "dst": "B", '
+                          '"bandwidth": 1, "latency": Infinity}]}', "flows[0]"),
+    (load_core_spec_json, '{"cores": [{"name": "A", "width": Infinity, '
+                          '"height": 1.0}]}', "cores[0]"),
+    (load_core_spec_json, '{"cores": [{"name": "A", "width": 1.0, '
+                          '"height": 1.0}, {"name": "B", "width": 1.0, '
+                          '"height": 1.0, "layer": true}]}', "cores[1]"),
+    (load_core_spec_json, '{"cores": [{"name": "A", "width": 1.0, '
+                          '"height": 1.0, "layer": 1.5}]}', "cores[0]"),
+    (load_core_spec_json, '{"cores": [{"name": "A", "width": 1e400, '
+                          '"height": 1.0}]}', "cores[0]"),
+    (load_core_spec_json, '{"cores": [{"name": "A", "width": 1%s, '
+                          '"height": 1.0}]}' % ("0" * 400), "cores[0]"),
+    (load_core_spec_json, "[" * 100000, ""),
+], ids=["text-nan-latency", "text-inf-bandwidth", "text-inf-y",
+        "text-nan-x", "json-nan-bandwidth", "json-inf-latency",
+        "json-inf-width", "json-bool-layer", "json-float-layer",
+        "json-overflowing-float", "json-huge-int", "json-deep-nesting"])
+def test_non_finite_or_mistyped_values_raise_spec_error_naming_the_entry(
+    tmp_path, load, content, where
+):
+    path = tmp_path / "spec"
+    path.write_text(content)
+    with pytest.raises(SpecError, match=re.escape(f"{path}:") + ".*"
+                       + re.escape(where)):
+        load(path)
+
+
+def test_json_layer_may_be_a_string_holding_an_integer(tmp_path):
+    path = tmp_path / "cores.json"
+    path.write_text('{"cores": [{"name": "A", "width": 1, "height": 1, '
+                    '"layer": "2"}]}')
+    assert load_core_spec_json(path)[0].layer == 2
+
+
 class TestTextRoundTrip:
     def test_core_spec(self, tmp_path, core_spec):
         path = tmp_path / "cores.txt"
