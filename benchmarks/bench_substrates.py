@@ -31,7 +31,7 @@ def d26():
 def test_partitioner_26_cores(benchmark, d26):
     graph = build_comm_graph(d26.core_spec_3d, d26.comm_spec)
     weights = graph.symmetric_bandwidth()
-    blocks = benchmark(kway_min_cut, graph.n, weights, 6, seed=0)
+    blocks = benchmark(kway_min_cut, graph.n, weights, 6)
     assert len(blocks) == 6
 
 
@@ -40,7 +40,7 @@ def test_placement_lp_26_cores(benchmark, d26):
     ctx = FlowContext.build(d26.core_spec_3d, d26.comm_spec, config=cfg)
     graph = ctx.graph
     weights = graph.symmetric_bandwidth()
-    blocks = kway_min_cut(graph.n, weights, 6, seed=0)
+    blocks = kway_min_cut(graph.n, weights, 6)
     assignment = assignment_from_blocks(blocks, graph, "mean", "phase1")
     lib = default_library()
     centers = ctx.core_centers

@@ -56,7 +56,7 @@ def assign_layers(
 
     weights = _directed_to_weights(graph)
     if strategy == "min_cut":
-        blocks = kway_min_cut(graph.n, weights, num_layers, seed=seed)
+        blocks = kway_min_cut(graph.n, weights, num_layers)
         layers = [0] * graph.n
         for layer, block in enumerate(blocks):
             for core in block:

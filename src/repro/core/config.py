@@ -63,7 +63,8 @@ class SynthesisConfig:
             switch-size constraints make routing infeasible (Sec. VI).
         switch_count_range: Optional (min, max) total-switch-count sweep
             bounds; None sweeps the full 1..n range of Algorithm 1.
-        seed: Determinism seed (partitioers, floorplanner).
+        seed: Determinism seed (floorplanner annealing, mesh-baseline
+            mapping). Graph partitioning is deterministic and seed-free.
         search_radius_mm / grid_step_mm: Custom insertion routine knobs;
             both finite and positive.
         floorplanner: "custom" (the paper's routine) or "constrained"

@@ -38,7 +38,7 @@ def phase1_candidate(
 ) -> Assignment:
     """The PG-based assignment for one switch count (Steps 4-7)."""
     pg = build_pg(graph, config.alpha)
-    blocks = kway_min_cut(graph.n, pg, switch_count, seed=config.seed)
+    blocks = kway_min_cut(graph.n, pg, switch_count)
     return assignment_from_blocks(
         blocks, graph, config.switch_layer_mode, phase="phase1"
     )
@@ -49,7 +49,7 @@ def phase1_scaled_candidate(
 ) -> Assignment:
     """The SPG-based assignment used for unmet switch counts (Steps 12-19)."""
     spg = build_spg(graph, config.alpha, theta, config.theta_max)
-    blocks = kway_min_cut(graph.n, spg, switch_count, seed=config.seed)
+    blocks = kway_min_cut(graph.n, spg, switch_count)
     return assignment_from_blocks(
         blocks, graph, config.switch_layer_mode, phase="phase1", theta=theta
     )

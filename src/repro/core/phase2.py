@@ -49,9 +49,7 @@ def phase2_candidate(
     for layer in range(graph.num_layers):
         members, weights = build_lpg(graph, layer, config.alpha)
         np_ = min(base[layer] + increment, len(members))
-        local_blocks = kway_min_cut(
-            len(members), weights, np_, seed=config.seed
-        )
+        local_blocks = kway_min_cut(len(members), weights, np_)
         for block in local_blocks:
             blocks.append(tuple(members[l] for l in block))
             layers.append(layer)

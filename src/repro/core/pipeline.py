@@ -14,12 +14,13 @@ and a mutable per-candidate :class:`CandidateState`. The sequence is fixed
   :mod:`repro.engine` process pool (``jobs=N``) with deterministic merging:
   serial and parallel runs produce identical :class:`SynthesisResult`\\ s.
 
-Candidate *generation* stays serial and cheap (graph partitioning); only
-evaluation — routing, LP, floorplanning, metrics — is distributed. The
-switch-count sweep is two plain functions over a batch evaluator:
-:func:`_phase1` retries failed switch counts at each next θ (Algorithm 1,
-Steps 11-19); :func:`_phase2` is a single round that records never-met
-switch counts.
+Candidate *generation* (graph partitioning) runs serially in the parent and
+is timed as the ``partition`` row, one sample per candidate build; it is
+about a fifth of a default d65_pipe synthesis. Only evaluation — routing,
+LP, floorplanning, metrics — is distributed. The switch-count sweep is two
+plain functions over a batch evaluator: :func:`_phase1` retries failed
+switch counts at each next θ (Algorithm 1, Steps 11-19); :func:`_phase2` is
+a single round that records never-met switch counts.
 
 Entry point: :func:`run_synthesis`; ``repro.core.synthesize`` builds the
 context from a spec pair and calls it.
@@ -33,6 +34,8 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -739,6 +742,22 @@ def _evaluate_round(
     return met, failed
 
 
+def _timed_builds(
+    assignments: Iterable[Assignment], timings: Optional[StageTimings]
+) -> Iterator[Assignment]:
+    """Yield ``assignments``, adding the seconds each took to build (graph
+    partitioning, in the parent process) as one ``partition`` sample."""
+    assignments = iter(assignments)
+    while True:
+        start = time.perf_counter()
+        assignment = next(assignments, None)
+        if assignment is None:
+            return
+        if timings is not None:
+            timings.add("partition", time.perf_counter() - start)
+        yield assignment
+
+
 def _mark_unmet(result: SynthesisResult, unmet: set) -> None:
     result.unmet_switch_counts = sorted(
         set(result.unmet_switch_counts) | unmet
@@ -746,38 +765,51 @@ def _mark_unmet(result: SynthesisResult, unmet: set) -> None:
 
 
 def _phase1(
-    ctx: FlowContext, evaluate: Callable, result: SynthesisResult
+    ctx: FlowContext,
+    evaluate: Callable,
+    result: SynthesisResult,
+    timings: Optional[StageTimings] = None,
 ) -> None:
     """Algorithm 1: one PG candidate per switch count, then one SPG round
     per θ for the counts still failing (the Unmet-set retry, Steps 11-19).
     Counts that fail at the last θ are unmet."""
     lo, hi = switch_count_bounds(ctx.graph, ctx.config)
+    counts = list(range(lo, hi + 1))
+    built = _timed_builds(
+        (phase1_candidate(ctx.graph, ctx.config, c) for c in counts), timings
+    )
     _, failed = _evaluate_round(evaluate, [
-        CandidateRequest(phase1_candidate(ctx.graph, ctx.config, count), count)
-        for count in range(lo, hi + 1)
+        CandidateRequest(assignment, count)
+        for assignment, count in zip(built, counts)
     ], result)
     for theta in ctx.config.theta_values():
         if not failed:
             break
+        built = _timed_builds((
+            phase1_scaled_candidate(ctx.graph, ctx.config, c, theta)
+            for c in failed
+        ), timings)
         _, failed = _evaluate_round(evaluate, [
-            CandidateRequest(
-                phase1_scaled_candidate(ctx.graph, ctx.config, count, theta),
-                count,
-                theta,
-            )
-            for count in failed
+            CandidateRequest(assignment, count, theta)
+            for assignment, count in zip(built, failed)
         ], result)
     _mark_unmet(result, set(failed))
 
 
 def _phase2(
-    ctx: FlowContext, evaluate: Callable, result: SynthesisResult
+    ctx: FlowContext,
+    evaluate: Callable,
+    result: SynthesisResult,
+    timings: Optional[StageTimings] = None,
 ) -> None:
     """Algorithm 2: one round over all layer-local candidates. A switch
     count is unmet only if *no* candidate at that count produced a point."""
+    built = _timed_builds(
+        phase2_candidates(ctx.graph, ctx.config, ctx.library), timings
+    )
     met, failed = _evaluate_round(evaluate, [
         CandidateRequest(assignment, assignment.num_switches)
-        for assignment in phase2_candidates(ctx.graph, ctx.config, ctx.library)
+        for assignment in built
     ], result)
     _mark_unmet(result, set(failed) - set(met))
 
@@ -916,7 +948,7 @@ def run_synthesis(
     result = SynthesisResult()
     phase = ctx.config.phase
     if phase in ("auto", "phase1"):
-        _phase1(ctx, evaluate, result)
+        _phase1(ctx, evaluate, result, timings)
     if phase == "phase2" or (phase == "auto" and result.is_empty):
-        _phase2(ctx, evaluate, result)
+        _phase2(ctx, evaluate, result, timings)
     return result

@@ -1,4 +1,5 @@
-"""Frozen pre-optimisation engine paths: naive routing and fingerprinting.
+"""Frozen pre-optimisation engine paths: naive routing, fingerprinting and
+partitioning.
 
 This module preserves, verbatim, the routing hot path as it existed before
 the :class:`~repro.core.paths._RoutingContext` overhaul: a Dijkstra that
@@ -27,6 +28,12 @@ as the plain float, so addresses do not depend on the numpy version. Salt
 resolution and the excluded field names are shared with
 :mod:`repro.engine.store`.
 
+The k-way partitioner of :mod:`repro.graphs.partition` is copied whole as
+:func:`naive_kway_min_cut`, ``seed`` parameter and all: every block pair is
+refined every round, every step re-sorts and re-scans all cells, and greedy
+growth re-sums every attraction over every member. Tests assert the live
+partitioner returns identical blocks for every graph and every ``seed``.
+
 Do not "optimise" this module.
 """
 
@@ -52,6 +59,7 @@ from repro.engine.store import _NON_CONTENT_FIELDS, resolve_salt
 from repro.errors import PathComputationError, StoreError
 from repro.graphs.comm_graph import CommGraph
 from repro.models.library import NocLibrary
+from repro.rng import make_rng
 from repro.noc.topology import Topology, switch_ep
 from repro.units import flits_per_second
 
@@ -478,3 +486,263 @@ def naive_fingerprint_task(task: Any, *, salt: Optional[str] = None) -> str:
         _feed(h, f.name)
         _feed(h, getattr(task, f.name))
     return h.hexdigest()
+
+
+# --------------------------------------------------------------------------
+# frozen k-way partitioner
+# --------------------------------------------------------------------------
+
+_Weights = Mapping[Tuple[int, int], float]
+_Adjacency = List[Dict[int, float]]
+
+
+def naive_kway_min_cut(
+    n: int,
+    weights: _Weights,
+    k: int,
+    *,
+    seed: int = 0,
+    refinement_rounds: int = 6,
+) -> List[List[int]]:
+    """Partition vertices ``0..n-1`` into ``k`` balanced blocks of small cut.
+
+    The frozen :func:`repro.graphs.partition.kway_min_cut`: greedy growth
+    that re-sums every attraction at every step, and KL refinement that
+    re-runs every block pair each round and re-sorts its work lists every
+    step. ``seed`` feeds only a leftovers loop that growth never reaches.
+
+    Args:
+        n: Number of vertices.
+        weights: Edge weights; keys are vertex pairs (either orientation;
+            both orientations are summed), values are non-negative weights.
+        k: Number of blocks, ``1 <= k <= n``.
+        seed: Determinism seed for tie-breaking.
+        refinement_rounds: Maximum KL refinement sweeps over all block pairs.
+
+    Returns:
+        List of ``k`` blocks; each block is a sorted list of vertex indices.
+        Block sizes are ``n // k`` or ``n // k + 1``. Blocks are ordered by
+        their smallest member, so output is deterministic.
+    """
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+
+    adj = _naive_build_adjacency(n, weights)
+
+    if k == 1:
+        return [list(range(n))]
+    if k == n:
+        return [[v] for v in range(n)]
+
+    assignment = _naive_greedy_initial(n, adj, k, seed)
+    blocks: List[Set[int]] = [set() for _ in range(k)]
+    for v, b in enumerate(assignment):
+        blocks[b].add(v)
+
+    _naive_refine(adj, blocks, n, k, refinement_rounds)
+
+    result = [sorted(b) for b in blocks]
+    result.sort(key=lambda blk: blk[0] if blk else n)
+    return result
+
+
+def _naive_build_adjacency(n: int, weights: _Weights) -> _Adjacency:
+    adj: _Adjacency = [dict() for _ in range(n)]
+    for (i, j), w in weights.items():
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        if i == j:
+            continue
+        w = float(w)
+        if w < 0:
+            raise ValueError(f"edge ({i}, {j}) has negative weight {w}")
+        if w == 0:
+            continue
+        adj[i][j] = adj[i].get(j, 0.0) + w
+        adj[j][i] = adj[j].get(i, 0.0) + w
+    return adj
+
+
+def _naive_block_sizes(n: int, k: int) -> List[int]:
+    base, extra = divmod(n, k)
+    return [base + 1 if b < extra else base for b in range(k)]
+
+
+def _naive_greedy_initial(n: int, adj: _Adjacency, k: int, seed: int) -> List[int]:
+    """Seeded greedy growth producing a balanced assignment vector."""
+    rng = make_rng(seed, "kway-init")
+    sizes = _naive_block_sizes(n, k)
+    assignment = [-1] * n
+    unassigned: Set[int] = set(range(n))
+
+    # Seed selection: first seed is the heaviest vertex; subsequent seeds are
+    # the unassigned vertices least attracted to already-chosen seeds (so
+    # blocks start far apart in the graph).
+    strength = [sum(adj[v].values()) for v in range(n)]
+    first = max(range(n), key=lambda v: (strength[v], -v))
+    seeds = [first]
+    unassigned.discard(first)
+    assignment[first] = 0
+    for b in range(1, k):
+        best_v, best_key = None, None
+        for v in sorted(unassigned):
+            attraction = sum(adj[v].get(s, 0.0) for s in seeds)
+            key = (attraction, -strength[v], v)
+            if best_key is None or key < best_key:
+                best_key, best_v = key, v
+        seeds.append(best_v)
+        assignment[best_v] = b
+        unassigned.discard(best_v)
+
+    counts = [1] * k
+    # Grow: always extend the most under-full block with its most attracted
+    # unassigned vertex.
+    while unassigned:
+        b = min(range(k), key=lambda bb: (counts[bb] / sizes[bb], bb))
+        members = [v for v in range(n) if assignment[v] == b]
+        best_v, best_key = None, None
+        for v in sorted(unassigned):
+            attraction = sum(adj[v].get(m, 0.0) for m in members)
+            key = (-attraction, -strength[v], v)
+            if best_key is None or key < best_key:
+                best_key, best_v = key, v
+        assignment[best_v] = b
+        counts[b] += 1
+        unassigned.discard(best_v)
+        if counts[b] >= sizes[b] and all(
+            counts[bb] >= sizes[bb] for bb in range(k)
+        ):
+            break
+
+    # Any stragglers (can happen only if sizes were exhausted simultaneously).
+    leftovers = [v for v in range(n) if assignment[v] == -1]
+    rng.shuffle(leftovers)
+    for v in leftovers:
+        b = min(range(k), key=lambda bb: (counts[bb] - sizes[bb], bb))
+        assignment[v] = b
+        counts[b] += 1
+    return assignment
+
+
+def _naive_external_internal(
+    adj: _Adjacency, v: int, own: Set[int], other: Set[int]
+) -> float:
+    """KL D-value of ``v``: external (to ``other``) minus internal weight."""
+    ext = 0.0
+    intl = 0.0
+    for u, w in adj[v].items():
+        if u in other:
+            ext += w
+        elif u in own:
+            intl += w
+    return ext - intl
+
+
+def _naive_kl_pass(adj: _Adjacency, a: Set[int], b: Set[int]) -> float:
+    """One Kernighan-Lin pass swapping between blocks ``a`` and ``b``.
+
+    Mutates the blocks in place if an improving prefix of swaps exists.
+    Returns the achieved gain (0.0 if no improvement).
+    """
+    if not a or not b:
+        return 0.0
+
+    d: Dict[int, float] = {}
+    for v in a:
+        d[v] = _naive_external_internal(adj, v, a, b)
+    for v in b:
+        d[v] = _naive_external_internal(adj, v, b, a)
+
+    work_a, work_b = set(a), set(b)
+    locked_pairs: List[Tuple[int, int]] = []
+    gains: List[float] = []
+
+    steps = min(len(a), len(b))
+    for _ in range(steps):
+        best = None  # (gain, u, v)
+        for u in sorted(work_a):
+            adj_u = adj[u]
+            du = d[u]
+            for v in sorted(work_b):
+                gain = du + d[v] - 2.0 * adj_u.get(v, 0.0)
+                if best is None or gain > best[0] + 1e-12:
+                    best = (gain, u, v)
+        if best is None:
+            break
+        gain, u, v = best
+        locked_pairs.append((u, v))
+        gains.append(gain)
+        work_a.discard(u)
+        work_b.discard(v)
+        # Update D-values as if u and v were swapped.
+        for x in work_a:
+            d[x] += 2.0 * adj[x].get(u, 0.0) - 2.0 * adj[x].get(v, 0.0)
+        for y in work_b:
+            d[y] += 2.0 * adj[y].get(v, 0.0) - 2.0 * adj[y].get(u, 0.0)
+
+    # Best prefix.
+    best_total, best_len = 0.0, 0
+    total = 0.0
+    for idx, g in enumerate(gains, start=1):
+        total += g
+        if total > best_total + 1e-12:
+            best_total, best_len = total, idx
+
+    if best_len == 0:
+        return 0.0
+    for u, v in locked_pairs[:best_len]:
+        a.discard(u)
+        b.discard(v)
+        a.add(v)
+        b.add(u)
+    return best_total
+
+
+def _naive_move_pass(
+    adj: _Adjacency, blocks: List[Set[int]], n: int, k: int
+) -> float:
+    """Single-node moves that keep every block within legal size bounds."""
+    lo, hi = n // k, -(-n // k)  # floor and ceil
+    total_gain = 0.0
+    improved = True
+    while improved:
+        improved = False
+        best = None  # (gain, v, src, dst)
+        for src in range(k):
+            if len(blocks[src]) <= lo:
+                continue
+            for v in sorted(blocks[src]):
+                conn = [0.0] * k
+                for u, w in adj[v].items():
+                    for bb in range(k):
+                        if u in blocks[bb]:
+                            conn[bb] += w
+                            break
+                for dst in range(k):
+                    if dst == src or len(blocks[dst]) >= hi:
+                        continue
+                    gain = conn[dst] - conn[src]
+                    if best is None or gain > best[0] + 1e-12:
+                        best = (gain, v, src, dst)
+        if best is not None and best[0] > 1e-12:
+            gain, v, src, dst = best
+            blocks[src].discard(v)
+            blocks[dst].add(v)
+            total_gain += gain
+            improved = True
+    return total_gain
+
+
+def _naive_refine(
+    adj: _Adjacency, blocks: List[Set[int]], n: int, k: int, rounds: int
+) -> None:
+    for _ in range(rounds):
+        gain = 0.0
+        for i in range(k):
+            for j in range(i + 1, k):
+                gain += _naive_kl_pass(adj, blocks[i], blocks[j])
+        gain += _naive_move_pass(adj, blocks, n, k)
+        if gain <= 1e-9:
+            break

@@ -257,11 +257,15 @@ def run_supervised_pool(
         # task starts (almost) immediately — its submission-time deadline
         # then approximates a start-time deadline.
         while pending and len(inflight) < max_workers:
-            idx = pending.popleft()
+            idx = pending[0]
             deadline = None
             if sup.task_timeout_s is not None:
                 deadline = _time.monotonic() + sup.task_timeout_s
+            # A worker may have died since the last harvest, and submit
+            # then raises BrokenProcessPool: the task stays pending for
+            # the regenerated pool.
             future = pool.submit(run_task, tasks[idx], sup.retries)
+            pending.popleft()
             inflight[future] = (idx, deadline)
 
     def drain_broken() -> List[int]:

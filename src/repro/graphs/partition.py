@@ -4,7 +4,7 @@ Algorithms 1 and 2 of the paper repeatedly ask for "i min-cut partitions of
 PG ... such that each block has about equal number of cores". This module
 implements that primitive from scratch:
 
-1. **Seeded greedy growth** builds an initial balanced partition: block seeds
+1. **Greedy growth** builds an initial balanced partition: block seeds
    are chosen to be mutually weakly connected, then blocks absorb the
    unassigned vertex with the strongest attraction, always growing the
    currently smallest block.
@@ -15,36 +15,60 @@ implements that primitive from scratch:
 3. **Balance-preserving single moves** handle the ``n % k != 0`` case where
    block sizes may legally differ by one.
 
-All steps are deterministic for a given seed.
+The partition depends only on ``(n, weights, k)``. It is pinned bit for bit
+to the frozen :func:`repro.engine.reference.naive_kway_min_cut`, so each
+shortcut below either performs the float operations of the plain algorithm
+in the same order or skips work whose outcome is fixed:
+
+* **Incremental attractions.** Growth keeps one attraction per (block,
+  unassigned vertex) and re-sums it, over the vertex's neighbours in the
+  block in ascending index order, only for the neighbours of the vertex
+  just placed. The plain sum over every member differs only by ``+ 0.0``
+  terms, which are exact no-ops. Seed attractions sum their nonzero terms
+  in seed order, as ``sum(... for s in seeds)`` did. A heap of the
+  under-full blocks yields the block the ``min`` over all blocks yielded:
+  a full block's fill ratio is 1, above every under-full one.
+* **Pair-stability memo.** A KL pass is a pure function of its two
+  blocks, so :func:`_refine` skips a pair whose blocks are unchanged since
+  its pass returned 0 (that 0 would add nothing to the round's gain).
+* **KL pass shortcuts.** :func:`_kl_pass` returns 0 at once for a pair
+  with no edge between its blocks when the smaller block has at most two
+  vertices (the proof is in its docstring), sorts its work lists once per
+  pass rather than once per step, and skips a row of the swap scan when
+  ``d[u] + max(d over b)`` cannot clear the bar. Float addition is
+  monotone and ``2 * w >= 0``, so no cell of that row could win under the
+  sequential ``> best + 1e-12`` rule.
+* **Single moves** read each neighbour's block from an owner array rather
+  than testing every block in turn, and try only blocks with room: the
+  same sums in the same order.
+
+Weights must be finite and non-negative, and doubling a pair's summed
+weight must not overflow; anything else raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import insort
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
-
-from repro.rng import make_rng
 
 Weights = Mapping[Tuple[int, int], float]
 Adjacency = List[Dict[int, float]]
 
+#: Maximum KL refinement sweeps over all block pairs.
+REFINEMENT_ROUNDS = 6
 
-def kway_min_cut(
-    n: int,
-    weights: Weights,
-    k: int,
-    *,
-    seed: int = 0,
-    refinement_rounds: int = 6,
-) -> List[List[int]]:
+
+def kway_min_cut(n: int, weights: Weights, k: int) -> List[List[int]]:
     """Partition vertices ``0..n-1`` into ``k`` balanced blocks of small cut.
 
     Args:
         n: Number of vertices.
         weights: Edge weights; keys are vertex pairs (either orientation;
-            both orientations are summed), values are non-negative weights.
+            both orientations are summed), values are finite non-negative
+            weights.
         k: Number of blocks, ``1 <= k <= n``.
-        seed: Determinism seed for tie-breaking.
-        refinement_rounds: Maximum KL refinement sweeps over all block pairs.
 
     Returns:
         List of ``k`` blocks; each block is a sorted list of vertex indices.
@@ -63,12 +87,12 @@ def kway_min_cut(
     if k == n:
         return [[v] for v in range(n)]
 
-    assignment = _greedy_initial(n, adj, k, seed)
+    assignment = _greedy_initial(n, adj, k)
     blocks: List[Set[int]] = [set() for _ in range(k)]
     for v, b in enumerate(assignment):
         blocks[b].add(v)
 
-    _refine(adj, blocks, n, k, refinement_rounds)
+    _refine(adj, blocks, n, k)
 
     result = [sorted(b) for b in blocks]
     result.sort(key=lambda blk: blk[0] if blk else n)
@@ -114,12 +138,17 @@ def _build_adjacency(n: int, weights: Weights) -> Adjacency:
         if i == j:
             continue
         w = float(w)
+        if not math.isfinite(w):
+            raise ValueError(f"edge ({i}, {j}) has non-finite weight {w}")
         if w < 0:
             raise ValueError(f"edge ({i}, {j}) has negative weight {w}")
         if w == 0:
             continue
-        adj[i][j] = adj[i].get(j, 0.0) + w
-        adj[j][i] = adj[j].get(i, 0.0) + w
+        pair = adj[i].get(j, 0.0) + w
+        if not math.isfinite(2.0 * pair):
+            raise ValueError(f"edge ({i}, {j}) has weight {pair}, too large "
+                             f"to double")
+        adj[i][j] = adj[j][i] = pair
     return adj
 
 
@@ -128,74 +157,69 @@ def _block_sizes(n: int, k: int) -> List[int]:
     return [base + 1 if b < extra else base for b in range(k)]
 
 
-def _greedy_initial(n: int, adj: Adjacency, k: int, seed: int) -> List[int]:
-    """Seeded greedy growth producing a balanced assignment vector."""
-    rng = make_rng(seed, "kway-init")
+def _greedy_initial(n: int, adj: Adjacency, k: int) -> List[int]:
+    """Greedy growth producing a balanced assignment vector, with the
+    incremental attractions of the module docstring."""
     sizes = _block_sizes(n, k)
     assignment = [-1] * n
     unassigned: Set[int] = set(range(n))
+    # attraction[b][v] sums adj[v][m] over ``linked[b][v]``, the members of
+    # block b adjacent to v, ascending.
+    attraction: List[Dict[int, float]] = [dict() for _ in range(k)]
+    linked: List[Dict[int, List[int]]] = [dict() for _ in range(k)]
+
+    def place(v: int, b: int) -> None:
+        assignment[v] = b
+        unassigned.discard(v)
+        for att in attraction:
+            att.pop(v, None)
+        att, lnk = attraction[b], linked[b]
+        for u in adj[v]:
+            if assignment[u] < 0:
+                members = lnk.setdefault(u, [])
+                insort(members, v)
+                adj_u = adj[u]
+                att[u] = sum(adj_u[m] for m in members)
 
     # Seed selection: first seed is the heaviest vertex; subsequent seeds are
     # the unassigned vertices least attracted to already-chosen seeds (so
-    # blocks start far apart in the graph).
+    # blocks start far apart in the graph). Each vertex's seed attraction
+    # sums its nonzero terms in seed order.
     strength = [sum(adj[v].values()) for v in range(n)]
-    first = max(range(n), key=lambda v: (strength[v], -v))
-    seeds = [first]
-    unassigned.discard(first)
-    assignment[first] = 0
+    seed = max(range(n), key=lambda v: (strength[v], -v))
+    place(seed, 0)
+    seed_terms: Dict[int, List[float]] = {}
+    seed_attraction: Dict[int, float] = {}
     for b in range(1, k):
-        best_v, best_key = None, None
-        for v in sorted(unassigned):
-            attraction = sum(adj[v].get(s, 0.0) for s in seeds)
-            key = (attraction, -strength[v], v)
-            if best_key is None or key < best_key:
-                best_key, best_v = key, v
-        seeds.append(best_v)
-        assignment[best_v] = b
-        unassigned.discard(best_v)
+        for v, w in adj[seed].items():
+            if assignment[v] < 0:
+                terms = seed_terms.setdefault(v, [])
+                terms.append(w)
+                seed_attraction[v] = sum(terms)
+        seed = min(unassigned, key=lambda v: (
+            seed_attraction.get(v, 0.0), -strength[v], v))
+        place(seed, b)
 
-    counts = [1] * k
     # Grow: always extend the most under-full block with its most attracted
-    # unassigned vertex.
+    # unassigned vertex. Some block stays under-full while any vertex is
+    # unassigned, because the sizes sum to n; the heap holds exactly the
+    # under-full blocks keyed (fill ratio, index). Every attraction kept is
+    # positive, so a block with any beats every unattracted vertex.
+    counts = [1] * k
+    heap = [(1 / sizes[b], b) for b in range(k) if sizes[b] > 1]
+    heapq.heapify(heap)
     while unassigned:
-        b = min(range(k), key=lambda bb: (counts[bb] / sizes[bb], bb))
-        members = [v for v in range(n) if assignment[v] == b]
-        best_v, best_key = None, None
-        for v in sorted(unassigned):
-            attraction = sum(adj[v].get(m, 0.0) for m in members)
-            key = (-attraction, -strength[v], v)
-            if best_key is None or key < best_key:
-                best_key, best_v = key, v
-        assignment[best_v] = b
+        _, b = heapq.heappop(heap)
+        att = attraction[b]
+        if att:
+            v = min(att, key=lambda u: (-att[u], -strength[u], u))
+        else:
+            v = min(unassigned, key=lambda u: (-strength[u], u))
+        place(v, b)
         counts[b] += 1
-        unassigned.discard(best_v)
-        if counts[b] >= sizes[b] and all(
-            counts[bb] >= sizes[bb] for bb in range(k)
-        ):
-            break
-
-    # Any stragglers (can happen only if sizes were exhausted simultaneously).
-    leftovers = [v for v in range(n) if assignment[v] == -1]
-    rng.shuffle(leftovers)
-    for v in leftovers:
-        b = min(range(k), key=lambda bb: (counts[bb] - sizes[bb], bb))
-        assignment[v] = b
-        counts[b] += 1
+        if counts[b] < sizes[b]:
+            heapq.heappush(heap, (counts[b] / sizes[b], b))
     return assignment
-
-
-def _external_internal(
-    adj: Adjacency, v: int, own: Set[int], other: Set[int]
-) -> float:
-    """KL D-value of ``v``: external (to ``other``) minus internal weight."""
-    ext = 0.0
-    intl = 0.0
-    for u, w in adj[v].items():
-        if u in other:
-            ext += w
-        elif u in own:
-            intl += w
-    return ext - intl
 
 
 def _kl_pass(adj: Adjacency, a: Set[int], b: Set[int]) -> float:
@@ -203,37 +227,64 @@ def _kl_pass(adj: Adjacency, a: Set[int], b: Set[int]) -> float:
 
     Mutates the blocks in place if an improving prefix of swaps exists.
     Returns the achieved gain (0.0 if no improvement).
+
+    A pair with no edge between its blocks returns 0 without a pass when
+    the smaller block has at most two vertices. For a single vertex the pass
+    has one step: its D-value is 0, every other one is ``0 - internal <=
+    0``, and no cell has a shared edge, so the one prefix gain is <= 0.
+    For two vertices joined by weight ``w`` (0 if not joined), both start
+    at ``-w``. The first step pairs one of them with some ``y`` of D-value
+    ``-I_y`` and gains ``-fl(w + I_y)``. The update then gives the other
+    one exactly ``-w + 2w = w``, and each remaining ``y'`` gets at most
+    ``-I_y' + 2 w(y, y') <= w(y, y') <= I_y``, because each float internal
+    sum includes that edge. So the second gain ``fl(w + D(y'))`` is at most
+    ``fl(w + I_y)``, and both prefix totals are <= 0, since rounding is
+    monotone. The doubling is exact, as :func:`_build_adjacency` refuses
+    weights that would overflow. With larger blocks, rounding over longer
+    prefixes can accept a swap, so those pairs get the full pass.
     """
     if not a or not b:
         return 0.0
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    if len(small) <= 2 and not any(u in large for v in small for u in adj[v]):
+        return 0.0
 
     d: Dict[int, float] = {}
-    for v in a:
-        d[v] = _external_internal(adj, v, a, b)
-    for v in b:
-        d[v] = _external_internal(adj, v, b, a)
+    for own, other in ((a, b), (b, a)):
+        for v in own:
+            ext = intl = 0.0
+            for u, w in adj[v].items():
+                if u in other:
+                    ext += w
+                elif u in own:
+                    intl += w
+            d[v] = ext - intl
 
-    work_a, work_b = set(a), set(b)
+    work_a, work_b = sorted(a), sorted(b)
     locked_pairs: List[Tuple[int, int]] = []
     gains: List[float] = []
 
-    steps = min(len(a), len(b))
-    for _ in range(steps):
+    for _ in range(min(len(a), len(b))):
+        # Cells are scanned in ascending (u, v) order, and one replaces the
+        # best only if it beats it by more than 1e-12. Every gain of row u
+        # is <= d[u] + max(d over b), so a row whose bound cannot do that
+        # holds no winner (a NaN bound never skips).
+        d_top = max(d[v] for v in work_b)
         best = None  # (gain, u, v)
-        for u in sorted(work_a):
-            adj_u = adj[u]
+        for u in work_a:
             du = d[u]
-            for v in sorted(work_b):
+            if best is not None and du + d_top <= best[0] + 1e-12:
+                continue
+            adj_u = adj[u]
+            for v in work_b:
                 gain = du + d[v] - 2.0 * adj_u.get(v, 0.0)
                 if best is None or gain > best[0] + 1e-12:
                     best = (gain, u, v)
-        if best is None:
-            break
         gain, u, v = best
         locked_pairs.append((u, v))
         gains.append(gain)
-        work_a.discard(u)
-        work_b.discard(v)
+        work_a.remove(u)
+        work_b.remove(v)
         # Update D-values as if u and v were swapped.
         for x in work_a:
             d[x] += 2.0 * adj[x].get(u, 0.0) - 2.0 * adj[x].get(v, 0.0)
@@ -268,18 +319,20 @@ def _move_pass(
     while improved:
         improved = False
         best = None  # (gain, v, src, dst)
+        owner = [0] * n
+        for b, block in enumerate(blocks):
+            for v in block:
+                owner[v] = b
+        targets = [dst for dst in range(k) if len(blocks[dst]) < hi]
         for src in range(k):
             if len(blocks[src]) <= lo:
                 continue
             for v in sorted(blocks[src]):
                 conn = [0.0] * k
                 for u, w in adj[v].items():
-                    for bb in range(k):
-                        if u in blocks[bb]:
-                            conn[bb] += w
-                            break
-                for dst in range(k):
-                    if dst == src or len(blocks[dst]) >= hi:
+                    conn[owner[u]] += w
+                for dst in targets:
+                    if dst == src:
                         continue
                     gain = conn[dst] - conn[src]
                     if best is None or gain > best[0] + 1e-12:
@@ -293,14 +346,28 @@ def _move_pass(
     return total_gain
 
 
-def _refine(
-    adj: Adjacency, blocks: List[Set[int]], n: int, k: int, rounds: int
-) -> None:
-    for _ in range(rounds):
+def _refine(adj: Adjacency, blocks: List[Set[int]], n: int, k: int) -> None:
+    # A block's version moves whenever it changes; ``stable`` holds, per
+    # pair, the versions at which its KL pass last returned 0.
+    version = [0] * k
+    stable: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for _ in range(REFINEMENT_ROUNDS):
         gain = 0.0
         for i in range(k):
             for j in range(i + 1, k):
-                gain += _kl_pass(adj, blocks[i], blocks[j])
-        gain += _move_pass(adj, blocks, n, k)
+                seen = (version[i], version[j])
+                if stable.get((i, j)) == seen:
+                    continue
+                pair_gain = _kl_pass(adj, blocks[i], blocks[j])
+                if pair_gain:
+                    version[i] += 1
+                    version[j] += 1
+                else:
+                    stable[(i, j)] = seen
+                gain += pair_gain
+        moved = _move_pass(adj, blocks, n, k)
+        if moved:
+            version = [v + 1 for v in version]
+        gain += moved
         if gain <= 1e-9:
             break

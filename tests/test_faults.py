@@ -433,6 +433,44 @@ class TestSuperviseInternals:
         _hard_stop(pool)
         _hard_stop(pool)  # tolerates an already-stopped pool
 
+    def test_submit_to_a_broken_pool_keeps_the_task(self, monkeypatch):
+        """A worker can die between a harvest and the next submit, which
+        then raises: the task being submitted must stay pending for the
+        regenerated pool, not vanish from the results."""
+        from concurrent import futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        pools = []
+
+        class InlinePool:
+            """Runs each task at submit; the first pool is broken by the
+            time of its second submit."""
+
+            def __init__(self, max_workers, mp_context):
+                self.submits = 0
+                self.breaks = not pools
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.submits += 1
+                if self.breaks and self.submits == 2:
+                    raise BrokenProcessPool("a worker died")
+                future = futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", InlinePool)
+        noted = {}
+        assert supervise.run_supervised_pool(
+            _tasks(3), 2, Supervision(), noted.__setitem__
+        )
+        assert len(pools) == 2
+        assert sorted(noted) == [0, 1, 2]
+        assert all(result.error is None for result in noted.values())
+
     def test_noop_fault_counts_without_misbehaving(self, tmp_path):
         plan = FaultPlan(tmp_path, {0: FaultSpec("noop", times=-1)})
         [task] = inject_faults(_tasks(1), plan)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.bench.registry import get_benchmark
 from repro.core import pipeline as pipeline_module
 from repro.core.config import SynthesisConfig
 from repro.core.design_point import SynthesisResult
@@ -16,9 +17,12 @@ from repro.core.pipeline import (
     StageTimings,
     _phase1,
     _phase2,
+    run_synthesis,
     vertical_link_specs,
 )
 from repro.core.synthesis import synthesize
+from repro.engine.stagecache import StageCache
+from repro.engine.store import ResultStore
 from repro.errors import SynthesisError
 from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import ChipFloorplan, PlacedComponent
@@ -66,7 +70,30 @@ class TestStageTimings:
         report = timings.report()
         for name in DEFAULT_STAGE_NAMES:
             assert name in report
-        assert set(timings.as_dict()) == set(DEFAULT_STAGE_NAMES)
+        # Plus the candidate builds (graph partitioning), timed in the parent.
+        assert set(timings.as_dict()) == {"partition", *DEFAULT_STAGE_NAMES}
+
+    def test_partition_row_counts_every_candidate(self):
+        bench = get_benchmark("d26_media")
+        ctx = FlowContext.build(bench.core_spec_3d, bench.comm_spec)
+        timings, keys = StageTimings(), []
+        run_synthesis(ctx, timings=timings,
+                      progress=lambda done, total, key: keys.append(key))
+        assert timings.count("partition") == len(keys) > 0
+        assert timings.count("precheck") == len(keys)
+        assert timings.total_s("partition") > 0.0
+
+    def test_partition_row_stays_out_of_the_stage_cache(
+        self, tiny_specs, tmp_path
+    ):
+        core_spec, comm_spec = tiny_specs
+        cache = StageCache(ResultStore(tmp_path))
+        timings = StageTimings()
+        synthesize(core_spec, comm_spec, config=SynthesisConfig(max_ill=10),
+                   stage_cache=cache, timings=timings)
+        assert timings.count("partition") > 0
+        assert not timings.cached_count("partition")
+        assert set(cache.stats_dict()) <= set(DEFAULT_STAGE_NAMES)
 
     def test_tool_records_last_timings(self, tiny_specs):
         """The spec-level ``synthesize`` passes ``timings`` through."""
