@@ -29,16 +29,17 @@ help:
 	@echo "                    recovery path under injected faults, plus"
 	@echo "                    the campaign service killed and resumed"
 	@echo "  make fuzz       - campaign-spec and spec-file fuzzing plus the"
-	@echo "                    routing and partitioning differential tests"
+	@echo "                    routing, partitioning and placement-LP"
+	@echo "                    differential tests"
 	@echo "                    under the large 'fuzz' Hypothesis profile"
 	@echo "                    (make test runs the same tests on the"
 	@echo "                    default budget)"
 	@echo "  make serve-smoke- end-to-end campaign service smoke (submit,"
 	@echo "                    drain, journal/store consistency)"
 	@echo "  make benchmarks - paper-figure harness + the floorplan,"
-	@echo "                    simulator, store-fingerprint, routing and"
-	@echo "                    partitioning floors against their frozen"
-	@echo "                    references (slow)"
+	@echo "                    simulator, store-fingerprint, routing,"
+	@echo "                    partitioning and placement-LP floors against"
+	@echo "                    their frozen references (slow)"
 	@echo "end-to-end benchmark: python3 perfbench/run.py --all"
 	@echo "                    (see perfbench/README.md)"
 
@@ -73,6 +74,7 @@ coverage:
 	    tests/test_engine.py tests/test_store.py tests/test_profile.py \
 	    tests/test_cache_cli.py tests/test_stagecache.py \
 	    tests/test_paths_micro_bench.py tests/test_partition_differential.py \
+	    tests/test_placement_differential.py \
 	    tests/test_faults.py tests/test_locks.py tests/test_journal.py \
 	    tests/test_campaign_spec.py tests/test_campaign_service.py \
 	    tests/test_analysis.py
@@ -90,12 +92,15 @@ chaos:
 # builds a well-typed spec; every generated spec file loads or raises a
 # SpecError; every generated design routes exactly as the frozen naive
 # router does; every generated graph partitions exactly as the frozen
-# naive partitioner does. The 'fuzz' profile (tests/conftest.py) raises the example
-# budget from the default the tier-1 run uses.
+# naive partitioner does; every generated topology gets the switch
+# positions of the frozen naive placement LP. The 'fuzz' profile
+# (tests/conftest.py) raises the example budget from the default the
+# tier-1 run uses.
 fuzz:
 	$(PYTHON) -m pytest -x -q tests/test_campaign_fuzz.py \
 	    tests/test_spec_io_fuzz.py tests/test_paths_differential.py \
-	    tests/test_partition_differential.py --hypothesis-profile=fuzz
+	    tests/test_partition_differential.py \
+	    tests/test_placement_differential.py --hypothesis-profile=fuzz
 
 # End-to-end campaign service smoke through the real CLI: three specs
 # submitted (plus one refused), served to drain, then journal, store,
@@ -103,10 +108,10 @@ fuzz:
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
-# The paper-figure benchmark harness plus the five layer floors
+# The paper-figure benchmark harness plus the six layer floors
 # (bench_floorplan_anneal.py, bench_simulator.py,
-# bench_store_fingerprint.py, bench_routing.py, bench_partition.py:
-# optimised layer vs its frozen reference), slow. Explicit file list: bench_*.py does not match
+# bench_store_fingerprint.py, bench_routing.py, bench_partition.py,
+# bench_placement_lp.py: optimised layer vs its frozen reference), slow. Explicit file list: bench_*.py does not match
 # pytest's default test-file pattern.
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from repro.errors import SpecError
+from repro.floorplan.inserter import MAX_SEARCH_STEPS
 from repro.spec.core_spec import is_finite_real, is_integer
 
 PHASES = ("auto", "phase1", "phase2")
@@ -66,7 +67,9 @@ class SynthesisConfig:
         seed: Determinism seed (floorplanner annealing, mesh-baseline
             mapping). Graph partitioning is deterministic and seed-free.
         search_radius_mm / grid_step_mm: Custom insertion routine knobs;
-            both finite and positive.
+            both finite and positive, with at most
+            :data:`~repro.floorplan.inserter.MAX_SEARCH_STEPS` grid steps
+            per side (``search_radius_mm / grid_step_mm``).
         floorplanner: "custom" (the paper's routine) or "constrained"
             (the standard-floorplanner baseline of Sec. VIII-D).
     """
@@ -114,6 +117,13 @@ class SynthesisConfig:
             value = getattr(self, knob)
             if value <= 0:
                 raise SpecError(f"{knob} must be positive, got {value}")
+        if self.search_radius_mm / self.grid_step_mm > MAX_SEARCH_STEPS:
+            raise SpecError(
+                f"search_radius_mm / grid_step_mm must be at most "
+                f"{MAX_SEARCH_STEPS} (grid steps per side of the inserter's "
+                f"search square), got {self.search_radius_mm} / "
+                f"{self.grid_step_mm}"
+            )
         if not 0.0 <= self.alpha <= 1.0:
             raise SpecError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.max_ill < 0:

@@ -17,9 +17,17 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import LPError
 from repro.lp.model import LinearProgram
 from repro.noc.topology import Topology
+
+#: The coefficients of one pair's four "<=" rows, row by row: a switch-core
+#: row has entries (dx, xs_s), a switch-switch row (dx, xs_a, xs_b); the y
+#: rows alike.
+_CORE_ROW_VALS = np.array([-1.0, 1.0, -1.0, -1.0] * 2)
+_SW_ROW_VALS = np.array([-1.0, 1.0, -1.0, -1.0, -1.0, 1.0] * 2)
 
 
 def optimise_switch_positions(
@@ -59,38 +67,61 @@ def optimise_switch_positions(
             key = (didx, sidx)
             sw2core[key] = sw2core.get(key, 0.0) + link.load_mbps
 
-    lp = LinearProgram()
-    xs = [lp.add_variable(f"xs{i}", low=0.0, high=die_width_mm) for i in range(nsw)]
-    ys = [lp.add_variable(f"ys{i}", low=0.0, high=die_height_mm) for i in range(nsw)]
+    core_pairs = sorted(sw2core.items())
+    sw_pairs = sorted(sw2sw.items())
+    n_core, n_sw = len(core_pairs), len(sw_pairs)
 
+    # Variables in index order: every xs, every ys, then (dx, dy) of each
+    # switch-core pair and of each switch-switch pair, in sorted pair order.
     # Zero-bandwidth connections still get a tiny pull so disconnected
     # switches don't wander; weight epsilon keeps the LP bounded and tidy.
     eps = 1e-6
+    lp = LinearProgram()
+    lp.add_variables(nsw, low=0.0, high=die_width_mm)
+    lp.add_variables(nsw, low=0.0, high=die_height_mm)
+    weights = [max(bw, eps) for _pair, bw in core_pairs + sw_pairs]
+    lp.add_variables(2 * (n_core + n_sw), cost=np.repeat(weights, 2))
 
-    for (i, k), bw in sorted(sw2core.items()):
-        cx, cy = core_centers[k]
-        dx = lp.add_variable(f"dxc{i}_{k}")
-        dy = lp.add_variable(f"dyc{i}_{k}")
-        # dx >= xs_i - cx  and  dx >= cx - xs_i
-        lp.add_constraint({dx: 1.0, xs[i]: -1.0}, ">=", -cx)
-        lp.add_constraint({dx: 1.0, xs[i]: 1.0}, ">=", cx)
-        lp.add_constraint({dy: 1.0, ys[i]: -1.0}, ">=", -cy)
-        lp.add_constraint({dy: 1.0, ys[i]: 1.0}, ">=", cy)
-        weight = max(bw, eps)
-        lp.add_objective_term(dx, weight)
-        lp.add_objective_term(dy, weight)
+    # Four rows per pair, dx >= a - b, dx >= b - a and the same in y, built
+    # already negated into "<=" rows. For switch-core pair p (switch s,
+    # core centre (cx, cy)) with d = 2 nsw + 2p the index of its dx:
+    #   -dx + xs_s <= cx,   -dx - xs_s <= -cx   (and in y with ys_s, cy)
+    # For switch-switch pair q (switches a < b), d = 2 nsw + 2 (n_core + q):
+    #   -dx + xs_a - xs_b <= -0.0,   -dx - xs_a + xs_b <= -0.0
+    # where -0.0 is the negated 0.0 right-hand side. Rows, and entries
+    # within a row, come in the order the per-row construction gave them.
+    s = np.array([i for (i, _k), _bw in core_pairs], dtype=np.intp)
+    d = 2 * nsw + 2 * np.arange(n_core, dtype=np.intp)
+    core_cols = np.stack(
+        [d, s, d, s, d + 1, nsw + s, d + 1, nsw + s], axis=1
+    )
+    centres = np.array(
+        [core_centers[k] for (_i, k), _bw in core_pairs], dtype=float
+    ).reshape(n_core, 2)
+    cx, cy = centres[:, 0], centres[:, 1]
 
-    for (i, j), bw in sorted(sw2sw.items()):
-        dx = lp.add_variable(f"dxs{i}_{j}")
-        dy = lp.add_variable(f"dys{i}_{j}")
-        lp.add_constraint({dx: 1.0, xs[i]: -1.0, xs[j]: 1.0}, ">=", 0.0)
-        lp.add_constraint({dx: 1.0, xs[i]: 1.0, xs[j]: -1.0}, ">=", 0.0)
-        lp.add_constraint({dy: 1.0, ys[i]: -1.0, ys[j]: 1.0}, ">=", 0.0)
-        lp.add_constraint({dy: 1.0, ys[i]: 1.0, ys[j]: -1.0}, ">=", 0.0)
-        weight = max(bw, eps)
-        lp.add_objective_term(dx, weight)
-        lp.add_objective_term(dy, weight)
+    ends = np.array([key for key, _bw in sw_pairs], dtype=np.intp)
+    a, b = ends.reshape(n_sw, 2).T
+    d = 2 * nsw + 2 * (n_core + np.arange(n_sw, dtype=np.intp))
+    sw_cols = np.stack([
+        d, a, b, d, a, b, d + 1, nsw + a, nsw + b, d + 1, nsw + a, nsw + b,
+    ], axis=1)
 
+    lp.add_rows(
+        rows=np.concatenate([
+            np.repeat(np.arange(4 * n_core), 2),
+            4 * n_core + np.repeat(np.arange(4 * n_sw), 3),
+        ]),
+        cols=np.concatenate([core_cols.ravel(), sw_cols.ravel()]),
+        vals=np.concatenate([
+            np.tile(_CORE_ROW_VALS, n_core), np.tile(_SW_ROW_VALS, n_sw),
+        ]),
+        sense="<=",
+        rhs=np.concatenate([
+            np.stack([cx, -cx, cy, -cy], axis=1).ravel(),
+            np.full(4 * n_sw, -0.0),
+        ]),
+    )
     solution = lp.solve()
 
     connected = {i for (i, _k) in sw2core} | {
@@ -98,8 +129,8 @@ def optimise_switch_positions(
     }
     for i, sw in enumerate(topology.switches):
         if i in connected:
-            sw.x = solution.value(xs[i])
-            sw.y = solution.value(ys[i])
+            sw.x = solution.values[i]
+            sw.y = solution.values[nsw + i]
         else:
             # A switch nothing connects to (can only be an unused indirect
             # switch): centre of the die.

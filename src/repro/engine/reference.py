@@ -1,5 +1,5 @@
-"""Frozen pre-optimisation engine paths: naive routing, fingerprinting and
-partitioning.
+"""Frozen pre-optimisation engine paths: naive routing, fingerprinting,
+partitioning and switch placement.
 
 This module preserves, verbatim, the routing hot path as it existed before
 the :class:`~repro.core.paths._RoutingContext` overhaul: a Dijkstra that
@@ -34,6 +34,13 @@ refined every round, every step re-sorts and re-scans all cells, and greedy
 growth re-sums every attraction over every member. Tests assert the live
 partitioner returns identical blocks for every graph and every ``seed``.
 
+The switch-placement LP of :mod:`repro.core.placement` is copied whole as
+:func:`naive_optimise_switch_positions`: it states Eqs. 2-5 one named
+variable and one ``add_constraint`` call at a time. Tests assert the live
+function, which builds the same program as arrays, hands ``linprog`` the
+same objective, matrix, right-hand sides and bounds, and sets bitwise-equal
+switch positions.
+
 Do not "optimise" this module.
 """
 
@@ -56,8 +63,9 @@ from repro.core.paths import (
     _try_add_indirect_switch,
 )
 from repro.engine.store import _NON_CONTENT_FIELDS, resolve_salt
-from repro.errors import PathComputationError, StoreError
+from repro.errors import LPError, PathComputationError, StoreError
 from repro.graphs.comm_graph import CommGraph
+from repro.lp.model import LinearProgram
 from repro.models.library import NocLibrary
 from repro.rng import make_rng
 from repro.noc.topology import Topology, switch_ep
@@ -746,3 +754,97 @@ def _naive_refine(
         gain += _naive_move_pass(adj, blocks, n, k)
         if gain <= 1e-9:
             break
+
+
+# --------------------------------------------------------------------------
+# switch-placement LP
+# --------------------------------------------------------------------------
+
+def naive_optimise_switch_positions(
+    topology: Topology,
+    core_centers: Mapping[int, Tuple[float, float]],
+    die_width_mm: float,
+    die_height_mm: float,
+) -> float:
+    """Set every switch's (x, y) to the LP optimum. Returns the objective.
+
+    The frozen :func:`repro.core.placement.optimise_switch_positions`: one
+    :class:`~repro.lp.model.Variable` per variable and one
+    :meth:`~repro.lp.model.LinearProgram.add_constraint` call per row.
+
+    Args:
+        topology: Routed topology; link loads provide the bandwidth weights.
+        core_centers: Fixed (x, y) of every attached core.
+        die_width_mm / die_height_mm: Bounds for the switch coordinates
+            (the input floorplan's extent).
+    """
+    nsw = len(topology.switches)
+    if nsw == 0:
+        return 0.0
+    if die_width_mm <= 0 or die_height_mm <= 0:
+        raise LPError("die bounds must be positive")
+
+    # Aggregate bandwidth between connected component pairs. Both directions
+    # of a pair share the same distance, so their loads are summed.
+    sw2core: Dict[Tuple[int, int], float] = {}
+    sw2sw: Dict[Tuple[int, int], float] = {}
+    for link in topology.links:
+        skind, sidx = link.src
+        dkind, didx = link.dst
+        if skind == "switch" and dkind == "switch":
+            key = (min(sidx, didx), max(sidx, didx))
+            sw2sw[key] = sw2sw.get(key, 0.0) + link.load_mbps
+        elif skind == "switch" and dkind == "core":
+            key = (sidx, didx)
+            sw2core[key] = sw2core.get(key, 0.0) + link.load_mbps
+        elif skind == "core" and dkind == "switch":
+            key = (didx, sidx)
+            sw2core[key] = sw2core.get(key, 0.0) + link.load_mbps
+
+    lp = LinearProgram()
+    xs = [lp.add_variable(f"xs{i}", low=0.0, high=die_width_mm) for i in range(nsw)]
+    ys = [lp.add_variable(f"ys{i}", low=0.0, high=die_height_mm) for i in range(nsw)]
+
+    # Zero-bandwidth connections still get a tiny pull so disconnected
+    # switches don't wander; weight epsilon keeps the LP bounded and tidy.
+    eps = 1e-6
+
+    for (i, k), bw in sorted(sw2core.items()):
+        cx, cy = core_centers[k]
+        dx = lp.add_variable(f"dxc{i}_{k}")
+        dy = lp.add_variable(f"dyc{i}_{k}")
+        # dx >= xs_i - cx  and  dx >= cx - xs_i
+        lp.add_constraint({dx: 1.0, xs[i]: -1.0}, ">=", -cx)
+        lp.add_constraint({dx: 1.0, xs[i]: 1.0}, ">=", cx)
+        lp.add_constraint({dy: 1.0, ys[i]: -1.0}, ">=", -cy)
+        lp.add_constraint({dy: 1.0, ys[i]: 1.0}, ">=", cy)
+        weight = max(bw, eps)
+        lp.add_objective_term(dx, weight)
+        lp.add_objective_term(dy, weight)
+
+    for (i, j), bw in sorted(sw2sw.items()):
+        dx = lp.add_variable(f"dxs{i}_{j}")
+        dy = lp.add_variable(f"dys{i}_{j}")
+        lp.add_constraint({dx: 1.0, xs[i]: -1.0, xs[j]: 1.0}, ">=", 0.0)
+        lp.add_constraint({dx: 1.0, xs[i]: 1.0, xs[j]: -1.0}, ">=", 0.0)
+        lp.add_constraint({dy: 1.0, ys[i]: -1.0, ys[j]: 1.0}, ">=", 0.0)
+        lp.add_constraint({dy: 1.0, ys[i]: 1.0, ys[j]: -1.0}, ">=", 0.0)
+        weight = max(bw, eps)
+        lp.add_objective_term(dx, weight)
+        lp.add_objective_term(dy, weight)
+
+    solution = lp.solve()
+
+    connected = {i for (i, _k) in sw2core} | {
+        i for pair in sw2sw for i in pair
+    }
+    for i, sw in enumerate(topology.switches):
+        if i in connected:
+            sw.x = solution.value(xs[i])
+            sw.y = solution.value(ys[i])
+        else:
+            # A switch nothing connects to (can only be an unused indirect
+            # switch): centre of the die.
+            sw.x = die_width_mm / 2.0
+            sw.y = die_height_mm / 2.0
+    return solution.objective

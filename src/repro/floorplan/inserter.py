@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import FloorplanError
 from repro.floorplan.geometry import _EPS, Rect, rects_overlap
 from repro.floorplan.placement import PlacedComponent
@@ -64,7 +66,8 @@ def insert_components(
         search_radius: Radius (mm) of the free-space search around the ideal
             position — "the area in which we look for free space is the same
             for all of the switches, as it is given as a constant".
-        grid_step: Resolution of the candidate-position search.
+        grid_step: Resolution of the candidate-position search; at most
+            :data:`MAX_SEARCH_STEPS` steps per side of the search square.
         report: Optional statistics accumulator.
 
     Returns:
@@ -121,28 +124,53 @@ def insert_components(
 #: conservative whatever the rounding of ``x + dx``.
 _WINDOW_SLACK = 1e-6
 
+#: The most grid steps per side of the search square,
+#: ``ceil(search_radius / grid_step)``: 200 gives a table of 401 x 401
+#: offsets. The defaults use 10 (the synthesis config) and 15 (this
+#: module's keyword defaults).
+MAX_SEARCH_STEPS = 200
+
+#: Candidate offsets tested per numpy sweep of the free-space search; bounds
+#: the work arrays at ``_CHUNK`` x (placed rects near the window).
+_CHUNK = 256
+
 
 @lru_cache(maxsize=16)
 def _search_offsets(
     search_radius: float, grid_step: float
-) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
+) -> Tuple[float, np.ndarray, np.ndarray]:
     """The candidate grid around the ideal position, nearest first.
 
-    Returns ``(reach, offsets)``: ``reach`` is the largest ``|dx|`` or
+    Returns ``(reach, dx, dy)``: ``reach`` is the largest ``|dx|`` or
     ``|dy|`` in the table, ``|steps * grid_step|``. It can exceed
     ``search_radius`` when the step does not divide the radius. The offsets
-    exclude ``(0, 0)`` and are sorted by ``(|dx| + |dy|, dx, dy)``.
+    ``(dx[k], dy[k]) = (i * grid_step, j * grid_step)`` exclude ``(0, 0)``
+    and are sorted by ``(|dx| + |dy|, dx, dy)``.
+
+    Raises:
+        FloorplanError: ``grid_step`` is not positive, or the square has
+            more than :data:`MAX_SEARCH_STEPS` steps per side.
     """
+    if not grid_step > 0:
+        raise FloorplanError(f"grid_step must be positive, got {grid_step}")
+    if not search_radius / grid_step <= MAX_SEARCH_STEPS:
+        raise FloorplanError(
+            f"search_radius {search_radius} / grid_step {grid_step} exceeds "
+            f"{MAX_SEARCH_STEPS} grid steps per side"
+        )
     steps = max(1, int(math.ceil(search_radius / grid_step)))
-    offsets = []
-    for i in range(-steps, steps + 1):
-        for j in range(-steps, steps + 1):
-            if i == 0 and j == 0:
-                continue
-            dx, dy = i * grid_step, j * grid_step
-            offsets.append((abs(dx) + abs(dy), dx, dy))
-    offsets.sort()
-    return abs(steps * grid_step), tuple((dx, dy) for _d, dx, dy in offsets)
+    i, j = np.meshgrid(
+        np.arange(-steps, steps + 1), np.arange(-steps, steps + 1),
+        indexing="ij",
+    )
+    keep = (i != 0) | (j != 0)
+    dx = i[keep] * grid_step
+    dy = j[keep] * grid_step
+    order = np.lexsort((dy, dx, np.abs(dx) + np.abs(dy)))
+    dx, dy = dx[order], dy[order]
+    # Cached and shared by every call: read-only.
+    dx.flags.writeable = dy.flags.writeable = False
+    return abs(steps * grid_step), dx, dy
 
 
 def _find_free_spot(
@@ -159,11 +187,13 @@ def _find_free_spot(
     (rather than a sparse ring scan) matters in tightly packed floorplans,
     where the only free space is thin slivers between cores.
 
-    Only the placed rects that can reach the search window are tested, on
-    raw floats with the comparisons of :func:`rects_overlap`.
+    Only the placed rects that can reach the search window are tested, with
+    the comparisons of :func:`rects_overlap` on the same float values: the
+    ideal position first, then the offsets in chunks of :data:`_CHUNK` as
+    numpy arrays, each chunk against every nearby rect at once.
     """
     tx, ty, w, h = target.x, target.y, target.width, target.height
-    reach, offsets = _search_offsets(search_radius, grid_step)
+    reach, offsets_x, offsets_y = _search_offsets(search_radius, grid_step)
     lo_x = tx - reach - _WINDOW_SLACK
     hi_x = tx + reach + w + _WINDOW_SLACK
     lo_y = ty - reach - _WINDOW_SLACK
@@ -176,13 +206,21 @@ def _find_free_spot(
 
     if not _hits(tx, ty, tx + w, ty + h, near):
         return target
-    for dx, dy in offsets:
-        x = tx + dx
-        y = ty + dy
-        if x < 0 or y < 0:
-            continue
-        if not _hits(x, y, x + w, y + h, near):
-            return Rect(x, y, w, h)
+    rx_eps, rx2, ry_eps, ry2 = np.array(near).T
+    for start in range(0, len(offsets_x), _CHUNK):
+        x = tx + offsets_x[start:start + _CHUNK]
+        y = ty + offsets_y[start:start + _CHUNK]
+        hit = (
+            ((x + _EPS)[:, None] < rx2) & (rx_eps < (x + w)[:, None])
+            & ((y + _EPS)[:, None] < ry2) & (ry_eps < (y + h)[:, None])
+        ).any(axis=1)
+        free = ~hit & ~(x < 0) & ~(y < 0)
+        k = int(free.argmax())
+        if free[k]:
+            # The scalar sums repeat the array ones exactly, and keep the
+            # type of ``tx`` (a numpy float when it came from the LP).
+            k += start
+            return Rect(tx + float(offsets_x[k]), ty + float(offsets_y[k]), w, h)
     return None
 
 

@@ -104,6 +104,15 @@ def test_inserter_knob_reported(tmp_path, capsys):
     assert "config.grid_step_mm" in capsys.readouterr().err
 
 
+def test_too_fine_inserter_grid_reported():
+    # A 1e-6 mm step under the 1 mm default radius would ask the worker for
+    # about 4e12 candidate offsets; the spec is refused up front.
+    issues = validate_campaign(dict(SWEEP, config={"grid_step_mm": 1e-6}))
+    assert "config.grid_step_mm" in paths_of(issues)
+    with pytest.raises(CampaignSpecError):
+        CampaignSpec.from_dict(dict(SWEEP, config={"grid_step_mm": 1e-6}))
+
+
 def test_sim_keys_rejected_on_sweep_and_vice_versa():
     issues = validate_campaign({"name": "x", "kind": "sweep", "seeds": [1]})
     assert any(

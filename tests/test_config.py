@@ -64,6 +64,24 @@ class TestValidation:
         with pytest.raises(SpecError):
             SynthesisConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_step_mm": 1e-6},
+        {"search_radius_mm": 1e300, "grid_step_mm": 1e-300},
+        {"search_radius_mm": 20.5, "grid_step_mm": 0.1},
+    ])
+    def test_search_grid_bounded(self, kwargs):
+        # The inserter would build (2 * steps + 1) ** 2 offsets: refused
+        # here, naming both fields, before any grid exists.
+        with pytest.raises(SpecError, match="search_radius_mm / grid_step_mm"):
+            SynthesisConfig(**kwargs)
+
+    def test_largest_search_grid_accepted(self):
+        from repro.floorplan.inserter import MAX_SEARCH_STEPS
+
+        cfg = SynthesisConfig(search_radius_mm=MAX_SEARCH_STEPS * 0.5,
+                              grid_step_mm=0.5)
+        assert cfg.search_radius_mm / cfg.grid_step_mm == MAX_SEARCH_STEPS
+
     def test_integral_and_real_values_kept_as_given(self):
         cfg = SynthesisConfig(
             frequency_mhz=np.float64(400.0), seed=np.int64(3),

@@ -1,13 +1,19 @@
 """Custom NoC-insertion routine (repro.floorplan.inserter, paper Sec. VII)."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FloorplanError
 from repro.floorplan.geometry import Rect
 from repro.floorplan.inserter import (
+    MAX_SEARCH_STEPS,
     InsertionReport,
     NewComponent,
+    _CHUNK,
+    _search_offsets,
     insert_components,
 )
 from repro.floorplan.placement import ChipFloorplan, PlacedComponent
@@ -151,6 +157,9 @@ def _assert_matches_reference(existing, new, search_radius, grid_step):
     slow = _run(naive_insert_components, existing, new,
                 search_radius=search_radius, grid_step=grid_step)
     assert fast == slow
+    # Equal values of equal types: the numpy sweep hands back the scalars
+    # the per-offset loop computed.
+    assert repr(fast) == repr(slow)
     return slow
 
 
@@ -225,6 +234,34 @@ def _dense_blocks(draw):
     return existing, new
 
 
+@st.composite
+def _walled(draw):
+    """A core walling in the ideal position, so the nearest free offsets
+    lie past the first chunk of the offset table (or nowhere in it), with
+    gaps cut as slivers between the wall's pieces."""
+    cx, cy = draw(_centre), draw(_centre)
+    half = draw(st.floats(min_value=0.9, max_value=2.5))
+    side = draw(st.floats(min_value=0.05, max_value=0.6))
+    left, bottom = max(0.0, cx - half), max(0.0, cy - half)
+    width = max(0.05, cx + half - left)
+    height = max(0.05, cy + half - bottom)
+    cut = draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)))
+    if cut is None:
+        rects = [Rect(left, bottom, width, height)]
+    else:
+        # Two pieces with a gap of ``cut * side`` between them.
+        split = left + draw(st.floats(min_value=0.1, max_value=0.9)) * width
+        gap = cut * side
+        rects = [
+            Rect(left, bottom, split - left, height),
+            Rect(split + gap, bottom, max(0.05, left + width - split - gap),
+                 height),
+        ]
+    new = [NewComponent(f"sw{k}", "switch", side, side, (cx, cy))
+           for k in range(draw(st.integers(min_value=1, max_value=3)))]
+    return _cores(*rects), new
+
+
 class TestMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(layer=_layers(), search_radius=_radius, grid_step=_step)
@@ -238,6 +275,88 @@ class TestMatchesReference:
     def test_dense_blocks_displace(self, block, search_radius, grid_step):
         existing, new = block
         _assert_matches_reference(existing, new, search_radius, grid_step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=_walled(),
+           search_radius=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           grid_step=st.sampled_from([0.05, 0.1, 0.15]))
+    def test_walls_past_the_first_chunk(self, block, search_radius,
+                                         grid_step):
+        existing, new = block
+        _assert_matches_reference(existing, new, search_radius, grid_step)
+
+    def test_free_spot_in_a_later_chunk(self):
+        # A 3 mm wall centred on the ideal position: with step 0.1 the
+        # nearest free offsets are 1.7 mm away, at table index > 256.
+        wall = Rect(3.5, 3.5, 3.0, 3.0)
+        new = [NewComponent("sw0", "switch", 0.4, 0.4, ideal_center=(5.0, 5.0))]
+        _reach, offsets_x, _offsets_y = _search_offsets(2.0, 0.1)
+        assert len(offsets_x) > 2 * _CHUNK
+        out, report = _assert_matches_reference(_cores(wall), new, 2.0, 0.1)
+        assert report.placed_free == 1
+        x, y = out[-1].rect.x, out[-1].rect.y
+        assert abs(x - 4.8) + abs(y - 4.8) > 1.5
+
+    def test_fully_blocked_window_displaces(self):
+        # The wall covers the whole search window: no free offset in any
+        # chunk, so the component is placed by displacement.
+        wall = Rect(0.0, 0.0, 10.0, 10.0)
+        new = [NewComponent("sw0", "switch", 0.3, 0.3, ideal_center=(5.0, 5.0))]
+        _out, report = _assert_matches_reference(_cores(wall), new, 2.0, 0.1)
+        assert report.placed_by_displacement == 1
+
+    def test_empty_window(self):
+        # Rects exist but none reaches the window: the ideal spot is free.
+        far = [Rect(20.0, 20.0, 1.0, 1.0), Rect(0.0, 30.0, 2.0, 1.0)]
+        new = [NewComponent("sw0", "switch", 0.5, 0.5, ideal_center=(2.0, 2.0))]
+        out, report = _assert_matches_reference(_cores(*far), new, 1.0, 0.1)
+        assert report.placed_free == 1
+        assert out[-1].rect == Rect(1.75, 1.75, 0.5, 0.5)
+
+    @pytest.mark.parametrize("side", ["left", "right", "below", "above"])
+    def test_candidate_edge_exactly_eps_from_a_rect(self, side):
+        # ``post`` blocks the ideal spot (2.0, 2.0) and every offset but
+        # one, 0.5 mm towards ``side``; there the candidate's edge lies
+        # exactly eps from ``wall``'s facing edge, so the comparison of
+        # ``rects_overlap`` is an equality and the spot is free. A ``<=``
+        # in that comparison would send the component to displacement.
+        eps, tx, step, w = 1e-9, 2.0, 0.5, 0.5
+        if side in ("left", "below"):
+            wall = Rect(0.0, 0.0, (tx + -step) + eps, 10.0)
+            post = Rect(tx + w - step / 2, 0.0, 5.0, 10.0)
+            spot = tx - step
+        else:
+            edge = (tx + step) + w  # the candidate's far edge
+            left = edge - eps
+            while left + eps < edge:
+                left = math.nextafter(left, math.inf)
+            while left + eps > edge:
+                left = math.nextafter(left, -math.inf)
+            assert left + eps == edge
+            wall = Rect(left, 0.0, 5.0, 10.0)
+            post = Rect(0.0, 0.0, tx + step / 2, 10.0)
+            spot = tx + step
+        expected = Rect(spot, tx, w, w)
+        if side in ("below", "above"):  # the same layout, x and y swapped
+            wall, post, expected = (Rect(r.y, r.x, r.height, r.width)
+                                    for r in (wall, post, expected))
+        new = [NewComponent("sw0", "switch", w, w, ideal_center=(2.25, 2.25))]
+        out, report = _assert_matches_reference(
+            _cores(wall, post), new, 1.0, step
+        )
+        assert report.placed_free == 1
+        assert out[-1].rect == expected
+
+    def test_numpy_ideal_centres_keep_their_type(self):
+        # Ideal centres come from the LP as numpy floats; a spot found in
+        # the sweep keeps that type, as the scalar search did.
+        core = Rect(0.0, 0.0, 2.0, 2.0)
+        new = [NewComponent("sw0", "switch", 0.3, 0.3,
+                            ideal_center=(np.float64(1.0), np.float64(1.0)))]
+        out, report = _assert_matches_reference(_cores(core), new, 2.0, 0.1)
+        assert report.placed_free == 1
+        assert type(out[-1].rect.x) is np.float64
+        assert type(out[-1].rect.y) is np.float64
 
     def test_displacement_path(self):
         rects = [Rect(i, j, 1, 1) for i in range(3) for j in range(3)]
@@ -290,3 +409,27 @@ class TestMatchesReference:
             _cores(wall, post), new, 1.0, 0.3
         )
         assert report.placed_by_displacement == 1
+
+
+class TestGridBound:
+    """A search grid finer than ``MAX_SEARCH_STEPS`` per side is refused
+    before its offset table is built."""
+
+    def test_too_many_steps_refused(self):
+        new = [NewComponent("sw0", "switch", 0.5, 0.5, ideal_center=(1.0, 1.0))]
+        with pytest.raises(FloorplanError, match="grid steps per side"):
+            insert_components([], new, layer=0, search_radius=1.0,
+                              grid_step=1e-6)
+
+    def test_largest_grid_accepted(self):
+        reach, offsets_x, offsets_y = _search_offsets(
+            MAX_SEARCH_STEPS * 0.5, 0.5)
+        assert reach == MAX_SEARCH_STEPS * 0.5
+        assert len(offsets_x) == len(offsets_y) == (2 * MAX_SEARCH_STEPS + 1) ** 2 - 1
+
+    @pytest.mark.parametrize("grid_step", [0.0, -0.1, float("nan")])
+    def test_non_positive_step_refused(self, grid_step):
+        new = [NewComponent("sw0", "switch", 0.5, 0.5, ideal_center=(1.0, 1.0))]
+        with pytest.raises(FloorplanError, match="grid_step"):
+            insert_components([], new, layer=0, search_radius=1.0,
+                              grid_step=grid_step)

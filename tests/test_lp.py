@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InfeasibleLPError, LPError, UnboundedLPError
-from repro.lp.model import LinearProgram
+from repro.lp.model import LinearProgram, Variable
 
 from _dense_lowering import solve_with_dense_scipy
 from _simplex import solve_simplex, solve_with_simplex
@@ -274,3 +274,91 @@ class TestSparseLoweringMatchesDense:
         lp.set_objective({x: 1.0})
         error, _message = _assert_lowerings_agree(lp)
         assert error is UnboundedLPError
+
+
+class TestBulkConstruction:
+    """``add_variables`` / ``add_rows`` build the same program as the
+    one-at-a-time calls, and lower the same way."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_single_rows(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        bound = st.one_of(st.none(), st.integers(min_value=-5, max_value=5))
+        coeff = st.one_of(
+            st.integers(min_value=-3, max_value=3).map(float),
+            st.floats(min_value=-4.0, max_value=4.0),
+        )
+        single, bulk = LinearProgram(), LinearProgram()
+        xs = []
+        for i in range(n):
+            low, high = data.draw(bound), data.draw(bound)
+            if low is not None and high is not None and low > high:
+                low, high = high, low
+            cost = data.draw(coeff)
+            x = single.add_variable(f"x{i}", low=low, high=high)
+            single.add_objective_term(x, cost)
+            xs.append(x)
+            assert bulk.add_variables(1, low=low, high=high, cost=[cost]) \
+                == range(i, i + 1)
+        # Rows in runs of one sense; each run is one add_rows block.
+        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+            sense = data.draw(st.sampled_from(["<=", ">=", "=="]))
+            rows, cols, vals, rhs = [], [], [], []
+            for r in range(data.draw(st.integers(min_value=1, max_value=3))):
+                picked = data.draw(st.lists(st.sampled_from(xs), unique=True))
+                row = {x: data.draw(coeff) for x in picked}
+                rhs.append(float(data.draw(st.integers(-10, 10))))
+                single.add_constraint(row, sense, rhs[-1])
+                for x, c in row.items():
+                    if c:  # add_constraint drops zeros; add_rows keeps them
+                        rows.append(r)
+                        cols.append(x.index)
+                        vals.append(c)
+            bulk.add_rows(rows, cols, vals, sense, rhs)
+        assert bulk.num_constraints == single.num_constraints
+        assert bulk.as_arrays() == single.as_arrays()
+        assert _outcome(LinearProgram.solve, bulk) == _outcome(
+            LinearProgram.solve, single)
+        _assert_lowerings_agree(bulk)
+
+    def test_duplicate_entries_summed(self):
+        lp = LinearProgram()
+        lp.add_variables(2, high=10.0, cost=[-1.0, -1.0])
+        lp.add_rows([0, 0, 0], [0, 1, 0], [1.0, 1.0, 1.0], "<=", [6.0])
+        _c, rows, _bounds = lp.as_arrays()
+        assert rows == [({0: 2.0, 1: 1.0}, "<=", 6.0)]
+        sol = _assert_lowerings_agree(lp)
+        assert sol.objective == pytest.approx(-6.0)
+
+    @pytest.mark.parametrize("args, match", [
+        (([0], [0], [1.0], "<", [1.0]), "sense"),
+        (([0, 0], [0], [1.0], "<=", [1.0]), "rows"),
+        (([1], [0], [1.0], "<=", [1.0]), "row index"),
+        (([0], [2], [1.0], "<=", [1.0]), "column"),
+        (([0], [-1], [1.0], "<=", [1.0]), "column"),
+        (([[0]], [[0]], [[1.0]], "<=", [1.0]), "one-dimensional"),
+    ])
+    def test_bad_rows_rejected(self, args, match):
+        lp = LinearProgram()
+        lp.add_variables(2)
+        with pytest.raises(LPError, match=match):
+            lp.add_rows(*args)
+        assert lp.num_constraints == 0
+
+    def test_bad_variables_rejected(self):
+        lp = LinearProgram()
+        with pytest.raises(LPError):
+            lp.add_variables(2, low=3.0, high=1.0)
+        with pytest.raises(LPError):
+            lp.add_variables(2, cost=[1.0])
+        with pytest.raises(LPError):
+            lp.add_variables(-1)
+        assert lp.num_variables == 0
+
+    def test_bulk_variables_have_no_handle(self):
+        lp = LinearProgram()
+        lp.add_variables(1)
+        forged = Variable(index=0, name="v0")
+        with pytest.raises(LPError):
+            lp.add_constraint({forged: 1.0}, "<=", 1.0)
