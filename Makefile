@@ -28,9 +28,9 @@ help:
 	@echo "  make chaos      - fault-injection suite: every supervision"
 	@echo "                    recovery path under injected faults, plus"
 	@echo "                    the campaign service killed and resumed"
-	@echo "  make fuzz       - campaign-spec and spec-file fuzzing plus the"
-	@echo "                    routing, partitioning and placement-LP"
-	@echo "                    differential tests"
+	@echo "  make fuzz       - campaign-spec, knob-agreement and spec-file"
+	@echo "                    fuzzing plus the routing, partitioning"
+	@echo "                    and placement-LP differential tests"
 	@echo "                    under the large 'fuzz' Hypothesis profile"
 	@echo "                    (make test runs the same tests on the"
 	@echo "                    default budget)"
@@ -89,7 +89,9 @@ chaos:
 	    tests/test_service_chaos.py tests/test_locks.py
 
 # Every generated campaign dict is refused with a CampaignSpecError or
-# builds a well-typed spec; every generated spec file loads or raises a
+# builds a well-typed spec; every generated knob value is accepted or
+# refused alike by its owner, the sweep grid and the campaign validator;
+# every generated spec file loads or raises a
 # SpecError; every generated design routes exactly as the frozen naive
 # router does; every generated graph partitions exactly as the frozen
 # naive partitioner does; every generated topology gets the switch
@@ -98,6 +100,7 @@ chaos:
 # tier-1 run uses.
 fuzz:
 	$(PYTHON) -m pytest -x -q tests/test_campaign_fuzz.py \
+	    tests/test_knob_agreement.py \
 	    tests/test_spec_io_fuzz.py tests/test_paths_differential.py \
 	    tests/test_partition_differential.py \
 	    tests/test_placement_differential.py --hypothesis-profile=fuzz

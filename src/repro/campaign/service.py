@@ -52,12 +52,14 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Union
 
 from repro.campaign.journal import JobJournal, JournalState
 from repro.campaign.spec import CampaignSpec, compile_campaign
+from repro.engine.executor import resolve_jobs
 from repro.engine.faults import maybe_fire
 from repro.engine.tasks import BatchSimulationTask
 from repro.errors import (
     BackpressureError,
     CampaignError,
     CampaignSpecError,
+    EngineError,
     ReproError,
 )
 
@@ -141,8 +143,9 @@ class CampaignService:
             ``failed``; the others resume.
 
     Raises:
-        CampaignError: ``max_queue``/``batch_size`` below 1, negative
-            ``jobs``, or an incomplete journal without ``resume=True``.
+        CampaignError: ``max_queue``/``batch_size`` below 1, a ``jobs``
+            value :func:`~repro.engine.executor.resolve_jobs` refuses, or
+            an incomplete journal without ``resume=True``.
         JournalError: another process owns this journal.
     """
 
@@ -160,8 +163,10 @@ class CampaignService:
             raise CampaignError(f"max_queue must be >= 1, got {max_queue}")
         if batch_size < 1:
             raise CampaignError(f"batch_size must be >= 1, got {batch_size}")
-        if jobs < 0:
-            raise CampaignError(f"jobs must be >= 0 (0 = auto), got {jobs}")
+        try:
+            resolve_jobs(jobs)
+        except EngineError as exc:
+            raise CampaignError(str(exc)) from exc
         self.paths = ServicePaths(Path(root)).make()
         self.max_queue = max_queue
         self.batch_size = batch_size

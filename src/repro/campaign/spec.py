@@ -33,6 +33,11 @@ each tagged with the JSON path of the offending value
 spec author fixes a file in one round trip instead of replaying
 first-error whack-a-mole. :func:`CampaignSpec.from_dict` raises a
 :class:`~repro.errors.CampaignSpecError` carrying the full issue list.
+This module checks only shapes; every value is judged by its one owner,
+which the library and the CLI ask too: :func:`~repro.core.config.
+field_problem` (:class:`~repro.core.config.SynthesisConfig`'s rules) for
+``config`` and ``grid`` values, :func:`~repro.engine.tasks.
+sim_param_issues` for the traffic knobs.
 
 Compilation is deterministic: the same spec always expands to the same
 task list in the same order, which is what lets the campaign service
@@ -42,11 +47,13 @@ resume a SIGKILLed job bit-identically from the content-addressed store.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.config import SynthesisConfig, field_problem
+from repro.engine.grid import DIMENSIONS
+from repro.engine.tasks import sim_param_issues
 from repro.errors import CampaignError, CampaignSpecError, ReproError
 
 KINDS = ("sweep", "sim")
@@ -61,9 +68,7 @@ SIM_KEYS = (
     "packet_length_flits", "batch",
 )
 
-GRID_KEYS = (
-    "frequencies_mhz", "alphas", "link_widths_bits", "switch_count_ranges",
-)
+GRID_KEYS = tuple(DIMENSIONS)
 
 
 @dataclass(frozen=True)
@@ -361,34 +366,23 @@ def _check_config(config: Any, issues: List[SpecIssue]) -> None:
                       f"got {type(config).__name__}"
         ))
         return
-    from dataclasses import fields as dc_fields
-
-    from repro.core.config import SynthesisConfig
-
-    known = {f.name for f in dc_fields(SynthesisConfig)}
-    base = SynthesisConfig()
+    known = {f.name for f in fields(SynthesisConfig)}
     clean: Dict[str, Any] = {}
     for key, value in config.items():
         if key not in known:
             issues.append(SpecIssue(
                 f"config.{key}", "unknown SynthesisConfig field"
             ))
-            continue
-        value = _thaw(_freeze(value))
-        # Apply one override at a time so a bad value is blamed on its own
+        # Judge one override at a time so a bad value is blamed on its own
         # key, not on whichever combination happened to trip first.
-        try:
-            base.with_(**{key: value})
-        except (ReproError, TypeError, ValueError) as exc:
-            issues.append(SpecIssue(f"config.{key}", str(exc)))
-            continue
-        clean[key] = value
+        elif _judge(f"config.{key}", key, value, issues):
+            clean[key] = _thaw(_freeze(value))
     if len(clean) > 1:
         # Cross-field constraints (e.g. theta_max below theta_min) only
         # show up with all settings applied.
         try:
-            base.with_(**clean)
-        except (ReproError, TypeError, ValueError) as exc:
+            SynthesisConfig(**clean)
+        except ReproError as exc:
             issues.append(SpecIssue("config", str(exc)))
 
 
@@ -402,17 +396,12 @@ def _check_grid(grid: Any, issues: List[SpecIssue]) -> None:
         ))
         return
     for key in grid:
-        if key not in GRID_KEYS:
+        if key not in DIMENSIONS:
             issues.append(SpecIssue(
                 f"grid.{key}",
                 f"unknown dimension; known: {', '.join(GRID_KEYS)}",
             ))
-    for key, check in (
-        ("frequencies_mhz", _positive_number),
-        ("alphas", _unit_interval),
-        ("link_widths_bits", _positive_int),
-        ("switch_count_ranges", _switch_range),
-    ):
+    for key, name in DIMENSIONS.items():
         values = grid.get(key)
         if values is None:
             continue
@@ -420,9 +409,16 @@ def _check_grid(grid: Any, issues: List[SpecIssue]) -> None:
             issues.append(SpecIssue(f"grid.{key}", "must be a list"))
             continue
         for i, value in enumerate(values):
-            problem = check(value)
-            if problem:
-                issues.append(SpecIssue(f"grid.{key}[{i}]", problem))
+            _judge(f"grid.{key}[{i}]", name, value, issues)
+
+
+def _judge(path: str, name: str, value, issues: List[SpecIssue]) -> bool:
+    """File :func:`field_problem`'s verdict on one synthesis value under
+    ``path``; ``True`` when the value is clean."""
+    problem = field_problem(name, _thaw(_freeze(value)))
+    if problem is not None:
+        issues.append(SpecIssue(path, problem))
+    return problem is None
 
 
 def _check_sim(data: Mapping, issues: List[SpecIssue]) -> None:
@@ -440,88 +436,26 @@ def _check_sim(data: Mapping, issues: List[SpecIssue]) -> None:
                     make_scenario(scen)
                 except ReproError as exc:
                     issues.append(SpecIssue(f"scenarios[{i}]", str(exc)))
-    for key, check in (
-        ("seeds", _non_negative_int), ("injection_scales", _positive_number),
-    ):
-        values = data.get(key)
-        if values is None:
-            continue
-        if not isinstance(values, Sequence) or isinstance(values, str):
-            issues.append(SpecIssue(key, "must be a list"))
-            continue
-        if not values:
-            issues.append(SpecIssue(key, "must not be empty"))
-        for i, value in enumerate(values):
-            problem = check(value)
-            if problem:
-                issues.append(SpecIssue(f"{key}[{i}]", problem))
-    for key, check in (
-        ("cycles", _positive_int), ("warmup", _non_negative_int),
-        ("packet_length_flits", _positive_int), ("batch", _positive_int),
-    ):
+    # A null or malformed key keeps its default (as ``from_dict`` does for
+    # null), so the traffic rules see the values the spec will carry.
+    params = {
+        key: getattr(CampaignSpec, key) for key in SIM_KEYS
+        if key != "scenarios"
+    }
+    for key in params:
         value = data.get(key)
         if value is None:
             continue
-        problem = check(value)
-        if problem:
-            issues.append(SpecIssue(key, problem))
-    # A null key keeps its default (as ``from_dict`` does), so the limit
-    # is checked against the value the spec will really carry.
-    cycles = data.get("cycles")
-    cycles = CampaignSpec.cycles if cycles is None else cycles
-    warmup = data.get("warmup")
-    warmup = CampaignSpec.warmup if warmup is None else warmup
-    if (
-        _positive_int(cycles) is None and _non_negative_int(warmup) is None
-        and warmup >= cycles
-    ):
-        issues.append(SpecIssue(
-            "warmup", f"must be < cycles ({cycles}), got {warmup}"
-        ))
-
-
-def _positive_number(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return f"must be a number, got {value!r}"
-    if not math.isfinite(value) or value <= 0:
-        return f"must be a finite positive number, got {value!r}"
-    return None
-
-
-def _unit_interval(value) -> Optional[str]:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return f"must be a number, got {value!r}"
-    if not 0.0 <= value <= 1.0:
-        return f"must be in [0, 1], got {value!r}"
-    return None
-
-
-def _positive_int(value) -> Optional[str]:
-    if not isinstance(value, int) or isinstance(value, bool):
-        return f"must be an integer, got {value!r}"
-    if value <= 0:
-        return f"must be positive, got {value!r}"
-    return None
-
-
-def _non_negative_int(value) -> Optional[str]:
-    if not isinstance(value, int) or isinstance(value, bool):
-        return f"must be an integer, got {value!r}"
-    if value < 0:
-        return f"must be >= 0, got {value!r}"
-    return None
-
-
-def _switch_range(value) -> Optional[str]:
-    if (
-        not isinstance(value, Sequence) or isinstance(value, str)
-        or len(value) != 2
-    ):
-        return f"must be a [min, max] pair, got {value!r}"
-    lo, hi = value
-    if _positive_int(lo) or _positive_int(hi) or hi < lo:
-        return f"must be a [min, max] pair with 1 <= min <= max, got {value!r}"
-    return None
+        if key in ("seeds", "injection_scales") and (
+            not isinstance(value, Sequence) or isinstance(value, str)
+        ):
+            issues.append(SpecIssue(key, "must be a list"))
+            continue
+        params[key] = value
+    issues.extend(
+        SpecIssue(path, message)
+        for path, message in sim_param_issues(**params)
+    )
 
 
 def _freeze(value):

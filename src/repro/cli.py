@@ -420,10 +420,12 @@ def _cmd_synth(args) -> int:
         # Beneath it, per-stage memoization shares the same store, so even
         # a *changed* config reuses every stage the change left untouched
         # (see docs/pipeline.md, "Stage memoization").
+        from repro.engine.executor import resolve_jobs
         from repro.engine.profile import Timer
         from repro.engine.stagecache import StageCache
         from repro.engine.tasks import SynthesisTask
 
+        resolve_jobs(args.jobs)  # a store hit never reaches run_synthesis
         stage_cache = StageCache(store)
         task = SynthesisTask(key="synth", core_spec=core_spec,
                              comm_spec=comm_spec, config=config)
@@ -734,10 +736,6 @@ def _cmd_campaign(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.campaign import CampaignService
 
-    if args.max_queue < 1:
-        raise ReproError(f"--max-queue must be >= 1, got {args.max_queue}")
-    if args.batch < 1:
-        raise ReproError(f"--batch must be >= 1, got {args.batch}")
     with CampaignService(
         args.dir, max_queue=args.max_queue, batch_size=args.batch,
         jobs=args.jobs, resume=args.resume,

@@ -156,6 +156,16 @@ class SynthesisConfig:
             theta += self.theta_step
 
 
+def field_problem(name: str, value) -> Optional[str]:
+    """Why ``value`` cannot be the ``name`` field of a configuration (the
+    message ``SynthesisConfig().with_(name=value)`` raises), or ``None``:
+    the one judge sweep grids and campaign specs ask."""
+    try:
+        SynthesisConfig().with_(**{name: value})
+    except SpecError as exc:
+        return str(exc)
+    return None
+
 
 #: What a field of each declared type must hold (the annotations are
 #: strings under ``from __future__ import annotations``).

@@ -111,8 +111,10 @@ def sweep_frequencies(
 ) -> FrequencySweepResult:
     """Run the synthesis flow once per frequency (in parallel for jobs != 1).
 
-    All frequencies are validated before any synthesis starts, so a bad
-    value midway through the list cannot discard already-computed points.
+    All frequencies are judged by :meth:`ParameterGrid.validate` before
+    any synthesis starts (a :class:`SynthesisError` naming every bad value,
+    a string or a bool included), so a bad value midway through the list
+    cannot discard already-computed points.
     Frequencies whose link capacity cannot carry the largest single flow
     are merged as empty results, as before. ``supervision`` is the
     engine's :class:`~repro.engine.supervise.Supervision` (see
@@ -124,10 +126,11 @@ def sweep_frequencies(
     everything else is served from disk with bit-identical results; the
     per-stage counters land in ``FrequencySweepResult.stage_cache``.
     """
-    freqs = [float(f) for f in frequencies_mhz]
+    grid = ParameterGrid(frequencies_mhz=frequencies_mhz)
+    grid.validate()  # the grid judges the values before they are floated
+    freqs = [float(f) for f in grid.frequencies_mhz]
     tasks = build_tasks(
-        core_spec, comm_spec, ParameterGrid(frequencies_mhz=tuple(freqs)),
-        config, library,
+        core_spec, comm_spec, grid, config, library,
         stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
     )
     results = run_tasks(

@@ -925,7 +925,8 @@ def run_synthesis(
         ctx: The run context (see :meth:`FlowContext.build`).
         jobs: Candidate-evaluation worker processes — ``1`` (default)
             serial, ``None``/``0`` one per CPU, ``n >= 2`` a pool of n.
-            Results are bit-identical regardless of ``jobs``.
+            Results are bit-identical regardless of ``jobs``; a negative
+            one raises :class:`~repro.errors.EngineError` before any work.
         progress: Optional per-candidate callback
             ``(done_in_round, round_total, key)``.
         timings: Optional :class:`StageTimings` accumulator to fill.
@@ -942,6 +943,11 @@ def run_synthesis(
             :meth:`Pipeline.evaluate`). Results stay bit-identical with
             or without it.
     """
+    # Judged before any partitioning, even for a round of one candidate.
+    # Imported lazily: repro.engine depends on repro.core, not vice versa.
+    from repro.engine.executor import resolve_jobs
+
+    resolve_jobs(jobs)
     evaluate = _make_batch_evaluator(
         ctx, jobs, progress, timings, supervision, quarantine_log, stage_cache,
     )

@@ -11,8 +11,13 @@ package fans them across a process pool:
   deterministic result merging, progress callbacks and a graceful serial
   fallback;
 * :mod:`repro.engine.grid` — :class:`ParameterGrid` /
-  :class:`GridPoint`, the design-space cross product with up-front
-  validation;
+  :class:`GridPoint`, the design-space cross product, validated up front
+  by :class:`~repro.core.config.SynthesisConfig`'s own rules (the grid
+  keeps none of its own);
+* :func:`~repro.engine.tasks.sim_param_issues` — the one owner of the
+  traffic-knob rules (seeds, injection scales, cycles/warmup, packet
+  length, batch) that ``cli sim``, the library and campaign specs apply;
+  :func:`resolve_jobs` is the one judge of ``jobs``;
 * :mod:`repro.engine.store` — the content-addressed on-disk result store:
   ``run_tasks(..., store=ResultStore(dir))`` serves already-computed points
   from disk and checkpoints new ones incrementally, making campaigns

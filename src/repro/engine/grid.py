@@ -9,22 +9,41 @@ dimensions inherit the base configuration's value.
 
 Validation happens *up front* for every value of every dimension, so an
 invalid parameter aborts before any synthesis point has been paid for —
-not halfway through a sweep.
+not halfway through a sweep. The rules are the configuration's own
+(:func:`~repro.core.config.field_problem`); the grid keeps none.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.config import SynthesisConfig
+from repro.core.config import SynthesisConfig, field_problem
 from repro.engine.tasks import SynthesisTask
 from repro.errors import SynthesisError
 from repro.models.library import NocLibrary
 from repro.spec.comm_spec import CommSpec
 from repro.spec.core_spec import CoreSpec
 from repro.units import link_capacity_mbps
+
+#: The :class:`~repro.core.config.SynthesisConfig` field each grid
+#: dimension sweeps.
+DIMENSIONS = {
+    "frequencies_mhz": "frequency_mhz",
+    "alphas": "alpha",
+    "link_widths_bits": "link_width_bits",
+    "switch_count_ranges": "switch_count_range",
+}
+
+#: The canonical form an accepted grid value lands in.
+_CANONICAL = {
+    "frequency_mhz": float,
+    "alpha": float,
+    "link_width_bits": operator.index,
+    "switch_count_range": tuple,
+}
 
 
 @dataclass(frozen=True)
@@ -41,17 +60,22 @@ class GridPoint:
     switch_count_range: Optional[Tuple[int, int]] = None
 
     def apply(self, base: SynthesisConfig) -> SynthesisConfig:
-        """The base configuration with this point's values applied."""
-        changes = {}
-        if self.frequency_mhz is not None:
-            changes["frequency_mhz"] = float(self.frequency_mhz)
-        if self.alpha is not None:
-            changes["alpha"] = float(self.alpha)
-        if self.link_width_bits is not None:
-            changes["link_width_bits"] = int(self.link_width_bits)
-        if self.switch_count_range is not None:
-            changes["switch_count_range"] = tuple(self.switch_count_range)
-        return base.with_(**changes) if changes else base
+        """The base configuration with this point's values applied.
+
+        The configuration judges each value as given (a bool or a 32.5-bit
+        width is refused, not cast); an accepted value then lands in its
+        canonical form, so ``400`` and ``400.0`` share a store address.
+        """
+        changes = {
+            name: getattr(self, name) for name in _CANONICAL
+            if getattr(self, name) is not None
+        }
+        if not changes:
+            return base
+        base.with_(**changes)
+        return base.with_(**{
+            name: _CANONICAL[name](value) for name, value in changes.items()
+        })
 
     def label(self) -> str:
         parts = []
@@ -83,65 +107,42 @@ class ParameterGrid:
 
     def __post_init__(self) -> None:
         # Normalise sequences to tuples so grids hash and pickle cleanly.
-        object.__setattr__(
-            self, "frequencies_mhz", tuple(self.frequencies_mhz)
-        )
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        object.__setattr__(
-            self, "link_widths_bits", tuple(self.link_widths_bits)
-        )
-        object.__setattr__(
-            self,
-            "switch_count_ranges",
-            tuple(tuple(r) for r in self.switch_count_ranges),
-        )
+        for dim in DIMENSIONS:
+            object.__setattr__(self, dim, tuple(getattr(self, dim)))
+        object.__setattr__(self, "switch_count_ranges", tuple(
+            tuple(r) if isinstance(r, (list, tuple)) else r
+            for r in self.switch_count_ranges
+        ))
 
     @property
     def size(self) -> int:
         n = 1
-        for dim in (
-            self.frequencies_mhz,
-            self.alphas,
-            self.link_widths_bits,
-            self.switch_count_ranges,
-        ):
-            n *= max(1, len(dim))
+        for dim in DIMENSIONS:
+            n *= max(1, len(getattr(self, dim)))
         return n
 
     def validate(self) -> None:
-        """Check every value of every dimension before any synthesis runs."""
-        bad: List[str] = []
-        for freq in self.frequencies_mhz:
-            if freq <= 0:
-                bad.append(f"frequency must be positive, got {freq}")
-        for alpha in self.alphas:
-            if not 0.0 <= alpha <= 1.0:
-                bad.append(f"alpha must be in [0, 1], got {alpha}")
-        for width in self.link_widths_bits:
-            if width <= 0:
-                bad.append(f"link width must be positive, got {width}")
-        for rng in self.switch_count_ranges:
-            lo, hi = rng
-            if lo < 1 or hi < lo:
-                bad.append(f"invalid switch_count_range {rng}")
+        """Check every value of every dimension before any synthesis runs:
+        each value alone, by :func:`~repro.core.config.field_problem`, and
+        every problem in one :class:`~repro.errors.SynthesisError`."""
+        bad = [
+            problem
+            for dim, name in DIMENSIONS.items()
+            for value in getattr(self, dim)
+            for problem in (field_problem(name, value),)
+            if problem is not None
+        ]
         if bad:
-            raise SynthesisError(
-                "invalid sweep grid: " + "; ".join(bad)
-            )
+            raise SynthesisError("invalid sweep grid: " + "; ".join(bad))
 
     def points(self) -> List[GridPoint]:
         """All grid points, in deterministic row-major order."""
         self.validate()
-        freqs: Sequence = self.frequencies_mhz or (None,)
-        alphas: Sequence = self.alphas or (None,)
-        widths: Sequence = self.link_widths_bits or (None,)
-        ranges: Sequence = self.switch_count_ranges or (None,)
         return [
-            GridPoint(
-                frequency_mhz=f, alpha=a, link_width_bits=w,
-                switch_count_range=r,
-            )
-            for f, a, w, r in itertools.product(freqs, alphas, widths, ranges)
+            GridPoint(**dict(zip(DIMENSIONS.values(), values)))
+            for values in itertools.product(*(
+                getattr(self, dim) or (None,) for dim in DIMENSIONS
+            ))
         ]
 
 

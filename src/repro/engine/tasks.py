@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
-from repro.errors import SupervisionError
+from repro.errors import EngineError, SupervisionError
 from repro.models.library import NocLibrary
 from repro.spec.comm_spec import CommSpec
-from repro.spec.core_spec import CoreSpec
+from repro.spec.core_spec import CoreSpec, is_finite_real, is_integer
 
 
 @dataclass(frozen=True)
@@ -191,30 +191,57 @@ class BatchSimulationTask:
         )
 
 
-def check_sim_params(
-    batch: Optional[int],
-    cycles: int,
-    warmup: int,
-    injection_scales: Sequence[float],
-) -> None:
-    """Reject the sim-campaign knobs a campaign spec would refuse:
-    ``batch`` at least 1 (``None`` = one task per seed),
-    ``cycles > warmup >= 0`` and every injection scale positive."""
-    from repro.errors import EngineError
-
-    if batch is not None and batch < 1:
-        raise EngineError(f"batch must be >= 1, got {batch}")
-    if warmup < 0:
-        raise EngineError(f"warmup must be >= 0, got {warmup}")
-    if cycles <= warmup:
-        raise EngineError(
-            f"cycles must exceed warmup ({warmup}), got {cycles}"
+def sim_param_issues(
+    *, seeds, injection_scales, cycles, warmup, packet_length_flits, batch,
+) -> List[Tuple[str, str]]:
+    """Every problem with a sim campaign's traffic knobs, as ``(JSON path,
+    message)`` pairs — the one owner of these rules: seeds are integers
+    >= 0 and injection scales positive finite numbers, neither list empty;
+    ``cycles > warmup >= 0`` (filed under ``warmup``); ``packet_length_flits``
+    and ``batch`` at least 1 (``batch=None``: one task per seed)."""
+    issues: List[Tuple[str, Optional[str]]] = [
+        (key, f"{key} must not be empty")
+        for key, values in (
+            ("seeds", seeds), ("injection_scales", injection_scales)
         )
-    for scale in injection_scales:
-        if not scale > 0:
-            raise EngineError(
-                f"injection scales must be positive, got {scale}"
-            )
+        if not values
+    ]
+    for i, seed in enumerate(seeds):
+        issues.append((f"seeds[{i}]", _count_problem("seed", seed, 0)))
+    for i, scale in enumerate(injection_scales):
+        if not (is_finite_real(scale) and scale > 0):
+            issues.append((f"injection_scales[{i}]", "injection scales must "
+                           f"be positive finite numbers, got {scale!r}"))
+    for key, value, low in (
+        ("cycles", cycles, None), ("warmup", warmup, 0),
+        ("packet_length_flits", packet_length_flits, 1),
+        ("batch", 1 if batch is None else batch, 1),
+    ):
+        issues.append((key, _count_problem(key, value, low)))
+    issues = [issue for issue in issues if issue[1] is not None]
+    if not {"cycles", "warmup"} & {path for path, _ in issues} and (
+        cycles <= warmup
+    ):
+        issues.append((
+            "warmup", f"cycles must exceed warmup ({warmup}), got {cycles}"
+        ))
+    return issues
+
+
+def check_sim_params(**params) -> None:
+    """Raise :class:`~repro.errors.EngineError` naming every problem
+    :func:`sim_param_issues` finds in ``params`` (its keywords)."""
+    issues = sim_param_issues(**params)
+    if issues:
+        raise EngineError("; ".join(message for _, message in issues))
+
+
+def _count_problem(name: str, value, low: Optional[int]) -> Optional[str]:
+    if not is_integer(value):
+        return f"{name} must be an integer, got {value!r}"
+    if low is not None and value < low:
+        return f"{name} must be >= {low}, got {value!r}"
+    return None
 
 
 def simulation_tasks(
@@ -239,10 +266,11 @@ def simulation_tasks(
     from repro.noc.scenarios import make_scenario
 
     check_sim_params(
-        batch,
-        sim_params.get("cycles", SimulationTask.cycles),
-        sim_params.get("warmup", SimulationTask.warmup),
-        injection_scales,
+        seeds=seeds, injection_scales=injection_scales, batch=batch,
+        **{
+            key: sim_params.get(key, getattr(SimulationTask, key))
+            for key in ("cycles", "warmup", "packet_length_flits")
+        },
     )
     scenario_objs = [make_scenario(s) for s in scenarios]
     seeds = tuple(int(s) for s in seeds)

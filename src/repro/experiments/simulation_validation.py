@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from repro.core.config import SynthesisConfig
 from repro.engine import run_tasks
-from repro.engine.executor import ProgressFn
+from repro.engine.executor import ProgressFn, resolve_jobs
 from repro.engine.supervise import Supervision
 from repro.engine.tasks import (
     SynthesisTask,
@@ -95,12 +95,17 @@ def run_simulation_validation(
             is packed.
 
     Raises:
-        EngineError: before any synthesis, on ``batch < 1``,
-            ``cycles <= warmup``, ``warmup < 0`` or a non-positive
-            injection scale.
+        EngineError: before any synthesis, on a bad ``jobs``
+            (:func:`~repro.engine.executor.resolve_jobs`) or any traffic
+            knob :func:`~repro.engine.tasks.sim_param_issues` refuses (all
+            of them named in one message).
     """
     # Before the prerequisite synthesis, not after it.
-    check_sim_params(batch, cycles, warmup, injection_scales)
+    resolve_jobs(jobs)
+    check_sim_params(
+        seeds=seeds, injection_scales=injection_scales, cycles=cycles,
+        warmup=warmup, packet_length_flits=packet_length_flits, batch=batch,
+    )
     if config is None:
         config = default_config_for(benchmark)
     point = _best_power_point(benchmark, config, store)

@@ -23,6 +23,12 @@ Each floorplanner runs one seeded anneal per call: multi-start annealing
 (``restarts``, its two engine task types, its RNG helper and its two
 ``SynthesisConfig`` fields) may not return.
 
+Each knob has one judge: :class:`~repro.core.config.SynthesisConfig`
+for a synthesis value, ``repro.engine.tasks.sim_param_issues`` for a
+traffic value and ``resolve_jobs`` for ``jobs``. The campaign spec's
+range helpers may not return, and the grid, campaign and ``serve`` doors
+may not order a knob value themselves.
+
 What ``dims="2d"`` means is decided once, by ``Benchmark.variant``: the
 ``synthesize_2d`` wrapper, the ``suite_design_space`` sweep wrapper, the
 unused ``best_power_point`` helper and an eager ``core_spec_2d`` field may
@@ -182,3 +188,62 @@ def test_one_door_per_benchmark_variant():
         if path != variant_rule:
             assert 'with_(phase="phase1")' not in text, path
             assert "else bench.core_spec_2d" not in text, path
+
+
+DELETED_RANGE_HELPERS = {
+    "_positive_number", "_unit_interval", "_positive_int",
+    "_non_negative_int", "_switch_range",
+}
+
+#: Doors that ask a knob's owner: (file, class or None, function).
+ASKING_DOORS = (
+    ("engine/grid.py", "ParameterGrid", "validate"),
+    ("campaign/spec.py", None, "_check_grid"),
+    ("campaign/spec.py", None, "_check_sim"),
+    ("cli.py", None, "_cmd_serve"),
+)
+
+
+def _function(path: Path, owner, name):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scope = tree
+    if owner is not None:
+        scope = next(
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == owner
+        )
+    return next(
+        node for node in scope.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def _orderings(node):
+    """Source lines of every ``<``/``<=``/``>``/``>=`` under ``node``."""
+    return [
+        ast.unparse(sub) for sub in ast.walk(node)
+        if isinstance(sub, ast.Compare) and any(
+            isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+            for op in sub.ops
+        )
+    ]
+
+
+def test_one_owner_per_knob():
+    for path in sorted(SRC.rglob("*.py")):
+        defined = {
+            node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert not defined & DELETED_RANGE_HELPERS, path
+    for relative, owner, name in ASKING_DOORS:
+        door = _function(SRC / relative, owner, name)
+        assert _orderings(door) == [], (relative, name)
+    init = _function(SRC / "campaign" / "service.py", "CampaignService",
+                     "__init__")
+    assert not [line for line in _orderings(init) if "jobs" in line]
+
+
+def test_ordering_guard_catches_a_range_check():
+    tree = ast.parse("def validate(self):\n    if width <= 0:\n        pass\n")
+    assert _orderings(tree) == ["width <= 0"]

@@ -332,6 +332,22 @@ def test_bad_service_parameters(tmp_path):
         CampaignService(tmp_path / "s", jobs=-1)
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--max-queue", "max_queue must be >= 1"),
+    ("--batch", "batch_size must be >= 1"),
+])
+def test_serve_bad_queue_or_batch_exits_2_from_the_service(
+    tmp_path, capsys, flag, message
+):
+    from repro.cli import main
+
+    spool = tmp_path / "spool"
+    assert main(["serve", "--dir", str(spool), "--once", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not spool.exists()  # refused before the spool is made
+
+
 def test_serve_rejects_negative_jobs_before_reading_the_spool(
     tmp_path, capsys
 ):

@@ -103,6 +103,36 @@ class TestSynthCommand:
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flags", [[], ["--switches", "5:5"]],
+                             ids=["full-sweep", "one-candidate"])
+    def test_negative_jobs_exits_before_any_partitioning(
+        self, capsys, monkeypatch, flags
+    ):
+        from repro.core import phase1, phase2
+
+        calls = []
+        for module in (phase1, phase2):
+            def spy(*args, real=module.kway_min_cut, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "kway_min_cut", spy)
+        rc = main(["synth", "--benchmark", "d26_media", *flags,
+                   "--jobs", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "jobs must be >= 0" in captured.err and captured.out == ""
+        assert calls == []
+
+    def test_negative_jobs_exits_2_on_a_warm_store(self, tmp_path, capsys):
+        argv = ["synth", "--benchmark", "d26_media", "--switches", "3:3",
+                "--cache-dir", str(tmp_path / "store")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--jobs", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "jobs must be >= 0" in captured.err and captured.out == ""
+
     def test_infeasible_returns_one(self, tmp_path, capsys, tiny_specs):
         core_spec, comm_spec = tiny_specs
         cores_path = tmp_path / "cores.txt"
@@ -276,8 +306,12 @@ class TestSimBatchFlag:
         (["--warmup", "-5"], "warmup must be >= 0"),
         (["--cycles", "0"], "cycles must exceed warmup"),
         (["--cycles", "100", "--warmup", "100"], "cycles must exceed warmup"),
+        (["--packet-flits", "0"], "packet_length_flits must be >= 1"),
+        (["--seeds=-2"], "seed must be >= 0"),
+        (["--jobs", "-1"], "jobs must be >= 0"),
     ], ids=["negative-scale", "zero-scale", "negative-warmup", "zero-cycles",
-            "warmup-equals-cycles"])
+            "warmup-equals-cycles", "zero-packet-flits", "negative-seed",
+            "negative-jobs"])
     def test_cli_bad_traffic_knobs_exit_before_any_work(
         self, capsys, synthesis_spy, flags, message
     ):

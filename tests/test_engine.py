@@ -84,6 +84,16 @@ class TestGrid:
             ParameterGrid(link_widths_bits=(0,)).points()
         with pytest.raises(SynthesisError, match="switch_count_range"):
             ParameterGrid(switch_count_ranges=((3, 1),)).points()
+        # Judged by the configuration as given, never cast: a fractional or
+        # bool width, a bool alpha and a string frequency are refused.
+        with pytest.raises(SynthesisError, match="link_width_bits"):
+            ParameterGrid(link_widths_bits=(32.5,)).points()
+        with pytest.raises(SynthesisError, match="link_width_bits"):
+            ParameterGrid(link_widths_bits=(True,)).points()
+        with pytest.raises(SynthesisError, match="alpha"):
+            ParameterGrid(alphas=(True,)).points()
+        with pytest.raises(SynthesisError, match="frequency"):
+            ParameterGrid(frequencies_mhz=("400",)).points()
 
     def test_infeasible_point_marked_skip(self, design):
         core_spec, comm_spec = design
