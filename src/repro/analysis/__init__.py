@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Union
 
 from repro.analysis.framework import (
     AnalysisError,
-    Baseline,
     CHECKER_REGISTRY,
     CODE_NOQA_NO_REASON,
     CODE_NOQA_UNKNOWN,
@@ -47,19 +46,14 @@ def lint_paths(
     *,
     project_root: Optional[Union[str, Path]] = None,
     checkers: Optional[Sequence[str]] = None,
-    baseline: Optional[Union[str, Path]] = None,
 ) -> LintReport:
-    """Load a corpus, run checkers, fold in suppressions and baseline."""
+    """Load a corpus, run checkers, fold in suppressions."""
     context = load_corpus(paths, project_root=project_root)
-    loaded = Baseline.load(baseline) if baseline is not None else None
-    return run_checkers(
-        context, resolve_checkers(checkers), baseline=loaded,
-    )
+    return run_checkers(context, resolve_checkers(checkers))
 
 
 __all__ = [
     "AnalysisError",
-    "Baseline",
     "CHECKER_REGISTRY",
     "CODE_NOQA_NO_REASON",
     "CODE_NOQA_UNKNOWN",

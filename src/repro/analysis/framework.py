@@ -26,11 +26,6 @@ Suppressions are per-line comments that **require a reason**::
   (:data:`CODE_NOQA_UNUSED`) — suppressions cannot rot silently;
 * framework findings (``RPL00x``) are deliberately unsuppressible.
 
-A baseline file (``--baseline``) accepts a set of known findings by
-``(path, code, message)`` so the linter can be introduced to a tree with
-historical debt without blessing *new* debt; this repo's tree lints clean
-and carries no baseline.
-
 See ``docs/analysis.md`` for the checker catalog and the policy on adding
 checkers.
 """
@@ -44,7 +39,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.errors import ReproError
 
@@ -289,7 +284,6 @@ class LintReport:
 
     findings: List[Finding]
     suppressed: int = 0
-    baselined: int = 0
     checkers: Tuple[str, ...] = ()
     modules: int = 0
 
@@ -301,7 +295,6 @@ class LintReport:
         return {
             "findings": [f.as_dict() for f in self.findings],
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "checkers": list(self.checkers),
             "modules": self.modules,
             "clean": self.clean,
@@ -328,16 +321,14 @@ def resolve_checkers(
 def run_checkers(
     context: LintContext,
     checkers: Optional[Sequence[Checker]] = None,
-    *,
-    baseline: Optional["Baseline"] = None,
 ) -> LintReport:
     """Run checkers over a loaded corpus and fold in suppressions.
 
     The pipeline is: collect raw findings → drop the ones a same-line
-    ``noqa`` covers (marking the suppression used) → drop the ones the
-    baseline accepts → append framework findings for malformed or unused
-    suppressions (only for codes whose checker actually ran, so a partial
-    ``--checkers`` run cannot mis-flag a foreign suppression as unused).
+    ``noqa`` covers (marking the suppression used) → append framework
+    findings for malformed or unused suppressions (only for codes whose
+    checker actually ran, so a partial ``--checkers`` run cannot mis-flag
+    a foreign suppression as unused).
     """
     active = list(checkers) if checkers is not None else resolve_checkers()
     raw: List[Finding] = []
@@ -367,16 +358,6 @@ def run_checkers(
             suppressed += 1
         else:
             kept.append(finding)
-
-    baselined = 0
-    if baseline is not None:
-        filtered = []
-        for finding in kept:
-            if baseline.accepts(finding):
-                baselined += 1
-            else:
-                filtered.append(finding)
-        kept = filtered
 
     codes = known_codes()
     for module in context.modules:
@@ -411,58 +392,9 @@ def run_checkers(
     return LintReport(
         findings=kept,
         suppressed=suppressed,
-        baselined=baselined,
         checkers=tuple(checker.name for checker in active),
         modules=len(context.modules),
     )
-
-
-# -- baseline ---------------------------------------------------------------
-
-class Baseline:
-    """A set of accepted findings, matched by ``(path, code, message)``.
-
-    Line numbers are deliberately *not* part of the identity: accepted
-    debt must survive unrelated edits above it, while any change to the
-    finding itself (different attribute, different stage) re-surfaces it.
-    """
-
-    def __init__(self, entries: Iterable[Dict[str, object]] = ()) -> None:
-        self._accepted = {
-            (str(e.get("path")), str(e.get("code")), str(e.get("message")))
-            for e in entries
-        }
-
-    def __len__(self) -> int:
-        return len(self._accepted)
-
-    def accepts(self, finding: Finding) -> bool:
-        return (finding.path, finding.code, finding.message) in self._accepted
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Baseline":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise AnalysisError(f"baseline file {path} does not exist")
-        except json.JSONDecodeError as exc:
-            raise AnalysisError(f"baseline file {path} is not JSON: {exc}")
-        entries = doc.get("findings") if isinstance(doc, dict) else None
-        if not isinstance(entries, list):
-            raise AnalysisError(
-                f"baseline file {path} must be {{\"findings\": [...]}}"
-            )
-        return cls(entries)
-
-    @staticmethod
-    def write(path: Union[str, Path], findings: Sequence[Finding]) -> None:
-        doc = {
-            "findings": [
-                {"path": f.path, "code": f.code, "message": f.message}
-                for f in findings
-            ]
-        }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 # -- output -----------------------------------------------------------------
@@ -476,12 +408,7 @@ def format_report(report: LintReport, *, as_json: bool = False) -> str:
         f"{len(report.findings)} finding(s)"
         if report.findings else "clean"
     )
-    extras = []
-    if report.suppressed:
-        extras.append(f"{report.suppressed} suppressed")
-    if report.baselined:
-        extras.append(f"{report.baselined} baselined")
-    extra = f" ({', '.join(extras)})" if extras else ""
+    extra = f" ({report.suppressed} suppressed)" if report.suppressed else ""
     lines.append(
         f"lint: {tally}{extra} — {report.modules} file(s), "
         f"checkers: {', '.join(report.checkers)}"

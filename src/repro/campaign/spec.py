@@ -248,17 +248,16 @@ def load_campaign_file(path: Union[str, Path]) -> CampaignSpec:
     return CampaignSpec.from_dict(data)
 
 
-def compile_campaign(
-    spec: CampaignSpec,
-    *,
-    store=None,
-    stage_cache_dir: Optional[str] = None,
-) -> List[object]:
+def compile_campaign(spec: CampaignSpec, *, store=None) -> List[object]:
     """Expand a validated spec into its engine task list.
 
     Deterministic: same spec → same tasks in the same order, every time —
     the property the service's crash-safe resume rests on (a recompiled
     job's tasks hit the same content-addressed store entries).
+
+    Given a ``store``, every synthesis task also memoises its pipeline
+    stages under that store's root and salt
+    (:mod:`repro.engine.stagecache`), whoever compiles the campaign.
 
     For a ``sim`` campaign the prerequisite synthesis runs *here* (store-
     backed when ``store`` is given), because the simulation tasks embed the
@@ -269,13 +268,16 @@ def compile_campaign(
 
     bench = get_benchmark(spec.benchmark)
     core_spec, config = bench.variant(spec.dims, spec.base_config())
+    stage_cache = {} if store is None else {
+        "stage_cache_dir": str(store.root), "stage_cache_salt": store.salt,
+    }
 
     if spec.kind == "sweep":
         from repro.engine.grid import build_tasks
 
         return list(build_tasks(
             core_spec, bench.comm_spec, spec.parameter_grid(), config,
-            stage_cache_dir=stage_cache_dir,
+            **stage_cache,
         ))
 
     # kind == "sim": synthesize the best point, then fan out the traffic grid.
@@ -287,7 +289,7 @@ def compile_campaign(
         core_spec=core_spec,
         comm_spec=bench.comm_spec,
         config=config,
-        stage_cache_dir=stage_cache_dir,
+        **stage_cache,
     )
     outcome = run_tasks([synthesis], jobs=1, store=store)[0]
     if outcome.error is not None:
@@ -367,23 +369,15 @@ def _check_config(config: Any, issues: List[SpecIssue]) -> None:
         ))
         return
     known = {f.name for f in fields(SynthesisConfig)}
-    clean: Dict[str, Any] = {}
     for key, value in config.items():
         if key not in known:
             issues.append(SpecIssue(
                 f"config.{key}", "unknown SynthesisConfig field"
             ))
-        # Judge one override at a time so a bad value is blamed on its own
-        # key, not on whichever combination happened to trip first.
-        elif _judge(f"config.{key}", key, value, issues):
-            clean[key] = _thaw(_freeze(value))
-    if len(clean) > 1:
-        # Cross-field constraints (e.g. theta_max below theta_min) only
-        # show up with all settings applied.
-        try:
-            SynthesisConfig(**clean)
-        except ReproError as exc:
-            issues.append(SpecIssue("config", str(exc)))
+        else:
+            # No rule spans two fields, so each override is judged alone
+            # and a bad value is blamed on its own key.
+            _judge(f"config.{key}", key, value, issues)
 
 
 def _check_grid(grid: Any, issues: List[SpecIssue]) -> None:
@@ -412,13 +406,12 @@ def _check_grid(grid: Any, issues: List[SpecIssue]) -> None:
             _judge(f"grid.{key}[{i}]", name, value, issues)
 
 
-def _judge(path: str, name: str, value, issues: List[SpecIssue]) -> bool:
+def _judge(path: str, name: str, value, issues: List[SpecIssue]) -> None:
     """File :func:`field_problem`'s verdict on one synthesis value under
-    ``path``; ``True`` when the value is clean."""
+    ``path``."""
     problem = field_problem(name, _thaw(_freeze(value)))
     if problem is not None:
         issues.append(SpecIssue(path, problem))
-    return problem is None
 
 
 def _check_sim(data: Mapping, issues: List[SpecIssue]) -> None:

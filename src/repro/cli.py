@@ -262,12 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--list", action="store_true", dest="list_checkers",
                       help="list registered checkers and finding codes, "
                            "then exit")
-    lint.add_argument("--baseline", metavar="FILE", default=None,
-                      help="accept the findings recorded in FILE "
-                           "(historical debt); new findings still fail")
-    lint.add_argument("--write-baseline", metavar="FILE", default=None,
-                      help="write the current findings to FILE and exit 0 "
-                           "(adopting them as accepted debt)")
 
     sub.add_parser("benchmarks", help="list built-in benchmarks")
     return parser
@@ -682,10 +676,7 @@ def _cmd_campaign(args) -> int:
 
         spec = load_campaign_file(args.spec)
         store = _open_store(args)
-        tasks = compile_campaign(
-            spec, store=store,
-            stage_cache_dir=str(store.root) if store is not None else None,
-        )
+        tasks = compile_campaign(spec, store=store)
         progress = None
         if not args.quiet:
             def progress(done, total, key):
@@ -795,8 +786,7 @@ def _cmd_lint(args) -> int:
     stays import-light.
     """
     from repro.analysis import (
-        CHECKER_REGISTRY, Baseline, format_report, known_codes, lint_paths,
-        run_checkers, load_corpus, resolve_checkers,
+        CHECKER_REGISTRY, format_report, known_codes, lint_paths,
     )
 
     if args.list_checkers:
@@ -816,20 +806,7 @@ def _cmd_lint(args) -> int:
     paths = args.paths or [package_dir]
     checkers = args.checkers.split(",") if args.checkers else None
 
-    if args.write_baseline:
-        context = load_corpus(paths, project_root=project_root)
-        report = run_checkers(context, resolve_checkers(checkers))
-        Baseline.write(args.write_baseline, report.findings)
-        print(f"wrote {args.write_baseline} "
-              f"({len(report.findings)} accepted finding(s))")
-        return 0
-
-    report = lint_paths(
-        paths,
-        project_root=project_root,
-        checkers=checkers,
-        baseline=args.baseline,
-    )
+    report = lint_paths(paths, project_root=project_root, checkers=checkers)
     print(format_report(report, as_json=args.json))
     return 0 if report.clean else 1
 

@@ -57,6 +57,17 @@ from repro.units import flits_per_second
 
 INF = float("inf")
 
+#: Algorithm 3's soft thresholds (Sec. VI): ``soft_max_ill`` and
+#: ``soft_max_switch_size`` sit this many links / ports under their hard
+#: limits, and a new link past either pays SOFT_INF, this factor times the
+#: maximum cost of any flow.
+SOFT_ILL_MARGIN = 2
+SOFT_SWITCH_MARGIN = 2
+SOFT_INF_FACTOR = 10.0
+#: Re-searches of one flow, each banning one more switch-graph edge, when
+#: its path would close a channel-dependency cycle.
+DEADLOCK_RETRIES = 8
+
 
 def build_topology_skeleton(
     assignment: Assignment,
@@ -268,7 +279,6 @@ class _RoutingContext:
         if counts == self._ill_counts:
             return
         self._ill_counts = counts
-        adjacent_only = self.config.adjacent_layer_links_only
         table = []
         for a in layers:
             row = []
@@ -276,7 +286,7 @@ class _RoutingContext:
                 lo, hi = (a, b) if a <= b else (b, a)
                 if lo == hi:
                     row.append(0)
-                elif adjacent_only and hi - lo >= 2:
+                elif hi - lo >= 2:
                     row.append(2)
                 else:
                     worst = max(counts[lo:hi])
@@ -324,7 +334,7 @@ def compute_paths(
         )
         while not routed:
             added = _try_add_indirect_switch(
-                topology, config, library, src, dst, indirect_layers
+                topology, src, dst, indirect_layers
             )
             if not added:
                 raise PathComputationError(
@@ -338,7 +348,7 @@ def compute_paths(
             )
 
     topology.validate_routes()
-    over = topology.check_capacity(config.utilisation_cap)
+    over = topology.check_capacity()
     if over:
         raise PathComputationError(f"links over capacity after routing: {over}")
 
@@ -354,8 +364,8 @@ def _make_cost_model(
     config: SynthesisConfig,
 ) -> _CostModel:
     max_size = library.switch.max_switch_size(config.frequency_mhz)
-    soft_size = max(library.switch.min_ports, max_size - config.soft_switch_margin)
-    soft_ill = max(0, config.max_ill - config.soft_ill_margin)
+    soft_size = max(library.switch.min_ports, max_size - SOFT_SWITCH_MARGIN)
+    soft_ill = max(0, config.max_ill - SOFT_ILL_MARGIN)
 
     # SOFT_INF: "ten times the maximum cost of any flow" (Sec. VI). The cost
     # of a flow is bounded by its flit rate times the worst per-hop energy
@@ -367,14 +377,14 @@ def _make_cost_model(
         + library.tsv.energy_per_flit_pj(max(1, graph.num_layers - 1))
     )
     max_rate = flits_per_second(graph.max_bandwidth, config.link_width_bits)
-    soft_inf = config.soft_inf_factor * max_rate * worst_energy * 1e-3
+    soft_inf = SOFT_INF_FACTOR * max_rate * worst_energy * 1e-3
 
     return _CostModel(
         max_switch_size=max_size,
         soft_switch_size=soft_size,
         soft_max_ill=soft_ill,
         soft_inf=soft_inf,
-        capacity=topology.capacity_mbps * config.utilisation_cap,
+        capacity=topology.capacity_mbps,
     )
 
 
@@ -411,8 +421,9 @@ def _edge_cost(
         if link.load_mbps + bandwidth <= model.capacity + 1e-9:
             return traffic, False
 
-    # A new physical link is needed: Algorithm 3 constraint checks.
-    if config.adjacent_layer_links_only and vlayers >= 2:
+    # A new physical link is needed: Algorithm 3 constraint checks, the
+    # first being the adjacent-layer rule (step 3).
+    if vlayers >= 2:
         return INF, True
 
     soft = False
@@ -592,7 +603,7 @@ def _route_flow(
         return False
 
     banned: Set[Tuple[int, int]] = set()
-    for _ in range(max(1, config.deadlock_retries)):
+    for _ in range(DEADLOCK_RETRIES):
         if src_sw == dst_sw:
             path_switches: Optional[List[int]] = [src_sw]
         else:
@@ -684,8 +695,6 @@ def _pick_ban_edge(
 
 def _try_add_indirect_switch(
     topology: Topology,
-    config: SynthesisConfig,
-    library: NocLibrary,
     src: int,
     dst: int,
     indirect_layers: Set[int],
@@ -695,8 +704,6 @@ def _try_add_indirect_switch(
     At most one indirect switch is added per layer per design point. Returns
     True if a switch was added.
     """
-    if not config.allow_indirect_switches:
-        return False
     for sw_id in (topology.core_to_switch[src], topology.core_to_switch[dst]):
         layer = topology.switches[sw_id].layer
         if layer in indirect_layers:

@@ -4,7 +4,7 @@ Cores may connect to a switch in *any* layer: the partitioning graph PG is
 cut into as many blocks as there are switches, so highly-communicating cores
 share a switch regardless of their layers. When the resulting design cannot
 meet the ``max_ill`` constraint, the scaled partitioning graph SPG is used
-with θ swept from ``theta_min`` to ``theta_max``, progressively discouraging
+with θ swept over :data:`THETA_VALUES`, progressively discouraging
 cross-layer clustering (Steps 11-19).
 
 This module only produces :class:`~repro.core.assignment.Assignment`
@@ -21,6 +21,12 @@ from repro.core.config import SynthesisConfig
 from repro.core.partition_graphs import build_pg, build_spg
 from repro.graphs.comm_graph import CommGraph
 from repro.graphs.partition import kway_min_cut
+
+#: The SPG scaling sweep of Algorithm 1: θ from 1 to 15 in steps of 3
+#: (Sec. V-A). ``THETA_MAX`` normalises the added inter-layer penalty edges
+#: of the SPG (:func:`~repro.core.partition_graphs.build_spg`).
+THETA_VALUES = (1.0, 4.0, 7.0, 10.0, 13.0)
+THETA_MAX = 15.0
 
 
 def switch_count_bounds(graph: CommGraph, config: SynthesisConfig) -> Tuple[int, int]:
@@ -48,7 +54,7 @@ def phase1_scaled_candidate(
     graph: CommGraph, config: SynthesisConfig, switch_count: int, theta: float
 ) -> Assignment:
     """The SPG-based assignment used for unmet switch counts (Steps 12-19)."""
-    spg = build_spg(graph, config.alpha, theta, config.theta_max)
+    spg = build_spg(graph, config.alpha, theta, THETA_MAX)
     blocks = kway_min_cut(graph.n, spg, switch_count)
     return assignment_from_blocks(
         blocks, graph, config.switch_layer_mode, phase="phase1", theta=theta

@@ -50,6 +50,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.design_point import DesignPoint, SynthesisResult
 from repro.core.paths import build_topology_skeleton, compute_paths
 from repro.core.phase1 import (
+    THETA_VALUES,
     phase1_candidate,
     phase1_scaled_candidate,
     switch_count_bounds,
@@ -331,21 +332,14 @@ class Stage:
 #: The :class:`SynthesisConfig` fields read by the skeleton/routing path
 #: machinery (``repro.core.paths``). Frequency and link width shape link
 #: capacity; the rest are pruning/routing policy. Floorplan-only knobs
-#: (seed, search radius) are deliberately absent, so a floorplan ``seed``
+#: (seed, floorplanner) are deliberately absent, so a floorplan ``seed``
 #: bump reuses every upstream stage verbatim.
 _PATHS_CONFIG_INPUTS: Tuple[str, ...] = (
     "frequency_mhz",
     "link_width_bits",
     "max_ill",
-    "adjacent_layer_links_only",
     "use_soft_thresholds",
-    "soft_ill_margin",
-    "soft_switch_margin",
-    "soft_inf_factor",
-    "utilisation_cap",
-    "deadlock_retries",
     "flow_order",
-    "allow_indirect_switches",
 )
 
 
@@ -460,6 +454,12 @@ def vertical_link_specs(
     return specs
 
 
+#: The search grid of the custom insertion routine (Sec. VII): candidate
+#: spots within this radius of a component's ideal position, on this step.
+SEARCH_RADIUS_MM = 1.0
+GRID_STEP_MM = 0.1
+
+
 class FloorplanStage(Stage):
     """Insert switches and TSV macros into the input core floorplan, then
     recompute positions and wire lengths from the final placement."""
@@ -470,8 +470,6 @@ class FloorplanStage(Stage):
     context_inputs = ("core_spec", "library")
     config_inputs = (
         "seed",
-        "search_radius_mm",
-        "grid_step_mm",
         "floorplanner",
         "link_width_bits",  # sizes the TSV macro stacks
     )
@@ -528,8 +526,8 @@ class FloorplanStage(Stage):
                         existing,
                         new_components,
                         layer=layer,
-                        search_radius=ctx.config.search_radius_mm,
-                        grid_step=ctx.config.grid_step_mm,
+                        search_radius=SEARCH_RADIUS_MM,
+                        grid_step=GRID_STEP_MM,
                     )
                 else:
                     placed = constrained_insert(
@@ -548,8 +546,8 @@ class FloorplanStage(Stage):
                 vertical_specs,
                 ctx.library.tsv,
                 ctx.config.link_width_bits,
-                search_radius=ctx.config.search_radius_mm,
-                grid_step=ctx.config.grid_step_mm,
+                search_radius=SEARCH_RADIUS_MM,
+                grid_step=GRID_STEP_MM,
             )
         return floorplan
 
@@ -782,7 +780,7 @@ def _phase1(
         CandidateRequest(assignment, count)
         for assignment, count in zip(built, counts)
     ], result)
-    for theta in ctx.config.theta_values():
+    for theta in THETA_VALUES:
         if not failed:
             break
         built = _timed_builds((

@@ -89,12 +89,11 @@ def verify_design_point(
 
     # 3. Link capacity.
     report.checks_run += 1
-    for link_id in topo.check_capacity(config.utilisation_cap):
+    for link_id in topo.check_capacity():
         link = topo.links[link_id]
         report.fail(
             f"link {link_id} ({link.src}->{link.dst}) over capacity: "
-            f"{link.load_mbps:.1f} MB/s > "
-            f"{topo.capacity_mbps * config.utilisation_cap:.1f}"
+            f"{link.load_mbps:.1f} MB/s > {topo.capacity_mbps:.1f}"
         )
 
     # 4. TSV / max_ill constraint.
@@ -118,13 +117,12 @@ def verify_design_point(
 
     # 6. Adjacency of switch-to-switch links.
     report.checks_run += 1
-    if config.adjacent_layer_links_only:
-        for link in topo.links:
-            if not link.is_core_link and link.layers_crossed > 1:
-                report.fail(
-                    f"switch link {link.id} spans {link.layers_crossed} "
-                    "layers (adjacent-only technology)"
-                )
+    for link in topo.links:
+        if not link.is_core_link and link.layers_crossed > 1:
+            report.fail(
+                f"switch link {link.id} spans {link.layers_crossed} "
+                "layers (adjacent-only technology)"
+            )
 
     # 7. Phase 2 layer locality.
     report.checks_run += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.config import SynthesisConfig, field_problem
 from repro.engine.tasks import SynthesisTask
@@ -106,9 +106,18 @@ class ParameterGrid:
     switch_count_ranges: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        # Normalise sequences to tuples so grids hash and pickle cleanly.
+        # Normalise sequences to tuples so grids hash and pickle cleanly; a
+        # bare value (``frequencies_mhz=400``) or a string is refused.
         for dim in DIMENSIONS:
-            object.__setattr__(self, dim, tuple(getattr(self, dim)))
+            values = getattr(self, dim)
+            if isinstance(values, (str, bytes)) or not isinstance(
+                values, Iterable
+            ):
+                raise SynthesisError(
+                    f"invalid sweep grid: {dim} must be a sequence of "
+                    f"values, got {values!r}"
+                )
+            object.__setattr__(self, dim, tuple(values))
         object.__setattr__(self, "switch_count_ranges", tuple(
             tuple(r) if isinstance(r, (list, tuple)) else r
             for r in self.switch_count_ranges

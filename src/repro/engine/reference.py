@@ -54,6 +54,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Seque
 
 from repro.core.config import SynthesisConfig
 from repro.core.paths import (
+    DEADLOCK_RETRIES,
     INF,
     _CostModel,
     _edge_cost,
@@ -206,7 +207,7 @@ def _naive_route_flow(
         return False
 
     banned: Set[Tuple[int, int]] = set()
-    for _ in range(max(1, config.deadlock_retries)):
+    for _ in range(DEADLOCK_RETRIES):
         if src_sw == dst_sw:
             path_switches: Optional[List[int]] = [src_sw]
         else:
@@ -315,7 +316,7 @@ def naive_compute_paths(
         )
         while not routed:
             added = _try_add_indirect_switch(
-                topology, config, library, src, dst, indirect_layers
+                topology, src, dst, indirect_layers
             )
             if not added:
                 raise PathComputationError(
@@ -328,7 +329,7 @@ def naive_compute_paths(
             )
 
     topology.validate_routes()
-    over = topology.check_capacity(config.utilisation_cap)
+    over = topology.check_capacity()
     if over:
         raise PathComputationError(f"links over capacity after routing: {over}")
 

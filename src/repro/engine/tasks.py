@@ -123,14 +123,12 @@ class SimulationTask:
     key: Hashable
     topology: object
     library: Optional[NocLibrary] = None
-    buffer_depth: int = 4
     packet_length_flits: int = 4
     seed: int = 0
     cycles: int = 20_000
     warmup: int = 2_000
     injection_scale: float = 1.0
     scenario: Optional[object] = None
-    drain_limit: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -157,13 +155,11 @@ class BatchSimulationTask:
     topology: object
     seeds: Tuple[int, ...] = (0,)
     library: Optional[NocLibrary] = None
-    buffer_depth: int = 4
     packet_length_flits: int = 4
     cycles: int = 20_000
     warmup: int = 2_000
     injection_scale: float = 1.0
     scenario: Optional[object] = None
-    drain_limit: Optional[int] = None
 
     def expand_for_store(self) -> Tuple[SimulationTask, ...]:
         """The batch's store identity: one solo task per replication."""
@@ -172,14 +168,12 @@ class BatchSimulationTask:
                 key=(self.key, seed),
                 topology=self.topology,
                 library=self.library,
-                buffer_depth=self.buffer_depth,
                 packet_length_flits=self.packet_length_flits,
                 seed=seed,
                 cycles=self.cycles,
                 warmup=self.warmup,
                 injection_scale=self.injection_scale,
                 scenario=self.scenario,
-                drain_limit=self.drain_limit,
             )
             for seed in self.seeds
         )
@@ -256,7 +250,7 @@ def simulation_tasks(
 
     ``scenarios`` are :mod:`repro.noc.scenarios` specs; ``sim_params`` are
     the remaining :class:`SimulationTask` fields (``library``,
-    ``packet_length_flits``, ``cycles``, ``warmup``, ``drain_limit``).
+    ``packet_length_flits``, ``cycles``, ``warmup``).
     ``batch`` ``None``/``1`` gives one :class:`SimulationTask` per seed
     keyed ``(label, scale, seed)``; ``K > 1`` groups each (scenario,
     scale)'s seeds, in seed order, into :class:`BatchSimulationTask` chunks
@@ -445,14 +439,12 @@ def _run_simulation_task(task: SimulationTask) -> TaskResult:
 
         sim = WormholeSimulator(
             task.topology, task.library,
-            buffer_depth=task.buffer_depth,
             packet_length_flits=task.packet_length_flits,
             seed=task.seed,
         )
         return sim.run(
             cycles=task.cycles, warmup=task.warmup,
-            injection_scale=task.injection_scale,
-            scenario=task.scenario, drain_limit=task.drain_limit,
+            injection_scale=task.injection_scale, scenario=task.scenario,
         )
 
     return _timed_task(task.key, body)
@@ -466,15 +458,13 @@ def _run_batch_simulation_task(task: BatchSimulationTask) -> TaskResult:
 
         sim = WormholeSimulator(
             task.topology, task.library,
-            buffer_depth=task.buffer_depth,
             packet_length_flits=task.packet_length_flits,
             seed=task.seeds[0],
         )
         return tuple(sim.run_batch(
             list(task.seeds),
             cycles=task.cycles, warmup=task.warmup,
-            injection_scale=task.injection_scale,
-            scenario=task.scenario, drain_limit=task.drain_limit,
+            injection_scale=task.injection_scale, scenario=task.scenario,
         ))
 
     return _timed_task(task.key, body)

@@ -51,7 +51,6 @@ def run_simulation_validation(
     scenarios: Sequence[ScenarioSpec] = ("bernoulli",),
     seeds: Sequence[int] = (0,),
     jobs: Optional[int] = 1,
-    drain_limit: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
     store=None,
     supervision: Optional[Supervision] = None,
@@ -73,8 +72,6 @@ def run_simulation_validation(
             independent run.
         jobs: Worker processes for the campaign (``1`` = serial, ``0`` /
             ``None`` = auto). Results are bit-identical either way.
-        drain_limit: Post-horizon drain bound (see
-            :meth:`~repro.noc.simulator.WormholeSimulator.run`).
         progress: Optional ``progress(done, total, key)`` callback.
         store: Optional :class:`~repro.engine.store.ResultStore`. Both the
             upstream synthesis and every (scenario × scale × seed) run are
@@ -121,7 +118,7 @@ def run_simulation_validation(
     tasks = simulation_tasks(
         point.topology, scenarios, injection_scales, seeds, batch,
         library=library, packet_length_flits=packet_length_flits,
-        cycles=cycles, warmup=warmup, drain_limit=drain_limit,
+        cycles=cycles, warmup=warmup,
     )
     results = run_tasks(
         tasks, jobs=jobs, progress=progress, store=store,

@@ -126,8 +126,8 @@ _WINDOW_SLACK = 1e-6
 
 #: The most grid steps per side of the search square,
 #: ``ceil(search_radius / grid_step)``: 200 gives a table of 401 x 401
-#: offsets. The defaults use 10 (the synthesis config) and 15 (this
-#: module's keyword defaults).
+#: offsets. Synthesis uses 10 (``FloorplanStage``'s search-grid
+#: constants) and this module's keyword defaults 15.
 MAX_SEARCH_STEPS = 200
 
 #: Candidate offsets tested per numpy sweep of the free-space search; bounds

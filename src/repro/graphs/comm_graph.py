@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
-import networkx as nx
-
 from repro.errors import SpecError
 from repro.spec.comm_spec import CommSpec, TrafficFlow
 from repro.spec.core_spec import CoreSpec
@@ -86,16 +84,6 @@ class CommGraph:
             key = (min(i, j), max(i, j))
             out[key] = out.get(key, 0.0) + flow.bandwidth
         return out
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a networkx DiGraph (for analysis and visual dumps)."""
-        g = nx.DiGraph()
-        for i, name in enumerate(self.names):
-            g.add_node(i, name=name, layer=self.layers[i])
-        for (i, j), flow in self.edges.items():
-            g.add_edge(i, j, bandwidth=flow.bandwidth, latency=flow.latency,
-                       message_type=flow.message_type.value)
-        return g
 
 
 def build_comm_graph(core_spec: CoreSpec, comm_spec: CommSpec) -> CommGraph:

@@ -262,7 +262,7 @@ class Topology:
                         f"flow ({src}, {dst}): route breaks between links {a.id} and {b.id}"
                     )
 
-    def check_capacity(self, utilisation_cap: float = 1.0) -> List[int]:
-        """Link ids whose load exceeds ``utilisation_cap * capacity``."""
-        limit = self.capacity_mbps * utilisation_cap
+    def check_capacity(self) -> List[int]:
+        """Link ids whose load exceeds the link capacity."""
+        limit = self.capacity_mbps
         return [l.id for l in self.links if l.load_mbps > limit + 1e-9]

@@ -20,7 +20,6 @@ import pytest
 
 from repro.analysis import (
     AnalysisError,
-    Baseline,
     CHECKER_REGISTRY,
     Checker,
     format_report,
@@ -399,39 +398,6 @@ def test_finding_render_and_dict(tmp_path):
     assert parsed["findings"][0]["line"] == 2
 
 
-def test_baseline_accepts_by_message_not_line(tmp_path):
-    src = tmp_path / "mod.py"
-    src.write_text("import time\nt = time.time()\n")
-    report = lint_paths([src], checkers=["determinism"])
-    baseline_file = tmp_path / "baseline.json"
-    Baseline.write(baseline_file, report.findings)
-
-    # The same finding moved two lines down is still accepted...
-    src.write_text("import time\n\n\nt = time.time()\n")
-    rerun = lint_paths(
-        [src], checkers=["determinism"], baseline=baseline_file,
-    )
-    assert rerun.clean
-    assert rerun.baselined == 1
-
-    # ...but a different finding is not.
-    src.write_text("import time\nimport os\nt = time.time()\nu = os.urandom(4)\n")
-    rerun = lint_paths(
-        [src], checkers=["determinism"], baseline=baseline_file,
-    )
-    assert [f.code for f in rerun.findings] == ["RPL202"]
-    assert "os.urandom" in rerun.findings[0].message
-
-
-def test_corrupt_baseline_raises(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("[]")
-    src = tmp_path / "mod.py"
-    src.write_text("x = 1\n")
-    with pytest.raises(AnalysisError, match="findings"):
-        lint_paths([src], baseline=bad)
-
-
 # -- CLI ---------------------------------------------------------------------
 
 def _cli(*argv):
@@ -477,20 +443,6 @@ def test_cli_lint_list(capsys):
 def test_cli_lint_unknown_checker_is_structured_error(capsys):
     assert _cli("lint", "--checkers", "nope") == 2
     assert "unknown checker" in capsys.readouterr().err
-
-
-def test_cli_lint_baseline_roundtrip(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    rc = _cli("lint", str(FIXTURES / "determinism_bad.py"),
-              "--checkers", "determinism",
-              "--write-baseline", str(baseline))
-    assert rc == 0
-    assert baseline.exists()
-    rc = _cli("lint", str(FIXTURES / "determinism_bad.py"),
-              "--checkers", "determinism", "--baseline", str(baseline))
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
 
 
 def test_python_dash_m_repro_analysis_alias():

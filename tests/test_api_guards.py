@@ -29,6 +29,15 @@ traffic value and ``resolve_jobs`` for ``jobs``. The campaign spec's
 range helpers may not return, and the grid, campaign and ``serve`` doors
 may not order a knob value themselves.
 
+Values no caller sets are constants next to their one reader, not
+knobs: the θ sweep, Algorithm 3's soft margins, SOFT_INF factor,
+utilisation cap, deadlock retries, adjacent-layer rule and indirect
+switches, and the inserter's search grid may not return as
+``SynthesisConfig`` fields; the sim tasks, ``run_simulation_validation``
+and ``simulation_tasks`` take no ``buffer_depth``/``drain_limit``;
+``compile_campaign`` arms the stage cache from its store alone; and the
+lint baseline may not return.
+
 What ``dims="2d"`` means is decided once, by ``Benchmark.variant``: the
 ``synthesize_2d`` wrapper, the ``suite_design_space`` sweep wrapper, the
 unused ``best_power_point`` helper and an eager ``core_spec_2d`` field may
@@ -247,3 +256,40 @@ def test_one_owner_per_knob():
 def test_ordering_guard_catches_a_range_check():
     tree = ast.parse("def validate(self):\n    if width <= 0:\n        pass\n")
     assert _orderings(tree) == ["width <= 0"]
+
+
+REMOVED_CONFIG_FIELDS = {
+    "theta_min", "theta_max", "theta_step", "soft_ill_margin",
+    "soft_switch_margin", "soft_inf_factor", "utilisation_cap",
+    "deadlock_retries", "adjacent_layer_links_only",
+    "allow_indirect_switches", "search_radius_mm", "grid_step_mm",
+}
+
+
+def test_unset_knobs_stay_constants():
+    from repro.analysis import lint_paths
+    from repro.campaign.spec import compile_campaign
+    from repro.engine.tasks import (
+        BatchSimulationTask, SimulationTask, simulation_tasks,
+    )
+    from repro.experiments.simulation_validation import (
+        run_simulation_validation,
+    )
+
+    config_fields = {
+        f.name for f in dataclasses.fields(repro.SynthesisConfig)
+    }
+    assert not config_fields & REMOVED_CONFIG_FIELDS
+    assert len(config_fields) == 12
+    sim_knobs = {"buffer_depth", "drain_limit"}
+    for cls in (SimulationTask, BatchSimulationTask):
+        assert not {f.name for f in dataclasses.fields(cls)} & sim_knobs, cls
+    for fn, gone in (
+        (run_simulation_validation, sim_knobs),
+        (simulation_tasks, sim_knobs),
+        (compile_campaign, {"stage_cache_dir"}),
+        (lint_paths, {"baseline"}),
+    ):
+        declared = {name for name, _, _ in _parameters(fn)}
+        assert not declared & gone, (fn.__name__, declared & gone)
+    assert not hasattr(repro.analysis, "Baseline")

@@ -36,7 +36,7 @@ JUNK = st.one_of(
 SWITCH_RANGE = st.lists(st.integers(1, 10), min_size=2, max_size=2).map(
     sorted
 )
-#: A valid value per configuration field (cross-field limits aside).
+#: A valid value per configuration field.
 PLAUSIBLE = {
     "int": st.integers(0, 30),
     "float": st.floats(0.05, 1.0),
@@ -47,9 +47,6 @@ PLAUSIBLE = {
     "flow_order": st.sampled_from(["bandwidth_desc", "bandwidth_asc", "spec"]),
     "floorplanner": st.sampled_from(["custom", "constrained"]),
     "switch_count_range": SWITCH_RANGE,
-    "theta_min": st.floats(1.0, 4.0),
-    "theta_max": st.floats(4.0, 15.0),
-    "theta_step": st.floats(0.5, 3.0),
 }
 CONFIG_FIELDS = dataclasses.fields(SynthesisConfig)
 CONFIG = st.fixed_dictionaries({}, optional={

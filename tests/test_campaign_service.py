@@ -52,6 +52,17 @@ def test_submit_run_complete(tmp_path):
     assert len(payloads) == 2
 
 
+def test_served_sweep_memoises_stages_in_its_store(tmp_path):
+    # The served job arms the stage cache from the service's store, as
+    # `campaign run` does with its own.
+    with service(tmp_path) as svc:
+        svc.submit(sweep_spec("staged", frequencies=(400,)))
+        assert svc.run_until_idle() == ["job-0001"]
+        task_types = svc.store.stats().by_task_type
+    assert task_types["SynthesisTask"] == 1
+    assert any(name.startswith("stage:") for name in task_types)
+
+
 def test_invalid_spec_rejected_at_submit(tmp_path):
     with service(tmp_path) as svc:
         with pytest.raises(CampaignSpecError):

@@ -87,15 +87,25 @@ def test_stages_key_is_rejected(tmp_path, capsys):
     assert "stages: unknown key" in capsys.readouterr().err
 
 
-def test_cross_field_config_interaction_reported():
+def test_removed_config_keys_reported(tmp_path, capsys):
+    # The θ sweep is a Phase 1 constant, not a configuration field: a spec
+    # (or a journaled job) still setting it is refused, key by key.
     issues = validate_campaign({
         "name": "x",
         "config": {"theta_min": 10.0, "theta_max": 5.0},
     })
-    assert "config" in paths_of(issues)
+    assert {"config.theta_min", "config.theta_max"} <= set(paths_of(issues))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SWEEP, config={"theta_max": 9})))
+    assert main(["campaign", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.theta_max" in err
+    assert "unknown SynthesisConfig field" in err
 
 
 def test_inserter_knob_reported(tmp_path, capsys):
+    # The inserter's search grid is a floorplan constant: setting it is an
+    # unknown configuration field.
     data = dict(SWEEP, config={"grid_step_mm": 0})
     assert "config.grid_step_mm" in paths_of(validate_campaign(data))
     path = tmp_path / "spec.json"
@@ -105,8 +115,8 @@ def test_inserter_knob_reported(tmp_path, capsys):
 
 
 def test_too_fine_inserter_grid_reported():
-    # A 1e-6 mm step under the 1 mm default radius would ask the worker for
-    # about 4e12 candidate offsets; the spec is refused up front.
+    # A 1e-6 mm step under the 1 mm radius would ask the worker for about
+    # 4e12 candidate offsets; the spec is refused up front.
     issues = validate_campaign(dict(SWEEP, config={"grid_step_mm": 1e-6}))
     assert "config.grid_step_mm" in paths_of(issues)
     with pytest.raises(CampaignSpecError):

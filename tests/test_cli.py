@@ -1,9 +1,30 @@
 """Command-line interface (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.spec.io import save_comm_spec_text, save_core_spec_text
+
+
+def test_cli_import_loads_no_networkx_or_scipy():
+    # Start-up pays only for what a command uses: networkx has no user,
+    # and scipy (the LP solver) loads when an LP is first solved.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted({'networkx', 'scipy'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestBenchmarksCommand:

@@ -60,10 +60,3 @@ class TestBuild:
         assert graph.index_of("C") == 2
         with pytest.raises(SpecError):
             graph.index_of("Z")
-
-    def test_to_networkx(self, graph):
-        g = graph.to_networkx()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 3
-        assert g.edges[(0, 1)]["bandwidth"] == 100
-        assert g.nodes[2]["layer"] == 1

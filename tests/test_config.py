@@ -1,10 +1,18 @@
-"""Synthesis configuration validation (repro.core.config)."""
+"""Synthesis configuration validation (repro.core.config), and the paper
+values that are module constants instead of configuration fields."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import SynthesisConfig
-from repro.errors import SpecError
+from repro.core.phase1 import THETA_MAX, THETA_VALUES
+from repro.core.pipeline import GRID_STEP_MM, SEARCH_RADIUS_MM
+from repro.errors import FloorplanError, SpecError
+from repro.floorplan.inserter import (
+    MAX_SEARCH_STEPS,
+    NewComponent,
+    insert_components,
+)
 
 
 class TestValidation:
@@ -15,72 +23,73 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"frequency_mhz": 0.0},
+        {"frequency_mhz": -400.0},
         {"link_width_bits": 0},
+        {"link_width_bits": -32},
         {"alpha": 1.5},
         {"alpha": -0.1},
         {"objective": "area"},
+        {"objective": None},
         {"max_ill": -1},
+        {"max_ill": None},
         {"phase": "phase3"},
+        {"phase": 1},
         {"switch_layer_mode": "median"},
-        {"theta_min": 0.0},
-        {"theta_step": 0.0},
-        {"theta_min": 10.0, "theta_max": 5.0},
-        {"utilisation_cap": 0.0},
-        {"utilisation_cap": 1.5},
+        {"switch_layer_mode": None},
+        {"flow_order": "random"},
+        {"flow_order": None},
         {"switch_count_range": (0, 5)},
         {"switch_count_range": (5, 3)},
         {"floorplanner": "parquet"},
-        # The custom inserter's search knobs: a zero or NaN step used to
-        # crash synthesis, a negative one ran silently.
-        {"grid_step_mm": 0.0},
-        {"grid_step_mm": -0.1},
-        {"grid_step_mm": float("nan")},
-        {"grid_step_mm": float("inf")},
-        {"search_radius_mm": 0.0},
-        {"search_radius_mm": -1.0},
-        {"search_radius_mm": float("nan")},
-        {"search_radius_mm": float("inf")},
+        {"floorplanner": None},
         # Non-finite and non-integer values used to pass and fail late (a
         # whole synthesis with no valid point, or a bare TypeError/ValueError
         # inside a worker) or never.
         {"frequency_mhz": float("nan")},
         {"frequency_mhz": float("inf")},
         {"frequency_mhz": "400"},
-        {"soft_inf_factor": float("inf")},
-        {"theta_max": float("inf")},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"alpha": "0.5"},
         {"seed": "s"},
         {"seed": 1.0},
         {"seed": True},
+        {"seed": None},
         {"link_width_bits": 1.5},
         {"max_ill": 2.5},
-        {"deadlock_retries": None},
+        {"max_ill": True},
         {"switch_count_range": (3.5, 4)},
         {"switch_count_range": (True, 3)},
         {"switch_count_range": (3,)},
+        {"switch_count_range": (1, 2, 3)},
         {"switch_count_range": "3:4"},
         {"use_soft_thresholds": "no"},
+        {"use_soft_thresholds": 1},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(SpecError):
             SynthesisConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"grid_step_mm": 1e-6},
-        {"search_radius_mm": 1e300, "grid_step_mm": 1e-300},
-        {"search_radius_mm": 20.5, "grid_step_mm": 0.1},
+        {"search_radius": 1.0, "grid_step": 1e-6},
+        {"search_radius": 1e300, "grid_step": 1e-300},
+        {"search_radius": 20.5, "grid_step": 0.1},
     ])
     def test_search_grid_bounded(self, kwargs):
-        # The inserter would build (2 * steps + 1) ** 2 offsets: refused
-        # here, naming both fields, before any grid exists.
-        with pytest.raises(SpecError, match="search_radius_mm / grid_step_mm"):
-            SynthesisConfig(**kwargs)
+        # The inserter's search grid is a floorplan constant, not a config
+        # field; a direct caller asking for more than MAX_SEARCH_STEPS grid
+        # steps per side is refused before any grid exists.
+        new = [NewComponent("sw0", "switch", 1.0, 1.0, (0.0, 0.0))]
+        with pytest.raises(FloorplanError, match="grid steps per side"):
+            insert_components([], new, layer=0, **kwargs)
 
     def test_largest_search_grid_accepted(self):
-        from repro.floorplan.inserter import MAX_SEARCH_STEPS
-
-        cfg = SynthesisConfig(search_radius_mm=MAX_SEARCH_STEPS * 0.5,
-                              grid_step_mm=0.5)
-        assert cfg.search_radius_mm / cfg.grid_step_mm == MAX_SEARCH_STEPS
+        assert SEARCH_RADIUS_MM / GRID_STEP_MM <= MAX_SEARCH_STEPS
+        new = [NewComponent("sw0", "switch", 1.0, 1.0, (0.0, 0.0))]
+        placed = insert_components([], new, layer=0,
+                                   search_radius=MAX_SEARCH_STEPS * 0.5,
+                                   grid_step=0.5)
+        assert [c.name for c in placed] == ["sw0"]
 
     def test_integral_and_real_values_kept_as_given(self):
         cfg = SynthesisConfig(
@@ -99,12 +108,12 @@ class TestHelpers:
         assert cfg.max_ill == 25
 
     def test_theta_values_sweep(self):
-        cfg = SynthesisConfig(theta_min=1.0, theta_max=15.0, theta_step=3.0)
-        assert list(cfg.theta_values()) == [1.0, 4.0, 7.0, 10.0, 13.0]
+        # Sec. V-A: θ from 1 to 15 in steps of 3.
+        assert THETA_VALUES == (1.0, 4.0, 7.0, 10.0, 13.0)
 
     def test_theta_values_inclusive_endpoint(self):
-        cfg = SynthesisConfig(theta_min=1.0, theta_max=7.0, theta_step=3.0)
-        assert list(cfg.theta_values()) == [1.0, 4.0, 7.0]
+        # The sweep runs up to THETA_MAX: every step that stays within it.
+        assert THETA_VALUES[-1] <= THETA_MAX < THETA_VALUES[-1] + 3.0
 
     def test_hashable_for_caching(self):
         a = SynthesisConfig(switch_count_range=(3, 12))

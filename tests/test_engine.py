@@ -95,6 +95,17 @@ class TestGrid:
         with pytest.raises(SynthesisError, match="frequency"):
             ParameterGrid(frequencies_mhz=("400",)).points()
 
+    @pytest.mark.parametrize("dimension, value", [
+        ("frequencies_mhz", 400),
+        ("alphas", 0.5),
+        ("link_widths_bits", "32"),
+        ("switch_count_ranges", None),
+    ])
+    def test_bare_value_dimension_refused(self, dimension, value):
+        # A bare value where a sequence belongs is named, not a TypeError.
+        with pytest.raises(SynthesisError, match=dimension):
+            ParameterGrid(**{dimension: value})
+
     def test_infeasible_point_marked_skip(self, design):
         core_spec, comm_spec = design
         # 10 MHz on 32-bit links: 40 MB/s capacity, far below the flows.

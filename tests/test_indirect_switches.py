@@ -6,10 +6,13 @@ are used to connect the other switches together."
 
 The repair mechanism (:func:`repro.core.paths._try_add_indirect_switch`) is
 tested directly; full-flow tests check that routing still succeeds under
-heavy port pressure and that disabling the feature never produces indirect
-switches.
+heavy port pressure and that, with the repair patched out, synthesis never
+produces indirect switches.
 """
 
+import pytest
+
+from repro.core import paths
 from repro.core.assignment import assignment_from_blocks
 from repro.core.config import SynthesisConfig
 from repro.core.paths import (
@@ -23,7 +26,7 @@ from repro.spec.comm_spec import CommSpec, TrafficFlow
 from repro.spec.core_spec import Core, CoreSpec
 
 
-def _all_to_all_setup(allow_indirect: bool, max_size_slope: float = 112.0):
+def _all_to_all_setup(max_size_slope: float = 112.0):
     """Five 2-core switches with all-to-all inter-switch traffic, under a
     library limiting switches to 4 ports at 400 MHz."""
     n = 10
@@ -39,7 +42,7 @@ def _all_to_all_setup(allow_indirect: bool, max_size_slope: float = 112.0):
     comm = CommSpec(flows=flows)
     graph = build_comm_graph(cores, comm)
     library = default_library().with_switch(fmax_slope_mhz_per_port=max_size_slope)
-    config = SynthesisConfig(max_ill=25, allow_indirect_switches=allow_indirect)
+    config = SynthesisConfig(max_ill=25)
     blocks = [[2 * k, 2 * k + 1] for k in range(5)]
     assignment = assignment_from_blocks(blocks, graph, "mean", "phase1")
     centers = {i: c.center for i, c in enumerate(cores)}
@@ -47,11 +50,19 @@ def _all_to_all_setup(allow_indirect: bool, max_size_slope: float = 112.0):
     return topo, graph, library, config, centers
 
 
+@pytest.fixture
+def no_repair(monkeypatch):
+    """Routing with the indirect-switch repair switched off."""
+    monkeypatch.setattr(
+        paths, "_try_add_indirect_switch", lambda *args: False
+    )
+
+
 class TestRepairMechanism:
     def test_adds_coreless_switch_on_flow_layer(self):
-        topo, graph, lib, cfg, centers = _all_to_all_setup(True)
+        topo, graph, lib, cfg, centers = _all_to_all_setup()
         before = len(topo.switches)
-        added = _try_add_indirect_switch(topo, cfg, lib, 0, 2, set())
+        added = _try_add_indirect_switch(topo, 0, 2, set())
         assert added
         assert len(topo.switches) == before + 1
         new = topo.switches[-1]
@@ -60,27 +71,23 @@ class TestRepairMechanism:
         assert all(s != new.id for s in topo.core_to_switch.values())
 
     def test_position_is_layer_centroid(self):
-        topo, graph, lib, cfg, centers = _all_to_all_setup(True)
+        topo, graph, lib, cfg, centers = _all_to_all_setup()
         peers = [s for s in topo.switches if s.layer == 0]
         expect_x = sum(p.x for p in peers) / len(peers)
-        _try_add_indirect_switch(topo, cfg, lib, 0, 2, set())
+        _try_add_indirect_switch(topo, 0, 2, set())
         assert topo.switches[-1].x == expect_x
 
     def test_one_per_layer(self):
-        topo, graph, lib, cfg, centers = _all_to_all_setup(True)
+        topo, graph, lib, cfg, centers = _all_to_all_setup()
         seen = set()
-        assert _try_add_indirect_switch(topo, cfg, lib, 0, 2, seen)
+        assert _try_add_indirect_switch(topo, 0, 2, seen)
         # All switches are on layer 0 here; a second request must refuse.
-        assert not _try_add_indirect_switch(topo, cfg, lib, 0, 2, seen)
-
-    def test_disabled_by_config(self):
-        topo, graph, lib, cfg, centers = _all_to_all_setup(False)
-        assert not _try_add_indirect_switch(topo, cfg, lib, 0, 2, set())
+        assert not _try_add_indirect_switch(topo, 0, 2, seen)
 
 
 class TestFullFlowUnderPortPressure:
     def test_all_to_all_routes_within_size_limit(self):
-        topo, graph, lib, cfg, centers = _all_to_all_setup(True)
+        topo, graph, lib, cfg, centers = _all_to_all_setup()
         max_size = lib.switch.max_switch_size(cfg.frequency_mhz)
         assert max_size == 4
         compute_paths(topo, graph, lib, cfg, centers)
@@ -88,11 +95,11 @@ class TestFullFlowUnderPortPressure:
             assert sw.size <= max_size
         assert len(topo.routes) == len(graph.edges)
 
-    def test_disabled_indirect_never_creates_one(self, small_specs):
+    def test_disabled_indirect_never_creates_one(self, small_specs, no_repair):
         core_spec, comm_spec = small_specs
         from repro.core.synthesis import synthesize
 
-        cfg = SynthesisConfig(max_ill=12, allow_indirect_switches=False)
+        cfg = SynthesisConfig(max_ill=12)
         result = synthesize(core_spec, comm_spec, config=cfg)
         for p in result.points:
             assert not any(sw.is_indirect for sw in p.topology.switches)

@@ -163,5 +163,5 @@ class TestRouting:
         )
         compute_paths(topo, graph, lib, cfg, centers)
         topo.validate_routes()  # must not raise
-        assert topo.check_capacity(cfg.utilisation_cap) == []
+        assert topo.check_capacity() == []
         assert set(topo.routes) == {(0, 2), (3, 1)}

@@ -35,13 +35,6 @@ class TestHardConstraints:
         cost, _ = _edge_cost(topo, lib, cfg, model, 0, 2, 100, 25)
         assert cost == INF
 
-    def test_layer_skip_allowed_when_configured(self):
-        topo, _, lib, cfg, model = _setup(
-            num_layers=3, adjacent_layer_links_only=False
-        )
-        cost, _ = _edge_cost(topo, lib, cfg, model, 0, 2, 100, 25)
-        assert cost < INF
-
     def test_ill_exhaustion_is_inf(self):
         topo, _, lib, cfg, model = _setup(num_layers=2, max_ill=2)
         topo.add_switch_link(0, 1)

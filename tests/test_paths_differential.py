@@ -66,8 +66,6 @@ def routing_cases(draw):
         frequency_mhz=draw(st.sampled_from([300.0, 400.0, 400.0, 600.0, 800.0])),
         max_ill=draw(st.sampled_from([0, 2, 4, 6, 8, 25, 25])),
         use_soft_thresholds=draw(st.booleans()),
-        adjacent_layer_links_only=draw(st.booleans()),
-        allow_indirect_switches=draw(st.booleans()),
         flow_order=draw(st.sampled_from(FLOW_ORDERS)),
     )
     count = draw(st.integers(2, min(10, num_cores)))

@@ -21,6 +21,7 @@ import pytest
 from repro.bench.synthetic import synthetic_benchmark
 from repro.core.config import SynthesisConfig
 from repro.core.paths import (
+    DEADLOCK_RETRIES,
     INF,
     _edge_cost,
     _estimate_latency,
@@ -140,7 +141,7 @@ def _naive_route_flow(
     if ej.load_mbps + bandwidth > model.capacity + 1e-9:
         return False
     banned: Set[Tuple[int, int]] = set()
-    for _ in range(max(1, config.deadlock_retries)):
+    for _ in range(DEADLOCK_RETRIES):
         if src_sw == dst_sw:
             path_switches: Optional[List[int]] = [src_sw]
         else:
@@ -224,7 +225,7 @@ def naive_compute_paths(topology, graph, library, config, centers) -> None:
         )
         while not routed:
             if not _try_add_indirect_switch(
-                topology, config, library, src, dst, indirect_layers
+                topology, src, dst, indirect_layers
             ):
                 raise PathComputationError("unroutable flow")
             routed = _naive_route_flow(
@@ -232,7 +233,7 @@ def naive_compute_paths(topology, graph, library, config, centers) -> None:
                 src, dst, flow, centers,
             )
     topology.validate_routes()
-    over = topology.check_capacity(config.utilisation_cap)
+    over = topology.check_capacity()
     if over:
         raise PathComputationError(f"links over capacity: {over}")
 

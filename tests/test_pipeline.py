@@ -8,6 +8,7 @@ from repro.bench.registry import get_benchmark
 from repro.core import pipeline as pipeline_module
 from repro.core.config import SynthesisConfig
 from repro.core.design_point import SynthesisResult
+from repro.core.phase1 import THETA_VALUES
 from repro.core.pipeline import (
     DEFAULT_STAGE_NAMES,
     CandidateOutcome,
@@ -176,17 +177,20 @@ class TestPhase1RequeuePolicy:
         core_spec, comm_spec = tiny_specs
         ctx = FlowContext.build(
             core_spec, comm_spec,
-            config=SynthesisConfig(max_ill=10, theta_min=1.0, theta_max=1.0,
-                                   theta_step=1.0, switch_count_range=(2, 3)),
+            config=SynthesisConfig(max_ill=10, switch_count_range=(2, 3)),
         )
-        evaluate = ScriptedEvaluate(fail_all, fail_all)
+        evaluate = ScriptedEvaluate(fail_all, *[fail_all] * len(THETA_VALUES))
         result = SynthesisResult()
         _phase1(ctx, evaluate, result)
-        first, retry = evaluate.rounds  # no round after the last θ
+        first, *retries = evaluate.rounds  # no round after the last θ
         assert [r.count for r in first] == [2, 3]
-        # One θ value: every failed count requeues exactly once, scaled.
-        assert [r.count for r in retry] == [2, 3]
-        assert all(r.theta == 1.0 for r in retry)
+        # Every failed count requeues exactly once per θ, scaled by it.
+        assert [[r.count for r in retry] for retry in retries] == (
+            [[2, 3]] * len(THETA_VALUES)
+        )
+        assert [{r.theta for r in retry} for retry in retries] == [
+            {theta} for theta in THETA_VALUES
+        ]
         assert result.unmet_switch_counts == [2, 3]
 
     def test_success_stops_requeue(self, tiny_specs):

@@ -29,6 +29,7 @@ from repro.campaign import CampaignService
 from repro.campaign.journal import JobJournal
 from repro.campaign.service import submit_file
 from repro.engine.faults import FaultSpec, arm_sites, site_activations
+from repro.engine.store import _peek_task_type
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -111,6 +112,15 @@ def reference(tmp_path_factory):
 
 
 @pytest.mark.slow
+def _task_entries(spool: Path):
+    """The store's whole-task entries; the per-stage records a served
+    sweep also writes there are left out."""
+    return {
+        p.relative_to(spool) for p in (spool / "store").rglob("*.pkl")
+        if not _peek_task_type(p).startswith("stage:")
+    }
+
+
 class TestKilledServiceResumes:
     @pytest.mark.parametrize(
         "site, skip, exit_code", KILL_POINTS,
@@ -192,9 +202,7 @@ class TestKilledServiceResumes:
         )
         assert victim.returncode == 45, (victim.stdout, victim.stderr)
 
-        store_before = {
-            p.relative_to(spool) for p in (spool / "store").rglob("*.pkl")
-        }
+        store_before = _task_entries(spool)
         assert len(store_before) == 3
 
         resumed = _cli([
@@ -205,8 +213,6 @@ class TestKilledServiceResumes:
         assert _results(spool) == reference
         # Every pre-kill payload was reused in place, none recomputed
         # into a different address.
-        store_after = {
-            p.relative_to(spool) for p in (spool / "store").rglob("*.pkl")
-        }
+        store_after = _task_entries(spool)
         assert store_before <= store_after
         assert len(store_after) == 4

@@ -12,8 +12,8 @@ no in-process shortcuts:
 3. runs ``serve --once`` to drain the spool;
 4. checks the journal and the spool agree: every submitted job is
    ``done``, each result file's sha256 matches its journaled digest, the
-   store holds exactly the campaign's task payloads, the inbox is empty
-   and ``campaign status`` exits 0.
+   store holds exactly the campaign's task payloads plus the sweeps'
+   stage records, the inbox is empty and ``campaign status`` exits 0.
 
 Exit 0 means the service round-trip works on this machine; any
 inconsistency prints what disagreed and exits 1.
@@ -143,10 +143,21 @@ def main() -> None:
                  f"file, journal says {job.total_tasks}")
         total_tasks += job.total_tasks
 
-    store_entries = len(list((spool / "store").rglob("*.pkl")))
+    # Whole-task payloads, one per task; the served sweeps' per-stage
+    # records (``stage:<name>``) share the store.
+    from repro.engine.store import ResultStore
+
+    by_type = ResultStore(spool / "store").stats().by_task_type
+    store_entries = sum(
+        count for task_type, count in by_type.items()
+        if not task_type.startswith("stage:")
+    )
     if store_entries != total_tasks:
         fail(f"store holds {store_entries} payload(s), campaigns ran "
              f"{total_tasks} task(s)")
+    if store_entries == sum(by_type.values()):
+        fail("store holds no stage records: served sweeps did not "
+             "memoise their stages")
     leftovers = [p.name for p in inbox.iterdir()]
     if leftovers:
         fail(f"inbox not drained: {leftovers}")
