@@ -29,8 +29,9 @@ help:
 	@echo "                    recovery path under injected faults, plus"
 	@echo "                    the campaign service killed and resumed"
 	@echo "  make fuzz       - campaign-spec, knob-agreement and spec-file"
-	@echo "                    fuzzing plus the routing, partitioning"
-	@echo "                    and placement-LP differential tests"
+	@echo "                    fuzzing, the routing, partitioning"
+	@echo "                    and placement-LP differential tests and"
+	@echo "                    the jobs/store/stage-cache identity test"
 	@echo "                    under the large 'fuzz' Hypothesis profile"
 	@echo "                    (make test runs the same tests on the"
 	@echo "                    default budget)"
@@ -95,7 +96,9 @@ chaos:
 # SpecError; every generated design routes exactly as the frozen naive
 # router does; every generated graph partitions exactly as the frozen
 # naive partitioner does; every generated topology gets the switch
-# positions of the frozen naive placement LP. The 'fuzz' profile
+# positions of the frozen naive placement LP; every generated SoC gives
+# the same points at jobs=1, at jobs=2, from a warm store and from a warm
+# stage cache, in Phase 1 and in Phase 2. The 'fuzz' profile
 # (tests/conftest.py) raises the example budget from the default the
 # tier-1 run uses.
 fuzz:
@@ -103,7 +106,9 @@ fuzz:
 	    tests/test_knob_agreement.py \
 	    tests/test_spec_io_fuzz.py tests/test_paths_differential.py \
 	    tests/test_partition_differential.py \
-	    tests/test_placement_differential.py --hypothesis-profile=fuzz
+	    tests/test_placement_differential.py \
+	    tests/test_integration_properties.py::TestExecutionPathIdentity \
+	    --hypothesis-profile=fuzz
 
 # End-to-end campaign service smoke through the real CLI: three specs
 # submitted (plus one refused), served to drain, then journal, store,

@@ -8,13 +8,13 @@ with θ swept over :data:`THETA_VALUES`, progressively discouraging
 cross-layer clustering (Steps 11-19).
 
 This module only produces :class:`~repro.core.assignment.Assignment`
-candidates; building, routing and evaluating them is the synthesis driver's
-job (:mod:`repro.core.synthesis`), which implements the Unmet-set retry loop.
+candidates, through the ``partition`` stage of :mod:`repro.core.pipeline`,
+whose Phase 1 driver implements the Unmet-set retry loop.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Optional, Tuple
 
 from repro.core.assignment import Assignment, assignment_from_blocks
 from repro.core.config import SynthesisConfig
@@ -40,31 +40,19 @@ def switch_count_bounds(graph: CommGraph, config: SynthesisConfig) -> Tuple[int,
 
 
 def phase1_candidate(
-    graph: CommGraph, config: SynthesisConfig, switch_count: int
+    graph: CommGraph,
+    alpha: float,
+    switch_layer_mode: str,
+    switch_count: int,
+    theta: Optional[float] = None,
 ) -> Assignment:
-    """The PG-based assignment for one switch count (Steps 4-7)."""
-    pg = build_pg(graph, config.alpha)
-    blocks = kway_min_cut(graph.n, pg, switch_count)
+    """The assignment for one switch count: a cut of the PG (Steps 4-7),
+    or with ``theta`` of the SPG used for unmet counts (Steps 12-19)."""
+    if theta is None:
+        weights = build_pg(graph, alpha)
+    else:
+        weights = build_spg(graph, alpha, theta, THETA_MAX)
+    blocks = kway_min_cut(graph.n, weights, switch_count)
     return assignment_from_blocks(
-        blocks, graph, config.switch_layer_mode, phase="phase1"
+        blocks, graph, switch_layer_mode, phase="phase1", theta=theta
     )
-
-
-def phase1_scaled_candidate(
-    graph: CommGraph, config: SynthesisConfig, switch_count: int, theta: float
-) -> Assignment:
-    """The SPG-based assignment used for unmet switch counts (Steps 12-19)."""
-    spg = build_spg(graph, config.alpha, theta, THETA_MAX)
-    blocks = kway_min_cut(graph.n, spg, switch_count)
-    return assignment_from_blocks(
-        blocks, graph, config.switch_layer_mode, phase="phase1", theta=theta
-    )
-
-
-def phase1_candidates(
-    graph: CommGraph, config: SynthesisConfig
-) -> Iterator[Assignment]:
-    """All first-round (unscaled) Phase 1 candidates, one per switch count."""
-    lo, hi = switch_count_bounds(graph, config)
-    for count in range(lo, hi + 1):
-        yield phase1_candidate(graph, config, count)

@@ -11,7 +11,7 @@ per core.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List
+from typing import List, Sequence, Tuple
 
 from repro.core.assignment import Assignment
 from repro.core.config import SynthesisConfig
@@ -36,34 +36,17 @@ def minimum_switches_per_layer(
     return counts
 
 
-def phase2_candidate(
-    graph: CommGraph,
-    config: SynthesisConfig,
-    library: NocLibrary,
-    increment: int,
-) -> Assignment:
-    """The Phase 2 assignment at iteration ``increment`` of Algorithm 2."""
-    base = minimum_switches_per_layer(graph, config, library)
-    blocks: List[tuple] = []
-    layers: List[int] = []
-    for layer in range(graph.num_layers):
-        members, weights = build_lpg(graph, layer, config.alpha)
-        np_ = min(base[layer] + increment, len(members))
-        local_blocks = kway_min_cut(len(members), weights, np_)
-        for block in local_blocks:
-            blocks.append(tuple(members[l] for l in block))
-            layers.append(layer)
-    return Assignment(
-        blocks=tuple(tuple(sorted(b)) for b in blocks),
-        switch_layers=tuple(layers),
-        phase="phase2",
-    )
-
-
-def phase2_candidates(
+def phase2_switch_counts(
     graph: CommGraph, config: SynthesisConfig, library: NocLibrary
-) -> Iterator[Assignment]:
-    """All Phase 2 candidates (Step 6 loop), respecting switch_count_range."""
+) -> List[Tuple[int, ...]]:
+    """The per-layer switch counts of every Phase 2 candidate (Step 6 loop)
+    whose total lies in ``switch_count_range``, without partitioning.
+
+    Iteration ``inc`` gives layer j ``min(ni_j + inc, cores in layer j)``
+    switches; :func:`~repro.graphs.partition.kway_min_cut` returns exactly
+    that many non-empty blocks, so the sum is the candidate's switch count,
+    and it rises strictly with ``inc``.
+    """
     base = minimum_switches_per_layer(graph, config, library)
     layer_sizes = [
         sum(1 for l in graph.layers if l == layer)
@@ -72,10 +55,34 @@ def phase2_candidates(
     max_increment = max(
         size - ni for size, ni in zip(layer_sizes, base)
     )
+    plans = []
     for increment in range(0, max_increment + 1):
-        candidate = phase2_candidate(graph, config, library, increment)
+        counts = tuple(
+            min(ni + increment, size) for ni, size in zip(base, layer_sizes)
+        )
         if config.switch_count_range is not None:
             lo, hi = config.switch_count_range
-            if not lo <= candidate.num_switches <= hi:
+            if not lo <= sum(counts) <= hi:
                 continue
-        yield candidate
+        plans.append(counts)
+    return plans
+
+
+def phase2_candidate(
+    graph: CommGraph, alpha: float, switch_counts: Sequence[int]
+) -> Assignment:
+    """The Phase 2 assignment with ``switch_counts[j]`` switches in layer j,
+    each layer's LPG cut on its own (Algorithm 2)."""
+    blocks: List[tuple] = []
+    layers: List[int] = []
+    for layer, count in enumerate(switch_counts):
+        members, weights = build_lpg(graph, layer, alpha)
+        local_blocks = kway_min_cut(len(members), weights, count)
+        for block in local_blocks:
+            blocks.append(tuple(members[l] for l in block))
+            layers.append(layer)
+    return Assignment(
+        blocks=tuple(tuple(sorted(b)) for b in blocks),
+        switch_layers=tuple(layers),
+        phase="phase2",
+    )

@@ -9,18 +9,19 @@ and a mutable per-candidate :class:`CandidateState`. The sequence is fixed
 
 * **measurable** — every stage execution is timed into a
   :class:`StageTimings` accumulator (``repro.cli synth --stage-timings``);
+* **cacheable** — each stage declares its inputs, so a stage cache serves
+  its outputs wherever those inputs hash identically;
 * **parallelizable** — candidate evaluation is a pure function of
-  ``(context, assignment)``, so independent candidates fan out across the
+  ``(context, request)``, so independent candidates fan out across the
   :mod:`repro.engine` process pool (``jobs=N``) with deterministic merging:
   serial and parallel runs produce identical :class:`SynthesisResult`\\ s.
 
-Candidate *generation* (graph partitioning) runs serially in the parent and
-is timed as the ``partition`` row, one sample per candidate build; it is
-about a fifth of a default d65_pipe synthesis. Only evaluation — routing,
-LP, floorplanning, metrics — is distributed. The switch-count sweep is two
-plain functions over a batch evaluator: :func:`_phase1` retries failed
-switch counts at each next θ (Algorithm 1, Steps 11-19); :func:`_phase2` is
-a single round that records never-met switch counts.
+A candidate is named by a small :class:`CandidateRequest` — phase, switch
+counts and θ — and the first stage, ``partition``, builds its core-to-switch
+assignment from that name. The switch-count sweep is two plain functions
+over a batch evaluator: :func:`_phase1` retries failed switch counts at each
+next θ (Algorithm 1, Steps 11-19); :func:`_phase2` is a single round that
+records never-met switch counts.
 
 Entry point: :func:`run_synthesis`; ``repro.core.synthesize`` builds the
 context from a spec pair and calls it.
@@ -34,8 +35,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -49,15 +48,15 @@ from repro.core.assignment import Assignment, violates_ill_precheck
 from repro.core.config import SynthesisConfig
 from repro.core.design_point import DesignPoint, SynthesisResult
 from repro.core.paths import build_topology_skeleton, compute_paths
-from repro.core.phase1 import (
-    THETA_VALUES,
-    phase1_candidate,
-    phase1_scaled_candidate,
-    switch_count_bounds,
-)
-from repro.core.phase2 import phase2_candidates
+from repro.core.phase1 import THETA_VALUES, phase1_candidate, switch_count_bounds
+from repro.core.phase2 import phase2_candidate, phase2_switch_counts
 from repro.core.placement import optimise_switch_positions
-from repro.errors import PathComputationError, SpecError, SynthesisError
+from repro.errors import (
+    PathComputationError,
+    SpecError,
+    SupervisionError,
+    SynthesisError,
+)
 from repro.floorplan.constrained import constrained_insert
 from repro.floorplan.geometry import Rect
 from repro.floorplan.inserter import NewComponent, insert_components
@@ -130,11 +129,32 @@ class FlowContext:
         )
 
 
+@dataclass(frozen=True)
+class CandidateRequest:
+    """One candidate of the switch-count sweep, named by what the
+    ``partition`` stage needs to build it: the phase, the switch counts
+    (Phase 1: the one total; Phase 2: one per layer) and, for a Phase 1
+    SPG retry, θ."""
+
+    phase: str
+    switch_counts: Tuple[int, ...]
+    theta: Optional[float] = None
+
+    @property
+    def count(self) -> int:
+        return sum(self.switch_counts)
+
+    @property
+    def key(self) -> Tuple[object, ...]:
+        return (self.phase, self.count, self.theta)
+
+
 @dataclass
 class CandidateState:
     """Mutable scratch state threaded through the stages of one candidate."""
 
-    assignment: Assignment
+    request: CandidateRequest
+    assignment: Optional[Assignment] = None
     topology: Optional[Topology] = None
     floorplan: Optional[ChipFloorplan] = None
     final_centers: Optional[Dict[int, Tuple[float, float]]] = None
@@ -341,6 +361,31 @@ _PATHS_CONFIG_INPUTS: Tuple[str, ...] = (
     "use_soft_thresholds",
     "flow_order",
 )
+
+
+class PartitionStage(Stage):
+    """Core-to-switch connectivity: the PG or SPG cut of Algorithm 1 or the
+    per-layer LPG cuts of Algorithm 2, as the request names it."""
+
+    name = "partition"
+    salt = "v1"
+    cacheable = True
+    context_inputs = ("graph",)
+    config_inputs = ("alpha", "switch_layer_mode")
+    state_inputs = ("request",)
+    state_outputs = ("assignment",)
+
+    def run(self, ctx: FlowContext, state: CandidateState) -> None:
+        request = state.request
+        if request.phase == "phase1":
+            state.assignment = phase1_candidate(
+                ctx.graph, ctx.config.alpha, ctx.config.switch_layer_mode,
+                request.count, request.theta,
+            )
+        else:
+            state.assignment = phase2_candidate(
+                ctx.graph, ctx.config.alpha, request.switch_counts
+            )
 
 
 class IllPrecheckStage(Stage):
@@ -604,8 +649,8 @@ class MetricsStage(Stage):
 #: name -> stage class, in Fig. 3 order: the one stage sequence.
 STAGE_REGISTRY: Dict[str, Type[Stage]] = {
     cls.name: cls for cls in (
-        IllPrecheckStage, SkeletonStage, RoutingStage, PlacementLPStage,
-        FloorplanStage, LatencyVerifyStage, MetricsStage,
+        PartitionStage, IllPrecheckStage, SkeletonStage, RoutingStage,
+        PlacementLPStage, FloorplanStage, LatencyVerifyStage, MetricsStage,
     )
 }
 
@@ -628,11 +673,12 @@ class Pipeline:
     def evaluate(
         self,
         ctx: FlowContext,
-        assignment: Assignment,
+        request: CandidateRequest,
         timings: Optional[StageTimings] = None,
         stage_cache=None,
     ) -> CandidateState:
-        """Run every stage on a fresh state; stop at the first rejection.
+        """Run every stage on a fresh state for ``request``; stop at the
+        first rejection.
 
         With a ``stage_cache`` (:class:`repro.engine.stagecache.StageCache`)
         each stage is first looked up under the fingerprint of its declared
@@ -643,7 +689,7 @@ class Pipeline:
         marker; a miss runs the stage and checkpoints its outputs. Hard
         (non-:class:`StageFailure`) errors propagate without caching.
         """
-        state = CandidateState(assignment=assignment)
+        state = CandidateState(request=request)
         chain: List[object] = []
         # ``state field -> fingerprint of the stage that last wrote it``;
         # downstream fingerprints fold in the producer fingerprint instead
@@ -708,19 +754,6 @@ class Pipeline:
 # the two candidate phases
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CandidateRequest:
-    """One queued candidate: a built assignment plus its sweep provenance."""
-
-    assignment: Assignment
-    count: int
-    theta: Optional[float] = None
-
-    @property
-    def key(self) -> Tuple[object, ...]:
-        return (self.assignment.phase, self.count, self.theta)
-
-
 def _evaluate_round(
     evaluate: Callable[[Sequence[CandidateRequest]], List[CandidateOutcome]],
     requests: Sequence[CandidateRequest],
@@ -740,74 +773,33 @@ def _evaluate_round(
     return met, failed
 
 
-def _timed_builds(
-    assignments: Iterable[Assignment], timings: Optional[StageTimings]
-) -> Iterator[Assignment]:
-    """Yield ``assignments``, adding the seconds each took to build (graph
-    partitioning, in the parent process) as one ``partition`` sample."""
-    assignments = iter(assignments)
-    while True:
-        start = time.perf_counter()
-        assignment = next(assignments, None)
-        if assignment is None:
-            return
-        if timings is not None:
-            timings.add("partition", time.perf_counter() - start)
-        yield assignment
-
-
 def _mark_unmet(result: SynthesisResult, unmet: set) -> None:
     result.unmet_switch_counts = sorted(
         set(result.unmet_switch_counts) | unmet
     )
 
 
-def _phase1(
-    ctx: FlowContext,
-    evaluate: Callable,
-    result: SynthesisResult,
-    timings: Optional[StageTimings] = None,
-) -> None:
+def _phase1(ctx: FlowContext, evaluate: Callable, result: SynthesisResult) -> None:
     """Algorithm 1: one PG candidate per switch count, then one SPG round
     per θ for the counts still failing (the Unmet-set retry, Steps 11-19).
     Counts that fail at the last θ are unmet."""
     lo, hi = switch_count_bounds(ctx.graph, ctx.config)
-    counts = list(range(lo, hi + 1))
-    built = _timed_builds(
-        (phase1_candidate(ctx.graph, ctx.config, c) for c in counts), timings
-    )
-    _, failed = _evaluate_round(evaluate, [
-        CandidateRequest(assignment, count)
-        for assignment, count in zip(built, counts)
-    ], result)
-    for theta in THETA_VALUES:
+    failed = list(range(lo, hi + 1))
+    for theta in (None,) + THETA_VALUES:
         if not failed:
             break
-        built = _timed_builds((
-            phase1_scaled_candidate(ctx.graph, ctx.config, c, theta)
-            for c in failed
-        ), timings)
         _, failed = _evaluate_round(evaluate, [
-            CandidateRequest(assignment, count, theta)
-            for assignment, count in zip(built, failed)
+            CandidateRequest("phase1", (count,), theta) for count in failed
         ], result)
     _mark_unmet(result, set(failed))
 
 
-def _phase2(
-    ctx: FlowContext,
-    evaluate: Callable,
-    result: SynthesisResult,
-    timings: Optional[StageTimings] = None,
-) -> None:
+def _phase2(ctx: FlowContext, evaluate: Callable, result: SynthesisResult) -> None:
     """Algorithm 2: one round over all layer-local candidates. A switch
     count is unmet only if *no* candidate at that count produced a point."""
-    built = _timed_builds(
-        phase2_candidates(ctx.graph, ctx.config, ctx.library), timings
-    )
     met, failed = _evaluate_round(evaluate, [
-        CandidateRequest(assignment, assignment.num_switches)
-        for assignment in built
+        CandidateRequest("phase2", counts)
+        for counts in phase2_switch_counts(ctx.graph, ctx.config, ctx.library)
     ], result)
     _mark_unmet(result, set(failed) - set(met))
 
@@ -828,13 +820,29 @@ def _make_batch_evaluator(
     """Evaluate a round serially (``jobs=1``) or fanned across the engine
     pool, returning outcomes in submission order either way."""
     pipeline = Pipeline()
+    retries = supervision.retries if supervision is not None else 0
+
+    def evaluate_one(request: CandidateRequest) -> CandidateOutcome:
+        # A candidate whose evaluation raised re-runs at once, as
+        # ``engine.tasks.run_task`` retries a worker task; a StageFailure
+        # rejection is an outcome, not an error, so it never gets here.
+        for attempt in range(retries + 1):
+            try:
+                return pipeline.evaluate(
+                    ctx, request, stage_cache=stage_cache
+                ).outcome()
+            except Exception as exc:
+                if attempt == retries or isinstance(exc, SupervisionError):
+                    raise
 
     def serial(requests: Sequence[CandidateRequest]) -> List[CandidateOutcome]:
         outcomes: List[CandidateOutcome] = []
         total = len(requests)
         for i, req in enumerate(requests):
-            state = pipeline.evaluate(ctx, req.assignment, timings, stage_cache)
-            outcomes.append(state.outcome())
+            outcome = evaluate_one(req)
+            if timings is not None:
+                timings.merge(outcome.stage_seconds, outcome.cached_stages)
+            outcomes.append(outcome)
             if progress is not None:
                 progress(i + 1, total, req.key)
         return outcomes
@@ -863,7 +871,7 @@ def _make_batch_evaluator(
                 core_spec=ctx.core_spec,
                 comm_spec=ctx.comm_spec,
                 config=ctx.config,
-                assignment=req.assignment,
+                request=req,
                 library=ctx.library,
                 context_token=context_token,
                 stage_cache_dir=stage_cache_dir,
@@ -929,7 +937,9 @@ def run_synthesis(
             ``(done_in_round, round_total, key)``.
         timings: Optional :class:`StageTimings` accumulator to fill.
         supervision: Optional :class:`repro.engine.supervise.Supervision`
-            of the candidate fan-out (parallel runs). Under
+            of the candidate evaluations. Its ``retries`` re-run a
+            candidate whose evaluation raised, serial or parallel; its
+            deadline applies to parallel runs only. Under
             ``on_error="quarantine"`` a candidate lost to a worker crash
             or deadline is treated as a failed candidate, not a fatal
             error.
@@ -952,7 +962,7 @@ def run_synthesis(
     result = SynthesisResult()
     phase = ctx.config.phase
     if phase in ("auto", "phase1"):
-        _phase1(ctx, evaluate, result, timings)
+        _phase1(ctx, evaluate, result)
     if phase == "phase2" or (phase == "auto" and result.is_empty):
-        _phase2(ctx, evaluate, result, timings)
+        _phase2(ctx, evaluate, result)
     return result

@@ -2,7 +2,7 @@
 
 PR 5's :class:`~repro.engine.store.ResultStore` caches whole engine tasks:
 a sweep point either hits entirely or recomputes entirely. This layer
-pushes the same content addressing down to the seven-stage granularity of
+pushes the same content addressing down to the stage granularity of
 :mod:`repro.core.pipeline` — each :class:`~repro.core.pipeline.Stage`
 declares the exact subset of context/config/state fields it reads plus a
 code-version salt, and :class:`StageCache` fingerprints those inputs
@@ -200,7 +200,7 @@ class StageCache:
         field's value — the producer is deterministic, so equal producer
         fingerprints imply equal values, and the (large) routed topology
         never needs re-hashing per candidate. Fields with no recorded
-        producer (the initial assignment; anything touched by an uncached
+        producer (the candidate's request; anything touched by an uncached
         stage) hash by value. Returns ``None`` — run uncached — for stages
         that did not opt in (``cacheable=False``) or whose inputs have no
         stable representation.

@@ -7,11 +7,11 @@ Four task types cross the ``ProcessPoolExecutor`` boundary:
   opaque ``key`` the caller uses to file the merged result. The worker
   runs the *whole* staged flow for that point.
 * :class:`CandidateTask` — one connectivity candidate *inside* a synthesis
-  run: the same value objects plus a pre-built
-  :class:`~repro.core.assignment.Assignment`; the worker evaluates it
-  through the fixed Fig. 3 stage sequence. ``synthesize(..., jobs=N)`` fans
-  these out so a single run parallelises across its own switch-count
-  sweep.
+  run: the same value objects plus the candidate's
+  :class:`~repro.core.pipeline.CandidateRequest` (phase, switch counts,
+  θ); the worker partitions and evaluates it through the fixed Fig. 3
+  stage sequence. ``synthesize(..., jobs=N)`` fans these out so a single
+  run parallelises across its own switch-count sweep.
 * :class:`SimulationTask` — one wormhole-simulation run of a
   (seed × injection scale × traffic scenario) load-sweep campaign over an
   already-synthesized topology
@@ -98,7 +98,7 @@ class CandidateTask:
     core_spec: CoreSpec
     comm_spec: CommSpec
     config: SynthesisConfig
-    assignment: object
+    request: object
     library: Optional[NocLibrary] = None
     #: Parent-generated token identifying the run's FlowContext; candidate
     #: tasks sharing a token share the rebuilt context in the worker.
@@ -476,7 +476,7 @@ def _run_candidate_task(task: CandidateTask) -> TaskResult:
 
         ctx = _candidate_context(task)
         return Pipeline().evaluate(
-            ctx, task.assignment, stage_cache=_shared_stage_cache(task)
+            ctx, task.request, stage_cache=_shared_stage_cache(task)
         ).outcome()
 
     return _timed_task(task.key, body)

@@ -89,8 +89,3 @@ def bounding_box(rects: Iterable[Rect]) -> Optional[Rect]:
     x2 = max(r.x2 for r in rects)
     y2 = max(r.y2 for r in rects)
     return Rect(x=x1, y=y1, width=x2 - x1, height=y2 - y1)
-
-
-def manhattan(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    """Manhattan distance between two points."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])

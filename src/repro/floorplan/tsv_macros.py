@@ -107,8 +107,3 @@ def place_tsv_macros(
         for c in comps:
             out.add(c)
     return out
-
-
-def count_explicit_macros(links: Sequence[VerticalLinkSpec]) -> int:
-    """Number of explicit (intermediate-layer) macros the links require."""
-    return sum(len(l.intermediate_layers) for l in links)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable
 
 
 def make_rng(seed: int, *salt: object) -> random.Random:
@@ -31,10 +30,3 @@ def make_rng(seed: int, *salt: object) -> random.Random:
         digest = hashlib.md5(key).hexdigest()
         return random.Random(int(digest[:16], 16))
     return random.Random(int(seed))
-
-
-def stable_shuffle(items: Iterable, seed: int, *salt: object) -> list:
-    """Return a deterministically shuffled copy of ``items``."""
-    out = list(items)
-    make_rng(seed, "shuffle", *salt).shuffle(out)
-    return out

@@ -31,15 +31,6 @@ DEFAULT_FREQUENCY_MHZ = 400.0
 MAX_UNREPEATED_LINK_MM = 1.5
 
 
-def mbps_to_bits_per_cycle(bandwidth_mbps: float, frequency_mhz: float) -> float:
-    """Convert a bandwidth in MB/s to bits transferred per NoC clock cycle."""
-    if frequency_mhz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_mhz}")
-    bits_per_us = bandwidth_mbps * BITS_PER_BYTE  # MB/s == B/us -> bits/us
-    cycles_per_us = frequency_mhz
-    return bits_per_us / cycles_per_us
-
-
 def link_capacity_mbps(width_bits: int, frequency_mhz: float) -> float:
     """Peak bandwidth of a link of ``width_bits`` clocked at ``frequency_mhz``.
 
@@ -62,11 +53,6 @@ def flits_per_second(bandwidth_mbps: float, width_bits: int) -> float:
         raise ValueError(f"link width must be positive, got {width_bits}")
     bytes_per_flit = width_bits / BITS_PER_BYTE
     return bandwidth_mbps / bytes_per_flit
-
-
-def pj_per_s_to_mw(energy_pj_per_s: float) -> float:
-    """Convert an energy rate in pJ/s to milliwatts."""
-    return energy_pj_per_s * 1e-9
 
 
 def mega_ops_energy_to_mw(mega_ops_per_s: float, energy_pj: float) -> float:

@@ -43,8 +43,8 @@ class TestAlphaSweep:
         from repro.graphs.comm_graph import build_comm_graph
 
         graph = build_comm_graph(core_spec, comm_spec)
-        a_bw = phase1_candidate(graph, SynthesisConfig(alpha=1.0), 3)
-        a_lat = phase1_candidate(graph, SynthesisConfig(alpha=0.0), 3)
+        a_bw = phase1_candidate(graph, 1.0, "mean", 3)
+        a_lat = phase1_candidate(graph, 0.0, "mean", 3)
         # Bandwidth clustering puts C0+C1 together; latency clustering puts
         # C2+C3 together.
         assert a_bw.core_to_switch[0] == a_bw.core_to_switch[1]

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.floorplan.geometry import (
     Rect,
     bounding_box,
-    manhattan,
     overlap_area,
     rects_overlap,
 )
@@ -64,9 +63,6 @@ class TestBoundingBox:
     def test_multiple(self):
         bbox = bounding_box([Rect(0, 0, 1, 1), Rect(4, 5, 1, 1)])
         assert bbox.x2 == 5.0 and bbox.y2 == 6.0
-
-    def test_manhattan(self):
-        assert manhattan((0, 0), (3, 4)) == 7.0
 
 
 class TestOverlapProperties:

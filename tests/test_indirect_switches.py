@@ -10,6 +10,8 @@ heavy port pressure and that, with the repair patched out, synthesis never
 produces indirect switches.
 """
 
+import copy
+
 import pytest
 
 from repro.core import paths
@@ -20,8 +22,11 @@ from repro.core.paths import (
     build_topology_skeleton,
     compute_paths,
 )
+from repro.engine.reference import naive_compute_paths
+from repro.errors import PathComputationError
 from repro.graphs.comm_graph import build_comm_graph
 from repro.models.library import default_library
+from repro.noc.export import topology_to_dict
 from repro.spec.comm_spec import CommSpec, TrafficFlow
 from repro.spec.core_spec import Core, CoreSpec
 
@@ -103,3 +108,47 @@ class TestFullFlowUnderPortPressure:
         result = synthesize(core_spec, comm_spec, config=cfg)
         for p in result.points:
             assert not any(sw.is_indirect for sw in p.topology.switches)
+
+
+def _max_ill_setup():
+    """Four cores on two layers, one switch each, under max_ill=2: routed in
+    bandwidth order, flow C3->C2 finds no path over the four core switches,
+    and routes once one indirect switch per layer is in. Found by a random
+    search over small hand-assigned designs."""
+    cores = CoreSpec(cores=[
+        Core("C0", 1, 1, 0.0, 0.0, 0), Core("C1", 1, 1, 1.4, 0.0, 1),
+        Core("C2", 1, 1, 2.8, 0.0, 0), Core("C3", 1, 1, 0.0, 1.4, 1),
+    ])
+    comm = CommSpec(flows=[
+        TrafficFlow("C3", "C2", 50, 20),
+        TrafficFlow("C2", "C1", 600, 8),
+        TrafficFlow("C0", "C3", 200, 8),
+        TrafficFlow("C3", "C0", 200, 20),
+        TrafficFlow("C1", "C0", 50, 8),
+    ])
+    graph = build_comm_graph(cores, comm)
+    library = default_library()
+    config = SynthesisConfig(max_ill=2)
+    assignment = assignment_from_blocks(
+        [[0], [3], [1], [2]], graph, "mean", "phase1"
+    )
+    centers = {i: c.center for i, c in enumerate(cores)}
+    topo = build_topology_skeleton(assignment, graph, library, config, centers)
+    return topo, graph, library, config, centers
+
+
+class TestRepairChangesTheOutcome:
+    def test_indirect_switch_lets_the_flow_route(self):
+        skeleton, *args = _max_ill_setup()
+        routed = copy.deepcopy(skeleton)
+        compute_paths(routed, *args)
+        assert [sw.layer for sw in routed.switches if sw.is_indirect] == [1, 0]
+        assert len(routed.routes) == len(args[0].edges)
+        naive = copy.deepcopy(skeleton)
+        naive_compute_paths(naive, *args)
+        assert topology_to_dict(routed) == topology_to_dict(naive)
+
+    def test_without_the_repair_the_flow_fails(self, no_repair):
+        skeleton, *args = _max_ill_setup()
+        with pytest.raises(PathComputationError, match="flow 3->2"):
+            compute_paths(skeleton, *args)

@@ -6,17 +6,29 @@ independent design-rule verifier of :mod:`repro.core.verification` — route
 completeness, deadlock freedom, capacity, TSV and switch-size constraints,
 latency, floorplan legality, TSV macros. Generated SoCs the size of the
 paper's benchmarks (26-40 cores) go through the same check.
+
+The same generated SoCs, in Phase 1 and in Phase 2, must give the same
+points serially, on two workers, from a warm result store and from a warm
+stage cache (``make fuzz`` raises the example budget to 500).
 """
+
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.synthetic import synthetic_benchmark
+from repro.core import phase1, phase2
 from repro.core.config import SynthesisConfig
 from repro.core.pipeline import FlowContext, run_synthesis
 from repro.core.synthesis import synthesize
 from repro.core.verification import verify_design_point
+from repro.engine.executor import run_tasks
+from repro.engine.store import ResultStore
+from repro.engine.tasks import SynthesisTask
+from repro.graphs.partition import kway_min_cut
 from repro.models.library import default_library
+from repro.noc.export import design_point_to_dict
 from repro.spec.comm_spec import CommSpec, MessageType, TrafficFlow
 from repro.spec.core_spec import Core, CoreSpec
 
@@ -79,6 +91,62 @@ class TestRandomDesigns:
         result = synthesize(core_spec, comm_spec, config=config)
         for point in result.points:
             assert point.metrics.max_ill_used <= max_ill
+
+
+def _docs(result):
+    return [design_point_to_dict(p) for p in result.points]
+
+
+class TestExecutionPathIdentity:
+    """One result whatever path computes it: jobs=1, jobs=2, a warm result
+    store, and a warm stage cache with only the metrics objective changed,
+    which must serve every partition from the cache."""
+
+    # Each example starts process pools, so the 'fuzz' profile's budget is
+    # capped at 500 examples here (5000 took about 55 minutes on 2 vCPUs).
+    @settings(
+        max_examples=min(settings.default.max_examples, 500),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(design=random_design())
+    def test_every_path_gives_the_same_points(self, design):
+        core_spec, comm_spec = design
+        for phase in ("phase1", "phase2"):
+            config = SynthesisConfig(
+                max_ill=8, switch_count_range=(1, 4), phase=phase
+            )
+            ctx = FlowContext.build(core_spec, comm_spec, config=config)
+            serial = _docs(run_synthesis(ctx, jobs=1))
+            assert _docs(run_synthesis(ctx, jobs=2)) == serial
+            with tempfile.TemporaryDirectory() as root:
+                store = ResultStore(root)
+
+                def run(cfg):
+                    task = SynthesisTask(
+                        key=phase, core_spec=core_spec, comm_spec=comm_spec,
+                        config=cfg, stage_cache_dir=root,
+                        stage_cache_salt=store.salt,
+                    )
+                    return run_tasks([task], store=store)[0]
+
+                cold, warm = run(config), run(config)
+                assert not cold.cached and warm.cached
+                assert _docs(cold.result) == _docs(warm.result) == serial
+                calls = []
+
+                def counting(*args):
+                    calls.append(args)
+                    return kway_min_cut(*args)
+
+                with pytest.MonkeyPatch.context() as patch:
+                    for module in (phase1, phase2):
+                        patch.setattr(module, "kway_min_cut", counting)
+                    flipped = run(config.with_(objective="latency"))
+                assert not flipped.cached
+                assert _docs(flipped.result) == serial
+                assert flipped.stage_cache["partition"]["misses"] == 0
+                assert calls == []
 
 
 class TestRegistryScaleDesigns:

@@ -79,7 +79,9 @@ def test_generated_designs_route_like_the_oracle(case):
     library = default_library()
     graph = build_comm_graph(bench.core_spec_3d, bench.comm_spec)
     centers = {i: core.center for i, core in enumerate(bench.core_spec_3d)}
-    assignment = phase1_candidate(graph, config, count)
+    assignment = phase1_candidate(
+        graph, config.alpha, config.switch_layer_mode, count
+    )
     try:
         skeletons = [
             build_topology_skeleton(assignment, graph, library, config, centers)

@@ -1,12 +1,7 @@
 """Phase 1 candidate generation (repro.core.phase1, Algorithm 1)."""
 
 from repro.core.config import SynthesisConfig
-from repro.core.phase1 import (
-    phase1_candidate,
-    phase1_candidates,
-    phase1_scaled_candidate,
-    switch_count_bounds,
-)
+from repro.core.phase1 import phase1_candidate, switch_count_bounds
 from repro.graphs.comm_graph import build_comm_graph
 from repro.spec.comm_spec import CommSpec, TrafficFlow
 from repro.spec.core_spec import Core, CoreSpec
@@ -45,33 +40,31 @@ class TestBounds:
 class TestCandidates:
     def test_one_candidate_per_count(self):
         g = _graph()
-        cfg = SynthesisConfig(switch_count_range=(1, 6))
-        cands = list(phase1_candidates(g, cfg))
+        cands = [phase1_candidate(g, 0.5, "mean", c) for c in range(1, 7)]
         assert [c.num_switches for c in cands] == [1, 2, 3, 4, 5, 6]
-        assert all(c.phase == "phase1" for c in cands)
+        assert all(c.phase == "phase1" and c.theta is None for c in cands)
 
     def test_blocks_balanced(self):
         g = _graph()
-        a = phase1_candidate(g, SynthesisConfig(), 3)
+        a = phase1_candidate(g, 0.5, "mean", 3)
         sizes = sorted(len(b) for b in a.blocks)
         assert sizes == [2, 2, 2]
 
     def test_heavy_pair_shares_switch(self):
         g = _graph()
-        a = phase1_candidate(g, SynthesisConfig(alpha=1.0), 3)
+        a = phase1_candidate(g, 1.0, "mean", 3)
         c2s = a.core_to_switch
         assert c2s[0] == c2s[1]  # the 500 MB/s pair
 
     def test_cross_layer_block_gets_intermediate_layer(self):
         g = _graph()
-        a = phase1_candidate(g, SynthesisConfig(), 3)
+        a = phase1_candidate(g, 0.5, "mean", 3)
         # All switch layers must be valid layer indices.
         assert all(0 <= l < 2 for l in a.switch_layers)
 
     def test_scaled_candidate_prefers_same_layer(self):
         g = _graph()
-        cfg = SynthesisConfig(alpha=1.0)
-        scaled = phase1_scaled_candidate(g, cfg, 2, theta=15.0)
+        scaled = phase1_candidate(g, 1.0, "mean", 2, theta=15.0)
         assert scaled.theta == 15.0
         # With strong scaling the two blocks align with the two layers.
         for block in scaled.blocks:
@@ -80,7 +73,6 @@ class TestCandidates:
 
     def test_deterministic(self):
         g = _graph()
-        cfg = SynthesisConfig(seed=3)
-        a = phase1_candidate(g, cfg, 3)
-        b = phase1_candidate(g, cfg, 3)
+        a = phase1_candidate(g, 0.5, "mean", 3)
+        b = phase1_candidate(g, 0.5, "mean", 3)
         assert a.blocks == b.blocks

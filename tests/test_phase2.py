@@ -6,7 +6,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.phase2 import (
     minimum_switches_per_layer,
     phase2_candidate,
-    phase2_candidates,
+    phase2_switch_counts,
 )
 from repro.errors import SynthesisError
 from repro.graphs.comm_graph import build_comm_graph
@@ -50,7 +50,7 @@ class TestMinimumSwitches:
 class TestCandidates:
     def test_every_core_assigned_same_layer_switch(self):
         g = _graph()
-        a = phase2_candidate(g, SynthesisConfig(), default_library(), 0)
+        a = phase2_candidate(g, 0.5, (1, 1, 1))
         assert a.phase == "phase2"
         c2s = a.core_to_switch
         for core in range(g.n):
@@ -59,28 +59,34 @@ class TestCandidates:
 
     def test_increment_grows_all_layers(self):
         g = _graph()
-        lib = default_library()
-        a0 = phase2_candidate(g, SynthesisConfig(), lib, 0)
-        a1 = phase2_candidate(g, SynthesisConfig(), lib, 1)
-        assert a1.num_switches == a0.num_switches + 3  # +1 per layer
+        plans = phase2_switch_counts(g, SynthesisConfig(), default_library())
+        assert plans[:2] == [(1, 1, 1), (2, 2, 2)]  # +1 per layer
 
     def test_increment_capped_at_cores_per_layer(self):
-        g = _graph()
-        lib = default_library()
-        a_max = phase2_candidate(g, SynthesisConfig(), lib, 99)
+        # Layer sizes 4, 3, 2: a layer stops growing at one switch per core.
+        cores = CoreSpec(cores=[
+            Core(f"C{i}", 1, 1, 1.5 * (i % 3), 1.5 * (i // 3), layer)
+            for i, layer in enumerate((0, 0, 0, 0, 1, 1, 1, 2, 2))
+        ])
+        g = build_comm_graph(cores, CommSpec(flows=[
+            TrafficFlow("C0", "C4", 300, 8),
+            TrafficFlow("C5", "C7", 200, 8),
+        ]))
+        plans = phase2_switch_counts(g, SynthesisConfig(), default_library())
+        assert plans == [(1, 1, 1), (2, 2, 2), (3, 3, 2), (4, 3, 2)]
+        a_max = phase2_candidate(g, 0.5, plans[-1])
         assert a_max.num_switches == g.n  # one switch per core
 
     def test_candidate_sweep_sizes(self):
         g = _graph()
-        cands = list(phase2_candidates(g, SynthesisConfig(), default_library()))
-        sizes = [c.num_switches for c in cands]
-        assert sizes == [3, 6, 9]
+        plans = phase2_switch_counts(g, SynthesisConfig(), default_library())
+        sizes = [phase2_candidate(g, 0.5, p).num_switches for p in plans]
+        assert sizes == [sum(p) for p in plans] == [3, 6, 9]
 
     def test_switch_count_range_filter(self):
         g = _graph()
         cfg = SynthesisConfig(switch_count_range=(4, 8))
-        cands = list(phase2_candidates(g, cfg, default_library()))
-        assert [c.num_switches for c in cands] == [6]
+        assert phase2_switch_counts(g, cfg, default_library()) == [(2, 2, 2)]
 
     def test_empty_layer_rejected(self):
         cores = CoreSpec(cores=[

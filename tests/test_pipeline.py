@@ -12,9 +12,13 @@ from repro.core.phase1 import THETA_VALUES
 from repro.core.pipeline import (
     DEFAULT_STAGE_NAMES,
     CandidateOutcome,
+    CandidateRequest,
     FloorplanStage,
     FlowContext,
+    IllPrecheckStage,
     Pipeline,
+    RoutingStage,
+    StageFailure,
     StageTimings,
     _phase1,
     _phase2,
@@ -24,10 +28,12 @@ from repro.core.pipeline import (
 from repro.core.synthesis import synthesize
 from repro.engine.stagecache import StageCache
 from repro.engine.store import ResultStore
+from repro.engine.supervise import Supervision
 from repro.errors import SynthesisError
 from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import ChipFloorplan, PlacedComponent
 from repro.models.library import default_library
+from repro.noc.export import design_point_to_dict
 from repro.noc.topology import Topology
 from repro.spec.core_spec import Core, CoreSpec
 
@@ -84,17 +90,23 @@ class TestStageTimings:
         assert timings.count("precheck") == len(keys)
         assert timings.total_s("partition") > 0.0
 
-    def test_partition_row_stays_out_of_the_stage_cache(
-        self, tiny_specs, tmp_path
-    ):
+    def test_partition_row_is_stage_cached(self, tiny_specs, tmp_path):
+        """Partitioning is a stage like the others: a rerun over the same
+        stage cache serves every partition from it."""
         core_spec, comm_spec = tiny_specs
-        cache = StageCache(ResultStore(tmp_path))
+        config = SynthesisConfig(max_ill=10)
+        cold = StageCache(ResultStore(tmp_path))
+        synthesize(core_spec, comm_spec, config=config, stage_cache=cold)
+        assert cold.counters["partition"].misses > 0
+        warm = StageCache(ResultStore(tmp_path))
         timings = StageTimings()
-        synthesize(core_spec, comm_spec, config=SynthesisConfig(max_ill=10),
-                   stage_cache=cache, timings=timings)
-        assert timings.count("partition") > 0
-        assert not timings.cached_count("partition")
-        assert set(cache.stats_dict()) <= set(DEFAULT_STAGE_NAMES)
+        synthesize(core_spec, comm_spec, config=config, stage_cache=warm,
+                   timings=timings)
+        calls = timings.count("partition")
+        assert calls == timings.cached_count("partition") > 0
+        assert warm.stats_dict()["partition"]["hits"] == calls
+        assert warm.stats_dict()["partition"]["misses"] == 0
+        assert "(%d cached)" % calls in timings.report()
 
     def test_tool_records_last_timings(self, tiny_specs):
         """The spec-level ``synthesize`` passes ``timings`` through."""
@@ -147,10 +159,8 @@ class TestPhase2UnmetTracking:
         """Regression: a failing candidate must not leave its switch count
         in the unmet set when another candidate at that count succeeds."""
         monkeypatch.setattr(
-            pipeline_module, "phase2_candidates",
-            lambda graph, config, library: [
-                SimpleNamespace(num_switches=n) for n in (3, 3, 4)
-            ],
+            pipeline_module, "phase2_switch_counts",
+            lambda graph, config, library: [(3,), (3,), (4,)],
         )
         evaluate = ScriptedEvaluate([
             CandidateOutcome(point=None, failed_stage="routing"),
@@ -170,6 +180,95 @@ class TestPhase2UnmetTracking:
         result = synthesize(core_spec, comm_spec, config=cfg)
         met = {p.assignment.num_switches for p in result.points}
         assert not met & set(result.unmet_switch_counts)
+
+
+class TestPhase2Planning:
+    def test_only_in_range_candidates_are_partitioned(
+        self, small_specs, monkeypatch
+    ):
+        """The planner sizes every candidate from the layer counts, so a
+        switch-count range costs one cut per layer of each kept candidate,
+        and those candidates are exactly the unbounded run's."""
+        from repro.core import phase2
+
+        core_spec, comm_spec = small_specs
+        config = SynthesisConfig(max_ill=12, phase="phase2")
+        unbounded = synthesize(core_spec, comm_spec, config=config)
+        calls = []
+        real = phase2.kway_min_cut
+
+        def counting(n, weights, k):
+            calls.append(k)
+            return real(n, weights, k)
+
+        monkeypatch.setattr(phase2, "kway_min_cut", counting)
+        keys = []
+        ranged = synthesize(
+            core_spec, comm_spec,
+            config=config.with_(switch_count_range=(4, 8)),
+            progress=lambda done, total, key: keys.append(key),
+        )
+        assert keys == [("phase2", 6, None)]
+        assert calls == [2, 2, 2]  # one cut per layer, two switches each
+        assert [design_point_to_dict(p) for p in ranged.points] == [
+            design_point_to_dict(p)
+            for p in unbounded.points if 4 <= p.switch_count <= 8
+        ]
+
+
+class TestSerialRetries:
+    """``supervision.retries`` re-runs a serially evaluated candidate whose
+    evaluation raised, as the engine retries a worker task."""
+
+    CONFIG = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))
+
+    @staticmethod
+    def _raise_once(monkeypatch, stage_cls):
+        real = stage_cls.run
+        left = [1]
+
+        def flaky(self, ctx, state):
+            if left[0]:
+                left[0] -= 1
+                raise RuntimeError("transient")
+            real(self, ctx, state)
+
+        monkeypatch.setattr(stage_cls, "run", flaky)
+
+    def test_retry_recovers_the_clean_points(self, tiny_specs, monkeypatch):
+        ctx = FlowContext.build(*tiny_specs, config=self.CONFIG)
+        clean = run_synthesis(ctx)
+        self._raise_once(monkeypatch, RoutingStage)
+        retried = run_synthesis(ctx, supervision=Supervision(retries=1))
+        assert [design_point_to_dict(p) for p in retried.points] == [
+            design_point_to_dict(p) for p in clean.points
+        ]
+        assert retried.unmet_switch_counts == clean.unmet_switch_counts
+
+    def test_no_retries_raises(self, tiny_specs, monkeypatch):
+        ctx = FlowContext.build(*tiny_specs, config=self.CONFIG)
+        self._raise_once(monkeypatch, RoutingStage)
+        with pytest.raises(RuntimeError, match="transient"):
+            run_synthesis(ctx, supervision=Supervision(retries=0))
+
+    def test_rejection_is_not_retried(self, tiny_specs, monkeypatch):
+        ctx = FlowContext.build(
+            *tiny_specs, config=self.CONFIG.with_(phase="phase1")
+        )
+        runs = []
+
+        def reject(self, ctx, state):
+            runs.append(state.request)
+            raise StageFailure("rejected")
+
+        monkeypatch.setattr(IllPrecheckStage, "run", reject)
+        keys = []
+        result = run_synthesis(
+            ctx, supervision=Supervision(retries=2),
+            progress=lambda done, total, key: keys.append(key),
+        )
+        assert result.is_empty
+        assert len(runs) == len(keys) == 2 * (1 + len(THETA_VALUES))
 
 
 class TestPhase1RequeuePolicy:
@@ -265,10 +364,13 @@ class TestCompatibilityWrappers:
         core_spec, comm_spec = tiny_specs
         ctx = FlowContext.build(core_spec, comm_spec,
                                 config=SynthesisConfig(max_ill=10))
-        assignment = phase1_candidate(ctx.graph, ctx.config, 2)
-        point = Pipeline().evaluate(ctx, assignment).point
+        point = Pipeline().evaluate(
+            ctx, CandidateRequest("phase1", (2,))
+        ).point
         assert point is not None
-        assert point.assignment == assignment
+        assert point.assignment == phase1_candidate(
+            ctx.graph, ctx.config.alpha, ctx.config.switch_layer_mode, 2
+        )
 
     def test_context_attributes_exposed(self, tiny_specs):
         core_spec, comm_spec = tiny_specs

@@ -12,9 +12,9 @@ import pytest
 
 from repro.core.config import SynthesisConfig
 from repro.core.frequency_sweep import sweep_frequencies
-from repro.core.phase1 import phase1_candidate
 from repro.core.pipeline import (
     DEFAULT_STAGE_NAMES,
+    CandidateRequest,
     FlowContext,
     Pipeline,
     PlacementLPStage,
@@ -42,13 +42,13 @@ def ctx(tiny_specs):
 
 
 @pytest.fixture
-def ok_assignment(ctx):
+def ok_request(ctx):
     """A candidate that survives the full default pipeline."""
     pipeline = Pipeline()
     for count in range(2, 6):
-        assignment = phase1_candidate(ctx.graph, ctx.config, count)
-        if pipeline.evaluate(ctx, assignment).ok:
-            return assignment
+        request = CandidateRequest("phase1", (count,))
+        if pipeline.evaluate(ctx, request).ok:
+            return request
     raise AssertionError("no switch count in 2..5 yields a valid candidate")
 
 
@@ -63,18 +63,18 @@ def _with_config(ctx, config):
 class TestFingerprintProperties:
     """The stated invariants of stage fingerprints (satellite 3)."""
 
-    def test_dict_field_order_invariance(self, ctx, ok_assignment, tmp_path):
+    def test_dict_field_order_invariance(self, ctx, ok_request, tmp_path):
         """Reordering the core_centers dict must not move any fingerprint:
         the canonical encoder hashes dicts in sorted-key order."""
         pipeline = Pipeline()
         cache = _cache(tmp_path)
-        first = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
+        first = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         reordered = dataclasses.replace(
             ctx,
             core_centers=dict(reversed(list(ctx.core_centers.items()))),
         )
         second = pipeline.evaluate(
-            reordered, ok_assignment, stage_cache=cache
+            reordered, ok_request, stage_cache=cache
         )
         assert first.stage_fingerprints == second.stage_fingerprints
         assert all(
@@ -85,17 +85,17 @@ class TestFingerprintProperties:
         assert second.cached_stages == list(DEFAULT_STAGE_NAMES)
 
     def test_unaffected_field_touches_only_metrics(
-        self, ctx, ok_assignment, tmp_path
+        self, ctx, ok_request, tmp_path
     ):
         """The metrics objective enters no upstream stage's inputs, so
         flipping it re-fingerprints metrics and nothing else."""
         pipeline = Pipeline()
         cache = _cache(tmp_path)
-        base = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
+        base = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         assert base.ok
         adjacent = pipeline.evaluate(
             _with_config(ctx, ctx.config.with_(objective="latency")),
-            ok_assignment,
+            ok_request,
             stage_cache=cache,
         )
         for name in DEFAULT_STAGE_NAMES:
@@ -112,19 +112,21 @@ class TestFingerprintProperties:
         assert cache.counters["metrics"].misses == 2
 
     def test_floorplan_knob_reuses_every_upstream_stage(
-        self, ctx, ok_assignment, tmp_path
+        self, ctx, ok_request, tmp_path
     ):
         """A floorplan-only knob (the seed) leaves
         precheck/skeleton/routing/placement_lp untouched."""
         pipeline = Pipeline()
         cache = _cache(tmp_path)
-        base = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
+        base = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         bumped = pipeline.evaluate(
             _with_config(ctx, ctx.config.with_(seed=1234)),
-            ok_assignment,
+            ok_request,
             stage_cache=cache,
         )
-        upstream = ("precheck", "skeleton", "routing", "placement_lp")
+        upstream = (
+            "partition", "precheck", "skeleton", "routing", "placement_lp"
+        )
         for name in upstream:
             assert (base.stage_fingerprints[name]
                     == bumped.stage_fingerprints[name])
@@ -133,13 +135,13 @@ class TestFingerprintProperties:
         assert all(name in bumped.cached_stages for name in upstream)
 
     def test_salt_bump_invalidates_stage_and_downstream_only(
-        self, ctx, ok_assignment, tmp_path, monkeypatch
+        self, ctx, ok_request, tmp_path, monkeypatch
     ):
         cache = _cache(tmp_path)
-        base = Pipeline().evaluate(ctx, ok_assignment, stage_cache=cache)
+        base = Pipeline().evaluate(ctx, ok_request, stage_cache=cache)
         monkeypatch.setattr(RoutingStage, "salt", "v2-test")
-        bumped = Pipeline().evaluate(ctx, ok_assignment, stage_cache=cache)
-        for name in ("precheck", "skeleton"):
+        bumped = Pipeline().evaluate(ctx, ok_request, stage_cache=cache)
+        for name in ("partition", "precheck", "skeleton"):
             assert (base.stage_fingerprints[name]
                     == bumped.stage_fingerprints[name])
         for name in ("routing", "placement_lp", "floorplan", "verify",
@@ -148,16 +150,16 @@ class TestFingerprintProperties:
                     != bumped.stage_fingerprints[name])
 
     def test_declaration_edit_invalidates_stage_and_downstream_only(
-        self, ctx, ok_assignment, tmp_path, monkeypatch
+        self, ctx, ok_request, tmp_path, monkeypatch
     ):
         cache = _cache(tmp_path)
-        base = Pipeline().evaluate(ctx, ok_assignment, stage_cache=cache)
+        base = Pipeline().evaluate(ctx, ok_request, stage_cache=cache)
         monkeypatch.setattr(
             PlacementLPStage, "context_inputs",
             ("core_centers", "die_bounds", "graph"),
         )
-        widened = Pipeline().evaluate(ctx, ok_assignment, stage_cache=cache)
-        for name in ("precheck", "skeleton", "routing"):
+        widened = Pipeline().evaluate(ctx, ok_request, stage_cache=cache)
+        for name in ("partition", "precheck", "skeleton", "routing"):
             assert (base.stage_fingerprints[name]
                     == widened.stage_fingerprints[name])
         for name in ("placement_lp", "floorplan", "verify", "metrics"):
@@ -230,6 +232,9 @@ class TestWarmIdentity:
         )
         assert missed == ["metrics"]
         assert sum(r["hits"] for r in warm.stage_cache.values()) > 0
+        # Partitions read neither the objective nor the frequency.
+        assert warm.stage_cache["partition"]["misses"] == 0
+        assert warm.stage_cache["partition"]["hits"] > 0
 
         def canonical(sweep):
             return {
@@ -332,50 +337,50 @@ class UnstableStage(Stage):
 
 class TestFailureSemantics:
     def test_stage_failure_is_cached_and_replayed(
-        self, ctx, ok_assignment, tmp_path
+        self, ctx, ok_request, tmp_path
     ):
         CALLS["reject"] = 0
         pipeline = Pipeline([RejectingStage()])
         cache = _cache(tmp_path)
-        first = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
+        first = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         assert first.failed_stage == "reject"
         assert CALLS["reject"] == 1
-        second = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
+        second = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         assert CALLS["reject"] == 1  # replayed, not re-run
         assert second.failed_stage == "reject"
         assert second.failure_reason == "deterministic rejection"
         assert second.cached_stages == ["reject"]
 
-    def test_hard_error_is_never_cached(self, ctx, ok_assignment, tmp_path):
+    def test_hard_error_is_never_cached(self, ctx, ok_request, tmp_path):
         CALLS["explode"] = 0
         pipeline = Pipeline([ExplodingStage()])
         cache = _cache(tmp_path)
         for _ in range(2):
             with pytest.raises(RuntimeError):
-                pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
+                pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         assert CALLS["explode"] == 2  # re-ran: no record was written
         assert cache.counters["explode"].misses == 2
         assert cache.counters["explode"].bytes_written == 0
         assert cache.store.stats().entries == 0
 
-    def test_opt_out_stage_runs_live(self, ctx, ok_assignment, tmp_path):
+    def test_opt_out_stage_runs_live(self, ctx, ok_request, tmp_path):
         CALLS["counting"] = 0
         pipeline = Pipeline([CountingStage()])
         cache = _cache(tmp_path)
         for _ in range(2):
             state = pipeline.evaluate(
-                ctx, ok_assignment, stage_cache=cache
+                ctx, ok_request, stage_cache=cache
             )
             assert state.stage_fingerprints["counting"] is None
         assert CALLS["counting"] == 2
         assert "counting" not in cache.counters
 
     def test_unfingerprintable_stage_degrades_to_uncached(
-        self, ctx, ok_assignment, tmp_path
+        self, ctx, ok_request, tmp_path
     ):
         pipeline = Pipeline([UnstableStage()])
         cache = _cache(tmp_path)
-        state = pipeline.evaluate(ctx, ok_assignment, stage_cache=cache)
+        state = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         assert state.ok
         assert state.stage_fingerprints["unstable"] is None
         assert cache.store.stats().entries == 0

@@ -6,7 +6,6 @@ from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import ChipFloorplan, PlacedComponent
 from repro.floorplan.tsv_macros import (
     VerticalLinkSpec,
-    count_explicit_macros,
     place_tsv_macros,
 )
 from repro.models.tsv_model import TsvModel
@@ -31,14 +30,6 @@ class TestVerticalLinkSpec:
     def test_rejects_inverted_layers(self):
         with pytest.raises(ValueError):
             VerticalLinkSpec("l", 2, 1, (0, 0))
-
-    def test_count_explicit_macros(self):
-        links = [
-            VerticalLinkSpec("a", 0, 1, (0, 0)),  # adjacent: 0 macros
-            VerticalLinkSpec("b", 0, 2, (0, 0)),  # 1 macro
-            VerticalLinkSpec("c", 0, 3, (0, 0)),  # 2 macros
-        ]
-        assert count_explicit_macros(links) == 3
 
 
 class TestPlaceTsvMacros:

@@ -35,20 +35,7 @@ class TestFlitsPerSecond:
             units.flits_per_second(100.0, -1)
 
 
-class TestBitsPerCycle:
-    def test_basic(self):
-        # 400 MB/s at 400 MHz: 1 byte per cycle = 8 bits.
-        assert units.mbps_to_bits_per_cycle(400.0, 400.0) == pytest.approx(8.0)
-
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            units.mbps_to_bits_per_cycle(400.0, 0.0)
-
-
 class TestEnergyPower:
     def test_mega_ops_energy_to_mw(self):
         # 1000 Mops/s at 1 pJ each = 1 mW.
         assert units.mega_ops_energy_to_mw(1000.0, 1.0) == pytest.approx(1.0)
-
-    def test_pj_per_s(self):
-        assert units.pj_per_s_to_mw(1e9) == pytest.approx(1.0)
