@@ -30,8 +30,9 @@ help:
 	@echo "                    the campaign service killed and resumed"
 	@echo "  make fuzz       - campaign-spec, knob-agreement and spec-file"
 	@echo "                    fuzzing, the routing, partitioning"
-	@echo "                    and placement-LP differential tests and"
+	@echo "                    and placement-LP differential tests,"
 	@echo "                    the jobs/store/stage-cache identity test"
+	@echo "                    and the no-numpy-scalar data-model test"
 	@echo "                    under the large 'fuzz' Hypothesis profile"
 	@echo "                    (make test runs the same tests on the"
 	@echo "                    default budget)"
@@ -98,7 +99,8 @@ chaos:
 # naive partitioner does; every generated topology gets the switch
 # positions of the frozen naive placement LP; every generated SoC gives
 # the same points at jobs=1, at jobs=2, from a warm store and from a warm
-# stage cache, in Phase 1 and in Phase 2. The 'fuzz' profile
+# stage cache, in Phase 1 and in Phase 2, and no numpy scalar in its
+# points or stage records under either floorplanner. The 'fuzz' profile
 # (tests/conftest.py) raises the example budget from the default the
 # tier-1 run uses.
 fuzz:
@@ -108,6 +110,7 @@ fuzz:
 	    tests/test_partition_differential.py \
 	    tests/test_placement_differential.py \
 	    tests/test_integration_properties.py::TestExecutionPathIdentity \
+	    tests/test_plain_floats.py::test_generated_designs_hold_plain_numbers \
 	    --hypothesis-profile=fuzz
 
 # End-to-end campaign service smoke through the real CLI: three specs

@@ -20,10 +20,9 @@ as
 * ``ctx.<attr>``                → context read (``ctx.config`` special-cased),
 * ``ctx.config.<attr>``         → config read,
 * bare ``ctx.config`` escaping (stored, passed to a non-local call) →
-  whole-config use, legal only under the ``config_inputs = "*"``
-  declaration — a curated field-subset declaration cannot be verified
-  against an escape, so the escape must either be declared ``"*"`` or
-  suppressed with a reason explaining what closes the field set,
+  whole-config use, always a finding: a field-by-field declaration cannot
+  be verified against an escape, so the escape must be suppressed with a
+  reason explaining what closes the field set,
 * ``state.<attr>`` loads/stores → state reads / writes.
 
 Out-of-module calls are *not* followed: the declared tuples are exactly
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.framework import (
     Checker,
@@ -73,7 +72,7 @@ class _StageDecl:
     node: ast.ClassDef
     cacheable: bool = False
     context_inputs: Optional[Tuple[str, ...]] = None
-    config_inputs: Optional[Union[Tuple[str, ...], str]] = None
+    config_inputs: Optional[Tuple[str, ...]] = None
     state_inputs: Optional[Tuple[str, ...]] = None
     state_outputs: Optional[Tuple[str, ...]] = None
     decl_lines: Dict[str, int] = field(default_factory=dict)
@@ -91,8 +90,7 @@ class StageInputsChecker(Checker):
         "RPL103": "undeclared CandidateState read in a cacheable stage",
         "RPL104": "undeclared CandidateState write in a cacheable stage",
         "RPL105": "dead declaration: declared input/output never touched",
-        "RPL106": "whole config object escapes a stage whose config_inputs "
-                  "is a field subset",
+        "RPL106": "whole config object escapes a cacheable stage",
     }
 
     def check(self, context: LintContext) -> List[Finding]:
@@ -155,7 +153,6 @@ class StageInputsChecker(Checker):
         cfg_declared = decl.config_inputs
         st_in_declared = decl.state_inputs
         st_out_declared = decl.state_outputs
-        cfg_star = cfg_declared == "*"
 
         #: State attrs already written at the point of a read: a
         #: read-after-own-write (e.g. FloorplanStage computing
@@ -166,15 +163,13 @@ class StageInputsChecker(Checker):
         for access in accesses:
             if access.kind == "config-whole":
                 config_whole = True
-                if not cfg_star:
-                    findings.append(self.finding(
-                        "RPL106",
-                        f"stage {stage!r}: the whole config object escapes "
-                        "here but config_inputs declares a field subset — "
-                        "declare \"*\" or suppress with the reason that "
-                        "closes the field set",
-                        module, access.node,
-                    ))
+                findings.append(self.finding(
+                    "RPL106",
+                    f"stage {stage!r}: the whole config object escapes "
+                    "here, but config_inputs can only declare fields — "
+                    "suppress with the reason that closes the field set",
+                    module, access.node,
+                ))
                 continue
             if access.kind == "state-read" and access.attr in written_so_far:
                 continue
@@ -191,11 +186,7 @@ class StageInputsChecker(Checker):
                         module, access.node,
                     ))
             elif access.kind == "config":
-                if (
-                    not cfg_star
-                    and cfg_declared is not None
-                    and access.attr not in cfg_declared
-                ):
+                if cfg_declared is not None and access.attr not in cfg_declared:
                     findings.append(self.finding(
                         "RPL102",
                         f"stage {stage!r} reads config.{access.attr} but "
@@ -235,7 +226,7 @@ class StageInputsChecker(Checker):
                     ))
 
         dead(ctx_declared, seen["context"], "context_inputs")
-        if not cfg_star and not config_whole:
+        if not config_whole:
             dead(cfg_declared, seen["config"], "config_inputs")
         dead(st_in_declared, seen["state-read"], "state_inputs")
         dead(
@@ -320,14 +311,12 @@ def _parse_stage_class(
 
 def _resolve_decl(
     value: ast.expr, constants: Dict[str, Tuple[str, ...]]
-) -> Optional[Union[Tuple[str, ...], str]]:
-    """A declaration value: tuple literal, ``"*"``, or a module constant.
+) -> Optional[Tuple[str, ...]]:
+    """A declaration value: tuple literal or a module constant.
 
     ``None`` means unresolvable (a computed expression) — the checker
     then skips that aspect rather than guessing.
     """
-    if isinstance(value, ast.Constant) and value.value == "*":
-        return "*"
     direct = _string_tuple(value)
     if direct is not None:
         return direct

@@ -5,7 +5,9 @@ topology skeleton → deadlock-free paths → switch-position LP → floorplan
 insertion → latency re-check → metrics). This module models each stage as a
 :class:`Stage` object operating on an immutable per-run :class:`FlowContext`
 and a mutable per-candidate :class:`CandidateState`. The sequence is fixed
-(:data:`STAGE_REGISTRY`, in Fig. 3 order), and every stage is
+(:data:`STAGE_REGISTRY`, in Fig. 3 order); once every stage has passed,
+:meth:`Pipeline.evaluate` assembles the candidate's :class:`DesignPoint`
+from the state and the run's config. Every stage is
 
 * **measurable** — every stage execution is timed into a
   :class:`StageTimings` accumulator (``repro.cli synth --stage-timings``);
@@ -41,7 +43,6 @@ from typing import (
     Sequence,
     Tuple,
     Type,
-    Union,
 )
 
 from repro.core.assignment import Assignment, violates_ill_precheck
@@ -65,6 +66,7 @@ from repro.floorplan.tsv_macros import VerticalLinkSpec, place_tsv_macros
 from repro.graphs.comm_graph import CommGraph, build_comm_graph
 from repro.models.library import NocLibrary, default_library
 from repro.noc.metrics import (
+    NocMetrics,
     compute_metrics,
     flow_latency_cycles,
     link_lengths_from_positions,
@@ -158,6 +160,8 @@ class CandidateState:
     topology: Optional[Topology] = None
     floorplan: Optional[ChipFloorplan] = None
     final_centers: Optional[Dict[int, Tuple[float, float]]] = None
+    metrics: Optional[NocMetrics] = None
+    #: Set by :meth:`Pipeline.evaluate` once every stage has passed.
     point: Optional[DesignPoint] = None
     failed_stage: Optional[str] = None
     failure_reason: str = ""
@@ -321,7 +325,10 @@ class Stage:
     inputs (through the canonical store encoder) to serve a stage's
     outputs from disk at any design point whose inputs hash identically.
     Declarations must never *under*-report reads — a missing input means
-    silently-stale hits; over-reporting only costs hit rate. Bump
+    silently-stale hits; over-reporting only costs hit rate. A stage
+    declares config fields one by one: nothing that reads the whole
+    config object is a stage (the :class:`DesignPoint`, which carries
+    it, is built by :meth:`Pipeline.evaluate` after the last stage). Bump
     :attr:`salt` whenever :meth:`run`'s behaviour changes
     (``tools/check_stage_salts.py`` enforces this), which invalidates the
     stage and every downstream stage. See ``docs/pipeline.md``.
@@ -335,10 +342,8 @@ class Stage:
     cacheable: bool = False
     #: :class:`FlowContext` fields :meth:`run` reads.
     context_inputs: Tuple[str, ...] = ()
-    #: :class:`SynthesisConfig` fields :meth:`run` reads; the string
-    #: ``"*"`` declares the whole config object (used when the config
-    #: itself lands in the stage's output, e.g. inside a DesignPoint).
-    config_inputs: Union[Tuple[str, ...], str] = ()
+    #: :class:`SynthesisConfig` fields :meth:`run` reads.
+    config_inputs: Tuple[str, ...] = ()
     #: :class:`CandidateState` fields :meth:`run` reads.
     state_inputs: Tuple[str, ...] = ()
     #: :class:`CandidateState` fields :meth:`run` writes or mutates;
@@ -621,28 +626,22 @@ class LatencyVerifyStage(Stage):
 
 
 class MetricsStage(Stage):
-    """Evaluate power / latency / area and emit the design point."""
+    """Evaluate power / latency / area on the final placement. It reads no
+    config field, so no config change (the objective included) re-runs
+    it; the design point is assembled after it by
+    :meth:`Pipeline.evaluate`."""
 
     name = "metrics"
-    salt = "v1"
+    salt = "v2"
     cacheable = True
     context_inputs = ("library",)
-    # The whole config lands inside the emitted DesignPoint, so any config
-    # change must re-run metrics for the cached point to stay bit-identical.
-    config_inputs = "*"
-    state_inputs = ("assignment", "topology", "final_centers", "floorplan")
-    state_outputs = ("point",)
+    config_inputs = ()
+    state_inputs = ("topology", "final_centers")
+    state_outputs = ("metrics",)
 
     def run(self, ctx: FlowContext, state: CandidateState) -> None:
-        metrics = compute_metrics(
+        state.metrics = compute_metrics(
             state.topology, state.final_centers, ctx.library
-        )
-        state.point = DesignPoint(
-            assignment=state.assignment,
-            topology=state.topology,
-            floorplan=state.floorplan,
-            metrics=metrics,
-            config=ctx.config,
         )
 
 
@@ -656,6 +655,12 @@ STAGE_REGISTRY: Dict[str, Type[Stage]] = {
 
 #: The stage names of the Fig. 3 sequence, in execution order.
 DEFAULT_STAGE_NAMES: Tuple[str, ...] = tuple(STAGE_REGISTRY)
+
+
+#: The :class:`CandidateState` fields a :class:`DesignPoint` is built from.
+_POINT_FIELDS: Tuple[str, ...] = (
+    "assignment", "topology", "floorplan", "metrics",
+)
 
 
 class Pipeline:
@@ -678,15 +683,22 @@ class Pipeline:
         stage_cache=None,
     ) -> CandidateState:
         """Run every stage on a fresh state for ``request``; stop at the
-        first rejection.
+        first rejection. Once every stage has passed, ``state.point`` is
+        the :class:`DesignPoint` of the state's fields and ``ctx.config``.
 
         With a ``stage_cache`` (:class:`repro.engine.stagecache.StageCache`)
-        each stage is first looked up under the fingerprint of its declared
-        inputs plus the upstream signature chain: a hit replays the
-        recorded outputs (including a recorded :class:`StageFailure`
-        rejection) instead of running the stage, crediting the *original*
-        execution time to ``stage_seconds``/``timings`` with a cached
-        marker; a miss runs the stage and checkpoints its outputs. Hard
+        the fingerprints of the leading fingerprintable stages come first:
+        state inputs hash by their producer's fingerprint, so none needs a
+        value. The walk then resumes after the deepest of those stages
+        that has a record (:meth:`_replay_plan`). The stages up to it are
+        served from the cache: each credits its *original* execution time
+        to ``stage_seconds``/``timings`` with a cached marker, read from
+        the record's header, and only the records holding what later
+        stages and the point read are loaded; a recorded
+        :class:`StageFailure` replays as the rejection. The stages after
+        it run and checkpoint their outputs without a lookup. From the
+        first unfingerprinted stage on, state inputs hash by value and
+        each fingerprinted stage is looked up before it runs. Hard
         (non-:class:`StageFailure`) errors propagate without caching.
         """
         state = CandidateState(request=request)
@@ -695,31 +707,49 @@ class Pipeline:
         # downstream fingerprints fold in the producer fingerprint instead
         # of re-hashing the (large) value itself.
         provenance: Dict[str, str] = {}
-        for stage in self.stages:
-            fingerprint = None
-            if stage_cache is not None:
+        fingerprints: List[str] = []
+        if stage_cache is not None:
+            for stage in self.stages:
                 fingerprint = stage_cache.fingerprint(
-                    stage, chain, ctx, state, provenance
+                    stage, chain, ctx, state, provenance,
+                    fingerprints[-1] if fingerprints else None,
+                )
+                if fingerprint is None:
+                    break
+                fingerprints.append(fingerprint)
+                state.stage_fingerprints[stage.name] = fingerprint
+                chain.append(stage_cache.signature(stage))
+                for name in stage.state_outputs:
+                    provenance[name] = fingerprint
+        deepest, records = self._replay_plan(stage_cache, fingerprints)
+        previous: Optional[str] = None
+        for i, stage in enumerate(self.stages):
+            fingerprint = fingerprints[i] if i < len(fingerprints) else None
+            hit = None
+            if i <= deepest:
+                # Served without a lookup: its record, when the rest of
+                # the walk reads it, else just the header's seconds.
+                hit = records.get(i) or (
+                    None, stage_cache.head(stage, fingerprint) or 0.0
+                )
+            elif stage_cache is not None and i >= len(fingerprints):
+                fingerprint = stage_cache.fingerprint(
+                    stage, chain, ctx, state, provenance, previous
                 )
                 state.stage_fingerprints[stage.name] = fingerprint
                 chain.append(stage_cache.signature(stage))
                 if fingerprint is not None:
                     hit = stage_cache.load(stage, fingerprint)
-                    if hit is not None:
-                        record, recorded_s = hit
-                        record.apply(state)
-                        state.cached_stages.append(stage.name)
-                        state.stage_seconds[stage.name] = (
-                            state.stage_seconds.get(stage.name, 0.0)
-                            + recorded_s
-                        )
-                        if timings is not None:
-                            timings.add(stage.name, recorded_s, cached=True)
-                        for name in getattr(stage, "state_outputs", ()):
-                            provenance[name] = fingerprint
-                        if state.failed_stage is not None:
-                            break
-                        continue
+            previous = fingerprint
+            if hit is not None:
+                _credit(state, timings, stage_cache, stage, *hit)
+                for name in stage.state_outputs:
+                    provenance[name] = fingerprint
+                if state.failed_stage is not None:
+                    break
+                continue
+            if fingerprint is not None:
+                stage_cache.tally(stage.name, hit=False)
             start = time.perf_counter()
             try:
                 stage.run(ctx, state)
@@ -738,7 +768,7 @@ class Pipeline:
                 # (replaying them is exactly as correct and much cheaper);
                 # hard errors raised out of the try above never reach here.
                 stage_cache.save(stage, fingerprint, state, elapsed)
-                for name in getattr(stage, "state_outputs", ()):
+                for name in stage.state_outputs:
                     provenance[name] = fingerprint
             elif stage_cache is not None:
                 # An unfingerprinted stage may have mutated any state field
@@ -747,7 +777,80 @@ class Pipeline:
                 provenance.clear()
             if state.failed_stage is not None:
                 break
+        if state.ok and state.metrics is not None:
+            state.point = DesignPoint(
+                config=ctx.config,
+                **{name: getattr(state, name) for name in _POINT_FIELDS},
+            )
         return state
+
+    def _replay_plan(
+        self, stage_cache, fingerprints: Sequence[str]
+    ) -> Tuple[int, Dict[int, Tuple[object, float]]]:
+        """Where a stage-cached walk resumes: ``(deepest, records)``.
+
+        ``deepest`` indexes the deepest of the leading fingerprinted
+        stages with a record (-1: none), found by header reads from the
+        back. Each fingerprint folds in the one before it, and a stage's
+        record is written only once it has run, so that record proves
+        every stage before it passed under these same fingerprints.
+        ``records`` maps a stage index to its loaded ``(record, seconds)``:
+        the deepest record and, unless it is a rejection, the last record
+        at or before it to write each field that a later stage or the
+        design point reads. If one of those is gone, the search starts
+        again below it, and the walk recomputes from that producer on.
+        """
+        limit = len(fingerprints)
+        while limit > 0:
+            deepest = next((
+                i for i in range(limit - 1, -1, -1)
+                if stage_cache.head(self.stages[i], fingerprints[i]) is not None
+            ), -1)
+            if deepest < 0:
+                break
+            records: Dict[int, Tuple[object, float]] = {}
+            for i in self._replay_reads(deepest):
+                hit = stage_cache.load(self.stages[i], fingerprints[i])
+                if hit is None:
+                    limit = i
+                    break
+                records[i] = hit
+                if hit[0].failed:
+                    return deepest, records
+            else:
+                return deepest, records
+        return -1, {}
+
+    def _replay_reads(self, deepest: int) -> List[int]:
+        """``deepest``, then (in stage order) the last stage at or before
+        it to write each field that the stages after it read before
+        writing it, or that the design point reads."""
+        needed: set = set()
+        written: set = set()
+        for stage in self.stages[deepest + 1:]:
+            needed.update(set(stage.state_inputs) - written)
+            written.update(stage.state_outputs)
+        needed.update(set(_POINT_FIELDS) - written)
+        producer: Dict[str, int] = {}
+        for i, stage in enumerate(self.stages[: deepest + 1]):
+            for name in stage.state_outputs:
+                producer[name] = i
+        reads = {producer[name] for name in needed if name in producer}
+        return [deepest] + sorted(reads - {deepest})
+
+
+def _credit(state, timings, stage_cache, stage, record, seconds) -> None:
+    """Serve ``stage`` from the stage cache: replay ``record`` (``None``:
+    nothing the rest of the walk reads) and credit its recorded seconds."""
+    if record is not None:
+        record.apply(state)
+    state.cached_stages.append(stage.name)
+    state.stage_seconds[stage.name] = (
+        state.stage_seconds.get(stage.name, 0.0) + seconds
+    )
+    if timings is not None:
+        timings.add(stage.name, seconds, cached=True)
+    stage_cache.tally(stage.name, hit=True)
 
 
 # --------------------------------------------------------------------------

@@ -129,8 +129,10 @@ def optimise_switch_positions(
     }
     for i, sw in enumerate(topology.switches):
         if i in connected:
-            sw.x = solution.values[i]
-            sw.y = solution.values[nsw + i]
+            # Plain floats: a numpy scalar here would flow on into every
+            # link length, rectangle and metric of the design point.
+            sw.x = float(solution.values[i])
+            sw.y = float(solution.values[nsw + i])
         else:
             # A switch nothing connects to (can only be an unused indirect
             # switch): centre of the die.

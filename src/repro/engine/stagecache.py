@@ -17,11 +17,13 @@ Invalidation model (see ``docs/pipeline.md`` for the full policy):
 * a stage's fingerprint covers its declared **context/config inputs by
   value**, its **state inputs by provenance** (the fingerprint of the
   upstream stage that produced each field — equal producers imply equal
-  values, without re-hashing a routed topology per candidate), its own
-  **signature** (class identity, salt, declared field names) and the
-  **signature chain** of every upstream stage in the pipeline — so editing
-  a stage's salt or declarations invalidates exactly that stage *and its
-  downstream dependents*, never its upstream;
+  values, without re-hashing a routed topology per candidate), the
+  fingerprint of the stage just before it, its own **signature** (class
+  identity, salt, declared field names) and the **signature chain** of
+  every upstream stage in the pipeline — so editing a stage's salt or
+  declarations invalidates exactly that stage *and its downstream
+  dependents*, never its upstream, and a stage's record names the
+  fingerprints of every stage before it;
 * deterministic :class:`~repro.core.pipeline.StageFailure` rejections are
   cached and replayed like successes (an expensive routing rejection is
   exactly as deterministic as a success); hard errors, quarantined and
@@ -50,8 +52,12 @@ from repro.errors import StoreError
 #: Record-format tag folded into every stage fingerprint; bump when the
 #: :class:`StageRecord` layout, the fingerprint composition or the replay
 #: semantics change. v2: state inputs hash by producer fingerprint
-#: (provenance) instead of by value.
-STAGE_RECORD_SALT = "stage-record-v2"
+#: (provenance) instead of by value. v3: each fingerprint folds in the
+#: previous stage's, so a record proves every stage before it passed
+#: under the same fingerprints (the replay-from-deepest walk of
+#: ``Pipeline.evaluate`` relies on it), and switch positions are plain
+#: floats.
+STAGE_RECORD_SALT = "stage-record-v3"
 
 
 @dataclasses.dataclass
@@ -102,9 +108,7 @@ def _stage_signature(stage) -> Tuple[Any, ...]:
         getattr(stage, "salt", ""),
         stage,
         tuple(getattr(stage, "context_inputs", ())),
-        tuple(getattr(stage, "config_inputs", ()))
-        if not isinstance(getattr(stage, "config_inputs", ()), str)
-        else getattr(stage, "config_inputs"),
+        tuple(getattr(stage, "config_inputs", ())),
         tuple(getattr(stage, "state_inputs", ())),
         tuple(getattr(stage, "state_outputs", ())),
     )
@@ -172,12 +176,9 @@ class StageCache:
         for name in stage.context_inputs:
             _feed(h, name)
             _feed(h, getattr(ctx, name))
-        if stage.config_inputs == "*":
-            _feed(h, ctx.config)
-        else:
-            for name in stage.config_inputs:
-                _feed(h, name)
-                _feed(h, getattr(ctx.config, name))
+        for name in stage.config_inputs:
+            _feed(h, name)
+            _feed(h, getattr(ctx.config, name))
         if len(self._prefixes) >= self._PREFIX_MEMO_MAX:
             self._prefixes.clear()
         self._prefixes[key] = (stage, ctx, chain, h)
@@ -190,12 +191,17 @@ class StageCache:
         ctx,
         state,
         provenance: Optional[Mapping[str, str]] = None,
+        previous: Optional[str] = None,
     ) -> Optional[str]:
         """The content address of ``stage``'s output at this point.
 
         ``chain`` holds the signatures of every upstream stage, so a salt
         or declaration edit anywhere upstream changes this fingerprint
-        too. State inputs fold in by **provenance** where available: the
+        too. ``previous`` is the fingerprint of the stage just before this
+        one (``None`` for the first stage or after an uncached one): a
+        record filed under this fingerprint was written only after that
+        stage passed, so one record vouches for every stage before it.
+        State inputs fold in by **provenance** where available: the
         fingerprint of the stage that produced a field stands in for the
         field's value — the producer is deterministic, so equal producer
         fingerprints imply equal values, and the (large) routed topology
@@ -209,6 +215,7 @@ class StageCache:
             return None
         try:
             h = self._prefix(stage, tuple(chain), ctx).copy()
+            _feed(h, previous)
             for name in stage.state_inputs:
                 _feed(h, name)
                 producer = None if provenance is None else provenance.get(name)
@@ -222,19 +229,25 @@ class StageCache:
 
     # -- record IO ----------------------------------------------------------
 
+    def head(self, stage, fingerprint: str) -> Optional[float]:
+        """The original elapsed seconds of ``stage``'s record, from its
+        header frame alone; ``None`` when there is no such record."""
+        header = self.store.head(fingerprint)
+        if header is None or header.get("task_type") != f"stage:{stage.name}":
+            return None
+        return float(header.get("elapsed_s", 0.0))
+
     def load(self, stage, fingerprint: str) -> Optional[Tuple[StageRecord, float]]:
-        """Fetch ``(record, original elapsed seconds)``; ``None`` on miss."""
-        counter = self._counter(stage.name)
+        """Fetch ``(record, original elapsed seconds)``; ``None`` on miss.
+        Only these payload reads add to ``bytes_read``."""
         entry = self.store.get(fingerprint)
         if (
             entry is None
             or not isinstance(entry.payload, StageRecord)
             or entry.payload.stage != stage.name
         ):
-            counter.misses += 1
             return None
-        counter.hits += 1
-        counter.bytes_read += self.store.size_of(fingerprint)
+        self._counter(stage.name).bytes_read += self.store.size_of(fingerprint)
         return entry.payload, entry.elapsed_s
 
     def save(self, stage, fingerprint: str, state, elapsed_s: float) -> None:
@@ -259,6 +272,14 @@ class StageCache:
 
     # -- stats --------------------------------------------------------------
 
+    def tally(self, name: str, *, hit: bool) -> None:
+        """Count one stage as served from a record (``hit``) or run."""
+        counter = self._counter(name)
+        if hit:
+            counter.hits += 1
+        else:
+            counter.misses += 1
+
     def note_remote(self, outcome) -> None:
         """Fold one worker-evaluated candidate outcome into the counters.
 
@@ -268,11 +289,7 @@ class StageCache:
         """
         cached = set(getattr(outcome, "cached_stages", ()) or ())
         for name in getattr(outcome, "stage_seconds", None) or ():
-            counter = self._counter(name)
-            if name in cached:
-                counter.hits += 1
-            else:
-                counter.misses += 1
+            self.tally(name, hit=name in cached)
 
     def stats_dict(self) -> Dict[str, Dict[str, int]]:
         """``{stage: {hits, misses, bytes_read, bytes_written}}`` in first-

@@ -488,6 +488,18 @@ class ResultStore:
             created_s=float(header.get("created_s", 0.0)),
         )
 
+    def head(self, fingerprint: Optional[str]) -> Optional[Dict[str, Any]]:
+        """The entry's header frame alone — the payload stays on disk.
+
+        ``None`` when the entry is absent, unreadable or stale; a bad
+        entry is left for :meth:`get` to drop. The session hit/miss
+        counters count payload reads only, so a header read moves none.
+        """
+        if fingerprint is None:
+            return None
+        header = _read_header(self._path(fingerprint))
+        return header if self._header_ok(header, fingerprint) else None
+
     def _header_ok(self, header: Any, fingerprint: str) -> bool:
         return (
             isinstance(header, dict)
@@ -576,7 +588,8 @@ class ResultStore:
                 continue
             stats.entries += 1
             stats.total_bytes += size
-            task_type = _peek_task_type(path)
+            header = _read_header(path) or {}
+            task_type = str(header.get("task_type", "?")) or "?"
             stats.by_task_type[task_type] = (
                 stats.by_task_type.get(task_type, 0) + 1
             )
@@ -657,16 +670,15 @@ class ResultStore:
         return removed, failed
 
 
-def _peek_task_type(path: Path) -> str:
-    """The entry's task type from its header frame — payloads stay cold."""
+def _read_header(path: Path) -> Optional[Dict[str, Any]]:
+    """The entry's header frame, or ``None`` when it cannot be read as a
+    dict — the payload frame after it is never deserialised."""
     try:
         with open(path, "rb") as fh:
             header = pickle.load(fh)
-        if isinstance(header, dict):
-            return str(header.get("task_type", "?")) or "?"
     except Exception:
-        pass
-    return "?"
+        return None
+    return header if isinstance(header, dict) else None
 
 
 def open_store(

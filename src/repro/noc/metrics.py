@@ -181,9 +181,12 @@ def compute_metrics(
         core2sw_power += rate * library.link.ni_energy_pj * 1e-3
 
     # --- latency -------------------------------------------------------------
+    # Keyed by fresh (src, dst) tuples, not the route keys themselves: the
+    # metrics then share no object with the topology, so a point assembled
+    # from separate stage records pickles exactly like one computed whole.
     per_flow: Dict[Tuple[int, int], float] = {}
-    for flow in topology.routes:
-        per_flow[flow] = flow_latency_cycles(topology, flow, library)
+    for (src, dst) in topology.routes:
+        per_flow[src, dst] = flow_latency_cycles(topology, (src, dst), library)
     if per_flow:
         avg_latency = sum(per_flow.values()) / len(per_flow)
         max_latency = max(per_flow.values())

@@ -32,3 +32,23 @@ class BadStage(Stage):
 
 def use(config):
     return config
+
+
+class WholeConfigStage(Stage):
+    """A whole-config declaration no longer exists: ``"*"`` declares
+    nothing, and the escape is a finding like any other."""
+
+    name = "whole-config"
+    salt = "v1"
+    cacheable = True
+    context_inputs = ("graph",)
+    config_inputs = "*"
+    state_inputs = ("topology",)
+    state_outputs = ("score",)
+
+    def run(self, ctx, state):
+        state.score = evaluate(state.topology, ctx.graph, ctx.config)  # expect: RPL106
+
+
+def evaluate(topology, graph, config):
+    return 0

@@ -34,19 +34,6 @@ class GoodStage(Stage):
         return len(ctx.graph.edges)
 
 
-class WholeConfigStage(Stage):
-    name = "whole-config"
-    salt = "v1"
-    cacheable = True
-    context_inputs = ("graph",)
-    config_inputs = "*"
-    state_inputs = ("topology",)
-    state_outputs = ("score",)
-
-    def run(self, ctx, state):
-        state.score = evaluate(state.topology, ctx.graph, ctx.config)
-
-
 class UncachedStage(Stage):
     """Not cacheable: free to read whatever it likes."""
 
@@ -56,7 +43,3 @@ class UncachedStage(Stage):
 
     def run(self, ctx, state):
         state.anything = ctx.whatever + ctx.config.mystery
-
-
-def evaluate(topology, graph, config):
-    return 0

@@ -29,7 +29,7 @@ from repro.campaign import CampaignService
 from repro.campaign.journal import JobJournal
 from repro.campaign.service import submit_file
 from repro.engine.faults import FaultSpec, arm_sites, site_activations
-from repro.engine.store import _peek_task_type
+from repro.engine.store import _read_header
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -117,7 +117,9 @@ def _task_entries(spool: Path):
     sweep also writes there are left out."""
     return {
         p.relative_to(spool) for p in (spool / "store").rglob("*.pkl")
-        if not _peek_task_type(p).startswith("stage:")
+        if not str((_read_header(p) or {}).get("task_type", "")).startswith(
+            "stage:"
+        )
     }
 
 

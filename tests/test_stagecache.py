@@ -84,32 +84,26 @@ class TestFingerprintProperties:
         # from the cache.
         assert second.cached_stages == list(DEFAULT_STAGE_NAMES)
 
-    def test_unaffected_field_touches_only_metrics(
+    def test_objective_flip_moves_no_fingerprint(
         self, ctx, ok_request, tmp_path
     ):
-        """The metrics objective enters no upstream stage's inputs, so
-        flipping it re-fingerprints metrics and nothing else."""
+        """No stage reads the metrics objective, so flipping it moves no
+        fingerprint: the rerun is served whole from the cache, writes
+        nothing, and its point carries the flipped config."""
         pipeline = Pipeline()
         cache = _cache(tmp_path)
         base = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         assert base.ok
-        adjacent = pipeline.evaluate(
-            _with_config(ctx, ctx.config.with_(objective="latency")),
-            ok_request,
-            stage_cache=cache,
-        )
-        for name in DEFAULT_STAGE_NAMES:
-            if name == "metrics":
-                assert (base.stage_fingerprints[name]
-                        != adjacent.stage_fingerprints[name])
-            else:
-                assert (base.stage_fingerprints[name]
-                        == adjacent.stage_fingerprints[name])
-        # Every stage but the invalidated one replays from disk.
-        assert adjacent.cached_stages == [
-            n for n in DEFAULT_STAGE_NAMES if n != "metrics"
-        ]
-        assert cache.counters["metrics"].misses == 2
+        flipped_ctx = _with_config(ctx, ctx.config.with_(objective="latency"))
+        adjacent = pipeline.evaluate(flipped_ctx, ok_request, stage_cache=cache)
+        assert adjacent.stage_fingerprints == base.stage_fingerprints
+        assert adjacent.cached_stages == list(DEFAULT_STAGE_NAMES)
+        assert all(c.misses == 1 and c.hits == 1
+                   for c in cache.counters.values())
+        assert adjacent.point.config is flipped_ctx.config
+        assert adjacent.point.metrics == base.point.metrics
+        # Recorded seconds are credited, not re-measured.
+        assert adjacent.stage_seconds == base.stage_seconds
 
     def test_floorplan_knob_reuses_every_upstream_stage(
         self, ctx, ok_request, tmp_path
@@ -206,9 +200,28 @@ class TestWarmIdentity:
         assert timings.any_cached
         assert "cached" in timings.report()
 
-    def test_sweep_warm_adjacent_runs_only_delta_stages(
-        self, tiny_specs, tmp_path
+    def test_missing_record_recomputes_from_its_producer(
+        self, ctx, ok_request, tmp_path
     ):
+        """A record the replay needs but cannot load (here: deleted) caps
+        the replay below its stage: the walk resumes after the deepest
+        record left before it and rewrites what it recomputes."""
+        pipeline = Pipeline()
+        cache = _cache(tmp_path)
+        base = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
+        floorplan_fp = base.stage_fingerprints["floorplan"]
+        cache.store._path(floorplan_fp).unlink()
+        again = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
+        upstream = ["partition", "precheck", "skeleton", "routing",
+                    "placement_lp"]
+        assert again.cached_stages == upstream
+        assert (design_point_to_dict(again.point)
+                == design_point_to_dict(base.point))
+        assert cache.store.head(floorplan_fp) is not None
+
+    def test_sweep_warm_adjacent_runs_nothing(self, tiny_specs, tmp_path):
+        """A sweep with only the objective flipped re-runs no stage and
+        writes no record, and its points equal a fresh run's."""
         core_spec, comm_spec = tiny_specs
         cache_dir = str(tmp_path / "stages")
         freqs = (400.0, 600.0)
@@ -227,14 +240,10 @@ class TestWarmIdentity:
         )
 
         assert cold.stage_cache and warm.stage_cache
-        missed = sorted(
-            name for name, row in warm.stage_cache.items() if row["misses"]
-        )
-        assert missed == ["metrics"]
-        assert sum(r["hits"] for r in warm.stage_cache.values()) > 0
-        # Partitions read neither the objective nor the frequency.
-        assert warm.stage_cache["partition"]["misses"] == 0
+        assert all(row["misses"] == 0 and row["bytes_written"] == 0
+                   for row in warm.stage_cache.values())
         assert warm.stage_cache["partition"]["hits"] > 0
+        assert warm.stage_cache["metrics"]["hits"] > 0
 
         def canonical(sweep):
             return {
@@ -243,6 +252,91 @@ class TestWarmIdentity:
             }
 
         assert canonical(warm) == canonical(reference)
+
+
+class _StoreSpy:
+    """Counts every store access of each candidate a serial run evaluates:
+    ``get`` (a payload read), ``head`` (a header read) and ``put``."""
+
+    def __init__(self, monkeypatch):
+        from repro.engine.store import ResultStore
+
+        self.calls = []
+        self.candidates = []  # (state, that candidate's calls)
+        for kind in ("get", "head", "put"):
+            original = getattr(ResultStore, kind)
+
+            def spy(store, fingerprint, *args, _kind=kind, _orig=original,
+                    **kwargs):
+                self.calls.append((_kind, fingerprint))
+                return _orig(store, fingerprint, *args, **kwargs)
+
+            monkeypatch.setattr(ResultStore, kind, spy)
+        evaluate = Pipeline.evaluate
+
+        def counted(pipeline, *args, **kwargs):
+            start = len(self.calls)
+            state = evaluate(pipeline, *args, **kwargs)
+            self.candidates.append((state, self.calls[start:]))
+            return state
+
+        monkeypatch.setattr(Pipeline, "evaluate", counted)
+
+    def reset(self):
+        self.calls.clear()
+        self.candidates.clear()
+
+
+class TestReplayReadBudget:
+    """What a stage-cached candidate reads, counted on d26_media: a cold
+    candidate looks each stage up at most once, and a warm-adjacent one
+    (objective flipped) loads only the records the point is built from."""
+
+    def _ctx(self, objective):
+        from repro.bench.registry import get_benchmark
+
+        bench = get_benchmark("d26_media")
+        return FlowContext.build(
+            bench.core_spec_3d, bench.comm_spec,
+            config=SynthesisConfig(objective=objective),
+        )
+
+    def test_cold_then_warm_adjacent(self, tmp_path, monkeypatch):
+        from repro.core.pipeline import run_synthesis
+
+        fresh = run_synthesis(self._ctx("latency"))
+        spy = _StoreSpy(monkeypatch)
+        run_synthesis(self._ctx("power"), stage_cache=_cache(tmp_path))
+        assert spy.candidates
+        for state, calls in spy.candidates:
+            stage_of = {fp: name for name, fp in
+                        state.stage_fingerprints.items()}
+            lookups = [stage_of[fp] for kind, fp in calls if kind != "put"]
+            assert len(lookups) == len(set(lookups)), lookups
+
+        spy.reset()
+        cache = _cache(tmp_path)
+        latency_ctx = self._ctx("latency")
+        warm = run_synthesis(latency_ctx, stage_cache=cache)
+        assert all(row["misses"] == 0 and row["bytes_written"] == 0
+                   for row in cache.stats_dict().values())
+        assert not [call for call in spy.calls if call[0] == "put"]
+        rejected = 0
+        for state, calls in spy.candidates:
+            stage_of = {fp: name for name, fp in
+                        state.stage_fingerprints.items()}
+            reads = sorted(stage_of[fp] for kind, fp in calls if kind == "get")
+            if state.point is not None:
+                assert reads == ["floorplan", "metrics", "partition"]
+            else:
+                rejected += 1
+                assert reads == [state.failed_stage]
+        assert rejected and len(warm.points) == len(spy.candidates) - rejected
+
+        assert [pickle.dumps(p) for p in warm.points] == [
+            pickle.dumps(p) for p in fresh.points
+        ]
+        assert all(p.config is latency_ctx.config for p in warm.points)
 
 
 class TestBatchedCampaignWarmIdentity:
