@@ -41,7 +41,8 @@ help:
 	@echo "  make benchmarks - paper-figure harness + the floorplan,"
 	@echo "                    simulator, store-fingerprint, routing,"
 	@echo "                    partitioning and placement-LP floors against"
-	@echo "                    their frozen references (slow)"
+	@echo "                    their frozen references and the stage-record"
+	@echo "                    pack floor (slow)"
 	@echo "end-to-end benchmark: python3 perfbench/run.py --all"
 	@echo "                    (see perfbench/README.md)"
 
@@ -119,10 +120,12 @@ fuzz:
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
-# The paper-figure benchmark harness plus the six layer floors
+# The paper-figure benchmark harness plus the seven layer floors
 # (bench_floorplan_anneal.py, bench_simulator.py,
 # bench_store_fingerprint.py, bench_routing.py, bench_partition.py,
-# bench_placement_lp.py: optimised layer vs its frozen reference), slow. Explicit file list: bench_*.py does not match
+# bench_placement_lp.py: optimised layer vs its frozen reference;
+# bench_stage_records.py: packed stage-record writes vs one file per
+# record), slow. Explicit file list: bench_*.py does not match
 # pytest's default test-file pattern.
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

@@ -34,9 +34,11 @@ Invalidation model (see ``docs/pipeline.md`` for the full policy):
   never an error.
 
 Records share the store directory and salt with whole-task caching and are
-filed under ``task_type="stage:<name>"``, so ``cache stats`` / ``verify``
-audit them like any other entry and a ``REPRO_STORE_SALT`` bump retires
-both layers at once.
+filed under ``task_type="stage:<name>"``. The store appends them as frames
+to per-process pack files (``<root>/packs/``) rather than one file each,
+since one cold synthesis writes hundreds; ``cache stats`` /
+``verify`` / ``clear`` cover packs like entry files, and a
+``REPRO_STORE_SALT`` bump retires both layers at once.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ class StageCache:
     def head(self, stage, fingerprint: str) -> Optional[float]:
         """The original elapsed seconds of ``stage``'s record, from its
         header frame alone; ``None`` when there is no such record."""
-        header = self.store.head(fingerprint)
+        header = self.store.head(fingerprint, packed=True)
         if header is None or header.get("task_type") != f"stage:{stage.name}":
             return None
         return float(header.get("elapsed_s", 0.0))
@@ -240,7 +242,7 @@ class StageCache:
     def load(self, stage, fingerprint: str) -> Optional[Tuple[StageRecord, float]]:
         """Fetch ``(record, original elapsed seconds)``; ``None`` on miss.
         Only these payload reads add to ``bytes_read``."""
-        entry = self.store.get(fingerprint)
+        entry = self.store.get(fingerprint, packed=True)
         if (
             entry is None
             or not isinstance(entry.payload, StageRecord)

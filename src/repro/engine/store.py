@@ -19,14 +19,36 @@ Design:
 * **code-version salt** — the digest includes :data:`CODE_SALT` (overridable
   per store and via ``$REPRO_STORE_SALT``); bump it when a change makes old
   results stale, and every entry silently becomes a miss;
-* **atomic writes** — entries are pickled to a temp file in the store
+* **layout** — whole-task entries are one file each,
+  ``<root>/objects/<fp[:2]>/<fp[2:]>.pkl``; stage records
+  (``task_type="stage:*"``, hundreds per synthesis) are
+  frames appended to per-process pack files ``<root>/packs/NNNNNN.pack``,
+  Bitcask-style (Sheehy & Smith, 2010), so a cold sweep does not pay a
+  file creation per record. A frame is the raw fingerprint digest, the
+  body length, the body's CRC32, then the body: the header pickle and the
+  payload pickle, as in an entry file;
+* **atomic writes** — an entry is pickled to a temp file in the store
   directory and ``os.replace``'d into place, so a killed campaign never
-  leaves a half-written entry under a valid name;
+  leaves a half-written entry under a valid name. A frame is one
+  ``os.write`` to a pack only its own process appends to (opened
+  ``O_APPEND`` on the first write; a forked worker opens its own). A
+  torn frame (a killed writer, a full disk) ends the scan of its pack, a
+  CRC-failing one reads as a miss, and a writer whose pack no longer ends
+  where its last frame did starts a new pack;
+* **pack index** — each store keeps an in-memory index, fingerprint ->
+  (pack, offset, length, CRC), built from frame headers only (the stage
+  cache keeps one store per directory per worker process, so a worker
+  builds it once). A lookup that misses it refreshes it: packs that grew are read
+  from where the last scan stopped, and the next pack number is probed;
+  packs no writer holds any more are skipped until the directory
+  changes. A stale index costs a miss (a recomputation), never a wrong
+  result;
 * **corruption-tolerant reads** — a truncated, unreadable or mismatched
   entry is treated as a miss (and counted), never an error;
   ``python -m repro.cli cache verify`` audits and optionally repairs;
 * **inter-process safety** — multi-file mutations (``clear``,
-  ``verify(repair=True)``) run under an advisory
+  ``verify(repair=True)``, which rewrites a pack without its bad frames)
+  run under an advisory
   :class:`~repro.engine.locks.FileLock` at ``<root>/.lock``, so serving
   workers, a resident campaign service and ad-hoc CLI runs can share one
   warm store without racing each other's walks. The kernel releases the
@@ -45,15 +67,23 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import io
 import os
 import pickle
+import struct
 import tempfile
 import time
+import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.engine.locks import FileLock, acquires_lock, requires_lock
 from repro.errors import LockTimeoutError, StoreError
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: every pack stays live
+    fcntl = None
 
 #: Bump when a code change invalidates previously stored results (routing,
 #: floorplanning, simulation semantics). Overridable per store and via the
@@ -70,6 +100,16 @@ STORE_FORMAT = 2
 DEFAULT_STORE_DIR = ".repro-cache"
 
 _ENTRY_SUFFIX = ".pkl"
+_PACK_SUFFIX = ".pack"
+
+#: Records filed under a task type with this prefix go to packs.
+_PACKED_PREFIX = "stage:"
+
+#: A pack frame's head: the raw SHA-256 digest of the fingerprint, the
+#: body length and the body's CRC32. The body (header pickle, then
+#: payload pickle) follows.
+_FRAME = struct.Struct("<32sII")
+
 
 #: How long a mutation waits for the store lock before proceeding
 #: best-effort without it.
@@ -292,6 +332,224 @@ def _fingerprint(task: Any, salt: Optional[str], memo: dict) -> str:
 
 
 # --------------------------------------------------------------------------
+# stage-record packs
+# --------------------------------------------------------------------------
+
+class _PackIndex:
+    """A store's view of the packs under its root, and the pack this
+    process appends to.
+
+    ``entries`` maps a fingerprint to ``(pack, offset, body length, CRC)``;
+    ``seen`` maps a pack number to ``(inode, offset its last scan stopped
+    at)``. Pack numbers run 0, 1, 2, … with no gaps: a writer takes the
+    first free number, and a refresh stops at the first one missing. A
+    writer holds an exclusive ``flock`` on its pack from before its first
+    frame on, so a non-empty pack nobody holds is **final**: it will not
+    grow, and a refresh skips it until the packs directory changes (a pack
+    added, removed or rewritten).
+    """
+
+    def __init__(self, directory: str) -> None:
+        self.dir = directory
+        self.entries: Dict[str, Tuple[int, int, int, int]] = {}
+        self.seen: Dict[int, Tuple[int, int]] = {}
+        self.final: set = set()
+        self._mtime: Optional[int] = None
+        self._fd: Optional[int] = None
+        self._pid = self._pack = self._end = 0
+
+    def path(self, number: int) -> str:
+        return os.path.join(self.dir, f"{number:06d}{_PACK_SUFFIX}")
+
+    # -- reading ------------------------------------------------------------
+
+    def read(self, fingerprint: str) -> Optional[bytes]:
+        """The body of ``fingerprint``'s frame; ``None`` when no pack holds
+        it. Raises ``ValueError`` for a torn or corrupt frame and
+        ``OSError`` for a failed read."""
+        loc = self.entries.get(fingerprint)
+        if loc is None:
+            self.refresh()
+            loc = self.entries.get(fingerprint)
+            if loc is None:
+                return None
+        number, offset, length, crc = loc
+        fd = os.open(self.path(number), os.O_RDONLY)
+        try:
+            frame = os.pread(fd, _FRAME.size + length, offset)
+        finally:
+            os.close(fd)
+        body = frame[_FRAME.size:]
+        if (
+            frame[:_FRAME.size]
+            != _FRAME.pack(bytes.fromhex(fingerprint), length, crc)
+            or zlib.crc32(body) != crc
+        ):
+            raise ValueError("torn or corrupt frame")
+        return body
+
+    def refresh(self) -> int:
+        """Index the frames written since the last refresh, up to the first
+        pack number missing; returns that number. Each pack that is not
+        final or this process's own is scanned from where its last scan
+        stopped (from the start if it shrank or was replaced)."""
+        try:
+            mtime = os.stat(self.dir).st_mtime_ns
+        except OSError:
+            return 0
+        changed, self._mtime = mtime != self._mtime, mtime
+        number = 0
+        while True:
+            if (number in self.final and not changed) or (
+                number == self._pack and self._owned()
+            ):
+                number += 1
+                continue
+            try:
+                fd = os.open(self.path(number), os.O_RDONLY)
+            except OSError:
+                return number
+            try:
+                held = _held(fd)
+                st = os.fstat(fd)
+                ino, end = self.seen.get(number, (st.st_ino, 0))
+                if ino != st.st_ino or st.st_size < end:
+                    end = 0
+                if st.st_size != end:
+                    end = self._scan(fd, number, end, st.st_size)
+                self.seen[number] = (st.st_ino, end)
+                if held or not st.st_size:
+                    self.final.discard(number)
+                else:
+                    self.final.add(number)
+            finally:
+                os.close(fd)
+            number += 1
+
+    def _scan(self, fd: int, number: int, offset: int, size: int) -> int:
+        """Index the frames of one pack between ``offset`` and ``size`` from
+        their heads alone; returns where the scan stopped (at a torn frame,
+        or one still being written)."""
+        try:
+            while offset + _FRAME.size <= size:
+                digest, length, crc = _FRAME.unpack(
+                    os.pread(fd, _FRAME.size, offset)
+                )
+                end = offset + _FRAME.size + length
+                if end > size:
+                    break
+                self.entries[digest.hex()] = (number, offset, length, crc)
+                offset = end
+        except (OSError, struct.error):
+            pass
+        return offset
+
+    # -- writing ------------------------------------------------------------
+
+    def append(self, fingerprint: str, body: bytes) -> int:
+        """Append one frame to this process's pack in a single write;
+        returns the bytes written. Raises on a fingerprint that is not a
+        SHA-256 hex digest or a failed write (after which this process's
+        next append starts a new pack)."""
+        digest = bytes.fromhex(fingerprint)
+        if len(digest) != 32:
+            raise ValueError("not a SHA-256 fingerprint")
+        crc = zlib.crc32(body)
+        frame = _FRAME.pack(digest, len(body), crc) + body
+        self._claim()
+        try:
+            written = os.write(self._fd, frame)
+        except OSError:
+            written = -1
+        if written != len(frame):
+            self.close()
+            raise OSError("short write to a stage-record pack")
+        self.entries[fingerprint] = (self._pack, self._end, len(body), crc)
+        self._end += written
+        return written
+
+    def _owned(self) -> bool:
+        return self._fd is not None and self._pid == os.getpid()
+
+    def _claim(self) -> None:
+        """Make ``_fd`` this process's pack, ending at ``_end``. A pack
+        opened by the parent of a fork, or one that was removed, replaced
+        or written past ``_end`` since, is left for a new one."""
+        if self._owned():
+            st = os.fstat(self._fd)
+            if st.st_nlink and st.st_size == self._end:
+                return
+        self.close()
+        os.makedirs(self.dir, exist_ok=True)
+        number = self.refresh()
+        while True:
+            try:
+                fd = os.open(
+                    self.path(number),
+                    os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND,
+                    0o644,
+                )
+                break
+            except FileExistsError:
+                number += 1
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        self._fd, self._pid, self._pack, self._end = fd, os.getpid(), number, 0
+
+    def close(self) -> None:
+        """Drop this process's pack handle (a forked child's copy of its
+        parent's handle is closed in the child only)."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    __del__ = close
+
+    def reset(self) -> None:
+        """Forget everything: the packs were removed or rewritten."""
+        self.close()
+        self.entries.clear()
+        self.seen.clear()
+        self.final.clear()
+        self._mtime = None
+
+
+def _held(fd: int) -> bool:
+    """Whether a writer holds the pack open as ``fd`` (always assumed
+    where ``fcntl`` does not exist)."""
+    if fcntl is None:
+        return True
+    try:
+        fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
+    except OSError:
+        return True
+    return False
+
+
+def _walk_pack(path: Path) -> Iterator[Tuple[int, str, bytes, Optional[str]]]:
+    """Every frame of one pack, read whole: ``(offset, fingerprint, frame,
+    problem)``. ``problem`` is ``None``, ``"CRC mismatch"`` or ``"torn
+    frame"``; a torn frame runs past the end of the pack and ends the
+    walk."""
+    data = path.read_bytes()
+    offset = 0
+    while offset < len(data):
+        end = offset + _FRAME.size
+        if end <= len(data):
+            digest, length, crc = _FRAME.unpack_from(data, offset)
+            end += length
+        if end > len(data):
+            yield offset, "", data[offset:], "torn frame"
+            return
+        frame = data[offset:end]
+        problem = (
+            None if zlib.crc32(frame[_FRAME.size:]) == crc else "CRC mismatch"
+        )
+        yield offset, digest.hex(), frame, problem
+        offset = end
+
+
+# --------------------------------------------------------------------------
 # the store
 # --------------------------------------------------------------------------
 
@@ -363,6 +621,7 @@ class ResultStore:
         self.misses = 0
         self.corrupt_dropped = 0
         self._objects = self.root / "objects"
+        self._packs = _PackIndex(str(self.root / "packs"))
         self._prepare_root()
 
     @acquires_lock("store")
@@ -424,6 +683,9 @@ class ResultStore:
             if not path.name.startswith(".")
         )
 
+    def _pack_paths(self) -> List[Path]:
+        return sorted(self.root.glob("packs/*" + _PACK_SUFFIX))
+
     # -- fingerprints -------------------------------------------------------
 
     def fingerprint(self, task: Any) -> Optional[str]:
@@ -447,37 +709,35 @@ class ResultStore:
 
     # -- entry IO -----------------------------------------------------------
 
-    def get(self, fingerprint: Optional[str]) -> Optional[StoreEntry]:
-        """Fetch one entry; ``None`` on miss *or* unreadable entry."""
+    def get(
+        self, fingerprint: Optional[str], *, packed: bool = False
+    ) -> Optional[StoreEntry]:
+        """Fetch one entry — a stage record's pack frame with
+        ``packed=True``, else an entry file; ``None`` on miss *or*
+        unreadable entry."""
         if fingerprint is None:
             return None
-        path = self._path(fingerprint)
         try:
-            fh = open(path, "rb")
+            header, payload = self._read(fingerprint, packed, payload=True)
         except OSError:
-            # Not found, or a *transient* open failure (EMFILE mid-campaign,
-            # a flaky network mount): a plain miss. The entry — if any —
-            # stays on disk; only proven-bad content is ever dropped.
+            # Not found, or a *transient* open/read failure (EMFILE
+            # mid-campaign, a flaky network mount): a plain miss. The entry
+            # — if any — stays on disk; only proven-bad content is dropped.
             self.misses += 1
-            return None
-        try:
-            with fh:
-                header = pickle.load(fh)
-                if not self._header_ok(header, fingerprint):
-                    raise ValueError("stale or mismatched record")
-                payload = pickle.load(fh)
-        except OSError:
-            self.misses += 1  # read-side transient failure: keep the entry
             return None
         except Exception:
-            # Truncated write, foreign file, unpicklable class, stale
-            # format/salt: a miss; drop the entry so it is not re-read.
+            # Truncated write, torn or corrupt frame, foreign file,
+            # unpicklable class, stale format/salt: a miss; drop the entry
+            # (a frame from the index) so it is not re-read.
             self.misses += 1
             self.corrupt_dropped += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            if packed:
+                self._packs.entries.pop(fingerprint, None)
+            else:
+                try:
+                    self._path(fingerprint).unlink()
+                except OSError:
+                    pass
             return None
         self.hits += 1
         return StoreEntry(
@@ -488,8 +748,10 @@ class ResultStore:
             created_s=float(header.get("created_s", 0.0)),
         )
 
-    def head(self, fingerprint: Optional[str]) -> Optional[Dict[str, Any]]:
-        """The entry's header frame alone — the payload stays on disk.
+    def head(
+        self, fingerprint: Optional[str], *, packed: bool = False
+    ) -> Optional[Dict[str, Any]]:
+        """The entry's header frame alone — the payload is not unpickled.
 
         ``None`` when the entry is absent, unreadable or stale; a bad
         entry is left for :meth:`get` to drop. The session hit/miss
@@ -497,8 +759,29 @@ class ResultStore:
         """
         if fingerprint is None:
             return None
-        header = _read_header(self._path(fingerprint))
-        return header if self._header_ok(header, fingerprint) else None
+        try:
+            return self._read(fingerprint, packed, payload=False)[0]
+        except Exception:
+            return None
+
+    def _read(
+        self, fingerprint: str, packed: bool, *, payload: bool
+    ) -> Tuple[Dict[str, Any], Any]:
+        """``(header, payload)`` of one entry (``payload=False``: ``None``
+        for the payload). Raises ``OSError`` when it cannot be read and
+        ``ValueError`` (or whatever unpickling raises) when it is bad."""
+        if packed:
+            body = self._packs.read(fingerprint)
+            if body is None:
+                raise FileNotFoundError(fingerprint)
+            source = io.BytesIO(body)
+        else:
+            source = open(self._path(fingerprint), "rb")
+        with source:
+            header = pickle.load(source)
+            if not self._header_ok(header, fingerprint):
+                raise ValueError("stale or mismatched record")
+            return header, pickle.load(source) if payload else None
 
     def _header_ok(self, header: Any, fingerprint: str) -> bool:
         return (
@@ -523,7 +806,9 @@ class ResultStore:
         frame, so ``stats``/``verify`` can read metadata without
         deserialising payloads — is pickled to a temp file in the entry's
         directory and renamed into place, so concurrent writers and killed
-        processes can never expose a partial entry under a valid name.
+        processes can never expose a partial entry under a valid name. A
+        stage record (``task_type="stage:*"``) is appended as one frame to
+        this process's pack instead, and read back with ``packed=True``.
         Unpicklable payloads are skipped (the campaign still completes —
         it just cannot resume through this point).
         """
@@ -537,8 +822,12 @@ class ResultStore:
             "elapsed_s": float(elapsed_s),
             "created_s": time.time(),  # repro: noqa[RPL202] -- bookkeeping clock; the header never enters a fingerprint
         }
-        path = self._path(fingerprint)
         try:
+            if task_type.startswith(_PACKED_PREFIX):
+                return self._packs.append(fingerprint, pickle.dumps(
+                    header, protocol=pickle.HIGHEST_PROTOCOL
+                ) + pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+            path = self._path(fingerprint)
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
                 prefix=".tmp-", suffix=_ENTRY_SUFFIX, dir=path.parent
@@ -563,9 +852,13 @@ class ResultStore:
         return new_size
 
     def size_of(self, fingerprint: Optional[str]) -> int:
-        """On-disk bytes of one entry; 0 when absent (or unstattable)."""
+        """On-disk bytes of one entry (of its frame, for a packed record);
+        0 when absent (or unstattable)."""
         if fingerprint is None:
             return 0
+        loc = self._packs.entries.get(fingerprint)
+        if loc is not None:
+            return _FRAME.size + loc[2]
         try:
             return self._path(fingerprint).stat().st_size
         except OSError:
@@ -581,25 +874,45 @@ class ResultStore:
             misses=self.misses,
             corrupt_dropped=self.corrupt_dropped,
         )
-        for path in self._entry_paths():
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
+        for _fingerprint, task_type, size in self._records():
             stats.entries += 1
             stats.total_bytes += size
-            header = _read_header(path) or {}
-            task_type = str(header.get("task_type", "?")) or "?"
             stats.by_task_type[task_type] = (
                 stats.by_task_type.get(task_type, 0) + 1
             )
         return stats
 
+    def entries(self) -> Dict[str, str]:
+        """``{fingerprint: task type}`` of every entry file and every
+        whole pack frame."""
+        return {fp: task_type for fp, task_type, _size in self._records()}
+
+    def _records(self) -> Iterator[Tuple[str, str, int]]:
+        """``(fingerprint, task type, bytes)`` per entry file, then per
+        pack frame that is not torn; only headers are unpickled."""
+        for path in self._entry_paths():
+            try:
+                size = path.stat().st_size
+            except OSError:
+                continue
+            header = _read_header(path) or {}
+            yield _path_fingerprint(path), _task_type(header), size
+        for path in self._pack_paths():
+            try:
+                frames = list(_walk_pack(path))
+            except OSError:
+                continue
+            for _offset, fingerprint, frame, problem in frames:
+                if problem != "torn frame":
+                    header = _read_header(io.BytesIO(frame[_FRAME.size:]))
+                    yield fingerprint, _task_type(header or {}), len(frame)
+
     def verify(self, *, repair: bool = False) -> VerifyReport:
-        """Audit every entry: header readable and matching (format, salt,
-        name vs content), payload deserialisable. ``repair=True`` deletes
-        the entries that fail (under the store lock, so a repair sweep
-        cannot race a peer's ``clear``)."""
+        """Audit every entry and pack frame: frame whole and its CRC
+        matching, header readable and matching (format, salt, name vs
+        content), payload deserialisable. ``repair=True`` deletes the
+        entries and rewrites the packs that fail (under the store lock,
+        so a repair sweep cannot race a peer's ``clear``)."""
         lock = self._mutation_lock() if repair else None
         try:
             return self._verify(repair=repair)
@@ -614,15 +927,9 @@ class ResultStore:
         report = VerifyReport()
         for path in self._entry_paths():
             report.checked += 1
-            fingerprint = path.parent.name + path.name[: -len(_ENTRY_SUFFIX)]
-            reason = None
             try:
                 with open(path, "rb") as fh:
-                    header = pickle.load(fh)
-                    if not self._header_ok(header, fingerprint):
-                        reason = "stale or mismatched record"
-                    else:
-                        pickle.load(fh)  # payload must deserialise too
+                    reason = self._audit(fh, _path_fingerprint(path))
             except Exception as exc:
                 reason = f"unreadable ({type(exc).__name__})"
             if reason is None:
@@ -635,15 +942,48 @@ class ResultStore:
                     report.removed += 1
                 except OSError:
                     pass
+        for path in self._pack_paths():
+            try:
+                frames = list(_walk_pack(path))
+            except OSError as exc:
+                report.bad.append((str(path), f"unreadable ({exc})"))
+                continue
+            kept, bad = [], 0
+            for offset, fingerprint, frame, problem in frames:
+                report.checked += 1
+                reason = problem or self._audit(
+                    io.BytesIO(frame[_FRAME.size:]), fingerprint
+                )
+                if reason is None:
+                    report.ok += 1
+                    kept.append(frame)
+                    continue
+                report.bad.append((f"{path}@{offset}", reason))
+                bad += 1
+            if repair and bad and _rewrite(path, kept):
+                report.removed += bad
+        if repair:
+            self._packs.reset()
         return report
 
+    def _audit(self, fh, fingerprint: str) -> Optional[str]:
+        """Why one record fails the audit, or ``None`` if it passes."""
+        try:
+            header = pickle.load(fh)
+            if not self._header_ok(header, fingerprint):
+                return "stale or mismatched record"
+            pickle.load(fh)  # the payload must deserialise too
+        except Exception as exc:
+            return f"unreadable ({type(exc).__name__})"
+        return None
+
     def clear(self) -> Tuple[int, int]:
-        """Delete every entry (and any orphaned temp file left by a killed
-        writer); returns ``(removed, failed)`` so callers can tell a clean
-        sweep from unlinks an unwritable store silently refused. Runs
-        under the store lock when one can be taken (best-effort: a
-        read-only root cannot host a lock file but unlinks there fail
-        anyway and are reported)."""
+        """Delete every entry and pack (and any orphaned temp file left by
+        a killed writer); returns ``(removed, failed)`` records so callers
+        can tell a clean sweep from unlinks an unwritable store silently
+        refused. Runs under the store lock when one can be taken
+        (best-effort: a read-only root cannot host a lock file but unlinks
+        there fail anyway and are reported)."""
         lock = self._mutation_lock()
         try:
             return self._clear()
@@ -661,20 +1001,57 @@ class ResultStore:
                 removed += 1
             except OSError:
                 failed += 1
-        for pattern in ("??/.tmp-*", ".probe-*"):
-            for path in self._objects.glob(pattern):
+        for path in self._pack_paths():
+            try:
+                records = sum(
+                    1 for frame in _walk_pack(path) if frame[3] != "torn frame"
+                )
+            except OSError:
+                records = 1
+            try:
+                path.unlink()
+                removed += records
+            except OSError:
+                failed += records
+        for pattern in (
+            "objects/??/.tmp-*", "objects/.probe-*", "packs/.tmp-*"
+        ):
+            for path in self.root.glob(pattern):
                 try:
                     path.unlink()
                 except OSError:
                     pass
+        self._packs.reset()
         return removed, failed
 
 
-def _read_header(path: Path) -> Optional[Dict[str, Any]]:
-    """The entry's header frame, or ``None`` when it cannot be read as a
-    dict — the payload frame after it is never deserialised."""
+def _path_fingerprint(path: Path) -> str:
+    return path.parent.name + path.name[: -len(_ENTRY_SUFFIX)]
+
+
+def _task_type(header: Dict[str, Any]) -> str:
+    return str(header.get("task_type", "?")) or "?"
+
+
+def _rewrite(path: Path, frames: List[bytes]) -> bool:
+    """Replace the pack at ``path`` with ``frames``; an emptied pack stays,
+    empty, so the pack numbers keep no gap."""
     try:
-        with open(path, "rb") as fh:
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=path.parent)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"".join(frames))
+        os.replace(tmp, path)
+    except OSError:
+        return False
+    return True
+
+
+def _read_header(source: Union[Path, io.BytesIO]) -> Optional[Dict[str, Any]]:
+    """The header frame of an entry file or a frame body, or ``None`` when
+    it cannot be read as a dict — the payload after it is never
+    deserialised."""
+    try:
+        with open(source, "rb") if isinstance(source, Path) else source as fh:
             header = pickle.load(fh)
     except Exception:
         return None

@@ -23,7 +23,6 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
-from pathlib import Path
 
 import pytest
 
@@ -88,7 +87,7 @@ def _payloads(results):
 
 
 def _store_entries(store_dir) -> int:
-    return len(list(Path(store_dir).rglob("*.pkl")))
+    return ResultStore(store_dir, readonly=True).stats().entries
 
 
 class TestFaultMatrix:

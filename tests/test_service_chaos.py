@@ -29,7 +29,7 @@ from repro.campaign import CampaignService
 from repro.campaign.journal import JobJournal
 from repro.campaign.service import submit_file
 from repro.engine.faults import FaultSpec, arm_sites, site_activations
-from repro.engine.store import _read_header
+from repro.engine.store import ResultStore
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -113,13 +113,12 @@ def reference(tmp_path_factory):
 
 @pytest.mark.slow
 def _task_entries(spool: Path):
-    """The store's whole-task entries; the per-stage records a served
-    sweep also writes there are left out."""
+    """The fingerprints of the store's whole-task entries; the per-stage
+    records a served sweep also writes there are left out."""
     return {
-        p.relative_to(spool) for p in (spool / "store").rglob("*.pkl")
-        if not str((_read_header(p) or {}).get("task_type", "")).startswith(
-            "stage:"
-        )
+        fp for fp, task_type in
+        ResultStore(spool / "store", readonly=True).entries().items()
+        if not task_type.startswith("stage:")
     }
 
 

@@ -30,6 +30,7 @@ from repro.engine.stagecache import (
     merge_stage_stats,
     open_stage_cache,
 )
+from repro.engine.store import _FRAME
 from repro.noc.export import design_point_to_dict
 
 CONFIG = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))
@@ -203,21 +204,29 @@ class TestWarmIdentity:
     def test_missing_record_recomputes_from_its_producer(
         self, ctx, ok_request, tmp_path
     ):
-        """A record the replay needs but cannot load (here: deleted) caps
-        the replay below its stage: the walk resumes after the deepest
-        record left before it and rewrites what it recomputes."""
+        """A record the replay needs but cannot load (here: its frame's
+        last byte flipped) caps the replay below its stage: the walk
+        resumes after the deepest record left before it and rewrites what
+        it recomputes."""
         pipeline = Pipeline()
         cache = _cache(tmp_path)
         base = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         floorplan_fp = base.stage_fingerprints["floorplan"]
-        cache.store._path(floorplan_fp).unlink()
+        assert cache.store.head(floorplan_fp, packed=True) is not None
+        pack, offset, length, _crc = cache.store._packs.entries[floorplan_fp]
+        with open(cache.store._packs.path(pack), "r+b") as fh:
+            fh.seek(offset + _FRAME.size + length - 1)
+            last = fh.read(1)[0]
+            fh.seek(-1, 1)
+            fh.write(bytes([last ^ 0xFF]))
+        assert cache.store.head(floorplan_fp, packed=True) is None
         again = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         upstream = ["partition", "precheck", "skeleton", "routing",
                     "placement_lp"]
         assert again.cached_stages == upstream
         assert (design_point_to_dict(again.point)
                 == design_point_to_dict(base.point))
-        assert cache.store.head(floorplan_fp) is not None
+        assert cache.store.head(floorplan_fp, packed=True) is not None
 
     def test_sweep_warm_adjacent_runs_nothing(self, tiny_specs, tmp_path):
         """A sweep with only the objective flipped re-runs no stage and

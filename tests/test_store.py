@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
+import multiprocessing
+import os
 import pickle
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from repro.core.frequency_sweep import sweep_frequencies
 from repro.engine import ResultStore, fingerprint_task, run_tasks
 from repro.engine.faults import FaultSpec, FaultyTask
 from repro.engine.reference import naive_fingerprint_task
-from repro.engine.store import _fingerprint, open_store
+from repro.engine.store import _FRAME, _fingerprint, _walk_pack, open_store
 from repro.engine.tasks import BatchSimulationTask, SimulationTask, SynthesisTask
 from repro.errors import StoreError
 
@@ -275,6 +280,204 @@ class TestStoreIO:
         store = open_store()
         assert store.root == tmp_path / "envstore"
         assert store.root.is_dir()
+
+
+def _fp(name) -> str:
+    return hashlib.sha256(name.encode()).hexdigest()
+
+
+def _put_stage(store, name, payload=None):
+    fp = _fp(name)
+    assert store.put(fp, payload or name, task_type="stage:demo")
+    return fp
+
+
+def _frame(store, fp):
+    """``(pack path, frame offset, body length)`` of a packed record."""
+    pack, offset, length, _crc = store._packs.entries[fp]
+    return store._packs.path(pack), offset, length
+
+
+def _flip_byte(path, offset):
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ 0xFF]))
+
+
+def _fork(fn, *args):
+    """``fn(*args)`` in a forked child process, which then exits; the
+    child shares every object of this process as it was at the fork."""
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(fn(*args)), daemon=True)
+    child.start()
+    assert receive.poll(30), "the child process sent nothing"
+    result = receive.recv()
+    child.join(30)
+    assert child.exitcode == 0
+    return result
+
+
+def _child_put(root, name):
+    return _put_in(ResultStore(root), name)
+
+
+def _put_in(store, name):
+    fp = _put_stage(store, name)
+    return os.getpid(), store._packs._pack, fp
+
+
+def _child_get(root, fp):
+    entry = ResultStore(root).get(fp, packed=True)
+    return None if entry is None else entry.payload
+
+
+class TestStagePacks:
+    """Stage records are frames appended to per-process packs."""
+
+    def test_stage_records_are_frames_not_files(self, tmp_path):
+        store = ResultStore(tmp_path)
+        fp = _put_stage(store, "a", payload={"x": 1})
+        task_fp = store.fingerprint(_sim_tasks(1)[0])
+        store.put(task_fp, "whole", task_type="SimulationTask")
+        assert [p.name for p in (tmp_path / "packs").iterdir()] == [
+            "000000.pack"
+        ]
+        assert not store._path(fp).exists() and store._path(task_fp).exists()
+        entry = store.get(fp, packed=True)
+        assert entry.payload == {"x": 1} and entry.task_type == "stage:demo"
+        assert store.head(fp, packed=True)["task_type"] == "stage:demo"
+        assert store.size_of(fp) == _FRAME.size + _frame(store, fp)[2]
+        assert store.size_of(fp) == (tmp_path / "packs" / "000000.pack"
+                                     ).stat().st_size
+        stats = store.stats()
+        assert stats.by_task_type == {"stage:demo": 1, "SimulationTask": 1}
+        assert store.entries() == {fp: "stage:demo",
+                                   task_fp: "SimulationTask"}
+
+    def test_torn_tail_is_a_miss_and_later_appends_are_served(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        first, second = _put_stage(store, "a"), _put_stage(store, "b")
+        path, offset, length = _frame(store, second)
+        os.truncate(path, offset + _FRAME.size + length // 2)
+        assert store.get(second, packed=True) is None
+        assert store.get(first, packed=True).payload == "a"
+        later = _put_stage(store, "c")
+        assert store.get(later, packed=True).payload == "c"
+        # A new process: the torn frame ends its scan of the first pack,
+        # and the later record sits in a pack of its own.
+        assert _fork(_child_get, tmp_path, later) == "c"
+        assert _fork(_child_get, tmp_path, first) == "a"
+        assert _fork(_child_get, tmp_path, second) is None
+        report = store.verify()
+        assert [reason for _, reason in report.bad] == ["torn frame"]
+        assert report.bad[0][0] == f"{path}@{offset}"
+        assert store.verify(repair=True).removed == 1
+        assert store.verify().clean
+        assert store.stats().entries == 2
+
+    def test_flipped_byte_is_a_miss_and_verify_reports_it(self, tmp_path):
+        store = ResultStore(tmp_path)
+        bad, good = _put_stage(store, "a"), _put_stage(store, "b")
+        path, offset, length = _frame(store, bad)
+        _flip_byte(path, offset + _FRAME.size + length - 1)
+        assert store.get(bad, packed=True) is None
+        assert store.corrupt_dropped == 1
+        assert store.get(good, packed=True).payload == "b"
+        report = store.verify()
+        assert (report.checked, report.ok) == (2, 1)
+        assert report.bad == [(f"{path}@{offset}", "CRC mismatch")]
+        assert store.verify(repair=True).removed == 1
+        assert store.verify().clean
+        assert store.entries() == {good: "stage:demo"}
+        assert store.get(good, packed=True).payload == "b"
+
+    def test_forked_writers_get_their_own_packs(self, tmp_path):
+        store = ResultStore(tmp_path)
+        mine = _put_stage(store, "parent")
+        # One child appends through the store it inherited, whose pack is
+        # open in the parent; the other opens the store afresh.
+        children = [_fork(_put_in, store, "child-0"),
+                    _fork(_child_put, tmp_path, "child-1")]
+        later = _put_stage(store, "parent-later")
+        packs = {pack for _pid, pack, _fp in children}
+        assert {pid for pid, _pack, _fp in children} != {os.getpid()}
+        assert len(packs) == 2 and store._packs._pack not in packs
+        assert len(list((tmp_path / "packs").iterdir())) == 3
+        fps = [mine, later] + [fp for _pid, _pack, fp in children]
+        assert all(store.get(fp, packed=True) is not None for fp in fps)
+        own = ResultStore(tmp_path, readonly=True)
+        assert {fp for fp, _t in own.entries().items()} == set(fps)
+        own_pack = Path(_frame(store, mine)[0])
+        assert [frame[1] for frame in _walk_pack(own_pack)] == [
+            mine, later,
+        ]
+
+    def test_record_a_sibling_wrote_after_the_index_was_built(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        _put_stage(store, "mine")
+        fp = _fp("sibling")
+        # The index is built, without it.
+        assert store.get(fp, packed=True) is None
+        assert _fork(_child_put, tmp_path, "sibling")[2] == fp
+        assert store.get(fp, packed=True).payload == "sibling"
+
+    def test_live_sibling_pack_is_rescanned_as_it_grows(self, tmp_path):
+        """A pack whose writer still holds it is never taken as final."""
+        ctx = multiprocessing.get_context("fork")
+        here, there = ctx.Pipe()
+
+        def sibling():
+            sibling_store = ResultStore(tmp_path)
+            for name in ("first", "second"):
+                there.send(_put_stage(sibling_store, name))
+                if not there.poll(30):
+                    return
+
+        child = ctx.Process(target=sibling, daemon=True)
+        child.start()
+        store = ResultStore(tmp_path)
+        for name in ("first", "second"):
+            assert here.poll(30)
+            fp = here.recv()
+            assert store.get(fp, packed=True).payload == name
+            here.send("next")
+        child.join(30)
+        assert child.exitcode == 0
+
+    def test_record_written_after_a_clear_is_found(self, tmp_path):
+        """A clear and a new pack under a reused number change the packs
+        directory, so a refresh looks at final packs again."""
+        store = ResultStore(tmp_path)
+        _, _, before = _fork(_child_put, tmp_path, "before")
+        assert store.get(before, packed=True).payload == "before"
+        time.sleep(0.05)  # a directory timestamp may be one tick coarse
+        assert ResultStore(tmp_path).clear() == (1, 0)
+        _, pack, after = _fork(_child_put, tmp_path, "after")
+        assert pack == 0
+        assert store.get(after, packed=True).payload == "after"
+        assert store.get(before, packed=True) is None
+
+    def test_record_of_a_dead_process_is_served_to_the_next(self, tmp_path):
+        _, _, fp = _fork(_child_put, tmp_path, "gone")
+        assert _fork(_child_get, tmp_path, fp) == "gone"
+
+    def test_clear_removes_packs(self, tmp_path):
+        store = ResultStore(tmp_path)
+        fps = [_put_stage(store, name) for name in "abc"]
+        store.put(store.fingerprint(_sim_tasks(1)[0]), "x")
+        assert store.clear() == (4, 0)
+        assert list((tmp_path / "packs").iterdir()) == []
+        assert all(store.get(fp, packed=True) is None for fp in fps)
+        again = _put_stage(store, "d")
+        assert store.get(again, packed=True).payload == "d"
+        assert store.stats().entries == 1
 
 
 class TestExecutorIntegration:
