@@ -124,8 +124,9 @@ serve-smoke:
 # (bench_floorplan_anneal.py, bench_simulator.py,
 # bench_store_fingerprint.py, bench_routing.py, bench_partition.py,
 # bench_placement_lp.py: optimised layer vs its frozen reference;
-# bench_stage_records.py: packed stage-record writes vs one file per
-# record), slow. Explicit file list: bench_*.py does not match
+# bench_stage_records.py: packed stage-record writes vs the one file
+# per record the store wrote before packs, kept in the script as its
+# reference leg), slow. Explicit file list: bench_*.py does not match
 # pytest's default test-file pattern.
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

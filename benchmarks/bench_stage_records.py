@@ -15,9 +15,10 @@ filed, so the legs differ only in the layout:
 
 * packs: ``ResultStore.put`` under the record's own ``stage:*`` task
   type, one frame appended to this process's pack;
-* files: the same bytes under a non-stage task type, which the store
-  files under ``objects/`` (``mkdir``, ``mkstemp``, write,
-  ``os.replace``), as it filed stage records before packs.
+* files: the reference leg, the layout the store used before packs, kept
+  here: the same header and payload pickles written to one file per
+  record under a fan-out directory (``mkdir``, ``mkstemp``, write,
+  ``os.replace``), read back with ``open``.
 
 The script asserts
 
@@ -30,18 +31,20 @@ of interleaved repeats, single-process, so the floor does not depend on
 the CPU count.
 """
 
+import os
 import pickle
 import shutil
 import statistics
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.bench.registry import get_benchmark
 from repro.core.synthesis import synthesize
 from repro.engine.stagecache import StageCache
-from repro.engine.store import ResultStore
+from repro.engine.store import STORE_FORMAT, ResultStore
 
 REPEATS = 5
 FLOOR = 5.0
@@ -59,7 +62,7 @@ def records():
                    stage_cache=StageCache(store))
         out = [
             (fp, task_type,
-             pickle.dumps(store.get(fp, packed=True).payload))
+             pickle.dumps(store.get(fp).payload))
             for fp, task_type in sorted(store.entries().items())
         ]
     finally:
@@ -69,7 +72,7 @@ def records():
     return out
 
 
-def _leg(records, packed):
+def _pack_leg(records):
     """Seconds to write ``records`` into a fresh store, and what it reads
     back."""
     root = tempfile.mkdtemp(prefix="stage-records-")
@@ -77,11 +80,46 @@ def _leg(records, packed):
         store = ResultStore(root)
         start = time.perf_counter()
         for fp, task_type, blob in records:
-            store.put(fp, blob,
-                      task_type=task_type if packed else "file:" + task_type)
+            store.put(fp, blob, task_type=task_type)
         seconds = time.perf_counter() - start
-        back = [store.get(fp, packed=packed).payload
-                for fp, _task_type, _blob in records]
+        back = [store.get(fp).payload for fp, _task_type, _blob in records]
+    finally:
+        shutil.rmtree(root)
+    return seconds, back
+
+
+def _file_path(root, fp):
+    return root / "objects" / fp[:2] / (fp[2:] + ".pkl")
+
+
+def _file_leg(records):
+    """Seconds to write ``records`` one file each, as the store did before
+    packs, and what reads back."""
+    root = Path(tempfile.mkdtemp(prefix="stage-records-"))
+    try:
+        start = time.perf_counter()
+        for fp, task_type, blob in records:
+            header = {
+                "format": STORE_FORMAT, "fingerprint": fp, "salt": "bench",
+                "task_type": task_type, "elapsed_s": 0.0,
+                "created_s": time.time(),
+            }
+            path = _file_path(root, fp)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                prefix=".tmp-", suffix=".pkl", dir=path.parent
+            )
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(header, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(blob, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.path.getsize(tmp)  # put returned the bytes written
+            os.replace(tmp, path)
+        seconds = time.perf_counter() - start
+        back = []
+        for fp, _task_type, _blob in records:
+            with open(_file_path(root, fp), "rb") as fh:
+                pickle.load(fh)
+                back.append(pickle.load(fh))
     finally:
         shutil.rmtree(root)
     return seconds, back
@@ -89,14 +127,14 @@ def _leg(records, packed):
 
 def test_packed_writes_beat_one_file_per_record(records):
     written = [blob for _fp, _task_type, blob in records]
-    _leg(records, True)  # warm both code paths off the clock
-    _leg(records, False)
+    _pack_leg(records)  # warm both code paths off the clock
+    _file_leg(records)
     pack_s, file_s = [], []
     for _ in range(REPEATS):
-        seconds, back = _leg(records, True)
+        seconds, back = _pack_leg(records)
         pack_s.append(seconds)
         assert back == written
-        seconds, back = _leg(records, False)
+        seconds, back = _file_leg(records)
         file_s.append(seconds)
         assert back == written
 

@@ -159,13 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument("action", choices=("stats", "verify", "clear"),
                        help="stats: entry/size summary; verify: audit every "
-                            "entry (--repair deletes corrupt ones); clear: "
-                            "delete all entries")
+                            "entry (--repair rewrites the packs without the "
+                            "corrupt ones); clear: delete all entries")
     cache.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="store location (default: $REPRO_CACHE_DIR or "
                             ".repro-cache)")
     cache.add_argument("--repair", action="store_true",
-                       help="with verify: delete entries that fail the audit")
+                       help="with verify: drop entries that fail the audit")
 
     campaign = sub.add_parser(
         "campaign",
@@ -617,8 +617,8 @@ def _cmd_cache(args) -> int:
 
     # Inspection-only open: auditing a store on a read-only mount must
     # work, and `cache stats` of a missing store must not create one.
-    # clear / verify --repair only unlink existing files, which needs no
-    # directory creation or write probe either.
+    # clear / verify --repair only unlink or rewrite existing packs, which
+    # needs no directory creation or write probe either.
     store = open_store(args.cache_dir, readonly=True)
     if args.action == "stats":
         stats = store.stats()

@@ -540,13 +540,22 @@ class FloorplanStage(Stage):
         link_lengths_from_positions(state.topology, state.final_centers)
 
     def _insert_noc(self, ctx: FlowContext, topology: Topology) -> ChipFloorplan:
+        # Components take their kinds from the topology's own endpoint
+        # strings: a topology replayed from a stage record holds unpickled
+        # copies of "core" and "switch", and a point whose topology and
+        # floorplan share one object per kind pickles to the bytes of its
+        # cold twin.
+        kinds = {
+            ep[0]: ep[0]
+            for link in topology.links for ep in (link.src, link.dst)
+        }
         floorplan = ChipFloorplan()
         num_layers = max(ctx.core_spec.num_layers, 1)
         for layer in range(num_layers):
             existing = [
                 PlacedComponent(
                     name=core.name,
-                    kind="core",
+                    kind=kinds.get("core", "core"),
                     rect=Rect(core.x, core.y, core.width, core.height),
                     layer=layer,
                 )
@@ -564,7 +573,7 @@ class FloorplanStage(Stage):
                 new_components.append(
                     NewComponent(
                         name=f"sw{sw.id}",
-                        kind="switch",
+                        kind=kinds.get("switch", "switch"),
                         width=side,
                         height=side,
                         ideal_center=(sw.x, sw.y),

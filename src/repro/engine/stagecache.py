@@ -33,12 +33,11 @@ Invalidation model (see ``docs/pipeline.md`` for the full policy):
   the stage — and, through the chain, its downstream — run uncached,
   never an error.
 
-Records share the store directory and salt with whole-task caching and are
-filed under ``task_type="stage:<name>"``. The store appends them as frames
-to per-process pack files (``<root>/packs/``) rather than one file each,
-since one cold synthesis writes hundreds; ``cache stats`` /
-``verify`` / ``clear`` cover packs like entry files, and a
-``REPRO_STORE_SALT`` bump retires both layers at once.
+Records share the store directory, its packs and its salt with
+whole-task caching and are filed under ``task_type="stage:<name>"``, one
+frame each (one cold synthesis writes hundreds); ``cache stats`` /
+``verify`` / ``clear`` count them per stage, and a ``REPRO_STORE_SALT``
+bump retires both layers at once.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import hashlib
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engine.store import ResultStore, _feed, open_store
+from repro.engine.store import ResultStore, _Chunks, _feed, open_store
 from repro.errors import StoreError
 
 #: Record-format tag folded into every stage fingerprint; bump when the
@@ -126,15 +125,17 @@ class StageCache:
     inside worker processes.
     """
 
-    #: Cap on the memoised per-(stage, context) fingerprint prefixes; the
-    #: memo holds strong references (so ``id()`` keys stay valid), and the
-    #: cap bounds how many contexts a long-lived cache keeps alive.
+    #: Cap on the memoised per-(stage, context) fingerprint prefixes and
+    #: per-context input encodings; the memos hold strong references (so
+    #: ``id()`` keys stay valid), and the cap bounds how many contexts a
+    #: long-lived cache keeps alive.
     _PREFIX_MEMO_MAX = 64
 
     def __init__(self, store: ResultStore) -> None:
         self.store = store
         self.counters: Dict[str, StageCounter] = {}
         self._prefixes: Dict[Tuple[int, int], Tuple[Any, ...]] = {}
+        self._inputs: Dict[int, Tuple[Any, Dict[Tuple[bool, str], bytes]]] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -176,15 +177,32 @@ class StageCache:
         _feed(h, chain)
         _feed(h, _stage_signature(stage))
         for name in stage.context_inputs:
-            _feed(h, name)
-            _feed(h, getattr(ctx, name))
+            h.update(self._input(ctx, False, name))
         for name in stage.config_inputs:
-            _feed(h, name)
-            _feed(h, getattr(ctx.config, name))
+            h.update(self._input(ctx, True, name))
         if len(self._prefixes) >= self._PREFIX_MEMO_MAX:
             self._prefixes.clear()
         self._prefixes[key] = (stage, ctx, chain, h)
         return h
+
+    def _input(self, ctx, config: bool, name: str) -> bytes:
+        """The encoding of one declared input, its name then its value (of
+        ``ctx.config`` when ``config``), made once per context however many
+        stages declare it: several stages read the communication graph
+        and the library. SHA-256 is a stream, so feeding these bytes
+        digests as feeding the name and value would."""
+        memo = self._inputs.get(id(ctx))
+        if memo is None or memo[0] is not ctx:
+            if len(self._inputs) >= self._PREFIX_MEMO_MAX:
+                self._inputs.clear()
+            memo = self._inputs[id(ctx)] = (ctx, {})
+        data = memo[1].get((config, name))
+        if data is None:
+            chunks = _Chunks()
+            _feed(chunks, name)
+            _feed(chunks, getattr(ctx.config if config else ctx, name))
+            data = memo[1][config, name] = b"".join(chunks)
+        return data
 
     def fingerprint(
         self,
@@ -234,7 +252,7 @@ class StageCache:
     def head(self, stage, fingerprint: str) -> Optional[float]:
         """The original elapsed seconds of ``stage``'s record, from its
         header frame alone; ``None`` when there is no such record."""
-        header = self.store.head(fingerprint, packed=True)
+        header = self.store.head(fingerprint)
         if header is None or header.get("task_type") != f"stage:{stage.name}":
             return None
         return float(header.get("elapsed_s", 0.0))
@@ -242,7 +260,7 @@ class StageCache:
     def load(self, stage, fingerprint: str) -> Optional[Tuple[StageRecord, float]]:
         """Fetch ``(record, original elapsed seconds)``; ``None`` on miss.
         Only these payload reads add to ``bytes_read``."""
-        entry = self.store.get(fingerprint, packed=True)
+        entry = self.store.get(fingerprint)
         if (
             entry is None
             or not isinstance(entry.payload, StageRecord)

@@ -19,22 +19,20 @@ Design:
 * **code-version salt** — the digest includes :data:`CODE_SALT` (overridable
   per store and via ``$REPRO_STORE_SALT``); bump it when a change makes old
   results stale, and every entry silently becomes a miss;
-* **layout** — whole-task entries are one file each,
-  ``<root>/objects/<fp[:2]>/<fp[2:]>.pkl``; stage records
-  (``task_type="stage:*"``, hundreds per synthesis) are
-  frames appended to per-process pack files ``<root>/packs/NNNNNN.pack``,
-  Bitcask-style (Sheehy & Smith, 2010), so a cold sweep does not pay a
-  file creation per record. A frame is the raw fingerprint digest, the
-  body length, the body's CRC32, then the body: the header pickle and the
-  payload pickle, as in an entry file;
-* **atomic writes** — an entry is pickled to a temp file in the store
-  directory and ``os.replace``'d into place, so a killed campaign never
-  leaves a half-written entry under a valid name. A frame is one
-  ``os.write`` to a pack only its own process appends to (opened
-  ``O_APPEND`` on the first write; a forked worker opens its own). A
-  torn frame (a killed writer, a full disk) ends the scan of its pack, a
-  CRC-failing one reads as a miss, and a writer whose pack no longer ends
-  where its last frame did starts a new pack;
+* **layout** — every entry is a frame appended to a per-process pack
+  file ``<root>/packs/NNNNNN.pack``, Bitcask-style (Sheehy & Smith,
+  2010), so a cold sweep does not pay a file creation per record (one
+  synthesis writes hundreds of stage records). A frame is the raw
+  fingerprint digest, the body length, the body's CRC32, then the body:
+  the header pickle and the payload pickle;
+* **append-only writes** — a frame is one ``os.writev`` to a pack only its
+  own process appends to (opened ``O_APPEND`` on the first write; a
+  forked worker opens its own), so a killed campaign never leaves a
+  half-written entry that reads as valid. A torn frame (a killed writer,
+  a full disk) ends the scan of its pack, a CRC-failing one reads as a
+  miss, and a writer whose pack no longer ends where its last frame did
+  starts a new pack. Entries that older versions filed one file each
+  are not read;
 * **pack index** — each store keeps an in-memory index, fingerprint ->
   (pack, offset, length, CRC), built from frame headers only (the stage
   cache keeps one store per directory per worker process, so a worker
@@ -43,18 +41,19 @@ Design:
   packs no writer holds any more are skipped until the directory
   changes. A stale index costs a miss (a recomputation), never a wrong
   result;
-* **corruption-tolerant reads** — a truncated, unreadable or mismatched
-  entry is treated as a miss (and counted), never an error;
+* **corruption-tolerant reads** — a torn, CRC-failing or mismatched
+  entry is treated as a miss (counted, and dropped from the index), never
+  an error;
   ``python -m repro.cli cache verify`` audits and optionally repairs;
-* **inter-process safety** — multi-file mutations (``clear``,
+* **inter-process safety** — store-wide mutations (``clear``,
   ``verify(repair=True)``, which rewrites a pack without its bad frames)
   run under an advisory
   :class:`~repro.engine.locks.FileLock` at ``<root>/.lock``, so serving
   workers, a resident campaign service and ad-hoc CLI runs can share one
   warm store without racing each other's walks. The kernel releases the
-  lock when a holder dies (SIGKILL included), and single-entry unlinks
-  are atomic, so a crash mid-sweep leaves a smaller-but-consistent store
-  and no stuck lock.
+  lock when a holder dies (SIGKILL included), and each pack's unlink or
+  rewrite is atomic, so a crash mid-sweep leaves a smaller-but-consistent
+  store and no stuck lock.
 
 The executor integration lives in :func:`repro.engine.executor.run_tasks`
 (``store=``): hits short-circuit the worker pool, misses are computed and
@@ -64,6 +63,7 @@ finishes from the store with merged results bit-identical to a cold run.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import hashlib
@@ -99,11 +99,7 @@ STORE_FORMAT = 2
 #: ``$REPRO_CACHE_DIR`` takes precedence.
 DEFAULT_STORE_DIR = ".repro-cache"
 
-_ENTRY_SUFFIX = ".pkl"
 _PACK_SUFFIX = ".pack"
-
-#: Records filed under a task type with this prefix go to packs.
-_PACKED_PREFIX = "stage:"
 
 #: A pack frame's head: the raw SHA-256 digest of the fingerprint, the
 #: body length and the body's CRC32. The body (header pickle, then
@@ -332,7 +328,7 @@ def _fingerprint(task: Any, salt: Optional[str], memo: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# stage-record packs
+# packs
 # --------------------------------------------------------------------------
 
 class _PackIndex:
@@ -446,25 +442,28 @@ class _PackIndex:
 
     # -- writing ------------------------------------------------------------
 
-    def append(self, fingerprint: str, body: bytes) -> int:
-        """Append one frame to this process's pack in a single write;
-        returns the bytes written. Raises on a fingerprint that is not a
-        SHA-256 hex digest or a failed write (after which this process's
-        next append starts a new pack)."""
+    def append(self, fingerprint: str, *parts: bytes) -> int:
+        """Append one frame, whose body is ``parts`` joined, to this
+        process's pack in a single write; returns the bytes written. Raises
+        on a fingerprint that is not a SHA-256 hex digest or a failed write
+        (after which this process's next append starts a new pack)."""
         digest = bytes.fromhex(fingerprint)
         if len(digest) != 32:
             raise ValueError("not a SHA-256 fingerprint")
-        crc = zlib.crc32(body)
-        frame = _FRAME.pack(digest, len(body), crc) + body
+        length = crc = 0
+        for part in parts:
+            length += len(part)
+            crc = zlib.crc32(part, crc)
+        frame = [_FRAME.pack(digest, length, crc), *parts]
         self._claim()
         try:
-            written = os.write(self._fd, frame)
+            written = os.writev(self._fd, frame)
         except OSError:
             written = -1
-        if written != len(frame):
+        if written != _FRAME.size + length:
             self.close()
-            raise OSError("short write to a stage-record pack")
-        self.entries[fingerprint] = (self._pack, self._end, len(body), crc)
+            raise OSError("short write to a pack")
+        self.entries[fingerprint] = (self._pack, self._end, length, crc)
         self._end += written
         return written
 
@@ -620,13 +619,12 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.corrupt_dropped = 0
-        self._objects = self.root / "objects"
         self._packs = _PackIndex(str(self.root / "packs"))
         self._prepare_root()
 
     @acquires_lock("store")
     def _mutation_lock(self) -> Optional[FileLock]:
-        """A held store-wide lock for a multi-file mutation, or ``None``
+        """A held store-wide lock for a mutation of every pack, or ``None``
         when it could not be taken (busy peer / unwritable root): the
         caller then proceeds best-effort — never blocks forever, never
         raises from a maintenance path."""
@@ -648,7 +646,7 @@ class ResultStore:
         if self.readonly:
             return
         try:
-            self._objects.mkdir(parents=True, exist_ok=True)
+            os.makedirs(self._packs.dir, exist_ok=True)
         except OSError as exc:
             raise StoreError(
                 f"cannot create cache directory {self.root}: {exc}"
@@ -656,32 +654,13 @@ class ResultStore:
         # Probe writability now: a read-only store should fail loudly at
         # open time, not with a traceback mid-campaign.
         try:
-            fd, probe = tempfile.mkstemp(prefix=".probe-", dir=self._objects)
+            fd, probe = tempfile.mkstemp(prefix=".probe-", dir=self._packs.dir)
             os.close(fd)
             os.unlink(probe)
         except OSError as exc:
             raise StoreError(
                 f"cache directory {self.root} is not writable: {exc}"
             ) from None
-
-    def _path(self, fingerprint: str) -> Path:
-        return (
-            self._objects / fingerprint[:2]
-            / (fingerprint[2:] + _ENTRY_SUFFIX)
-        )
-
-    def _entry_paths(self) -> List[Path]:
-        if not self._objects.is_dir():
-            return []
-        # pathlib's glob matches dotfiles, so in-flight ".tmp-*" writes
-        # (and any orphaned ones from a killed process) must be filtered:
-        # they are not entries, and verify must never touch a temp
-        # file a concurrent writer is about to os.replace into place.
-        return sorted(
-            path
-            for path in self._objects.glob("??/*" + _ENTRY_SUFFIX)
-            if not path.name.startswith(".")
-        )
 
     def _pack_paths(self) -> List[Path]:
         return sorted(self.root.glob("packs/*" + _PACK_SUFFIX))
@@ -709,35 +688,25 @@ class ResultStore:
 
     # -- entry IO -----------------------------------------------------------
 
-    def get(
-        self, fingerprint: Optional[str], *, packed: bool = False
-    ) -> Optional[StoreEntry]:
-        """Fetch one entry — a stage record's pack frame with
-        ``packed=True``, else an entry file; ``None`` on miss *or*
-        unreadable entry."""
+    def get(self, fingerprint: Optional[str]) -> Optional[StoreEntry]:
+        """Fetch one entry; ``None`` on miss *or* unreadable entry."""
         if fingerprint is None:
             return None
         try:
-            header, payload = self._read(fingerprint, packed, payload=True)
+            header, payload = self._read(fingerprint, payload=True)
         except OSError:
             # Not found, or a *transient* open/read failure (EMFILE
-            # mid-campaign, a flaky network mount): a plain miss. The entry
-            # — if any — stays on disk; only proven-bad content is dropped.
+            # mid-campaign, a flaky network mount): a plain miss. The frame
+            # stays indexed; only proven-bad content is dropped.
             self.misses += 1
             return None
         except Exception:
-            # Truncated write, torn or corrupt frame, foreign file,
-            # unpicklable class, stale format/salt: a miss; drop the entry
-            # (a frame from the index) so it is not re-read.
+            # Torn or corrupt frame, foreign header, unpicklable class,
+            # stale format/salt: a miss; drop the frame from the index so
+            # it is not re-read.
             self.misses += 1
             self.corrupt_dropped += 1
-            if packed:
-                self._packs.entries.pop(fingerprint, None)
-            else:
-                try:
-                    self._path(fingerprint).unlink()
-                except OSError:
-                    pass
+            self._packs.entries.pop(fingerprint, None)
             return None
         self.hits += 1
         return StoreEntry(
@@ -748,9 +717,7 @@ class ResultStore:
             created_s=float(header.get("created_s", 0.0)),
         )
 
-    def head(
-        self, fingerprint: Optional[str], *, packed: bool = False
-    ) -> Optional[Dict[str, Any]]:
+    def head(self, fingerprint: Optional[str]) -> Optional[Dict[str, Any]]:
         """The entry's header frame alone — the payload is not unpickled.
 
         ``None`` when the entry is absent, unreadable or stale; a bad
@@ -760,28 +727,24 @@ class ResultStore:
         if fingerprint is None:
             return None
         try:
-            return self._read(fingerprint, packed, payload=False)[0]
+            return self._read(fingerprint, payload=False)[0]
         except Exception:
             return None
 
     def _read(
-        self, fingerprint: str, packed: bool, *, payload: bool
+        self, fingerprint: str, *, payload: bool
     ) -> Tuple[Dict[str, Any], Any]:
         """``(header, payload)`` of one entry (``payload=False``: ``None``
         for the payload). Raises ``OSError`` when it cannot be read and
         ``ValueError`` (or whatever unpickling raises) when it is bad."""
-        if packed:
-            body = self._packs.read(fingerprint)
-            if body is None:
-                raise FileNotFoundError(fingerprint)
-            source = io.BytesIO(body)
-        else:
-            source = open(self._path(fingerprint), "rb")
-        with source:
-            header = pickle.load(source)
-            if not self._header_ok(header, fingerprint):
-                raise ValueError("stale or mismatched record")
-            return header, pickle.load(source) if payload else None
+        body = self._packs.read(fingerprint)
+        if body is None:
+            raise FileNotFoundError(fingerprint)
+        source = io.BytesIO(body)
+        header = pickle.load(source)
+        if not self._header_ok(header, fingerprint):
+            raise ValueError("stale or mismatched record")
+        return header, pickle.load(source) if payload else None
 
     def _header_ok(self, header: Any, fingerprint: str) -> bool:
         return (
@@ -799,18 +762,15 @@ class ResultStore:
         task_type: str = "",
         elapsed_s: float = 0.0,
     ) -> int:
-        """Write one entry atomically; returns the bytes written (0/False
-        when nothing was stored, so the result still reads as a boolean).
+        """Append one entry as a frame to this process's pack; returns the
+        bytes written (0/False when nothing was stored, so the result still
+        reads as a boolean).
 
-        The record — a small metadata header frame followed by the payload
-        frame, so ``stats``/``verify`` can read metadata without
-        deserialising payloads — is pickled to a temp file in the entry's
-        directory and renamed into place, so concurrent writers and killed
-        processes can never expose a partial entry under a valid name. A
-        stage record (``task_type="stage:*"``) is appended as one frame to
-        this process's pack instead, and read back with ``packed=True``.
-        Unpicklable payloads are skipped (the campaign still completes —
-        it just cannot resume through this point).
+        The frame's body is a small metadata header pickle followed by the
+        payload pickle, so ``stats``/``verify`` can read metadata without
+        deserialising payloads. Unpicklable payloads are skipped (the
+        campaign still completes — it just cannot resume through this
+        point).
         """
         if fingerprint is None:
             return False
@@ -823,46 +783,22 @@ class ResultStore:
             "created_s": time.time(),  # repro: noqa[RPL202] -- bookkeeping clock; the header never enters a fingerprint
         }
         try:
-            if task_type.startswith(_PACKED_PREFIX):
-                return self._packs.append(fingerprint, pickle.dumps(
-                    header, protocol=pickle.HIGHEST_PROTOCOL
-                ) + pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-            path = self._path(fingerprint)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-", suffix=_ENTRY_SUFFIX, dir=path.parent
+            return self._packs.append(
+                fingerprint,
+                pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL),
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
             )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(header, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                    pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                new_size = os.path.getsize(tmp)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
         except Exception:
             # Unpicklable payloads surface as TypeError/AttributeError (not
             # just PicklingError), and any disk failure must degrade to
             # "not cached", never abort the campaign mid-checkpoint.
             return False
-        return new_size
 
     def size_of(self, fingerprint: Optional[str]) -> int:
-        """On-disk bytes of one entry (of its frame, for a packed record);
-        0 when absent (or unstattable)."""
-        if fingerprint is None:
-            return 0
+        """On-disk bytes of one entry's frame, from the index; 0 when it is
+        not indexed."""
         loc = self._packs.entries.get(fingerprint)
-        if loc is not None:
-            return _FRAME.size + loc[2]
-        try:
-            return self._path(fingerprint).stat().st_size
-        except OSError:
-            return 0
+        return 0 if loc is None else _FRAME.size + loc[2]
 
     # -- maintenance --------------------------------------------------------
 
@@ -874,7 +810,7 @@ class ResultStore:
             misses=self.misses,
             corrupt_dropped=self.corrupt_dropped,
         )
-        for _fingerprint, task_type, size in self._records():
+        for task_type, size, _pack in self._records().values():
             stats.entries += 1
             stats.total_bytes += size
             stats.by_task_type[task_type] = (
@@ -883,20 +819,15 @@ class ResultStore:
         return stats
 
     def entries(self) -> Dict[str, str]:
-        """``{fingerprint: task type}`` of every entry file and every
-        whole pack frame."""
-        return {fp: task_type for fp, task_type, _size in self._records()}
+        """``{fingerprint: task type}`` of every entry."""
+        return {fp: rec[0] for fp, rec in self._records().items()}
 
-    def _records(self) -> Iterator[Tuple[str, str, int]]:
-        """``(fingerprint, task type, bytes)`` per entry file, then per
-        pack frame that is not torn; only headers are unpickled."""
-        for path in self._entry_paths():
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            header = _read_header(path) or {}
-            yield _path_fingerprint(path), _task_type(header), size
+    def _records(self) -> Dict[str, Tuple[str, int, Path]]:
+        """``{fingerprint: (task type, frame bytes, pack)}`` over every
+        frame that is not torn; only headers are unpickled. A fingerprint
+        written more than once counts once: its last such frame wins, as
+        in the index."""
+        records: Dict[str, Tuple[str, int, Path]] = {}
         for path in self._pack_paths():
             try:
                 frames = list(_walk_pack(path))
@@ -904,15 +835,17 @@ class ResultStore:
                 continue
             for _offset, fingerprint, frame, problem in frames:
                 if problem != "torn frame":
-                    header = _read_header(io.BytesIO(frame[_FRAME.size:]))
-                    yield fingerprint, _task_type(header or {}), len(frame)
+                    records[fingerprint] = (
+                        _task_type(frame[_FRAME.size:]), len(frame), path
+                    )
+        return records
 
     def verify(self, *, repair: bool = False) -> VerifyReport:
-        """Audit every entry and pack frame: frame whole and its CRC
-        matching, header readable and matching (format, salt, name vs
-        content), payload deserialisable. ``repair=True`` deletes the
-        entries and rewrites the packs that fail (under the store lock,
-        so a repair sweep cannot race a peer's ``clear``)."""
+        """Audit every frame: whole, its CRC matching, header readable and
+        matching (format, salt, fingerprint), payload deserialisable.
+        ``repair=True`` rewrites the packs that hold bad frames without
+        them (under the store lock, so a repair sweep cannot race a peer's
+        ``clear``)."""
         lock = self._mutation_lock() if repair else None
         try:
             return self._verify(repair=repair)
@@ -920,28 +853,11 @@ class ResultStore:
             if lock is not None:
                 lock.release()
 
-    # requires the lock for its repair mode (unlinks race a peer's
+    # requires the lock for its repair mode (rewrites race a peer's
     # clear); the read-only path rides along under it.
     @requires_lock("store")
     def _verify(self, *, repair: bool) -> VerifyReport:
         report = VerifyReport()
-        for path in self._entry_paths():
-            report.checked += 1
-            try:
-                with open(path, "rb") as fh:
-                    reason = self._audit(fh, _path_fingerprint(path))
-            except Exception as exc:
-                reason = f"unreadable ({type(exc).__name__})"
-            if reason is None:
-                report.ok += 1
-                continue
-            report.bad.append((str(path), reason))
-            if repair:
-                try:
-                    path.unlink()
-                    report.removed += 1
-                except OSError:
-                    pass
         for path in self._pack_paths():
             try:
                 frames = list(_walk_pack(path))
@@ -952,7 +868,7 @@ class ResultStore:
             for offset, fingerprint, frame, problem in frames:
                 report.checked += 1
                 reason = problem or self._audit(
-                    io.BytesIO(frame[_FRAME.size:]), fingerprint
+                    frame[_FRAME.size:], fingerprint
                 )
                 if reason is None:
                     report.ok += 1
@@ -966,24 +882,25 @@ class ResultStore:
             self._packs.reset()
         return report
 
-    def _audit(self, fh, fingerprint: str) -> Optional[str]:
-        """Why one record fails the audit, or ``None`` if it passes."""
+    def _audit(self, body: bytes, fingerprint: str) -> Optional[str]:
+        """Why one frame body fails the audit, or ``None`` if it passes."""
         try:
-            header = pickle.load(fh)
+            source = io.BytesIO(body)
+            header = pickle.load(source)
             if not self._header_ok(header, fingerprint):
                 return "stale or mismatched record"
-            pickle.load(fh)  # the payload must deserialise too
+            pickle.load(source)  # the payload must deserialise too
         except Exception as exc:
             return f"unreadable ({type(exc).__name__})"
         return None
 
     def clear(self) -> Tuple[int, int]:
-        """Delete every entry and pack (and any orphaned temp file left by
-        a killed writer); returns ``(removed, failed)`` records so callers
-        can tell a clean sweep from unlinks an unwritable store silently
-        refused. Runs under the store lock when one can be taken
-        (best-effort: a read-only root cannot host a lock file but unlinks
-        there fail anyway and are reported)."""
+        """Delete every pack (and any orphaned temp file left by a killed
+        rewrite); returns ``(removed, failed)`` entries so callers can tell
+        a clean sweep from unlinks an unwritable store silently refused.
+        Runs under the store lock when one can be taken (best-effort: a
+        read-only root cannot host a lock file but unlinks there fail
+        anyway and are reported)."""
         lock = self._mutation_lock()
         try:
             return self._clear()
@@ -993,30 +910,19 @@ class ResultStore:
 
     @requires_lock("store")
     def _clear(self) -> Tuple[int, int]:
+        per_pack = collections.Counter(
+            pack for _type, _size, pack in self._records().values()
+        )
         removed = 0
         failed = 0
-        for path in self._entry_paths():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                failed += 1
         for path in self._pack_paths():
             try:
-                records = sum(
-                    1 for frame in _walk_pack(path) if frame[3] != "torn frame"
-                )
-            except OSError:
-                records = 1
-            try:
                 path.unlink()
-                removed += records
+                removed += per_pack[path]
             except OSError:
-                failed += records
-        for pattern in (
-            "objects/??/.tmp-*", "objects/.probe-*", "packs/.tmp-*"
-        ):
-            for path in self.root.glob(pattern):
+                failed += max(per_pack[path], 1)  # the store is not clear
+        for pattern in (".tmp-*", ".probe-*"):
+            for path in self.root.glob("packs/" + pattern):
                 try:
                     path.unlink()
                 except OSError:
@@ -1025,12 +931,14 @@ class ResultStore:
         return removed, failed
 
 
-def _path_fingerprint(path: Path) -> str:
-    return path.parent.name + path.name[: -len(_ENTRY_SUFFIX)]
-
-
-def _task_type(header: Dict[str, Any]) -> str:
-    return str(header.get("task_type", "?")) or "?"
+def _task_type(body: bytes) -> str:
+    """The task type named by the header pickle at the start of a frame
+    body, ``"?"`` when unreadable; the payload after it is never
+    deserialised."""
+    try:
+        return str(pickle.loads(body).get("task_type", "?")) or "?"
+    except Exception:  # unreadable, or not a dict
+        return "?"
 
 
 def _rewrite(path: Path, frames: List[bytes]) -> bool:
@@ -1044,18 +952,6 @@ def _rewrite(path: Path, frames: List[bytes]) -> bool:
     except OSError:
         return False
     return True
-
-
-def _read_header(source: Union[Path, io.BytesIO]) -> Optional[Dict[str, Any]]:
-    """The header frame of an entry file or a frame body, or ``None`` when
-    it cannot be read as a dict — the payload after it is never
-    deserialised."""
-    try:
-        with open(source, "rb") if isinstance(source, Path) else source as fh:
-            header = pickle.load(fh)
-    except Exception:
-        return None
-    return header if isinstance(header, dict) else None
 
 
 def open_store(

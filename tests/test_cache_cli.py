@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
+from repro.engine.store import _FRAME, ResultStore
 from repro.spec.io import save_comm_spec_text, save_core_spec_text
 
 
@@ -135,8 +136,16 @@ class TestCacheSubcommand:
     ):
         cache_dir = tmp_path / "store"
         assert main(_synth_args(spec_files, "--cache-dir", str(cache_dir))) == 0
-        entry = next(cache_dir.glob("objects/??/*.pkl"))
-        entry.write_bytes(b"zap")
+        store = ResultStore(cache_dir)
+        (fp,) = [fp for fp, task_type in store.entries().items()
+                 if task_type == "SynthesisTask"]
+        assert store.head(fp) is not None  # indexes its frame
+        pack, offset, length, _crc = store._packs.entries[fp]
+        with open(store._packs.path(pack), "r+b") as fh:
+            fh.seek(offset + _FRAME.size + length - 1)
+            last = fh.read(1)[0]
+            fh.seek(-1, 1)
+            fh.write(bytes([last ^ 0xFF]))
         capsys.readouterr()
         assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1
         assert "1 bad" in capsys.readouterr().out

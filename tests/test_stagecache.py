@@ -161,6 +161,47 @@ class TestFingerprintProperties:
             assert (base.stage_fingerprints[name]
                     != widened.stage_fingerprints[name])
 
+    def test_d26_media_candidate_addresses_are_pinned(self, tmp_path):
+        """Every address of one d26_media candidate, hard-coded: how a
+        fingerprint is computed (memos, encoding once per context) must
+        never move it, or every warm store silently goes cold. A change
+        meant to move them bumps a salt and updates these values."""
+        from repro.bench.registry import get_benchmark
+        from repro.engine.store import CODE_SALT, fingerprint_task
+        from repro.engine.tasks import SynthesisTask
+
+        bench = get_benchmark("d26_media")
+        ctx = FlowContext.build(bench.core_spec_3d, bench.comm_spec)
+        state = Pipeline().evaluate(
+            ctx, CandidateRequest("phase1", (4,)),
+            stage_cache=open_stage_cache(tmp_path, salt=CODE_SALT),
+        )
+        assert state.ok
+        assert state.stage_fingerprints == {
+            "partition": "06ef07dcd35fe552601db7a235680e93"
+                         "cf3f4debf0624f4418d76d1809afd8ce",
+            "precheck": "24c6a051cc48619a8a10bcf201b08b63"
+                        "447d78ed0d08f3892317b1ac9096f313",
+            "skeleton": "26a0924f2ee3a8d51219d67fce60173d"
+                        "0257cf08af1e9dd66061acb2e8f1a913",
+            "routing": "78fa3c8f2ec062617812c107aae22459"
+                       "c488280c142938d89c61690151732a50",
+            "placement_lp": "ec0174d4ad08e14e0de92544651b6d2e"
+                            "3dcd094652faefa2368c3703bff965fe",
+            "floorplan": "d90088b0d0f7dc3ae8aa6c8c992da690"
+                         "16c5971209db06de960eafa5387a3444",
+            "verify": "1648d3968f33c3b07c6c716f69b14ff9"
+                      "b5da656111f4d50b0feebb1d43fe1f0d",
+            "metrics": "5eb0fcf2a88a78c16dd818a0adbec03b"
+                       "c4d242960262ea6b02b4156c2844f5e5",
+        }
+        task = SynthesisTask(key="synth", core_spec=bench.core_spec_3d,
+                             comm_spec=bench.comm_spec, config=ctx.config)
+        assert fingerprint_task(task, salt=CODE_SALT) == (
+            "a6beee97e1eca7507daf8212ede1a961"
+            "e7c9e9a4d5920422092e39c733529e7e"
+        )
+
 
 class TestWarmIdentity:
     """Warm stage-cached runs must be bit-identical to cold ones."""
@@ -212,21 +253,20 @@ class TestWarmIdentity:
         cache = _cache(tmp_path)
         base = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         floorplan_fp = base.stage_fingerprints["floorplan"]
-        assert cache.store.head(floorplan_fp, packed=True) is not None
+        assert cache.store.head(floorplan_fp) is not None
         pack, offset, length, _crc = cache.store._packs.entries[floorplan_fp]
         with open(cache.store._packs.path(pack), "r+b") as fh:
             fh.seek(offset + _FRAME.size + length - 1)
             last = fh.read(1)[0]
             fh.seek(-1, 1)
             fh.write(bytes([last ^ 0xFF]))
-        assert cache.store.head(floorplan_fp, packed=True) is None
+        assert cache.store.head(floorplan_fp) is None
         again = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         upstream = ["partition", "precheck", "skeleton", "routing",
                     "placement_lp"]
         assert again.cached_stages == upstream
-        assert (design_point_to_dict(again.point)
-                == design_point_to_dict(base.point))
-        assert cache.store.head(floorplan_fp, packed=True) is not None
+        assert pickle.dumps(again.point) == pickle.dumps(base.point)
+        assert cache.store.head(floorplan_fp) is not None
 
     def test_sweep_warm_adjacent_runs_nothing(self, tiny_specs, tmp_path):
         """A sweep with only the objective flipped re-runs no stage and

@@ -28,7 +28,9 @@ from repro.core.frequency_sweep import sweep_frequencies
 from repro.engine import ResultStore, fingerprint_task, run_tasks
 from repro.engine.faults import FaultSpec, FaultyTask
 from repro.engine.reference import naive_fingerprint_task
-from repro.engine.store import _FRAME, _fingerprint, _walk_pack, open_store
+from repro.engine.store import (
+    _FRAME, STORE_FORMAT, _fingerprint, _walk_pack, open_store,
+)
 from repro.engine.tasks import BatchSimulationTask, SimulationTask, SynthesisTask
 from repro.errors import StoreError
 
@@ -180,18 +182,22 @@ class TestStoreIO:
         store = ResultStore(tmp_path)
         fp = store.fingerprint(_sim_tasks(1)[0])
         store.put(fp, "payload")
-        path = store._path(fp)
-        path.write_bytes(path.read_bytes()[:10])  # truncate mid-record
+        path, offset, length = _frame(store, fp)
+        os.truncate(path, offset + _FRAME.size + length // 2)  # mid-record
         assert store.get(fp) is None
         assert store.corrupt_dropped == 1
-        assert not path.exists()
+        assert fp not in store._packs.entries
+        assert [reason for _, reason in store.verify().bad] == ["torn frame"]
+        # Dropped from the index, so not read (nor counted corrupt) again.
+        assert store.get(fp) is None
+        assert (store.misses, store.corrupt_dropped) == (2, 1)
 
     def test_foreign_file_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         fp = store.fingerprint(_sim_tasks(1)[0])
-        path = store._path(fp)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(pickle.dumps({"not": "a store record"}))
+        store._packs.append(
+            fp, pickle.dumps({"not": "a store record"}), pickle.dumps("x")
+        )
         assert store.get(fp) is None
 
     def test_verify_and_repair(self, tmp_path):
@@ -200,7 +206,8 @@ class TestStoreIO:
         fps = [store.fingerprint(t) for t in tasks]
         for fp in fps:
             store.put(fp, "ok")
-        store._path(fps[0]).write_bytes(b"garbage")
+        path, offset, length = _frame(store, fps[0])
+        _flip_byte(path, offset + _FRAME.size + length - 1)
         report = store.verify()
         assert (report.checked, report.ok, len(report.bad)) == (3, 2, 1)
         assert not report.clean
@@ -228,7 +235,7 @@ class TestStoreIO:
         store = ResultStore(tmp_path)
         fp = store.fingerprint(_sim_tasks(1)[0])
         store.put(fp, "real")
-        orphan = store._path(fp).parent / ".tmp-orphan.pkl"
+        orphan = tmp_path / "packs" / ".tmp-orphan"
         orphan.write_bytes(b"half-written")
         # Invisible to stats/verify — never reported, never touched.
         assert store.stats().entries == 1
@@ -241,24 +248,47 @@ class TestStoreIO:
     def test_transient_open_failure_keeps_the_entry(
         self, tmp_path, monkeypatch
     ):
-        import builtins
-
         store = ResultStore(tmp_path)
         fp = store.fingerprint(_sim_tasks(1)[0])
         store.put(fp, "precious")
-        path = store._path(fp)
-        real_open = builtins.open
+        path = _frame(store, fp)[0]
+        real_open = os.open
 
         def flaky_open(file, *args, **kwargs):
             if str(file) == str(path):
                 raise OSError(24, "Too many open files")
             return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(builtins, "open", flaky_open)
+        monkeypatch.setattr(os, "open", flaky_open)
         assert store.get(fp) is None  # a miss...
         monkeypatch.undo()
         assert store.corrupt_dropped == 0
         assert store.get(fp).payload == "precious"  # ...not a deletion
+
+    def test_fresh_store_makes_no_objects_directory(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(store.fingerprint(_sim_tasks(1)[0]), "x",
+                  task_type="SimulationTask")
+        assert [p.name for p in tmp_path.iterdir()] == ["packs"]
+
+    def test_leftover_entry_files_are_neither_read_nor_counted(
+        self, tmp_path
+    ):
+        """Versions before packs filed whole-task entries one file each,
+        under ``objects/``; such a file is left alone."""
+        store = ResultStore(tmp_path)
+        fp = store.fingerprint(_sim_tasks(1)[0])
+        header = {"format": STORE_FORMAT, "fingerprint": fp,
+                  "salt": store.salt, "task_type": "SimulationTask",
+                  "elapsed_s": 0.0, "created_s": 0.0}
+        old = tmp_path / "objects" / fp[:2] / (fp[2:] + ".pkl")
+        old.parent.mkdir(parents=True)
+        old.write_bytes(pickle.dumps(header) + pickle.dumps("old"))
+        assert store.get(fp) is None and store.head(fp) is None
+        assert store.stats().entries == 0 and store.entries() == {}
+        assert store.verify().checked == 0
+        assert store.clear() == (0, 0)
+        assert old.exists()
 
     def test_readonly_open_never_creates_or_probes(self, tmp_path):
         missing = tmp_path / "never-created"
@@ -330,32 +360,63 @@ def _put_in(store, name):
 
 
 def _child_get(root, fp):
-    entry = ResultStore(root).get(fp, packed=True)
+    entry = ResultStore(root).get(fp)
     return None if entry is None else entry.payload
 
 
+def _child_put_task(root):
+    store = ResultStore(root)
+    fp = store.fingerprint(_sim_tasks(1)[0])
+    assert store.put(fp, "from the child", task_type="SimulationTask")
+    return fp
+
+
 class TestStagePacks:
-    """Stage records are frames appended to per-process packs."""
+    """Stage records and whole-task entries are frames appended to
+    per-process packs."""
 
     def test_stage_records_are_frames_not_files(self, tmp_path):
         store = ResultStore(tmp_path)
         fp = _put_stage(store, "a", payload={"x": 1})
         task_fp = store.fingerprint(_sim_tasks(1)[0])
         store.put(task_fp, "whole", task_type="SimulationTask")
-        assert [p.name for p in (tmp_path / "packs").iterdir()] == [
-            "000000.pack"
-        ]
-        assert not store._path(fp).exists() and store._path(task_fp).exists()
-        entry = store.get(fp, packed=True)
+        pack = tmp_path / "packs" / "000000.pack"
+        assert list((tmp_path / "packs").iterdir()) == [pack]
+        assert [frame[1] for frame in _walk_pack(pack)] == [fp, task_fp]
+        entry = store.get(fp)
         assert entry.payload == {"x": 1} and entry.task_type == "stage:demo"
-        assert store.head(fp, packed=True)["task_type"] == "stage:demo"
+        assert store.head(fp)["task_type"] == "stage:demo"
+        assert store.get(task_fp).payload == "whole"
+        assert store.head(task_fp)["task_type"] == "SimulationTask"
         assert store.size_of(fp) == _FRAME.size + _frame(store, fp)[2]
-        assert store.size_of(fp) == (tmp_path / "packs" / "000000.pack"
-                                     ).stat().st_size
+        assert (store.size_of(fp) + store.size_of(task_fp)
+                == pack.stat().st_size)
         stats = store.stats()
         assert stats.by_task_type == {"stage:demo": 1, "SimulationTask": 1}
         assert store.entries() == {fp: "stage:demo",
                                    task_fp: "SimulationTask"}
+
+    def test_a_fingerprint_put_twice_counts_once(self, tmp_path):
+        """Two frames of one fingerprint (two processes racing to the same
+        miss, a recompute after a corrupt frame) are one entry; the last
+        intact frame wins, as in ``get``."""
+        store = ResultStore(tmp_path)
+        fp = _put_stage(store, "a", payload="first")
+        assert store.put(fp, "second", task_type="stage:demo")
+        assert store.stats().entries == 1 and len(store.entries()) == 1
+        assert store.get(fp).payload == "second"
+        # A third frame, in another process's pack.
+        assert _fork(_child_put, tmp_path, "a")[2] == fp
+        assert store.stats().by_task_type == {"stage:demo": 1}
+        assert store.entries() == {fp: "stage:demo"}
+        assert ResultStore(tmp_path).get(fp).payload == "a"
+        assert store.clear() == (1, 0)
+
+    def test_a_task_entry_a_forked_child_wrote_is_served(self, tmp_path):
+        fp = _fork(_child_put_task, tmp_path)
+        store = ResultStore(tmp_path)
+        assert store.get(fp).payload == "from the child"
+        assert store.entries() == {fp: "SimulationTask"}
 
     def test_torn_tail_is_a_miss_and_later_appends_are_served(
         self, tmp_path
@@ -364,10 +425,10 @@ class TestStagePacks:
         first, second = _put_stage(store, "a"), _put_stage(store, "b")
         path, offset, length = _frame(store, second)
         os.truncate(path, offset + _FRAME.size + length // 2)
-        assert store.get(second, packed=True) is None
-        assert store.get(first, packed=True).payload == "a"
+        assert store.get(second) is None
+        assert store.get(first).payload == "a"
         later = _put_stage(store, "c")
-        assert store.get(later, packed=True).payload == "c"
+        assert store.get(later).payload == "c"
         # A new process: the torn frame ends its scan of the first pack,
         # and the later record sits in a pack of its own.
         assert _fork(_child_get, tmp_path, later) == "c"
@@ -385,16 +446,16 @@ class TestStagePacks:
         bad, good = _put_stage(store, "a"), _put_stage(store, "b")
         path, offset, length = _frame(store, bad)
         _flip_byte(path, offset + _FRAME.size + length - 1)
-        assert store.get(bad, packed=True) is None
+        assert store.get(bad) is None
         assert store.corrupt_dropped == 1
-        assert store.get(good, packed=True).payload == "b"
+        assert store.get(good).payload == "b"
         report = store.verify()
         assert (report.checked, report.ok) == (2, 1)
         assert report.bad == [(f"{path}@{offset}", "CRC mismatch")]
         assert store.verify(repair=True).removed == 1
         assert store.verify().clean
         assert store.entries() == {good: "stage:demo"}
-        assert store.get(good, packed=True).payload == "b"
+        assert store.get(good).payload == "b"
 
     def test_forked_writers_get_their_own_packs(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -409,7 +470,7 @@ class TestStagePacks:
         assert len(packs) == 2 and store._packs._pack not in packs
         assert len(list((tmp_path / "packs").iterdir())) == 3
         fps = [mine, later] + [fp for _pid, _pack, fp in children]
-        assert all(store.get(fp, packed=True) is not None for fp in fps)
+        assert all(store.get(fp) is not None for fp in fps)
         own = ResultStore(tmp_path, readonly=True)
         assert {fp for fp, _t in own.entries().items()} == set(fps)
         own_pack = Path(_frame(store, mine)[0])
@@ -424,9 +485,9 @@ class TestStagePacks:
         _put_stage(store, "mine")
         fp = _fp("sibling")
         # The index is built, without it.
-        assert store.get(fp, packed=True) is None
+        assert store.get(fp) is None
         assert _fork(_child_put, tmp_path, "sibling")[2] == fp
-        assert store.get(fp, packed=True).payload == "sibling"
+        assert store.get(fp).payload == "sibling"
 
     def test_live_sibling_pack_is_rescanned_as_it_grows(self, tmp_path):
         """A pack whose writer still holds it is never taken as final."""
@@ -446,7 +507,7 @@ class TestStagePacks:
         for name in ("first", "second"):
             assert here.poll(30)
             fp = here.recv()
-            assert store.get(fp, packed=True).payload == name
+            assert store.get(fp).payload == name
             here.send("next")
         child.join(30)
         assert child.exitcode == 0
@@ -456,13 +517,13 @@ class TestStagePacks:
         directory, so a refresh looks at final packs again."""
         store = ResultStore(tmp_path)
         _, _, before = _fork(_child_put, tmp_path, "before")
-        assert store.get(before, packed=True).payload == "before"
+        assert store.get(before).payload == "before"
         time.sleep(0.05)  # a directory timestamp may be one tick coarse
         assert ResultStore(tmp_path).clear() == (1, 0)
         _, pack, after = _fork(_child_put, tmp_path, "after")
         assert pack == 0
-        assert store.get(after, packed=True).payload == "after"
-        assert store.get(before, packed=True) is None
+        assert store.get(after).payload == "after"
+        assert store.get(before) is None
 
     def test_record_of_a_dead_process_is_served_to_the_next(self, tmp_path):
         _, _, fp = _fork(_child_put, tmp_path, "gone")
@@ -474,9 +535,9 @@ class TestStagePacks:
         store.put(store.fingerprint(_sim_tasks(1)[0]), "x")
         assert store.clear() == (4, 0)
         assert list((tmp_path / "packs").iterdir()) == []
-        assert all(store.get(fp, packed=True) is None for fp in fps)
+        assert all(store.get(fp) is None for fp in fps)
         again = _put_stage(store, "d")
-        assert store.get(again, packed=True).payload == "d"
+        assert store.get(again).payload == "d"
         assert store.stats().entries == 1
 
 
