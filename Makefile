@@ -29,8 +29,9 @@ help:
 	@echo "                    recovery path under injected faults, plus"
 	@echo "                    the campaign service killed and resumed"
 	@echo "  make fuzz       - campaign-spec, knob-agreement and spec-file"
-	@echo "                    fuzzing, the routing, partitioning"
-	@echo "                    and placement-LP differential tests,"
+	@echo "                    fuzzing, the routing, partitioning,"
+	@echo "                    placement-LP and wormhole-simulator"
+	@echo "                    differential tests,"
 	@echo "                    the jobs/store/stage-cache identity test"
 	@echo "                    and the no-numpy-scalar data-model test"
 	@echo "                    under the large 'fuzz' Hypothesis profile"
@@ -98,7 +99,9 @@ chaos:
 # SpecError; every generated design routes exactly as the frozen naive
 # router does; every generated graph partitions exactly as the frozen
 # naive partitioner does; every generated topology gets the switch
-# positions of the frozen naive placement LP; every generated SoC gives
+# positions of the frozen naive placement LP; every generated routed
+# topology simulates, stats and per-cycle trace, exactly as the frozen
+# naive wormhole simulator does; every generated SoC gives
 # the same points at jobs=1, at jobs=2, from a warm store and from a warm
 # stage cache, in Phase 1 and in Phase 2, and no numpy scalar in its
 # points or stage records under either floorplanner. The 'fuzz' profile
@@ -110,6 +113,7 @@ fuzz:
 	    tests/test_spec_io_fuzz.py tests/test_paths_differential.py \
 	    tests/test_partition_differential.py \
 	    tests/test_placement_differential.py \
+	    tests/test_simengine_differential.py \
 	    tests/test_integration_properties.py::TestExecutionPathIdentity \
 	    tests/test_plain_floats.py::test_generated_designs_hold_plain_numbers \
 	    --hypothesis-profile=fuzz
@@ -121,9 +125,10 @@ serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
 # The paper-figure benchmark harness plus the seven layer floors
-# (bench_floorplan_anneal.py, bench_simulator.py,
-# bench_store_fingerprint.py, bench_routing.py, bench_partition.py,
-# bench_placement_lp.py: optimised layer vs its frozen reference;
+# (bench_floorplan_anneal.py, bench_simulator.py (at the validation load
+# and saturated), bench_store_fingerprint.py, bench_routing.py,
+# bench_partition.py, bench_placement_lp.py: optimised layer vs its
+# frozen reference;
 # bench_stage_records.py: packed stage-record writes vs the one file
 # per record the store wrote before packs, kept in the script as its
 # reference leg), slow. Explicit file list: bench_*.py does not match

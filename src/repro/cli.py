@@ -624,6 +624,7 @@ def _cmd_cache(args) -> int:
         stats = store.stats()
         print(f"store: {stats.root}")
         print(f"entries: {stats.entries} ({human_bytes(stats.total_bytes)})")
+        print(f"shadowed frames: {stats.shadowed}")
         stage_types = [t for t in sorted(stats.by_task_type)
                        if t.startswith("stage:")]
         for task_type in sorted(stats.by_task_type):

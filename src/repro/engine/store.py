@@ -570,6 +570,7 @@ class StoreStats:
     root: str
     entries: int = 0
     total_bytes: int = 0
+    shadowed: int = 0
     by_task_type: Dict[str, int] = dataclasses.field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -803,19 +804,25 @@ class ResultStore:
     # -- maintenance --------------------------------------------------------
 
     def stats(self) -> StoreStats:
-        """Disk totals (entries, bytes, per-task-type) + session counters."""
+        """Disk totals (entries, bytes, per-task-type) + session counters.
+
+        ``entries`` and ``by_task_type`` count each fingerprint once, by
+        its last frame; ``total_bytes`` counts every frame that is not
+        torn, and ``shadowed`` the frames a later frame of the same
+        fingerprint hides, so the size reported is what the packs hold.
+        """
         stats = StoreStats(
             root=str(self.root),
             hits=self.hits,
             misses=self.misses,
             corrupt_dropped=self.corrupt_dropped,
         )
-        for task_type, size, _pack in self._records().values():
-            stats.entries += 1
-            stats.total_bytes += size
-            stats.by_task_type[task_type] = (
-                stats.by_task_type.get(task_type, 0) + 1
-            )
+        frames = list(self._frames())
+        last = {fp: task_type for fp, task_type, _size, _pack in frames}
+        stats.entries = len(last)
+        stats.shadowed = len(frames) - len(last)
+        stats.total_bytes = sum(size for _fp, _type, size, _pack in frames)
+        stats.by_task_type = dict(collections.Counter(last.values()))
         return stats
 
     def entries(self) -> Dict[str, str]:
@@ -823,11 +830,17 @@ class ResultStore:
         return {fp: rec[0] for fp, rec in self._records().items()}
 
     def _records(self) -> Dict[str, Tuple[str, int, Path]]:
-        """``{fingerprint: (task type, frame bytes, pack)}`` over every
-        frame that is not torn; only headers are unpickled. A fingerprint
-        written more than once counts once: its last such frame wins, as
-        in the index."""
-        records: Dict[str, Tuple[str, int, Path]] = {}
+        """``{fingerprint: (task type, frame bytes, pack)}``; a fingerprint
+        written more than once counts once: its last frame that is not
+        torn wins, as in the index."""
+        return {
+            fingerprint: (task_type, size, pack)
+            for fingerprint, task_type, size, pack in self._frames()
+        }
+
+    def _frames(self) -> Iterator[Tuple[str, str, int, Path]]:
+        """``(fingerprint, task type, frame bytes, pack)`` of every frame
+        that is not torn, in pack order; only headers are unpickled."""
         for path in self._pack_paths():
             try:
                 frames = list(_walk_pack(path))
@@ -835,10 +848,8 @@ class ResultStore:
                 continue
             for _offset, fingerprint, frame, problem in frames:
                 if problem != "torn frame":
-                    records[fingerprint] = (
-                        _task_type(frame[_FRAME.size:]), len(frame), path
-                    )
-        return records
+                    yield (fingerprint, _task_type(frame[_FRAME.size:]),
+                           len(frame), path)
 
     def verify(self, *, repair: bool = False) -> VerifyReport:
         """Audit every frame: whole, its CRC matching, header readable and

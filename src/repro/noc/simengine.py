@@ -15,10 +15,12 @@ replaces all of that with flat state keyed by small integers:
   through the shared :mod:`repro.noc.scenarios` contract, so the cycle
   loop itself is branch-predictable and RNG-free;
 * **occupancy-driven scanning** — only links with flits in their pipeline
-  (``active_pipes``), flows with queued flits (``active_src``) and
-  switch outputs some buffered head flit actually requests (per-output
-  ``want`` counters, updated whenever a buffer's head changes) are
-  visited; idle entities cost nothing;
+  (``active_pipes``), injection links with waiting flows (``imask``,
+  with the flows per link in ``lmask``) and switch outputs some buffered
+  head flit requests (``wmask``, with the requesting input positions per
+  output in ``req``; both updated whenever a buffer's head changes) are
+  visited, and within an output only its requesting inputs; idle
+  entities cost nothing;
 * **event skipping** — when no source queue or input buffer holds a flit,
   nothing can happen before the earliest pipeline-ready cycle or the next
   scheduled injection, so the clock jumps straight there instead of
@@ -29,23 +31,40 @@ Bit-exactness
 
 The regression suite asserts this engine reproduces the frozen naive
 baseline *bit for bit* — identical :class:`~repro.noc.simulator.SimulationStats`
-and identical per-cycle delivery traces. That guarantee rests on three
+and identical per-cycle delivery traces. That guarantee rests on four
 observations:
 
 1. the injection schedule is built by the same scenario code from the same
    freshly-seeded generator, so both simulators inject the same packets on
    the same cycles;
-2. every phase visits its entities in the naive loop's order — links in
-   ascending id (sorting the active-pipe set), source flows in the same
-   rotated order restricted to non-empty queues, switch outputs in the
-   naive dict's insertion order with the same round-robin scan — and
-   skipped entities are exactly those for which the naive loop's body is a
-   no-op (empty deque, empty queue, no buffered head flit routed to the
-   output, so the naive scan would refuse every input and leave the
-   round-robin pointer untouched);
-3. the wormhole send test performs the same comparisons in the same order
-   (pipeline slot, then allocation), with packet ids standing in for the
-   naive ``(flow, packet_id)`` keys — unique because packet ids are;
+2. link delivery and switch arbitration visit their entities in the
+   naive loop's order — links in ascending id (sorting the active-pipe
+   set), switch outputs in the naive dict's insertion order, each
+   output's requesting inputs round-robin from its pointer (the bits at
+   or above it, then those below) — and skipped entities are exactly
+   those for which the naive loop's body is a no-op (an empty deque, an
+   input whose head flit is routed elsewhere, an output no head flit
+   requests, where the naive scan refuses every input and leaves the
+   round-robin pointer untouched). Outputs are taken from ``wmask`` above
+   the one just served, re-read after each send, so a flit that
+   surfaces for a later output is served in the same cycle and one for
+   an earlier output in the next, as the naive ``for`` loop does;
+3. the wormhole send test performs the same comparisons (pipeline slot,
+   then allocation), with packet ids standing in for the naive
+   ``(flow, packet_id)`` keys — unique because packet ids are. An
+   output's pipeline slot depends on the output alone, so it is tested
+   once per output instead of once per requesting input. Per-link
+   injection equals the naive rotated scan of every flow: every route
+   starts with a core's injection link (``Topology.validate_routes``
+   checks this of any topology), which only this step sends on,
+   once per cycle, and whose allocation only a packet of a flow waiting
+   on it can hold, with that packet's next flit at its queue head. So
+   when a packet holds the link, every other waiting flow's head flit is
+   refused and only the holder's flow can send; when none does, every
+   waiting flow offers a head flit and the first in the rotated order
+   (the lowest flow bit at or above ``cycle % F``, else the lowest) wins.
+   Links share no state in this step and it writes no trace, so the
+   order across links does not matter;
 4. a skipped cycle is one on which the naive loop performs no state
    change at all: with every source queue and input buffer empty, only a
    ready pipeline head can act, and the skip never jumps past the next
@@ -108,7 +127,6 @@ def simulate(
     n_links = len(links)
     delay = list(sim._link_delay)
     routes = [topo.routes[f] for f in flows]
-    route_len = [len(r) for r in routes]
     first_link = [r[0] for r in routes]
     is_eject = [l.dst[0] == "core" for l in links]
 
@@ -117,8 +135,20 @@ def simulate(
     inputs_map = sim._inputs_per_link()
     out_ids = [o for o, inputs in inputs_map.items() if inputs]
     out_inputs = [inputs_map[o] for o in out_ids]
-    n_out = len(out_ids)
-    rr = [0] * n_out
+    rr = [0] * len(out_ids)
+    # req_of[fi][h]: the request of a buffered flit of flow fi at route
+    # hop h — (output index, its input-position bit, the output's bit) —
+    # or None where no output's input list holds its link, so the naive
+    # scan never serves it (the last hop ejects instead).
+    position = {
+        (o, in_id): (oi, 1 << pos, 1 << oi)
+        for oi, o in enumerate(out_ids)
+        for pos, in_id in enumerate(out_inputs[oi])
+    }
+    req_of = [
+        [position.get((r[h + 1], r[h])) for h in range(len(r) - 1)] + [None]
+        for r in routes
+    ]
 
     # Per-link state: pipeline FIFO of flit ints, ready cycle of the last
     # pipeline entry (valid while the pipe is non-empty), downstream input
@@ -128,12 +158,16 @@ def simulate(
     buffers = [deque() for _ in range(n_links)]
     alloc = [-1] * n_links
     src_q = [deque() for _ in range(F)]
-    active_src = set()
     active_pipes = set()
-    # want[out_id]: how many input-buffer head flits are routed to out_id.
-    # Maintained on every buffer-head change, so arbitration can skip
-    # outputs nobody requests without consulting any buffer.
-    want = [0] * n_links
+    # Request bitmasks, updated on every buffer-head change: req[oi] has a
+    # bit per input position whose head flit requests output oi, wmask a
+    # bit per output with any request.
+    req = [0] * len(out_ids)
+    wmask = 0
+    # Waiting flows keyed by injection link: lmask[lid] has a bit per flow
+    # with queued flits on lid, imask a bit per link with any.
+    lmask = [0] * n_links
+    imask = 0
 
     # Per-packet / per-flit state, grown at injection time.
     pkt_flow: List[int] = []    # pid -> flow index
@@ -171,7 +205,9 @@ def simulate(
                     src_q[fi].extend(range(base, base + L))
                     flit_hop += zeros
                     flit_ready += zeros
-                    active_src.add(fi)
+                    lid = first_link[fi]
+                    lmask[lid] |= 1 << fi
+                    imask |= 1 << lid
                 outstanding += L * len(row)
                 if cycle >= warmup:
                     injected += len(row)
@@ -217,89 +253,99 @@ def simulate(
                         if not pipe:
                             active_pipes.discard(lid)
                         if not buf:
-                            # New buffer head: register its requested output.
-                            fi = pkt_flow[fid // L]
-                            hop_next = flit_hop[fid] + 1
-                            if hop_next < route_len[fi]:
-                                want[routes[fi][hop_next]] += 1
+                            # New buffer head: register its request.
+                            r = req_of[pkt_flow[fid // L]][flit_hop[fid]]
+                            if r is not None:
+                                req[r[0]] |= r[1]
+                                wmask |= r[2]
                         buf.append(fid)
                         buffered += 1
                         if trace is not None:
                             trace.append(("deliver", cycle, lid, fid // L))
                     # else: back-pressure — the flit waits at the link tail.
 
-        # 3. Injection links: source queue -> first link of the route, in
-        # the cycle-rotated flow order, visiting only non-empty queues.
-        if active_src:
-            if len(active_src) == 1:
-                order = tuple(active_src)
-            else:
-                # flows[offset:] + flows[:offset], restricted to active.
-                offset = cycle % F
-                order = sorted(fi for fi in active_src if fi >= offset)
-                order += sorted(fi for fi in active_src if fi < offset)
-            for fi in order:
-                q = src_q[fi]
-                fid = q[0]
-                lid = first_link[fi]
+        # 3. Injection links: source queue -> first link of the route. A
+        # link takes one flit per cycle: the allocation holder's next flit
+        # if a packet holds it, else the head flit of the first waiting
+        # flow in the cycle-rotated order.
+        if imask:
+            offset = cycle % F
+            m = imask
+            while m:
+                lbit = m & -m
+                m ^= lbit
+                lid = lbit.bit_length() - 1
                 pipe = pipes[lid]
                 if pipe and pipe_last[lid] >= cycle + delay[lid]:
                     continue
+                holder = alloc[lid]
+                waiting = lmask[lid]
+                if holder != -1:
+                    fi = pkt_flow[holder]
+                else:
+                    later = waiting >> offset
+                    if later:
+                        fi = (later & -later).bit_length() - 1 + offset
+                    else:
+                        fi = (waiting & -waiting).bit_length() - 1
+                q = src_q[fi]
+                fid = q.popleft()
                 pid = fid // L
                 k = fid - pid * L
-                if k == 0:
-                    if alloc[lid] != -1:
-                        continue
+                if k == tail_k:
+                    alloc[lid] = -1
+                elif k == 0:
                     alloc[lid] = pid
-                elif alloc[lid] != pid:
-                    continue
                 ready = cycle + delay[lid]
                 flit_ready[fid] = ready
                 pipe_last[lid] = ready
                 pipe.append(fid)
                 active_pipes.add(lid)
-                if k == tail_k:
-                    alloc[lid] = -1
-                q.popleft()
                 if not q:
-                    active_src.discard(fi)
+                    waiting ^= 1 << fi
+                    lmask[lid] = waiting
+                    if not waiting:
+                        imask ^= lbit
 
         # 4. Switch arbitration: for every output link some buffered head
-        # flit requests, pick one input buffer (round-robin) whose head
-        # flit goes that way.
-        for oi in range(n_out):
+        # flit requests, in ascending index, serve the first requesting
+        # input round-robin from rr[oi] that the wormhole send accepts.
+        # wmask is re-read above each output, so a flit that surfaces for
+        # a later output is served this cycle, as in the naive scan.
+        m = wmask
+        while m:
+            obit = m & -m
+            oi = obit.bit_length() - 1
+            m = wmask >> oi + 1 << oi + 1
             out_id = out_ids[oi]
-            if not want[out_id]:
+            pipe = pipes[out_id]
+            if pipe and pipe_last[out_id] >= cycle + delay[out_id]:
                 continue
-            inputs = out_inputs[oi]
-            n = len(inputs)
+            bits = req[oi]
             start = rr[oi]
-            for k2 in range(n):
-                pos = start + k2
-                if pos >= n:
-                    pos -= n
-                buf = buffers[inputs[pos]]
-                if not buf:
-                    continue
+            walk = bits >> start << start
+            rest = bits ^ walk
+            holder = alloc[out_id]
+            while True:
+                if not walk:
+                    if not rest:
+                        break
+                    walk = rest
+                    rest = 0
+                b = walk & -walk
+                walk ^= b
+                pos = b.bit_length() - 1
+                buf = buffers[out_inputs[oi][pos]]
                 fid = buf[0]
                 pid = fid // L
-                fi = pkt_flow[pid]
-                hop_next = flit_hop[fid] + 1
-                if hop_next >= route_len[fi]:
-                    continue
-                if routes[fi][hop_next] != out_id:
-                    continue
-                # Wormhole send onto out_id (same test order as the naive
-                # _try_send: pipeline slot, then allocation).
-                pipe = pipes[out_id]
-                if pipe and pipe_last[out_id] >= cycle + delay[out_id]:
-                    continue
                 k = fid - pid * L
+                # Wormhole allocation: a head flit needs the output free,
+                # a body flit must belong to the packet holding it.
                 if k == 0:
-                    if alloc[out_id] != -1:
+                    if holder != -1:
                         continue
                     alloc[out_id] = pid
-                elif alloc[out_id] != pid:
+                elif holder != pid:
                     continue
                 ready = cycle + delay[out_id]
                 flit_ready[fid] = ready
@@ -308,18 +354,22 @@ def simulate(
                 active_pipes.add(out_id)
                 if k == tail_k:
                     alloc[out_id] = -1
-                flit_hop[fid] = hop_next
-                want[out_id] -= 1
+                flit_hop[fid] += 1
                 buf.popleft()
                 buffered -= 1
+                bits ^= b
+                req[oi] = bits
+                if not bits:
+                    wmask ^= obit
                 if buf:
-                    # Next flit surfaces: register what it requests.
+                    # Next flit surfaces: register its request.
                     nfid = buf[0]
-                    nfi = pkt_flow[nfid // L]
-                    nhop = flit_hop[nfid] + 1
-                    if nhop < route_len[nfi]:
-                        want[routes[nfi][nhop]] += 1
-                rr[oi] = pos + 1 if pos + 1 < n else 0
+                    r = req_of[pkt_flow[nfid // L]][flit_hop[nfid]]
+                    if r is not None:
+                        req[r[0]] |= r[1]
+                        wmask |= r[2]
+                        m = wmask >> oi + 1 << oi + 1
+                rr[oi] = pos + 1 if pos + 1 < len(out_inputs[oi]) else 0
                 break  # one flit per output per cycle
 
         cycle += 1
@@ -329,7 +379,7 @@ def simulate(
         # ready head is never back-pressured here — every buffer is
         # empty). Jump there, clamped to horizon and drain bound so the
         # break conditions fire on the same cycle a crawl would reach.
-        if not active_src and not buffered and (outstanding or cycle < cycles):
+        if not imask and not buffered and (outstanding or cycle < cycles):
             target = next_inj[cycle] if cycle < cycles else drain_end
             if active_pipes:
                 ripe = min(flit_ready[pipes[lid][0]] for lid in active_pipes)

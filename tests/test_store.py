@@ -412,6 +412,28 @@ class TestStagePacks:
         assert ResultStore(tmp_path).get(fp).payload == "a"
         assert store.clear() == (1, 0)
 
+    def test_stats_bytes_count_every_frame(self, tmp_path, capsys):
+        """A fingerprint put twice is one entry, but both frames are on
+        disk: ``total_bytes`` counts both and ``shadowed`` the hidden one,
+        as ``cache verify`` checks both."""
+        from repro.cli import main
+
+        store = ResultStore(tmp_path)
+        fp = _put_stage(store, "a")
+        once = store.stats()
+        assert (once.entries, once.shadowed) == (1, 0)
+        assert store.put(fp, "a", task_type="stage:demo")
+        twice = store.stats()
+        assert (twice.entries, twice.shadowed) == (1, 1)
+        assert twice.by_task_type == {"stage:demo": 1}
+        pack = tmp_path / "packs" / "000000.pack"
+        assert twice.total_bytes == pack.stat().st_size
+        assert twice.total_bytes == 2 * once.total_bytes
+        assert store.verify().checked == 2
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 1 (" in out and "shadowed frames: 1" in out
+
     def test_a_task_entry_a_forked_child_wrote_is_served(self, tmp_path):
         fp = _fork(_child_put_task, tmp_path)
         store = ResultStore(tmp_path)
