@@ -70,7 +70,6 @@ class _StageDecl:
     class_name: str
     stage_name: str
     node: ast.ClassDef
-    cacheable: bool = False
     context_inputs: Optional[Tuple[str, ...]] = None
     config_inputs: Optional[Tuple[str, ...]] = None
     state_inputs: Optional[Tuple[str, ...]] = None
@@ -85,12 +84,12 @@ class StageInputsChecker(Checker):
 
     name = "stage-inputs"
     codes = {
-        "RPL101": "undeclared FlowContext read in a cacheable stage",
-        "RPL102": "undeclared SynthesisConfig read in a cacheable stage",
-        "RPL103": "undeclared CandidateState read in a cacheable stage",
-        "RPL104": "undeclared CandidateState write in a cacheable stage",
+        "RPL101": "undeclared FlowContext read",
+        "RPL102": "undeclared SynthesisConfig read",
+        "RPL103": "undeclared CandidateState read",
+        "RPL104": "undeclared CandidateState write",
         "RPL105": "dead declaration: declared input/output never touched",
-        "RPL106": "whole config object escapes a cacheable stage",
+        "RPL106": "whole config object escapes a stage",
     }
 
     def check(self, context: LintContext) -> List[Finding]:
@@ -106,7 +105,7 @@ class StageInputsChecker(Checker):
                 if not isinstance(node, ast.ClassDef):
                     continue
                 decl = _parse_stage_class(node, constants)
-                if decl is None or not decl.cacheable:
+                if decl is None:
                     continue
                 findings.extend(
                     self._check_stage(module, decl, functions)
@@ -301,8 +300,6 @@ def _parse_stage_class(
             if target.id == "name" and isinstance(value, ast.Constant) \
                     and isinstance(value.value, str):
                 decl.stage_name = value.value
-            elif target.id == "cacheable" and isinstance(value, ast.Constant):
-                decl.cacheable = bool(value.value)
             elif target.id in _DECLARATIONS:
                 decl.decl_lines[target.id] = item.lineno
                 setattr(decl, target.id, _resolve_decl(value, constants))

@@ -11,7 +11,7 @@ from the state and the run's config. Every stage is
 
 * **measurable** — every stage execution is timed into a
   :class:`StageTimings` accumulator (``repro.cli synth --stage-timings``);
-* **cacheable** — each stage declares its inputs, so a stage cache serves
+* **memoised** — each stage declares its inputs, so a stage cache serves
   its outputs wherever those inputs hash identically;
 * **parallelizable** — candidate evaluation is a pure function of
   ``(context, request)``, so independent candidates fan out across the
@@ -171,9 +171,9 @@ class CandidateState:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Names of stages whose results were served from a stage cache.
     cached_stages: List[str] = field(default_factory=list)
-    #: Per-stage content fingerprints (``None`` = uncacheable), recorded
-    #: only when evaluating under a stage cache; diagnostic and test hook.
-    stage_fingerprints: Dict[str, Optional[str]] = field(default_factory=dict)
+    #: Per-stage content fingerprints, recorded only when evaluating under
+    #: a stage cache; diagnostic and test hook.
+    stage_fingerprints: Dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -315,10 +315,12 @@ class Stage:
     Subclasses set :attr:`name` and implement :meth:`run`, which either
     advances ``state`` or raises :class:`StageFailure` to reject the
     candidate. Stages must be stateless (or carry only immutable
-    configuration): the stage cache fingerprints the instance itself.
+    configuration): the stage cache fingerprints the instance itself, and
+    an instance with no stable encoding is a
+    :class:`~repro.errors.StoreError` under a stage cache.
 
-    Cacheable stages additionally declare their **input signature** — the
-    exact subset of :class:`FlowContext` / :class:`SynthesisConfig` /
+    Every stage declares its **input signature** — the exact subset of
+    :class:`FlowContext` / :class:`SynthesisConfig` /
     :class:`CandidateState` fields :meth:`run` reads — plus the state
     fields it writes and a per-stage code-version :attr:`salt`. The
     :class:`repro.engine.stagecache.StageCache` layer fingerprints these
@@ -337,9 +339,6 @@ class Stage:
     name: str = ""
     #: Code-version salt: bump on any behavioural change to :meth:`run`.
     salt: str = "v1"
-    #: Only stages that opt in are memoised; the default is off so an
-    #: undeclared input can never cause a stale hit.
-    cacheable: bool = False
     #: :class:`FlowContext` fields :meth:`run` reads.
     context_inputs: Tuple[str, ...] = ()
     #: :class:`SynthesisConfig` fields :meth:`run` reads.
@@ -374,7 +373,6 @@ class PartitionStage(Stage):
 
     name = "partition"
     salt = "v1"
-    cacheable = True
     context_inputs = ("graph",)
     config_inputs = ("alpha", "switch_layer_mode")
     state_inputs = ("request",)
@@ -398,7 +396,6 @@ class IllPrecheckStage(Stage):
 
     name = "precheck"
     salt = "v1"
-    cacheable = True
     context_inputs = ("graph",)
     config_inputs = ("max_ill",)
     state_inputs = ("assignment",)
@@ -416,7 +413,6 @@ class SkeletonStage(Stage):
 
     name = "skeleton"
     salt = "v1"
-    cacheable = True
     context_inputs = ("graph", "library", "core_centers")
     config_inputs = _PATHS_CONFIG_INPUTS
     state_inputs = ("assignment",)
@@ -437,7 +433,6 @@ class RoutingStage(Stage):
 
     name = "routing"
     salt = "v1"
-    cacheable = True
     context_inputs = ("graph", "library", "core_centers")
     config_inputs = _PATHS_CONFIG_INPUTS
     state_inputs = ("topology",)
@@ -459,7 +454,6 @@ class PlacementLPStage(Stage):
 
     name = "placement_lp"
     salt = "v1"
-    cacheable = True
     context_inputs = ("core_centers", "die_bounds")
     config_inputs = ()
     state_inputs = ("topology",)
@@ -516,7 +510,6 @@ class FloorplanStage(Stage):
 
     name = "floorplan"
     salt = "v2"
-    cacheable = True
     context_inputs = ("core_spec", "library")
     config_inputs = (
         "seed",
@@ -616,7 +609,6 @@ class LatencyVerifyStage(Stage):
 
     name = "verify"
     salt = "v1"
-    cacheable = True
     context_inputs = ("graph", "library")
     config_inputs = ()
     state_inputs = ("topology",)
@@ -642,7 +634,6 @@ class MetricsStage(Stage):
 
     name = "metrics"
     salt = "v2"
-    cacheable = True
     context_inputs = ("library",)
     config_inputs = ()
     state_inputs = ("topology", "final_centers")
@@ -696,94 +687,58 @@ class Pipeline:
         the :class:`DesignPoint` of the state's fields and ``ctx.config``.
 
         With a ``stage_cache`` (:class:`repro.engine.stagecache.StageCache`)
-        the fingerprints of the leading fingerprintable stages come first:
-        state inputs hash by their producer's fingerprint, so none needs a
-        value. The walk then resumes after the deepest of those stages
-        that has a record (:meth:`_replay_plan`). The stages up to it are
-        served from the cache: each credits its *original* execution time
-        to ``stage_seconds``/``timings`` with a cached marker, read from
-        the record's header, and only the records holding what later
+        every stage's fingerprint comes first
+        (:meth:`~repro.engine.stagecache.StageCache.fingerprints`; an input
+        with no stable encoding raises :class:`~repro.errors.StoreError`
+        before any stage runs). The walk then resumes after the deepest
+        stage that has a record (:meth:`_replay_plan`). The stages up to it
+        are served from the cache: each credits its *original* execution
+        time to ``stage_seconds``/``timings`` with a cached marker, read
+        from the record's header, and only the records holding what later
         stages and the point read are loaded; a recorded
-        :class:`StageFailure` replays as the rejection. The stages after
-        it run and checkpoint their outputs without a lookup. From the
-        first unfingerprinted stage on, state inputs hash by value and
-        each fingerprinted stage is looked up before it runs. Hard
+        :class:`StageFailure` replays as the rejection. The stages after it
+        run and checkpoint their outputs without a lookup. Hard
         (non-:class:`StageFailure`) errors propagate without caching.
         """
         state = CandidateState(request=request)
-        chain: List[object] = []
-        # ``state field -> fingerprint of the stage that last wrote it``;
-        # downstream fingerprints fold in the producer fingerprint instead
-        # of re-hashing the (large) value itself.
-        provenance: Dict[str, str] = {}
         fingerprints: List[str] = []
         if stage_cache is not None:
-            for stage in self.stages:
-                fingerprint = stage_cache.fingerprint(
-                    stage, chain, ctx, state, provenance,
-                    fingerprints[-1] if fingerprints else None,
-                )
-                if fingerprint is None:
-                    break
-                fingerprints.append(fingerprint)
-                state.stage_fingerprints[stage.name] = fingerprint
-                chain.append(stage_cache.signature(stage))
-                for name in stage.state_outputs:
-                    provenance[name] = fingerprint
+            fingerprints = stage_cache.fingerprints(self.stages, ctx, request)
+            state.stage_fingerprints.update(
+                zip((stage.name for stage in self.stages), fingerprints)
+            )
         deepest, records = self._replay_plan(stage_cache, fingerprints)
-        previous: Optional[str] = None
         for i, stage in enumerate(self.stages):
-            fingerprint = fingerprints[i] if i < len(fingerprints) else None
-            hit = None
-            if i <= deepest:
+            cached = i <= deepest
+            if stage_cache is not None:
+                stage_cache.tally(stage.name, hit=cached)
+            if cached:
                 # Served without a lookup: its record, when the rest of
                 # the walk reads it, else just the header's seconds.
-                hit = records.get(i) or (
-                    None, stage_cache.head(stage, fingerprint) or 0.0
+                record, elapsed = records.get(i) or (
+                    None, stage_cache.head(stage, fingerprints[i]) or 0.0
                 )
-            elif stage_cache is not None and i >= len(fingerprints):
-                fingerprint = stage_cache.fingerprint(
-                    stage, chain, ctx, state, provenance, previous
-                )
-                state.stage_fingerprints[stage.name] = fingerprint
-                chain.append(stage_cache.signature(stage))
-                if fingerprint is not None:
-                    hit = stage_cache.load(stage, fingerprint)
-            previous = fingerprint
-            if hit is not None:
-                _credit(state, timings, stage_cache, stage, *hit)
-                for name in stage.state_outputs:
-                    provenance[name] = fingerprint
-                if state.failed_stage is not None:
-                    break
-                continue
-            if fingerprint is not None:
-                stage_cache.tally(stage.name, hit=False)
-            start = time.perf_counter()
-            try:
-                stage.run(ctx, state)
-            except StageFailure as exc:
-                state.failed_stage = stage.name
-                state.failure_reason = str(exc)
-            finally:
+                if record is not None:
+                    record.apply(state)
+                state.cached_stages.append(stage.name)
+            else:
+                start = time.perf_counter()
+                try:
+                    stage.run(ctx, state)
+                except StageFailure as exc:
+                    state.failed_stage = stage.name
+                    state.failure_reason = str(exc)
                 elapsed = time.perf_counter() - start
-                state.stage_seconds[stage.name] = (
-                    state.stage_seconds.get(stage.name, 0.0) + elapsed
-                )
-                if timings is not None:
-                    timings.add(stage.name, elapsed)
-            if fingerprint is not None:
-                # Deterministic rejections are cached alongside successes
-                # (replaying them is exactly as correct and much cheaper);
-                # hard errors raised out of the try above never reach here.
-                stage_cache.save(stage, fingerprint, state, elapsed)
-                for name in stage.state_outputs:
-                    provenance[name] = fingerprint
-            elif stage_cache is not None:
-                # An unfingerprinted stage may have mutated any state field
-                # (opt-out stages declare nothing): downstream stages fall
-                # back to hashing state values directly.
-                provenance.clear()
+                if stage_cache is not None:
+                    # Deterministic rejections are cached alongside
+                    # successes (replaying them is exactly as correct and
+                    # much cheaper); a hard error propagates unrecorded.
+                    stage_cache.save(stage, fingerprints[i], state, elapsed)
+            state.stage_seconds[stage.name] = (
+                state.stage_seconds.get(stage.name, 0.0) + elapsed
+            )
+            if timings is not None:
+                timings.add(stage.name, elapsed, cached=cached)
             if state.failed_stage is not None:
                 break
         if state.ok and state.metrics is not None:
@@ -798,8 +753,7 @@ class Pipeline:
     ) -> Tuple[int, Dict[int, Tuple[object, float]]]:
         """Where a stage-cached walk resumes: ``(deepest, records)``.
 
-        ``deepest`` indexes the deepest of the leading fingerprinted
-        stages with a record (-1: none), found by header reads from the
+        ``deepest`` indexes the deepest stage with a record (-1: none), found by header reads from the
         back. Each fingerprint folds in the one before it, and a stage's
         record is written only once it has run, so that record proves
         every stage before it passed under these same fingerprints.
@@ -846,20 +800,6 @@ class Pipeline:
                 producer[name] = i
         reads = {producer[name] for name in needed if name in producer}
         return [deepest] + sorted(reads - {deepest})
-
-
-def _credit(state, timings, stage_cache, stage, record, seconds) -> None:
-    """Serve ``stage`` from the stage cache: replay ``record`` (``None``:
-    nothing the rest of the walk reads) and credit its recorded seconds."""
-    if record is not None:
-        record.apply(state)
-    state.cached_stages.append(stage.name)
-    state.stage_seconds[stage.name] = (
-        state.stage_seconds.get(stage.name, 0.0) + seconds
-    )
-    if timings is not None:
-        timings.add(stage.name, seconds, cached=True)
-    stage_cache.tally(stage.name, hit=True)
 
 
 # --------------------------------------------------------------------------

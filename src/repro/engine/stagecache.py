@@ -29,9 +29,9 @@ Invalidation model (see ``docs/pipeline.md`` for the full policy):
   exactly as deterministic as a success); hard errors, quarantined and
   timed-out work never produce records, matching the PR 6 executor
   semantics;
-* anything unfingerprintable (a custom stage holding a live handle) makes
-  the stage — and, through the chain, its downstream — run uncached,
-  never an error.
+* every stage is fingerprinted before any runs: an input with no stable
+  encoding (a custom stage holding a live handle) raises
+  :class:`~repro.errors.StoreError` under a stage cache, and no stage runs.
 
 Records share the store directory, its packs and its salt with
 whole-task caching and are filed under ``task_type="stage:<name>"``, one
@@ -45,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.store import ResultStore, _Chunks, _feed, open_store
 from repro.errors import StoreError
@@ -151,10 +151,6 @@ class StageCache:
 
     # -- fingerprints -------------------------------------------------------
 
-    def signature(self, stage) -> Tuple[Any, ...]:
-        """The stage's chain element (see :func:`_stage_signature`)."""
-        return _stage_signature(stage)
-
     def _prefix(self, stage, chain: Tuple[Any, ...], ctx):
         """A sha256 primed with everything candidates at one sweep point
         share: salts, the upstream signature chain, the stage's own
@@ -204,48 +200,45 @@ class StageCache:
             data = memo[1][config, name] = b"".join(chunks)
         return data
 
-    def fingerprint(
-        self,
-        stage,
-        chain: Sequence[Any],
-        ctx,
-        state,
-        provenance: Optional[Mapping[str, str]] = None,
-        previous: Optional[str] = None,
-    ) -> Optional[str]:
-        """The content address of ``stage``'s output at this point.
+    def fingerprints(self, stages: Sequence[Any], ctx, request) -> List[str]:
+        """The content address of each stage's output for ``request``, in
+        stage order, computed before any stage runs.
 
-        ``chain`` holds the signatures of every upstream stage, so a salt
-        or declaration edit anywhere upstream changes this fingerprint
-        too. ``previous`` is the fingerprint of the stage just before this
-        one (``None`` for the first stage or after an uncached one): a
-        record filed under this fingerprint was written only after that
-        stage passed, so one record vouches for every stage before it.
-        State inputs fold in by **provenance** where available: the
-        fingerprint of the stage that produced a field stands in for the
-        field's value — the producer is deterministic, so equal producer
-        fingerprints imply equal values, and the (large) routed topology
-        never needs re-hashing per candidate. Fields with no recorded
-        producer (the candidate's request; anything touched by an uncached
-        stage) hash by value. Returns ``None`` — run uncached — for stages
-        that did not opt in (``cacheable=False``) or whose inputs have no
-        stable representation.
+        Each fingerprint folds in the signatures of every upstream stage
+        (the chain), so a salt or declaration edit anywhere upstream moves
+        it too, and the fingerprint of the stage just before it: a record
+        filed under it was written only after that stage passed, so one
+        record vouches for every stage before it. State inputs fold in by
+        **provenance**: the fingerprint of the stage that produced a field
+        stands in for its value — the producer is deterministic, so equal
+        producer fingerprints imply equal values, and the (large) routed
+        topology is never hashed. ``request`` is the one state input no
+        stage produces, so it alone hashes by value. Raises
+        :class:`StoreError` for an input with no stable encoding, or a
+        state input no earlier stage writes.
         """
-        if not getattr(stage, "cacheable", False):
-            return None
-        try:
+        chain: List[Any] = []
+        provenance: Dict[str, str] = {}
+        out: List[str] = []
+        for stage in stages:
             h = self._prefix(stage, tuple(chain), ctx).copy()
-            _feed(h, previous)
+            _feed(h, out[-1] if out else None)
             for name in stage.state_inputs:
                 _feed(h, name)
-                producer = None if provenance is None else provenance.get(name)
-                if producer is not None:
-                    _feed(h, ("produced-by", producer))
+                if name in provenance:
+                    _feed(h, ("produced-by", provenance[name]))
+                elif name == "request":
+                    _feed(h, request)
                 else:
-                    _feed(h, getattr(state, name))
-            return h.hexdigest()
-        except (StoreError, AttributeError):
-            return None
+                    raise StoreError(
+                        f"stage {stage.name!r} reads state field {name!r}, "
+                        "which no earlier stage writes"
+                    )
+            out.append(h.hexdigest())
+            chain.append(_stage_signature(stage))
+            for name in stage.state_outputs:
+                provenance[name] = out[-1]
+        return out
 
     # -- record IO ----------------------------------------------------------
 

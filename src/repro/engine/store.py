@@ -669,7 +669,7 @@ class ResultStore:
     # -- fingerprints -------------------------------------------------------
 
     def fingerprint(self, task: Any) -> Optional[str]:
-        """The task's content address, or ``None`` when uncacheable.
+        """The task's content address, or ``None`` when it has none.
 
         Pre-skipped tasks (``skip=True``) short-circuit to an empty result
         more cheaply than a disk read, and tasks whose payload has no

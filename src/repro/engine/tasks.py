@@ -38,6 +38,7 @@ round-trip, mirroring the serial sweeps' behaviour.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
@@ -472,14 +473,23 @@ def _run_batch_simulation_task(task: BatchSimulationTask) -> TaskResult:
 
 def _run_candidate_task(task: CandidateTask) -> TaskResult:
     def body():
-        from repro.core.pipeline import Pipeline
-
         ctx = _candidate_context(task)
-        return Pipeline().evaluate(
+        return _candidate_pipeline().evaluate(
             ctx, task.request, stage_cache=_shared_stage_cache(task)
         ).outcome()
 
     return _timed_task(task.key, body)
+
+
+@functools.lru_cache(maxsize=1)
+def _candidate_pipeline():
+    """The per-process pipeline every candidate task evaluates on. The
+    stage cache memoises fingerprint prefixes per (stage instance,
+    context), so consecutive tasks over one context share them only when
+    they share the stage instances."""
+    from repro.core.pipeline import Pipeline
+
+    return Pipeline()
 
 
 #: Per-process stage-cache handles, memoised by (directory, salt) so

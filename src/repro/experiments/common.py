@@ -111,7 +111,7 @@ def synthesize_cached(
     Args:
         benchmark_name: Registry name (e.g. "d26_media").
         dims: "3d" or "2d"; see :meth:`repro.bench.builder.Benchmark.variant`.
-        config: Frozen synthesis configuration (hashable, so cacheable).
+        config: Frozen synthesis configuration (hashable, so it can key a cache).
     """
     bench = get_benchmark(benchmark_name)
     core_spec, config = bench.variant(dims, config)

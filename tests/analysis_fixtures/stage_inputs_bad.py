@@ -17,7 +17,6 @@ def helper(ctx, flow_state):
 class BadStage(Stage):
     name = "bad"
     salt = "v1"
-    cacheable = True
     context_inputs = ("graph",)  # expect: RPL105
     config_inputs = ("alpha",)
     state_inputs = ("topology",)
@@ -40,7 +39,6 @@ class WholeConfigStage(Stage):
 
     name = "whole-config"
     salt = "v1"
-    cacheable = True
     context_inputs = ("graph",)
     config_inputs = "*"
     state_inputs = ("topology",)

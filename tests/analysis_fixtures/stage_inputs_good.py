@@ -17,7 +17,6 @@ class Stage:
 class GoodStage(Stage):
     name = "good"
     salt = "v1"
-    cacheable = True
     context_inputs = ("graph", "library")
     config_inputs = _SHARED_CONFIG_INPUTS
     state_inputs = ("topology",)
@@ -33,13 +32,3 @@ class GoodStage(Stage):
     def _extra(self, ctx):
         return len(ctx.graph.edges)
 
-
-class UncachedStage(Stage):
-    """Not cacheable: free to read whatever it likes."""
-
-    name = "uncached"
-    cacheable = False
-    context_inputs = ()
-
-    def run(self, ctx, state):
-        state.anything = ctx.whatever + ctx.config.mystery

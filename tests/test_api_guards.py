@@ -10,7 +10,9 @@ eviction grace window, and retry backoff/filtering. The Fig. 3 stage
 sequence is fixed, so no stage-substitution hook (``overrides``, a
 ``stages`` field, ``build_pipeline``/``register_stage``) may return either.
 The store's per-call fingerprint memo is private plumbing: the public
-fingerprint functions keep their signatures.
+fingerprint functions keep their signatures. Every stage is fingerprinted:
+``Stage.cacheable`` and the per-stage ``StageCache.fingerprint`` /
+``signature`` calls may not return.
 
 Each job has one way in: a single synthesis is ``run_synthesis(ctx, ...)``
 (``synthesize`` is its spec-level form and forwards every keyword), and a
@@ -129,6 +131,17 @@ def test_fingerprint_memo_is_not_a_public_parameter():
         ("self", "POSITIONAL_OR_KEYWORD", empty),
         ("task", "POSITIONAL_OR_KEYWORD", empty),
     ]
+
+
+def test_every_stage_is_fingerprinted():
+    """A stage cannot opt out of the stage cache, and the cache
+    fingerprints a whole stage sequence in one call."""
+    from repro.engine.stagecache import StageCache
+
+    assert not hasattr(pipeline.Stage, "cacheable")
+    assert callable(StageCache.fingerprints)
+    for name in ("fingerprint", "signature"):
+        assert not hasattr(StageCache, name), name
 
 
 DELETED_ENTRY_POINTS = (

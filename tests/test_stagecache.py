@@ -16,6 +16,7 @@ from repro.core.pipeline import (
     DEFAULT_STAGE_NAMES,
     CandidateRequest,
     FlowContext,
+    PartitionStage,
     Pipeline,
     PlacementLPStage,
     RoutingStage,
@@ -31,6 +32,7 @@ from repro.engine.stagecache import (
     open_stage_cache,
 )
 from repro.engine.store import _FRAME
+from repro.errors import StoreError
 from repro.noc.export import design_point_to_dict
 
 CONFIG = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))
@@ -201,6 +203,48 @@ class TestFingerprintProperties:
             "a6beee97e1eca7507daf8212ede1a961"
             "e7c9e9a4d5920422092e39c733529e7e"
         )
+
+
+class TestWorkerPrefixMemo:
+    def test_second_candidate_task_builds_no_prefix(
+        self, tiny_specs, tmp_path, monkeypatch
+    ):
+        """Candidate tasks run in one process share one pipeline, so the
+        second task over a context reuses every fingerprint prefix the
+        first built (a prefix build is the one sha256 the cache opens)."""
+        import hashlib
+        import types
+
+        from repro.engine import stagecache, tasks
+
+        builds = []
+
+        def sha256(*args):
+            builds.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(
+            stagecache, "hashlib", types.SimpleNamespace(sha256=sha256)
+        )
+        core_spec, comm_spec = tiny_specs
+        token = "worker-prefix-memo"
+
+        def task(count):
+            return tasks.CandidateTask(
+                key=count, core_spec=core_spec, comm_spec=comm_spec,
+                config=CONFIG, request=CandidateRequest("phase1", (count,)),
+                context_token=token, stage_cache_dir=str(tmp_path),
+            )
+
+        try:
+            first = tasks.run_task(task(2))
+            assert len(builds) == len(DEFAULT_STAGE_NAMES)
+            second = tasks.run_task(task(3))
+        finally:
+            tasks.release_context(token)
+            tasks._STAGE_CACHE_HANDLES.pop((str(tmp_path), None), None)
+        assert first.error is None and second.error is None
+        assert len(builds) == len(DEFAULT_STAGE_NAMES)
 
 
 class TestWarmIdentity:
@@ -436,12 +480,11 @@ class TestBatchedCampaignWarmIdentity:
         assert (warm_store.hits, warm_store.misses) == (7, 0)
 
 
-CALLS = {"reject": 0, "explode": 0, "counting": 0}
+CALLS = {"reject": 0, "explode": 0, "unstable": 0}
 
 
 class RejectingStage(Stage):
     name = "reject"
-    cacheable = True
 
     def run(self, ctx, state):
         CALLS["reject"] += 1
@@ -450,32 +493,32 @@ class RejectingStage(Stage):
 
 class ExplodingStage(Stage):
     name = "explode"
-    cacheable = True
 
     def run(self, ctx, state):
         CALLS["explode"] += 1
         raise RuntimeError("hard error, not a rejection")
 
 
-class CountingStage(Stage):
-    name = "counting"  # cacheable defaults to False
-
-    def run(self, ctx, state):
-        CALLS["counting"] += 1
-
-
 class UnstableStage(Stage):
-    """cacheable, but holds a handle with no stable representation."""
+    """Holds a handle with no stable representation."""
 
     name = "unstable"
-    cacheable = True
 
     def __init__(self):
         self.handle = object()
 
     def run(self, ctx, state):
-        CALLS.setdefault("unstable", 0)
         CALLS["unstable"] += 1
+
+
+class OrphanReadStage(Stage):
+    """Declares a state input that no stage before it writes."""
+
+    name = "orphan"
+    state_inputs = ("topology",)
+
+    def run(self, ctx, state):
+        pass
 
 
 class TestFailureSemantics:
@@ -506,26 +549,35 @@ class TestFailureSemantics:
         assert cache.counters["explode"].bytes_written == 0
         assert cache.store.stats().entries == 0
 
-    def test_opt_out_stage_runs_live(self, ctx, ok_request, tmp_path):
-        CALLS["counting"] = 0
-        pipeline = Pipeline([CountingStage()])
-        cache = _cache(tmp_path)
-        for _ in range(2):
-            state = pipeline.evaluate(
-                ctx, ok_request, stage_cache=cache
-            )
-            assert state.stage_fingerprints["counting"] is None
-        assert CALLS["counting"] == 2
-        assert "counting" not in cache.counters
-
-    def test_unfingerprintable_stage_degrades_to_uncached(
+    def test_unencodable_stage_raises_before_any_stage_runs(
         self, ctx, ok_request, tmp_path
     ):
-        pipeline = Pipeline([UnstableStage()])
+        """Every stage is fingerprinted before any runs: a stage holding a
+        handle with no stable encoding is a StoreError under a stage
+        cache, and neither it nor the stage before it runs or writes.
+        Without a cache the same pipeline runs."""
+        CALLS["unstable"] = 0
+        pipeline = Pipeline([PartitionStage(), UnstableStage()])
         cache = _cache(tmp_path)
-        state = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
-        assert state.ok
-        assert state.stage_fingerprints["unstable"] is None
+        with pytest.raises(StoreError, match="no stable representation"):
+            pipeline.evaluate(ctx, ok_request, stage_cache=cache)
+        assert CALLS["unstable"] == 0
+        assert cache.counters == {}
+        assert cache.store.stats().entries == 0
+        state = pipeline.evaluate(ctx, ok_request)
+        assert state.ok and state.assignment is not None
+        assert CALLS["unstable"] == 1
+
+    def test_state_input_with_no_producer_raises(
+        self, ctx, ok_request, tmp_path
+    ):
+        """``request`` is the one state input hashed by value; any other
+        must be written by an earlier stage."""
+        cache = _cache(tmp_path)
+        with pytest.raises(StoreError, match="no earlier stage writes"):
+            Pipeline([OrphanReadStage()]).evaluate(
+                ctx, ok_request, stage_cache=cache
+            )
         assert cache.store.stats().entries == 0
 
 
