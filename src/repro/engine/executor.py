@@ -8,7 +8,10 @@ carefully:
 * **fork-aware worker pool** — on platforms with ``fork`` the workers
   inherit the parent's imported modules and the task's specs via
   copy-on-write, so per-task pickling cost is just the small spec/config
-  dataclasses;
+  dataclasses. A result comes back as one pickle, made in the worker
+  (:func:`~repro.engine.tasks.run_task_pickled`); the parent decodes it
+  once, and that same pickle is the store's checkpoint, so a computed
+  result is never pickled twice;
 * **deterministic merging** — results are returned in *submission order*
   regardless of completion order, and a failing task re-raises its error
   exactly where a serial loop would have (first failure in task order),
@@ -60,7 +63,12 @@ from repro.engine.supervise import (
     attach_remote_traceback,
     run_supervised_pool,
 )
-from repro.engine.tasks import SynthesisTask, TaskResult, run_task
+from repro.engine.tasks import (
+    SynthesisTask,
+    TaskResult,
+    run_task,
+    unpickle_result,
+)
 from repro.errors import EngineError
 
 #: Progress callback signature: (completed_count, total, key_just_done).
@@ -136,12 +144,14 @@ def run_tasks(
     memo: dict = {}
     done = 0
 
-    def finish(i: int, result: TaskResult) -> None:
+    def finish(
+        i: int, result: TaskResult, pickled: Optional[bytes] = None
+    ) -> None:
         nonlocal done
         # Checkpoint first: a progress callback may raise (deliberately, to
         # abort a campaign) and the finished work must already be on disk.
         if i in misses:
-            result = misses[i].file(store, result)
+            result = misses[i].file(store, result, pickled)
         results[i] = result
         done += 1
         if progress is not None:
@@ -159,7 +169,7 @@ def run_tasks(
 
     ran = workers > 1 and len(todo) > 1 and run_supervised_pool(
         [task for _i, task in todo], workers, sup,
-        lambda j, result: finish(todo[j][0], result),
+        lambda j, result: finish(todo[j][0], *unpickle_result(result)),
     )
     if not ran:
         for i, task in todo:
@@ -200,20 +210,26 @@ class _Miss:
     missing: Tuple[int, ...] = ()
     missing_fps: Tuple[Optional[str], ...] = ()
 
-    def file(self, store, result: TaskResult) -> TaskResult:
-        """Checkpoint a computed result; a set-addressed task's result is
-        returned merged with its cached sub-payloads, in sub-task order."""
+    def file(
+        self, store, result: TaskResult, pickled: Optional[bytes] = None
+    ) -> TaskResult:
+        """Checkpoint a computed result (``pickled``: its payload's pickle,
+        when a pool worker shipped one, filed as is); a set-addressed
+        task's result is returned merged with its cached sub-payloads, in
+        sub-task order."""
         if result.error is not None or result.skipped:
             return result
         task_type = _store_task_type(self.task)
         if self.payloads is None:
             store.put(
-                self.fingerprint, result.result,
+                self.fingerprint, result.result, pickled=pickled,
                 task_type=task_type, elapsed_s=result.elapsed_s,
             )
             return result
         # Per-sub payloads under per-sub fingerprints, each entry
-        # indistinguishable from a solo run's checkpoint.
+        # indistinguishable from a solo run's checkpoint. Each is pickled
+        # again here, apart from the batch's pickle: this branch goes with
+        # BatchSimulationTask (ROADMAP, "One simulation task type").
         elapsed = result.elapsed_s / max(1, len(self.missing))
         merged = list(self.payloads)
         for j, sub_fp, payload in zip(

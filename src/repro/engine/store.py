@@ -495,11 +495,13 @@ class _PackIndex:
             fcntl.flock(fd, fcntl.LOCK_EX)
         self._fd, self._pid, self._pack, self._end = fd, os.getpid(), number, 0
 
-    def close(self) -> None:
+    def close(self, _close=os.close) -> None:
         """Drop this process's pack handle (a forked child's copy of its
-        parent's handle is closed in the child only)."""
+        parent's handle is closed in the child only). ``os.close`` is bound
+        at definition time: at interpreter exit ``__del__`` can run after
+        this module's globals are cleared."""
         if self._fd is not None:
-            os.close(self._fd)
+            _close(self._fd)
             self._fd = None
 
     __del__ = close
@@ -760,6 +762,7 @@ class ResultStore:
         fingerprint: Optional[str],
         payload: Any,
         *,
+        pickled: Optional[bytes] = None,
         task_type: str = "",
         elapsed_s: float = 0.0,
     ) -> int:
@@ -769,9 +772,12 @@ class ResultStore:
 
         The frame's body is a small metadata header pickle followed by the
         payload pickle, so ``stats``/``verify`` can read metadata without
-        deserialising payloads. Unpicklable payloads are skipped (the
-        campaign still completes — it just cannot resume through this
-        point).
+        deserialising payloads. ``pickled`` is ``payload``'s pickle when
+        the caller already holds one (a pool worker's result, see
+        :func:`~repro.engine.tasks.run_task_pickled`): those bytes are
+        filed as is, and ``payload`` is not pickled again. Unpicklable
+        payloads are skipped (the campaign still completes — it just
+        cannot resume through this point).
         """
         if fingerprint is None:
             return False
@@ -784,10 +790,14 @@ class ResultStore:
             "created_s": time.time(),  # repro: noqa[RPL202] -- bookkeeping clock; the header never enters a fingerprint
         }
         try:
+            if pickled is None:
+                pickled = pickle.dumps(
+                    payload, protocol=pickle.HIGHEST_PROTOCOL
+                )
             return self._packs.append(
                 fingerprint,
                 pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL),
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+                pickled,
             )
         except Exception:
             # Unpicklable payloads surface as TypeError/AttributeError (not

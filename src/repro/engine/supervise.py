@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.engine.tasks import TaskResult, run_task
+from repro.engine.tasks import TaskResult, run_task_pickled
 from repro.errors import (
     EngineError,
     SupervisionError,
@@ -55,7 +55,9 @@ from repro.errors import (
 
 #: Completion hook: the executor's merge/progress/checkpoint callback,
 #: fired in the parent once per finished task (in completion order) with
-#: the task's index in the submitted list.
+#: the task's index in the submitted list. A result that ran in a worker
+#: arrives as :func:`~repro.engine.tasks.run_task_pickled` shipped it:
+#: ``result`` holds the pickled bytes.
 NoteFn = Callable[[int, TaskResult], None]
 
 #: Pool regenerations (crash or timeout recovery) allowed per call before
@@ -204,7 +206,7 @@ def _solo_run(task, retries, timeout_s) -> TaskResult:
             task, attempts=1, reason="crash (no isolation available)"
         )
     try:
-        future = pool.submit(run_task, task, retries)
+        future = pool.submit(run_task_pickled, task, retries)
         try:
             result = future.result(timeout=timeout_s)
         except BrokenProcessPool:
@@ -264,7 +266,7 @@ def run_supervised_pool(
             # A worker may have died since the last harvest, and submit
             # then raises BrokenProcessPool: the task stays pending for
             # the regenerated pool.
-            future = pool.submit(run_task, tasks[idx], sup.retries)
+            future = pool.submit(run_task_pickled, tasks[idx], sup.retries)
             pending.popleft()
             inflight[future] = (idx, deadline)
 

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
+import pickle
 from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
@@ -305,7 +307,10 @@ class TaskResult:
     Workers never raise across the process boundary; errors are captured so
     the executor can re-raise them *deterministically* (first failing task
     in submission order, exactly like a serial loop) instead of in
-    completion order.
+    completion order. A pool worker ships ``result`` as one pickle
+    (:func:`run_task_pickled`), which the parent decodes once and files in
+    its store as is; every result ``run_tasks`` returns holds the decoded
+    object.
 
     ``cached=True`` marks a result served from a
     :class:`~repro.engine.store.ResultStore` instead of computed; the
@@ -358,6 +363,75 @@ def run_task(task, retries: int = 0) -> TaskResult:
         fresh.attempts = result.attempts + 1
         result = fresh
     return result
+
+
+def run_task_pickled(task, retries: int = 0) -> TaskResult:
+    """The pool's worker entry: :func:`run_task`, then the result pickled
+    once (``pickle.HIGHEST_PROTOCOL``) and shipped as those bytes in
+    ``result``. The parent decodes them once (:func:`unpickle_result`) and
+    files the same bytes in its store, so a computed result is never
+    pickled twice.
+
+    A result or error that cannot cross the process boundary becomes an
+    :class:`~repro.errors.EngineError` naming the task, so the pool runs on
+    and the task's slot carries the failure like any task error.
+    """
+    result = run_task(task, retries)
+    try:
+        if result.error is None:
+            result.result = pickle.dumps(
+                result.result, protocol=pickle.HIGHEST_PROTOCOL
+            )
+        else:
+            # Round-trip: an error that pickles but will not unpickle
+            # would break the pool in the parent instead.
+            pickle.loads(pickle.dumps(result.error))
+    except Exception as exc:
+        what = "result" if result.error is None else (
+            f"error ({type(result.error).__qualname__})"
+        )
+        return _unshippable(result, f"its {what} cannot be pickled", exc)
+    return result
+
+
+def unpickle_result(result: TaskResult) -> Tuple[TaskResult, Optional[bytes]]:
+    """Decode a :func:`run_task_pickled` result in the parent:
+    ``(result with the object in place of the bytes, those bytes)``. The
+    bytes are ``None`` for an error, which carries no payload; a payload
+    that fails to unpickle becomes an :class:`~repro.errors.EngineError`
+    result, as in the worker."""
+    if result.error is not None:
+        return result, None
+    data = result.result
+    # The collector is paused while the result's object graph is built:
+    # otherwise those allocations trigger collections that rescan the
+    # parent's whole heap (a full one costs ~25 ms in a d26_media sweep).
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result.result = pickle.loads(data)
+    except Exception as exc:
+        return _unshippable(result, "its result cannot be unpickled", exc), None
+    finally:
+        if collecting:
+            gc.enable()
+    return result, data
+
+
+def _unshippable(result: TaskResult, problem: str, exc: Exception):
+    """An :class:`~repro.errors.EngineError` result in place of
+    ``result``, naming its task, ``problem`` and ``exc``. The task's own
+    traceback is kept when it has one, else the one of ``exc``."""
+    import traceback
+
+    error = EngineError(
+        f"task {result.key!r}: {problem} ({type(exc).__name__}: {exc})"
+    )
+    return TaskResult(
+        key=result.key, error=error, elapsed_s=result.elapsed_s,
+        attempts=result.attempts,
+        traceback=result.traceback or traceback.format_exc(),
+    )
 
 
 def _attempt_task(task) -> TaskResult:

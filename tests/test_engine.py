@@ -241,6 +241,37 @@ class TestExecutor:
             run_tasks(tasks, jobs=2)
         assert type(excinfo_serial.value) is type(excinfo_parallel.value)
 
+    def test_parent_never_repickles_a_pool_result(self, tmp_path, monkeypatch):
+        """A pool worker ships its result as one pickle and the parent
+        files those bytes: the parent pickles no ``SynthesisResult`` (a
+        forked worker counts on its own copy of the counter). The store it
+        filed then serves a serial rerun whole, equal to a storeless run."""
+        from repro.bench import get_benchmark
+        from repro.core.design_point import SynthesisResult
+        from repro.core.frequency_sweep import sweep_frequencies
+        from repro.engine import ResultStore
+
+        bench = get_benchmark("d26_media")
+        specs = (bench.core_spec_3d, bench.comm_spec, (400.0, 600.0))
+        pickles = []
+
+        def counting(self, protocol):
+            pickles.append(protocol)
+            return object.__reduce_ex__(self, protocol)
+
+        monkeypatch.setattr(SynthesisResult, "__reduce_ex__", counting)
+        sweep_frequencies(*specs, jobs=2, store=ResultStore(tmp_path))
+        assert pickles == []
+        monkeypatch.undo()
+
+        def docs(sweep):
+            return [design_point_to_dict(p) for p in sweep.all_points()]
+
+        store = ResultStore(tmp_path)
+        warm = sweep_frequencies(*specs, jobs=1, store=store)
+        assert (store.hits, store.misses) == (2, 0)
+        assert docs(warm) == docs(sweep_frequencies(*specs, jobs=1))
+
     def test_raise_errors_false_returns_all(self, design):
         core_spec, comm_spec = design
         good = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))

@@ -9,6 +9,8 @@ claims is executed here with injected faults (:mod:`repro.engine.faults`):
 * retries: transient faults absorbed at once, supervision errors never
   retried, attempts and elapsed time accumulated, validation;
 * poison-task attribution and the pool-restart budget;
+* a result or error that cannot cross the process boundary, failing
+  only its own task;
 * graceful Ctrl-C with a hung worker pending;
 * a killed-then-resumed store-backed campaign merging bit-identically to
   a clean cold run.
@@ -383,6 +385,97 @@ class TestRemoteTraceback:
         assert isinstance(failed.error, TransientFaultError)
         assert failed.traceback is not None
         assert "TransientFaultError" in failed.traceback
+
+
+def _unpickle_fails():
+    raise ValueError("refuses to unpickle")
+
+
+class _DecodesBadly:
+    """Pickles in the worker; unpickling it in the parent raises."""
+
+    def __reduce__(self):
+        return _unpickle_fails, ()
+
+
+def _result_body():
+    return lambda: None  # a local object: cannot be pickled
+
+
+def _error_body():
+    class LocalError(Exception):
+        pass
+
+    raise LocalError("an unpicklable error")
+
+
+def _ordinary_error_body():
+    raise ValueError("an ordinary task error")
+
+
+def _poison_bodies(monkeypatch, bodies):
+    """Run ``bodies[key]`` in place of the body of the task keyed ``key``,
+    patched before the pool forks so workers inherit it."""
+    import repro.engine.tasks as tasks_mod
+
+    timed = tasks_mod._timed_task
+
+    def patched(key, fn):
+        return timed(key, bodies.get(key, fn))
+
+    monkeypatch.setattr(tasks_mod, "_timed_task", patched)
+
+
+class TestUnshippableResults:
+    """A result or error that cannot cross the process boundary fails its
+    own task slot with an ``EngineError``; the pool and the other tasks
+    run on."""
+
+    CASES = {
+        "result": (_result_body, "its result cannot be pickled",
+                   "run_task_pickled"),
+        "error": (_error_body, "its error (", "an unpicklable error"),
+        "decode": (_DecodesBadly, "cannot be unpickled", "refuses to"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_quarantine_keeps_the_other_results(
+        self, tmp_path, monkeypatch, clean_results, case
+    ):
+        body, message, trace = self.CASES[case]
+        _poison_bodies(monkeypatch, {"sim-1": body})
+        store = ResultStore(tmp_path / "store")
+        results = run_tasks(
+            _tasks(3), jobs=2, store=store, raise_errors=False,
+            supervision=Supervision(on_error="quarantine"),
+        )
+        assert [r.key for r in results] == ["sim-0", "sim-1", "sim-2"]
+        failed = results[1]
+        assert type(failed.error) is EngineError
+        assert "'sim-1'" in str(failed.error)
+        assert message in str(failed.error)
+        assert failed.result is None
+        assert trace in failed.traceback
+        for i in (0, 2):
+            assert results[i].error is None
+            assert pickle.dumps(results[i].result) == pickle.dumps(
+                clean_results[i].result
+            )
+        # The failure is not cached; the survivors are.
+        assert _store_entries(tmp_path / "store") == 2
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_first_failure_in_task_order_raises(self, monkeypatch, case):
+        """The unshippable task 1 raises, not the ordinary failure of
+        task 2, whichever finished first."""
+        body, message, trace = self.CASES[case]
+        _poison_bodies(
+            monkeypatch, {"sim-1": body, "sim-2": _ordinary_error_body}
+        )
+        with pytest.raises(EngineError, match="'sim-1'") as excinfo:
+            run_tasks(_tasks(3), jobs=2)
+        assert message in str(excinfo.value)
+        assert trace in str(excinfo.value.__cause__)
 
 
 class TestSuperviseInternals:

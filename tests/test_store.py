@@ -396,6 +396,41 @@ class TestStagePacks:
         assert store.entries() == {fp: "stage:demo",
                                    task_fp: "SimulationTask"}
 
+    def test_a_given_pickle_is_filed_as_is(self, tmp_path):
+        """``put(..., pickled=)`` files the caller's bytes as the payload
+        pickle, in the same frame layout, and ``payload`` is not pickled."""
+        store = ResultStore(tmp_path)
+        data = pickle.dumps({"x": [1, 2]}, protocol=pickle.HIGHEST_PROTOCOL)
+        fp = store.fingerprint(_sim_tasks(1)[0])
+        unpicklable = lambda: None  # noqa: E731
+        assert store.put(fp, unpicklable, pickled=data,
+                         task_type="SimulationTask")
+        [(_offset, frame_fp, frame, problem)] = list(
+            _walk_pack(tmp_path / "packs" / "000000.pack")
+        )
+        assert (frame_fp, problem) == (fp, None)
+        assert frame.endswith(data)
+        fresh = ResultStore(tmp_path)
+        assert fresh.get(fp).payload == {"x": [1, 2]}
+        assert fresh.head(fp)["task_type"] == "SimulationTask"
+
+    def test_close_needs_no_module_globals(self, tmp_path, monkeypatch):
+        """At interpreter exit ``__del__`` may run after the module's
+        globals are cleared: closing a writer still closes its pack."""
+        import repro.engine.store as store_mod
+
+        store = ResultStore(tmp_path)
+        _put_stage(store, "a")
+        packs = store._packs
+        fd = packs._fd
+        assert fd is not None
+        monkeypatch.setattr(store_mod, "os", None)
+        packs.close()
+        monkeypatch.undo()
+        assert packs._fd is None
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
     def test_a_fingerprint_put_twice_counts_once(self, tmp_path):
         """Two frames of one fingerprint (two processes racing to the same
         miss, a recompute after a corrupt frame) are one entry; the last
