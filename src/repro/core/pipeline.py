@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -55,7 +56,6 @@ from repro.core.placement import optimise_switch_positions
 from repro.errors import (
     PathComputationError,
     SpecError,
-    SupervisionError,
     SynthesisError,
 )
 from repro.floorplan.constrained import constrained_insert
@@ -236,8 +236,9 @@ class StageTimings:
         stage_seconds: Mapping[str, float],
         cached: Sequence[str] = (),
     ) -> None:
-        """Fold one candidate's ``{stage: seconds}`` dict (worker results);
-        ``cached`` names the stages served from a stage cache."""
+        """Fold one candidate's ``{stage: seconds}`` dict (its
+        :class:`CandidateOutcome`'s ``stage_seconds``, in-process or from a
+        worker); ``cached`` names the stages served from a stage cache."""
         cached_set = set(cached)
         for name, seconds in stage_seconds.items():
             self.add(name, seconds, cached=name in cached_set)
@@ -679,7 +680,6 @@ class Pipeline:
         self,
         ctx: FlowContext,
         request: CandidateRequest,
-        timings: Optional[StageTimings] = None,
         stage_cache=None,
     ) -> CandidateState:
         """Run every stage on a fresh state for ``request``; stop at the
@@ -693,7 +693,7 @@ class Pipeline:
         before any stage runs). The walk then resumes after the deepest
         stage that has a record (:meth:`_replay_plan`). The stages up to it
         are served from the cache: each credits its *original* execution
-        time to ``stage_seconds``/``timings`` with a cached marker, read
+        time to ``stage_seconds`` and is named in ``cached_stages``, read
         from the record's header, and only the records holding what later
         stages and the point read are loaded; a recorded
         :class:`StageFailure` replays as the rejection. The stages after it
@@ -737,8 +737,6 @@ class Pipeline:
             state.stage_seconds[stage.name] = (
                 state.stage_seconds.get(stage.name, 0.0) + elapsed
             )
-            if timings is not None:
-                timings.add(stage.name, elapsed, cached=cached)
             if state.failed_stage is not None:
                 break
         if state.ok and state.metrics is not None:
@@ -811,8 +809,8 @@ def _evaluate_round(
     requests: Sequence[CandidateRequest],
     result: SynthesisResult,
 ) -> Tuple[List[int], List[int]]:
-    """Evaluate one round as one batch (serial or on the engine pool),
-    append its points to ``result`` in submission order, and return the
+    """Evaluate one round as one batch (one ``run_tasks`` call), append
+    its points to ``result`` in submission order, and return the
     switch counts that were met and that failed."""
     met: List[int] = []
     failed: List[int] = []
@@ -857,11 +855,12 @@ def _phase2(ctx: FlowContext, evaluate: Callable, result: SynthesisResult) -> No
 
 
 # --------------------------------------------------------------------------
-# batch evaluation (serial / engine fan-out) and the run entry point
+# candidate rounds on the engine, and the run entry point
 # --------------------------------------------------------------------------
 
 def _make_batch_evaluator(
     ctx: FlowContext,
+    token: str,
     jobs: Optional[int],
     progress: Optional[ProgressFn],
     timings: Optional[StageTimings],
@@ -869,54 +868,19 @@ def _make_batch_evaluator(
     quarantine_log: Optional[List],
     stage_cache,
 ) -> Callable[[Sequence[CandidateRequest]], List[CandidateOutcome]]:
-    """Evaluate a round serially (``jobs=1``) or fanned across the engine
-    pool, returning outcomes in submission order either way."""
-    pipeline = Pipeline()
-    retries = supervision.retries if supervision is not None else 0
+    """Evaluate a round as one ``run_tasks`` call of
+    :class:`~repro.engine.tasks.CandidateTask`\\ s under the run's context
+    ``token`` (in-process at ``jobs=1``, else on the pool), returning
+    outcomes in submission order."""
+    # Imported lazily: repro.engine depends on repro.core, not vice versa.
+    from repro.engine import executor
+    from repro.engine.tasks import CandidateTask
 
-    def evaluate_one(request: CandidateRequest) -> CandidateOutcome:
-        # A candidate whose evaluation raised re-runs at once, as
-        # ``engine.tasks.run_task`` retries a worker task; a StageFailure
-        # rejection is an outcome, not an error, so it never gets here.
-        for attempt in range(retries + 1):
-            try:
-                return pipeline.evaluate(
-                    ctx, request, stage_cache=stage_cache
-                ).outcome()
-            except Exception as exc:
-                if attempt == retries or isinstance(exc, SupervisionError):
-                    raise
+    cache_dir, cache_salt = (
+        stage_cache.spec() if stage_cache is not None else (None, None)
+    )
 
-    def serial(requests: Sequence[CandidateRequest]) -> List[CandidateOutcome]:
-        outcomes: List[CandidateOutcome] = []
-        total = len(requests)
-        for i, req in enumerate(requests):
-            outcome = evaluate_one(req)
-            if timings is not None:
-                timings.merge(outcome.stage_seconds, outcome.cached_stages)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(i + 1, total, req.key)
-        return outcomes
-
-    if jobs == 1:
-        return serial
-
-    import uuid
-
-    context_token = uuid.uuid4().hex
-    if stage_cache is not None:
-        stage_cache_dir, stage_cache_salt = stage_cache.spec()
-    else:
-        stage_cache_dir = stage_cache_salt = None
-
-    def parallel(requests: Sequence[CandidateRequest]) -> List[CandidateOutcome]:
-        if len(requests) <= 1:
-            return serial(requests)
-        # Imported lazily: repro.engine depends on repro.core, not vice versa.
-        from repro.engine.executor import run_tasks
-        from repro.engine.tasks import CandidateTask, release_context, seed_context
-
+    def evaluate(requests: Sequence[CandidateRequest]) -> List[CandidateOutcome]:
         tasks = [
             CandidateTask(
                 key=req.key,
@@ -925,21 +889,17 @@ def _make_batch_evaluator(
                 config=ctx.config,
                 request=req,
                 library=ctx.library,
-                context_token=context_token,
-                stage_cache_dir=stage_cache_dir,
-                stage_cache_salt=stage_cache_salt,
+                context_token=token,
+                stage_cache_dir=cache_dir,
+                stage_cache_salt=cache_salt,
             )
             for req in requests
         ]
-        seed_context(context_token, ctx)
-        try:
-            results = run_tasks(
-                tasks, jobs=jobs, progress=progress, supervision=supervision,
-            )
-        finally:
-            release_context(context_token)
         outcomes = []
-        for task_result in results:
+        for task_result in executor.run_tasks(
+            tasks, jobs=jobs, progress=progress, supervision=supervision,
+        ):
+            outcome = task_result.result
             if task_result.error is not None:
                 # A quarantined/timed-out candidate (on_error="quarantine")
                 # becomes a failed outcome, so the synthesis completes on
@@ -948,23 +908,18 @@ def _make_batch_evaluator(
                     quarantine_log.append(
                         (task_result.key, str(task_result.error))
                     )
-                outcomes.append(CandidateOutcome(
+                outcome = CandidateOutcome(
                     failed_stage="supervision",
                     failure_reason=str(task_result.error),
-                ))
-            else:
-                outcomes.append(task_result.result)
-        if timings is not None:
-            for outcome in outcomes:
+                )
+            if timings is not None:
                 timings.merge(outcome.stage_seconds, outcome.cached_stages)
-        if stage_cache is not None:
-            # Worker-side hits/misses land in the parent's counters via the
-            # outcomes (bytes stay worker-local and are reported as 0).
-            for outcome in outcomes:
-                stage_cache.note_remote(outcome)
+            if stage_cache is not None:
+                stage_cache.fold(task_result.stage_cache)
+            outcomes.append(outcome)
         return outcomes
 
-    return parallel
+    return evaluate
 
 
 def run_synthesis(
@@ -982,7 +937,7 @@ def run_synthesis(
     Args:
         ctx: The run context (see :meth:`FlowContext.build`).
         jobs: Candidate-evaluation worker processes — ``1`` (default)
-            serial, ``None``/``0`` one per CPU, ``n >= 2`` a pool of n.
+            in-process, ``None``/``0`` one per CPU, ``n >= 2`` a pool of n.
             Results are bit-identical regardless of ``jobs``; a negative
             one raises :class:`~repro.errors.EngineError` before any work.
         progress: Optional per-candidate callback
@@ -990,8 +945,8 @@ def run_synthesis(
         timings: Optional :class:`StageTimings` accumulator to fill.
         supervision: Optional :class:`repro.engine.supervise.Supervision`
             of the candidate evaluations. Its ``retries`` re-run a
-            candidate whose evaluation raised, serial or parallel; its
-            deadline applies to parallel runs only. Under
+            candidate whose evaluation raised, at any ``jobs``; its
+            deadline applies to pool runs only. Under
             ``on_error="quarantine"`` a candidate lost to a worker crash
             or deadline is treated as a failed candidate, not a fatal
             error.
@@ -1001,20 +956,29 @@ def run_synthesis(
             :class:`repro.engine.stagecache.StageCache` memoising
             individual stage outputs across runs and sweep points (see
             :meth:`Pipeline.evaluate`). Results stay bit-identical with
-            or without it.
+            or without it, and its counters read the same at any ``jobs``.
+
+    Every round of candidates is one
+    :func:`~repro.engine.executor.run_tasks` call, whatever ``jobs`` is.
     """
-    # Judged before any partitioning, even for a round of one candidate.
     # Imported lazily: repro.engine depends on repro.core, not vice versa.
     from repro.engine.executor import resolve_jobs
+    from repro.engine.tasks import release_context, seed_context
 
-    resolve_jobs(jobs)
+    resolve_jobs(jobs)  # judged before any work, even a round of none
+    token = uuid.uuid4().hex
     evaluate = _make_batch_evaluator(
-        ctx, jobs, progress, timings, supervision, quarantine_log, stage_cache,
+        ctx, token, jobs, progress, timings, supervision, quarantine_log,
+        stage_cache,
     )
     result = SynthesisResult()
     phase = ctx.config.phase
-    if phase in ("auto", "phase1"):
-        _phase1(ctx, evaluate, result)
-    if phase == "phase2" or (phase == "auto" and result.is_empty):
-        _phase2(ctx, evaluate, result)
+    seed_context(token, ctx, stage_cache)
+    try:
+        if phase in ("auto", "phase1"):
+            _phase1(ctx, evaluate, result)
+        if phase == "phase2" or (phase == "auto" and result.is_empty):
+            _phase2(ctx, evaluate, result)
+    finally:
+        release_context(token)
     return result

@@ -119,10 +119,14 @@ class StageCache:
     """Memoises pipeline stage outputs in a :class:`ResultStore`.
 
     One instance is threaded through
-    :meth:`repro.core.pipeline.Pipeline.evaluate`; it keeps per-stage
-    session counters (in pipeline execution order) and exposes ``spec()``
-    so the parallel candidate fan-out can reopen an equivalent cache
-    inside worker processes.
+    :meth:`repro.core.pipeline.Pipeline.evaluate` and keeps per-stage
+    session counters (in pipeline execution order). A synthesis run given
+    one evaluates its candidates on a run-private instance over the same
+    store (:func:`repro.engine.tasks.seed_context`), in-process or in fork
+    workers, and :meth:`fold`\\ s each candidate's counters into the
+    caller's, so they read the same at any ``jobs``. ``spec()`` names the
+    store, so a worker started without ``fork`` reopens an equivalent
+    cache.
     """
 
     #: Cap on the memoised per-(stage, context) fingerprint prefixes and
@@ -293,16 +297,13 @@ class StageCache:
         else:
             counter.misses += 1
 
-    def note_remote(self, outcome) -> None:
-        """Fold one worker-evaluated candidate outcome into the counters.
-
-        Workers open their own cache handles; the parent reconstructs
-        hit/miss counts from each outcome's ``cached_stages`` (bytes stay
-        worker-local and are reported as 0 here).
-        """
-        cached = set(getattr(outcome, "cached_stages", ()) or ())
-        for name in getattr(outcome, "stage_seconds", None) or ():
-            self.tally(name, hit=name in cached)
+    def fold(self, stats: Optional[Mapping[str, Mapping[str, int]]]) -> None:
+        """Add one ``stats_dict()``-shaped mapping (a candidate's own
+        counters, shipped back in ``TaskResult.stage_cache``) to these."""
+        for name, row in (stats or {}).items():
+            counter = self._counter(name)
+            for key, value in row.items():
+                setattr(counter, key, getattr(counter, key) + int(value))
 
     def stats_dict(self) -> Dict[str, Dict[str, int]]:
         """``{stage: {hits, misses, bytes_read, bytes_written}}`` in first-

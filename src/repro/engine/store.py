@@ -34,10 +34,11 @@ Design:
   starts a new pack. Entries that older versions filed one file each
   are not read;
 * **pack index** — each store keeps an in-memory index, fingerprint ->
-  (pack, offset, length, CRC), built from frame headers only (the stage
-  cache keeps one store per directory per worker process, so a worker
-  builds it once). A lookup that misses it refreshes it: packs that grew are read
-  from where the last scan stopped, and the next pack number is probed;
+  (pack, offset, length, CRC), built from frame headers only (a
+  synthesis run's candidates share one store, and fork workers inherit
+  its index, so a run builds it once). A lookup that misses it refreshes
+  it: packs that grew are read from where the last scan stopped, and the
+  next pack number is probed;
   packs no writer holds any more are skipped until the directory
   changes. A stale index costs a miss (a recomputation), never a wrong
   result;

@@ -9,9 +9,12 @@ Four task types cross the ``ProcessPoolExecutor`` boundary:
 * :class:`CandidateTask` — one connectivity candidate *inside* a synthesis
   run: the same value objects plus the candidate's
   :class:`~repro.core.pipeline.CandidateRequest` (phase, switch counts,
-  θ); the worker partitions and evaluates it through the fixed Fig. 3
-  stage sequence. ``synthesize(..., jobs=N)`` fans these out so a single
-  run parallelises across its own switch-count sweep.
+  θ); it is partitioned and evaluated through the fixed Fig. 3 stage
+  sequence. ``run_synthesis`` hands every round of its switch-count sweep
+  to ``run_tasks`` as these, at any ``jobs``: in-process through
+  :func:`run_task` at ``jobs=1``, across the pool otherwise. The run's
+  context and stage-cache handle wait for them in a per-process slot
+  (:func:`seed_context`).
 * :class:`SimulationTask` — one wormhole-simulation run of a
   (seed × injection scale × traffic scenario) load-sweep campaign over an
   already-synthesized topology
@@ -93,7 +96,7 @@ class SynthesisTask:
 
 @dataclass(frozen=True)
 class CandidateTask:
-    """One candidate evaluation of a single synthesis run (``jobs=N``)."""
+    """One candidate evaluation of a single synthesis run."""
 
     __fingerprint_exclude__ = ("stage_cache_dir", "stage_cache_salt")
 
@@ -103,11 +106,13 @@ class CandidateTask:
     config: SynthesisConfig
     request: object
     library: Optional[NocLibrary] = None
-    #: Parent-generated token identifying the run's FlowContext; candidate
-    #: tasks sharing a token share the rebuilt context in the worker.
+    #: Parent-generated token naming the run's slot (:func:`seed_context`):
+    #: candidate tasks sharing a token share one context and one
+    #: stage-cache handle per process.
     context_token: Optional[str] = None
-    #: Per-stage memoization spec (see :class:`SynthesisTask`); the worker
-    #: memoises one cache handle per (dir, salt) across candidates.
+    #: Per-stage memoization spec (see :class:`SynthesisTask`), read only
+    #: where the run's slot is missing (a worker started without ``fork``):
+    #: the slot is then rebuilt from the task and opens its own handle.
     stage_cache_dir: Optional[str] = None
     stage_cache_salt: Optional[str] = None
 
@@ -324,10 +329,12 @@ class TaskResult:
     record of *where* a remote failure happened.
 
     ``stage_cache`` carries the per-stage hit/miss/bytes counters of a
-    stage-cached :class:`SynthesisTask` (a ``stats_dict()`` mapping, see
-    :class:`~repro.engine.stagecache.StageCache`) so sweep summaries can
-    aggregate them; it lives on the *result envelope*, never inside the
-    cached payload, keeping warm and cold payloads bit-identical.
+    stage-cached :class:`SynthesisTask` or :class:`CandidateTask` (a
+    ``stats_dict()`` mapping, see
+    :class:`~repro.engine.stagecache.StageCache`) so sweep summaries and
+    the synthesis run's caller aggregate them, wherever the task ran; it
+    lives on the *result envelope*, never inside the cached payload,
+    keeping warm and cold payloads bit-identical.
     """
 
     key: Hashable
@@ -546,13 +553,25 @@ def _run_batch_simulation_task(task: BatchSimulationTask) -> TaskResult:
 
 
 def _run_candidate_task(task: CandidateTask) -> TaskResult:
-    def body():
-        ctx = _candidate_context(task)
-        return _candidate_pipeline().evaluate(
-            ctx, task.request, stage_cache=_shared_stage_cache(task)
-        ).outcome()
+    stage_stats: dict = {}
 
-    return _timed_task(task.key, body)
+    def body():
+        ctx, stage_cache = _candidate_context(task)
+        if stage_cache is not None:
+            # The run's one handle in this process: its counters restart
+            # per candidate, so they ship back this candidate's alone.
+            stage_cache.counters.clear()
+        outcome = _candidate_pipeline().evaluate(
+            ctx, task.request, stage_cache=stage_cache
+        ).outcome()
+        if stage_cache is not None:
+            stage_stats.update(stage_cache.stats_dict())
+        return outcome
+
+    task_result = _timed_task(task.key, body)
+    if stage_stats:
+        task_result.stage_cache = stage_stats
+    return task_result
 
 
 @functools.lru_cache(maxsize=1)
@@ -566,16 +585,10 @@ def _candidate_pipeline():
     return Pipeline()
 
 
-#: Per-process stage-cache handles, memoised by (directory, salt) so
-#: consecutive candidate tasks of one run share a handle; a failed open is
-#: memoised too (as None) so an unusable cache directory costs one attempt,
-#: not one per candidate.
-_STAGE_CACHE_HANDLES: dict = {}
-
-
 def _fresh_stage_cache(task):
-    """A new worker-side :class:`StageCache`, or ``None`` (no spec on the
-    task, or an unusable directory — the task then runs uncached)."""
+    """A new :class:`StageCache` over the task's stage-cache spec, or
+    ``None`` (no spec on the task, or an unusable directory — the task
+    then runs uncached)."""
     cache_dir = getattr(task, "stage_cache_dir", None)
     if cache_dir is None:
         return None
@@ -590,50 +603,50 @@ def _fresh_stage_cache(task):
         return None
 
 
-def _shared_stage_cache(task):
-    cache_dir = getattr(task, "stage_cache_dir", None)
-    if cache_dir is None:
-        return None
-    key = (cache_dir, getattr(task, "stage_cache_salt", None))
-    if key not in _STAGE_CACHE_HANDLES:
-        _STAGE_CACHE_HANDLES[key] = _fresh_stage_cache(task)
-    return _STAGE_CACHE_HANDLES[key]
-
-
-#: Single-slot per-process context cache: consecutive candidate tasks of one
-#: run share the validated specs / comm graph instead of rebuilding them per
-#: candidate. Keyed by the parent's unique ``context_token`` so the cache can
-#: never serve a stale context to a different run.
+#: Per-process slots of live synthesis runs: context token ->
+#: ``(FlowContext, StageCache or None)``. Candidate tasks of one run share
+#: the validated specs, comm graph and stage-cache handle instead of
+#: rebuilding them per candidate. Keyed by the parent's unique token, so a
+#: slot never serves a stale context to a different run.
 _CTX_CACHE: dict = {}
 
 
-def seed_context(token: str, ctx) -> None:
-    """Pre-seed the candidate-context cache (parent side, before fan-out).
+def seed_context(token: str, ctx, stage_cache=None) -> None:
+    """Seed run ``token``'s slot (parent side, before its first round):
+    ``ctx`` and, given the caller's ``stage_cache``, one run-private
+    :class:`~repro.engine.stagecache.StageCache` over its store, shared by
+    in-process candidates and fork workers (which inherit the slot), so
+    the run opens no second store. Candidates ship their own counters back
+    (``TaskResult.stage_cache``) for the parent to fold into the caller's
+    cache. Pair with :func:`release_context` in a ``finally`` block."""
+    if stage_cache is not None:
+        from repro.engine.stagecache import StageCache
 
-    Fork-context workers inherit the seeded slot, so no worker — nor the
-    executor's in-process serial fallback — pays spec validation and comm
-    graph construction again per candidate. Pair with
-    :func:`release_context` once the batch is merged.
-    """
-    _CTX_CACHE.clear()
-    _CTX_CACHE[token] = ctx
+        stage_cache = StageCache(stage_cache.store)
+    _CTX_CACHE[token] = (ctx, stage_cache)
 
 
 def release_context(token: str) -> None:
-    """Drop a seeded context so the run's specs don't outlive the run."""
+    """Drop a seeded slot so the run's specs don't outlive the run."""
     _CTX_CACHE.pop(token, None)
 
 
 def _candidate_context(task: CandidateTask):
+    """``(FlowContext, StageCache or None)`` for ``task``: its run's slot,
+    else rebuilt from the task (a worker started without ``fork``) and
+    kept as this process's one slot."""
+    token = task.context_token
+    if token in _CTX_CACHE:
+        return _CTX_CACHE[token]
     from repro.core.pipeline import FlowContext
 
-    token = task.context_token
-    if token is not None and token in _CTX_CACHE:
-        return _CTX_CACHE[token]
-    ctx = FlowContext.build(
-        task.core_spec, task.comm_spec, task.library, task.config
+    slot = (
+        FlowContext.build(
+            task.core_spec, task.comm_spec, task.library, task.config
+        ),
+        _fresh_stage_cache(task),
     )
     if token is not None:
         _CTX_CACHE.clear()
-        _CTX_CACHE[token] = ctx
-    return ctx
+        _CTX_CACHE[token] = slot
+    return slot

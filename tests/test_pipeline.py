@@ -271,6 +271,79 @@ class TestSerialRetries:
         assert len(runs) == len(keys) == 2 * (1 + len(THETA_VALUES))
 
 
+class TestOneCandidateLoop:
+    """Every round of a run is one ``run_tasks`` call, at ``jobs=1`` too,
+    and the run's context slot is gone once it returns or raises."""
+
+    CONFIG = SynthesisConfig(max_ill=10, switch_count_range=(2, 3))
+
+    @staticmethod
+    def _record(monkeypatch):
+        from repro.engine import executor
+
+        calls, rounds = [], []
+        run_tasks = executor.run_tasks
+        evaluate_round = pipeline_module._evaluate_round
+
+        def recording_run_tasks(tasks, **kwargs):
+            tasks = list(tasks)
+            calls.append([task.request for task in tasks])
+            return run_tasks(tasks, **kwargs)
+
+        def recording_round(evaluate, requests, result):
+            rounds.append(list(requests))
+            return evaluate_round(evaluate, requests, result)
+
+        monkeypatch.setattr(executor, "run_tasks", recording_run_tasks)
+        monkeypatch.setattr(
+            pipeline_module, "_evaluate_round", recording_round
+        )
+        return calls, rounds
+
+    def test_each_round_is_one_run_tasks_call(self, tiny_specs, monkeypatch):
+        from repro.engine import tasks
+
+        def reject(self, ctx, state):
+            raise StageFailure("rejected")
+
+        # Every candidate rejected: each θ round of Phase 1 runs, then the
+        # Phase 2 round.
+        monkeypatch.setattr(IllPrecheckStage, "run", reject)
+        calls, rounds = self._record(monkeypatch)
+        ctx = FlowContext.build(*tiny_specs, config=self.CONFIG)
+        run_synthesis(ctx, jobs=1)
+        assert len(rounds) == 1 + len(THETA_VALUES) + 1
+        assert calls == rounds
+        assert tasks._CTX_CACHE == {}
+
+    def test_slot_released_when_a_candidate_raises(
+        self, tiny_specs, monkeypatch
+    ):
+        from repro.engine import tasks
+
+        def explode(self, ctx, state):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(RoutingStage, "run", explode)
+        calls, _rounds = self._record(monkeypatch)
+        ctx = FlowContext.build(*tiny_specs, config=self.CONFIG)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_synthesis(ctx, jobs=1)
+        assert len(calls) == 1
+        assert tasks._CTX_CACHE == {}
+
+    def test_slot_released_when_progress_raises(self, tiny_specs):
+        from repro.engine import tasks
+
+        def stop(done, total, key):
+            raise KeyboardInterrupt
+
+        ctx = FlowContext.build(*tiny_specs, config=self.CONFIG)
+        with pytest.raises(KeyboardInterrupt):
+            run_synthesis(ctx, jobs=1, progress=stop)
+        assert tasks._CTX_CACHE == {}
+
+
 class TestPhase1RequeuePolicy:
     def test_theta_exhaustion_records_unmet(self, tiny_specs):
         core_spec, comm_spec = tiny_specs

@@ -242,9 +242,47 @@ class TestWorkerPrefixMemo:
             second = tasks.run_task(task(3))
         finally:
             tasks.release_context(token)
-            tasks._STAGE_CACHE_HANDLES.pop((str(tmp_path), None), None)
         assert first.error is None and second.error is None
         assert len(builds) == len(DEFAULT_STAGE_NAMES)
+
+
+class TestRunCounters:
+    """A synthesis run's stage-cache counters come from its candidates
+    alone, wherever they ran, and the run writes through the caller's
+    store."""
+
+    def test_counters_equal_at_jobs_1_and_2(self, tmp_path):
+        from repro.bench.registry import get_benchmark
+        from repro.core.pipeline import run_synthesis
+
+        bench = get_benchmark("d26_media")
+        ctx = FlowContext.build(bench.core_spec_3d, bench.comm_spec)
+        cold, warm = {}, {}
+        for jobs in (1, 2):
+            cache = _cache(tmp_path, f"cold{jobs}")
+            run_synthesis(ctx, jobs=jobs, stage_cache=cache)
+            cold[jobs] = cache.stats_dict()
+        for jobs in (1, 2):
+            cache = _cache(tmp_path, "cold1")
+            run_synthesis(ctx, jobs=jobs, stage_cache=cache)
+            warm[jobs] = cache.stats_dict()
+        assert cold[1] == cold[2]
+        assert warm[1] == warm[2]
+        assert all(
+            row["misses"] and row["bytes_written"] and not row["hits"]
+            for row in cold[1].values()
+        )
+        assert all(
+            row["hits"] and not row["misses"] for row in warm[1].values()
+        )
+        assert sum(row["bytes_read"] for row in warm[1].values()) > 0
+
+    def test_cold_serial_run_writes_one_pack(self, ctx, tmp_path):
+        from repro.core.pipeline import run_synthesis
+
+        run_synthesis(ctx, stage_cache=_cache(tmp_path))
+        packs = tmp_path / "stages" / "packs"
+        assert sorted(p.name for p in packs.iterdir()) == ["000000.pack"]
 
 
 class TestWarmIdentity:
