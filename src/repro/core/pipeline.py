@@ -692,10 +692,10 @@ class Pipeline:
         with no stable encoding raises :class:`~repro.errors.StoreError`
         before any stage runs). The walk then resumes after the deepest
         stage that has a record (:meth:`_replay_plan`). The stages up to it
-        are served from the cache: each credits its *original* execution
-        time to ``stage_seconds`` and is named in ``cached_stages``, read
-        from the record's header, and only the records holding what later
-        stages and the point read are loaded; a recorded
+        are served from the cache and named in ``cached_stages``: only the
+        records holding what later stages and the point read are loaded,
+        and every served stage credits the *original* seconds the deepest
+        record holds for it to ``stage_seconds``; a recorded
         :class:`StageFailure` replays as the rejection. The stages after it
         run and checkpoint their outputs without a lookup. Hard
         (non-:class:`StageFailure`) errors propagate without caching.
@@ -708,16 +708,17 @@ class Pipeline:
                 zip((stage.name for stage in self.stages), fingerprints)
             )
         deepest, records = self._replay_plan(stage_cache, fingerprints)
+        if records:
+            state.stage_seconds.update(records[deepest][0].seconds)
         for i, stage in enumerate(self.stages):
+            # Stages up to the deepest record are served without a
+            # lookup: each with its own record when the rest of the walk
+            # reads it, and with the seconds the deepest record holds.
             cached = i <= deepest
+            record, nbytes = records.get(i, (None, 0))
             if stage_cache is not None:
-                stage_cache.tally(stage.name, hit=cached)
+                stage_cache.tally(stage.name, hit=cached, bytes_read=nbytes)
             if cached:
-                # Served without a lookup: its record, when the rest of
-                # the walk reads it, else just the header's seconds.
-                record, elapsed = records.get(i) or (
-                    None, stage_cache.head(stage, fingerprints[i]) or 0.0
-                )
                 if record is not None:
                     record.apply(state)
                 state.cached_stages.append(stage.name)
@@ -729,14 +730,14 @@ class Pipeline:
                     state.failed_stage = stage.name
                     state.failure_reason = str(exc)
                 elapsed = time.perf_counter() - start
+                state.stage_seconds[stage.name] = (
+                    state.stage_seconds.get(stage.name, 0.0) + elapsed
+                )
                 if stage_cache is not None:
                     # Deterministic rejections are cached alongside
                     # successes (replaying them is exactly as correct and
                     # much cheaper); a hard error propagates unrecorded.
                     stage_cache.save(stage, fingerprints[i], state, elapsed)
-            state.stage_seconds[stage.name] = (
-                state.stage_seconds.get(stage.name, 0.0) + elapsed
-            )
             if state.failed_stage is not None:
                 break
         if state.ok and state.metrics is not None:
@@ -748,28 +749,32 @@ class Pipeline:
 
     def _replay_plan(
         self, stage_cache, fingerprints: Sequence[str]
-    ) -> Tuple[int, Dict[int, Tuple[object, float]]]:
+    ) -> Tuple[int, Dict[int, Tuple[object, int]]]:
         """Where a stage-cached walk resumes: ``(deepest, records)``.
 
-        ``deepest`` indexes the deepest stage with a record (-1: none), found by header reads from the
-        back. Each fingerprint folds in the one before it, and a stage's
-        record is written only once it has run, so that record proves
-        every stage before it passed under these same fingerprints.
-        ``records`` maps a stage index to its loaded ``(record, seconds)``:
-        the deepest record and, unless it is a rejection, the last record
-        at or before it to write each field that a later stage or the
-        design point reads. If one of those is gone, the search starts
-        again below it, and the walk recomputes from that producer on.
+        ``deepest`` indexes the deepest stage with a record (-1: none),
+        found by asking the pack index from the back; no frame is read to
+        find it, and the index is refreshed at most once, when it does not
+        hold the last stage's record. Each fingerprint folds in the one
+        before it, and a stage's record is written only once it has run,
+        so that record proves every stage before it passed under these
+        same fingerprints. ``records`` maps a stage index to its loaded
+        ``(record, frame bytes)``: the deepest record and, unless it is a
+        rejection, the last record at or before it to write each field
+        that a later stage or the design point reads. If one of those
+        cannot be loaded, the search starts again below it, and the walk
+        recomputes from that producer on.
         """
+        last = len(fingerprints) - 1
         limit = len(fingerprints)
         while limit > 0:
             deepest = next((
                 i for i in range(limit - 1, -1, -1)
-                if stage_cache.head(self.stages[i], fingerprints[i]) is not None
+                if stage_cache.store.indexed(fingerprints[i], refresh=i == last)
             ), -1)
             if deepest < 0:
                 break
-            records: Dict[int, Tuple[object, float]] = {}
+            records: Dict[int, Tuple[object, int]] = {}
             for i in self._replay_reads(deepest):
                 hit = stage_cache.load(self.stages[i], fingerprints[i])
                 if hit is None:

@@ -67,6 +67,7 @@ from repro.engine.tasks import (
     SynthesisTask,
     TaskResult,
     run_task,
+    serving_store,
     unpickle_result,
 )
 from repro.errors import EngineError
@@ -167,15 +168,16 @@ def run_tasks(
             task = found.task
         todo.append((i, task))
 
-    ran = workers > 1 and len(todo) > 1 and run_supervised_pool(
-        [task for _i, task in todo], workers, sup,
-        lambda j, result: finish(todo[j][0], *unpickle_result(result)),
-    )
-    if not ran:
-        for i, task in todo:
-            finish(i, run_task(task, sup.retries))
-            if raise_errors:  # stop at the first failure, like a plain loop
-                _raise_first([results[i]], sup)
+    with serving_store(store):
+        ran = workers > 1 and len(todo) > 1 and run_supervised_pool(
+            [task for _i, task in todo], workers, sup,
+            lambda j, result: finish(todo[j][0], *unpickle_result(result)),
+        )
+        if not ran:
+            for i, task in todo:
+                finish(i, run_task(task, sup.retries))
+                if raise_errors:  # stop at the first failure, like a loop
+                    _raise_first([results[i]], sup)
     if raise_errors:
         _raise_first(results, sup)
     return results

@@ -31,7 +31,10 @@ Invalidation model (see ``docs/pipeline.md`` for the full policy):
   semantics;
 * every stage is fingerprinted before any runs: an input with no stable
   encoding (a custom stage holding a live handle) raises
-  :class:`~repro.errors.StoreError` under a stage cache, and no stage runs.
+  :class:`~repro.errors.StoreError` under a stage cache, and no stage runs;
+* a replay asks the store's pack index which records exist and reads only
+  the records it loads; each record carries the recorded seconds of every
+  stage in its chain, so the stages it does not load are credited too.
 
 Records share the store directory, its packs and its salt with
 whole-task caching and are filed under ``task_type="stage:<name>"``, one
@@ -57,8 +60,10 @@ from repro.errors import StoreError
 #: previous stage's, so a record proves every stage before it passed
 #: under the same fingerprints (the replay-from-deepest walk of
 #: ``Pipeline.evaluate`` relies on it), and switch positions are plain
-#: floats.
-STAGE_RECORD_SALT = "stage-record-v3"
+#: floats. v4: each record carries the recorded seconds of every stage in
+#: its chain, so a replay credits the stages it does not load from the
+#: deepest record.
+STAGE_RECORD_SALT = "stage-record-v4"
 
 
 @dataclasses.dataclass
@@ -72,6 +77,9 @@ class StageRecord:
     #: Whether the stage rejected the candidate (a StageFailure).
     failed: bool = False
     failure_reason: str = ""
+    #: ``{stage: recorded seconds}`` of this stage and every stage before
+    #: it, as the writing candidate credited them.
+    seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     def apply(self, state) -> None:
         """Replay this record onto a :class:`CandidateState`."""
@@ -126,7 +134,8 @@ class StageCache:
     workers, and :meth:`fold`\\ s each candidate's counters into the
     caller's, so they read the same at any ``jobs``. ``spec()`` names the
     store, so a worker started without ``fork`` reopens an equivalent
-    cache.
+    cache. Record loads leave the store's session hit/miss counters
+    alone: the store may be the caller's own.
     """
 
     #: Cap on the memoised per-(stage, context) fingerprint prefixes and
@@ -246,30 +255,22 @@ class StageCache:
 
     # -- record IO ----------------------------------------------------------
 
-    def head(self, stage, fingerprint: str) -> Optional[float]:
-        """The original elapsed seconds of ``stage``'s record, from its
-        header frame alone; ``None`` when there is no such record."""
-        header = self.store.head(fingerprint)
-        if header is None or header.get("task_type") != f"stage:{stage.name}":
-            return None
-        return float(header.get("elapsed_s", 0.0))
-
-    def load(self, stage, fingerprint: str) -> Optional[Tuple[StageRecord, float]]:
-        """Fetch ``(record, original elapsed seconds)``; ``None`` on miss.
-        Only these payload reads add to ``bytes_read``."""
-        entry = self.store.get(fingerprint)
+    def load(self, stage, fingerprint: str) -> Optional[Tuple[StageRecord, int]]:
+        """Fetch ``(record, frame bytes)``; ``None`` when it is missing or
+        unreadable. The store's session hit/miss counters do not move."""
+        entry = self.store.get(fingerprint, counted=False)
         if (
             entry is None
             or not isinstance(entry.payload, StageRecord)
             or entry.payload.stage != stage.name
         ):
             return None
-        self._counter(stage.name).bytes_read += self.store.size_of(fingerprint)
-        return entry.payload, entry.elapsed_s
+        return entry.payload, self.store.size_of(fingerprint)
 
     def save(self, stage, fingerprint: str, state, elapsed_s: float) -> None:
-        """Checkpoint the stage's declared outputs (pickled immediately, so
-        later in-place mutation by downstream stages cannot leak in)."""
+        """Checkpoint the stage's declared outputs and ``state``'s
+        ``stage_seconds`` (pickled immediately, so later in-place mutation
+        by downstream stages cannot leak in)."""
         failed = state.failed_stage == stage.name
         record = StageRecord(
             stage=stage.name,
@@ -278,6 +279,7 @@ class StageCache:
             },
             failed=failed,
             failure_reason=state.failure_reason if failed else "",
+            seconds=state.stage_seconds,
         )
         written = self.store.put(
             fingerprint,
@@ -289,11 +291,13 @@ class StageCache:
 
     # -- stats --------------------------------------------------------------
 
-    def tally(self, name: str, *, hit: bool) -> None:
-        """Count one stage as served from a record (``hit``) or run."""
+    def tally(self, name: str, *, hit: bool, bytes_read: int = 0) -> None:
+        """Count one stage as served from a record (``hit``, ``bytes_read``
+        of it loaded) or run."""
         counter = self._counter(name)
         if hit:
             counter.hits += 1
+            counter.bytes_read += bytes_read
         else:
             counter.misses += 1
 
@@ -306,8 +310,8 @@ class StageCache:
                 setattr(counter, key, getattr(counter, key) + int(value))
 
     def stats_dict(self) -> Dict[str, Dict[str, int]]:
-        """``{stage: {hits, misses, bytes_read, bytes_written}}`` in first-
-        touch (pipeline) order."""
+        """``{stage: {hits, misses, bytes_read, bytes_written}}`` in
+        pipeline order: a candidate counts its stages in that order."""
         return {
             name: counter.as_dict() for name, counter in self.counters.items()
         }

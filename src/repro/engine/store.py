@@ -34,11 +34,13 @@ Design:
   starts a new pack. Entries that older versions filed one file each
   are not read;
 * **pack index** — each store keeps an in-memory index, fingerprint ->
-  (pack, offset, length, CRC), built from frame headers only (a
-  synthesis run's candidates share one store, and fork workers inherit
-  its index, so a run builds it once). A lookup that misses it refreshes
-  it: packs that grew are read from where the last scan stopped, and the
-  next pack number is probed;
+  (pack, offset, length, CRC), built from frame headers only (a sweep's
+  stage-cached tasks and a synthesis run's candidates evaluate on the
+  caller's store, and fork workers inherit its index, so a run builds it
+  once). A lookup that misses it refreshes it: packs that grew are read
+  from where the last scan stopped, and the next pack number is probed.
+  :meth:`ResultStore.indexed` answers from the index alone, so a stage
+  replay reads only the records it loads (Bitcask's keydir rule);
   packs no writer holds any more are skipped until the directory
   changes. A stale index costs a miss (a recomputation), never a wrong
   result;
@@ -692,27 +694,41 @@ class ResultStore:
 
     # -- entry IO -----------------------------------------------------------
 
-    def get(self, fingerprint: Optional[str]) -> Optional[StoreEntry]:
-        """Fetch one entry; ``None`` on miss *or* unreadable entry."""
+    def get(
+        self, fingerprint: Optional[str], *, counted: bool = True
+    ) -> Optional[StoreEntry]:
+        """Fetch one entry; ``None`` on miss *or* unreadable entry.
+
+        ``counted=False`` leaves the session ``hits``/``misses`` alone: a
+        stage cache over this store reads its records so, and the
+        counters keep counting whole-task lookups only.
+        """
         if fingerprint is None:
             return None
         try:
-            header, payload = self._read(fingerprint, payload=True)
+            body = self._packs.read(fingerprint)
+            if body is None:
+                raise FileNotFoundError(fingerprint)
+            source = io.BytesIO(body)
+            header = pickle.load(source)
+            if not self._header_ok(header, fingerprint):
+                raise ValueError("stale or mismatched record")
+            payload = pickle.load(source)
         except OSError:
             # Not found, or a *transient* open/read failure (EMFILE
             # mid-campaign, a flaky network mount): a plain miss. The frame
             # stays indexed; only proven-bad content is dropped.
-            self.misses += 1
+            self.misses += counted
             return None
         except Exception:
             # Torn or corrupt frame, foreign header, unpicklable class,
             # stale format/salt: a miss; drop the frame from the index so
             # it is not re-read.
-            self.misses += 1
+            self.misses += counted
             self.corrupt_dropped += 1
             self._packs.entries.pop(fingerprint, None)
             return None
-        self.hits += 1
+        self.hits += counted
         return StoreEntry(
             fingerprint=fingerprint,
             task_type=str(header.get("task_type", "")),
@@ -721,34 +737,14 @@ class ResultStore:
             created_s=float(header.get("created_s", 0.0)),
         )
 
-    def head(self, fingerprint: Optional[str]) -> Optional[Dict[str, Any]]:
-        """The entry's header frame alone — the payload is not unpickled.
-
-        ``None`` when the entry is absent, unreadable or stale; a bad
-        entry is left for :meth:`get` to drop. The session hit/miss
-        counters count payload reads only, so a header read moves none.
-        """
-        if fingerprint is None:
-            return None
-        try:
-            return self._read(fingerprint, payload=False)[0]
-        except Exception:
-            return None
-
-    def _read(
-        self, fingerprint: str, *, payload: bool
-    ) -> Tuple[Dict[str, Any], Any]:
-        """``(header, payload)`` of one entry (``payload=False``: ``None``
-        for the payload). Raises ``OSError`` when it cannot be read and
-        ``ValueError`` (or whatever unpickling raises) when it is bad."""
-        body = self._packs.read(fingerprint)
-        if body is None:
-            raise FileNotFoundError(fingerprint)
-        source = io.BytesIO(body)
-        header = pickle.load(source)
-        if not self._header_ok(header, fingerprint):
-            raise ValueError("stale or mismatched record")
-        return header, pickle.load(source) if payload else None
+    def indexed(self, fingerprint: str, *, refresh: bool = False) -> bool:
+        """Whether the pack index holds ``fingerprint``. No frame is read,
+        so an indexed entry can still fail to load. ``refresh=True``
+        first indexes the frames written since the last refresh when the
+        index does not hold it."""
+        if refresh and fingerprint not in self._packs.entries:
+            self._packs.refresh()
+        return fingerprint in self._packs.entries
 
     def _header_ok(self, header: Any, fingerprint: str) -> bool:
         return (

@@ -5,7 +5,9 @@ Four task types cross the ``ProcessPoolExecutor`` boundary:
 * :class:`SynthesisTask` — one architectural point of the Fig. 3 outer
   loop: a (core spec, communication spec, configuration) triple plus an
   opaque ``key`` the caller uses to file the merged result. The worker
-  runs the *whole* staged flow for that point.
+  runs the *whole* staged flow for that point; a stage-cached one does
+  so on the store of the ``run_tasks`` call running it
+  (:func:`serving_store`), which fork workers inherit.
 * :class:`CandidateTask` — one connectivity candidate *inside* a synthesis
   run: the same value objects plus the candidate's
   :class:`~repro.core.pipeline.CandidateRequest` (phase, switch counts,
@@ -40,6 +42,7 @@ round-trip, mirroring the serial sweeps' behaviour.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -72,11 +75,11 @@ class SynthesisTask:
             result without running synthesis.
         skip_reason: Human-readable note for reports/logs.
         stage_cache_dir / stage_cache_salt: Optional per-stage memoization
-            (see :mod:`repro.engine.stagecache`): the worker opens a
-            :class:`~repro.engine.stagecache.StageCache` at this directory
-            and serves/checkpoints individual pipeline stages. Excluded
-            from the task fingerprint — results are bit-identical with or
-            without it.
+            (see :mod:`repro.engine.stagecache`): the worker serves and
+            checkpoints individual pipeline stages through a
+            :class:`~repro.engine.stagecache.StageCache` over the store at
+            this directory (:func:`serving_store`). Excluded from the task
+            fingerprint — results are bit-identical with or without it.
     """
 
     #: Results-invariant knobs: where stage results are memoised must not
@@ -471,9 +474,9 @@ def _attempt_task(task) -> TaskResult:
     def body():
         from repro.core.synthesis import synthesize
 
-        # A fresh handle per task: its counters then *are* this point's
-        # stage-cache stats (open cost is trivial next to a synthesis).
-        stage_cache = _fresh_stage_cache(task)
+        # A handle of its own: its counters then *are* this point's
+        # stage-cache stats.
+        stage_cache = _task_stage_cache(task)
         result = synthesize(
             task.core_spec, task.comm_spec, task.library, task.config,
             stage_cache=stage_cache,
@@ -585,20 +588,46 @@ def _candidate_pipeline():
     return Pipeline()
 
 
-def _fresh_stage_cache(task):
-    """A new :class:`StageCache` over the task's stage-cache spec, or
-    ``None`` (no spec on the task, or an unusable directory — the task
-    then runs uncached)."""
+#: The store of the innermost ``run_tasks(..., store=)`` call running in
+#: this process; fork workers inherit it.
+_SERVING_STORE = None
+
+
+@contextlib.contextmanager
+def serving_store(store):
+    """Serve stage-cached tasks from ``store`` while the block runs
+    (``None`` keeps the outer one: a synthesis runs its rounds through
+    ``run_tasks`` without a store)."""
+    global _SERVING_STORE
+    outer = _SERVING_STORE
+    _SERVING_STORE = outer if store is None else store
+    try:
+        yield
+    finally:
+        _SERVING_STORE = outer
+
+
+def _task_stage_cache(task):
+    """A new :class:`StageCache` for the task's stage-cache spec: over the
+    serving store when the spec names it, else over a store it opens (a
+    worker started without ``fork``, another directory or salt). ``None``
+    when the task has no spec or the directory is unusable (the task then
+    runs uncached)."""
     cache_dir = getattr(task, "stage_cache_dir", None)
     if cache_dir is None:
         return None
-    from repro.engine.stagecache import open_stage_cache
+    from repro.engine.stagecache import StageCache, open_stage_cache
+    from repro.engine.store import resolve_salt
     from repro.errors import StoreError
 
+    salt = getattr(task, "stage_cache_salt", None)
+    store = _SERVING_STORE
+    if store is not None and (str(store.root), store.salt) == (
+        cache_dir, resolve_salt(salt)
+    ):
+        return StageCache(store)
     try:
-        return open_stage_cache(
-            cache_dir, salt=getattr(task, "stage_cache_salt", None)
-        )
+        return open_stage_cache(cache_dir, salt=salt)
     except StoreError:
         return None
 
@@ -644,7 +673,7 @@ def _candidate_context(task: CandidateTask):
         FlowContext.build(
             task.core_spec, task.comm_spec, task.library, task.config
         ),
-        _fresh_stage_cache(task),
+        _task_stage_cache(task),
     )
     if token is not None:
         _CTX_CACHE.clear()

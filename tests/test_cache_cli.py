@@ -139,7 +139,7 @@ class TestCacheSubcommand:
         store = ResultStore(cache_dir)
         (fp,) = [fp for fp, task_type in store.entries().items()
                  if task_type == "SynthesisTask"]
-        assert store.head(fp) is not None  # indexes its frame
+        assert store.indexed(fp, refresh=True)  # indexes its frame
         pack, offset, length, _crc = store._packs.entries[fp]
         with open(store._packs.path(pack), "r+b") as fh:
             fh.seek(offset + _FRAME.size + length - 1)

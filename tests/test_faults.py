@@ -13,7 +13,9 @@ claims is executed here with injected faults (:mod:`repro.engine.faults`):
   only its own task;
 * graceful Ctrl-C with a hung worker pending;
 * a killed-then-resumed store-backed campaign merging bit-identically to
-  a clean cold run.
+  a clean cold run;
+* a sweep worker killed halfway through a stage record it writes through
+  the store it inherited from the caller.
 
 Cheap :class:`~repro.engine.tasks.SimulationTask` bodies (a few hundred
 cycles on a four-core topology) keep every leg fast; the faults, pool
@@ -22,9 +24,14 @@ breaks and deadlines are real.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
+import os
 import pickle
+import signal
 import time
+from dataclasses import dataclass
+from typing import Hashable
 
 import pytest
 
@@ -796,3 +803,108 @@ class TestKilledAndResumed:
         # executed the task, plus at most one recompute when the first
         # run's success was killed before its checkpoint was written.
         assert 2 <= plan.activations(FAULT_INDEX) <= 3
+
+
+@dataclass(frozen=True)
+class _KilledMidFrame:
+    """A synthesis task whose worker is SIGKILLed halfway through the
+    frame of its ``after + 1``-th store write: the frame is torn in the
+    pack the worker appends to. Fingerprints as the wrapped task."""
+
+    key: Hashable
+    inner: object
+    after: int
+
+    __fingerprint_delegate__ = "inner"
+
+    def activate_fault(self) -> None:
+        assert multiprocessing.current_process().name != "MainProcess"
+        writev, writes = os.writev, []
+
+        def torn(fd, buffers):
+            writes.append(fd)
+            if len(writes) > self.after:
+                data = b"".join(buffers)
+                os.write(fd, data[: len(data) // 2])
+                os.kill(os.getpid(), signal.SIGKILL)
+            return writev(fd, buffers)
+
+        os.writev = torn  # this worker dies at the torn write
+
+
+class TestSweepWorkerKilledMidFrame:
+    def test_torn_stage_record_reads_as_a_miss(self, tmp_path, capsys):
+        """A sweep worker writes stage records through the caller's store
+        (inherited over fork) and is SIGKILLed mid-frame, on every
+        attempt, so its point is quarantined. The torn frame never reads
+        as a record, a fault-free rerun replays the records written
+        before it and gives the clean run's points, and ``cache verify
+        --repair`` leaves the store clean."""
+        from repro.bench.synthetic import synthetic_benchmark
+        from repro.cli import main
+        from repro.core.config import SynthesisConfig
+        from repro.engine import ParameterGrid, build_tasks
+        from repro.engine.store import _FRAME, _walk_pack
+
+        bench = synthetic_benchmark(
+            10, "random", num_layers=2, seed=11, floorplan_moves=300
+        )
+        root = tmp_path / "store"
+        # Two alphas: the points share no stage record.
+        tasks = build_tasks(
+            bench.core_spec_3d, bench.comm_spec,
+            ParameterGrid(alphas=(0.3, 0.9)),
+            SynthesisConfig(max_ill=10, switch_count_range=(2, 4)),
+            stage_cache_dir=str(root),
+        )
+        def points(results):
+            return [[pickle.dumps(p) for p in r.result.points]
+                    for r in results]
+
+        clean = points(run_tasks([
+            dataclasses.replace(task, stage_cache_dir=None) for task in tasks
+        ], jobs=1))
+
+        store = ResultStore(root)
+        faulty = [_KilledMidFrame(tasks[0].key, tasks[0], after=5),
+                  tasks[1]]
+        first = run_tasks(faulty, jobs=2, store=store, supervision=Supervision(
+            task_timeout_s=300.0, on_error="quarantine",
+        ))
+        assert isinstance(first[0].error, TaskQuarantinedError)
+        assert points(first[1:]) == clean[1:]
+
+        torn = []
+        for pack in sorted((root / "packs").glob("*.pack")):
+            for offset, _fp, frame, problem in _walk_pack(pack):
+                if problem is not None:
+                    assert problem == "torn frame"
+                    torn.append((pack, offset, frame[:_FRAME.size]))
+        # The pool attempt and the solo attempt each tore a frame, in a
+        # pack of its own. The solo attempt replayed the five records
+        # written before the first tear, and wrote that record whole.
+        assert len(torn) == 2 and torn[0][0] != torn[1][0]
+        for pack, offset, head in torn:
+            fingerprint = head[:32].hex()
+            if store.indexed(fingerprint, refresh=True):
+                where = store._packs.entries[fingerprint][:2]
+                assert where != (int(pack.stem), offset)
+                assert store.get(fingerprint, counted=False) is not None
+        # What the last attempt tore was never written whole: a miss.
+        fingerprint = torn[1][2][:32].hex()
+        assert not store.indexed(fingerprint, refresh=True)
+        assert store.get(fingerprint, counted=False) is None
+        assert store.stats().by_task_type["SynthesisTask"] == 1
+
+        hits = store.hits
+        rerun = run_tasks(tasks, jobs=2, store=store)
+        assert points(rerun) == clean
+        assert [r.cached for r in rerun] == [False, True]
+        assert store.hits == hits + 1
+        assert sum(row["hits"] for row in rerun[0].stage_cache.values()) > 5
+
+        assert main(["cache", "verify", "--cache-dir", str(root)]) == 1
+        assert main(["cache", "verify", "--repair",
+                     "--cache-dir", str(root)]) == 0
+        assert main(["cache", "verify", "--cache-dir", str(root)]) == 0
+        assert "2 removed" in capsys.readouterr().out

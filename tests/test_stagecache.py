@@ -15,6 +15,7 @@ from repro.core.frequency_sweep import sweep_frequencies
 from repro.core.pipeline import (
     DEFAULT_STAGE_NAMES,
     CandidateRequest,
+    FloorplanStage,
     FlowContext,
     PartitionStage,
     Pipeline,
@@ -180,22 +181,22 @@ class TestFingerprintProperties:
         )
         assert state.ok
         assert state.stage_fingerprints == {
-            "partition": "06ef07dcd35fe552601db7a235680e93"
-                         "cf3f4debf0624f4418d76d1809afd8ce",
-            "precheck": "24c6a051cc48619a8a10bcf201b08b63"
-                        "447d78ed0d08f3892317b1ac9096f313",
-            "skeleton": "26a0924f2ee3a8d51219d67fce60173d"
-                        "0257cf08af1e9dd66061acb2e8f1a913",
-            "routing": "78fa3c8f2ec062617812c107aae22459"
-                       "c488280c142938d89c61690151732a50",
-            "placement_lp": "ec0174d4ad08e14e0de92544651b6d2e"
-                            "3dcd094652faefa2368c3703bff965fe",
-            "floorplan": "d90088b0d0f7dc3ae8aa6c8c992da690"
-                         "16c5971209db06de960eafa5387a3444",
-            "verify": "1648d3968f33c3b07c6c716f69b14ff9"
-                      "b5da656111f4d50b0feebb1d43fe1f0d",
-            "metrics": "5eb0fcf2a88a78c16dd818a0adbec03b"
-                       "c4d242960262ea6b02b4156c2844f5e5",
+            "partition": "2a2fffe7a14c5dbf3b9be19575dd1ec9"
+                         "77a332d05b60851442b58cf825c11c10",
+            "precheck": "b547ea3bd6c296ca5707aed99bba3ba0"
+                        "1e196bfd1b642613a14af5b670bef0d6",
+            "skeleton": "f8b0ca1f716783aac9e2cbfc3819df73"
+                        "504f6c6b9c5a9de9496e2b64387327e9",
+            "routing": "8bcbc8eb7175d2a34a94ac1e7446d1f4"
+                       "735aa34aa9e89eb7d24acc0efaadf485",
+            "placement_lp": "80551c5672c09740787a9826858b8437"
+                            "deb5af42e744481292d5f64a6570ccd8",
+            "floorplan": "d1369d0e72d345ab2782d5a3123ab932"
+                         "b86f6d3521a717e7bb5b2286040ae1fe",
+            "verify": "8abb5a8be6624ecd1756f2d08798b327"
+                      "93fa5a2e71c193b65f6e0ba2adc4f334",
+            "metrics": "fdc6a0e00c30ff89a20be906ce5ac5f4"
+                       "bb895d30ced0eb5ea449eef26e5d810b",
         }
         task = SynthesisTask(key="synth", core_spec=bench.core_spec_3d,
                              comm_spec=bench.comm_spec, config=ctx.config)
@@ -285,6 +286,131 @@ class TestRunCounters:
         assert sorted(p.name for p in packs.iterdir()) == ["000000.pack"]
 
 
+class TestStatsOrder:
+    """A warm run lists its stage-cache counters and timings in pipeline
+    order, though its replay loads metrics, partition and floorplan
+    first."""
+
+    def test_warm_run_counters_follow_the_pipeline(self, tmp_path):
+        from repro.bench.registry import get_benchmark
+        from repro.core.pipeline import run_synthesis
+
+        bench = get_benchmark("d26_media")
+        for objective in ("power", "latency"):
+            cache = _cache(tmp_path)
+            run_synthesis(FlowContext.build(
+                bench.core_spec_3d, bench.comm_spec,
+                config=SynthesisConfig(objective=objective),
+            ), stage_cache=cache)
+        stats = cache.stats_dict()
+        assert all(row["hits"] and not row["misses"]
+                   for row in stats.values())
+        assert tuple(stats) == DEFAULT_STAGE_NAMES
+
+    def test_cli_stage_timings_follow_the_pipeline(self, tmp_path, capsys):
+        from repro.cli import main
+
+        args = ["synth", "--benchmark", "d26_media", "--switches", "3:6",
+                "--cache-dir", str(tmp_path), "--stage-timings"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--objective", "latency"]) == 0
+        out = capsys.readouterr().out
+        for title in ("per-stage timings:", "stage cache:"):
+            table = out.split(title)[1].split("\n\n")[0].strip()
+            rows = [line.split()[0] for line in table.splitlines()[2:]]
+            assert rows[:len(DEFAULT_STAGE_NAMES)] == list(
+                DEFAULT_STAGE_NAMES
+            ), (title, rows)
+
+
+class TestSweepOnCallerStore:
+    """While ``run_tasks(..., store=S)`` runs, a stage-cached synthesis
+    task evaluates on ``S`` itself: a serial sweep writes one pack, the
+    store's hit/miss counters still count whole-task lookups only, and
+    each point's stage-cache counters equal those of a task that opens a
+    store of its own."""
+
+    def _sweep(self, cache_dir, *extra):
+        from repro.cli import main
+
+        return main([
+            "sweep", "--benchmark", "d26_media", "--switches", "3:5",
+            "--frequencies", "400,500,600", "--cache-dir", str(cache_dir),
+            *extra,
+        ])
+
+    def test_serial_sweep_leaves_one_pack(self, tmp_path, capsys):
+        assert self._sweep(tmp_path, "--jobs", "1", "--quiet") == 0
+        packs = sorted(p.name for p in (tmp_path / "packs").iterdir())
+        assert packs == ["000000.pack"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_store_line_counts_whole_tasks_only(self, tmp_path, capsys, jobs):
+        lines = []
+        # cold, warm-adjacent (every stage replayed), then warm
+        for objective in ("power", "latency", "latency"):
+            assert self._sweep(
+                tmp_path, "--jobs", jobs, "--objective", objective
+            ) == 0
+            lines += [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("store:")]
+        assert lines == [
+            "store: 0 hit(s), 3 miss(es)",
+            "store: 0 hit(s), 3 miss(es)",
+            "store: 3 hit(s), 0 miss(es)",
+        ]
+
+    def test_point_counters_equal_a_store_of_its_own(
+        self, tiny_specs, tmp_path
+    ):
+        from repro.engine import ParameterGrid, ResultStore, build_tasks
+        from repro.engine.executor import run_tasks
+
+        core_spec, comm_spec = tiny_specs
+        grid = ParameterGrid(frequencies_mhz=(400.0, 500.0, 600.0))
+        counters, packs = {}, {}
+        for name in ("caller", "own"):
+            root = tmp_path / name
+            store = ResultStore(root)
+            counters[name] = [
+                [result.stage_cache for result in run_tasks(
+                    build_tasks(
+                        core_spec, comm_spec, grid,
+                        CONFIG.with_(objective=objective),
+                        stage_cache_dir=str(root),
+                    ),
+                    store=store if name == "caller" else None,
+                )]
+                for objective in ("power", "latency")
+            ]
+            packs[name] = len(list((root / "packs").iterdir()))
+        assert counters["caller"] == counters["own"]
+        assert all(counters["own"][0]) and all(counters["own"][1])
+        # The caller's store takes every record; each task on its own
+        # opens a store, and a pack at its first write.
+        assert packs == {"caller": 1, "own": 3}
+
+    def test_serving_store_outlives_nested_calls(self, tmp_path):
+        from repro.engine import tasks
+        from repro.engine.store import ResultStore
+
+        store = ResultStore(tmp_path)
+        task = tasks.SynthesisTask(
+            key="point", core_spec=None, comm_spec=None, config=CONFIG,
+            stage_cache_dir=str(tmp_path),
+        )
+        other_salt = dataclasses.replace(task, stage_cache_salt="other")
+        assert tasks._task_stage_cache(task).store is not store
+        with tasks.serving_store(store):
+            with tasks.serving_store(None):
+                assert tasks._task_stage_cache(task).store is store
+            assert tasks._task_stage_cache(task).store is store
+            assert tasks._task_stage_cache(other_salt).store is not store
+        # A worker started without fork has no serving store: it reopens.
+        assert tasks._task_stage_cache(task).store is not store
+
+
 class TestWarmIdentity:
     """Warm stage-cached runs must be bit-identical to cold ones."""
 
@@ -335,20 +461,22 @@ class TestWarmIdentity:
         cache = _cache(tmp_path)
         base = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         floorplan_fp = base.stage_fingerprints["floorplan"]
-        assert cache.store.head(floorplan_fp) is not None
+        assert cache.load(FloorplanStage(), floorplan_fp) is not None
         pack, offset, length, _crc = cache.store._packs.entries[floorplan_fp]
         with open(cache.store._packs.path(pack), "r+b") as fh:
             fh.seek(offset + _FRAME.size + length - 1)
             last = fh.read(1)[0]
             fh.seek(-1, 1)
             fh.write(bytes([last ^ 0xFF]))
-        assert cache.store.head(floorplan_fp) is None
+        # Read through a second handle, so the replay below meets the
+        # flipped frame itself.
+        assert _cache(tmp_path).load(FloorplanStage(), floorplan_fp) is None
         again = pipeline.evaluate(ctx, ok_request, stage_cache=cache)
         upstream = ["partition", "precheck", "skeleton", "routing",
                     "placement_lp"]
         assert again.cached_stages == upstream
         assert pickle.dumps(again.point) == pickle.dumps(base.point)
-        assert cache.store.head(floorplan_fp) is not None
+        assert cache.load(FloorplanStage(), floorplan_fp) is not None
 
     def test_sweep_warm_adjacent_runs_nothing(self, tiny_specs, tmp_path):
         """A sweep with only the objective flipped re-runs no stage and
@@ -386,23 +514,37 @@ class TestWarmIdentity:
 
 
 class _StoreSpy:
-    """Counts every store access of each candidate a serial run evaluates:
-    ``get`` (a payload read), ``head`` (a header read) and ``put``."""
+    """Counts the store work of each candidate a serial run evaluates:
+    ``read`` (a frame read from a pack, by fingerprint), ``refresh`` (a
+    pack-index refresh; the one a writer makes to claim its pack is
+    ``claim``) and ``put``."""
 
     def __init__(self, monkeypatch):
-        from repro.engine.store import ResultStore
+        from repro.engine.store import ResultStore, _PackIndex
 
         self.calls = []
         self.candidates = []  # (state, that candidate's calls)
-        for kind in ("get", "head", "put"):
-            original = getattr(ResultStore, kind)
+        self.putting = False
 
-            def spy(store, fingerprint, *args, _kind=kind, _orig=original,
-                    **kwargs):
-                self.calls.append((_kind, fingerprint))
+        def read(index, fingerprint, _orig=_PackIndex.read):
+            self.calls.append(("read", fingerprint))
+            return _orig(index, fingerprint)
+
+        def refresh(index, _orig=_PackIndex.refresh):
+            self.calls.append(("claim" if self.putting else "refresh", None))
+            return _orig(index)
+
+        def put(store, fingerprint, *args, _orig=ResultStore.put, **kwargs):
+            self.calls.append(("put", fingerprint))
+            self.putting = True
+            try:
                 return _orig(store, fingerprint, *args, **kwargs)
+            finally:
+                self.putting = False
 
-            monkeypatch.setattr(ResultStore, kind, spy)
+        monkeypatch.setattr(_PackIndex, "read", read)
+        monkeypatch.setattr(_PackIndex, "refresh", refresh)
+        monkeypatch.setattr(ResultStore, "put", put)
         evaluate = Pipeline.evaluate
 
         def counted(pipeline, *args, **kwargs):
@@ -420,8 +562,10 @@ class _StoreSpy:
 
 class TestReplayReadBudget:
     """What a stage-cached candidate reads, counted on d26_media: a cold
-    candidate looks each stage up at most once, and a warm-adjacent one
-    (objective flipped) loads only the records the point is built from."""
+    candidate reads no frame, and a warm-adjacent one (objective flipped)
+    reads only the records the point is built from. Each refreshes the
+    pack index at most once: the probe for the deepest record asks the
+    index, not the packs."""
 
     def _ctx(self, objective):
         from repro.bench.registry import get_benchmark
@@ -439,11 +583,10 @@ class TestReplayReadBudget:
         spy = _StoreSpy(monkeypatch)
         run_synthesis(self._ctx("power"), stage_cache=_cache(tmp_path))
         assert spy.candidates
-        for state, calls in spy.candidates:
-            stage_of = {fp: name for name, fp in
-                        state.stage_fingerprints.items()}
-            lookups = [stage_of[fp] for kind, fp in calls if kind != "put"]
-            assert len(lookups) == len(set(lookups)), lookups
+        for _state, calls in spy.candidates:
+            kinds = [kind for kind, _fp in calls]
+            assert "read" not in kinds, kinds
+            assert kinds.count("refresh") <= 1, kinds
 
         spy.reset()
         cache = _cache(tmp_path)
@@ -453,10 +596,15 @@ class TestReplayReadBudget:
                    for row in cache.stats_dict().values())
         assert not [call for call in spy.calls if call[0] == "put"]
         rejected = 0
-        for state, calls in spy.candidates:
+        for n, (state, calls) in enumerate(spy.candidates):
             stage_of = {fp: name for name, fp in
                         state.stage_fingerprints.items()}
-            reads = sorted(stage_of[fp] for kind, fp in calls if kind == "get")
+            reads = sorted(stage_of[fp] for kind, fp in calls
+                           if kind == "read")
+            refreshes = [kind for kind, _fp in calls if kind == "refresh"]
+            # A fresh handle indexes the packs on its first probe; a point
+            # finds its last record indexed from then on.
+            assert len(refreshes) <= (1 if n == 0 or not state.ok else 0)
             if state.point is not None:
                 assert reads == ["floorplan", "metrics", "partition"]
             else:

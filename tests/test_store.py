@@ -284,7 +284,7 @@ class TestStoreIO:
         old = tmp_path / "objects" / fp[:2] / (fp[2:] + ".pkl")
         old.parent.mkdir(parents=True)
         old.write_bytes(pickle.dumps(header) + pickle.dumps("old"))
-        assert store.get(fp) is None and store.head(fp) is None
+        assert store.get(fp) is None and not store.indexed(fp, refresh=True)
         assert store.stats().entries == 0 and store.entries() == {}
         assert store.verify().checked == 0
         assert store.clear() == (0, 0)
@@ -385,9 +385,10 @@ class TestStagePacks:
         assert [frame[1] for frame in _walk_pack(pack)] == [fp, task_fp]
         entry = store.get(fp)
         assert entry.payload == {"x": 1} and entry.task_type == "stage:demo"
-        assert store.head(fp)["task_type"] == "stage:demo"
-        assert store.get(task_fp).payload == "whole"
-        assert store.head(task_fp)["task_type"] == "SimulationTask"
+        assert store.indexed(fp) and store.indexed(task_fp)
+        whole = store.get(task_fp)
+        assert whole.payload == "whole"
+        assert whole.task_type == "SimulationTask"
         assert store.size_of(fp) == _FRAME.size + _frame(store, fp)[2]
         assert (store.size_of(fp) + store.size_of(task_fp)
                 == pack.stat().st_size)
@@ -411,8 +412,9 @@ class TestStagePacks:
         assert (frame_fp, problem) == (fp, None)
         assert frame.endswith(data)
         fresh = ResultStore(tmp_path)
-        assert fresh.get(fp).payload == {"x": [1, 2]}
-        assert fresh.head(fp)["task_type"] == "SimulationTask"
+        entry = fresh.get(fp)
+        assert entry.payload == {"x": [1, 2]}
+        assert entry.task_type == "SimulationTask"
 
     def test_close_needs_no_module_globals(self, tmp_path, monkeypatch):
         """At interpreter exit ``__del__`` may run after the module's
