@@ -765,8 +765,8 @@ class Pipeline:
         cannot be loaded, the search starts again below it, and the walk
         recomputes from that producer on.
         """
-        last = len(fingerprints) - 1
         limit = len(fingerprints)
+        last = limit - 1
         while limit > 0:
             deepest = next((
                 i for i in range(limit - 1, -1, -1)
