@@ -32,6 +32,7 @@ context from a spec pair and calls it.
 from __future__ import annotations
 
 import math
+import sys
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -534,22 +535,13 @@ class FloorplanStage(Stage):
         link_lengths_from_positions(state.topology, state.final_centers)
 
     def _insert_noc(self, ctx: FlowContext, topology: Topology) -> ChipFloorplan:
-        # Components take their kinds from the topology's own endpoint
-        # strings: a topology replayed from a stage record holds unpickled
-        # copies of "core" and "switch", and a point whose topology and
-        # floorplan share one object per kind pickles to the bytes of its
-        # cold twin.
-        kinds = {
-            ep[0]: ep[0]
-            for link in topology.links for ep in (link.src, link.dst)
-        }
         floorplan = ChipFloorplan()
         num_layers = max(ctx.core_spec.num_layers, 1)
         for layer in range(num_layers):
             existing = [
                 PlacedComponent(
                     name=core.name,
-                    kind=kinds.get("core", "core"),
+                    kind="core",
                     rect=Rect(core.x, core.y, core.width, core.height),
                     layer=layer,
                 )
@@ -567,7 +559,7 @@ class FloorplanStage(Stage):
                 new_components.append(
                     NewComponent(
                         name=f"sw{sw.id}",
-                        kind=kinds.get("switch", "switch"),
+                        kind="switch",
                         width=side,
                         height=side,
                         ideal_center=(sw.x, sw.y),
@@ -723,6 +715,8 @@ class Pipeline:
                     record.apply(state)
                 state.cached_stages.append(stage.name)
             else:
+                if records and i == deepest + 1:
+                    _intern_kinds(state)
                 start = time.perf_counter()
                 try:
                     stage.run(ctx, state)
@@ -803,6 +797,16 @@ class Pipeline:
                 producer[name] = i
         reads = {producer[name] for name in needed if name in producer}
         return [deepest] + sorted(reads - {deepest})
+
+
+def _intern_kinds(state: CandidateState) -> None:
+    """Give replayed records' unpickled kind strings back their interned
+    literals, which the stages still to run write: the point then
+    pickles to the bytes of its cold twin."""
+    if state.topology is not None:
+        state.topology.intern_kinds()
+    for component in state.floorplan or ():
+        object.__setattr__(component, "kind", sys.intern(component.kind))
 
 
 # --------------------------------------------------------------------------

@@ -32,9 +32,8 @@ Invalidation model (see ``docs/pipeline.md`` for the full policy):
 * every stage is fingerprinted before any runs: an input with no stable
   encoding (a custom stage holding a live handle) raises
   :class:`~repro.errors.StoreError` under a stage cache, and no stage runs;
-* a replay asks the store's pack index which records exist and reads only
-  the records it loads; each record carries the recorded seconds of every
-  stage in its chain, so the stages it does not load are credited too.
+* a replay asks the pack index which records exist and reads only those
+  it loads.
 
 Records share the store directory, its packs and its salt with
 whole-task caching and are filed under ``task_type="stage:<name>"``, one
@@ -60,9 +59,7 @@ from repro.errors import StoreError
 #: previous stage's, so a record proves every stage before it passed
 #: under the same fingerprints (the replay-from-deepest walk of
 #: ``Pipeline.evaluate`` relies on it), and switch positions are plain
-#: floats. v4: each record carries the recorded seconds of every stage in
-#: its chain, so a replay credits the stages it does not load from the
-#: deepest record.
+#: floats. v4: a record holds the seconds of every stage in its chain.
 STAGE_RECORD_SALT = "stage-record-v4"
 
 
@@ -134,8 +131,7 @@ class StageCache:
     workers, and :meth:`fold`\\ s each candidate's counters into the
     caller's, so they read the same at any ``jobs``. ``spec()`` names the
     store, so a worker started without ``fork`` reopens an equivalent
-    cache. Record loads leave the store's session hit/miss counters
-    alone: the store may be the caller's own.
+    cache.
     """
 
     #: Cap on the memoised per-(stage, context) fingerprint prefixes and
@@ -268,9 +264,8 @@ class StageCache:
         return entry.payload, self.store.size_of(fingerprint)
 
     def save(self, stage, fingerprint: str, state, elapsed_s: float) -> None:
-        """Checkpoint the stage's declared outputs and ``state``'s
-        ``stage_seconds`` (pickled immediately, so later in-place mutation
-        by downstream stages cannot leak in)."""
+        """Checkpoint the stage's declared outputs and ``stage_seconds``
+        (pickled immediately, so later in-place mutation cannot leak in)."""
         failed = state.failed_stage == stage.name
         record = StageRecord(
             stage=stage.name,

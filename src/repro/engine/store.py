@@ -698,11 +698,7 @@ class ResultStore:
         self, fingerprint: Optional[str], *, counted: bool = True
     ) -> Optional[StoreEntry]:
         """Fetch one entry; ``None`` on miss *or* unreadable entry.
-
-        ``counted=False`` leaves the session ``hits``/``misses`` alone: a
-        stage cache over this store reads its records so, and the
-        counters keep counting whole-task lookups only.
-        """
+        ``counted=False`` (a stage record) leaves ``hits``/``misses``."""
         if fingerprint is None:
             return None
         try:
@@ -738,10 +734,9 @@ class ResultStore:
         )
 
     def indexed(self, fingerprint: str, *, refresh: bool = False) -> bool:
-        """Whether the pack index holds ``fingerprint``. No frame is read,
-        so an indexed entry can still fail to load. ``refresh=True``
-        first indexes the frames written since the last refresh when the
-        index does not hold it."""
+        """Whether the pack index holds ``fingerprint`` (no frame is read,
+        so it can still fail to load); ``refresh=True`` refreshes the
+        index first if it does not."""
         if refresh and fingerprint not in self._packs.entries:
             self._packs.refresh()
         return fingerprint in self._packs.entries

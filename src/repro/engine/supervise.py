@@ -152,6 +152,20 @@ def pool_context():
         return multiprocessing.get_context()
 
 
+def new_pool(max_workers: int):
+    """A process pool whose workers start with :func:`gc.freeze`: what a
+    fork worker inherits is then left out of its collections, which scan
+    only what its tasks allocate (a full one would walk, and copy, the
+    parent's whole heap)."""
+    import gc
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=max_workers, mp_context=pool_context(),
+        initializer=gc.freeze,
+    )
+
+
 def _hard_stop(pool) -> None:
     """Terminate a pool without waiting on possibly-hung workers."""
     procs = list((getattr(pool, "_processes", None) or {}).values())
@@ -194,11 +208,10 @@ def _solo_run(task, retries, timeout_s) -> TaskResult:
     pool. A crash there convicts the task (quarantine); a normal result or
     captured error acquits it and *is* its final result — the task is not
     run a third time."""
-    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     try:
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=pool_context())
+        pool = new_pool(1)
     except (OSError, PermissionError):
         # No isolation available: never re-run a crash suspect in the
         # parent process — quarantine it outright.
@@ -238,7 +251,7 @@ def run_supervised_pool(
     failures never fall back, which would re-run already-completed tasks.
     """
     try:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED
         from concurrent.futures import wait as futures_wait
         from concurrent.futures.process import BrokenProcessPool
     except ImportError:
@@ -248,11 +261,6 @@ def run_supervised_pool(
     inflight: dict = {}  # future -> (task index, deadline | None)
     restarts_left = MAX_POOL_RESTARTS
     max_workers = min(workers, len(tasks))
-
-    def make_pool():
-        return ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=pool_context()
-        )
 
     def fill(pool) -> None:
         # Cap in-flight submissions at the worker count so a submitted
@@ -297,7 +305,7 @@ def run_supervised_pool(
         if restarts_left > 0:
             restarts_left -= 1
             try:
-                return make_pool()
+                return new_pool(max_workers)
             except (OSError, PermissionError):
                 reason = "pool regeneration failed"
         while pending:
@@ -307,7 +315,7 @@ def run_supervised_pool(
         return None
 
     try:
-        pool = make_pool()
+        pool = new_pool(max_workers)
     except (OSError, PermissionError):
         return False
 

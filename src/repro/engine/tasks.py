@@ -5,9 +5,8 @@ Four task types cross the ``ProcessPoolExecutor`` boundary:
 * :class:`SynthesisTask` — one architectural point of the Fig. 3 outer
   loop: a (core spec, communication spec, configuration) triple plus an
   opaque ``key`` the caller uses to file the merged result. The worker
-  runs the *whole* staged flow for that point; a stage-cached one does
-  so on the store of the ``run_tasks`` call running it
-  (:func:`serving_store`), which fork workers inherit.
+  runs the *whole* staged flow for that point, a stage-cached one on
+  the caller's store (:func:`serving_store`).
 * :class:`CandidateTask` — one connectivity candidate *inside* a synthesis
   run: the same value objects plus the candidate's
   :class:`~repro.core.pipeline.CandidateRequest` (phase, switch counts,
@@ -48,6 +47,7 @@ import functools
 import gc
 import pickle
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
@@ -75,10 +75,8 @@ class SynthesisTask:
             result without running synthesis.
         skip_reason: Human-readable note for reports/logs.
         stage_cache_dir / stage_cache_salt: Optional per-stage memoization
-            (see :mod:`repro.engine.stagecache`): the worker serves and
-            checkpoints individual pipeline stages through a
-            :class:`~repro.engine.stagecache.StageCache` over the store at
-            this directory (:func:`serving_store`). Excluded from the task
+            (see :mod:`repro.engine.stagecache`) in the store at this
+            directory (:func:`serving_store`). Excluded from the task
             fingerprint — results are bit-identical with or without it.
     """
 
@@ -595,9 +593,8 @@ _SERVING_STORE = None
 
 @contextlib.contextmanager
 def serving_store(store):
-    """Serve stage-cached tasks from ``store`` while the block runs
-    (``None`` keeps the outer one: a synthesis runs its rounds through
-    ``run_tasks`` without a store)."""
+    """Serve stage-cached tasks from ``store`` while the block runs;
+    ``None`` keeps the outer one (a synthesis's rounds)."""
     global _SERVING_STORE
     outer = _SERVING_STORE
     _SERVING_STORE = outer if store is None else store
@@ -608,11 +605,10 @@ def serving_store(store):
 
 
 def _task_stage_cache(task):
-    """A new :class:`StageCache` for the task's stage-cache spec: over the
-    serving store when the spec names it, else over a store it opens (a
-    worker started without ``fork``, another directory or salt). ``None``
-    when the task has no spec or the directory is unusable (the task then
-    runs uncached)."""
+    """A new :class:`StageCache` over the serving store when the task's
+    stage-cache directory and salt name it, else over a store opened from
+    them; ``None`` without a directory or when it is unusable (the task
+    then runs uncached)."""
     cache_dir = getattr(task, "stage_cache_dir", None)
     if cache_dir is None:
         return None
@@ -622,8 +618,8 @@ def _task_stage_cache(task):
 
     salt = getattr(task, "stage_cache_salt", None)
     store = _SERVING_STORE
-    if store is not None and (str(store.root), store.salt) == (
-        cache_dir, resolve_salt(salt)
+    if store is not None and store.salt == resolve_salt(salt) and (
+        Path(cache_dir).resolve() == store.root.resolve()
     ):
         return StageCache(store)
     try:

@@ -17,6 +17,7 @@ matching one TSV bundle per unidirectional link.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -175,6 +176,24 @@ class Topology:
             key = (boundary, boundary + 1)
             self.ill[key] = self.ill.get(key, 0) + 1
         return link
+
+    def intern_kinds(self) -> None:
+        """Point every endpoint at the interned ``"core"``/``"switch"``
+        that new links hold (an unpickled topology holds copies). Each
+        endpoint tuple is rebuilt once, so shared tuples stay shared."""
+        memo: Dict[int, Tuple[Endpoint, Endpoint]] = {}
+
+        def canonical(ep: Endpoint) -> Endpoint:
+            if id(ep) not in memo:
+                memo[id(ep)] = (ep, (sys.intern(ep[0]), ep[1]))
+            return memo[id(ep)][1]
+
+        for link in self.links:
+            link.src, link.dst = canonical(link.src), canonical(link.dst)
+        self._link_index = {
+            (canonical(src), canonical(dst)): ids
+            for (src, dst), ids in self._link_index.items()
+        }
 
     # -- queries -----------------------------------------------------------
 

@@ -61,6 +61,7 @@ from repro.engine.supervise import (
     _quarantined_result,
     _timeout_result,
     attach_remote_traceback,
+    new_pool,
     pool_context,
 )
 from repro.engine.tasks import SimulationTask, TaskResult, run_task
@@ -524,6 +525,18 @@ class TestSuperviseInternals:
         ctx = pool_context()
         assert ctx.get_start_method() in ("fork", "spawn", "forkserver")
 
+    def test_pool_workers_leave_what_they_inherit_to_no_collection(self):
+        """A pool worker starts with ``gc.freeze``: a collection there
+        scans only what its tasks allocate."""
+        import gc
+
+        pool = new_pool(1)
+        try:
+            assert pool.submit(gc.get_freeze_count).result() > 0
+        finally:
+            _hard_stop(pool)
+        assert gc.get_freeze_count() == 0
+
     def test_hard_stop_is_idempotent(self):
         from concurrent.futures import ProcessPoolExecutor
 
@@ -545,7 +558,7 @@ class TestSuperviseInternals:
             """Runs each task at submit; the first pool is broken by the
             time of its second submit."""
 
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer=None):
                 self.submits = 0
                 self.breaks = not pools
                 pools.append(self)
@@ -850,16 +863,13 @@ class TestSweepWorkerKilledMidFrame:
             10, "random", num_layers=2, seed=11, floorplan_moves=300
         )
         root = tmp_path / "store"
-        # The second point is pre-skipped: the pool runs two tasks, and
-        # no other synthesis races the killed one.
+        # Two alphas: the points share no stage record.
         tasks = build_tasks(
             bench.core_spec_3d, bench.comm_spec,
             ParameterGrid(alphas=(0.3, 0.9)),
             SynthesisConfig(max_ill=10, switch_count_range=(2, 4)),
             stage_cache_dir=str(root),
         )
-        tasks[1] = dataclasses.replace(tasks[1], skip=True)
-
         def points(results):
             return [[pickle.dumps(p) for p in r.result.points]
                     for r in results]
@@ -874,8 +884,8 @@ class TestSweepWorkerKilledMidFrame:
         first = run_tasks(faulty, jobs=2, store=store, supervision=Supervision(
             task_timeout_s=300.0, on_error="quarantine",
         ))
-        assert isinstance(first[0].error, TaskQuarantinedError), first[0].error
-        assert first[1].skipped
+        assert isinstance(first[0].error, TaskQuarantinedError)
+        assert points(first[1:]) == clean[1:]
 
         torn = []
         for pack in sorted((root / "packs").glob("*.pack")):
@@ -897,11 +907,13 @@ class TestSweepWorkerKilledMidFrame:
         fingerprint = torn[1][2][:32].hex()
         assert not store.indexed(fingerprint, refresh=True)
         assert store.get(fingerprint, counted=False) is None
-        assert "SynthesisTask" not in store.stats().by_task_type
+        assert store.stats().by_task_type["SynthesisTask"] == 1
 
+        hits = store.hits
         rerun = run_tasks(tasks, jobs=2, store=store)
         assert points(rerun) == clean
-        assert not any(r.cached for r in rerun)
+        assert [r.cached for r in rerun] == [False, True]
+        assert store.hits == hits + 1
         assert sum(row["hits"] for row in rerun[0].stage_cache.values()) > 5
 
         assert main(["cache", "verify", "--cache-dir", str(root)]) == 1

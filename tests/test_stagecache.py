@@ -6,6 +6,7 @@ warm/cold bit-identity and failure-caching semantics
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 
 import pytest
@@ -401,11 +402,20 @@ class TestSweepOnCallerStore:
             stage_cache_dir=str(tmp_path),
         )
         other_salt = dataclasses.replace(task, stage_cache_salt="other")
+        # The same directory, spelled otherwise.
+        aliases = [
+            dataclasses.replace(task, stage_cache_dir=str(tmp_path) + "/"),
+            dataclasses.replace(
+                task, stage_cache_dir=os.path.relpath(tmp_path)
+            ),
+        ]
         assert tasks._task_stage_cache(task).store is not store
         with tasks.serving_store(store):
             with tasks.serving_store(None):
                 assert tasks._task_stage_cache(task).store is store
             assert tasks._task_stage_cache(task).store is store
+            for alias in aliases:
+                assert tasks._task_stage_cache(alias).store is store
             assert tasks._task_stage_cache(other_salt).store is not store
         # A worker started without fork has no serving store: it reopens.
         assert tasks._task_stage_cache(task).store is not store
@@ -477,6 +487,29 @@ class TestWarmIdentity:
         assert again.cached_stages == upstream
         assert pickle.dumps(again.point) == pickle.dumps(base.point)
         assert cache.load(FloorplanStage(), floorplan_fp) is not None
+
+    @pytest.mark.parametrize("depth", range(len(DEFAULT_STAGE_NAMES)))
+    def test_resumed_walk_pickles_like_a_cold_one(
+        self, ctx, ok_request, tmp_path, monkeypatch, depth
+    ):
+        """A walk that resumes after any stage, its later records lost (a
+        worker killed mid-candidate), gives a point pickle-byte identical
+        to a cold one, although the stages it runs extend replayed
+        objects with values of their own."""
+        pipeline = Pipeline()
+        cold = pipeline.evaluate(ctx, ok_request)
+        kept = list(DEFAULT_STAGE_NAMES[: depth + 1])
+        save = StageCache.save
+        monkeypatch.setattr(
+            StageCache, "save",
+            lambda self, stage, *args: stage.name in kept
+            and save(self, stage, *args),
+        )
+        pipeline.evaluate(ctx, ok_request, stage_cache=_cache(tmp_path))
+        monkeypatch.undo()
+        warm = pipeline.evaluate(ctx, ok_request, stage_cache=_cache(tmp_path))
+        assert warm.cached_stages == kept
+        assert pickle.dumps(warm.point) == pickle.dumps(cold.point)
 
     def test_sweep_warm_adjacent_runs_nothing(self, tiny_specs, tmp_path):
         """A sweep with only the objective flipped re-runs no stage and
